@@ -2,10 +2,13 @@
 
 Every sentence row is the sentence vector concatenated with four
 trainable structural embeddings (position in call, utterance index,
-speaker role, call part). Rows are projected to the model width, a
-trainable CLS vector is prepended, and an L-layer transformer encoder
-runs over the sequence; the CLS position's final state is the call
-embedding.
+speaker role, call part). Text sentences are featurized a whole call at
+a time. Rows are projected to the model width, a trainable CLS vector
+is prepended, and an L-layer transformer encoder runs over the
+sequence; the CLS position's final state is the call embedding. Only
+that state is read out, so the last layer computes the CLS query alone:
+its keys and values still cover every row, but its attention output and
+feed-forward block run on the CLS row only.
 
 Calls are encoded in batches grouped by sentence count. Equal-length
 grouping means no padding and no attention masks, and — because every
@@ -16,16 +19,12 @@ batch. The temporal no-leakage guarantee relies on exactly that.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import re
-import zlib
 from dataclasses import dataclass
-from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .dataio.records import CallRecord, PARTS, ROLES
+from .dataio.records import CallRecord, PARTS, ROLES, Sentence
 from .errors import ConfigError, ParseError, ShapeError
 from .numcore import (
     ParamStore,
@@ -115,36 +114,72 @@ class DialogueEncoderParams:
         return cls(proj_w, proj_b, cls_vec, layers, n_heads)
 
 
-def hash_featurizer(text: str, d_s: int = 768) -> np.ndarray:
-    """Deterministic bag-of-token-hashes vector, ℓ2-normalized.
+def _crc32_table() -> np.ndarray:
+    """The 256-entry lookup table of the standard (zlib) CRC-32."""
+    c = np.arange(256, dtype=np.uint32)
+    for _ in range(8):
+        c = np.where(c & 1, np.uint32(0xEDB88320) ^ (c >> 1), c >> 1)
+    return c
 
-    Bucketing uses crc32 so the mapping is stable across processes (the
-    builtin hash() is salted per interpreter run).
+
+_CRC32_TABLE = _crc32_table()
+
+
+def hash_featurizer(texts: Sequence[str], d_s: int = 768) -> np.ndarray:
+    """Deterministic bag-of-token-hashes rows, one per text, each ℓ2-normalized.
+
+    Returns a (len(texts), d_s) matrix; an empty text gives a zero row.
+    Tokens are the runs of ``[a-z0-9]`` in the lower-cased text, and a
+    token's bucket is its crc32 modulo ``d_s``, so the mapping is stable
+    across processes (the builtin hash() is salted per interpreter run).
+
+    All texts are scanned as one byte buffer: UTF-8 encodes every
+    non-ASCII character with bytes >= 0x80, so the token runs are the
+    same as in the text. The crc32 of every token advances one byte
+    position per step, and one bincount counts all tokens. The counts
+    are integers, so every row's norm is exact and a row does not depend
+    on the other texts passed with it.
     """
-    vec = np.zeros(d_s, dtype=np.float64)
-    for token in re.findall(r"[a-z0-9]+", text.lower()):
-        vec[zlib.crc32(token.encode("utf-8")) % d_s] += 1.0
-    norm = np.linalg.norm(vec)
-    if norm > 0:
-        vec /= norm
-    return vec
+    parts = [text.lower().encode("utf-8") for text in texts]
+    buf = np.frombuffer(b" ".join(parts), dtype=np.uint8)
+    is_tok = ((buf >= ord("a")) & (buf <= ord("z"))) | ((buf >= ord("0")) & (buf <= ord("9")))
+    flips = np.flatnonzero(np.diff(is_tok, prepend=False, append=False))
+    starts, lengths = flips[0::2], flips[1::2] - flips[0::2]
+    # longest tokens first, so the tokens still running at byte j are a prefix
+    order = np.argsort(-lengths, kind="stable")
+    starts, lengths = starts[order], lengths[order]
+    crc = np.full(len(starts), 0xFFFFFFFF, dtype=np.uint32)
+    running = len(starts) - np.cumsum(np.bincount(lengths))  # tokens longer than j
+    for j, k in enumerate(running[:-1]):
+        crc[:k] = _CRC32_TABLE[(crc[:k] ^ buf[starts[:k] + j]) & 0xFF] ^ (crc[:k] >> 8)
+    cols = (crc ^ np.uint32(0xFFFFFFFF)) % d_s
+    row_ends = np.cumsum([len(p) + 1 for p in parts])  # +1 for the joining space
+    rows = np.searchsorted(row_ends, starts, side="right")
+    counts = np.bincount(rows * d_s + cols, minlength=len(texts) * d_s)
+    mat = counts.astype(np.float64).reshape(len(texts), d_s)
+    norms = np.sqrt(np.einsum("ij,ij->i", mat, mat))[:, None]
+    return np.divide(mat, norms, out=mat, where=norms > 0)
 
 
-def _sentence_matrix(call: CallRecord, featurizer, d_s: int | None) -> np.ndarray:
-    rows = []
-    for s in call.sentences:
-        if s.vector is not None:
-            rows.append(np.asarray(s.vector, dtype=np.float64))
-        elif featurizer is not None:
-            rows.append(featurizer(s.text))
-        else:
-            raise ConfigError(
-                f"call {call.call_id}: sentence {s.position} has no vector and no featurizer given"
-            )
-    mat = np.stack(rows)
+def _sentence_matrix(
+    call_id: str, sentences: list[Sentence], featurizer, d_s: int | None
+) -> np.ndarray:
+    texts = [s.text for s in sentences if s.vector is None]
+    if texts and featurizer is None:
+        first = next(s for s in sentences if s.vector is None)
+        raise ConfigError(
+            f"call {call_id}: sentence {first.position} has no vector and no featurizer given"
+        )
+    featurized = iter(featurizer(texts) if texts else ())
+    mat = np.stack(
+        [
+            next(featurized) if s.vector is None else np.asarray(s.vector, dtype=np.float64)
+            for s in sentences
+        ]
+    )
     if d_s is not None and mat.shape[1] != d_s:
         raise ShapeError(
-            f"call {call.call_id}: sentence vectors have dim {mat.shape[1]}, expected {d_s}"
+            f"call {call_id}: sentence vectors have dim {mat.shape[1]}, expected {d_s}"
         )
     return mat
 
@@ -157,15 +192,16 @@ def featurize_sentences(
 ) -> Tensor:
     """Rows of sentence vector ⊕ position ⊕ utterance ⊕ role ⊕ part embeddings.
 
-    Calls longer than the position table are truncated from the end;
-    utterance indices beyond the utterance table clamp to its last row.
+    ``featurizer`` maps a list of texts to one row per text (for example
+    ``hash_featurizer``); it is called once per call, with the text of
+    every sentence that has no vector. Calls longer than the position
+    table are truncated from the end; utterance indices beyond the
+    utterance table clamp to its last row.
     """
     kept = call.sentences[: tables.max_sentences]
     if not kept:
         raise ParseError(f"call {call.call_id} has no sentences")
-    base = _sentence_matrix(
-        CallRecord(call.call_id, call.company_id, call.call_date, list(kept)), featurizer, d_s
-    )
+    base = _sentence_matrix(call.call_id, kept, featurizer, d_s)
     pos_idx = np.arange(len(kept))
     utt_idx = np.minimum(
         np.array([s.utterance_idx for s in kept]), tables.max_utterances - 1
@@ -196,15 +232,22 @@ def encode_dialogue(x: Tensor, params: DialogueEncoderParams) -> Tensor:
 
 
 def encode_featurized_batch(x: Tensor, params: DialogueEncoderParams) -> Tensor:
-    """Encode a (B, N, d_in) block of equal-length calls into (B, d_hidden)."""
-    b, n, _ = x.shape
+    """Encode a (B, N, d_in) block of equal-length calls into (B, d_hidden).
+
+    Only the CLS row is read out, so the last layer takes it as its sole
+    query and never computes the other rows.
+    """
+    b = x.shape[0]
     h = linear(x, params.proj_w, params.proj_b)
     ones = Tensor(np.ones((b, 1, 1)))
     cls_rows = matmul(ones, params.cls)  # broadcast the CLS row to every batch element
     h = concat([cls_rows, h], axis=1)
-    for layer in params.layers:
+    for layer in params.layers[:-1]:
         h = transformer_encoder_layer(h, layer, params.n_heads)
-    return take(reshape(h, (b * (n + 1), h.shape[2])), np.arange(b) * (n + 1))
+    out = take(h, [0], axis=1)
+    if params.layers:
+        out = transformer_encoder_layer(h, params.layers[-1], params.n_heads, queries=out)
+    return reshape(out, (b, out.shape[2]))
 
 
 def encode_calls(
@@ -236,40 +279,3 @@ def encode_calls(
     stacked = concat(chunks, axis=0) if len(chunks) > 1 else chunks[0]
     inverse = np.argsort(np.array(order), kind="stable")
     return take(stacked, inverse)
-
-
-# -- optional embedding cache (frozen-encoder workflows) ---------------------------
-
-
-def dialogue_param_hash(store: ParamStore, prefix: str = "dialogue") -> str:
-    digest = hashlib.sha256()
-    for name, t in store.items():
-        if name.startswith(prefix):
-            digest.update(name.encode())
-            digest.update(np.ascontiguousarray(t.data).tobytes())
-    return digest.hexdigest()
-
-
-def save_dialogue_cache(path, call_ids: list[str], vectors: np.ndarray, param_hash: str) -> None:
-    path = Path(path)
-    np.savez(path, vectors=vectors)
-    manifest = {
-        "call_ids": call_ids,
-        "dims": list(vectors.shape),
-        "param_hash": param_hash,
-    }
-    path.with_suffix(".json").write_text(json.dumps(manifest, indent=2))
-
-
-def load_dialogue_cache(path, expected_hash: str) -> dict[str, np.ndarray] | None:
-    """Return call_id → embedding, or None when stale/absent."""
-    path = Path(path)
-    manifest_path = path.with_suffix(".json")
-    npz_path = path if path.suffix == ".npz" else path.with_suffix(".npz")
-    if not manifest_path.exists() or not npz_path.exists():
-        return None
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("param_hash") != expected_hash:
-        return None
-    vectors = np.load(npz_path)["vectors"]
-    return dict(zip(manifest["call_ids"], vectors))

@@ -66,29 +66,43 @@ class TransformerLayerParams:
         )
 
 
-def transformer_encoder_layer(x: Tensor, p: TransformerLayerParams, n_heads: int) -> Tensor:
+def transformer_encoder_layer(
+    x: Tensor, p: TransformerLayerParams, n_heads: int, queries: Tensor | None = None
+) -> Tensor:
     """Self-attention + feed-forward with residuals and post-layer-norm.
 
     ``x`` is a (batch, seq, d) block of equal-length sequences; no padding
     or masking is involved, which keeps every batch element's result
     independent of its batchmates.
+
+    Keys and values always come from every row of ``x``. ``queries``, a
+    (batch, m, d) block, picks which rows are computed: the attention
+    output, the residual, both layer norms and the feed-forward block run
+    on those m rows only, and the result is (batch, m, d). Passing the
+    rows of ``x`` at some positions gives exactly those positions' rows of
+    the full layer; the default computes every row.
     """
     b, s, d = x.shape
     if d % n_heads != 0:
         raise ShapeError(f"model width {d} not divisible by {n_heads} heads")
+    if queries is None:
+        queries = x
+    elif queries.ndim != 3 or queries.shape[0] != b or queries.shape[2] != d:
+        raise ShapeError(f"queries {queries.shape} do not match keys/values {x.shape}")
+    m = queries.shape[1]
     dh = d // n_heads
 
     def split_heads(t: Tensor) -> Tensor:
-        return T.swapaxes(T.reshape(t, (b, s, n_heads, dh)), 1, 2)
+        return T.swapaxes(T.reshape(t, (b, t.shape[1], n_heads, dh)), 1, 2)
 
-    q = split_heads(linear(x, p.wq, p.bq))
+    q = split_heads(linear(queries, p.wq, p.bq))
     k = split_heads(linear(x, p.wk, p.bk))
     v = split_heads(linear(x, p.wv, p.bv))
 
     scores = T.div(T.matmul(q, T.swapaxes(k, -1, -2)), float(np.sqrt(dh)))
     attn = T.softmax(scores, axis=-1)
-    ctx = T.reshape(T.swapaxes(T.matmul(attn, v), 1, 2), (b, s, d))
+    ctx = T.reshape(T.swapaxes(T.matmul(attn, v), 1, 2), (b, m, d))
 
-    x = T.layer_norm(T.add(x, linear(ctx, p.wo, p.bo)), p.ln1_gamma, p.ln1_beta)
-    ff = linear(T.relu(linear(x, p.ff1_w, p.ff1_b)), p.ff2_w, p.ff2_b)
-    return T.layer_norm(T.add(x, ff), p.ln2_gamma, p.ln2_beta)
+    h = T.layer_norm(T.add(queries, linear(ctx, p.wo, p.bo)), p.ln1_gamma, p.ln1_beta)
+    ff = linear(T.relu(linear(h, p.ff1_w, p.ff1_b)), p.ff2_w, p.ff2_b)
+    return T.layer_norm(T.add(h, ff), p.ln2_gamma, p.ln2_beta)

@@ -59,10 +59,14 @@ def load_checkpoint(path) -> tuple[dict[int, VolatilityModel], ModelConfig]:
             if scope not in built:
                 taus = tuple(config.taus) if config.joint_heads else (tau,)
                 model = VolatilityModel(config, taus)
+                prefix = f"{scope}/"
                 state = {
-                    name: data[f"{scope}/{name}"] for name in model.store.names()
+                    key[len(prefix) :]: data[key] for key in data.files if key.startswith(prefix)
                 }
-                model.store.load_state_arrays(state)
+                try:
+                    model.store.load_state_arrays(state)
+                except ConfigError as e:
+                    raise ConfigError(f"{path}: scope {scope}: {e}") from e
                 built[scope] = model
             models[tau] = built[scope]
     return models, config

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+import math
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -60,6 +61,9 @@ class ModelConfig:
     test_start: int = 2017
 
     def validate(self) -> None:
+        for name in ("lr", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if min(self.lr, self.weight_decay) < 0 or self.lr == 0:
             raise ConfigError("lr must be positive, weight_decay non-negative")
         for name in (
@@ -98,6 +102,9 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         d = dict(d)
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown model config keys: {', '.join(unknown)}")
         if "taus" in d:
             d["taus"] = tuple(int(t) for t in d["taus"])
         cfg = cls(**d)
@@ -206,7 +213,7 @@ class VolatilityModel:
             prepared.graph.calls,
             self.tables,
             self.dialogue,
-            featurizer=lambda text: hash_featurizer(text, self.config.d_s),
+            featurizer=lambda texts: hash_featurizer(texts, self.config.d_s),
             d_s=self.config.d_s,
         )
 

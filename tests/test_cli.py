@@ -268,6 +268,23 @@ class TestPredict:
         assert out.splitlines()[0].startswith("node_id,company_id,call_id,call_date,pred_3")
 
 
+    @pytest.mark.parametrize("corruption", ["missing_array", "unknown_config_key"])
+    def test_corrupt_checkpoint_exits_2(self, workdir, tmp_path, capsys, corruption):
+        with np.load(workdir["ckpt"]) as data:
+            arrays = {k: data[k] for k in data.files}
+        manifest = json.loads(str(arrays["__manifest__"]))
+        if corruption == "missing_array":
+            del arrays[manifest["params"][0]]
+        else:
+            manifest["config"]["bogus"] = 1
+        arrays["__manifest__"] = np.array(json.dumps(manifest))
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        rc = main(["predict", "--model", str(bad), "--graph", str(workdir["graph"])])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestExportAttention:
     def test_rows_and_normalization(self, workdir, tmp_path):
         out = tmp_path / "attn.csv"

@@ -4,6 +4,8 @@ and gradients through the whole encoder."""
 from __future__ import annotations
 
 import datetime as dt
+import re
+import zlib
 
 import numpy as np
 import pytest
@@ -13,16 +15,15 @@ from volgraph.dataio.records import CallRecord, Sentence
 from volgraph.dialogue import (
     DialogueEncoderParams,
     StructEmbedTables,
-    dialogue_param_hash,
     encode_calls,
     encode_dialogue,
+    encode_featurized_batch,
     featurize_sentences,
     hash_featurizer,
-    load_dialogue_cache,
-    save_dialogue_cache,
 )
 from volgraph.errors import ConfigError, ShapeError
 from volgraph.numcore.gradcheck import grad_check
+from volgraph.numcore.layers import transformer_encoder_layer
 from volgraph.numcore.params import ParamStore
 
 D_S = 6
@@ -59,21 +60,53 @@ def vector_call(rng, call_id="C-1", n=5, d_s=D_S, date=dt.date(2016, 2, 3)):
 
 class TestHashFeaturizer:
     def test_unit_norm(self):
-        v = hash_featurizer("Revenue grew twelve percent this quarter", d_s=64)
+        v = hash_featurizer(["Revenue grew twelve percent this quarter"], d_s=64)[0]
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic_and_case_insensitive(self):
-        a = hash_featurizer("Margins improved", d_s=64)
-        b = hash_featurizer("margins IMPROVED", d_s=64)
+        a = hash_featurizer(["Margins improved"], d_s=64)[0]
+        b = hash_featurizer(["margins IMPROVED"], d_s=64)[0]
         np.testing.assert_array_equal(a, b)
 
     def test_empty_text_is_zero_vector(self):
-        np.testing.assert_array_equal(hash_featurizer("", d_s=32), np.zeros(32))
+        np.testing.assert_array_equal(hash_featurizer([""], d_s=32)[0], np.zeros(32))
 
     def test_different_sentences_differ(self):
-        a = hash_featurizer("revenue fell sharply", d_s=256)
-        b = hash_featurizer("guidance raised again", d_s=256)
+        a = hash_featurizer(["revenue fell sharply"], d_s=256)[0]
+        b = hash_featurizer(["guidance raised again"], d_s=256)[0]
         assert not np.array_equal(a, b)
+
+    def test_matches_per_sentence_reference_bitwise(self):
+        # one bincount over a whole call must give, row for row, exactly
+        # what counting each sentence on its own gives
+        def per_sentence(text, d_s):
+            vec = np.zeros(d_s, dtype=np.float64)
+            for token in re.findall(r"[a-z0-9]+", text.lower()):
+                vec[zlib.crc32(token.encode("utf-8")) % d_s] += 1.0
+            norm = np.linalg.norm(vec)
+            if norm > 0:
+                vec /= norm
+            return vec
+
+        texts = [
+            "Revenue grew twelve percent this quarter.",
+            "",
+            "MARGINS Improved; margins improved again",
+            "?!.,",
+            "q3 q3 q3 EPS of 1.05 beat the 0.98 consensus",
+            "Revenue grew twelve percent this quarter.",
+            "Umsatz über Plan — Café +20%, naïve ÜBER-Ziel",
+            "\u0130stanbul \u212aelvin\nline break\ttab",
+            "x" * 300 + " y",
+        ]
+        for d_s in (7, 16, 768):
+            got = hash_featurizer(texts, d_s=d_s)
+            want = np.stack([per_sentence(t, d_s) for t in texts])
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+
+    def test_no_texts_gives_empty_matrix(self):
+        assert hash_featurizer([], d_s=8).shape == (0, 8)
 
 
 class TestFeaturize:
@@ -135,7 +168,30 @@ class TestFeaturize:
             call, tables, featurizer=lambda t: hash_featurizer(t, d_s=D_S), d_s=D_S
         )
         np.testing.assert_array_equal(
-            feats.data[0, :D_S], hash_featurizer("Revenue grew.", d_s=D_S)
+            feats.data[0, :D_S], hash_featurizer(["Revenue grew."], d_s=D_S)[0]
+        )
+
+    def test_featurizer_called_once_per_call_with_text_rows_only(self, rng):
+        store, tables, params = setup_encoder(rng)
+        call = CallRecord(
+            "T-1", "T", dt.date(2016, 2, 3),
+            [
+                Sentence(0, "executive", "presentation", 0, text="Revenue grew."),
+                Sentence(0, "executive", "presentation", 1, vector=rng.normal(size=D_S)),
+                Sentence(1, "analyst", "qa", 2, text="Why did MARGINS fall?"),
+            ],
+        )
+        seen = []
+
+        def featurizer(texts):
+            seen.append(list(texts))
+            return hash_featurizer(texts, d_s=D_S)
+
+        feats = featurize_sentences(call, tables, featurizer=featurizer, d_s=D_S).data
+        assert seen == [["Revenue grew.", "Why did MARGINS fall?"]]
+        np.testing.assert_array_equal(feats[1, :D_S], call.sentences[1].vector)
+        np.testing.assert_array_equal(
+            feats[[0, 2], :D_S], hash_featurizer(["Revenue grew.", "Why did MARGINS fall?"], D_S)
         )
 
 
@@ -175,6 +231,23 @@ class TestEncode:
             solo = encode_dialogue(featurize_sentences(c, tables, d_s=D_S), params).data
             assert np.array_equal(got[i], solo), f"call {i} out of order"
 
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_readout_matches_cls_row_of_full_last_layer(self, rng, n_layers, n):
+        # the last layer computes only the CLS query; running it in full
+        # and taking the CLS row must agree to rounding
+        store, tables, params = setup_encoder(rng, n_layers=n_layers)
+        calls = [vector_call(rng, call_id=f"C-{i}", n=n) for i in range(3)]
+        x = np.stack([featurize_sentences(c, tables, d_s=D_S).data for c in calls])
+        got = encode_featurized_batch(nc.Tensor(x), params).data
+
+        h = x @ params.proj_w.data.T + params.proj_b.data
+        h = np.concatenate([np.broadcast_to(params.cls.data, (3, 1, 8)), h], axis=1)
+        for layer in params.layers:
+            h = transformer_encoder_layer(nc.Tensor(h), layer, params.n_heads).data
+        assert got.shape == (3, 8)
+        np.testing.assert_allclose(got, h[:, 0], rtol=0, atol=1e-12)
+
     def test_gradients_flow_into_tables_and_all_layers(self, rng):
         store, tables, params = setup_encoder(rng)
         calls = [vector_call(rng, call_id=f"C-{i}", n=n) for i, n in enumerate((3, 4, 3))]
@@ -201,33 +274,3 @@ class TestEncode:
             s.position = i
         other = encode_dialogue(featurize_sentences(swapped, tables, d_s=D_S), params).data
         assert not np.array_equal(base, other)
-
-
-class TestCache:
-    def test_round_trip_and_hash_guard(self, tmp_path, rng):
-        store, tables, params = setup_encoder(rng)
-        ids = ["A-1", "B-1"]
-        vecs = rng.normal(size=(2, 8))
-        h = dialogue_param_hash(store)
-        save_dialogue_cache(tmp_path / "cache", ids, vecs, h)
-        back = load_dialogue_cache(tmp_path / "cache", h)
-        assert back is not None
-        np.testing.assert_array_equal(back["A-1"], vecs[0])
-        np.testing.assert_array_equal(back["B-1"], vecs[1])
-
-    def test_stale_cache_returns_none(self, tmp_path, rng):
-        store, tables, params = setup_encoder(rng)
-        h = dialogue_param_hash(store)
-        save_dialogue_cache(tmp_path / "cache", ["A-1"], rng.normal(size=(1, 8)), h)
-        # mutate a dialogue parameter: the hash must change and the cache go stale
-        params.cls.data = params.cls.data + 1.0
-        h2 = dialogue_param_hash(store)
-        assert h2 != h
-        assert load_dialogue_cache(tmp_path / "cache", h2) is None
-
-    def test_param_hash_covers_only_prefix(self, rng):
-        store, tables, params = setup_encoder(rng)
-        store.add("other.w", rng.normal(size=3))
-        h = dialogue_param_hash(store)
-        store["other.w"].data = store["other.w"].data * 2.0
-        assert dialogue_param_hash(store) == h

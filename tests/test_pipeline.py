@@ -488,6 +488,32 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+    def _corrupt(self, tmp_path, edit):
+        # rewrite a saved checkpoint after ``edit`` changes its arrays/manifest
+        import json
+
+        config = tiny_config()
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, {tau: VolatilityModel(config, (tau,)) for tau in TAUS}, config)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        manifest = json.loads(str(arrays["__manifest__"]))
+        edit(arrays, manifest)
+        arrays["__manifest__"] = np.array(json.dumps(manifest))
+        np.savez(path, **arrays)
+        return path
+
+    def test_missing_parameter_array(self, tmp_path):
+        path = self._corrupt(tmp_path, lambda arrays, _: arrays.pop("tau7/head.tau7.out.b"))
+        with pytest.raises(ConfigError, match="head.tau7.out.b"):
+            load_checkpoint(path)
+
+    def test_unknown_manifest_config_key(self, tmp_path):
+        path = self._corrupt(tmp_path, lambda _, manifest: manifest["config"].update(bogus=1))
+        with pytest.raises(ConfigError, match="bogus"):
+            load_checkpoint(path)
+
+
 class TestModelConfig:
     def test_round_trip(self):
         config = tiny_config(taus=(3, 7))
@@ -506,6 +532,18 @@ class TestModelConfig:
             tiny_config(d_hidden=8, dialogue_heads=3).validate()
         with pytest.raises(ConfigError):
             tiny_config(network_heads=2).validate()
+
+    @pytest.mark.parametrize("name", ["lr", "weight_decay"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_validation_rejects_non_finite_floats(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            tiny_config(**{name: value}).validate()
+
+    def test_from_dict_rejects_unknown_keys(self):
+        d = tiny_config().to_dict()
+        d["bogus"] = 1
+        with pytest.raises(ConfigError, match="bogus"):
+            ModelConfig.from_dict(d)
 
     def test_prepared_quarter_label_alignment(self, prepared_quarters):
         # labels on the prepared arrays match the graph nodes they came from

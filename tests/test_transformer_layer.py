@@ -108,3 +108,63 @@ class TestTransformerLayer:
         out = transformer_encoder_layer(nc.Tensor(rng.normal(size=(2, 1, 4))), params, n_heads=1)
         assert out.shape == (2, 1, 4)
         assert np.all(np.isfinite(out.data))
+
+
+class TestQueryRows:
+    @pytest.mark.parametrize("b,s", [(4, 6), (3, 2), (1, 1)])
+    def test_cls_query_matches_full_layer_row(self, rng, b, s):
+        # K/V over every row, Q over row 0 only: the result is row 0 of the
+        # full layer to rounding (s=2 is a CLS row plus one sentence)
+        store, params = make_layer(rng, d=8, d_ff=12)
+        x = rng.normal(size=(b, s, 8))
+        full = transformer_encoder_layer(nc.Tensor(x), params, n_heads=2).data
+        got = transformer_encoder_layer(
+            nc.Tensor(x), params, n_heads=2, queries=nc.Tensor(x[:, :1])
+        ).data
+        assert got.shape == (b, 1, 8)
+        np.testing.assert_allclose(got, full[:, :1], rtol=0, atol=1e-12)
+
+    def test_any_query_rows_match_their_full_rows(self, rng):
+        store, params = make_layer(rng, d=6)
+        x = rng.normal(size=(2, 5, 6))
+        rows = np.array([4, 1])
+        full = transformer_encoder_layer(nc.Tensor(x), params, n_heads=3).data
+        got = transformer_encoder_layer(
+            nc.Tensor(x), params, n_heads=3, queries=nc.Tensor(x[:, rows])
+        ).data
+        np.testing.assert_allclose(got, full[:, rows], rtol=0, atol=1e-12)
+
+    def test_query_batch_elements_are_independent_bitwise(self, rng):
+        store, params = make_layer(rng, d=6)
+        keep = rng.normal(size=(1, 4, 6))
+        mates = rng.normal(size=(3, 4, 6)) * 10
+        both = np.concatenate([keep, mates])
+        alone = transformer_encoder_layer(
+            nc.Tensor(keep), params, n_heads=3, queries=nc.Tensor(keep[:, :1])
+        ).data
+        batched = transformer_encoder_layer(
+            nc.Tensor(both), params, n_heads=3, queries=nc.Tensor(both[:, :1])
+        ).data
+        assert np.array_equal(alone[0], batched[0])
+
+    def test_mismatched_queries_raise(self, rng):
+        store, params = make_layer(rng, d=6)
+        x = nc.Tensor(rng.normal(size=(2, 3, 6)))
+        with pytest.raises(ShapeError):
+            transformer_encoder_layer(x, params, n_heads=2, queries=nc.Tensor(np.zeros((1, 1, 6))))
+
+    def test_gradients_match_finite_differences(self, rng):
+        # gradients reach every parameter and both the key/value block and
+        # the query rows
+        store, params = make_layer(rng, d=6, d_ff=8)
+        x = store.add("x", rng.normal(size=(2, 3, 6)))
+        q = store.add("q", rng.normal(size=(2, 1, 6)))
+        w = rng.normal(size=(2, 1, 6))
+
+        def loss():
+            out = transformer_encoder_layer(x, params, n_heads=2, queries=q)
+            return nc.sum_(nc.mul(out, nc.Tensor(w)))
+
+        report = grad_check(loss, store, tol=1e-4)
+        assert report.passed, report.summary()
+        assert report.n_checked == store.n_scalars()
