@@ -21,9 +21,9 @@ from .numcore import (
     ParamStore,
     Tensor,
     add,
-    concat,
     div,
     leaky_relu,
+    linear,
     matmul,
     mul,
     relu,
@@ -54,8 +54,7 @@ class GraphArrays:
     dst: np.ndarray  # (E,)
     edge_feat: np.ndarray  # (E, 2)
     dtilde: np.ndarray  # (E,) sqrt(deg~(dst) * deg~(src))
-    node_group: np.ndarray  # (N,) index into date group list
-    group_nodes: list  # per date, np array of node ids
+    node_group: np.ndarray  # (N,) date index of each node
     date_gaps: list  # per date, days since previous date
     dates: list
 
@@ -78,13 +77,10 @@ class GraphArrays:
 
         groups = date_groups(graph)
         node_group = np.empty(n, dtype=np.intp)
-        group_nodes = []
         gaps = []
         prev = None
         for gi, (date, members) in enumerate(groups):
-            arr = np.array(members, dtype=np.intp)
-            group_nodes.append(arr)
-            node_group[arr] = gi
+            node_group[members] = gi
             gaps.append(0 if prev is None else (date - prev).days)
             prev = date
         return cls(
@@ -94,7 +90,6 @@ class GraphArrays:
             edge_feat=feat,
             dtilde=dtilde,
             node_group=node_group,
-            group_nodes=group_nodes,
             date_gaps=gaps,
             dates=[d for d, _ in groups],
         )
@@ -133,15 +128,20 @@ class GATLayerParams:
 def edge_attention(v: Tensor, arrays: GraphArrays, params: GATLayerParams) -> Tensor:
     """Attention weight per edge, softmax-normalized over each in-neighborhood.
 
-    The raw score is LeakyReLU of the inner product between the projected
-    receiver⊕sender pair and the projected edge feature.
+    The raw score of edge j→i is LeakyReLU of the inner product between
+    the projected receiver⊕sender pair W_p (v_i ⊕ v_j) and the projected
+    edge feature W_e f_ij. With W_r, W_s the receiver and sender column
+    halves of W_p, that product is Σ_c f_ij,c ((W_eᵀ W_r v_i)_c +
+    (W_eᵀ W_s v_j)_c), so the d-wide products run once per node and
+    each edge only mixes two numbers per feature.
     """
-    vi = take(v, arrays.dst)  # receiver embeddings, (E, d)
-    vj = take(v, arrays.src)  # sender embeddings, (E, d)
-    pair = matmul(concat([vi, vj], axis=1), swapaxes(params.attn_pair, -1, -2))  # (E, d)
-    edge = matmul(Tensor(arrays.edge_feat), swapaxes(params.attn_edge, -1, -2))  # (E, d)
-    scores = leaky_relu(sum_(mul(pair, edge), axis=1), LEAKY_SLOPE)  # (E,)
-    return segment_softmax(scores, arrays.dst, arrays.n_nodes)
+    d = v.shape[1]
+    proj = matmul(swapaxes(params.attn_edge, 0, 1), params.attn_pair)  # (2, 2d)
+    recv = linear(v, take(proj, np.arange(d), axis=1))  # (N, 2)
+    send = linear(v, take(proj, np.arange(d, 2 * d), axis=1))  # (N, 2)
+    per_feature = add(take(recv, arrays.dst), take(send, arrays.src))  # (E, 2)
+    scores = sum_(mul(Tensor(arrays.edge_feat), per_feature), axis=1)
+    return segment_softmax(leaky_relu(scores, LEAKY_SLOPE), arrays.dst, arrays.n_nodes)
 
 
 def gat_layer(
@@ -162,10 +162,7 @@ def gat_layer(
     coef = reshape(div(gamma, Tensor(arrays.dtilde)), (gamma.shape[0], 1))
     messages = mul(coef, take(g, arrays.src))  # (E, d)
     agg = segment_sum(messages, arrays.dst, arrays.n_nodes)  # (N, d)
-    out = add(
-        matmul(agg, swapaxes(params.w0, -1, -2)),
-        matmul(g, swapaxes(params.w1_self, -1, -2)),
-    )
+    out = add(linear(agg, params.w0), linear(g, params.w1_self))
     if params.activation == "relu":
         out = relu(out)
     return out, gamma.data.copy()
@@ -185,7 +182,6 @@ def company_network_encoder(
     arrays: GraphArrays,
     market_params: list[MarketParams],
     gat_params: list[GATLayerParams],
-    literal_norm: bool = False,
 ) -> tuple[Tensor, NetworkDiagnostics]:
     """Alternate market and network encoding for L layers."""
     if len(market_params) != len(gat_params):
@@ -195,10 +191,8 @@ def company_network_encoder(
     diag = NetworkDiagnostics()
     v = v0
     for mp, gp in zip(market_params, gat_params):
-        group_embeds = [take(v, ids) for ids in arrays.group_nodes]
-        timeline = run_market_timeline(group_embeds, arrays.date_gaps, mp, literal_norm)
-        m_stack = concat(timeline.outputs, axis=0)  # (T, d)
-        m_nodes = take(m_stack, arrays.node_group)  # (N, d)
+        timeline = run_market_timeline(arrays.date_gaps, v, arrays.node_group, mp)
+        m_nodes = take(timeline.outputs, arrays.node_group)  # (N, d)
         v, gamma = gat_layer(v, m_nodes, arrays, gp)
         diag.gamma.append(gamma)
         diag.beta.append(timeline.betas)

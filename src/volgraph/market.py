@@ -7,11 +7,17 @@ sigma(w_d/(gap+1)) so that long gaps between consecutive call dates wash
 out more of the carried state. The scan is strictly left-to-right: the
 market state for a date is a function of calls on that date and earlier
 ones only.
+
+Everything that does not depend on the carried state runs once per
+quarter over all dates: pooling is one segment softmax and one segment
+sum over each node's date id, the decays are one vector op, and the
+GRU's input projections are one matmul per gate. Only the recurrent
+u-terms stay in the per-date loop, as in time-aware recurrent cells.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,15 +26,18 @@ from .numcore import (
     ParamStore,
     Tensor,
     add,
+    concat,
     div,
     linear,
     matmul,
     mul,
     reshape,
+    segment_softmax,
+    segment_sum,
     sigmoid,
-    softmax,
     sub,
-    sum_,
+    swapaxes,
+    take,
     tanh,
     uniform_init,
 )
@@ -107,86 +116,95 @@ class MarketParams:
 
 @dataclass
 class MarketTimeline:
-    """Per-date pooled inputs, hidden states, outputs, and attention weights."""
+    """Stacked per-date states, plus numpy copies of the pooling weights."""
 
-    pooled: list  # m_{t_i}, each (1, d)
-    hidden: list  # a_{t_i}, each (1, d)
-    outputs: list  # m'_{t_i}, each (1, d)
-    betas: list = field(default_factory=list)  # numpy copies, for inspection
-    deltas: list = field(default_factory=list)
+    pooled: Tensor  # m_{t_i}, (T, d)
+    hidden: Tensor  # a_{t_i}, (T, d)
+    outputs: Tensor  # m'_{t_i}, (T, d)
+    betas: list  # per date, the weights of its calls in node order
+    deltas: list  # per date, the decay coefficient as a float
 
 
 def market_attention(
-    embeddings: Tensor, params: MarketAttentionParams, literal_norm: bool = False
+    embeddings: Tensor, node_group, n_dates: int, params: MarketAttentionParams
 ) -> tuple[Tensor, Tensor]:
-    """Pool one date's call embeddings (n, d) into (1, d); also return weights.
+    """Pool (N, d) call embeddings into one (n_dates, d) row per date.
 
-    ``literal_norm`` switches to plain score normalization e_j / Σ e_u.
-    That form divides by zero for zero-sum scores and can emit negative
-    weights, so it exists for comparison tests only; the default is a
-    softmax.
+    ``node_group[j]`` is the date of call j. The weights, returned as an
+    (N,) tensor, are a softmax over the calls of each date.
     """
     if embeddings.ndim != 2 or embeddings.shape[0] < 1:
-        raise ShapeError(f"expected (n, d) date group, got {embeddings.shape}")
-    d = embeddings.shape[1]
+        raise ShapeError(f"expected (n, d) call embeddings, got {embeddings.shape}")
+    n, d = embeddings.shape
     keys = linear(embeddings, params.w_k)  # (n, d)
     scores = div(matmul(keys, reshape(params.w_q, (d, 1))), float(np.sqrt(d)))  # (n, 1)
-    flat = reshape(scores, (scores.shape[0],))
-    if literal_norm:
-        beta = div(flat, sum_(flat))
-    else:
-        beta = softmax(flat, axis=-1)
-    pooled = matmul(reshape(beta, (1, beta.shape[0])), embeddings)  # (1, d)
+    beta = segment_softmax(reshape(scores, (n,)), node_group, n_dates)
+    pooled = segment_sum(mul(reshape(beta, (n, 1)), embeddings), node_group, n_dates)
     return pooled, beta
 
 
-def decay_coefficient(gap_days: int, w_d: Tensor) -> Tensor:
-    """sigma(w_d / (gap+1)): shrinks toward sigma(0)=0.5 as the gap grows."""
-    if gap_days < 0:
-        raise ShapeError(f"negative date gap {gap_days}")
-    return sigmoid(div(w_d, float(gap_days + 1)))
+def decay_coefficient(gap_days, w_d: Tensor) -> Tensor:
+    """sigma(w_d / (gap+1)) for each gap: shrinks toward sigma(0)=0.5 as the gap grows."""
+    gaps = np.asarray(gap_days, dtype=w_d.dtype)
+    if np.any(gaps < 0):
+        raise ShapeError(f"negative date gap in {gap_days}")
+    return sigmoid(div(w_d, gaps + 1))
 
 
-def market_gru_step(
-    m: Tensor, a_prev: Tensor, delta: Tensor, p: TimeDecayGRUParams
-) -> tuple[Tensor, Tensor]:
-    """One GRU update; ``delta`` additionally damps the reset-gated state."""
-    z = sigmoid(add(add(linear(m, p.w_z), linear(a_prev, p.u_z)), p.b_z))
-    r = sigmoid(add(add(linear(m, p.w_r), linear(a_prev, p.u_r)), p.b_r))
-    gated = mul(mul(delta, r), a_prev)
-    a_tilde = tanh(add(add(linear(m, p.w_h), linear(gated, p.u_h)), p.b_h))
-    a = add(mul(sub(1.0, z), a_prev), mul(z, a_tilde))
-    m_prime = linear(a, p.w_a, p.b_a)
-    return a, m_prime
+def market_gru(m: Tensor, deltas: Tensor, p: TimeDecayGRUParams) -> tuple[Tensor, Tensor]:
+    """Run the decayed GRU from a zero state over (T, d) pooled inputs.
+
+    ``deltas`` (T,) damps the reset-gated state at each date. Returns the
+    hidden states a and the outputs m' = w_a a + b_a, both (T, d).
+    """
+    xz = linear(m, p.w_z, p.b_z)
+    xr = linear(m, p.w_r, p.b_r)
+    xh = linear(m, p.w_h, p.b_h)
+    uz, ur, uh = (swapaxes(u, 0, 1) for u in (p.u_z, p.u_r, p.u_h))
+    a = Tensor(np.zeros((1, m.shape[1]), dtype=m.dtype))
+    states = []
+    for t in range(m.shape[0]):
+        row = [t]
+        z = sigmoid(add(take(xz, row), matmul(a, uz)))
+        r = sigmoid(add(take(xr, row), matmul(a, ur)))
+        gated = mul(mul(take(deltas, row), r), a)
+        a_tilde = tanh(add(take(xh, row), matmul(gated, uh)))
+        a = add(a, mul(z, sub(a_tilde, a)))  # (1 - z) a + z a~
+        states.append(a)
+    hidden = concat(states, axis=0)
+    return hidden, linear(hidden, p.w_a, p.b_a)
 
 
 def run_market_timeline(
-    group_embeddings: list[Tensor],
-    date_gaps: list[int],
-    params: MarketParams,
-    literal_norm: bool = False,
+    date_gaps: list[int], embeddings: Tensor, node_group, params: MarketParams
 ) -> MarketTimeline:
-    """Scan chronologically ordered date groups into market states.
+    """Scan chronologically ordered dates into market states.
 
-    ``group_embeddings[i]`` holds the (n_i, d) call embeddings of date i;
-    ``date_gaps[i]`` is the day count since the previous date (0 for the
-    first — the initial state is zero, so its decay never matters).
+    ``date_gaps[i]`` is the day count since date i-1 (0 for the first; the
+    initial state is zero, so its decay never matters). ``embeddings`` holds
+    the (N, d) call embeddings and ``node_group[j]`` the date index of call
+    j; every date needs at least one call.
     """
-    if len(group_embeddings) != len(date_gaps):
-        raise ShapeError("one gap per date group required")
-    d = group_embeddings[0].shape[1]
-    timeline = MarketTimeline(pooled=[], hidden=[], outputs=[])
-    a = Tensor(np.zeros((1, d)))
-    for emb, gap in zip(group_embeddings, date_gaps):
-        m, beta = market_attention(emb, params.attention, literal_norm=literal_norm)
-        delta = decay_coefficient(gap, params.gru.w_d)
-        a, m_prime = market_gru_step(m, a, delta, params.gru)
-        timeline.pooled.append(m)
-        timeline.hidden.append(a)
-        timeline.outputs.append(m_prime)
-        timeline.betas.append(beta.data.copy())
-        timeline.deltas.append(float(delta.data[0]))
-    return timeline
+    n_dates = len(date_gaps)
+    node_group = np.asarray(node_group, dtype=np.intp)
+    if embeddings.ndim != 2 or node_group.shape != embeddings.shape[:1]:
+        raise ShapeError(f"need one date per call: {node_group.shape} for {embeddings.shape}")
+    if node_group.size and (node_group.min() < 0 or node_group.max() >= n_dates):
+        raise ShapeError(f"call dates must lie in [0, {n_dates})")
+    counts = np.bincount(node_group, minlength=n_dates)
+    if n_dates == 0 or not counts.all():
+        raise ShapeError("every date needs at least one call")
+    pooled, beta = market_attention(embeddings, node_group, n_dates, params.attention)
+    deltas = decay_coefficient(date_gaps, params.gru.w_d)
+    hidden, outputs = market_gru(pooled, deltas, params.gru)
+    by_date = beta.data[np.argsort(node_group, kind="stable")]
+    return MarketTimeline(
+        pooled=pooled,
+        hidden=hidden,
+        outputs=outputs,
+        betas=np.split(by_date, np.cumsum(counts)[:-1]),
+        deltas=[float(x) for x in deltas.data],
+    )
 
 
 def timeline_debug_rows(dates, timeline: MarketTimeline) -> list[tuple]:

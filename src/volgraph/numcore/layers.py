@@ -13,11 +13,30 @@ from .tensor import Tensor
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w.T (+ b). Weight layout is (d_out, d_in)."""
-    out = T.matmul(x, T.swapaxes(w, -1, -2))
+    """x @ w.T (+ b) as one tape node. Weight layout is (d_out, d_in).
+
+    ``x`` is (..., d_in) with at least two axes; the weight gradient sums
+    over every leading axis of ``x`` at once.
+    """
+    x, w = T.as_tensor(x), T.as_tensor(w)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[1]:
+        raise ShapeError(f"linear: input {x.shape} does not fit weight {w.shape}")
+    out = x.data @ w.data.T
+    parents = (x, w)
     if b is not None:
-        out = T.add(out, b)
-    return out
+        b = T.as_tensor(b)
+        out = out + b.data
+        parents = (x, w, b)
+
+    def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        gx = g @ w.data
+        gw = g2.T @ x.data.reshape(-1, x.shape[-1])
+        if b is None:
+            return gx, gw
+        return gx, gw, T._sum_to_shape(g, b.shape)
+
+    return T._make(out, parents, backward)
 
 
 @dataclass

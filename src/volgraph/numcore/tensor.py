@@ -7,6 +7,11 @@ softmax and layer norm. ``backward()`` walks the tape once and
 accumulates gradients into every leaf created with
 ``requires_grad=True``.
 
+Scatter-adds (``segment_sum`` and the backward of ``take``) stably sort
+rows by destination and add each run with ``np.add.reduceat``: every
+destination sums its own rows in their original order, so its result is
+bitwise independent of the rows that go elsewhere.
+
 All public operations validate that their outputs are finite (can be
 switched off with :func:`set_check_finite` for hot loops). Default
 element type is float64; float32 is available for faster training runs
@@ -77,7 +82,7 @@ class Tensor:
         self._parents = _parents
         self._backward_fn = _backward
         self._needs = self.requires_grad or any(p._needs for p in _parents)
-        if _CHECK_FINITE and not np.all(np.isfinite(arr)):
+        if _CHECK_FINITE and not np.isfinite(arr).all():
             raise FloatingPointError("tensor holds non-finite values")
 
     # -- basic introspection -------------------------------------------------
@@ -333,6 +338,32 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
     return _make(out, tuple(parts), backward)
 
 
+def _segment_reduce(ufunc, values: np.ndarray, seg: np.ndarray, num_segments: int, fill):
+    """Reduce rows of ``values`` into ``num_segments`` buckets along axis 0.
+
+    Rows are stably sorted by segment and each non-empty run is reduced
+    with ``ufunc.reduceat``, so a segment's result depends only on its own
+    rows, taken in their original order. Empty segments hold ``fill``.
+    """
+    out = np.full((num_segments,) + values.shape[1:], fill, dtype=values.dtype)
+    if seg.size == 0:
+        return out
+    if seg.min() < 0:
+        raise IndexError(f"negative segment id {seg.min()}")
+    counts = np.bincount(seg, minlength=num_segments)
+    if counts.size > num_segments:
+        raise IndexError(f"segment id {seg.max()} out of range for {num_segments} segments")
+    if counts.max() == 1:  # a plain scatter, no reduction
+        out[seg] = values
+        return out
+    if np.any(seg[1:] < seg[:-1]):
+        values = values[np.argsort(seg, kind="stable")]
+    present = np.flatnonzero(counts)
+    starts = np.cumsum(counts)[present] - counts[present]
+    out[present] = ufunc.reduceat(values, starts, axis=0)
+    return out
+
+
 def take(a, indices, axis: int = 0) -> Tensor:
     """Gather rows (axis 0) or columns (axis 1) by integer index."""
     a = as_tensor(a)
@@ -340,26 +371,30 @@ def take(a, indices, axis: int = 0) -> Tensor:
     if axis not in (0, 1):
         raise ShapeError("take supports axis 0 or 1")
     out = np.take(a.data, idx, axis=axis)
+    n = a.shape[axis]
 
     def backward(g):
-        ga = np.zeros_like(a.data)
+        flat = idx.ravel() % max(n, 1)  # the forward checked the range; wrap negatives
         if axis == 0:
-            np.add.at(ga, idx, g)
-        else:
-            np.add.at(ga, (slice(None), idx), g)
-        return (ga,)
+            rows = g.reshape((flat.size,) + a.shape[1:])
+            return (_segment_reduce(np.add, rows, flat, n, 0.0),)
+        cols = np.moveaxis(g.reshape((a.shape[0], flat.size) + a.shape[2:]), 1, 0)
+        return (np.moveaxis(_segment_reduce(np.add, cols, flat, n, 0.0), 0, 1),)
 
     return _make(out, (a,), backward)
 
 
 def segment_sum(a, segment_ids, num_segments: int) -> Tensor:
-    """Sum rows of ``a`` into ``num_segments`` buckets along axis 0."""
+    """Sum rows of ``a`` into ``num_segments`` buckets along axis 0.
+
+    Each bucket adds its own rows in their original order, so it is
+    bitwise independent of the rows that land in other buckets.
+    """
     a = as_tensor(a)
     seg = np.asarray(segment_ids, dtype=np.intp)
-    if seg.shape[0] != a.shape[0]:
+    if seg.ndim != 1 or seg.shape[0] != a.shape[0]:
         raise ShapeError("segment ids must align with axis 0")
-    out = np.zeros((num_segments,) + a.shape[1:], dtype=a.dtype)
-    np.add.at(out, seg, a.data)
+    out = _segment_reduce(np.add, a.data, seg, num_segments, 0.0)
 
     def backward(g):
         return (np.take(g, seg, axis=0),)
@@ -523,9 +558,8 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
 
 def segment_max_detached(values: np.ndarray, segment_ids, num_segments: int) -> np.ndarray:
     """Per-segment maximum as a constant (used for softmax shift only)."""
-    out = np.full((num_segments,) + values.shape[1:], -np.inf, dtype=values.dtype)
-    np.maximum.at(out, np.asarray(segment_ids, dtype=np.intp), values)
-    return out
+    seg = np.asarray(segment_ids, dtype=np.intp)
+    return _segment_reduce(np.maximum, values, seg, num_segments, -np.inf)
 
 
 def segment_softmax(scores: Tensor, segment_ids, num_segments: int) -> Tensor:

@@ -9,6 +9,7 @@ carry one scope per window; joint mode a single shared scope.
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -45,12 +46,24 @@ def save_checkpoint(path, models: dict[int, VolatilityModel], config: ModelConfi
 
 
 def load_checkpoint(path) -> tuple[dict[int, VolatilityModel], ModelConfig]:
-    with np.load(Path(path), allow_pickle=False) as data:
+    try:
+        data = np.load(Path(path), allow_pickle=False)
+    except (OSError, zipfile.BadZipFile, ValueError, EOFError) as e:
+        raise ConfigError(f"{path}: not a readable model checkpoint ({e})") from e
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ConfigError(f"{path}: not a model checkpoint")
+    with data:
         if "__manifest__" not in data:
             raise ConfigError(f"{path}: not a model checkpoint")
-        manifest = json.loads(str(data["__manifest__"]))
-        if manifest.get("format") != FORMAT:
+        try:
+            manifest = json.loads(str(data["__manifest__"]))
+        except ValueError as e:
+            raise ConfigError(f"{path}: unreadable manifest ({e})") from e
+        if not isinstance(manifest, dict) or manifest.get("format") != FORMAT:
             raise ConfigError(f"{path}: unsupported checkpoint format")
+        missing = [key for key in ("config", "scopes") if key not in manifest]
+        if missing:
+            raise ConfigError(f"{path}: manifest lacks {', '.join(missing)}")
         config = ModelConfig.from_dict(manifest["config"])
         models: dict[int, VolatilityModel] = {}
         built: dict[str, VolatilityModel] = {}
@@ -60,9 +73,14 @@ def load_checkpoint(path) -> tuple[dict[int, VolatilityModel], ModelConfig]:
                 taus = tuple(config.taus) if config.joint_heads else (tau,)
                 model = VolatilityModel(config, taus)
                 prefix = f"{scope}/"
-                state = {
-                    key[len(prefix) :]: data[key] for key in data.files if key.startswith(prefix)
-                }
+                try:
+                    state = {
+                        key[len(prefix) :]: data[key]
+                        for key in data.files
+                        if key.startswith(prefix)
+                    }
+                except (zipfile.BadZipFile, ValueError, EOFError) as e:
+                    raise ConfigError(f"{path}: scope {scope}: unreadable array ({e})") from e
                 try:
                     model.store.load_state_arrays(state)
                 except ConfigError as e:

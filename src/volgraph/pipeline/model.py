@@ -27,6 +27,17 @@ from ..market import MarketParams
 from ..numcore import ParamStore, Tensor, linear, relu, reshape
 
 
+# Keys that earlier versions wrote into checkpoint manifests. A manifest
+# still loads when such a key holds the value the model now always
+# behaves as; any other value would silently change the model, so it is
+# rejected.
+_RETIRED_KEYS = {
+    # the market pool is always a softmax; the plain e_j / sum(e) ratio
+    # could divide by zero and is gone
+    "literal_market_norm": False,
+}
+
+
 @dataclass
 class ModelConfig:
     """Hyperparameters; defaults are the full-scale training configuration."""
@@ -55,7 +66,6 @@ class ModelConfig:
     # training loop
     max_epochs: int = 200
     joint_heads: bool = False
-    literal_market_norm: bool = False
     # time-split boundaries: train < val_start <= val < test_start <= test
     val_start: int = 2016
     test_start: int = 2017
@@ -102,6 +112,9 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         d = dict(d)
+        for key, dropped_at in _RETIRED_KEYS.items():
+            if key in d and d.pop(key) != dropped_at:
+                raise ConfigError(f"config key {key!r} is no longer supported")
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"unknown model config keys: {', '.join(unknown)}")
@@ -223,11 +236,7 @@ class VolatilityModel:
         """Predictions per label window, final embeddings, and diagnostics."""
         v0 = self.encode(prepared)
         v_final, diag = company_network_encoder(
-            v0,
-            prepared.arrays,
-            self.market_params,
-            self.gat_params,
-            literal_norm=self.config.literal_market_norm,
+            v0, prepared.arrays, self.market_params, self.gat_params
         )
         preds = {}
         for tau in self.taus:

@@ -284,6 +284,26 @@ class TestPredict:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("corruption", ["no_config", "no_scopes", "not_zip"])
+    def test_eval_unreadable_checkpoint_exits_2(self, workdir, tmp_path, capsys, corruption):
+        bad = tmp_path / "bad.npz"
+        if corruption == "not_zip":
+            bad.write_bytes(b"not a model!")
+        else:
+            with np.load(workdir["ckpt"]) as data:
+                arrays = {k: data[k] for k in data.files}
+            manifest = json.loads(str(arrays["__manifest__"]))
+            del manifest[corruption[3:]]
+            arrays["__manifest__"] = np.array(json.dumps(manifest))
+            np.savez(bad, **arrays)
+        rc = main(
+            ["eval", "--model", str(bad), "--data", str(workdir["data"]),
+             "--report", str(tmp_path / "r.json"), "--split", "test"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bad.npz" in err
+
 
 class TestExportAttention:
     def test_rows_and_normalization(self, workdir, tmp_path):

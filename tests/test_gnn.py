@@ -108,7 +108,6 @@ class TestGraphArrays:
             [],
         )
         arrays = GraphArrays.from_graph(g)
-        assert [list(ids) for ids in arrays.group_nodes] == [[0, 1], [2]]
         assert arrays.date_gaps == [0, 7]
         assert arrays.node_group.tolist() == [0, 0, 1]
 

@@ -13,7 +13,7 @@ from volgraph.market import (
     MarketParams,
     decay_coefficient,
     market_attention,
-    market_gru_step,
+    market_gru,
     run_market_timeline,
     timeline_debug_rows,
 )
@@ -28,11 +28,22 @@ def setup_params(rng, d=D):
     return store, MarketParams.init(store, rng, d)
 
 
+def pool_one_date(emb, attention):
+    """Pool a single date's calls: every row belongs to date 0."""
+    return market_attention(emb, np.zeros(emb.shape[0], dtype=np.intp), 1, attention)
+
+
+def timeline_of(groups, gaps, params):
+    """Run the scan over per-date groups laid out date by date in node order."""
+    node_group = np.concatenate([np.full(len(g), i) for i, g in enumerate(groups)])
+    return run_market_timeline(gaps, nc.Tensor(np.concatenate(groups)), node_group, params)
+
+
 class TestAttentionPooling:
     def test_weights_sum_to_one(self, rng):
         store, params = setup_params(rng)
         emb = nc.Tensor(rng.normal(size=(5, D)))
-        pooled, beta = market_attention(emb, params.attention)
+        pooled, beta = pool_one_date(emb, params.attention)
         assert pooled.shape == (1, D)
         assert float(beta.data.sum()) == pytest.approx(1.0, abs=1e-12)
         assert np.all(beta.data > 0)
@@ -40,7 +51,7 @@ class TestAttentionPooling:
     def test_single_call_gets_weight_one(self, rng):
         store, params = setup_params(rng)
         emb = nc.Tensor(rng.normal(size=(1, D)))
-        pooled, beta = market_attention(emb, params.attention)
+        pooled, beta = pool_one_date(emb, params.attention)
         np.testing.assert_allclose(beta.data, [1.0], atol=1e-15)
         np.testing.assert_allclose(pooled.data[0], emb.data[0], atol=1e-15)
 
@@ -48,7 +59,7 @@ class TestAttentionPooling:
         store, params = setup_params(rng)
         row = rng.normal(size=D)
         emb = nc.Tensor(np.stack([row, row, row]))
-        _, beta = market_attention(emb, params.attention)
+        _, beta = pool_one_date(emb, params.attention)
         np.testing.assert_allclose(beta.data, [1 / 3] * 3, atol=1e-12)
 
     def test_permutation_equivariance(self, rng):
@@ -57,8 +68,8 @@ class TestAttentionPooling:
         store, params = setup_params(rng)
         emb = rng.normal(size=(4, D))
         perm = np.array([2, 0, 3, 1])
-        p1, b1 = market_attention(nc.Tensor(emb), params.attention)
-        p2, b2 = market_attention(nc.Tensor(emb[perm]), params.attention)
+        p1, b1 = pool_one_date(nc.Tensor(emb), params.attention)
+        p2, b2 = pool_one_date(nc.Tensor(emb[perm]), params.attention)
         np.testing.assert_allclose(p2.data, p1.data, atol=1e-12)
         np.testing.assert_allclose(b2.data, b1.data[perm], atol=1e-12)
 
@@ -68,22 +79,14 @@ class TestAttentionPooling:
         keys = emb @ params.attention.w_k.data.T
         scores = keys @ params.attention.w_q.data / np.sqrt(D)
         want_beta = scipy.special.softmax(scores)
-        _, beta = market_attention(nc.Tensor(emb), params.attention)
+        _, beta = pool_one_date(nc.Tensor(emb), params.attention)
         np.testing.assert_allclose(beta.data, want_beta, atol=1e-12)
-
-    def test_literal_norm_reproduces_raw_ratio(self, rng):
-        # the plain e/sum(e) variant: weights can be negative, still sum to 1
-        store, params = setup_params(rng)
-        emb = rng.normal(size=(3, D))
-        keys = emb @ params.attention.w_k.data.T
-        scores = keys @ params.attention.w_q.data / np.sqrt(D)
-        _, beta = market_attention(nc.Tensor(emb), params.attention, literal_norm=True)
-        np.testing.assert_allclose(beta.data, scores / scores.sum(), atol=1e-12)
 
     def test_rejects_bad_shape(self, rng):
         store, params = setup_params(rng)
         with pytest.raises(ShapeError):
-            market_attention(nc.Tensor(np.zeros((2, 2, 2))), params.attention)
+            market_attention(nc.Tensor(np.zeros((2, 2, 2))), np.zeros(2, dtype=np.intp), 1,
+                             params.attention)
 
 
 class TestDecayCoefficient:
@@ -129,25 +132,23 @@ class TestGRUStep:
         return a, m_prime
 
     def test_matches_manual_arithmetic(self, rng):
+        # the second date starts from the non-zero state the first one left
         store, params = setup_params(rng)
-        m = rng.normal(size=(1, D))
-        a_prev = rng.normal(size=(1, D))
-        delta = 0.73
-        a, m_prime = market_gru_step(
-            nc.Tensor(m), nc.Tensor(a_prev), nc.Tensor(np.array([delta])), params.gru
-        )
-        want_a, want_mp = self.manual_step(m, a_prev, delta, params.gru)
-        np.testing.assert_allclose(a.data, want_a, atol=1e-12)
-        np.testing.assert_allclose(m_prime.data, want_mp, atol=1e-12)
+        m = rng.normal(size=(2, D))
+        deltas = np.array([0.41, 0.73])
+        a, m_prime = market_gru(nc.Tensor(m), nc.Tensor(deltas), params.gru)
+        a_prev = np.zeros((1, D))
+        for t in range(2):
+            a_prev, want_mp = self.manual_step(m[t : t + 1], a_prev, deltas[t], params.gru)
+            np.testing.assert_allclose(a.data[t], a_prev[0], atol=1e-12)
+            np.testing.assert_allclose(m_prime.data[t], want_mp[0], atol=1e-12)
 
     def test_state_stays_bounded(self, rng):
         # a is a convex combination of a_prev and tanh(...) in (-1,1), so
         # starting from zero it can never leave (-1, 1)
         store, params = setup_params(rng)
-        a = nc.Tensor(np.zeros((1, D)))
-        for _ in range(50):
-            m = nc.Tensor(rng.normal(size=(1, D)) * 10)
-            a, _ = market_gru_step(m, a, nc.Tensor(np.array([0.9])), params.gru)
+        m = nc.Tensor(rng.normal(size=(50, D)) * 10)
+        a, _ = market_gru(m, nc.Tensor(np.full(50, 0.9)), params.gru)
         assert np.all(np.abs(a.data) < 1.0)
 
 
@@ -157,7 +158,7 @@ class TestTimeline:
         store, params = setup_params(rng)
         groups = [rng.normal(size=(n, D)) for n in (2, 1, 3)]
         gaps = [0, 4, 9]
-        timeline = run_market_timeline([nc.Tensor(g) for g in groups], gaps, params)
+        timeline = timeline_of(groups, gaps, params)
 
         sig = scipy.special.expit
         step = TestGRUStep()
@@ -169,9 +170,9 @@ class TestTimeline:
             m = (beta[None, :] @ emb).reshape(1, D)
             delta = sig(params.gru.w_d.data[0] / (gap + 1))
             a, m_prime = step.manual_step(m, a, delta, params.gru)
-            np.testing.assert_allclose(timeline.pooled[i].data, m, atol=1e-12)
-            np.testing.assert_allclose(timeline.hidden[i].data, a, atol=1e-12)
-            np.testing.assert_allclose(timeline.outputs[i].data, m_prime, atol=1e-12)
+            np.testing.assert_allclose(timeline.pooled.data[i], m[0], atol=1e-12)
+            np.testing.assert_allclose(timeline.hidden.data[i], a[0], atol=1e-12)
+            np.testing.assert_allclose(timeline.outputs.data[i], m_prime[0], atol=1e-12)
             np.testing.assert_allclose(timeline.betas[i], beta, atol=1e-12)
             assert timeline.deltas[i] == pytest.approx(float(delta), abs=1e-15)
 
@@ -180,24 +181,24 @@ class TestTimeline:
         store, params = setup_params(rng)
         groups = [rng.normal(size=(2, D)) for _ in range(4)]
         gaps = [0, 2, 3, 1]
-        base = run_market_timeline([nc.Tensor(g) for g in groups], gaps, params)
+        base = timeline_of(groups, gaps, params)
         groups2 = [g.copy() for g in groups]
         groups2[-1] = groups2[-1] + 100.0
-        pert = run_market_timeline([nc.Tensor(g) for g in groups2], gaps, params)
+        pert = timeline_of(groups2, gaps, params)
         for i in range(3):
-            assert np.array_equal(base.outputs[i].data, pert.outputs[i].data)
-            assert np.array_equal(base.hidden[i].data, pert.hidden[i].data)
-        assert not np.array_equal(base.outputs[3].data, pert.outputs[3].data)
+            assert np.array_equal(base.outputs.data[i], pert.outputs.data[i])
+            assert np.array_equal(base.hidden.data[i], pert.hidden.data[i])
+        assert not np.array_equal(base.outputs.data[3], pert.outputs.data[3])
 
     def test_earlier_dates_do_influence_later_states(self, rng):
         store, params = setup_params(rng)
         groups = [rng.normal(size=(2, D)) for _ in range(3)]
         gaps = [0, 2, 3]
-        base = run_market_timeline([nc.Tensor(g) for g in groups], gaps, params)
+        base = timeline_of(groups, gaps, params)
         groups2 = [g.copy() for g in groups]
         groups2[0] = groups2[0] + 1.0
-        pert = run_market_timeline([nc.Tensor(g) for g in groups2], gaps, params)
-        assert not np.array_equal(base.outputs[2].data, pert.outputs[2].data)
+        pert = timeline_of(groups2, gaps, params)
+        assert not np.array_equal(base.outputs.data[2], pert.outputs.data[2])
 
     def test_gradients_through_three_dates(self, rng):
         store, params = setup_params(rng)
@@ -206,10 +207,8 @@ class TestTimeline:
         w = rng.normal(size=(1, D))
 
         def loss():
-            timeline = run_market_timeline([nc.Tensor(g) for g in groups], gaps, params)
-            total = timeline.outputs[0]
-            for out in timeline.outputs[1:]:
-                total = nc.add(total, out)
+            timeline = timeline_of(groups, gaps, params)
+            total = nc.sum_(timeline.outputs, axis=0, keepdims=True)
             return nc.sum_(nc.mul(total, nc.Tensor(w)))
 
         report = grad_check(loss, store, tol=1e-4)
@@ -219,13 +218,119 @@ class TestTimeline:
     def test_mismatched_gaps_rejected(self, rng):
         store, params = setup_params(rng)
         with pytest.raises(ShapeError):
-            run_market_timeline([nc.Tensor(rng.normal(size=(1, D)))], [0, 1], params)
+            run_market_timeline([0, 1], nc.Tensor(rng.normal(size=(1, D))), [0], params)
 
     def test_debug_rows_shape(self, rng):
         store, params = setup_params(rng)
         groups = [rng.normal(size=(n, D)) for n in (2, 3)]
-        timeline = run_market_timeline([nc.Tensor(g) for g in groups], [0, 1], params)
+        timeline = timeline_of(groups, [0, 1], params)
         rows = timeline_debug_rows(["d0", "d1"], timeline)
         assert len(rows) == 5
         assert rows[0][0] == "d0" and rows[-1][0] == "d1"
         assert sum(r[2] for r in rows if r[0] == "d0") == pytest.approx(1.0, abs=1e-12)
+
+
+def reference_timeline(emb, node_group, gaps, params):
+    """The per-date loop that the whole-quarter scan replaces, op for op."""
+    att, p = params.attention, params.gru
+    d = emb.shape[1]
+    a = nc.Tensor(np.zeros((1, d)))
+    outputs, betas = [], []
+    for t, gap in enumerate(gaps):
+        ids = np.flatnonzero(node_group == t)
+        e = nc.take(emb, ids)
+        keys = nc.linear(e, att.w_k)
+        scores = nc.div(nc.matmul(keys, nc.reshape(att.w_q, (d, 1))), float(np.sqrt(d)))
+        beta = nc.softmax(nc.reshape(scores, (len(ids),)))
+        m = nc.matmul(nc.reshape(beta, (1, len(ids))), e)
+        delta = nc.sigmoid(nc.div(p.w_d, float(gap + 1)))
+        z = nc.sigmoid(nc.add(nc.add(nc.linear(m, p.w_z), nc.linear(a, p.u_z)), p.b_z))
+        r = nc.sigmoid(nc.add(nc.add(nc.linear(m, p.w_r), nc.linear(a, p.u_r)), p.b_r))
+        gated = nc.mul(nc.mul(delta, r), a)
+        a_tilde = nc.tanh(nc.add(nc.add(nc.linear(m, p.w_h), nc.linear(gated, p.u_h)), p.b_h))
+        a = nc.add(nc.mul(nc.sub(1.0, z), a), nc.mul(z, a_tilde))
+        outputs.append(nc.linear(a, p.w_a, p.b_a))
+        betas.append(beta.data)
+    return nc.concat(outputs, axis=0), betas
+
+
+class TestWholeQuarterScan:
+    # date of each call; the dates interleave in node order
+    NODE_GROUP = np.array([2, 0, 1, 0, 2, 2, 1, 3])
+    GAPS = [0, 3, 6, 1]
+
+    def weighted_grads(self, run, store, emb, w):
+        store.zero_grad()
+        x = nc.Tensor(emb, requires_grad=True)
+        nc.sum_(nc.mul(run(x), nc.Tensor(w))).backward()
+        return x.grad, {name: t.grad.copy() for name, t in store.items()}
+
+    def test_interleaved_dates_match_per_date_loop(self, rng):
+        store, params = setup_params(rng)
+        emb = rng.normal(size=(len(self.NODE_GROUP), D))
+        timeline = run_market_timeline(self.GAPS, nc.Tensor(emb), self.NODE_GROUP, params)
+        want, want_betas = reference_timeline(nc.Tensor(emb), self.NODE_GROUP, self.GAPS, params)
+        np.testing.assert_allclose(timeline.outputs.data, want.data, rtol=0, atol=1e-12)
+        for got, beta in zip(timeline.betas, want_betas):
+            np.testing.assert_allclose(got, beta, rtol=0, atol=1e-12)
+        assert [len(b) for b in timeline.betas] == [2, 2, 3, 1]
+
+    def test_gradients_match_per_date_loop(self, rng):
+        store, params = setup_params(rng)
+        emb = rng.normal(size=(len(self.NODE_GROUP), D))
+        w = rng.normal(size=(len(self.GAPS), D))
+
+        def scan(x):
+            return run_market_timeline(self.GAPS, x, self.NODE_GROUP, params).outputs
+
+        def loop(x):
+            return reference_timeline(x, self.NODE_GROUP, self.GAPS, params)[0]
+
+        gx, gp = self.weighted_grads(scan, store, emb, w)
+        want_gx, want_gp = self.weighted_grads(loop, store, emb, w)
+        np.testing.assert_allclose(gx, want_gx, rtol=0, atol=1e-12)
+        assert gp.keys() == want_gp.keys()
+        for name in gp:
+            np.testing.assert_allclose(gp[name], want_gp[name], rtol=0, atol=1e-12, err_msg=name)
+
+    def test_gradcheck_interleaved_dates(self, rng):
+        store, params = setup_params(rng)
+        emb = rng.normal(size=(len(self.NODE_GROUP), D))
+        w = rng.normal(size=(len(self.GAPS), D))
+
+        def loss():
+            timeline = run_market_timeline(self.GAPS, nc.Tensor(emb), self.NODE_GROUP, params)
+            return nc.sum_(nc.mul(timeline.outputs, nc.Tensor(w)))
+
+        report = grad_check(loss, store, tol=1e-4)
+        assert report.passed, report.summary()
+        assert report.n_checked == store.n_scalars()
+
+    def test_one_call_dates_pool_to_the_call_itself(self, rng):
+        store, params = setup_params(rng)
+        node_group = np.array([0, 1, 1, 2, 3])
+        emb = rng.normal(size=(5, D))
+        timeline = run_market_timeline([0, 2, 5, 1], nc.Tensor(emb), node_group, params)
+        for date, node in ((0, 0), (2, 3), (3, 4)):
+            assert timeline.betas[date].tolist() == [1.0]
+            assert np.array_equal(timeline.pooled.data[date], emb[node])
+        want, _ = reference_timeline(nc.Tensor(emb), node_group, [0, 2, 5, 1], params)
+        np.testing.assert_allclose(timeline.outputs.data, want.data, rtol=0, atol=1e-12)
+
+    def test_deltas_are_per_date_floats(self, rng):
+        store, params = setup_params(rng)
+        emb = nc.Tensor(rng.normal(size=(len(self.NODE_GROUP), D)))
+        timeline = run_market_timeline(self.GAPS, emb, self.NODE_GROUP, params)
+        w_d = params.gru.w_d.data[0]
+        want = [float(scipy.special.expit(w_d / (g + 1))) for g in self.GAPS]
+        assert timeline.deltas == pytest.approx(want, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "node_group",
+        [[0, 0, 2], [0, 1, 3], [-1, 0, 1], [0, 1]],
+        ids=["empty", "high", "neg", "short"],
+    )
+    def test_bad_date_ids_rejected(self, rng, node_group):
+        store, params = setup_params(rng)
+        with pytest.raises(ShapeError):
+            run_market_timeline([0, 1, 1], nc.Tensor(rng.normal(size=(3, D))), node_group, params)

@@ -295,6 +295,94 @@ class TestSegmentOps:
         np.testing.assert_array_equal(got, want)
 
 
+class TestSortedScatterAdd:
+    """segment_sum and take's backward against np.add.at."""
+
+    CASES = {
+        "1d": ((9,), [3, 0, 3, 1, 3, 0, 4, 4, 1]),
+        "2d": ((9, 3), [3, 0, 3, 1, 3, 0, 4, 4, 1]),
+        "3d": ((5, 2, 3), [1, 1, 0, 4, 1]),
+        "empty": ((0, 3), []),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_segment_sum_matches_add_at(self, rng, case):
+        shape, ids = self.CASES[case]
+        x = rng.normal(size=shape)
+        ids = np.array(ids, dtype=np.intp)
+        want = np.zeros((6,) + shape[1:])
+        np.add.at(want, ids, x)
+        got = nc.segment_sum(nc.Tensor(x), ids, 6).data
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert got.shape == want.shape
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_take_backward_matches_add_at(self, rng, case):
+        shape, ids = self.CASES[case]
+        idx = np.array(ids, dtype=np.intp)
+        src = nc.Tensor(rng.normal(size=(6,) + shape[1:]), requires_grad=True)
+        g = rng.normal(size=shape)
+        nc.take(src, idx).backward(g)
+        want = np.zeros(src.shape)
+        np.add.at(want, idx, g)
+        np.testing.assert_allclose(src.grad, want, rtol=0, atol=1e-12)
+
+    def test_take_axis1_backward_matches_add_at(self, rng):
+        idx = np.array([[2, 0], [2, 4], [1, 2]])
+        src = nc.Tensor(rng.normal(size=(3, 5, 2)), requires_grad=True)
+        g = rng.normal(size=(3, 3, 2, 2))
+        nc.take(src, idx, axis=1).backward(g)
+        want = np.zeros(src.shape)
+        np.add.at(want, (slice(None), idx), g)
+        np.testing.assert_allclose(src.grad, want, rtol=0, atol=1e-12)
+
+    def test_take_negative_indices_scatter_to_their_rows(self, rng):
+        src = nc.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        nc.sum_(nc.take(src, np.array([-1, 3, 0]))).backward()
+        np.testing.assert_array_equal(src.grad[:, 0], [1.0, 0.0, 0.0, 2.0])
+
+    def test_segment_sum_rejects_out_of_range_ids(self, rng):
+        with pytest.raises(IndexError):
+            nc.segment_sum(nc.Tensor(rng.normal(size=(3, 2))), np.array([0, 1, 3]), 3)
+
+    def test_segment_is_bitwise_independent_of_other_segments(self, rng):
+        ids = np.array([1, 0, 2, 1, 0, 1, 2, 1, 0, 1])
+        x = rng.normal(size=(10, 4)) * 10.0 ** rng.integers(-6, 6, size=(10, 1))
+        base = nc.segment_sum(nc.Tensor(x), ids, 3).data
+        other = x.copy()
+        other[ids != 1] = rng.normal(size=((ids != 1).sum(), 4)) * 1e8
+        again = nc.segment_sum(nc.Tensor(other), ids, 3).data
+        assert np.array_equal(base[1], again[1])
+        # also when the other segments gain and lose rows
+        keep = np.flatnonzero((ids == 1) | (np.arange(10) % 3 == 0))
+        fewer = nc.segment_sum(nc.Tensor(x[keep]), ids[keep], 3).data
+        assert np.array_equal(base[1], fewer[1])
+
+
+class TestLinear:
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 4, 3)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "nobias"])
+    def test_grads_and_forward(self, rng, shape, bias):
+        x, w, b = rng.normal(size=shape), rng.normal(size=(2, 3)), rng.normal(size=(2,))
+        args = [x, w, b] if bias else [x, w]
+        want = x @ w.T + (b if bias else 0.0)
+        np.testing.assert_allclose(nc.linear(*[nc.Tensor(a) for a in args]).data, want,
+                                   rtol=0, atol=1e-12)
+        assert_op_grads(nc.linear, args)
+
+    def test_is_one_tape_node(self, rng):
+        x = nc.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w = nc.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        b = nc.Tensor(rng.normal(size=(2,)), requires_grad=True)
+        out = nc.linear(x, w, b)
+        assert out._parents == (x, w, b)
+
+    @pytest.mark.parametrize("x_shape,w_shape", [((4, 3), (2, 4)), ((3,), (2, 3)), ((4, 3), (3,))])
+    def test_width_mismatch_rejected(self, x_shape, w_shape):
+        with pytest.raises(ShapeError):
+            nc.linear(nc.Tensor(np.ones(x_shape)), nc.Tensor(np.ones(w_shape)))
+
+
 # -- graph mechanics ----------------------------------------------------------------
 
 

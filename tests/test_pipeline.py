@@ -513,6 +513,45 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="bogus"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key", ["config", "scopes"])
+    def test_manifest_missing_section(self, tmp_path, key):
+        path = self._corrupt(tmp_path, lambda _, manifest: manifest.pop(key))
+        with pytest.raises(ConfigError, match=f"m.npz: manifest lacks {key}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "payload", [b"not a model!", b"PK\x03\x04 truncated"], ids=["text", "zip"]
+    )
+    def test_not_a_zip_archive(self, tmp_path, payload):
+        path = tmp_path / "junk.npz"
+        path.write_bytes(payload)
+        with pytest.raises(ConfigError, match="junk.npz"):
+            load_checkpoint(path)
+
+    def test_corrupt_array_bytes(self, tmp_path):
+        path = self._corrupt(tmp_path, lambda arrays, manifest: None)
+        raw = bytearray(path.read_bytes())
+        for i in range(len(raw) // 3, len(raw) // 3 + 64):
+            raw[i] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ConfigError, match="m.npz"):
+            load_checkpoint(path)
+
+    def test_retired_literal_norm_key_is_dropped(self, tmp_path):
+        # manifests written before the key was retired carry it as False
+        path = self._corrupt(
+            tmp_path, lambda _, manifest: manifest["config"].update(literal_market_norm=False)
+        )
+        models, config = load_checkpoint(path)
+        assert "literal_market_norm" not in config.to_dict()
+
+    def test_retired_literal_norm_key_set_is_rejected(self, tmp_path):
+        path = self._corrupt(
+            tmp_path, lambda _, manifest: manifest["config"].update(literal_market_norm=True)
+        )
+        with pytest.raises(ConfigError, match="literal_market_norm"):
+            load_checkpoint(path)
+
 
 class TestModelConfig:
     def test_round_trip(self):
@@ -544,6 +583,11 @@ class TestModelConfig:
         d["bogus"] = 1
         with pytest.raises(ConfigError, match="bogus"):
             ModelConfig.from_dict(d)
+
+    def test_from_dict_drops_retired_key(self):
+        d = tiny_config().to_dict()
+        d["literal_market_norm"] = False
+        assert ModelConfig.from_dict(d).to_dict() == tiny_config().to_dict()
 
     def test_prepared_quarter_label_alignment(self, prepared_quarters):
         # labels on the prepared arrays match the graph nodes they came from
