@@ -32,7 +32,7 @@ from .dataio import (
     write_transcripts,
 )
 from .dataio.records import Quarter
-from .errors import ConfigError, VolgraphError
+from .errors import ConfigError, ParseError, VolgraphError
 from .graphbuild import audit_no_leakage, build_quarter_graph, load_graph_dir, save_graph_dir
 from .gnn import attention_export_rows
 from .pipeline import (
@@ -92,25 +92,28 @@ def dataclass_from_config(cls, overrides: dict[str, str]):
     for key, value in overrides.items():
         if key not in fields:
             raise ConfigError(f"unknown config key {key!r} for {cls.__name__}")
-        f = fields[key]
-        base = f.type
+        base = fields[key].type
         if isinstance(base, str):
-            # from __future__ annotations stores types as strings
+            # from __future__ annotations stores types as strings, e.g. "int | None"
+            names = [name.strip() for name in base.split("|")]
+            if "None" in names and value.lower() in ("", "none"):
+                kwargs[key] = None
+                continue
             base = {"int": int, "float": float, "bool": bool, "str": str, "tuple": tuple}.get(
-                base.split("|")[0].strip(), str
+                names[0], str
             )
-        if key == "d_ff":
-            kwargs[key] = None if value.lower() in ("", "none") else int(value)
-            continue
         kwargs[key] = _coerce(value, base, key)
     return cls(**kwargs)
 
 
 def _load_data_dir(data_dir, report: IngestReport | None = None):
     root = Path(data_dir)
-    calls = load_transcripts(root / TRANSCRIPTS, report=report)
-    prices = load_prices(root / PRICES)
-    relations = load_relations(root / RELATIONS)
+    try:
+        calls = load_transcripts(root / TRANSCRIPTS, report=report)
+        prices = load_prices(root / PRICES)
+        relations = load_relations(root / RELATIONS)
+    except FileNotFoundError as e:
+        raise ParseError("missing input file", path=e.filename) from e
     return calls, prices, relations
 
 

@@ -143,27 +143,44 @@ def _parse_call(obj, path: str, lineno: int, report: IngestReport) -> CallRecord
 
 
 def load_prices(path) -> list[PriceSeries]:
-    """Read per-company adjusted closes; rows may arrive in any order."""
+    """Read per-company adjusted closes; rows may arrive in any order.
+
+    Columns are found by header name; a repeated name means its last
+    column. Blank lines are skipped and do not count toward the line
+    numbers in errors, as with ``csv.DictReader``.
+    """
     path = Path(path)
     rows: dict[str, list[tuple[dt.date, float]]] = {}
+    parsed: dict[str, dt.date] = {}  # companies share dates: parse each string once
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"company_id", "date", "adjusted_close"}
-        if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
+        reader = csv.reader(fh)
+        column = {name: i for i, name in enumerate(next(reader, []))}
+        expected = ("company_id", "date", "adjusted_close")
+        if not set(expected).issubset(column):
             raise ParseError(
                 f"prices header must contain {sorted(expected)}", path=str(path), line=1
             )
-        for lineno, row in enumerate(reader, start=2):
-            date = _parse_date(row["date"], f"{path}:{lineno}")
+        i_company, i_date, i_close = (column[name] for name in expected)
+        width = max(i_company, i_date, i_close) + 1
+        lineno = 1
+        for row in reader:
+            if not row:
+                continue
+            lineno += 1
+            if len(row) < width:
+                row += [None] * (width - len(row))
+            date = parsed.get(row[i_date])
+            if date is None:
+                date = parsed[row[i_date]] = _parse_date(row[i_date], f"{path}:{lineno}")
             try:
-                close = float(row["adjusted_close"])
-            except ValueError as e:
+                close = float(row[i_close])
+            except (TypeError, ValueError) as e:
                 raise ParseError("bad adjusted_close", path=str(path), line=lineno) from e
             if close <= 0:
                 raise ParseError(
                     f"non-positive adjusted_close {close}", path=str(path), line=lineno
                 )
-            rows.setdefault(row["company_id"], []).append((date, close))
+            rows.setdefault(row[i_company], []).append((date, close))
     out = []
     for company_id in sorted(rows):
         pairs = sorted(rows[company_id])

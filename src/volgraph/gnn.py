@@ -62,17 +62,14 @@ class GraphArrays:
     def from_graph(cls, graph: QuarterGraph) -> "GraphArrays":
         n = graph.n_nodes
         edges = graph.edges
-        if sorted((e.dst, e.src) for e in edges) != [(e.dst, e.src) for e in edges]:
-            edges = sorted(edges, key=lambda e: (e.dst, e.src))
-        src = np.array([e.src for e in edges], dtype=np.intp)
-        dst = np.array([e.dst for e in edges], dtype=np.intp)
+        src = np.fromiter((e.src for e in edges), dtype=np.intp, count=len(edges))
+        dst = np.fromiter((e.dst for e in edges), dtype=np.intp, count=len(edges))
         feat = np.array([[e.temporal_weight, e.similarity] for e in edges], dtype=np.float64)
+        order = np.lexsort((src, dst))  # stable: the identity when already sorted
+        src, dst, feat = src[order], dst[order], feat[order]
 
         # deg~ counts the node's non-self in-edges plus one for its self-loop
-        deg = np.ones(n, dtype=np.float64)
-        for e in edges:
-            if e.src != e.dst:
-                deg[e.dst] += 1.0
+        deg = 1.0 + np.bincount(dst[src != dst], minlength=n)
         dtilde = np.sqrt(deg[dst] * deg[src])
 
         groups = date_groups(graph)

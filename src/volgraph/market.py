@@ -11,8 +11,10 @@ ones only.
 Everything that does not depend on the carried state runs once per
 quarter over all dates: pooling is one segment softmax and one segment
 sum over each node's date id, the decays are one vector op, and the
-GRU's input projections are one matmul per gate. Only the recurrent
-u-terms stay in the per-date loop, as in time-aware recurrent cells.
+GRU's input projections are one matmul per gate. The recurrence itself
+is one tape op, ``gru_scan``: a plain numpy loop over dates forward and
+a hand-written backward through time, so a quarter's scan adds a single
+node to the tape however many dates it has.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from .errors import ShapeError
 from .numcore import (
     ParamStore,
     Tensor,
-    add,
-    concat,
     div,
     linear,
     matmul,
@@ -35,12 +35,9 @@ from .numcore import (
     segment_softmax,
     segment_sum,
     sigmoid,
-    sub,
-    swapaxes,
-    take,
-    tanh,
     uniform_init,
 )
+from .numcore.tensor import _make
 
 
 @dataclass
@@ -151,6 +148,77 @@ def decay_coefficient(gap_days, w_d: Tensor) -> Tensor:
     return sigmoid(div(w_d, gaps + 1))
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + np.tanh(0.5 * x))  # the same arithmetic as numcore's sigmoid
+
+
+def gru_scan(
+    xz: Tensor, xr: Tensor, xh: Tensor, deltas: Tensor, u_z: Tensor, u_r: Tensor, u_h: Tensor
+) -> Tensor:
+    """The decayed GRU recurrence from a zero state, as one tape op.
+
+    ``xz, xr, xh`` (T, d) are the input terms of the update gate, the
+    reset gate and the candidate, ``deltas`` (T,) the decay at each date
+    and ``u_*`` (d, d) the recurrent weights. Per date, with a the state
+    the previous date left:
+
+        z = σ(xz + a u_zᵀ)    r = σ(xr + a u_rᵀ)
+        ã = tanh(xh + (δ r a) u_hᵀ)    a ← a + z (ã − a)
+
+    Returns the stacked states (T, d). The forward runs the numpy
+    operations that the same recurrence built from numcore's per-op
+    tensors would run, in the same order, so its states are bitwise equal
+    to that composition; it keeps every date's a, z, r and ã. The
+    backward walks the dates in reverse carrying only ∂L/∂a, then forms
+    each weight gradient with one matmul over all dates.
+    """
+    t_len, d = xz.shape
+    if t_len < 1 or any(x.shape != (t_len, d) for x in (xr, xh)) or deltas.shape != (t_len,):
+        raise ShapeError(f"gru_scan: inputs {xz.shape}, {xr.shape}, {xh.shape}, {deltas.shape}")
+    if any(u.shape != (d, d) for u in (u_z, u_r, u_h)):
+        raise ShapeError(f"gru_scan: recurrent weights must be ({d}, {d})")
+    uz, ur, uh = (np.swapaxes(u.data, 0, 1) for u in (u_z, u_r, u_h))
+    a = np.zeros((1, d), dtype=xz.dtype)
+    states, zs, rs, cands = [a], [], [], []
+    for t in range(t_len):
+        row = slice(t, t + 1)
+        z = _sigmoid(xz.data[row] + a @ uz)
+        r = _sigmoid(xr.data[row] + a @ ur)
+        gated = (deltas.data[row] * r) * a
+        a_tilde = np.tanh(xh.data[row] + gated @ uh)
+        a = a + z * (a_tilde - a)
+        states.append(a)
+        zs.append(z)
+        rs.append(r)
+        cands.append(a_tilde)
+    a_seq = np.concatenate(states)  # row t is the state date t starts from
+    hidden = a_seq[1:]
+
+    def backward(g):
+        a_prev = a_seq[:-1]
+        z, r, a_tilde = (np.concatenate(rows) for rows in (zs, rs, cands))
+        delta = deltas.data[:, None]
+        # per-date factors that do not depend on the carried gradient
+        z_fac = (a_tilde - a_prev) * z * (1.0 - z)
+        h_fac = z * (1.0 - a_tilde * a_tilde)
+        r_fac = delta * a_prev * r * (1.0 - r)
+        keep = 1.0 - z
+        reset = delta * r
+        gz, gr, gh, g_gated = (np.empty_like(a_prev) for _ in range(4))
+        da = np.zeros(d, dtype=g.dtype)  # ∂L/∂a for the state after date t
+        for t in range(t_len - 1, -1, -1):
+            da = da + g[t]
+            gz[t] = da * z_fac[t]
+            gh[t] = da * h_fac[t]
+            g_gated[t] = gh[t] @ u_h.data
+            gr[t] = g_gated[t] * r_fac[t]
+            da = da * keep[t] + g_gated[t] * reset[t] + gz[t] @ u_z.data + gr[t] @ u_r.data
+        g_delta = (g_gated * r * a_prev).sum(axis=1)
+        return gz, gr, gh, g_delta, gz.T @ a_prev, gr.T @ a_prev, gh.T @ (reset * a_prev)
+
+    return _make(hidden, (xz, xr, xh, deltas, u_z, u_r, u_h), backward)
+
+
 def market_gru(m: Tensor, deltas: Tensor, p: TimeDecayGRUParams) -> tuple[Tensor, Tensor]:
     """Run the decayed GRU from a zero state over (T, d) pooled inputs.
 
@@ -160,18 +228,7 @@ def market_gru(m: Tensor, deltas: Tensor, p: TimeDecayGRUParams) -> tuple[Tensor
     xz = linear(m, p.w_z, p.b_z)
     xr = linear(m, p.w_r, p.b_r)
     xh = linear(m, p.w_h, p.b_h)
-    uz, ur, uh = (swapaxes(u, 0, 1) for u in (p.u_z, p.u_r, p.u_h))
-    a = Tensor(np.zeros((1, m.shape[1]), dtype=m.dtype))
-    states = []
-    for t in range(m.shape[0]):
-        row = [t]
-        z = sigmoid(add(take(xz, row), matmul(a, uz)))
-        r = sigmoid(add(take(xr, row), matmul(a, ur)))
-        gated = mul(mul(take(deltas, row), r), a)
-        a_tilde = tanh(add(take(xh, row), matmul(gated, uh)))
-        a = add(a, mul(z, sub(a_tilde, a)))  # (1 - z) a + z a~
-        states.append(a)
-    hidden = concat(states, axis=0)
+    hidden = gru_scan(xz, xr, xh, deltas, p.u_z, p.u_r, p.u_h)
     return hidden, linear(hidden, p.w_a, p.b_a)
 
 

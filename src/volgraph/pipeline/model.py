@@ -35,6 +35,8 @@ _RETIRED_KEYS = {
     # the market pool is always a softmax; the plain e_j / sum(e) ratio
     # could divide by zero and is gone
     "literal_market_norm": False,
+    # the company network has a single attention head
+    "network_heads": 1,
 }
 
 
@@ -48,7 +50,6 @@ class ModelConfig:
     dialogue_layers: int = 2
     dialogue_heads: int = 8
     network_layers: int = 3
-    network_heads: int = 1
     patience: int = 10
     taus: tuple = TAUS
     seed: int = 0
@@ -94,8 +95,6 @@ class ModelConfig:
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.network_heads != 1:
-            raise ConfigError("the company network uses a single attention head")
         if self.d_hidden % self.dialogue_heads != 0:
             raise ConfigError(
                 f"d_hidden {self.d_hidden} not divisible by {self.dialogue_heads} heads"

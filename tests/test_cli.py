@@ -79,6 +79,15 @@ class TestConfigParsing:
         cfg = dataclass_from_config(ModelConfig, {"d_ff": "32"})
         assert cfg.d_ff == 32
 
+    @pytest.mark.parametrize("raw", ["32.5", "many"])
+    def test_bad_optional_int_rejected(self, raw):
+        with pytest.raises(ConfigError, match="d_ff"):
+            dataclass_from_config(ModelConfig, {"d_ff": raw})
+
+    def test_retired_network_heads_key_rejected(self):
+        with pytest.raises(ConfigError, match="network_heads"):
+            dataclass_from_config(ModelConfig, {"network_heads": "1"})
+
     @pytest.mark.parametrize("raw,want", [("1", True), ("yes", True), ("off", False), ("0", False)])
     def test_bool_spellings(self, raw, want):
         cfg = dataclass_from_config(ModelConfig, {"joint_heads": raw})
@@ -238,6 +247,22 @@ class TestTrainEval:
         rc = main(["train", "--config", str(bad), "--data", str(workdir["data"]), "--out", str(tmp_path / "x.npz")])
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("missing", ["dir", "prices.csv"])
+    def test_missing_data_file_exits_2(self, workdir, tmp_path, capsys, missing):
+        data = tmp_path / "data"
+        if missing != "dir":
+            data.mkdir()
+            for name in ("transcripts.jsonl", "prices.csv", "relations.csv"):
+                if name != missing:
+                    (data / name).write_bytes((workdir["data"] / name).read_bytes())
+        want = data / ("transcripts.jsonl" if missing == "dir" else missing)
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "x.npz")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(want) in err
+        assert not (tmp_path / "x.npz").exists()
 
 
 class TestPredict:

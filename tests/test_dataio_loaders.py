@@ -195,6 +195,53 @@ class TestPriceLoading:
         with pytest.raises(ParseError):
             load_prices(p)
 
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            ("A,2016-01-05,1.0\n\nA,2016-13-05,2.0\n", "bad date '2016-13-05' [{}:3]"),
+            ("A,2016-01-05,1.0\nA,2016-01-06,abc\n", "bad adjusted_close [{}:3]"),
+            ("A,2016-01-05,1.0\n\n\nA,2016-01-06,0\n", "non-positive adjusted_close 0.0 [{}:3]"),
+            ("A,2016-01-05,1.0\nB,2016-01-05,1.0\nB,2016-01-05,2.0\n",
+             "B: duplicate trading dates [{}]"),
+        ],
+        ids=["date", "close", "non-positive", "duplicate"],
+    )
+    def test_error_messages_and_line_numbers(self, tmp_path, body, message):
+        # blank lines are skipped and not counted, as csv.DictReader does
+        p = tmp_path / "p.csv"
+        p.write_text("company_id,date,adjusted_close\n" + body)
+        with pytest.raises(ParseError) as err:
+            load_prices(p)
+        assert str(err.value) == message.format(p)
+
+    def test_missing_header_column_message(self, tmp_path):
+        p = tmp_path / "p.csv"
+        p.write_text("company_id,date\nA,2016-01-05\n")
+        with pytest.raises(ParseError) as err:
+            load_prices(p)
+        assert str(err.value) == (
+            f"prices header must contain ['adjusted_close', 'company_id', 'date'] [{p}:1]"
+        )
+
+    def test_columns_found_by_header_name(self, tmp_path):
+        p = tmp_path / "p.csv"
+        p.write_text(
+            "adjusted_close,note,date,company_id\n"
+            "3.5,x,2016-01-05,Z\n"
+            "2.5,y,2016-01-04,Z\n"
+            "4.5,,2016-01-04,Y\n"
+        )
+        series = load_prices(p)
+        assert [s.company_id for s in series] == ["Y", "Z"]
+        assert series[1].dates == [dt.date(2016, 1, 4), dt.date(2016, 1, 5)]
+        np.testing.assert_array_equal(series[1].closes, [2.5, 3.5])
+
+    def test_short_row_rejected(self, tmp_path):
+        p = tmp_path / "p.csv"
+        p.write_text("company_id,date,adjusted_close\nA,2016-01-05\n")
+        with pytest.raises(ParseError, match="bad adjusted_close"):
+            load_prices(p)
+
     def test_round_trip_bitwise(self, tmp_path, small_corpus):
         p = tmp_path / "p.csv"
         write_prices(small_corpus.prices, p)

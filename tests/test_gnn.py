@@ -3,6 +3,7 @@ degree bookkeeping and the layered network encoder's causality."""
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 
 import numpy as np
@@ -116,6 +117,61 @@ class TestGraphArrays:
         arrays = GraphArrays.from_graph(g)
         cross = next(e for e in range(len(arrays.src)) if arrays.src[e] != arrays.dst[e])
         np.testing.assert_allclose(arrays.edge_feat[cross], [1.0 / 4.0, 0.37])
+
+
+def reference_edge_arrays(graph):
+    """Per-edge loop for the edge arrays: sort by (dst, src), count degrees one edge at a time."""
+    edges = sorted(graph.edges, key=lambda e: (e.dst, e.src))
+    src = np.array([e.src for e in edges], dtype=np.intp)
+    dst = np.array([e.dst for e in edges], dtype=np.intp)
+    feat = np.array([[e.temporal_weight, e.similarity] for e in edges], dtype=np.float64)
+    deg = np.ones(graph.n_nodes, dtype=np.float64)
+    for e in edges:
+        if e.src != e.dst:
+            deg[e.dst] += 1.0
+    return src, dst, feat, np.sqrt(deg[dst] * deg[src])
+
+
+class TestEdgeArraysVectorized:
+    def graph(self):
+        days = [5, 5, 7, 9, 9, 12]
+        calls = [call(c, apr(day)) for c, day in zip("ABCDEF", days)]
+        sims = [(a, b, 0.2 + 0.05 * i) for i, (a, b) in enumerate(
+            ["AB", "AC", "AD", "BD", "BE", "CE", "CF", "DE", "EF", "AF"])]
+        return build(calls, sims)
+
+    def assert_matches_reference(self, graph):
+        arrays = GraphArrays.from_graph(graph)
+        got = (arrays.src, arrays.dst, arrays.edge_feat, arrays.dtilde)
+        for name, a, b in zip(("src", "dst", "edge_feat", "dtilde"), got,
+                              reference_edge_arrays(graph)):
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert np.array_equal(a, b), name
+        return arrays
+
+    def test_shuffled_edges_give_sorted_arrays_bitwise(self):
+        g = self.graph()
+        want = GraphArrays.from_graph(g)
+        rng = np.random.default_rng(3)
+        g.edges = [g.edges[i] for i in rng.permutation(len(g.edges))]
+        got = self.assert_matches_reference(g)
+        assert np.array_equal(got.node_group, want.node_group)
+        assert np.array_equal(got.edge_feat, want.edge_feat)
+
+    def test_repeated_pairs_keep_their_order(self):
+        # a stable sort: two (dst, src) duplicates stay in input order
+        g = self.graph()
+        extra = dataclasses.replace(g.edges[-1], temporal_weight=0.125)
+        g.edges = [extra] + g.edges[::-1]
+        self.assert_matches_reference(g)
+
+    def test_extra_self_loops_do_not_count_in_degree(self):
+        g = self.graph()
+        loops = [e for e in g.edges if e.src == e.dst][:3]
+        g.edges = g.edges + [dataclasses.replace(e, similarity=0.5) for e in loops]
+        arrays = self.assert_matches_reference(g)
+        plain = GraphArrays.from_graph(self.graph())
+        assert np.array_equal(np.unique(arrays.dtilde), np.unique(plain.dtilde))
 
 
 class TestEdgeAttention:

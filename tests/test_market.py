@@ -12,6 +12,7 @@ from volgraph.errors import ShapeError
 from volgraph.market import (
     MarketParams,
     decay_coefficient,
+    gru_scan,
     market_attention,
     market_gru,
     run_market_timeline,
@@ -334,3 +335,123 @@ class TestWholeQuarterScan:
         store, params = setup_params(rng)
         with pytest.raises(ShapeError):
             run_market_timeline([0, 1, 1], nc.Tensor(rng.normal(size=(3, D))), node_group, params)
+
+
+def reference_scan(xz, xr, xh, deltas, u_z, u_r, u_h):
+    """The recurrence that ``gru_scan`` fuses, built op for op from per-date tensors."""
+    uz, ur, uh = (nc.swapaxes(u, 0, 1) for u in (u_z, u_r, u_h))
+    a = nc.Tensor(np.zeros((1, xz.shape[1]), dtype=xz.dtype))
+    states = []
+    for t in range(xz.shape[0]):
+        row = [t]
+        z = nc.sigmoid(nc.add(nc.take(xz, row), nc.matmul(a, uz)))
+        r = nc.sigmoid(nc.add(nc.take(xr, row), nc.matmul(a, ur)))
+        gated = nc.mul(nc.mul(nc.take(deltas, row), r), a)
+        a_tilde = nc.tanh(nc.add(nc.take(xh, row), nc.matmul(gated, uh)))
+        a = nc.add(a, nc.mul(z, nc.sub(a_tilde, a)))
+        states.append(a)
+    return nc.concat(states, axis=0)
+
+
+SCAN_INPUTS = ("xz", "xr", "xh", "deltas", "u_z", "u_r", "u_h")
+
+
+def scan_inputs(rng, t_len, d):
+    """The scan's inputs as named leaves; deltas lie in (0, 1) like decays."""
+    shapes = {"deltas": (t_len,), "u_z": (d, d), "u_r": (d, d), "u_h": (d, d)}
+    store = ParamStore()
+    for name in SCAN_INPUTS:
+        shape = shapes.get(name, (t_len, d))
+        value = rng.uniform(0.2, 0.9, shape) if name == "deltas" else rng.normal(size=shape)
+        store.add(name, value)
+    return store
+
+
+class TestGRUScan:
+    SIZES = [(1, 4), (5, 8), (28, 16), (9, 7)]
+
+    def run(self, fn, leaves, w=None):
+        out = fn(*(leaves[name] for name in SCAN_INPUTS))
+        if w is not None:
+            nc.sum_(nc.mul(out, nc.Tensor(w))).backward()
+        return out
+
+    @pytest.mark.parametrize("t_len,d", SIZES)
+    def test_forward_bitwise_equal_to_per_date_loop(self, rng, t_len, d):
+        store = scan_inputs(rng, t_len, d)
+        got = self.run(gru_scan, store)
+        want = self.run(reference_scan, store)
+        assert got.shape == (t_len, d)
+        assert np.array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("t_len,d", SIZES)
+    def test_gradients_match_per_date_loop(self, rng, t_len, d):
+        store = scan_inputs(rng, t_len, d)
+        w = rng.normal(size=(t_len, d))
+        self.run(gru_scan, store, w)
+        got = {name: t.grad.copy() for name, t in store.items()}
+        store.zero_grad()
+        self.run(reference_scan, store, w)
+        for name, t in store.items():
+            assert got[name].shape == t.shape, name
+            np.testing.assert_allclose(got[name], t.grad, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_gradcheck(self, rng):
+        store = scan_inputs(rng, 6, 5)
+        w = rng.normal(size=(6, 5))
+
+        def loss():
+            return nc.sum_(nc.mul(self.run(gru_scan, store), nc.Tensor(w)))
+
+        report = grad_check(loss, store, tol=1e-4)
+        assert report.passed, report.summary()
+        assert report.n_checked == store.n_scalars()
+
+    def test_one_tape_node_per_scan(self, rng):
+        store = scan_inputs(rng, 12, 4)
+        out = self.run(gru_scan, store)
+        assert out._parents == tuple(store[name] for name in SCAN_INPUTS)
+        assert all(p._backward_fn is None for p in out._parents)
+
+    def test_float32_stays_float32(self, rng):
+        leaves = {
+            name: nc.Tensor(t.data.astype(np.float32), requires_grad=True)
+            for name, t in scan_inputs(rng, 7, 6).items()
+        }
+        out = self.run(gru_scan, leaves, np.ones((7, 6), dtype=np.float32))
+        assert out.dtype == np.float32
+        for name, t in leaves.items():
+            assert t.grad.dtype == np.float32, name
+        want = self.run(reference_scan, leaves)
+        assert np.array_equal(out.data, want.data)
+
+    def test_no_tape_under_no_grad(self, rng):
+        store = scan_inputs(rng, 5, 4)
+        with nc.no_grad():
+            out = self.run(gru_scan, store)
+        assert out._parents == () and out._backward_fn is None
+
+    def test_market_gru_adds_one_node_for_the_recurrence(self, rng):
+        # 3 input maps, the scan and the output map: 5 nodes for any date count
+        store, params = setup_params(rng)
+        m = nc.Tensor(rng.normal(size=(20, D)), requires_grad=True)
+        _, out = market_gru(m, nc.Tensor(np.full(20, 0.7)), params.gru)
+        nodes, stack, seen = 0, [out], set()
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            nodes += node._backward_fn is not None
+            stack.extend(node._parents)
+        assert nodes == 5
+
+    def test_rejects_mismatched_shapes(self, rng):
+        store = scan_inputs(rng, 4, 3)
+        args = [store[name] for name in SCAN_INPUTS]
+        with pytest.raises(ShapeError):
+            gru_scan(args[0], args[1], nc.Tensor(np.zeros((3, 3))), *args[3:])
+        with pytest.raises(ShapeError):
+            gru_scan(*args[:3], nc.Tensor(np.zeros(3)), *args[4:])
+        with pytest.raises(ShapeError):
+            gru_scan(*args[:6], nc.Tensor(np.zeros((3, 4))))

@@ -552,6 +552,18 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="literal_market_norm"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_retired_network_heads_key(self, tmp_path, heads):
+        # manifests written before the key was retired carry it as 1
+        path = self._corrupt(
+            tmp_path, lambda _, manifest: manifest["config"].update(network_heads=heads)
+        )
+        if heads == 1:
+            assert "network_heads" not in load_checkpoint(path)[1].to_dict()
+        else:
+            with pytest.raises(ConfigError, match="network_heads"):
+                load_checkpoint(path)
+
 
 class TestModelConfig:
     def test_round_trip(self):
@@ -569,8 +581,8 @@ class TestModelConfig:
             tiny_config(taus=(4,)).validate()
         with pytest.raises(ConfigError):
             tiny_config(d_hidden=8, dialogue_heads=3).validate()
-        with pytest.raises(ConfigError):
-            tiny_config(network_heads=2).validate()
+        with pytest.raises(ConfigError, match="network_heads"):
+            ModelConfig.from_dict({**tiny_config().to_dict(), "network_heads": 2})
 
     @pytest.mark.parametrize("name", ["lr", "weight_decay"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
