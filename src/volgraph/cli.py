@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .dataio import (
     IngestReport,
     SyntheticConfig,
@@ -222,7 +223,8 @@ def cmd_train(args) -> int:
             )
     save_checkpoint(args.out, models, config)
     if args.history:
-        Path(args.history).write_text(json.dumps(histories, indent=2))
+        with atomic_open(args.history) as fh:
+            json.dump(histories, fh, indent=2)
     print(f"checkpoint -> {args.out}")
     return 0
 
@@ -238,7 +240,8 @@ def cmd_eval(args) -> int:
         "model": model_report.to_dict(),
         "v_past": baseline_report.to_dict(),
     }
-    Path(args.report).write_text(json.dumps(payload, indent=2))
+    with atomic_open(args.report) as fh:
+        json.dump(payload, fh, indent=2)
     line = " ".join(
         f"{k}={v:.4f}" for k, v in model_report.to_dict().items() if isinstance(v, float)
     )

@@ -24,7 +24,6 @@ from .records import (
 from .synthetic import SyntheticConfig, SyntheticData, gen_synthetic
 from .volatility import (
     LOG_FLOOR,
-    adjusted_return,
     anchor_index,
     label,
     log_volatility,
@@ -48,7 +47,6 @@ __all__ = [
     "SyntheticConfig",
     "SyntheticData",
     "TAUS",
-    "adjusted_return",
     "anchor_index",
     "build_quarter_datasets",
     "gen_synthetic",

@@ -13,14 +13,12 @@ TAUS = (3, 7, 15)
 def build_quarter_datasets(
     calls: list[CallRecord],
     prices: list[PriceSeries],
-    taus=TAUS,
-    calendar_days: bool = False,
     report: IngestReport | None = None,
 ) -> list[QuarterDataset]:
     """Group calls by calendar quarter and attach labels plus baselines.
 
-    A call stays only if every tau admits both a forward label and a
-    trailing baseline; otherwise it moves to the dataset's exclusion list
+    A call stays only if every tau in ``TAUS`` admits both a forward label
+    and a trailing baseline; otherwise it moves to the dataset's exclusion list
     (and the ingest report, when given). Companies without any price
     series are excluded the same way — a node-only company can still
     appear in a graph, but not in a labeled dataset.
@@ -41,11 +39,9 @@ def build_quarter_datasets(
         labels: dict[int, float] = {}
         baselines: dict[int, float] = {}
         try:
-            for tau in taus:
-                labels[tau] = label(series, call.call_date, tau, calendar_days=calendar_days)
-                baselines[tau] = v_past_prediction(
-                    series, call.call_date, tau, calendar_days=calendar_days
-                )
+            for tau in TAUS:
+                labels[tau] = label(series, call.call_date, tau)
+                baselines[tau] = v_past_prediction(series, call.call_date, tau)
         except InsufficientDataError as e:
             ds.excluded.append((call.call_id, str(e)))
             if report is not None:

@@ -19,6 +19,7 @@ import csv
 import datetime as dt
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -176,6 +177,10 @@ def load_prices(path) -> list[PriceSeries]:
                 close = float(row[i_close])
             except (TypeError, ValueError) as e:
                 raise ParseError("bad adjusted_close", path=str(path), line=lineno) from e
+            if not math.isfinite(close):
+                raise ParseError(
+                    f"non-finite adjusted_close {close}", path=str(path), line=lineno
+                )
             if close <= 0:
                 raise ParseError(
                     f"non-positive adjusted_close {close}", path=str(path), line=lineno

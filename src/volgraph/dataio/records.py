@@ -85,6 +85,8 @@ class PriceSeries:
             raise ParseError(f"{self.company_id}: dates/closes length mismatch")
         if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
             raise ParseError(f"{self.company_id}: trading dates not strictly increasing")
+        if not np.isfinite(self.closes).all():
+            raise ParseError(f"{self.company_id}: non-finite adjusted close")
         if np.any(self.closes <= 0):
             raise ParseError(f"{self.company_id}: non-positive adjusted close")
 

@@ -7,6 +7,10 @@ Two windowing conventions coexist deliberately:
 * Labels and the trailing baseline use :func:`windowed_volatility` over
   explicit index bounds, keeping the same "terms minus one" divisor.
 
+Every window counts trading days, never calendar days: the label of a
+call anchored at trading day t covers returns t+1..t+tau and its
+trailing baseline covers t-tau..t-1.
+
 The regression target is the natural log of volatility, floored at 1e-8
 so an all-equal window maps to a finite value.
 """
@@ -21,15 +25,6 @@ from ..errors import InsufficientDataError
 from .records import PriceSeries
 
 LOG_FLOOR = 1e-8
-
-
-def adjusted_return(series: PriceSeries, t: int) -> float:
-    """Day-over-day adjusted return p_t/p_{t-1} - 1 at trading-day index t."""
-    if t < 1 or t >= len(series):
-        raise InsufficientDataError(
-            f"{series.company_id}: return index {t} outside 1..{len(series) - 1}"
-        )
-    return float(series.closes[t] / series.closes[t - 1] - 1.0)
 
 
 def returns_slice(series: PriceSeries, a: int, b: int) -> np.ndarray:
@@ -67,18 +62,12 @@ def anchor_index(series: PriceSeries, call_date: dt.date) -> int:
     return series.index_on_or_after(call_date)
 
 
-def label(
-    series: PriceSeries, call_date: dt.date, tau: int, calendar_days: bool = False
-) -> float:
+def label(series: PriceSeries, call_date: dt.date, tau: int) -> float:
     """Log-volatility of the window starting the day after the call's anchor day.
 
-    Trading-day mode (default) uses return indices [t+1, t+tau]. Calendar
-    mode instead takes every trading day dated within (anchor, anchor+tau]
-    calendar days and needs at least two of them.
+    The window holds the returns at trading-day indices [t+1, t+tau].
     """
     t = anchor_index(series, call_date)
-    if calendar_days:
-        return _calendar_window_logvol(series, series.dates[t], tau, forward=True)
     if t + tau >= len(series):
         raise InsufficientDataError(
             f"{series.company_id}: needs trading days through index {t + tau}, "
@@ -87,33 +76,14 @@ def label(
     return log_volatility(windowed_volatility(series, t + 1, t + tau))
 
 
-def v_past_prediction(
-    series: PriceSeries, call_date: dt.date, tau: int, calendar_days: bool = False
-) -> float:
-    """Log-volatility of the trailing window ending the day before the anchor day."""
+def v_past_prediction(series: PriceSeries, call_date: dt.date, tau: int) -> float:
+    """Log-volatility of the trailing window ending the day before the anchor day.
+
+    The window holds the returns at trading-day indices [t-tau, t-1].
+    """
     t = anchor_index(series, call_date)
-    if calendar_days:
-        return _calendar_window_logvol(series, series.dates[t], tau, forward=False)
     if t - tau < 1:
         raise InsufficientDataError(
             f"{series.company_id}: trailing window needs index {t - tau - 1} >= 0"
         )
     return log_volatility(windowed_volatility(series, t - tau, t - 1))
-
-
-def _calendar_window_logvol(
-    series: PriceSeries, anchor: dt.date, tau: int, forward: bool
-) -> float:
-    if forward:
-        lo, hi = anchor + dt.timedelta(days=1), anchor + dt.timedelta(days=tau)
-    else:
-        lo, hi = anchor - dt.timedelta(days=tau), anchor - dt.timedelta(days=1)
-    # trading dates are increasing, so the window's indices are contiguous
-    idx = [i for i, d in enumerate(series.dates) if lo <= d <= hi]
-    if len(idx) < 2 or idx[0] < 1:
-        raise InsufficientDataError(
-            f"{series.company_id}: calendar window [{lo},{hi}] has too few trading days"
-        )
-    r = returns_slice(series, idx[0], idx[-1])
-    vol = float(np.sqrt(np.sum((r - r.mean()) ** 2) / (len(r) - 1)))
-    return log_volatility(vol)

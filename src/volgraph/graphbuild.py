@@ -57,15 +57,14 @@ def build_quarter_graph(
     calls: list[CallRecord],
     relations: list[RelationRecord],
     quarter: Quarter,
-    threshold: float = SIMILARITY_THRESHOLD,
     labels: dict[str, dict[int, float]] | None = None,
 ) -> QuarterGraph:
     """Assemble the directed temporal graph for one quarter of calls.
 
     ``relations`` may span several effective years; only rows with
-    effective_year == quarter.year - 1 and similarity strictly above the
-    threshold induce edges. ``labels`` maps call_id to per-window targets;
-    nodes without an entry stay in the graph unlabeled.
+    effective_year == quarter.year - 1 and similarity strictly above
+    ``SIMILARITY_THRESHOLD`` induce edges. ``labels`` maps call_id to
+    per-window targets; nodes without an entry stay in the graph unlabeled.
     """
     for call in calls:
         if not quarter.contains(call.call_date):
@@ -96,7 +95,7 @@ def build_quarter_graph(
 
     sim: dict[frozenset, float] = {}
     for r in relations:
-        if r.effective_year != quarter.year - 1 or r.similarity <= threshold:
+        if r.effective_year != quarter.year - 1 or r.similarity <= SIMILARITY_THRESHOLD:
             continue
         if r.company_a not in index or r.company_b not in index:
             continue

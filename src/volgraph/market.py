@@ -142,7 +142,7 @@ def market_attention(
 
 def decay_coefficient(gap_days, w_d: Tensor) -> Tensor:
     """sigma(w_d / (gap+1)) for each gap: shrinks toward sigma(0)=0.5 as the gap grows."""
-    gaps = np.asarray(gap_days, dtype=w_d.dtype)
+    gaps = np.asarray(gap_days, dtype=np.float64)
     if np.any(gaps < 0):
         raise ShapeError(f"negative date gap in {gap_days}")
     return sigmoid(div(w_d, gaps + 1))
@@ -178,7 +178,7 @@ def gru_scan(
     if any(u.shape != (d, d) for u in (u_z, u_r, u_h)):
         raise ShapeError(f"gru_scan: recurrent weights must be ({d}, {d})")
     uz, ur, uh = (np.swapaxes(u.data, 0, 1) for u in (u_z, u_r, u_h))
-    a = np.zeros((1, d), dtype=xz.dtype)
+    a = np.zeros((1, d))
     states, zs, rs, cands = [a], [], [], []
     for t in range(t_len):
         row = slice(t, t + 1)
@@ -205,7 +205,7 @@ def gru_scan(
         keep = 1.0 - z
         reset = delta * r
         gz, gr, gh, g_gated = (np.empty_like(a_prev) for _ in range(4))
-        da = np.zeros(d, dtype=g.dtype)  # ∂L/∂a for the state after date t
+        da = np.zeros(d)  # ∂L/∂a for the state after date t
         for t in range(t_len - 1, -1, -1):
             da = da + g[t]
             gz[t] = da * z_fac[t]
@@ -262,12 +262,3 @@ def run_market_timeline(
         betas=np.split(by_date, np.cumsum(counts)[:-1]),
         deltas=[float(x) for x in deltas.data],
     )
-
-
-def timeline_debug_rows(dates, timeline: MarketTimeline) -> list[tuple]:
-    """(date, node_rank, beta, delta) rows for the CSV debug dump."""
-    rows = []
-    for date, beta, delta in zip(dates, timeline.betas, timeline.deltas):
-        for rank, b in enumerate(beta):
-            rows.append((date, rank, float(b), delta))
-    return rows

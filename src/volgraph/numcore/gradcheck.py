@@ -2,8 +2,6 @@
 
 ``grad_check`` perturbs every scalar of every tracked parameter with a
 central difference and compares against the gradient the tape produced.
-It forces float64 for the duration of the check regardless of the
-configured default dtype.
 """
 
 from __future__ import annotations
@@ -63,10 +61,6 @@ def grad_check(
     """
     names = list(param_names) if param_names is not None else store.names()
 
-    originals = {name: store[name].data.copy() for name in names}
-    for name in names:
-        store[name].data = store[name].data.astype(np.float64)
-
     store.zero_grad()
     loss = loss_fn()
     loss.backward()
@@ -103,7 +97,5 @@ def grad_check(
             it.iternext()
         report.per_param[name] = worst
 
-    for name in names:
-        store[name].data = originals[name]
     store.zero_grad()
     return report

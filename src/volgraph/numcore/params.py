@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
-from .tensor import Tensor, default_dtype
+from .tensor import Tensor
 
 
 def uniform_init(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:
@@ -18,7 +18,7 @@ def uniform_init(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndar
     if fan_in < 1:
         raise ConfigError(f"fan_in must be positive, got {fan_in}")
     bound = 1.0 / np.sqrt(float(fan_in))
-    return rng.uniform(-bound, bound, size=shape).astype(default_dtype())
+    return rng.uniform(-bound, bound, size=shape)
 
 
 class ParamStore:
@@ -30,7 +30,7 @@ class ParamStore:
     def add(self, name: str, value: np.ndarray) -> Tensor:
         if name in self._params:
             raise ConfigError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.asarray(value, dtype=default_dtype()), requires_grad=True)
+        t = Tensor(value, requires_grad=True)
         self._params[name] = t
         return t
 
@@ -41,8 +41,8 @@ class ParamStore:
         return w, b
 
     def layer_norm(self, name: str, d: int) -> tuple:
-        gamma = self.add(f"{name}.gamma", np.ones(d, dtype=default_dtype()))
-        beta = self.add(f"{name}.beta", np.zeros(d, dtype=default_dtype()))
+        gamma = self.add(f"{name}.gamma", np.ones(d))
+        beta = self.add(f"{name}.beta", np.zeros(d))
         return gamma, beta
 
     def __getitem__(self, name: str) -> Tensor:

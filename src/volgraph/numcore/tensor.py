@@ -12,10 +12,9 @@ rows by destination and add each run with ``np.add.reduceat``: every
 destination sums its own rows in their original order, so its result is
 bitwise independent of the rows that go elsewhere.
 
-All public operations validate that their outputs are finite (can be
-switched off with :func:`set_check_finite` for hot loops). Default
-element type is float64; float32 is available for faster training runs
-via :func:`set_default_dtype`.
+Every tensor holds float64: other inputs are converted on construction.
+Every tensor is checked to be finite when it is created: a NaN or an
+infinity raises ``FloatingPointError`` at the op that produced it.
 """
 
 from __future__ import annotations
@@ -24,26 +23,7 @@ import numpy as np
 
 from ..errors import ShapeError
 
-_DEFAULT_DTYPE = np.float64
-_CHECK_FINITE = True
 _GRAD_ENABLED = True
-
-
-def set_default_dtype(dtype) -> None:
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dtype}; use float32 or float64")
-    _DEFAULT_DTYPE = dtype.type
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
-def set_check_finite(enabled: bool) -> None:
-    global _CHECK_FINITE
-    _CHECK_FINITE = bool(enabled)
 
 
 def is_grad_enabled() -> bool:
@@ -73,16 +53,13 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         if isinstance(data, Tensor):
             data = data.data
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(_DEFAULT_DTYPE)
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
         self._backward_fn = _backward
         self._needs = self.requires_grad or any(p._needs for p in _parents)
-        if _CHECK_FINITE and not np.isfinite(arr).all():
+        if not np.isfinite(self.data).all():
             raise FloatingPointError("tensor holds non-finite values")
 
     # -- basic introspection -------------------------------------------------
@@ -111,12 +88,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -180,7 +151,7 @@ class Tensor:
         return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(as_tensor(other, self.dtype), self)
+        return sub(as_tensor(other), self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -191,7 +162,7 @@ class Tensor:
         return div(self, other)
 
     def __rtruediv__(self, other):
-        return div(as_tensor(other, self.dtype), self)
+        return div(as_tensor(other), self)
 
     def __neg__(self):
         return mul(self, -1.0)
@@ -209,11 +180,10 @@ class Tensor:
         return reshape(self, *shape)
 
 
-def as_tensor(x, dtype=None) -> Tensor:
+def as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    arr = np.asarray(x, dtype=dtype if dtype is not None else _DEFAULT_DTYPE)
-    return Tensor(arr)
+    return Tensor(x)
 
 
 def _sum_to_shape(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -450,26 +420,6 @@ def exp(a) -> Tensor:
 
     def backward(g):
         return (g * out,)
-
-    return _make(out, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.log(a.data)
-
-    def backward(g):
-        return (g / a.data,)
-
-    return _make(out, (a,), backward)
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.sqrt(a.data)
-
-    def backward(g):
-        return (g * 0.5 / out,)
 
     return _make(out, (a,), backward)
 

@@ -15,7 +15,6 @@ from .training import (
     evaluate,
     fine_tune,
     train,
-    v_past_report,
 )
 from .transductive import transductive_split
 
@@ -38,5 +37,4 @@ __all__ = [
     "save_checkpoint",
     "train",
     "transductive_split",
-    "v_past_report",
 ]

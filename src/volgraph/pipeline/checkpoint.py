@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..atomic import atomic_open
 from ..errors import ConfigError
 from .model import ModelConfig, VolatilityModel
 
@@ -21,6 +22,7 @@ FORMAT = "volgraph-checkpoint/1"
 
 
 def save_checkpoint(path, models: dict[int, VolatilityModel], config: ModelConfig) -> None:
+    """Write the models to ``path`` (exactly that name) in one atomic step."""
     arrays = {}
     scopes = {}
     seen = {}
@@ -42,7 +44,8 @@ def save_checkpoint(path, models: dict[int, VolatilityModel], config: ModelConfi
         "params": sorted(arrays),
     }
     arrays["__manifest__"] = np.array(json.dumps(manifest))
-    np.savez(Path(path), **arrays)
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def load_checkpoint(path) -> tuple[dict[int, VolatilityModel], ModelConfig]:

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import ConfigError, InsufficientDataError, TrainingDivergedError
 from ..numcore import AdamState, adam_step, no_grad
-from .metrics import MetricsReport, build_report, mse
+from .metrics import MetricsReport, build_report
 from .model import ModelConfig, PreparedQuarter, VolatilityModel, masked_mse_tensor
 
 
@@ -215,25 +215,3 @@ def evaluate(
             baseline[tau].append(prepared.v_past[tau][idx])
     cat = lambda d: {t: np.concatenate(v) for t, v in d.items()}
     return build_report(cat(preds), cat(labels), cat(baseline))
-
-
-def v_past_report(quarters: list[PreparedQuarter]) -> MetricsReport:
-    """Baseline-only report (no model involved)."""
-    from ..dataio.datasets import TAUS
-
-    per_tau = {}
-    n = {}
-    for tau in TAUS:
-        y, v = [], []
-        for p in quarters:
-            if p.v_past is None:
-                raise ConfigError("baseline report needs prepared datasets")
-            idx = np.flatnonzero(p.mask)
-            y.append(p.labels[tau][idx])
-            v.append(p.v_past[tau][idx])
-        y, v = np.concatenate(y), np.concatenate(v)
-        per_tau[tau] = mse(v, y)
-        n[tau] = len(y)
-    return MetricsReport(
-        mse_per_tau=per_tau, r2_per_tau={t: 0.0 for t in per_tau}, n_samples=n
-    )

@@ -241,6 +241,22 @@ class TestTrainEval:
             assert payload["v_past"][f"r2_{tau}"] == 0.0
             assert payload["model"]["n_samples"][str(tau)] == payload["v_past"]["n_samples"][str(tau)] > 0
 
+    def test_failed_report_write_keeps_old_file(self, workdir, tmp_path, monkeypatch):
+        report_path = tmp_path / "eval.json"
+        report_path.write_text('{"old": "report"}')
+
+        def fail_partway(obj, fh, **kwargs):
+            fh.write('{"format": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", fail_partway)
+        argv = ["eval", "--model", str(workdir["ckpt"]), "--data", str(workdir["data"]),
+                "--report", str(report_path)]
+        with pytest.raises(OSError, match="disk full"):
+            main(argv)
+        assert report_path.read_text() == '{"old": "report"}'
+        assert [p.name for p in tmp_path.iterdir()] == ["eval.json"]
+
     def test_bad_config_key_exits_2(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("bogus = 1\n")
@@ -262,6 +278,28 @@ class TestTrainEval:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(want) in err
+        assert not (tmp_path / "x.npz").exists()
+
+
+    def test_non_finite_close_exits_2(self, workdir, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("transcripts.jsonl", "relations.csv"):
+            (data / name).write_bytes((workdir["data"] / name).read_bytes())
+        with (workdir["data"] / "prices.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        company = rows[1][0]
+        own = [i for i, row in enumerate(rows) if i and row[0] == company]
+        for i in own[::40]:
+            rows[i][2] = "nan"
+        with (data / "prices.csv").open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        rc = main(["train", "--config", str(workdir["root"] / "model.cfg"),
+                   "--data", str(data), "--out", str(tmp_path / "x.npz")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite adjusted_close nan")
+        assert f"{data / 'prices.csv'}:{own[0] + 1}" in err
         assert not (tmp_path / "x.npz").exists()
 
 

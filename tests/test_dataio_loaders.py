@@ -201,10 +201,13 @@ class TestPriceLoading:
             ("A,2016-01-05,1.0\n\nA,2016-13-05,2.0\n", "bad date '2016-13-05' [{}:3]"),
             ("A,2016-01-05,1.0\nA,2016-01-06,abc\n", "bad adjusted_close [{}:3]"),
             ("A,2016-01-05,1.0\n\n\nA,2016-01-06,0\n", "non-positive adjusted_close 0.0 [{}:3]"),
+            ("A,2016-01-05,1.0\nA,2016-01-06,nan\n", "non-finite adjusted_close nan [{}:3]"),
+            ("A,2016-01-05,inf\n", "non-finite adjusted_close inf [{}:2]"),
+            ("A,2016-01-05,1.0\n\nA,2016-01-06,-inf\n", "non-finite adjusted_close -inf [{}:3]"),
             ("A,2016-01-05,1.0\nB,2016-01-05,1.0\nB,2016-01-05,2.0\n",
              "B: duplicate trading dates [{}]"),
         ],
-        ids=["date", "close", "non-positive", "duplicate"],
+        ids=["date", "close", "non-positive", "nan", "inf", "-inf", "duplicate"],
     )
     def test_error_messages_and_line_numbers(self, tmp_path, body, message):
         # blank lines are skipped and not counted, as csv.DictReader does

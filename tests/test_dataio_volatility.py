@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from volgraph.dataio.records import PriceSeries
 from volgraph.dataio.volatility import (
     LOG_FLOOR,
-    adjusted_return,
     anchor_index,
     label,
     log_volatility,
@@ -63,15 +62,6 @@ def random_series(rng, n=None):
 
 
 class TestOracleEquivalence:
-    def test_returns_match_oracle(self, rng):
-        for _ in range(50):
-            s = random_series(rng)
-            closes = list(s.closes)
-            for t in range(1, len(s)):
-                assert adjusted_return(s, t) == pytest.approx(
-                    oracle_return(closes, t), abs=1e-12
-                )
-
     def test_volatility_matches_oracle_many_series(self, rng):
         # window [t, t+tau] has tau+1 terms and divisor tau == n_terms - 1
         for _ in range(200):
@@ -201,26 +191,6 @@ class TestAnchorsAndLabels:
         with pytest.raises(InsufficientDataError):
             v_past_prediction(s, dt.date(2015, 1, 6), 3)
 
-    def test_calendar_mode_uses_date_window(self):
-        s = self.build()
-        # anchor Wed Jan 7 (idx 2); tau=7 calendar days -> Jan 8..14
-        # trading days inside: Jan 8,9,12,13,14 -> indices 3..7
-        got = label(s, dt.date(2015, 1, 7), 7, calendar_days=True)
-        want = math.log(oracle_vol(list(s.closes), 3, 7))
-        assert got == pytest.approx(want, abs=1e-12)
-
-    def test_calendar_mode_trailing(self):
-        s = self.build()
-        # anchor Wed Jan 14 (idx 7); trailing 7 calendar days Jan 7..13
-        got = v_past_prediction(s, dt.date(2015, 1, 14), 7, calendar_days=True)
-        want = math.log(oracle_vol(list(s.closes), 2, 6))
-        assert got == pytest.approx(want, abs=1e-12)
-
-    def test_calendar_mode_too_sparse_raises(self):
-        s = self.build()
-        with pytest.raises(InsufficientDataError):
-            label(s, dt.date(2015, 1, 16), 2, calendar_days=True)
-
 
 class TestPriceSeries:
     def test_rejects_unsorted_dates(self):
@@ -237,6 +207,15 @@ class TestPriceSeries:
                 "X",
                 (dt.date(2015, 1, 5), dt.date(2015, 1, 6)),
                 np.array([1.0, 0.0]),
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_close(self, bad):
+        with pytest.raises(ParseError, match="non-finite"):
+            PriceSeries(
+                "X",
+                (dt.date(2015, 1, 5), dt.date(2015, 1, 6)),
+                np.array([1.0, bad]),
             )
 
     def test_rejects_length_mismatch(self):

@@ -16,7 +16,6 @@ from volgraph.market import (
     market_attention,
     market_gru,
     run_market_timeline,
-    timeline_debug_rows,
 )
 from volgraph.numcore.gradcheck import grad_check
 from volgraph.numcore.params import ParamStore
@@ -221,15 +220,6 @@ class TestTimeline:
         with pytest.raises(ShapeError):
             run_market_timeline([0, 1], nc.Tensor(rng.normal(size=(1, D))), [0], params)
 
-    def test_debug_rows_shape(self, rng):
-        store, params = setup_params(rng)
-        groups = [rng.normal(size=(n, D)) for n in (2, 3)]
-        timeline = timeline_of(groups, [0, 1], params)
-        rows = timeline_debug_rows(["d0", "d1"], timeline)
-        assert len(rows) == 5
-        assert rows[0][0] == "d0" and rows[-1][0] == "d1"
-        assert sum(r[2] for r in rows if r[0] == "d0") == pytest.approx(1.0, abs=1e-12)
-
 
 def reference_timeline(emb, node_group, gaps, params):
     """The per-date loop that the whole-quarter scan replaces, op for op."""
@@ -412,18 +402,6 @@ class TestGRUScan:
         out = self.run(gru_scan, store)
         assert out._parents == tuple(store[name] for name in SCAN_INPUTS)
         assert all(p._backward_fn is None for p in out._parents)
-
-    def test_float32_stays_float32(self, rng):
-        leaves = {
-            name: nc.Tensor(t.data.astype(np.float32), requires_grad=True)
-            for name, t in scan_inputs(rng, 7, 6).items()
-        }
-        out = self.run(gru_scan, leaves, np.ones((7, 6), dtype=np.float32))
-        assert out.dtype == np.float32
-        for name, t in leaves.items():
-            assert t.grad.dtype == np.float32, name
-        want = self.run(reference_scan, leaves)
-        assert np.array_equal(out.data, want.data)
 
     def test_no_tape_under_no_grad(self, rng):
         store = scan_inputs(rng, 5, 4)

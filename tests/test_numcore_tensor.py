@@ -93,12 +93,6 @@ class TestUnaryGrads:
     def test_exp(self, rng):
         assert_op_grads(nc.exp, [rng.normal(size=(3, 3))])
 
-    def test_log(self, rng):
-        assert_op_grads(nc.log, [rng.uniform(0.2, 3.0, size=(6,))])
-
-    def test_sqrt(self, rng):
-        assert_op_grads(nc.sqrt, [rng.uniform(0.3, 4.0, size=(2, 5))])
-
     def test_tanh(self, rng):
         assert_op_grads(nc.tanh, [rng.normal(size=(7,))])
 
@@ -434,21 +428,20 @@ class TestGraphMechanics:
         with pytest.raises(FloatingPointError):
             nc.Tensor(np.array([1.0, np.nan]))
 
-    def test_check_finite_can_be_disabled(self):
-        nc.set_check_finite(False)
-        try:
-            t = nc.Tensor(np.array([np.inf]))
-            assert np.isinf(t.data[0])
-        finally:
-            nc.set_check_finite(True)
-
-    def test_default_dtype_switch(self):
-        nc.set_default_dtype(np.float32)
-        try:
-            assert nc.Tensor(np.array([1, 2])).dtype == np.float32
-        finally:
-            nc.set_default_dtype(np.float64)
-        assert nc.Tensor(np.array([1, 2])).dtype == np.float64
+    def test_every_input_becomes_float64(self):
+        for data in (
+            np.array([1.5, 2.5], dtype=np.float32),
+            np.array([1, 2]),
+            np.array([True, False]),
+            [1, 2],
+        ):
+            assert nc.Tensor(data).dtype == np.float64
+            assert nc.as_tensor(data).dtype == np.float64
+        t = nc.Tensor(np.array([0.1], dtype=np.float32), requires_grad=True)
+        nc.mul(t, t).backward()
+        assert t.grad.dtype == np.float64
+        arr = np.array([1.0, 2.0])
+        assert nc.Tensor(arr).data is arr  # float64 input is not copied
 
     def test_operator_sugar_matches_functions(self, rng):
         a, b = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))

@@ -24,7 +24,6 @@ from volgraph.pipeline import (
     save_checkpoint,
     train,
     transductive_split,
-    v_past_report,
 )
 from volgraph.pipeline.model import masked_mse_tensor
 from volgraph.pipeline.training import TrainState, _validation_mse
@@ -373,14 +372,6 @@ class TestEvaluate:
         rep, _ = evaluate(models, [p], [sub])
         assert all(rep.n_samples[t] == len(keep) for t in TAUS)
 
-    def test_v_past_report_zero_r2(self, prepared_quarters):
-        rep = v_past_report(prepared_quarters[:2])
-        assert all(rep.r2_per_tau[t] == 0.0 for t in TAUS)
-        y = np.concatenate([p.labels[3][p.mask] for p in prepared_quarters[:2]])
-        v = np.concatenate([p.v_past[3][p.mask] for p in prepared_quarters[:2]])
-        assert rep.mse_per_tau[3] == pytest.approx(mse(v, y), rel=1e-12)
-        assert rep.n_samples[3] == len(y)
-
 
 class TestTransductiveSplit:
     def test_partition_and_counts(self, prepared_quarters):
@@ -487,6 +478,31 @@ class TestCheckpoint:
         with pytest.raises(ConfigError):
             load_checkpoint(path)
 
+
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        config = tiny_config()
+        models = {tau: VolatilityModel(config, (tau,)) for tau in TAUS}
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, models, config)
+        before = path.read_bytes()
+
+        def fail_partway(fh, **arrays):
+            fh.write(before[: len(before) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", fail_partway)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, models, config)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.npz"]
+
+    def test_path_is_used_as_given(self, tmp_path):
+        # np.savez given a path without the .npz suffix would append one
+        config = tiny_config()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {3: VolatilityModel(config, (3,))}, config)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+        assert list(load_checkpoint(path)[0]) == [3]
 
     def _corrupt(self, tmp_path, edit):
         # rewrite a saved checkpoint after ``edit`` changes its arrays/manifest
