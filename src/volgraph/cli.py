@@ -10,6 +10,7 @@ dataclass fields they configure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -265,19 +266,19 @@ def cmd_predict(args) -> int:
         if key not in done:
             done[key] = model.predict(prepared)
         preds[tau] = done[key][tau]
-    out = Path(args.out).open("w", newline="") if args.out else sys.stdout
-    writer = csv.writer(out)
-    writer.writerow(
-        ["node_id", "company_id", "call_id", "call_date"]
-        + [f"pred_{tau}" for tau in sorted(preds)]
-    )
-    for node in graph.nodes:
+    sink = atomic_open(args.out, newline="") if args.out else contextlib.nullcontext(sys.stdout)
+    with sink as out:
+        writer = csv.writer(out)
         writer.writerow(
-            [node.node_id, node.company_id, node.call_id, node.call_date.isoformat()]
-            + [repr(float(preds[tau][node.node_id])) for tau in sorted(preds)]
+            ["node_id", "company_id", "call_id", "call_date"]
+            + [f"pred_{tau}" for tau in sorted(preds)]
         )
+        for node in graph.nodes:
+            writer.writerow(
+                [node.node_id, node.company_id, node.call_id, node.call_date.isoformat()]
+                + [repr(float(preds[tau][node.node_id])) for tau in sorted(preds)]
+            )
     if args.out:
-        out.close()
         print(f"predictions -> {args.out}")
     return 0
 
@@ -295,7 +296,7 @@ def cmd_export_attention(args) -> int:
     with no_grad():
         _, _, diag = model.forward(prepared)
     rows = attention_export_rows(prepared.arrays, diag)
-    with Path(args.out).open("w", newline="") as fh:
+    with atomic_open(args.out, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["layer", "src", "dst", "gamma", "gamma_over_dtilde"])
         for row in rows:
@@ -309,12 +310,12 @@ def cmd_split_transductive(args) -> int:
     ratios = tuple(int(x) for x in args.ratios.split(","))
     masks = transductive_split(graph, ratios)
     payload = {name: np.flatnonzero(mask).tolist() for name, mask in masks.items()}
-    text = json.dumps(payload, indent=2)
     if args.out:
-        Path(args.out).write_text(text)
+        with atomic_open(args.out) as fh:
+            json.dump(payload, fh, indent=2)
         print(f"masks -> {args.out}")
     else:
-        print(text)
+        print(json.dumps(payload, indent=2))
     return 0
 
 

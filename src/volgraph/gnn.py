@@ -44,9 +44,9 @@ EDGE_FEATURE_DIM = 2  # [temporal_weight, similarity]
 class GraphArrays:
     """Flat edge-list view of a QuarterGraph, ready for vectorized layers.
 
-    Edges are sorted by (dst, src) at construction, which fixes the
-    accumulation order of every segment reduction — a prerequisite for
-    bitwise-reproducible forward passes.
+    Edges keep the (dst, src) order of the graph's ``EdgeTable``, which
+    fixes the accumulation order of every segment reduction — a
+    prerequisite for bitwise-reproducible forward passes.
     """
 
     n_nodes: int
@@ -61,16 +61,10 @@ class GraphArrays:
     @classmethod
     def from_graph(cls, graph: QuarterGraph) -> "GraphArrays":
         n = graph.n_nodes
-        edges = graph.edges
-        src = np.fromiter((e.src for e in edges), dtype=np.intp, count=len(edges))
-        dst = np.fromiter((e.dst for e in edges), dtype=np.intp, count=len(edges))
-        feat = np.array([[e.temporal_weight, e.similarity] for e in edges], dtype=np.float64)
-        order = np.lexsort((src, dst))  # stable: the identity when already sorted
-        src, dst, feat = src[order], dst[order], feat[order]
-
+        e = graph.edges  # already sorted by (dst, src)
         # deg~ counts the node's non-self in-edges plus one for its self-loop
-        deg = 1.0 + np.bincount(dst[src != dst], minlength=n)
-        dtilde = np.sqrt(deg[dst] * deg[src])
+        deg = 1.0 + np.bincount(e.dst[e.src != e.dst], minlength=n)
+        dtilde = np.sqrt(deg[e.dst] * deg[e.src])
 
         groups = date_groups(graph)
         node_group = np.empty(n, dtype=np.intp)
@@ -82,9 +76,9 @@ class GraphArrays:
             prev = date
         return cls(
             n_nodes=n,
-            src=src,
-            dst=dst,
-            edge_feat=feat,
+            src=e.src,
+            dst=e.dst,
+            edge_feat=np.column_stack([e.temporal_weight, e.similarity]),
             dtilde=dtilde,
             node_group=node_group,
             date_gaps=gaps,

@@ -3,10 +3,11 @@
 Edges run from the earlier call to the later call of each related company
 pair, weighted by 1/(day_gap+1) in calendar days. Same-day pairs are
 connected in both directions with weight 1, and every node carries a
-self-loop (weight 1, similarity 1). Because no edge ever points from a
+self-loop (weight 1, similarity 1). The edges are one ``EdgeTable`` of
+numpy columns sorted by (dst, src). Because no edge ever points from a
 later call to an earlier one, message passing over the graph cannot move
 information backward in time; ``audit_no_leakage`` re-checks exactly that
-property edge by edge.
+property on the columns.
 """
 
 from __future__ import annotations
@@ -17,10 +18,21 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
+from .atomic import atomic_open
 from .dataio.records import CallRecord, Quarter, RelationRecord
 from .errors import GraphConstructionError
 
 SIMILARITY_THRESHOLD = 0.15
+# EdgeTable columns in graph-directory order, with their dtypes
+EDGE_COLUMNS = {
+    "src": np.intp,
+    "dst": np.intp,
+    "temporal_weight": np.float64,
+    "similarity": np.float64,
+    "day_gap": np.int64,
+}
 
 
 @dataclass
@@ -32,20 +44,37 @@ class CompanyNode:
     labels: dict[int, float] | None = None
 
 
-@dataclass
-class TemporalEdge:
-    src: int
-    dst: int
-    temporal_weight: float
-    similarity: float
-    day_gap: int
+@dataclass(eq=False)
+class EdgeTable:
+    """Directed edges as parallel columns, sorted by (dst, src).
+
+    The constructor is the one place that orders edges: a stable lexsort,
+    so rows with the same (dst, src) keep their input order.
+    """
+
+    src: np.ndarray  # (E,) intp node ids
+    dst: np.ndarray  # (E,) intp node ids
+    temporal_weight: np.ndarray  # (E,) float64, 1/(day_gap+1)
+    similarity: np.ndarray  # (E,) float64
+    day_gap: np.ndarray  # (E,) int64 calendar days from the src call to the dst call
+
+    def __post_init__(self):
+        columns = {n: np.asarray(getattr(self, n), dtype=t) for n, t in EDGE_COLUMNS.items()}
+        if len({c.shape for c in columns.values()}) != 1 or columns["src"].ndim != 1:
+            raise GraphConstructionError("edge columns must be 1-D and of equal length")
+        order = np.lexsort((columns["src"], columns["dst"]))
+        for name, column in columns.items():
+            setattr(self, name, column[order])
+
+    def __len__(self) -> int:
+        return len(self.src)
 
 
 @dataclass
 class QuarterGraph:
     quarter: Quarter
     nodes: list[CompanyNode]
-    edges: list[TemporalEdge]
+    edges: EdgeTable
     calls: list[CallRecord]  # aligned with nodes: calls[i] belongs to nodes[i]
 
     @property
@@ -93,51 +122,39 @@ def build_quarter_graph(
     ]
     index = {n.company_id: n.node_id for n in nodes}
 
-    sim: dict[frozenset, float] = {}
+    # similarity per linked node pair (i, j), i < j: node order is (date,
+    # company), so i's call is no later than j's
+    sim: dict[tuple[int, int], float] = {}
     for r in relations:
         if r.effective_year != quarter.year - 1 or r.similarity <= SIMILARITY_THRESHOLD:
             continue
         if r.company_a not in index or r.company_b not in index:
             continue
-        key = frozenset((r.company_a, r.company_b))
+        key = tuple(sorted((index[r.company_a], index[r.company_b])))
         if key in sim and sim[key] != r.similarity:
-            a, b = sorted(key)
+            a, b = sorted((r.company_a, r.company_b))
             raise GraphConstructionError(
                 f"conflicting similarities for pair ({a},{b}) in effective year "
                 f"{r.effective_year}: {sim[key]} vs {r.similarity}"
             )
         sim[key] = r.similarity
 
-    edges = [
-        TemporalEdge(src=n.node_id, dst=n.node_id, temporal_weight=1.0, similarity=1.0, day_gap=0)
-        for n in nodes
-    ]
-    for key, similarity in sim.items():
-        a, b = sorted(key)
-        ni, nj = nodes[index[a]], nodes[index[b]]
-        gap = (nj.call_date - ni.call_date).days
-        if gap < 0:
-            ni, nj, gap = nj, ni, -gap
-        edges.append(
-            TemporalEdge(
-                src=ni.node_id,
-                dst=nj.node_id,
-                temporal_weight=1.0 / (gap + 1),
-                similarity=similarity,
-                day_gap=gap,
-            )
-        )
-        if gap == 0:
-            edges.append(
-                TemporalEdge(
-                    src=nj.node_id,
-                    dst=ni.node_id,
-                    temporal_weight=1.0,
-                    similarity=similarity,
-                    day_gap=0,
-                )
-            )
-    edges.sort(key=lambda e: (e.dst, e.src))
+    pairs = np.array(list(sim), dtype=np.intp).reshape(-1, 2)
+    loops = np.arange(len(nodes), dtype=np.intp)
+    i = np.concatenate([loops, pairs[:, 0]])
+    j = np.concatenate([loops, pairs[:, 1]])
+    similarity = np.concatenate([np.ones(len(nodes)), list(sim.values())])
+    days = np.array([n.call_date.toordinal() for n in nodes], dtype=np.int64)
+    gap = days[j] - days[i]
+    weight = 1.0 / (gap + 1)
+    back = (gap == 0) & (i != j)  # same-day pairs are linked both ways
+    edges = EdgeTable(
+        src=np.concatenate([i, j[back]]),
+        dst=np.concatenate([j, i[back]]),
+        temporal_weight=np.concatenate([weight, weight[back]]),
+        similarity=np.concatenate([similarity, similarity[back]]),
+        day_gap=np.concatenate([gap, gap[back]]),
+    )
     return QuarterGraph(quarter=quarter, nodes=nodes, edges=edges, calls=ordered)
 
 
@@ -150,13 +167,9 @@ class LeakageReport:
         return not self.violations
 
     def to_json(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(
-                {"ok": self.ok, "n_violations": len(self.violations), "violations": self.violations},
-                indent=2,
-                default=str,
-            )
-        )
+        payload = {"ok": self.ok, "n_violations": len(self.violations), "violations": self.violations}
+        with atomic_open(path) as fh:
+            json.dump(payload, fh, indent=2, default=str)
 
 
 def audit_no_leakage(graph: QuarterGraph) -> LeakageReport:
@@ -165,33 +178,28 @@ def audit_no_leakage(graph: QuarterGraph) -> LeakageReport:
     A violation is an edge whose source call is dated after its destination
     call, or whose recorded weight/gap disagrees with the 1/(gap+1) rule
     (a mis-weighted edge would mean the graph was not built by the
-    time-respecting constructor).
+    time-respecting constructor). A NaN weight disagrees with every gap.
+    Violations are listed in edge order.
     """
+    e = graph.edges
+    days = np.array([n.call_date.toordinal() for n in graph.nodes], dtype=np.int64)
+    gap = days[e.dst] - days[e.src]
+    backward = gap < 0
+    # backward edges are flagged as such; clip their gap so the rule stays finite
+    expected = 1.0 / (np.maximum(gap, 0) + 1)
+    consistent = (e.day_gap == gap) & (np.abs(e.temporal_weight - expected) <= 1e-12)
     report = LeakageReport()
-    dates = {n.node_id: n.call_date for n in graph.nodes}
-    for e in graph.edges:
-        src_date, dst_date = dates[e.src], dates[e.dst]
-        if src_date > dst_date:
-            report.violations.append(
-                {
-                    "src": e.src,
-                    "dst": e.dst,
-                    "reason": f"edge from {src_date} to earlier {dst_date}",
-                }
+    for k in np.flatnonzero(backward | ~consistent).tolist():
+        src, dst = int(e.src[k]), int(e.dst[k])
+        src_date, dst_date = graph.nodes[src].call_date, graph.nodes[dst].call_date
+        if backward[k]:
+            reason = f"edge from {src_date} to earlier {dst_date}"
+        else:
+            reason = (
+                f"weight {float(e.temporal_weight[k])} / gap {int(e.day_gap[k])} inconsistent "
+                f"with dates {int(gap[k])} days apart"
             )
-            continue
-        gap = (dst_date - src_date).days
-        if e.day_gap != gap or abs(e.temporal_weight - 1.0 / (gap + 1)) > 1e-12:
-            report.violations.append(
-                {
-                    "src": e.src,
-                    "dst": e.dst,
-                    "reason": (
-                        f"weight {e.temporal_weight} / gap {e.day_gap} inconsistent "
-                        f"with dates {gap} days apart"
-                    ),
-                }
-            )
+        report.violations.append({"src": src, "dst": dst, "reason": reason})
     return report
 
 
@@ -206,6 +214,10 @@ def date_groups(graph: QuarterGraph) -> list[tuple[dt.date, list[int]]]:
 # -- graph directory round-trip ---------------------------------------------------
 
 
+GRAPH_FORMAT = "volgraph-quarter-graph/1"
+NODE_COLUMNS = ("node_id", "company_id", "call_id", "call_date", "label_3", "label_7", "label_15")
+
+
 def save_graph_dir(graph: QuarterGraph, out_dir) -> None:
     """Write a self-contained graph directory: manifest, tables, transcripts."""
     from .dataio.loaders import write_transcripts
@@ -213,7 +225,7 @@ def save_graph_dir(graph: QuarterGraph, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
-        "format": "volgraph-quarter-graph/1",
+        "format": GRAPH_FORMAT,
         "quarter": str(graph.quarter),
         "n_nodes": len(graph.nodes),
         "n_edges": len(graph.edges),
@@ -221,9 +233,7 @@ def save_graph_dir(graph: QuarterGraph, out_dir) -> None:
     (out / "graph.json").write_text(json.dumps(manifest, indent=2))
     with (out / "nodes.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["node_id", "company_id", "call_id", "call_date", "label_3", "label_7", "label_15"]
-        )
+        writer.writerow(NODE_COLUMNS)
         for n in graph.nodes:
             row = [n.node_id, n.company_id, n.call_id, n.call_date.isoformat()]
             row += (
@@ -232,62 +242,121 @@ def save_graph_dir(graph: QuarterGraph, out_dir) -> None:
                 else [repr(float(n.labels[tau])) for tau in (3, 7, 15)]
             )
             writer.writerow(row)
+    e = graph.edges
     with (out / "edges.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["src", "dst", "temporal_weight", "similarity", "day_gap"])
-        for e in graph.edges:
-            writer.writerow(
-                [e.src, e.dst, repr(float(e.temporal_weight)), repr(float(e.similarity)), e.day_gap]
-            )
+        writer.writerow(EDGE_COLUMNS)
+        # csv writes a Python float as its repr, which reads back bitwise
+        writer.writerows(zip(*(getattr(e, name).tolist() for name in EDGE_COLUMNS)))
     write_transcripts(graph.calls, out / "calls.jsonl")
 
 
 def load_graph_dir(path) -> QuarterGraph:
+    """Read a directory written by ``save_graph_dir``, checking whole columns.
+
+    A missing file or column, a row of the wrong width, a value that does
+    not parse or is not finite, an edge endpoint that is not a node id, or
+    a node or edge count that differs from ``graph.json`` raises
+    ``GraphConstructionError`` naming the file.
+    """
     from .dataio.loaders import load_transcripts
 
     root = Path(path)
     try:
         manifest = json.loads((root / "graph.json").read_text())
-    except FileNotFoundError as e:
+    except (FileNotFoundError, json.JSONDecodeError) as e:
         raise GraphConstructionError(f"{root}: not a graph directory") from e
-    if manifest.get("format") != "volgraph-quarter-graph/1":
+    if not isinstance(manifest, dict) or manifest.get("format") != GRAPH_FORMAT:
         raise GraphConstructionError(f"{root}: not a graph directory")
-    quarter = Quarter.parse(manifest["quarter"])
+    counts = [manifest.get("n_nodes"), manifest.get("n_edges")]
+    if not all(type(c) is int for c in counts):
+        raise GraphConstructionError(f"{root / 'graph.json'}: n_nodes and n_edges must be integers")
+    quarter = Quarter.parse(str(manifest.get("quarter")))
+    try:
+        nodes = _read_nodes(root / "nodes.csv", counts[0])
+        edges = _read_edges(root / "edges.csv", counts[1], len(nodes))
+        calls = load_transcripts(root / "calls.jsonl")
+    except FileNotFoundError as e:
+        raise GraphConstructionError(f"{root}: missing {Path(e.filename).name}") from e
 
-    nodes: list[CompanyNode] = []
-    with (root / "nodes.csv").open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            labels = None
-            if row["label_3"]:
-                labels = {tau: float(row[f"label_{tau}"]) for tau in (3, 7, 15)}
-            nodes.append(
-                CompanyNode(
-                    node_id=int(row["node_id"]),
-                    company_id=row["company_id"],
-                    call_id=row["call_id"],
-                    call_date=dt.date.fromisoformat(row["call_date"]),
-                    labels=labels,
-                )
-            )
-    nodes.sort(key=lambda n: n.node_id)
-
-    edges: list[TemporalEdge] = []
-    with (root / "edges.csv").open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            edges.append(
-                TemporalEdge(
-                    src=int(row["src"]),
-                    dst=int(row["dst"]),
-                    temporal_weight=float(row["temporal_weight"]),
-                    similarity=float(row["similarity"]),
-                    day_gap=int(row["day_gap"]),
-                )
-            )
-
-    calls = load_transcripts(root / "calls.jsonl")
     by_id = {c.call_id: c for c in calls}
     missing = [n.call_id for n in nodes if n.call_id not in by_id]
     if missing:
         raise GraphConstructionError(f"{root}: calls.jsonl missing transcripts for {missing[:3]}")
     ordered_calls = [by_id[n.call_id] for n in nodes]
     return QuarterGraph(quarter=quarter, nodes=nodes, edges=edges, calls=ordered_calls)
+
+
+def _read_columns(path: Path, names: tuple[str, ...], count: int) -> dict[str, tuple[str, ...]]:
+    """The named columns of a CSV file, each a tuple of ``count`` strings.
+
+    Blank lines are skipped; "row k" in errors counts data rows from 1.
+    """
+    with path.open(newline="") as fh:
+        rows = list(filter(None, csv.reader(fh)))
+    header = rows[0] if rows else []
+    for name in names:
+        if name not in header:
+            raise GraphConstructionError(f"{path}: missing column {name}")
+    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    bad = np.flatnonzero(widths != len(header))
+    if bad.size:
+        raise GraphConstructionError(
+            f"{path}: row {bad[0]}: {widths[bad[0]]} fields, the header has {len(header)}"
+        )
+    if len(rows) - 1 != count:
+        raise GraphConstructionError(f"{path}: {len(rows) - 1} rows, graph.json says {count}")
+    columns = list(zip(*rows[1:])) or [()] * len(header)
+    return {name: columns[header.index(name)] for name in names}
+
+
+def _parse_column(path: Path, name: str, values: tuple[str, ...]) -> np.ndarray:
+    try:
+        column = np.asarray(values, dtype=EDGE_COLUMNS[name])
+    except (ValueError, OverflowError) as e:
+        raise GraphConstructionError(f"{path}: column {name}: {e}") from e
+    if column.dtype == np.float64:
+        _require(path, name, column, np.isfinite(column), "is not finite")
+    return column
+
+
+def _require(path: Path, name: str, column: np.ndarray, ok: np.ndarray, rule: str) -> None:
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        k = bad[0]
+        raise GraphConstructionError(f"{path}: row {k + 1}: {name} {column[k]} {rule}")
+
+
+def _read_edges(path: Path, count: int, n_nodes: int) -> EdgeTable:
+    columns = _read_columns(path, tuple(EDGE_COLUMNS), count)
+    parsed = {name: _parse_column(path, name, values) for name, values in columns.items()}
+    for name in ("src", "dst"):
+        ids = parsed[name]
+        rule = f"is not a node id in 0..{n_nodes - 1}"
+        _require(path, name, ids, (ids >= 0) & (ids < n_nodes), rule)
+    return EdgeTable(**parsed)
+
+
+def _read_nodes(path: Path, count: int) -> list[CompanyNode]:
+    cols = _read_columns(path, NODE_COLUMNS, count)
+    nodes = []
+    for row, (node_id, company_id, call_id, call_date, *labels) in enumerate(
+        zip(*(cols[name] for name in NODE_COLUMNS)), start=1
+    ):
+        try:
+            node = CompanyNode(
+                node_id=int(node_id),
+                company_id=company_id,
+                call_id=call_id,
+                call_date=dt.date.fromisoformat(call_date),
+                labels=dict(zip((3, 7, 15), map(float, labels))) if any(labels) else None,
+            )
+        except ValueError as e:
+            raise GraphConstructionError(f"{path}: row {row}: {e}") from e
+        if node.labels is not None and not np.isfinite(list(node.labels.values())).all():
+            raise GraphConstructionError(f"{path}: row {row}: labels {labels} are not finite")
+        nodes.append(node)
+    nodes.sort(key=lambda n: n.node_id)
+    if [n.node_id for n in nodes] != list(range(len(nodes))):
+        raise GraphConstructionError(f"{path}: node ids are not 0..{len(nodes) - 1}")
+    return nodes

@@ -28,7 +28,7 @@ from volgraph.dataio.records import CallRecord, PriceSeries, Quarter, RelationRe
 from volgraph.dataio.volatility import label, v_past_prediction, volatility, windowed_volatility
 from volgraph.graphbuild import (
     SIMILARITY_THRESHOLD,
-    TemporalEdge,
+    EdgeTable,
     audit_no_leakage,
     build_quarter_graph,
     load_graph_dir,
@@ -247,19 +247,26 @@ def test_criterion_03_no_leakage_property(capsys):
     graph = build_quarter_graph(calls, relations, quarter)
     assert audit_no_leakage(graph).ok
     by_date = sorted(graph.nodes, key=lambda n: n.call_date)
-    injected = set()
+    injected = {}  # (src, dst) -> (temporal_weight, similarity, day_gap)
     for late_pos, early_pos in ((-1, 0), (-2, 0), (-1, 1)):
         late, early = by_date[late_pos], by_date[early_pos]
         if late.call_date <= early.call_date:
             continue
         gap = (late.call_date - early.call_date).days
-        edge = TemporalEdge(late.node_id, early.node_id, 1.0 / (gap + 1), 0.5, gap)
-        if (edge.src, edge.dst) not in injected:
-            graph.edges.append(edge)
-            injected.add((edge.src, edge.dst))
+        injected.setdefault((late.node_id, early.node_id), (1.0 / (gap + 1), 0.5, gap))
+    e = graph.edges
+    src, dst = zip(*injected)
+    weight, similarity, day_gap = zip(*injected.values())
+    graph.edges = EdgeTable(
+        src=np.concatenate([e.src, src]),
+        dst=np.concatenate([e.dst, dst]),
+        temporal_weight=np.concatenate([e.temporal_weight, weight]),
+        similarity=np.concatenate([e.similarity, similarity]),
+        day_gap=np.concatenate([e.day_gap, day_gap]),
+    )
     report = audit_no_leakage(graph)
     flagged = {(v["src"], v["dst"]) for v in report.violations}
-    assert flagged == injected
+    assert flagged == set(injected)
     assert len(report.violations) == len(injected) > 0
 
     elapsed = time.perf_counter() - start
@@ -336,7 +343,13 @@ def test_criterion_04_graph_builder_oracle(capsys):
                         )
                     )
         graph = build_quarter_graph(calls, relations, quarter)
-        got = {(e.src, e.dst): (e.temporal_weight, e.similarity) for e in graph.edges}
+        e = graph.edges
+        got = dict(
+            zip(
+                zip(e.src.tolist(), e.dst.tolist()),
+                zip(e.temporal_weight.tolist(), e.similarity.tolist()),
+            )
+        )
         want = _oracle_edges(calls, relations, quarter, SIMILARITY_THRESHOLD)
         assert got == want, f"trial {trial}: edge sets differ"
         n_edges_total += len(got)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from volgraph.cli import dataclass_from_config, main, parse_kv_config
 from volgraph.dataio import SyntheticConfig, load_transcripts
 from volgraph.errors import ConfigError
-from volgraph.graphbuild import TemporalEdge, load_graph_dir, save_graph_dir
+from volgraph.graphbuild import EdgeTable, load_graph_dir, save_graph_dir
 from volgraph.pipeline import ModelConfig, load_checkpoint
 
 TINY_MODEL_CONFIG = """\
@@ -166,6 +167,43 @@ class TestGenSynth:
         assert len(calls) == 10 * 12
 
 
+def _edit_csv(path, edit):
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(edit(rows))
+
+
+def _set_first(column, value):
+    def edit(rows):
+        rows[1][rows[0].index(column)] = value
+        return rows
+
+    return edit
+
+
+# name -> (file, edit of its csv rows or None to delete it, text the error must hold)
+GRAPH_CORRUPTIONS = {
+    "edges-without-day_gap": ("edges.csv", lambda rows: [r[:4] for r in rows],
+                              "missing column day_gap"),
+    "non-integer-day_gap": ("edges.csv", _set_first("day_gap", "1.5"),
+                            "column day_gap: invalid literal for int() with base 10: '1.5'"),
+    "src-9999": ("edges.csv", _set_first("src", "9999"), "row 1: src 9999 is not a node id"),
+    "src-negative": ("edges.csv", _set_first("src", "-1"), "row 1: src -1 is not a node id"),
+    "short-row": ("edges.csv", lambda rows: rows[:2] + [rows[2][:3]] + rows[3:],
+                  "row 2: 3 fields, the header has 5"),
+    "missing-edges": ("edges.csv", None, "missing edges.csv"),
+    "nodes-without-label_7": ("nodes.csv", lambda rows: [r[:5] + r[6:] for r in rows],
+                              "missing column label_7"),
+    "nan-similarity": ("edges.csv", _set_first("similarity", "nan"),
+                       "row 1: similarity nan is not finite"),
+    "inf-weight": ("edges.csv", _set_first("temporal_weight", "inf"),
+                   "row 1: temporal_weight inf is not finite"),
+    "truncated-edges": ("edges.csv", lambda rows: rows[:-1], "graph.json says"),
+    "dropped-node": ("nodes.csv", lambda rows: rows[:-1], "graph.json says 10"),
+}
+
+
 class TestBuildGraphAndAudit:
     def test_graph_dir_loads(self, workdir):
         graph = load_graph_dir(workdir["graph"])
@@ -187,14 +225,13 @@ class TestBuildGraphAndAudit:
         nodes = sorted(graph.nodes, key=lambda n: n.call_date)
         late, early = nodes[-1], nodes[0]
         assert late.call_date > early.call_date
-        graph.edges.append(
-            TemporalEdge(
-                src=late.node_id,
-                dst=early.node_id,
-                temporal_weight=0.5,
-                similarity=0.9,
-                day_gap=(late.call_date - early.call_date).days,
-            )
+        e = graph.edges
+        graph.edges = EdgeTable(
+            src=np.append(e.src, late.node_id),
+            dst=np.append(e.dst, early.node_id),
+            temporal_weight=np.append(e.temporal_weight, 0.5),
+            similarity=np.append(e.similarity, 0.9),
+            day_gap=np.append(e.day_gap, (late.call_date - early.call_date).days),
         )
         bad_dir = tmp_path / "bad_graph"
         save_graph_dir(graph, bad_dir)
@@ -202,6 +239,24 @@ class TestBuildGraphAndAudit:
         assert rc == 1
         out = capsys.readouterr().out
         assert "1 violations" in out
+
+    @pytest.mark.parametrize("command", ["audit-leakage", "predict"])
+    @pytest.mark.parametrize("corruption", sorted(GRAPH_CORRUPTIONS))
+    def test_corrupt_graph_dir_exits_2(self, workdir, tmp_path, capsys, corruption, command):
+        name, edit, message = GRAPH_CORRUPTIONS[corruption]
+        bad = tmp_path / "graph"
+        shutil.copytree(workdir["graph"], bad)
+        if edit is None:
+            (bad / name).unlink()
+        else:
+            _edit_csv(bad / name, edit)
+        argv = [command, "--graph", str(bad)]
+        if command == "predict":
+            argv += ["--model", str(workdir["ckpt"]), "--out", str(tmp_path / "p.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err and message in err
+        assert not (tmp_path / "p.csv").exists()
 
     def test_audit_missing_dir_exits_2(self, tmp_path, capsys):
         rc = main(["audit-leakage", "--graph", str(tmp_path / "nope")])
@@ -300,6 +355,27 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite adjusted_close nan")
         assert f"{data / 'prices.csv'}:{own[0] + 1}" in err
+        assert not (tmp_path / "x.npz").exists()
+
+
+    def test_non_finite_sentence_vector_exits_2(self, workdir, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("prices.csv", "relations.csv"):
+            (data / name).write_bytes((workdir["data"] / name).read_bytes())
+        lines = (workdir["data"] / "transcripts.jsonl").read_text().splitlines()
+        call = json.loads(lines[4])
+        roles = [s["role"] for s in call["sentences"]]
+        j = next(j for j, role in enumerate(roles) if role in ("executive", "analyst"))
+        call["sentences"][j]["vector"][0] = float("nan")
+        lines[4] = json.dumps(call)
+        (data / "transcripts.jsonl").write_text("\n".join(lines) + "\n")
+        rc = main(["train", "--config", str(workdir["root"] / "model.cfg"),
+                   "--data", str(data), "--out", str(tmp_path / "x.npz")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: call {call['call_id']}: sentence {j} vector is not finite")
+        assert f"{data / 'transcripts.jsonl'}:5" in err
         assert not (tmp_path / "x.npz").exists()
 
 
@@ -442,3 +518,58 @@ class TestJointTraining:
         models, config = load_checkpoint(ckpt)
         assert config.joint_heads
         assert len({id(m) for m in models.values()}) == 1
+
+
+def _fail_csv_writes(monkeypatch):
+    """csv writers write their first row, then fail."""
+    real = csv.writer
+
+    class Failing:
+        def __init__(self, fh, *args, **kwargs):
+            self.inner = real(fh, *args, **kwargs)
+
+        def writerow(self, row):
+            self.inner.writerow(row)
+            raise OSError("disk full")
+
+    monkeypatch.setattr(csv, "writer", Failing)
+
+
+def _fail_json_dumps(monkeypatch):
+    def fail_partway(obj, fh, **kwargs):
+        fh.write('{"ok": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", fail_partway)
+
+
+class TestAtomicOutputs:
+    @pytest.mark.parametrize(
+        "command", ["predict", "export-attention", "split-transductive", "build-graph",
+                    "audit-leakage"]
+    )
+    def test_failed_write_keeps_old_file(self, workdir, tmp_path, monkeypatch, command):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "result"
+        out.write_bytes(b"old bytes")
+        model, graph, data = str(workdir["ckpt"]), str(workdir["graph"]), workdir["data"]
+        argv = {
+            "predict": ["predict", "--model", model, "--graph", graph, "--out", str(out)],
+            "export-attention": ["export-attention", "--model", model, "--graph", graph,
+                                 "--out", str(out)],
+            "split-transductive": ["split-transductive", "--graph", graph, "--out", str(out)],
+            "build-graph": ["build-graph", "--quarter", "2014Q4",
+                            "--transcripts", str(data / "transcripts.jsonl"),
+                            "--relations", str(data / "relations.csv"),
+                            "--out", str(tmp_path / "graph"), "--report", str(out)],
+            "audit-leakage": ["audit-leakage", "--graph", graph, "--report", str(out)],
+        }[command]
+        if command in ("predict", "export-attention"):
+            _fail_csv_writes(monkeypatch)
+        else:
+            _fail_json_dumps(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            main(argv)
+        assert out.read_bytes() == b"old bytes"
+        assert [p.name for p in out_dir.iterdir()] == ["result"]

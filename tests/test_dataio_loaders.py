@@ -136,6 +136,28 @@ class TestTranscriptLoading:
         np.testing.assert_allclose(call.sentences[0].vector, [0.1, 0.2, 0.3])
         assert call.sentences[0].vector.dtype == np.float64
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [(float("nan"), "is not finite"), (float("inf"), "is not finite"), ("x", "is not numeric")],
+    )
+    def test_bad_vector_rejected(self, tmp_path, value, message):
+        sentences = [
+            {"utterance_idx": 0, "role": "executive", "part": "presentation", "vector": [0.1, 0.2]},
+            {"utterance_idx": 1, "role": "analyst", "part": "qa", "vector": [0.3, value]},
+        ]
+        p = tmp_path / "t.jsonl"
+        write_jsonl(p, [call_obj(), call_obj("C2-2016Q1", "C2", sentences=sentences)])
+        with pytest.raises(ParseError, match=f"call C2-2016Q1: sentence 1 vector {message}") as err:
+            load_transcripts(p)
+        assert err.value.line == 2
+
+    def test_vector_whose_sum_overflows_loads(self, tmp_path):
+        sentences = [{"utterance_idx": 0, "role": "executive", "part": "presentation",
+                      "vector": [1e308, 1e308]}]
+        p = tmp_path / "t.jsonl"
+        write_jsonl(p, [call_obj(sentences=sentences)])
+        assert load_transcripts(p)[0].sentences[0].vector.tolist() == [1e308, 1e308]
+
     def test_empty_file_warns_and_returns_empty(self, tmp_path, caplog):
         p = tmp_path / "t.jsonl"
         p.write_text("")

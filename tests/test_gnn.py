@@ -3,7 +3,6 @@ degree bookkeeping and the layered network encoder's causality."""
 
 from __future__ import annotations
 
-import dataclasses
 import datetime as dt
 
 import numpy as np
@@ -22,7 +21,7 @@ from volgraph.gnn import (
     edge_attention,
     gat_layer,
 )
-from volgraph.graphbuild import build_quarter_graph
+from volgraph.graphbuild import EdgeTable, build_quarter_graph
 from volgraph.market import MarketParams
 from volgraph.numcore.gradcheck import grad_check
 from volgraph.numcore.params import ParamStore
@@ -119,16 +118,16 @@ class TestGraphArrays:
         np.testing.assert_allclose(arrays.edge_feat[cross], [1.0 / 4.0, 0.37])
 
 
-def reference_edge_arrays(graph):
-    """Per-edge loop for the edge arrays: sort by (dst, src), count degrees one edge at a time."""
-    edges = sorted(graph.edges, key=lambda e: (e.dst, e.src))
-    src = np.array([e.src for e in edges], dtype=np.intp)
-    dst = np.array([e.dst for e in edges], dtype=np.intp)
-    feat = np.array([[e.temporal_weight, e.similarity] for e in edges], dtype=np.float64)
-    deg = np.ones(graph.n_nodes, dtype=np.float64)
-    for e in edges:
-        if e.src != e.dst:
-            deg[e.dst] += 1.0
+def reference_edge_arrays(columns, n_nodes):
+    """Per-edge loop for the edge arrays: sort rows by (dst, src), count degrees one edge at a time."""
+    rows = sorted(zip(*columns), key=lambda r: (r[1], r[0]))  # stable, like the table's lexsort
+    src = np.array([r[0] for r in rows], dtype=np.intp)
+    dst = np.array([r[1] for r in rows], dtype=np.intp)
+    feat = np.array([[r[2], r[3]] for r in rows], dtype=np.float64)
+    deg = np.ones(n_nodes, dtype=np.float64)
+    for r in rows:
+        if r[0] != r[1]:
+            deg[r[1]] += 1.0
     return src, dst, feat, np.sqrt(deg[dst] * deg[src])
 
 
@@ -140,36 +139,42 @@ class TestEdgeArraysVectorized:
             ["AB", "AC", "AD", "BD", "BE", "CE", "CF", "DE", "EF", "AF"])]
         return build(calls, sims)
 
-    def assert_matches_reference(self, graph):
-        arrays = GraphArrays.from_graph(graph)
+    def columns(self):
+        """The built graph's edge columns as lists: src, dst, weight, similarity, gap."""
+        e = self.graph().edges
+        return [c.tolist() for c in (e.src, e.dst, e.temporal_weight, e.similarity, e.day_gap)]
+
+    def assert_matches_reference(self, columns):
+        g = self.graph()
+        g.edges = EdgeTable(*columns)
+        arrays = GraphArrays.from_graph(g)
         got = (arrays.src, arrays.dst, arrays.edge_feat, arrays.dtilde)
         for name, a, b in zip(("src", "dst", "edge_feat", "dtilde"), got,
-                              reference_edge_arrays(graph)):
+                              reference_edge_arrays(columns, g.n_nodes)):
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert np.array_equal(a, b), name
         return arrays
 
     def test_shuffled_edges_give_sorted_arrays_bitwise(self):
-        g = self.graph()
-        want = GraphArrays.from_graph(g)
-        rng = np.random.default_rng(3)
-        g.edges = [g.edges[i] for i in rng.permutation(len(g.edges))]
-        got = self.assert_matches_reference(g)
+        want = GraphArrays.from_graph(self.graph())
+        order = np.random.default_rng(3).permutation(len(self.columns()[0]))
+        got = self.assert_matches_reference([[c[i] for i in order] for c in self.columns()])
         assert np.array_equal(got.node_group, want.node_group)
         assert np.array_equal(got.edge_feat, want.edge_feat)
 
     def test_repeated_pairs_keep_their_order(self):
         # a stable sort: two (dst, src) duplicates stay in input order
-        g = self.graph()
-        extra = dataclasses.replace(g.edges[-1], temporal_weight=0.125)
-        g.edges = [extra] + g.edges[::-1]
-        self.assert_matches_reference(g)
+        columns = self.columns()
+        extra = [c[-1] for c in columns]
+        extra[2] = 0.125  # temporal_weight
+        self.assert_matches_reference([[x] + c[::-1] for x, c in zip(extra, columns)])
 
     def test_extra_self_loops_do_not_count_in_degree(self):
-        g = self.graph()
-        loops = [e for e in g.edges if e.src == e.dst][:3]
-        g.edges = g.edges + [dataclasses.replace(e, similarity=0.5) for e in loops]
-        arrays = self.assert_matches_reference(g)
+        columns = self.columns()
+        loops = [i for i, (s, d) in enumerate(zip(columns[0], columns[1])) if s == d][:3]
+        extra = [[c[i] for i in loops] for c in columns]
+        extra[3] = [0.5] * len(loops)  # similarity
+        arrays = self.assert_matches_reference([c + x for c, x in zip(columns, extra)])
         plain = GraphArrays.from_graph(self.graph())
         assert np.array_equal(np.unique(arrays.dtilde), np.unique(plain.dtilde))
 

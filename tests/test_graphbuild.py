@@ -12,6 +12,7 @@ from volgraph.dataio.records import CallRecord, Quarter, RelationRecord, Sentenc
 from volgraph.errors import GraphConstructionError
 from volgraph.graphbuild import (
     SIMILARITY_THRESHOLD,
+    EdgeTable,
     audit_no_leakage,
     build_quarter_graph,
     date_groups,
@@ -56,6 +57,21 @@ def oracle_edges(calls, relations, quarter, threshold):
     return edges
 
 
+def edge_map(edges):
+    """{(src, dst): (temporal_weight, similarity)} read from the edge columns."""
+    return dict(
+        zip(
+            zip(edges.src.tolist(), edges.dst.tolist()),
+            zip(edges.temporal_weight.tolist(), edges.similarity.tolist()),
+        )
+    )
+
+
+def cross_edges(edges):
+    """Indices of the edges that are not self-loops."""
+    return np.flatnonzero(edges.src != edges.dst)
+
+
 def random_instance(rng, n_companies, quarter=Q):
     companies = [f"C{i:02d}" for i in range(n_companies)]
     start = quarter.start.toordinal()
@@ -93,7 +109,7 @@ class TestOracleEquivalence:
             n = int(rng.integers(2, 30))
             calls, relations = random_instance(rng, n)
             graph = build_quarter_graph(calls, relations, Q)
-            got = {(e.src, e.dst): (e.temporal_weight, e.similarity) for e in graph.edges}
+            got = edge_map(graph.edges)
             want = oracle_edges(calls, relations, Q, SIMILARITY_THRESHOLD)
             assert got == want, f"trial {trial}: edge sets differ"
 
@@ -113,44 +129,44 @@ class TestEdgeSemantics:
     def test_every_node_has_self_loop(self):
         calls = [call("A", dt.date(2016, 4, 5)), call("B", dt.date(2016, 5, 2))]
         graph = build_quarter_graph(calls, [], Q)
-        self_loops = [e for e in graph.edges if e.src == e.dst]
-        assert len(self_loops) == 2
-        assert all(e.temporal_weight == 1.0 and e.similarity == 1.0 for e in self_loops)
+        e = graph.edges
+        loops = e.src == e.dst
+        assert loops.sum() == 2
+        assert (e.temporal_weight[loops] == 1.0).all() and (e.similarity[loops] == 1.0).all()
 
     def test_related_pair_gets_forward_edge_with_decayed_weight(self):
         calls = [call("A", dt.date(2016, 4, 5)), call("B", dt.date(2016, 4, 12))]
         rel = [RelationRecord("A", "B", 2015, 0.5)]
         graph = build_quarter_graph(calls, rel, Q)
-        cross = [e for e in graph.edges if e.src != e.dst]
+        cross = cross_edges(graph.edges)
         assert len(cross) == 1
-        e = cross[0]
-        assert (e.src, e.dst) == (0, 1)  # A spoke first, so A feeds B
-        assert e.day_gap == 7
-        assert e.temporal_weight == 1.0 / 8.0
-        assert e.similarity == 0.5
+        e, k = graph.edges, cross[0]
+        assert (e.src[k], e.dst[k]) == (0, 1)  # A spoke first, so A feeds B
+        assert e.day_gap[k] == 7
+        assert e.temporal_weight[k] == 1.0 / 8.0
+        assert e.similarity[k] == 0.5
 
     def test_same_day_pair_connects_both_directions(self):
         d = dt.date(2016, 4, 5)
         calls = [call("A", d), call("B", d)]
         rel = [RelationRecord("A", "B", 2015, 0.4)]
         graph = build_quarter_graph(calls, rel, Q)
-        cross = {(e.src, e.dst) for e in graph.edges if e.src != e.dst}
-        assert cross == {(0, 1), (1, 0)}
-        assert all(
-            e.temporal_weight == 1.0 for e in graph.edges if e.src != e.dst
-        )
+        e = graph.edges
+        cross = cross_edges(e)
+        assert set(zip(e.src[cross].tolist(), e.dst[cross].tolist())) == {(0, 1), (1, 0)}
+        assert (e.temporal_weight[cross] == 1.0).all()
 
     def test_similarity_at_threshold_is_dropped(self):
         calls = [call("A", dt.date(2016, 4, 5)), call("B", dt.date(2016, 4, 6))]
         rel = [RelationRecord("A", "B", 2015, SIMILARITY_THRESHOLD)]
         graph = build_quarter_graph(calls, rel, Q)
-        assert all(e.src == e.dst for e in graph.edges)
+        assert (graph.edges.src == graph.edges.dst).all()
 
     def test_relation_from_wrong_year_is_ignored(self):
         calls = [call("A", dt.date(2016, 4, 5)), call("B", dt.date(2016, 4, 6))]
         rel = [RelationRecord("A", "B", 2016, 0.9), RelationRecord("A", "B", 2014, 0.9)]
         graph = build_quarter_graph(calls, rel, Q)
-        assert all(e.src == e.dst for e in graph.edges)
+        assert (graph.edges.src == graph.edges.dst).all()
 
     def test_weight_decays_monotonically_with_gap(self):
         base = dt.date(2016, 4, 4)
@@ -159,9 +175,9 @@ class TestEdgeSemantics:
             calls = [call("A", base), call("B", base + dt.timedelta(days=gap))]
             rel = [RelationRecord("A", "B", 2015, 0.5)]
             graph = build_quarter_graph(calls, rel, Q)
-            e = next(e for e in graph.edges if e.src != e.dst)
-            assert e.temporal_weight == 1.0 / (gap + 1)
-            weights.append(e.temporal_weight)
+            (k,) = cross_edges(graph.edges)
+            assert graph.edges.temporal_weight[k] == 1.0 / (gap + 1)
+            weights.append(graph.edges.temporal_weight[k])
         assert weights == sorted(weights, reverse=True)
 
     def test_duplicate_company_rejected(self):
@@ -186,7 +202,7 @@ class TestEdgeSemantics:
         calls = [call("A", dt.date(2016, 4, 5)), call("B", dt.date(2016, 4, 6))]
         rel = [RelationRecord("A", "B", 2015, 0.5), RelationRecord("B", "A", 2015, 0.5)]
         graph = build_quarter_graph(calls, rel, Q)
-        assert sum(1 for e in graph.edges if e.src != e.dst) == 1
+        assert len(cross_edges(graph.edges)) == 1
 
     def test_prefix_closedness(self, rng):
         # building on the first k dates must reproduce exactly the edges
@@ -199,15 +215,14 @@ class TestEdgeSemantics:
         sub = build_quarter_graph(early_calls, relations, Q)
         remap = {n.company_id: n.node_id for n in full.nodes}
         sub_edges = {
-            (remap[sub.nodes[e.src].company_id], remap[sub.nodes[e.dst].company_id]):
-                (e.temporal_weight, e.similarity)
-            for e in sub.edges
+            (remap[sub.nodes[src].company_id], remap[sub.nodes[dst].company_id]): value
+            for (src, dst), value in edge_map(sub.edges).items()
         }
         early_ids = {remap[c.company_id] for c in early_calls}
         full_restricted = {
-            (e.src, e.dst): (e.temporal_weight, e.similarity)
-            for e in full.edges
-            if e.src in early_ids and e.dst in early_ids
+            (src, dst): value
+            for (src, dst), value in edge_map(full.edges).items()
+            if src in early_ids and dst in early_ids
         }
         assert sub_edges == full_restricted
 
@@ -226,25 +241,90 @@ class TestLeakageAudit:
         late = max(range(10), key=lambda i: dates[i])
         early = min(range(10), key=lambda i: dates[i])
         assert dates[late] > dates[early]
-        from volgraph.graphbuild import TemporalEdge
-
-        graph.edges.append(
-            TemporalEdge(src=late, dst=early, temporal_weight=0.5, similarity=0.3, day_gap=1)
+        e = graph.edges
+        graph.edges = EdgeTable(
+            src=np.append(e.src, late),
+            dst=np.append(e.dst, early),
+            temporal_weight=np.append(e.temporal_weight, 0.5),
+            similarity=np.append(e.similarity, 0.3),
+            day_gap=np.append(e.day_gap, 1),
         )
         report = audit_no_leakage(graph)
         assert not report.ok
         assert len(report.violations) >= 1
         assert any(v["src"] == late and v["dst"] == early for v in report.violations)
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_non_finite_weight_is_flagged(self, rng, weight):
+        calls, relations = random_instance(rng, 10)
+        graph = build_quarter_graph(calls, relations, Q)
+        graph.edges.temporal_weight[3] = weight
+        report = audit_no_leakage(graph)
+        assert [(v["src"], v["dst"]) for v in report.violations] == [
+            (int(graph.edges.src[3]), int(graph.edges.dst[3]))
+        ]
+        assert report.violations[0]["reason"].startswith(f"weight {weight} / gap")
+
+    def test_violations_come_in_edge_order_with_reasons(self):
+        d0, d1 = dt.date(2016, 4, 5), dt.date(2016, 4, 9)
+        graph = build_quarter_graph([call("A", d0), call("B", d1)], [], Q)
+        graph.edges = EdgeTable(
+            src=[1, 0, 1, 0],
+            dst=[0, 0, 1, 1],
+            temporal_weight=[0.2, 1.0, 1.0, 0.25],
+            similarity=[0.5, 1.0, 1.0, 0.5],
+            day_gap=[4, 0, 0, 3],
+        )
+        report = audit_no_leakage(graph)
+        assert report.violations == [
+            {"src": 1, "dst": 0, "reason": "edge from 2016-04-09 to earlier 2016-04-05"},
+            {
+                "src": 0,
+                "dst": 1,
+                "reason": "weight 0.25 / gap 3 inconsistent with dates 4 days apart",
+            },
+        ]
+
     def test_corrupted_weight_is_flagged(self, rng):
         calls, relations = random_instance(rng, 10)
         graph = build_quarter_graph(calls, relations, Q)
-        cross = [e for e in graph.edges if e.src != e.dst]
-        if not cross:
+        cross = cross_edges(graph.edges)
+        if not len(cross):
             pytest.skip("instance drew no cross edges")
-        cross[0].temporal_weight = 0.123456
+        graph.edges.temporal_weight[cross[0]] = 0.123456
         report = audit_no_leakage(graph)
         assert not report.ok
+
+
+class TestEdgeTable:
+    def test_rows_sorted_by_dst_then_src_stably(self):
+        e = EdgeTable(
+            src=[2, 0, 1, 0, 2],
+            dst=[1, 1, 0, 1, 1],
+            temporal_weight=[0.1, 0.2, 0.3, 0.4, 0.5],
+            similarity=[1.0, 0.9, 0.8, 0.7, 0.6],
+            day_gap=[9, 4, 2, 1, 0],
+        )
+        assert e.src.tolist() == [1, 0, 0, 2, 2]
+        assert e.dst.tolist() == [0, 1, 1, 1, 1]
+        assert e.temporal_weight.tolist() == [0.3, 0.2, 0.4, 0.1, 0.5]
+        assert e.similarity.tolist() == [0.8, 0.9, 0.7, 1.0, 0.6]
+        assert e.day_gap.tolist() == [2, 4, 1, 9, 0]
+        assert len(e) == 5
+        assert (e.src.dtype, e.dst.dtype) == (np.intp, np.intp)
+        assert (e.temporal_weight.dtype, e.similarity.dtype) == (np.float64, np.float64)
+        assert e.day_gap.dtype == np.int64
+
+    def test_built_graph_is_sorted(self, rng):
+        calls, relations = random_instance(rng, 25)
+        e = build_quarter_graph(calls, relations, Q).edges
+        keys = list(zip(e.dst.tolist(), e.src.tolist()))
+        assert keys == sorted(set(keys))
+
+    def test_ragged_columns_rejected(self):
+        with pytest.raises(GraphConstructionError, match="equal length"):
+            EdgeTable(src=[0, 1], dst=[0, 1], temporal_weight=[1.0], similarity=[1.0, 1.0],
+                      day_gap=[0, 0])
 
 
 class TestDateGroupsAndSerialization:
@@ -276,15 +356,32 @@ class TestDateGroupsAndSerialization:
                 for tau, v in a.labels.items():
                     assert b.labels[tau] == v  # repr round-trip, bitwise
         assert len(back.edges) == len(small_graph.edges)
-        for a, b in zip(small_graph.edges, back.edges):
-            assert (a.src, a.dst, a.day_gap) == (b.src, b.dst, b.day_gap)
-            assert a.temporal_weight == b.temporal_weight
-            assert a.similarity == b.similarity
+        for name in ("src", "dst", "day_gap", "temporal_weight", "similarity"):
+            a, b = getattr(small_graph.edges, name), getattr(back.edges, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
         # transcripts ride along so prediction works from the directory alone
         for ca, cb in zip(small_graph.calls, back.calls):
             assert ca.call_id == cb.call_id
             assert len(ca.sentences) == len(cb.sentences)
             np.testing.assert_array_equal(ca.sentences[0].vector, cb.sentences[0].vector)
+
+    def test_tables_match_the_row_by_row_format(self, tmp_path, small_graph):
+        # one line per node and per edge, floats as repr: the format graph
+        # directories have always had, so older directories keep loading
+        save_graph_dir(small_graph, tmp_path / "g")
+        nodes = ["node_id,company_id,call_id,call_date,label_3,label_7,label_15"]
+        for n in small_graph.nodes:
+            labels = ["", "", ""] if n.labels is None else [repr(n.labels[t]) for t in (3, 7, 15)]
+            nodes.append(",".join(
+                [str(n.node_id), n.company_id, n.call_id, n.call_date.isoformat(), *labels]))
+        e = small_graph.edges
+        edges = ["src,dst,temporal_weight,similarity,day_gap"] + [
+            f"{e.src[k]},{e.dst[k]},{float(e.temporal_weight[k])!r},"
+            f"{float(e.similarity[k])!r},{e.day_gap[k]}"
+            for k in range(len(e))
+        ]
+        for name, lines in (("nodes.csv", nodes), ("edges.csv", edges)):
+            assert (tmp_path / "g" / name).read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
 
     def test_load_rejects_non_graph_dir(self, tmp_path):
         (tmp_path / "junk").mkdir()
