@@ -255,8 +255,9 @@ def load_graph_dir(path) -> QuarterGraph:
     """Read a directory written by ``save_graph_dir``, checking whole columns.
 
     A missing file or column, a row of the wrong width, a value that does
-    not parse or is not finite, an edge endpoint that is not a node id, or
-    a node or edge count that differs from ``graph.json`` raises
+    not parse or is not finite, an edge endpoint that is not a node id, a
+    node or edge count that differs from ``graph.json``, or a transcript
+    whose company or date differs from its node row raises
     ``GraphConstructionError`` naming the file.
     """
     from .dataio.loaders import load_transcripts
@@ -284,6 +285,12 @@ def load_graph_dir(path) -> QuarterGraph:
     if missing:
         raise GraphConstructionError(f"{root}: calls.jsonl missing transcripts for {missing[:3]}")
     ordered_calls = [by_id[n.call_id] for n in nodes]
+    for n, c in zip(nodes, ordered_calls):
+        if (c.company_id, c.call_date) != (n.company_id, n.call_date):
+            raise GraphConstructionError(
+                f"{root}: calls.jsonl has {n.call_id} as {c.company_id} on {c.call_date}, "
+                f"nodes.csv row {n.node_id + 1} as {n.company_id} on {n.call_date}"
+            )
     return QuarterGraph(quarter=quarter, nodes=nodes, edges=edges, calls=ordered_calls)
 
 

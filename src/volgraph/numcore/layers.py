@@ -1,4 +1,9 @@
-"""Reusable neural building blocks: affine maps and a transformer encoder layer."""
+"""Reusable neural building blocks, each core a single tape node.
+
+``linear`` is an affine map and ``attention`` is scaled dot-product
+attention; both have hand-written backwards. ``transformer_encoder_layer``
+assembles them into one post-norm encoder layer.
+"""
 
 from __future__ import annotations
 
@@ -37,6 +42,49 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         return gx, gw, T._sum_to_shape(g, b.shape)
 
     return T._make(out, parents, backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """softmax(q @ kᵀ / √dh) @ v over the last two axes, as one tape node.
+
+    ``q`` is (..., m, dh), ``k`` is (..., n, dh) and ``v`` is (..., n, dv),
+    all with the same leading axes; the result is (..., m, dv). The
+    weights P are formed in place in one (..., m, n) buffer by the same
+    numpy ops, in the same order, as an op-by-op tape of ``matmul``,
+    ``div``, a max-shifted softmax and ``matmul``, so the output is
+    bitwise equal to that chain's. P is the only array the backward
+    keeps: it forms dS = P·(dP − Σ dP·P) / √dh and gets each of dq, dk
+    and dv with one matmul.
+    """
+    q, k, v = T.as_tensor(q), T.as_tensor(k), T.as_tensor(v)
+    if not (
+        q.ndim == k.ndim == v.ndim >= 2
+        and q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
+        and q.shape[-1] == k.shape[-1]
+        and k.shape[-2] == v.shape[-2]
+    ):
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} do not agree")
+    scale = float(np.sqrt(q.shape[-1]))
+    p = q.data @ np.swapaxes(k.data, -1, -2)
+    p /= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = p @ v.data
+
+    def backward(g):
+        gv = np.swapaxes(p, -1, -2) @ g
+        ds = g @ np.swapaxes(v.data, -1, -2)  # dP, turned into dS in place
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds /= scale
+        gq = ds @ k.data
+        # (qᵀ dS)ᵀ, not dSᵀ q: the two round differently, and this one is
+        # the product an op-by-op tape forms, so training stays bitwise equal
+        gk = np.swapaxes(np.swapaxes(q.data, -1, -2) @ ds, -1, -2)
+        return gq, gk, gv
+
+    return T._make(out, (q, k, v), backward)
 
 
 @dataclass
@@ -118,9 +166,7 @@ def transformer_encoder_layer(
     k = split_heads(linear(x, p.wk, p.bk))
     v = split_heads(linear(x, p.wv, p.bv))
 
-    scores = T.div(T.matmul(q, T.swapaxes(k, -1, -2)), float(np.sqrt(dh)))
-    attn = T.softmax(scores, axis=-1)
-    ctx = T.reshape(T.swapaxes(T.matmul(attn, v), 1, 2), (b, m, d))
+    ctx = T.reshape(T.swapaxes(attention(q, k, v), 1, 2), (b, m, d))
 
     h = T.layer_norm(T.add(queries, linear(ctx, p.wo, p.bo)), p.ln1_gamma, p.ln1_beta)
     ff = linear(T.relu(linear(h, p.ff1_w, p.ff1_b)), p.ff2_w, p.ff2_b)

@@ -3,7 +3,8 @@
 A :class:`Tensor` wraps one ndarray plus an optional tape node. The
 operation set is deliberately small and fixed: arithmetic, matmul,
 shape moves, gathers/scatters, reductions, pointwise nonlinearities,
-softmax and layer norm. ``backward()`` walks the tape once and
+segment softmax and layer norm (``layers`` adds the fused ``linear`` and
+``attention`` ops). ``backward()`` walks the tape once and
 accumulates gradients into every leaf created with
 ``requires_grad=True``.
 
@@ -466,20 +467,6 @@ def leaky_relu(a, negative_slope: float = 0.01) -> Tensor:
 
 
 # -- normalizations -------------------------------------------------------------
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stable softmax; slices along ``axis`` sum to one."""
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
-
-    return _make(out, (a,), backward)
 
 
 def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:

