@@ -150,7 +150,8 @@ def cmd_gen_synth(args) -> int:
     write_relations(data.relations, out / RELATIONS)
     manifest = {"seed": args.seed, "config": dataclasses.asdict(config)}
     manifest["config"]["call_slots"] = list(config.call_slots)
-    (out / "gen.json").write_text(json.dumps(manifest, indent=2))
+    with atomic_open(out / "gen.json") as fh:
+        fh.write(json.dumps(manifest, indent=2))
     print(
         f"wrote {len(data.transcripts)} calls, {len(data.prices)} price series, "
         f"{len(data.relations)} relations to {out}"

@@ -245,8 +245,7 @@ def load_relations(path) -> list[RelationRecord]:
 
 
 def write_transcripts(calls, path) -> None:
-    path = Path(path)
-    with path.open("w") as fh:
+    with atomic_open(path) as fh:
         for call in calls:
             obj = {
                 "call_id": call.call_id,
@@ -271,8 +270,7 @@ def write_transcripts(calls, path) -> None:
 
 
 def write_prices(series_list, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["company_id", "date", "adjusted_close"])
         for series in series_list:
@@ -281,8 +279,7 @@ def write_prices(series_list, path) -> None:
 
 
 def write_relations(relations, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["company_a", "company_b", "year", "similarity"])
         for r in relations:

@@ -2,13 +2,18 @@
 
 Every sentence row is the sentence vector concatenated with four
 trainable structural embeddings (position in call, utterance index,
-speaker role, call part). Text sentences are featurized a whole call at
-a time. Rows are projected to the model width, a trainable CLS vector
-is prepended, and an L-layer transformer encoder runs over the
-sequence; the CLS position's final state is the call embedding. Only
-that state is read out, so the last layer computes the CLS query alone:
-its keys and values still cover every row, but its attention output and
-feed-forward block run on the CLS row only.
+speaker role, call part). The numpy side of those rows is built once
+per prepared quarter as a ``SentenceBlock``: the sentence vectors of
+every call (text sentences hashed in one ``hash_featurizer`` call) and
+the four table indices. Each forward gathers the tables for the whole
+quarter in four ``take``s and one ``concat``, then reads every batch
+straight out of that block by row index. Rows are projected to the
+model width, a trainable CLS vector is prepended, and an L-layer
+transformer encoder runs over the sequence; the CLS position's final
+state is the call embedding. Only that state is read out, so the last
+layer computes the CLS query alone: its keys and values still cover
+every row, but its attention output and feed-forward block run on the
+CLS row only.
 
 Calls are encoded in batches grouped by sentence count. Equal-length
 grouping means no padding and no attention masks, and — because every
@@ -24,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataio.records import CallRecord, PARTS, ROLES, Sentence
+from .dataio.records import CallRecord, PARTS, ROLES
 from .errors import ConfigError, ParseError, ShapeError
 from .numcore import (
     ParamStore,
@@ -161,74 +166,112 @@ def hash_featurizer(texts: Sequence[str], d_s: int = 768) -> np.ndarray:
     return np.divide(mat, norms, out=mat, where=norms > 0)
 
 
-def _sentence_matrix(
-    call_id: str, sentences: list[Sentence], featurizer, d_s: int | None
-) -> np.ndarray:
-    texts = [s.text for s in sentences if s.vector is None]
-    if texts and featurizer is None:
-        first = next(s for s in sentences if s.vector is None)
-        raise ConfigError(
-            f"call {call_id}: sentence {first.position} has no vector and no featurizer given"
+@dataclass(frozen=True)
+class SentenceBlock:
+    """Every kept sentence of a list of calls as flat numpy rows, built once.
+
+    Each call's rows are contiguous and in call order. ``base`` holds the
+    (S, d_s) sentence vectors and the four index arrays address the
+    structural tables. ``batches`` holds one (B, n) row-index array per
+    sentence count n, one row per call of that length, by increasing n;
+    ``inverse`` puts the concatenated batch outputs back in call order.
+    """
+
+    base: np.ndarray
+    position: np.ndarray
+    utterance: np.ndarray
+    role: np.ndarray
+    part: np.ndarray
+    batches: tuple[np.ndarray, ...]
+    inverse: np.ndarray
+
+    @classmethod
+    def build(
+        cls, calls: Sequence[CallRecord], d_s: int, max_sentences: int, max_utterances: int
+    ) -> "SentenceBlock":
+        """Calls longer than ``max_sentences`` are truncated from the end;
+        utterance indices beyond ``max_utterances`` clamp to the last one.
+        All text sentences go through one ``hash_featurizer`` call."""
+        kept = [c.sentences[:max_sentences] for c in calls]
+        lengths = np.array([len(k) for k in kept], dtype=np.intp)
+        if not lengths.all():
+            raise ParseError(f"call {calls[int(np.argmin(lengths))].call_id} has no sentences")
+        sentences = [s for k in kept for s in k]
+        starts = np.cumsum(lengths) - lengths
+
+        def call_id(row: int) -> str:
+            return calls[int(np.searchsorted(starts, row, side="right")) - 1].call_id
+
+        try:
+            role = np.array([_ROLE_INDEX[s.role] for s in sentences])
+            part = np.array([_PART_INDEX[s.part] for s in sentences])
+        except KeyError as e:
+            row = next(
+                r for r, s in enumerate(sentences)
+                if s.role not in _ROLE_INDEX or s.part not in _PART_INDEX
+            )
+            raise ParseError(f"call {call_id(row)}: unknown role/part label {e}") from e
+        texts = [s.text for s in sentences if s.vector is None]
+        text_rows = iter(hash_featurizer(texts, d_s) if texts else ())
+        try:
+            base = np.array(
+                [next(text_rows) if s.vector is None else s.vector for s in sentences],
+                dtype=np.float64,
+            )
+        except ValueError:  # rows of different shapes
+            base = None
+        if base is None or base.shape[1:] != (d_s,):
+            row = next(
+                r for r, s in enumerate(sentences)
+                if s.vector is not None and np.shape(s.vector) != (d_s,)
+            )
+            raise ShapeError(
+                f"call {call_id(row)}: sentence vectors have dim "
+                f"{np.size(sentences[row].vector)}, expected {d_s}"
+            )
+        sizes = np.unique(lengths)
+        members = [np.flatnonzero(lengths == n) for n in sizes]
+        return cls(
+            base=base,
+            position=np.arange(len(sentences)) - np.repeat(starts, lengths),
+            utterance=np.minimum([s.utterance_idx for s in sentences], max_utterances - 1),
+            role=role,
+            part=part,
+            batches=tuple(starts[m, None] + np.arange(n) for m, n in zip(members, sizes)),
+            inverse=np.argsort(np.concatenate(members), kind="stable"),
         )
-    featurized = iter(featurizer(texts) if texts else ())
-    mat = np.stack(
-        [
-            next(featurized) if s.vector is None else np.asarray(s.vector, dtype=np.float64)
-            for s in sentences
-        ]
-    )
-    if d_s is not None and mat.shape[1] != d_s:
-        raise ShapeError(
-            f"call {call_id}: sentence vectors have dim {mat.shape[1]}, expected {d_s}"
-        )
-    return mat
+
+
+def _sentence_block(
+    calls: Sequence[CallRecord], tables: StructEmbedTables, d_s: int, memo: dict
+) -> SentenceBlock:
+    key = (d_s, tables.max_sentences, tables.max_utterances)
+    if key not in memo:
+        memo[key] = SentenceBlock.build(calls, *key)
+    return memo[key]
 
 
 def featurize_sentences(
-    call: CallRecord,
-    tables: StructEmbedTables,
-    featurizer=None,
-    d_s: int | None = None,
+    calls: Sequence[CallRecord], tables: StructEmbedTables, d_s: int, memo: dict
 ) -> Tensor:
     """Rows of sentence vector ⊕ position ⊕ utterance ⊕ role ⊕ part embeddings.
 
-    ``featurizer`` maps a list of texts to one row per text (for example
-    ``hash_featurizer``); it is called once per call, with the text of
-    every sentence that has no vector. Calls longer than the position
-    table are truncated from the end; utterance indices beyond the
-    utterance table clamp to its last row.
+    Returns one (S, d_in) block holding every kept sentence of ``calls``
+    in call order. The calls' ``SentenceBlock`` is built on first use and
+    kept in ``memo`` under ``(d_s, max_sentences, max_utterances)``, so a
+    later call with the same memo only gathers the embedding tables.
     """
-    kept = call.sentences[: tables.max_sentences]
-    if not kept:
-        raise ParseError(f"call {call.call_id} has no sentences")
-    base = _sentence_matrix(call.call_id, kept, featurizer, d_s)
-    pos_idx = np.arange(len(kept))
-    utt_idx = np.minimum(
-        np.array([s.utterance_idx for s in kept]), tables.max_utterances - 1
-    )
-    try:
-        role_idx = np.array([_ROLE_INDEX[s.role] for s in kept])
-        part_idx = np.array([_PART_INDEX[s.part] for s in kept])
-    except KeyError as e:
-        raise ParseError(f"call {call.call_id}: unknown role/part label {e}") from e
+    block = _sentence_block(calls, tables, d_s, memo)
     return concat(
         [
-            Tensor(base),
-            take(tables.position, pos_idx),
-            take(tables.utterance, utt_idx),
-            take(tables.role, role_idx),
-            take(tables.part, part_idx),
+            Tensor(block.base),
+            take(tables.position, block.position),
+            take(tables.utterance, block.utterance),
+            take(tables.role, block.role),
+            take(tables.part, block.part),
         ],
         axis=1,
     )
-
-
-def encode_dialogue(x: Tensor, params: DialogueEncoderParams) -> Tensor:
-    """Encode one featurized call (N × d_in) into its d_hidden call embedding."""
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ShapeError(f"expected (N, d_in) sentence block, got {x.shape}")
-    batched = encode_featurized_batch(reshape(x, (1,) + x.shape), params)
-    return reshape(batched, (batched.shape[1],))
 
 
 def encode_featurized_batch(x: Tensor, params: DialogueEncoderParams) -> Tensor:
@@ -251,31 +294,22 @@ def encode_featurized_batch(x: Tensor, params: DialogueEncoderParams) -> Tensor:
 
 
 def encode_calls(
-    calls: list[CallRecord],
+    calls: Sequence[CallRecord],
     tables: StructEmbedTables,
     params: DialogueEncoderParams,
-    featurizer=None,
-    d_s: int | None = None,
+    d_s: int,
+    memo: dict,
 ) -> Tensor:
     """Embed many calls, batching equal-length calls together.
 
     Returns an (len(calls), d_hidden) tensor in input order. Batch
     composition never changes a call's embedding (see module docstring),
-    so group scheduling is free to chase throughput.
+    so group scheduling is free to chase throughput. Each batch is one
+    ``take`` of (B, n) row indices from the featurized block. ``memo``
+    keeps the calls' ``SentenceBlock`` (see ``featurize_sentences``).
     """
-    feats = [featurize_sentences(c, tables, featurizer=featurizer, d_s=d_s) for c in calls]
-    groups: dict[int, list[int]] = {}
-    for i, f in enumerate(feats):
-        groups.setdefault(f.shape[0], []).append(i)
-
-    chunks = []
-    order = []
-    for n in sorted(groups):
-        members = groups[n]
-        block = concat([feats[i] for i in members], axis=0)
-        block = reshape(block, (len(members), n, block.shape[1]))
-        chunks.append(encode_featurized_batch(block, params))
-        order.extend(members)
+    x = featurize_sentences(calls, tables, d_s, memo)
+    block = _sentence_block(calls, tables, d_s, memo)  # built by featurize_sentences
+    chunks = [encode_featurized_batch(take(x, rows), params) for rows in block.batches]
     stacked = concat(chunks, axis=0) if len(chunks) > 1 else chunks[0]
-    inverse = np.argsort(np.array(order), kind="stable")
-    return take(stacked, inverse)
+    return take(stacked, block.inverse)

@@ -94,7 +94,11 @@ def build_quarter_graph(
     effective_year == quarter.year - 1 and similarity strictly above
     ``SIMILARITY_THRESHOLD`` induce edges. ``labels`` maps call_id to
     per-window targets; nodes without an entry stay in the graph unlabeled.
+    A quarter without calls has nothing to predict and raises
+    ``GraphConstructionError``.
     """
+    if not calls:
+        raise GraphConstructionError(f"no calls in {quarter}")
     for call in calls:
         if not quarter.contains(call.call_date):
             raise GraphConstructionError(
@@ -230,8 +234,9 @@ def save_graph_dir(graph: QuarterGraph, out_dir) -> None:
         "n_nodes": len(graph.nodes),
         "n_edges": len(graph.edges),
     }
-    (out / "graph.json").write_text(json.dumps(manifest, indent=2))
-    with (out / "nodes.csv").open("w", newline="") as fh:
+    with atomic_open(out / "graph.json") as fh:
+        fh.write(json.dumps(manifest, indent=2))
+    with atomic_open(out / "nodes.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(NODE_COLUMNS)
         for n in graph.nodes:
@@ -243,7 +248,7 @@ def save_graph_dir(graph: QuarterGraph, out_dir) -> None:
             )
             writer.writerow(row)
     e = graph.edges
-    with (out / "edges.csv").open("w", newline="") as fh:
+    with atomic_open(out / "edges.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(EDGE_COLUMNS)
         # csv writes a Python float as its repr, which reads back bitwise
@@ -273,6 +278,8 @@ def load_graph_dir(path) -> QuarterGraph:
     if not all(type(c) is int for c in counts):
         raise GraphConstructionError(f"{root / 'graph.json'}: n_nodes and n_edges must be integers")
     quarter = Quarter.parse(str(manifest.get("quarter")))
+    if counts[0] == 0:
+        raise GraphConstructionError(f"{root}: no calls in {quarter}")
     try:
         nodes = _read_nodes(root / "nodes.csv", counts[0])
         edges = _read_edges(root / "edges.csv", counts[1], len(nodes))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -13,7 +13,6 @@ from ..dialogue import (
     DialogueEncoderParams,
     StructEmbedTables,
     encode_calls,
-    hash_featurizer,
 )
 from ..errors import ConfigError, ShapeError
 from ..gnn import (
@@ -133,6 +132,8 @@ class PreparedQuarter:
     labels: dict[int, np.ndarray]  # tau -> (N,) float, zero-filled where unlabeled
     mask: np.ndarray  # (N,) bool, node has labels
     v_past: dict[int, np.ndarray] | None  # tau -> (N,) float, aligned with mask
+    # dialogue.SentenceBlock per (d_s, max_sentences, max_utterances), built on first encode
+    sentence_blocks: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_labeled(self) -> int:
@@ -225,8 +226,8 @@ class VolatilityModel:
             prepared.graph.calls,
             self.tables,
             self.dialogue,
-            featurizer=lambda texts: hash_featurizer(texts, self.config.d_s),
-            d_s=self.config.d_s,
+            self.config.d_s,
+            prepared.sentence_blocks,
         )
 
     def forward(

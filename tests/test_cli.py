@@ -258,6 +258,34 @@ class TestBuildGraphAndAudit:
         assert err.startswith("error:") and name in err and message in err
         assert not (tmp_path / "p.csv").exists()
 
+    def test_empty_quarter_exits_2(self, workdir, tmp_path, capsys):
+        data = workdir["data"]
+        argv = ["build-graph", "--quarter", "2030Q1",
+                "--transcripts", str(data / "transcripts.jsonl"),
+                "--relations", str(data / "relations.csv"), "--out", str(tmp_path / "g")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no calls in 2030Q1" in err
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "export-attention"])
+    def test_zero_node_graph_dir_exits_2(self, workdir, tmp_path, capsys, command):
+        # a 0-node directory, as build-graph wrote for an empty quarter before
+        empty = tmp_path / "graph"
+        shutil.copytree(workdir["graph"], empty)
+        manifest = json.loads((empty / "graph.json").read_text())
+        manifest.update(n_nodes=0, n_edges=0)
+        (empty / "graph.json").write_text(json.dumps(manifest))
+        for name in ("nodes.csv", "edges.csv"):
+            _edit_csv(empty / name, lambda rows: rows[:1])
+        (empty / "calls.jsonl").write_text("")
+        out = tmp_path / "out.csv"
+        argv = [command, "--model", str(workdir["ckpt"]), "--graph", str(empty), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no calls in 2014Q4" in err
+        assert not out.exists()
+
     def test_audit_missing_dir_exits_2(self, tmp_path, capsys):
         rc = main(["audit-leakage", "--graph", str(tmp_path / "nope")])
         assert rc == 2
@@ -587,6 +615,37 @@ def _fail_json_dumps(monkeypatch):
     monkeypatch.setattr(json, "dump", fail_partway)
 
 
+class _HalfWrittenFile:
+    """Writes half of its first write, then fails like a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError("disk full")
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+
+def _fail_file_write(monkeypatch, name):
+    """The atomic write of the file called ``name`` fails partway."""
+    import volgraph.atomic
+
+    def failing_open(file, mode, newline=None):
+        fh = open(file, mode, newline=newline)
+        return _HalfWrittenFile(fh) if Path(file).name.startswith(f".{name}.") else fh
+
+    monkeypatch.setattr(volgraph.atomic, "open", failing_open, raising=False)
+
+
 class TestAtomicOutputs:
     @pytest.mark.parametrize(
         "command", ["predict", "export-attention", "split-transductive", "build-graph",
@@ -617,3 +676,28 @@ class TestAtomicOutputs:
             main(argv)
         assert out.read_bytes() == b"old bytes"
         assert [p.name for p in out_dir.iterdir()] == ["result"]
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [("gen-synth", name) for name in ("transcripts.jsonl", "prices.csv", "relations.csv",
+                                          "gen.json")]
+        + [("build-graph", name) for name in ("graph.json", "nodes.csv", "edges.csv",
+                                              "calls.jsonl")],
+    )
+    def test_failed_file_write_keeps_old_bytes(self, workdir, tmp_path, monkeypatch, command,
+                                               name):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / name).write_bytes(b"old bytes")
+        data = workdir["data"]
+        argv = {
+            "gen-synth": ["gen-synth", "--seed", "3", "--out", str(out_dir)],
+            "build-graph": ["build-graph", "--quarter", "2014Q4",
+                            "--transcripts", str(data / "transcripts.jsonl"),
+                            "--relations", str(data / "relations.csv"), "--out", str(out_dir)],
+        }[command]
+        _fail_file_write(monkeypatch, name)
+        with pytest.raises(OSError, match="disk full"):
+            main(argv)
+        assert (out_dir / name).read_bytes() == b"old bytes"
+        assert not [p.name for p in out_dir.iterdir() if p.name.startswith(".")]

@@ -10,21 +10,25 @@ import zlib
 import numpy as np
 import pytest
 
+import volgraph.dialogue as dialogue
 import volgraph.numcore as nc
 from volgraph.dataio.records import CallRecord, Sentence
 from volgraph.dialogue import (
     DialogueEncoderParams,
     StructEmbedTables,
     encode_calls,
-    encode_dialogue,
     encode_featurized_batch,
     featurize_sentences,
     hash_featurizer,
 )
-from volgraph.errors import ConfigError, ShapeError
+from volgraph.errors import ParseError, ShapeError
+from volgraph.graphbuild import build_quarter_graph
+from volgraph.pipeline import VolatilityModel, prepare_quarter
 from volgraph.numcore.gradcheck import grad_check
 from volgraph.numcore.layers import transformer_encoder_layer
 from volgraph.numcore.params import ParamStore
+
+from conftest import tiny_config
 
 D_S = 6
 
@@ -56,6 +60,14 @@ def vector_call(rng, call_id="C-1", n=5, d_s=D_S, date=dt.date(2016, 2, 3)):
             )
         )
     return CallRecord(call_id, "C", date, sentences)
+
+
+def featurize(calls, tables, d_s=D_S):
+    return featurize_sentences(calls, tables, d_s, {})
+
+
+def encode_one(call, tables, params):
+    return encode_calls([call], tables, params, D_S, {}).data[0]
 
 
 class TestHashFeaturizer:
@@ -109,17 +121,54 @@ class TestHashFeaturizer:
         assert hash_featurizer([], d_s=8).shape == (0, 8)
 
 
+def text_call(call_id, texts, vectors=None, utterances=None):
+    """A call whose sentence i has text texts[i], or vectors[i] where that is given."""
+    sentences = []
+    for pos, text in enumerate(texts):
+        part = "presentation" if pos < 2 else "qa"
+        vector = None if vectors is None else vectors[pos]
+        sentences.append(
+            Sentence(
+                utterance_idx=pos if utterances is None else utterances[pos],
+                role="executive" if pos % 2 == 0 else "analyst",
+                part=part,
+                position=pos,
+                text=None if vector is not None else text,
+                vector=vector,
+            )
+        )
+    return CallRecord(call_id, "T", dt.date(2016, 2, 3), sentences)
+
+
+def reference_rows(call, tables, d_s=D_S):
+    """The featurized rows of one call, sentence by sentence."""
+    rows = []
+    for i, s in enumerate(call.sentences[: tables.max_sentences]):
+        base = hash_featurizer([s.text], d_s)[0] if s.vector is None else s.vector
+        rows.append(
+            np.concatenate(
+                [
+                    base,
+                    tables.position.data[i],
+                    tables.utterance.data[min(s.utterance_idx, tables.max_utterances - 1)],
+                    tables.role.data[("executive", "analyst").index(s.role)],
+                    tables.part.data[("presentation", "qa").index(s.part)],
+                ]
+            )
+        )
+    return np.stack(rows)
+
+
 class TestFeaturize:
     def test_feature_width_is_base_plus_tables(self, rng):
         store, tables, params = setup_encoder(rng)
-        call = vector_call(rng)
-        feats = featurize_sentences(call, tables, d_s=D_S)
+        feats = featurize([vector_call(rng)], tables)
         assert feats.shape == (5, D_S + tables.total_dim)
 
     def test_rows_concatenate_the_right_table_entries(self, rng):
         store, tables, params = setup_encoder(rng)
         call = vector_call(rng, n=3)
-        feats = featurize_sentences(call, tables, d_s=D_S).data
+        feats = featurize([call], tables).data
         s = call.sentences[2]
         row = feats[2]
         np.testing.assert_array_equal(row[:D_S], s.vector)
@@ -130,84 +179,156 @@ class TestFeaturize:
 
     def test_truncation_to_position_table(self, rng):
         store, tables, params = setup_encoder(rng, max_sentences=4)
-        call = vector_call(rng, n=9)
-        feats = featurize_sentences(call, tables, d_s=D_S)
-        assert feats.shape[0] == 4
+        feats = featurize([vector_call(rng, n=9), vector_call(rng, n=3)], tables)
+        assert feats.shape[0] == 4 + 3
 
     def test_utterance_index_clamps(self, rng):
         store, tables, params = setup_encoder(rng, max_utterances=2)
         call = vector_call(rng, n=6)
         call.sentences[-1].utterance_idx = 99
-        feats = featurize_sentences(call, tables, d_s=D_S).data
+        feats = featurize([call], tables).data
         np.testing.assert_array_equal(
             feats[-1, D_S + 2 : D_S + 4], tables.utterance.data[1]
         )
 
     def test_dim_mismatch_raises(self, rng):
         store, tables, params = setup_encoder(rng)
-        call = vector_call(rng, d_s=4)
-        with pytest.raises(ShapeError):
-            featurize_sentences(call, tables, d_s=D_S)
-
-    def test_text_without_featurizer_raises(self, rng):
-        store, tables, params = setup_encoder(rng)
-        call = CallRecord(
-            "T-1", "T", dt.date(2016, 2, 3),
-            [Sentence(0, "executive", "presentation", 0, text="Hello.")],
-        )
-        with pytest.raises(ConfigError):
-            featurize_sentences(call, tables)
+        bad = vector_call(rng, call_id="C-bad", d_s=4)
+        for calls in ([vector_call(rng), bad], [bad]):
+            with pytest.raises(ShapeError, match="call C-bad: sentence vectors have dim 4"):
+                featurize(calls, tables)
 
     def test_text_sentences_go_through_featurizer(self, rng):
         store, tables, params = setup_encoder(rng)
-        call = CallRecord(
-            "T-1", "T", dt.date(2016, 2, 3),
-            [Sentence(0, "executive", "presentation", 0, text="Revenue grew.")],
-        )
-        feats = featurize_sentences(
-            call, tables, featurizer=lambda t: hash_featurizer(t, d_s=D_S), d_s=D_S
-        )
+        feats = featurize([text_call("T-1", ["Revenue grew."])], tables)
         np.testing.assert_array_equal(
             feats.data[0, :D_S], hash_featurizer(["Revenue grew."], d_s=D_S)[0]
         )
 
-    def test_featurizer_called_once_per_call_with_text_rows_only(self, rng):
+    def test_featurizer_called_once_per_block_with_text_rows_only(self, rng, monkeypatch):
         store, tables, params = setup_encoder(rng)
-        call = CallRecord(
-            "T-1", "T", dt.date(2016, 2, 3),
-            [
-                Sentence(0, "executive", "presentation", 0, text="Revenue grew."),
-                Sentence(0, "executive", "presentation", 1, vector=rng.normal(size=D_S)),
-                Sentence(1, "analyst", "qa", 2, text="Why did MARGINS fall?"),
-            ],
-        )
+        calls = [
+            text_call("T-1", ["Revenue grew.", "", "Why did MARGINS fall?"],
+                      vectors=[None, rng.normal(size=D_S), None]),
+            vector_call(rng, n=2),
+            text_call("T-2", ["Guidance is unchanged."]),
+        ]
         seen = []
 
-        def featurizer(texts):
-            seen.append(list(texts))
-            return hash_featurizer(texts, d_s=D_S)
+        def featurizer(texts, d_s):
+            seen.append((list(texts), d_s))
+            return hash_featurizer(texts, d_s)
 
-        feats = featurize_sentences(call, tables, featurizer=featurizer, d_s=D_S).data
-        assert seen == [["Revenue grew.", "Why did MARGINS fall?"]]
-        np.testing.assert_array_equal(feats[1, :D_S], call.sentences[1].vector)
-        np.testing.assert_array_equal(
-            feats[[0, 2], :D_S], hash_featurizer(["Revenue grew.", "Why did MARGINS fall?"], D_S)
+        monkeypatch.setattr(dialogue, "hash_featurizer", featurizer)
+        memo = {}
+        feats = featurize_sentences(calls, tables, D_S, memo).data
+        featurize_sentences(calls, tables, D_S, memo)
+        texts = ["Revenue grew.", "Why did MARGINS fall?", "Guidance is unchanged."]
+        assert seen == [(texts, D_S)]
+        np.testing.assert_array_equal(feats[1, :D_S], calls[0].sentences[1].vector)
+        np.testing.assert_array_equal(feats[[0, 2, 5], :D_S], hash_featurizer(texts, D_S))
+
+
+class TestSentenceBlock:
+    def test_rows_match_per_call_reference_bitwise(self, rng):
+        # vector, text and mixed calls, one cut at max_sentences, one with
+        # utterance indices past the table
+        store, tables, params = setup_encoder(rng, max_sentences=6, max_utterances=3)
+        words = ["Revenue grew twelve percent.", "Margins fell.", "", "EPS of 1.05 beat",
+                 "Guidance raised again", "Über Plan", "q3 q3 q3", "tail sentence"]
+        calls = [
+            vector_call(rng, call_id="V-1", n=4),
+            text_call("T-1", words),  # 8 sentences, truncated to 6
+            text_call("M-1", words[:5], vectors=[None, rng.normal(size=D_S), None,
+                                                 rng.normal(size=D_S), None]),
+            text_call("U-1", words[:3], utterances=[0, 7, 40]),
+            vector_call(rng, call_id="V-2", n=4),
+        ]
+        got = featurize(calls, tables).data
+        want = np.concatenate([reference_rows(c, tables) for c in calls])
+        assert got.shape == (4 + 6 + 5 + 3 + 4, D_S + tables.total_dim)
+        assert np.array_equal(got, want)
+
+    def test_block_is_memoized_per_model_shape(self, small_graph, monkeypatch):
+        # text calls, so that models with different d_s can read the same quarter
+        text_calls = [
+            CallRecord(c.call_id, c.company_id, c.call_date, [
+                Sentence(s.utterance_idx, s.role, s.part, s.position,
+                         text=f"{c.company_id} said {s.position} things")
+                for s in c.sentences
+            ])
+            for c in small_graph.calls
+        ]
+        graph = build_quarter_graph(text_calls, [], small_graph.quarter)
+        prepared = prepare_quarter(graph)
+        calls = []
+
+        def featurizer(texts, d_s):
+            calls.append(d_s)
+            return hash_featurizer(texts, d_s)
+
+        monkeypatch.setattr(dialogue, "hash_featurizer", featurizer)
+        model = VolatilityModel(tiny_config())
+        first = model.predict(prepared)
+        block = prepared.sentence_blocks[(8, 16, 8)]
+        second = model.predict(prepared)
+        assert calls == [8]
+        assert prepared.sentence_blocks[(8, 16, 8)] is block
+        assert all(np.array_equal(first[t], second[t]) for t in first)
+
+        VolatilityModel(tiny_config(d_s=12)).predict(prepared)
+        assert calls == [8, 12]
+        assert sorted(prepared.sentence_blocks) == [(8, 16, 8), (12, 16, 8)]
+
+    @pytest.mark.parametrize("lengths", [(3, 3), (7, 3, 5, 3, 7, 4, 5)])
+    def test_featurize_tape_is_fixed_plus_one_take_per_group(self, rng, lengths):
+        store, tables, params = setup_encoder(rng)
+        calls = [vector_call(rng, call_id=f"C-{i}", n=n) for i, n in enumerate(lengths)]
+        out = encode_calls(calls, tables, params, D_S, {})
+        nodes, stack = {id(out): out}, [out]
+        while stack:
+            for p in stack.pop()._parents:
+                if id(p) not in nodes:
+                    nodes[id(p)] = p
+                    stack.append(p)
+        table_ids = {id(t) for t in (tables.position, tables.utterance, tables.role, tables.part)}
+        lookups = [t for t in nodes.values() if {id(p) for p in t._parents} & table_ids]
+        assert len(lookups) == 4
+        (rows,) = [t for t in nodes.values() if {id(p) for p in t._parents} & {id(lookups[0])}]
+        assert set(map(id, rows._parents)) >= set(map(id, lookups))
+        assert len(rows._parents) == 5  # the base block and the four lookups
+        batches = [t for t in nodes.values() if id(rows) in {id(p) for p in t._parents}]
+        assert sorted(b.shape[:2] for b in batches) == sorted(
+            (lengths.count(n), n) for n in set(lengths)
         )
+
+    def test_empty_call_is_named(self, rng):
+        store, tables, params = setup_encoder(rng)
+        calls = [vector_call(rng), CallRecord("E-1", "E", dt.date(2016, 2, 3), [])]
+        with pytest.raises(ParseError, match="call E-1 has no sentences"):
+            featurize(calls, tables)
+
+    def test_unknown_role_or_part_is_named(self, rng):
+        store, tables, params = setup_encoder(rng)
+        for attr in ("role", "part"):
+            bad = vector_call(rng, call_id="B-1", n=3)
+            setattr(bad.sentences[2], attr, "moderator")
+            with pytest.raises(ParseError, match="call B-1: unknown role/part label 'moderator'"):
+                featurize([vector_call(rng), bad], tables)
 
 
 class TestEncode:
     def test_embedding_shape(self, rng):
         store, tables, params = setup_encoder(rng)
         call = vector_call(rng)
-        v = encode_dialogue(featurize_sentences(call, tables, d_s=D_S), params)
-        assert v.shape == (8,)
+        v = encode_calls([call], tables, params, D_S, {})
+        assert v.shape == (1, 8)
 
     def test_zero_layers_returns_projected_cls(self, rng):
         # with no transformer layers the readout is exactly the CLS row
         store, tables, params = setup_encoder(rng, n_layers=0)
         call = vector_call(rng)
-        v = encode_dialogue(featurize_sentences(call, tables, d_s=D_S), params)
-        np.testing.assert_array_equal(v.data, params.cls.data[0])
+        np.testing.assert_array_equal(encode_one(call, tables, params), params.cls.data[0])
 
     def test_batch_composition_never_changes_an_embedding(self, rng):
         # equal-length grouping means a call's embedding is a function of
@@ -215,10 +336,10 @@ class TestEncode:
         store, tables, params = setup_encoder(rng)
         calls = [vector_call(rng, call_id=f"C-{i}", n=5) for i in range(6)]
         solo = [
-            encode_dialogue(featurize_sentences(c, tables, d_s=D_S), params).data
+            encode_one(c, tables, params)
             for c in calls
         ]
-        together = encode_calls(calls, tables, params, d_s=D_S).data
+        together = encode_calls(calls, tables, params, D_S, {}).data
         for i in range(6):
             assert np.array_equal(together[i], solo[i])
 
@@ -226,9 +347,9 @@ class TestEncode:
         store, tables, params = setup_encoder(rng)
         lengths = [7, 3, 5, 3, 7, 4]
         calls = [vector_call(rng, call_id=f"C-{i}", n=n) for i, n in enumerate(lengths)]
-        got = encode_calls(calls, tables, params, d_s=D_S).data
+        got = encode_calls(calls, tables, params, D_S, {}).data
         for i, c in enumerate(calls):
-            solo = encode_dialogue(featurize_sentences(c, tables, d_s=D_S), params).data
+            solo = encode_one(c, tables, params)
             assert np.array_equal(got[i], solo), f"call {i} out of order"
 
     @pytest.mark.parametrize("n_layers", [1, 2])
@@ -238,7 +359,7 @@ class TestEncode:
         # and taking the CLS row must agree to rounding
         store, tables, params = setup_encoder(rng, n_layers=n_layers)
         calls = [vector_call(rng, call_id=f"C-{i}", n=n) for i in range(3)]
-        x = np.stack([featurize_sentences(c, tables, d_s=D_S).data for c in calls])
+        x = featurize(calls, tables).data.reshape(3, n, -1)
         got = encode_featurized_batch(nc.Tensor(x), params).data
 
         h = x @ params.proj_w.data.T + params.proj_b.data
@@ -254,7 +375,7 @@ class TestEncode:
         w = rng.normal(size=(3, 8))
 
         def loss():
-            out = encode_calls(calls, tables, params, d_s=D_S)
+            out = encode_calls(calls, tables, params, D_S, {})
             return nc.sum_(nc.mul(out, nc.Tensor(w)))
 
         report = grad_check(loss, store, tol=1e-4)
@@ -265,12 +386,12 @@ class TestEncode:
         # same sentence content at different positions must encode differently
         store, tables, params = setup_encoder(rng)
         call = vector_call(rng, n=4)
-        base = encode_dialogue(featurize_sentences(call, tables, d_s=D_S), params).data
+        base = encode_one(call, tables, params)
         swapped = CallRecord(
             call.call_id, call.company_id, call.call_date,
             [call.sentences[1], call.sentences[0]] + call.sentences[2:],
         )
         for i, s in enumerate(swapped.sentences):
             s.position = i
-        other = encode_dialogue(featurize_sentences(swapped, tables, d_s=D_S), params).data
+        other = encode_one(swapped, tables, params)
         assert not np.array_equal(base, other)
