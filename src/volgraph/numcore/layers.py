@@ -1,13 +1,15 @@
-"""Reusable neural building blocks, each core a single tape node.
+"""Reusable neural building blocks, each a single tape node.
 
-``linear`` is an affine map and ``attention`` is scaled dot-product
-attention; both have hand-written backwards. ``transformer_encoder_layer``
-assembles them into one post-norm encoder layer.
+``linear`` is an affine map and ``transformer_encoder_layer`` is one
+post-norm encoder layer (multi-head self-attention, residual, layer norm,
+a two-layer ReLU MLP, residual, layer norm); both have hand-written
+backwards. The layer's numpy kernels (the affine maps, the softmax
+weights, layer norm) are plain helpers here, not tape ops.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -15,6 +17,26 @@ from ..errors import ShapeError
 from . import tensor as T
 from .params import ParamStore
 from .tensor import Tensor
+
+_LN_EPS = 1e-5
+
+
+def _affine(a: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """a @ wᵀ (+ b), the bias added in place into the product."""
+    out = a @ w.T
+    if b is not None:
+        out += b
+    return out
+
+
+def _affine_grads(g: np.ndarray, a: np.ndarray, w: np.ndarray) -> tuple:
+    """Input and weight gradients of ``a @ wᵀ`` for output gradient ``g``."""
+    return g @ w, g.reshape(-1, g.shape[-1]).T @ a.reshape(-1, a.shape[-1])
+
+
+def _lead_sum(g: np.ndarray) -> np.ndarray:
+    """Sum over every axis but the last: the gradient of a broadcast bias."""
+    return g.sum(axis=tuple(range(g.ndim - 1)))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -26,65 +48,53 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     x, w = T.as_tensor(x), T.as_tensor(w)
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[1]:
         raise ShapeError(f"linear: input {x.shape} does not fit weight {w.shape}")
-    out = x.data @ w.data.T
-    parents = (x, w)
-    if b is not None:
-        b = T.as_tensor(b)
-        out = out + b.data
-        parents = (x, w, b)
-
-    def backward(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        gx = g @ w.data
-        gw = g2.T @ x.data.reshape(-1, x.shape[-1])
-        if b is None:
-            return gx, gw
-        return gx, gw, T._sum_to_shape(g, b.shape)
-
-    return T._make(out, parents, backward)
+    if b is None:
+        out = _affine(x.data, w.data, None)
+        return T._make(out, (x, w), lambda g: _affine_grads(g, x.data, w.data))
+    b = T.as_tensor(b)
+    out = _affine(x.data, w.data, b.data)
+    return T._make(out, (x, w, b), lambda g: (*_affine_grads(g, x.data, w.data), _lead_sum(g)))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q @ kᵀ / √dh) @ v over the last two axes, as one tape node.
+def _attention_weights(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """softmax(q @ kᵀ / √dh) over the last axis, formed in place in one buffer.
 
-    ``q`` is (..., m, dh), ``k`` is (..., n, dh) and ``v`` is (..., n, dv),
-    all with the same leading axes; the result is (..., m, dv). The
-    weights P are formed in place in one (..., m, n) buffer by the same
-    numpy ops, in the same order, as an op-by-op tape of ``matmul``,
-    ``div``, a max-shifted softmax and ``matmul``, so the output is
-    bitwise equal to that chain's. P is the only array the backward
-    keeps: it forms dS = P·(dP − Σ dP·P) / √dh and gets each of dq, dk
-    and dv with one matmul.
+    The ops and their order are those of a max-shifted softmax of the
+    scaled scores, so the weights are bitwise equal to that chain's.
     """
-    q, k, v = T.as_tensor(q), T.as_tensor(k), T.as_tensor(v)
-    if not (
-        q.ndim == k.ndim == v.ndim >= 2
-        and q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
-        and q.shape[-1] == k.shape[-1]
-        and k.shape[-2] == v.shape[-2]
-    ):
-        raise ShapeError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} do not agree")
-    scale = float(np.sqrt(q.shape[-1]))
-    p = q.data @ np.swapaxes(k.data, -1, -2)
-    p /= scale
+    p = q @ np.swapaxes(k, -1, -2)
+    p /= float(np.sqrt(q.shape[-1]))
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    out = p @ v.data
+    return p
 
-    def backward(g):
-        gv = np.swapaxes(p, -1, -2) @ g
-        ds = g @ np.swapaxes(v.data, -1, -2)  # dP, turned into dS in place
-        ds -= (ds * p).sum(axis=-1, keepdims=True)
-        ds *= p
-        ds /= scale
-        gq = ds @ k.data
-        # (qᵀ dS)ᵀ, not dSᵀ q: the two round differently, and this one is
-        # the product an op-by-op tape forms, so training stays bitwise equal
-        gk = np.swapaxes(np.swapaxes(q.data, -1, -2) @ ds, -1, -2)
-        return gq, gk, gv
 
-    return T._make(out, (q, k, v), backward)
+def _layer_norm(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> tuple:
+    """Normalize the last axis of ``a`` in place, then scale and shift.
+
+    Returns (output, x̂, 1/σ); ``a`` is overwritten by x̂. a − μ is formed
+    once, with μ and σ² rounded as ``np.mean`` and ``np.var`` round them
+    (a sum over the axis divided by its length; for σ², of (a − μ)²), so
+    the output is bitwise equal to ``(a - a.mean()) / sqrt(a.var() + eps)``
+    scaled and shifted.
+    """
+    n = a.shape[-1]
+    a -= a.sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt((a * a).sum(axis=-1, keepdims=True) / n + _LN_EPS)
+    a *= inv
+    out = a * gamma
+    out += beta
+    return out, a, inv
+
+
+def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: np.ndarray):
+    """Input, gamma and beta gradients of ``_layer_norm`` for output gradient ``g``."""
+    gxhat = g * gamma
+    m1 = gxhat.mean(axis=-1, keepdims=True)
+    m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
+    ga = (gxhat - m1 - xhat * m2) * inv
+    return ga, _lead_sum(g * xhat), _lead_sum(g)
 
 
 @dataclass
@@ -133,10 +143,13 @@ class TransformerLayerParams:
         )
 
 
+_LAYER_FIELDS = tuple(f.name for f in fields(TransformerLayerParams))
+
+
 def transformer_encoder_layer(
     x: Tensor, p: TransformerLayerParams, n_heads: int, queries: Tensor | None = None
 ) -> Tensor:
-    """Self-attention + feed-forward with residuals and post-layer-norm.
+    """Self-attention + feed-forward with residuals and post-layer-norm, one tape node.
 
     ``x`` is a (batch, seq, d) block of equal-length sequences; no padding
     or masking is involved, which keeps every batch element's result
@@ -148,26 +161,90 @@ def transformer_encoder_layer(
     on those m rows only, and the result is (batch, m, d). Passing the
     rows of ``x`` at some positions gives exactly those positions' rows of
     the full layer; the default computes every row.
+
+    The node's parents are ``x``, then ``queries`` if given, then the 16
+    ``TransformerLayerParams`` tensors in field order. The forward runs
+    the numpy ops of an op-by-op tape (separate Q/K/V maps, head split,
+    softmax weights, head merge, output map, residual, norm, MLP,
+    residual, norm) in that tape's order, so its output is bitwise equal
+    to the chain's. The backward keeps the q, k and v heads, the softmax
+    weights, the merged context, both norms' x̂ and 1/σ, the first norm's
+    output and the ReLU output.
     """
-    b, s, d = x.shape
+    x = T.as_tensor(x)
+    params = tuple(getattr(p, name) for name in _LAYER_FIELDS)
+    if x.ndim != 3 or x.shape[2] != p.wq.shape[1]:
+        raise ShapeError(f"layer input {x.shape} does not fit model width {p.wq.shape[1]}")
+    b, _, d = x.shape
     if d % n_heads != 0:
         raise ShapeError(f"model width {d} not divisible by {n_heads} heads")
     if queries is None:
-        queries = x
+        parents = (x, *params)
+        qin = x.data
     elif queries.ndim != 3 or queries.shape[0] != b or queries.shape[2] != d:
         raise ShapeError(f"queries {queries.shape} do not match keys/values {x.shape}")
-    m = queries.shape[1]
+    else:
+        parents = (x, queries, *params)
+        qin = queries.data
+    (wq, bq, wk, bk, wv, bv, wo, bo,
+     ff1_w, ff1_b, ff2_w, ff2_b, ln1_g, ln1_b, ln2_g, ln2_b) = (t.data for t in params)
+    m = qin.shape[1]
     dh = d // n_heads
+    scale = float(np.sqrt(dh))
 
-    def split_heads(t: Tensor) -> Tensor:
-        return T.swapaxes(T.reshape(t, (b, t.shape[1], n_heads, dh)), 1, 2)
+    def split_heads(t: np.ndarray) -> np.ndarray:  # (b, n, d) -> (b, H, n, dh) view
+        return np.swapaxes(t.reshape(b, t.shape[1], n_heads, dh), 1, 2)
 
-    q = split_heads(linear(queries, p.wq, p.bq))
-    k = split_heads(linear(x, p.wk, p.bk))
-    v = split_heads(linear(x, p.wv, p.bv))
+    qh = split_heads(_affine(qin, wq, bq))
+    kh = split_heads(_affine(x.data, wk, bk))
+    vh = split_heads(_affine(x.data, wv, bv))
+    att = _attention_weights(qh, kh)
+    ctx = np.swapaxes(att @ vh, 1, 2).reshape(b, m, d)
+    a1 = _affine(ctx, wo, bo)
+    a1 += qin
+    h, xhat1, inv1 = _layer_norm(a1, ln1_g, ln1_b)
+    r = _affine(h, ff1_w, ff1_b)
+    np.maximum(r, 0.0, out=r)
+    a2 = _affine(r, ff2_w, ff2_b)
+    a2 += h
+    out, xhat2, inv2 = _layer_norm(a2, ln2_g, ln2_b)
 
-    ctx = T.reshape(T.swapaxes(attention(q, k, v), 1, 2), (b, m, d))
+    def backward(g):
+        ga2, gln2_g, gln2_b = _layer_norm_grads(g, xhat2, inv2, ln2_g)
+        gr, gff2_w = _affine_grads(ga2, r, ff2_w)
+        gr *= r > 0.0
+        gh, gff1_w = _affine_grads(gr, h, ff1_w)
+        gh += ga2
+        ga1, gln1_g, gln1_b = _layer_norm_grads(gh, xhat1, inv1, ln1_g)
+        gctx, gwo = _affine_grads(ga1, ctx, wo)
+        gbo = _lead_sum(ga1)  # before ga1 takes on the input gradients below
+        gctx = split_heads(gctx)
+        gvh = np.swapaxes(att, -1, -2) @ gctx
+        ds = gctx @ np.swapaxes(vh, -1, -2)  # dP, turned into dS in place
+        ds -= (ds * att).sum(axis=-1, keepdims=True)
+        ds *= att
+        ds /= scale
+        gqh = ds @ kh
+        # (qᵀ dS)ᵀ, not dSᵀ q: the two round differently, and this one is
+        # the product an op-by-op tape forms, so training stays bitwise equal
+        gkh = np.swapaxes(np.swapaxes(qh, -1, -2) @ ds, -1, -2)
+        gq, gk, gv = (np.swapaxes(t, 1, 2).reshape(b, t.shape[2], d) for t in (gqh, gkh, gvh))
+        gxq, gwq = _affine_grads(gq, qin, wq)
+        gxk, gwk = _affine_grads(gk, x.data, wk)
+        gxv, gwv = _affine_grads(gv, x.data, wv)
+        # summed in the order an op-by-op tape adds them: residual, q, k, v
+        ga1 += gxq
+        if queries is None:
+            ga1 += gxk
+            ga1 += gxv
+            inputs = (ga1,)
+        else:
+            gxk += gxv
+            inputs = (gxk, ga1)
+        return (
+            *inputs,
+            gwq, _lead_sum(gq), gwk, _lead_sum(gk), gwv, _lead_sum(gv), gwo, gbo,
+            gff1_w, _lead_sum(gr), gff2_w, _lead_sum(ga2), gln1_g, gln1_b, gln2_g, gln2_b,
+        )
 
-    h = T.layer_norm(T.add(queries, linear(ctx, p.wo, p.bo)), p.ln1_gamma, p.ln1_beta)
-    ff = linear(T.relu(linear(h, p.ff1_w, p.ff1_b)), p.ff2_w, p.ff2_b)
-    return T.layer_norm(T.add(h, ff), p.ln2_gamma, p.ln2_beta)
+    return T._make(out, parents, backward)

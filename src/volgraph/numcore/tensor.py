@@ -2,10 +2,10 @@
 
 A :class:`Tensor` wraps one ndarray plus an optional tape node. The
 operation set is deliberately small and fixed: arithmetic, matmul,
-shape moves, gathers/scatters, reductions, pointwise nonlinearities,
-segment softmax and layer norm (``layers`` adds the fused ``linear`` and
-``attention`` ops). ``backward()`` walks the tape once and
-accumulates gradients into every leaf created with
+shape moves, gathers/scatters, reductions, pointwise nonlinearities and
+segment softmax (``layers`` adds the fused ``linear`` and
+``transformer_encoder_layer`` ops). ``backward()`` walks the tape once
+and accumulates gradients into every leaf created with
 ``requires_grad=True``.
 
 Scatter-adds (``segment_sum`` and the backward of ``take``) stably sort
@@ -464,30 +464,6 @@ def leaky_relu(a, negative_slope: float = 0.01) -> Tensor:
         return (g * np.where(a.data > 0.0, 1.0, negative_slope),)
 
     return _make(out, (a,), backward)
-
-
-# -- normalizations -------------------------------------------------------------
-
-
-def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
-    a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (a.data - mu) * inv
-    out = xhat * gamma.data + beta.data
-
-    def backward(g):
-        gxhat = g * gamma.data
-        m1 = gxhat.mean(axis=-1, keepdims=True)
-        m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
-        ga = (gxhat - m1 - xhat * m2) * inv
-        ggamma = _sum_to_shape(g * xhat, gamma.shape)
-        gbeta = _sum_to_shape(g, beta.shape)
-        return ga, ggamma, gbeta
-
-    return _make(out, (a, gamma, beta), backward)
 
 
 # -- detached helpers -----------------------------------------------------------

@@ -98,9 +98,13 @@ class ModelConfig:
             raise ConfigError(
                 f"d_hidden {self.d_hidden} not divisible by {self.dialogue_heads} heads"
             )
+        if self.d_ff is not None and self.d_ff < 1:
+            raise ConfigError(f"d_ff must be >= 1 or none, got {self.d_ff}")
         bad = [t for t in self.taus if t not in TAUS]
         if bad or not self.taus:
             raise ConfigError(f"taus must come from {TAUS}, got {self.taus}")
+        if len(set(self.taus)) != len(self.taus):
+            raise ConfigError(f"taus must not repeat, got {self.taus}")
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -391,6 +391,39 @@ class TestTrainEval:
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "lines,key",
+        [
+            ("d_ff = -3", "d_ff"),
+            ("d_ff = 0", "d_ff"),
+            ("taus = 7,7", "taus"),
+            ("taus = 7,7\njoint_heads = true", "taus"),
+        ],
+        ids=["d_ff-negative", "d_ff-zero", "taus-repeated", "taus-repeated-joint"],
+    )
+    def test_bad_config_value_exits_2(self, workdir, tmp_path, capsys, lines, key):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_MODEL_CONFIG + lines + "\n")
+        rc = main(["train", "--config", str(bad), "--data", str(workdir["data"]),
+                   "--out", str(tmp_path / "x.npz")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must")
+        assert not (tmp_path / "x.npz").exists()
+
+    def test_checkpoint_with_bad_d_ff_exits_2(self, workdir, tmp_path, capsys):
+        with np.load(workdir["ckpt"]) as data:
+            arrays = {k: data[k] for k in data.files}
+        manifest = json.loads(str(arrays["__manifest__"]))
+        manifest["config"]["d_ff"] = -3
+        arrays["__manifest__"] = np.array(json.dumps(manifest))
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        rc = main(["eval", "--model", str(bad), "--data", str(workdir["data"]),
+                   "--report", str(tmp_path / "eval.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: d_ff must")
+        assert not (tmp_path / "eval.json").exists()
+
 
     @pytest.mark.parametrize("missing", ["dir", "prices.csv"])
     def test_missing_data_file_exits_2(self, workdir, tmp_path, capsys, missing):

@@ -1,8 +1,10 @@
 """Encoder-layer invariants: shapes, batch independence, equivariance,
-and a full finite-difference pass over every layer parameter; the fused
-attention op against an op-by-op tape reference."""
+and a full finite-difference pass over every layer parameter; the layer,
+one tape op, against a plain-numpy replay and an op-by-op tape reference."""
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,11 +14,11 @@ from volgraph.errors import ShapeError
 from volgraph.numcore.gradcheck import grad_check
 from volgraph.numcore.layers import (
     TransformerLayerParams,
-    attention,
     linear,
     transformer_encoder_layer,
 )
 from volgraph.numcore.params import ParamStore
+from volgraph.numcore.tensor import _make
 
 
 def make_layer(rng, d=6, d_ff=None):
@@ -39,6 +41,21 @@ class TestLinear:
         got = linear(nc.Tensor(x), nc.Tensor(w)).data
         np.testing.assert_allclose(got, x @ w.T, atol=1e-12)
 
+    def test_zero_bias_changes_nothing(self, rng):
+        # the bias is added in place into the product; a zero bias leaves
+        # the output and every gradient bitwise as without one
+        x = rng.normal(size=(2, 5, 3))
+        w = rng.normal(size=(4, 3))
+        g = rng.normal(size=(2, 5, 4))
+        runs = []
+        for bias in (None, nc.Tensor(np.zeros(4), requires_grad=True)):
+            xt, wt = nc.Tensor(x, requires_grad=True), nc.Tensor(w, requires_grad=True)
+            out = linear(xt, wt, bias)
+            nc.sum_(nc.mul(out, nc.Tensor(g))).backward()
+            runs.append((out.data, xt.grad, wt.grad))
+        for got, want in zip(*runs):
+            assert np.array_equal(got, want)
+
     def test_batched_input(self, rng):
         x = rng.normal(size=(2, 5, 3))
         w = rng.normal(size=(4, 3))
@@ -47,81 +64,169 @@ class TestLinear:
         np.testing.assert_allclose(got, x @ w.T + b, atol=1e-12)
 
 
-def reference_attention(q, k, v):
-    """The op-by-op tape chain that ``attention`` fuses, with a detached max shift."""
-    scores = nc.div(nc.matmul(q, nc.swapaxes(k, -1, -2)), float(np.sqrt(q.shape[-1])))
+PARAM_NAMES = tuple(f.name for f in fields(TransformerLayerParams))
+
+
+def replay_layer(x, p, n_heads, queries=None):
+    """The encoder layer as plain numpy, in the op order of an op-by-op tape.
+
+    Separate Q/K/V maps, head split, a max-shifted softmax of the scaled
+    scores, head merge, output map, residual, ``np.mean``/``np.var`` layer
+    norm, ReLU MLP, residual, layer norm.
+    """
+    w = {name: getattr(p, name).data for name in PARAM_NAMES}
+    q_in = x if queries is None else queries
+    b, _, d = x.shape
+    m, dh = q_in.shape[1], d // n_heads
+
+    def lin(a, weight, bias):
+        return a @ w[weight].T + w[bias]
+
+    def split(t):
+        return np.swapaxes(t.reshape(b, t.shape[1], n_heads, dh), 1, 2)
+
+    def norm(a, i):
+        xhat = (a - a.mean(axis=-1, keepdims=True)) * (
+            1.0 / np.sqrt(a.var(axis=-1, keepdims=True) + 1e-5)
+        )
+        return xhat * w[f"ln{i}_gamma"] + w[f"ln{i}_beta"]
+
+    q, k, v = split(lin(q_in, "wq", "bq")), split(lin(x, "wk", "bk")), split(lin(x, "wv", "bv"))
+    scores = q @ np.swapaxes(k, -1, -2) / float(np.sqrt(dh))
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    ctx = np.swapaxes(e / e.sum(axis=-1, keepdims=True) @ v, 1, 2).reshape(b, m, d)
+    h = norm(q_in + lin(ctx, "wo", "bo"), 1)
+    ff = lin(np.maximum(lin(h, "ff1_w", "ff1_b"), 0.0), "ff2_w", "ff2_b")
+    return norm(h + ff, 2)
+
+
+def _rsqrt(t):
+    """1/√t as a tape op, for the op-by-op reference layer norm."""
+    out = 1.0 / np.sqrt(t.data)
+    return _make(out, (t,), lambda g: (-0.5 * g * out**3,))
+
+
+def reference_layer(x, p, n_heads, queries=None):
+    """The encoder layer as an op-by-op tape of generic ``numcore`` ops."""
+    q_in = x if queries is None else queries
+    b, _, d = x.shape
+    m, dh = q_in.shape[1], d // n_heads
+
+    def split(t):
+        return nc.swapaxes(nc.reshape(t, (b, t.shape[1], n_heads, dh)), 1, 2)
+
+    def norm(a, gamma, beta):
+        c = nc.sub(a, nc.mean_(a, axis=-1, keepdims=True))
+        var = nc.mean_(nc.mul(c, c), axis=-1, keepdims=True)
+        return nc.add(nc.mul(nc.mul(c, _rsqrt(nc.add(var, 1e-5))), gamma), beta)
+
+    q = split(linear(q_in, p.wq, p.bq))
+    k, v = split(linear(x, p.wk, p.bk)), split(linear(x, p.wv, p.bv))
+    scores = nc.div(nc.matmul(q, nc.swapaxes(k, -1, -2)), float(np.sqrt(dh)))
     e = nc.exp(nc.sub(scores, nc.Tensor(scores.data.max(axis=-1, keepdims=True))))
-    return nc.matmul(nc.div(e, nc.sum_(e, axis=-1, keepdims=True)), v)
+    weights = nc.div(e, nc.sum_(e, axis=-1, keepdims=True))
+    ctx = nc.reshape(nc.swapaxes(nc.matmul(weights, v), 1, 2), (b, m, d))
+    h = norm(nc.add(q_in, linear(ctx, p.wo, p.bo)), p.ln1_gamma, p.ln1_beta)
+    ff = linear(nc.relu(linear(h, p.ff1_w, p.ff1_b)), p.ff2_w, p.ff2_b)
+    return norm(nc.add(h, ff), p.ln2_gamma, p.ln2_beta)
 
 
-def qkv(rng, lead=(2, 3), m=5, n=7, dh=4, dv=6):
-    return (
-        rng.normal(size=lead + (m, dh)),
-        rng.normal(size=lead + (n, dh)),
-        rng.normal(size=lead + (n, dv)),
-    )
+def layer_inputs(rng, m, b=2, s=5, d=6):
+    """(x, queries) arrays: every row (m == s) or the CLS row alone (m == 1)."""
+    x = rng.normal(size=(b, s, d))
+    return x, (None if m == s else x[:, :m].copy())
 
 
-def attention_grads(fn, arrays, w):
-    leaves = [nc.Tensor(a, requires_grad=True) for a in arrays]
-    nc.sum_(nc.mul(fn(*leaves), nc.Tensor(w))).backward()
-    return [t.grad for t in leaves]
+def layer_grads(fn, store, params, x, queries, w):
+    """Gradients of sum(fn(...) * w) for x, queries (if any) and all 16 parameters."""
+    store.zero_grad()
+    xt = nc.Tensor(x, requires_grad=True)
+    qt = None if queries is None else nc.Tensor(queries, requires_grad=True)
+    nc.sum_(nc.mul(fn(xt, params, 3, queries=qt), nc.Tensor(w))).backward()
+    leaves = [xt] + ([] if qt is None else [qt])
+    return [t.grad for t in leaves] + [getattr(params, n).grad for n in PARAM_NAMES]
+
+
+def perturbed_layer(rng, d=6, d_ff=10):
+    """A layer whose norms and biases are off their init values."""
+    store, params = make_layer(rng, d=d, d_ff=d_ff)
+    for t in store.tensors():
+        t.data += 0.1 * rng.normal(size=t.shape)
+    return store, params
 
 
 class TestAttention:
+    """The encoder layer as one tape op: its self-attention block, residuals,
+    norms and MLP against a plain-numpy replay and an op-by-op tape."""
+
     @pytest.mark.parametrize("m", [5, 1])  # every row, and the CLS query alone
     def test_forward_bitwise_equals_op_by_op_chain(self, rng, m):
-        arrays = qkv(rng, m=m)
-        want = reference_attention(*map(nc.Tensor, arrays)).data
-        got = attention(*map(nc.Tensor, arrays)).data
-        assert got.shape == arrays[0].shape[:-1] + (arrays[2].shape[-1],)
+        store, params = perturbed_layer(rng)
+        x, queries = layer_inputs(rng, m)
+        want = replay_layer(x, params, 3, queries)
+        qt = None if queries is None else nc.Tensor(queries)
+        got = transformer_encoder_layer(nc.Tensor(x), params, 3, queries=qt).data
+        assert got.shape == (2, m, 6)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("m", [5, 1])
     def test_gradients_match_op_by_op_chain(self, rng, m):
-        arrays = qkv(rng, m=m)
-        w = rng.normal(size=arrays[0].shape[:-1] + (arrays[2].shape[-1],))
-        want = attention_grads(reference_attention, arrays, w)
-        got = attention_grads(attention, arrays, w)
+        store, params = perturbed_layer(rng)
+        x, queries = layer_inputs(rng, m)
+        w = rng.normal(size=(2, m, 6))
+        want = layer_grads(reference_layer, store, params, x, queries, w)
+        got = layer_grads(transformer_encoder_layer, store, params, x, queries, w)
+        assert len(got) == (1 if queries is None else 2) + 16
         for g, r in zip(got, want):
             np.testing.assert_allclose(g, r, rtol=0, atol=1e-12)
 
     def test_gradients_match_finite_differences(self, rng):
-        store = ParamStore()
-        q, k, v = (store.add(name, a) for name, a in zip("qkv", qkv(rng, lead=(2,), m=3, n=4)))
+        # x and all 16 parameters of the full layer; the query form is
+        # checked in TestQueryRows
+        store, params = perturbed_layer(rng, d=6, d_ff=8)
+        x = store.add("x", rng.normal(size=(2, 3, 6)))
         w = rng.normal(size=(2, 3, 6))
 
         def loss():
-            return nc.sum_(nc.mul(attention(q, k, v), nc.Tensor(w)))
+            return nc.sum_(nc.mul(transformer_encoder_layer(x, params, n_heads=2), nc.Tensor(w)))
 
-        report = grad_check(loss, store, tol=1e-6)
+        report = grad_check(loss, store, tol=1e-4)
         assert report.passed, report.summary()
         assert report.n_checked == store.n_scalars()
 
     def test_one_tape_node_per_call(self, rng):
-        q, k, v = (nc.Tensor(a, requires_grad=True) for a in qkv(rng))
-        out = attention(q, k, v)
-        assert out._parents == (q, k, v) and out._backward_fn is not None
+        store, params = make_layer(rng, d=6)
+        x = nc.Tensor(rng.normal(size=(2, 4, 6)), requires_grad=True)
+        q = nc.Tensor(rng.normal(size=(2, 1, 6)), requires_grad=True)
+        weights = tuple(getattr(params, n) for n in PARAM_NAMES)
+        full = transformer_encoder_layer(x, params, n_heads=2)
+        assert full._parents == (x, *weights) and full._backward_fn is not None
+        cls = transformer_encoder_layer(x, params, n_heads=2, queries=q)
+        assert cls._parents == (x, q, *weights) and cls._backward_fn is not None
 
     def test_no_tape_node_under_no_grad(self, rng):
-        q, k, v = (nc.Tensor(a, requires_grad=True) for a in qkv(rng))
+        store, params = make_layer(rng, d=6)
+        x = nc.Tensor(rng.normal(size=(2, 4, 6)), requires_grad=True)
         with nc.no_grad():
-            out = attention(q, k, v)
+            out = transformer_encoder_layer(x, params, n_heads=2)
         assert out._parents == () and out._backward_fn is None
 
     @pytest.mark.parametrize(
         "shapes",
         [
-            ((2, 5, 4), (2, 7, 3), (2, 7, 6)),  # q and k widths differ
-            ((2, 5, 4), (2, 7, 4), (2, 6, 6)),  # k and v lengths differ
-            ((2, 5, 4), (3, 7, 4), (3, 7, 6)),  # leading axes differ
-            ((2, 5, 4), (2, 7, 4), (7, 6)),  # ranks differ
-            ((4,), (4,), (4,)),  # fewer than two axes
+            ((5, 6), None),  # x is not (batch, seq, d)
+            ((2, 5, 6), (3, 1, 6)),  # batch sizes differ
+            ((2, 5, 6), (2, 1, 4)),  # query and key widths differ
+            ((2, 5, 6), (1, 6)),  # ranks differ
+            ((2, 5, 4), None),  # x does not fit the parameters' width
         ],
     )
-    def test_disagreeing_shapes_raise(self, shapes):
+    def test_disagreeing_shapes_raise(self, rng, shapes):
+        store, params = make_layer(rng, d=6)
+        x, q = shapes
+        queries = None if q is None else nc.Tensor(np.zeros(q))
         with pytest.raises(ShapeError):
-            attention(*(nc.Tensor(np.zeros(s)) for s in shapes))
+            transformer_encoder_layer(nc.Tensor(np.zeros(x)), params, 2, queries=queries)
 
 
 class TestTransformerLayer:
@@ -186,8 +291,8 @@ class TestTransformerLayer:
         assert report.n_checked == store.n_scalars()
 
     def test_attention_core_is_one_tape_node(self, rng):
-        # q, k and v projections, split heads, the fused core, merged heads,
-        # output projection, residual and norm, feed-forward, residual and norm
+        # attention, residuals, norms and the feed-forward block all sit
+        # inside the layer's one node
         store, params = make_layer(rng, d=6)
         x = nc.Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
         out = transformer_encoder_layer(x, params, n_heads=2)
@@ -197,7 +302,7 @@ class TestTransformerLayer:
             if t._backward_fn is not None and id(t) not in nodes:
                 nodes.add(id(t))
                 stack.extend(t._parents)
-        assert len(nodes) == 3 * 3 + 1 + 2 + 1 + 2 + 3 + 2
+        assert len(nodes) == 1
 
     def test_single_element_sequence(self, rng):
         # attention over one position is a no-op softmax; still well-defined
