@@ -36,7 +36,7 @@ from .dataio import (
 from .dataio.records import Quarter
 from .errors import ConfigError, ParseError, VolgraphError
 from .graphbuild import audit_no_leakage, build_quarter_graph, load_graph_dir, save_graph_dir
-from .gnn import attention_export_rows
+from .gnn import attention_export_rows, market_export_rows
 from .pipeline import (
     ModelConfig,
     VolatilityModel,
@@ -297,12 +297,20 @@ def cmd_export_attention(args) -> int:
     with no_grad():
         _, _, diag = model.forward(prepared)
     rows = attention_export_rows(prepared.arrays, diag)
-    with atomic_open(args.out, newline="") as fh:
+    market_rows = market_export_rows(prepared.arrays, diag)
+    out = Path(args.out)
+    market_out = out.with_name(f"{out.stem}.market{out.suffix}")
+    with atomic_open(out, newline="") as fh, atomic_open(market_out, newline="") as mfh:
         writer = csv.writer(fh)
         writer.writerow(["layer", "src", "dst", "gamma", "gamma_over_dtilde"])
         for row in rows:
             writer.writerow([row[0], row[1], row[2], repr(row[3]), repr(row[4])])
-    print(f"{len(rows)} attention rows ({len(diag.gamma)} layers) -> {args.out}")
+        writer = csv.writer(mfh)
+        writer.writerow(["layer", "date", "node", "beta", "delta"])
+        for layer, date, node, beta, delta in market_rows:
+            writer.writerow([layer, date, node, repr(beta), repr(delta)])
+    print(f"{len(rows)} attention rows ({len(diag.gamma)} layers) -> {out}")
+    print(f"{len(market_rows)} market pooling rows -> {market_out}")
     return 0
 
 
@@ -370,10 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="CSV path; stdout if omitted")
     p.set_defaults(fn=cmd_predict)
 
-    p = sub.add_parser("export-attention", help="dump per-layer edge attention")
+    p = sub.add_parser("export-attention", help="dump per-layer edge attention and market pooling")
     p.add_argument("--model", required=True)
     p.add_argument("--graph", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument(
+        "--out", required=True,
+        help="edge attention CSV; market pooling goes beside it (attn.csv -> attn.market.csv)",
+    )
     p.add_argument("--tau", type=int, help="which window's model to export (separate mode)")
     p.set_defaults(fn=cmd_export_attention)
 

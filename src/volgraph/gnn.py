@@ -6,6 +6,10 @@ embeddings (g = v + m'), then aggregates in-neighbor messages weighted
 by attention over the in-neighborhood and damped by a symmetric degree
 normalization. Edges only point forward in time, so stacking any number
 of layers keeps strictly-earlier nodes unaffected by later ones.
+
+A layer is one tape op, ``gat_layer``, with a hand-written backward. Its
+edge softmax is the numpy segment-softmax kernel that the market pooling
+shares, and its message sum the same sorted segment reduction.
 """
 
 from __future__ import annotations
@@ -17,24 +21,9 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .graphbuild import QuarterGraph, date_groups
 from .market import MarketParams, run_market_timeline
-from .numcore import (
-    ParamStore,
-    Tensor,
-    add,
-    div,
-    leaky_relu,
-    linear,
-    matmul,
-    mul,
-    relu,
-    reshape,
-    segment_softmax,
-    segment_sum,
-    sum_,
-    swapaxes,
-    take,
-    uniform_init,
-)
+from .numcore import ParamStore, Tensor, take, uniform_init
+from .numcore.layers import _affine, _affine_grads
+from .numcore.tensor import _make, _segment_reduce, _segment_softmax, _segment_softmax_grad
 
 LEAKY_SLOPE = 0.01
 EDGE_FEATURE_DIM = 2  # [temporal_weight, similarity]
@@ -116,23 +105,29 @@ class GATLayerParams:
         )
 
 
-def edge_attention(v: Tensor, arrays: GraphArrays, params: GATLayerParams) -> Tensor:
+def edge_attention(
+    v: np.ndarray, arrays: GraphArrays, proj: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Attention weight per edge, softmax-normalized over each in-neighborhood.
 
-    The raw score of edge j→i is LeakyReLU of the inner product between
-    the projected receiver⊕sender pair W_p (v_i ⊕ v_j) and the projected
-    edge feature W_e f_ij. With W_r, W_s the receiver and sender column
-    halves of W_p, that product is Σ_c f_ij,c ((W_eᵀ W_r v_i)_c +
-    (W_eᵀ W_s v_j)_c), so the d-wide products run once per node and
-    each edge only mixes two numbers per feature.
+    The raw score of edge j→i is the inner product between the projected
+    receiver⊕sender pair W_p (v_i ⊕ v_j) and the projected edge feature
+    W_e f_ij; its weight is the softmax of LeakyReLU(score) over the
+    in-edges of i. With W_r, W_s the receiver and sender column halves of
+    W_p, that product is Σ_c f_ij,c ((W_eᵀ W_r v_i)_c + (W_eᵀ W_s v_j)_c),
+    so with ``proj`` = W_eᵀ W_p, (2, 2d), the d-wide products run once per
+    node and each edge only mixes two numbers per feature.
+
+    A numpy helper of ``gat_layer``: returns the (E,) weights and the (E,)
+    raw scores, whose signs set the LeakyReLU slope in the backward.
     """
     d = v.shape[1]
-    proj = matmul(swapaxes(params.attn_edge, 0, 1), params.attn_pair)  # (2, 2d)
-    recv = linear(v, take(proj, np.arange(d), axis=1))  # (N, 2)
-    send = linear(v, take(proj, np.arange(d, 2 * d), axis=1))  # (N, 2)
-    per_feature = add(take(recv, arrays.dst), take(send, arrays.src))  # (E, 2)
-    scores = sum_(mul(Tensor(arrays.edge_feat), per_feature), axis=1)
-    return segment_softmax(leaky_relu(scores, LEAKY_SLOPE), arrays.dst, arrays.n_nodes)
+    recv = _affine(v, np.take(proj, np.arange(d), axis=1), None)  # (N, 2)
+    send = _affine(v, np.take(proj, np.arange(d, 2 * d), axis=1), None)  # (N, 2)
+    per_feature = np.take(recv, arrays.dst, axis=0) + np.take(send, arrays.src, axis=0)
+    scores = (arrays.edge_feat * per_feature).sum(axis=1)
+    leaky = np.where(scores > 0.0, scores, LEAKY_SLOPE * scores)
+    return _segment_softmax(leaky, arrays.dst, arrays.n_nodes), scores
 
 
 def gat_layer(
@@ -141,22 +136,63 @@ def gat_layer(
     arrays: GraphArrays,
     params: GATLayerParams,
 ) -> tuple[Tensor, np.ndarray]:
-    """One message-passing step over g = v + m'.
+    """One message-passing step over g = v + m', as one tape op.
 
-    Returns the new embeddings and a detached copy of the per-edge
-    attention weights for inspection/export.
+    Node i receives Σ_j γ_ji / d̃_ji · g_j over its in-edges j→i, with γ
+    from ``edge_attention`` on v alone, and returns the activation of
+    w0 · that sum + w1_self · g_i. Returns the new embeddings and a copy
+    of the per-edge attention weights for inspection/export.
+
+    The node's parents are ``v``, ``m_prime_nodes``, ``w0``, ``w1_self``,
+    ``attn_pair`` and ``attn_edge``. The forward runs the numpy ops of
+    the op-by-op chain (edge scores, segment softmax, scaled messages,
+    segment sum, the two maps, activation) in that chain's order, so its
+    output is bitwise equal to the chain's. The backward keeps g, the
+    gathered sender rows, the aggregate, γ and the raw scores.
     """
     if v.shape != m_prime_nodes.shape:
         raise ShapeError(f"market states {m_prime_nodes.shape} misaligned with nodes {v.shape}")
-    gamma = edge_attention(v, arrays, params)
-    g = add(v, m_prime_nodes)
-    coef = reshape(div(gamma, Tensor(arrays.dtilde)), (gamma.shape[0], 1))
-    messages = mul(coef, take(g, arrays.src))  # (E, d)
-    agg = segment_sum(messages, arrays.dst, arrays.n_nodes)  # (N, d)
-    out = add(linear(agg, params.w0), linear(g, params.w1_self))
-    if params.activation == "relu":
-        out = relu(out)
-    return out, gamma.data.copy()
+    n, src, dst = arrays.n_nodes, arrays.src, arrays.dst
+    w0, w1, pair, edge = (t.data for t in (params.w0, params.w1_self, params.attn_pair,
+                                           params.attn_edge))
+    d = v.shape[1]
+    proj = np.swapaxes(edge, 0, 1) @ pair  # (2, 2d)
+    gamma, scores = edge_attention(v.data, arrays, proj)
+    g = v.data + m_prime_nodes.data
+    coef = (gamma / arrays.dtilde).reshape(-1, 1)
+    g_src = np.take(g, src, axis=0)  # (E, d)
+    agg = _segment_reduce(np.add, coef * g_src, dst, n, 0.0)  # (N, d)
+    out = _affine(agg, w0, None)
+    out += _affine(g, w1, None)
+    relu = params.activation == "relu"
+    if relu:
+        np.maximum(out, 0.0, out=out)
+
+    def backward(grad):
+        if relu:
+            grad = grad * (out > 0.0)
+        g_agg, g_w0 = _affine_grads(grad, agg, w0)
+        g_g, g_w1 = _affine_grads(grad, g, w1)
+        g_msg = np.take(g_agg, dst, axis=0)  # (E, d)
+        g_g += _segment_reduce(np.add, g_msg * coef, src, n, 0.0)
+        g_gamma = (g_msg * g_src).sum(axis=1) / arrays.dtilde
+        g_scores = _segment_softmax_grad(g_gamma, gamma, dst, n)
+        g_scores *= np.where(scores > 0.0, 1.0, LEAKY_SLOPE)
+        g_feat = g_scores.reshape(-1, 1) * arrays.edge_feat  # (E, 2)
+        # the receiver and sender halves of proj, each an (N, 2) map of v
+        g_v_recv, g_wr = _affine_grads(
+            _segment_reduce(np.add, g_feat, dst, n, 0.0), v.data, proj[:, :d]
+        )
+        g_v_send, g_ws = _affine_grads(
+            _segment_reduce(np.add, g_feat, src, n, 0.0), v.data, proj[:, d:]
+        )
+        g_proj = np.concatenate([g_wr, g_ws], axis=1)
+        g_v = g_g + g_v_recv
+        g_v += g_v_send
+        return g_v, g_g, g_w0, g_w1, edge @ g_proj, np.swapaxes(g_proj @ pair.T, 0, 1)
+
+    parents = (v, m_prime_nodes, params.w0, params.w1_self, params.attn_pair, params.attn_edge)
+    return _make(out, parents, backward), gamma.copy()
 
 
 @dataclass
@@ -200,4 +236,19 @@ def attention_export_rows(arrays: GraphArrays, diag: NetworkDiagnostics) -> list
             rows.append(
                 (layer, int(arrays.src[e]), int(arrays.dst[e]), float(gamma[e]), float(over[e]))
             )
+    return rows
+
+
+def market_export_rows(arrays: GraphArrays, diag: NetworkDiagnostics) -> list[tuple]:
+    """(layer, date, node, beta, delta) rows across all layers, dates in order.
+
+    ``beta`` is the node's pooling weight among its date's calls and
+    ``delta`` the date's decay coefficient, repeated on each of its rows.
+    """
+    members = [np.flatnonzero(arrays.node_group == i) for i in range(len(arrays.dates))]
+    rows = []
+    for layer, (betas, deltas) in enumerate(zip(diag.beta, diag.delta)):
+        for date, nodes, beta, delta in zip(arrays.dates, members, betas, deltas):
+            day = date.isoformat()
+            rows.extend((layer, day, int(n), float(b), delta) for n, b in zip(nodes, beta))
     return rows

@@ -261,6 +261,7 @@ def load_graph_dir(path) -> QuarterGraph:
 
     A missing file or column, a row of the wrong width, a value that does
     not parse or is not finite, an edge endpoint that is not a node id, a
+    repeated (src, dst) edge, a node without exactly one self-loop, a
     node or edge count that differs from ``graph.json``, or a transcript
     whose company or date differs from its node row raises
     ``GraphConstructionError`` naming the file.
@@ -348,7 +349,20 @@ def _read_edges(path: Path, count: int, n_nodes: int) -> EdgeTable:
         ids = parsed[name]
         rule = f"is not a node id in 0..{n_nodes - 1}"
         _require(path, name, ids, (ids >= 0) & (ids < n_nodes), rule)
-    return EdgeTable(**parsed)
+    edges = EdgeTable(**parsed)
+    src, dst = edges.src, edges.dst
+    loops = np.bincount(src[src == dst], minlength=n_nodes)
+    bad = np.flatnonzero(loops != 1)
+    if bad.size:
+        raise GraphConstructionError(
+            f"{path}: node {bad[0]} has {loops[bad[0]]} self-loops, a graph has exactly one"
+        )
+    # sorted by (dst, src): a repeated pair sits in adjacent rows
+    again = np.flatnonzero((src[1:] == src[:-1]) & (dst[1:] == dst[:-1]))
+    if again.size:
+        k = again[0]
+        raise GraphConstructionError(f"{path}: edge ({src[k]}, {dst[k]}) appears more than once")
+    return edges
 
 
 def _read_nodes(path: Path, count: int) -> list[CompanyNode]:

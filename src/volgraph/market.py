@@ -9,12 +9,14 @@ market state for a date is a function of calls on that date and earlier
 ones only.
 
 Everything that does not depend on the carried state runs once per
-quarter over all dates: pooling is one segment softmax and one segment
-sum over each node's date id, the decays are one vector op, and the
-GRU's input projections are one matmul per gate. The recurrence itself
-is one tape op, ``gru_scan``: a plain numpy loop over dates forward and
-a hand-written backward through time, so a quarter's scan adds a single
-node to the tape however many dates it has.
+quarter over all dates. Pooling is one tape op, ``market_attention``: a
+segment softmax over each node's date id (the numpy kernel the graph
+attention shares) and a weighted segment sum, with a hand-written
+backward. The decays are one vector op and the GRU's input projections
+one matmul per gate. The recurrence itself is one tape op,
+``gru_scan``: a plain numpy loop over dates forward and a hand-written
+backward through time, so a quarter's scan adds a single node to the
+tape however many dates it has.
 """
 
 from __future__ import annotations
@@ -24,20 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .numcore import (
-    ParamStore,
-    Tensor,
-    div,
-    linear,
-    matmul,
-    mul,
-    reshape,
-    segment_softmax,
-    segment_sum,
-    sigmoid,
-    uniform_init,
-)
-from .numcore.tensor import _make
+from .numcore import ParamStore, Tensor, div, linear, sigmoid, uniform_init
+from .numcore.layers import _affine, _affine_grads
+from .numcore.tensor import _make, _segment_reduce, _segment_softmax, _segment_softmax_grad
 
 
 @dataclass
@@ -124,20 +115,42 @@ class MarketTimeline:
 
 def market_attention(
     embeddings: Tensor, node_group, n_dates: int, params: MarketAttentionParams
-) -> tuple[Tensor, Tensor]:
-    """Pool (N, d) call embeddings into one (n_dates, d) row per date.
+) -> tuple[Tensor, np.ndarray]:
+    """Pool (N, d) call embeddings into one (n_dates, d) row per date, as one tape op.
 
-    ``node_group[j]`` is the date of call j. The weights, returned as an
-    (N,) tensor, are a softmax over the calls of each date.
+    ``node_group[j]`` is the date of call j. Call j scores
+    s_j = (W_k e_j)·w_q / √d; its weight β_j, returned as an (N,) numpy
+    array, is the softmax of s_j over the calls of its date, and each
+    date's row is Σ β_j e_j over its calls.
+
+    The node's parents are ``embeddings``, ``w_k`` and ``w_q``. The
+    forward runs the numpy ops of the op-by-op chain (key map, score
+    product, scaling, segment softmax, weighted segment sum) in that
+    chain's order, so its output is bitwise equal to the chain's. The
+    backward keeps the keys and β.
     """
     if embeddings.ndim != 2 or embeddings.shape[0] < 1:
         raise ShapeError(f"expected (n, d) call embeddings, got {embeddings.shape}")
     n, d = embeddings.shape
-    keys = linear(embeddings, params.w_k)  # (n, d)
-    scores = div(matmul(keys, reshape(params.w_q, (d, 1))), float(np.sqrt(d)))  # (n, 1)
-    beta = segment_softmax(reshape(scores, (n,)), node_group, n_dates)
-    pooled = segment_sum(mul(reshape(beta, (n, 1)), embeddings), node_group, n_dates)
-    return pooled, beta
+    seg = np.asarray(node_group, dtype=np.intp)
+    if seg.shape != (n,):
+        raise ShapeError(f"need one date per call: {seg.shape} for {embeddings.shape}")
+    emb, w_k, w_q = embeddings.data, params.w_k.data, params.w_q.data
+    scale = float(np.sqrt(d))
+    keys = _affine(emb, w_k, None)  # (n, d)
+    scores = (keys @ w_q.reshape(d, 1)) / scale
+    beta = _segment_softmax(scores.reshape(n), seg, n_dates)
+    pooled = _segment_reduce(np.add, beta.reshape(n, 1) * emb, seg, n_dates, 0.0)
+
+    def backward(g):
+        g_rows = np.take(g, seg, axis=0)  # (n, d)
+        g_scores = _segment_softmax_grad((g_rows * emb).sum(axis=1), beta, seg, n_dates)
+        g_scores = (g_scores / scale).reshape(n, 1)
+        g_emb, g_wk = _affine_grads(g_scores @ w_q.reshape(1, d), emb, w_k)
+        g_emb += g_rows * beta.reshape(n, 1)
+        return g_emb, g_wk, (keys.T @ g_scores).reshape(d)
+
+    return _make(pooled, (embeddings, params.w_k, params.w_q), backward), beta
 
 
 def decay_coefficient(gap_days, w_d: Tensor) -> Tensor:
@@ -254,7 +267,7 @@ def run_market_timeline(
     pooled, beta = market_attention(embeddings, node_group, n_dates, params.attention)
     deltas = decay_coefficient(date_gaps, params.gru.w_d)
     hidden, outputs = market_gru(pooled, deltas, params.gru)
-    by_date = beta.data[np.argsort(node_group, kind="stable")]
+    by_date = beta[np.argsort(node_group, kind="stable")]
     return MarketTimeline(
         pooled=pooled,
         hidden=hidden,

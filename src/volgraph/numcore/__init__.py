@@ -12,16 +12,12 @@ from .tensor import (
     div,
     exp,
     is_grad_enabled,
-    leaky_relu,
     matmul,
     mean_,
     mul,
     no_grad,
     relu,
     reshape,
-    segment_max_detached,
-    segment_softmax,
-    segment_sum,
     sigmoid,
     sub,
     sum_,
@@ -44,7 +40,6 @@ __all__ = [
     "exp",
     "grad_check",
     "is_grad_enabled",
-    "leaky_relu",
     "linear",
     "matmul",
     "mean_",
@@ -52,9 +47,6 @@ __all__ = [
     "no_grad",
     "relu",
     "reshape",
-    "segment_max_detached",
-    "segment_softmax",
-    "segment_sum",
     "sigmoid",
     "sub",
     "sum_",

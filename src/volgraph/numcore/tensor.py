@@ -2,16 +2,21 @@
 
 A :class:`Tensor` wraps one ndarray plus an optional tape node. The
 operation set is deliberately small and fixed: arithmetic, matmul,
-shape moves, gathers/scatters, reductions, pointwise nonlinearities and
-segment softmax (``layers`` adds the fused ``linear`` and
-``transformer_encoder_layer`` ops). ``backward()`` walks the tape once
-and accumulates gradients into every leaf created with
-``requires_grad=True``.
+shape moves, gathers, reductions and pointwise nonlinearities
+(``layers`` adds the fused ``linear`` and ``transformer_encoder_layer``
+ops; ``market.market_attention``, ``market.gru_scan`` and
+``gnn.gat_layer`` are fused ops of the model itself). ``backward()``
+walks the tape once and accumulates gradients into every leaf created
+with ``requires_grad=True``.
 
-Scatter-adds (``segment_sum`` and the backward of ``take``) stably sort
-rows by destination and add each run with ``np.add.reduceat``: every
-destination sums its own rows in their original order, so its result is
-bitwise independent of the rows that go elsewhere.
+Segment reductions (``_segment_reduce``: the backward of ``take`` and
+the segment sums of the fused ops) stably sort rows by destination and
+reduce each run with ``ufunc.reduceat``: every destination reduces its
+own rows in their original order, so its result is bitwise independent
+of the rows that go elsewhere. ``_segment_softmax`` and
+``_segment_softmax_grad`` are the numpy forward and backward of a
+softmax within segments, shared by the market pooling and the graph
+attention.
 
 Every tensor holds float64: other inputs are converted on construction.
 Every tensor is checked to be finite when it is created: a NaN or an
@@ -335,6 +340,26 @@ def _segment_reduce(ufunc, values: np.ndarray, seg: np.ndarray, num_segments: in
     return out
 
 
+def _segment_softmax(scores: np.ndarray, seg: np.ndarray, num_segments: int) -> np.ndarray:
+    """Softmax of the flat ``scores`` within each segment.
+
+    Each score is shifted by its segment's maximum, exponentiated and
+    divided by its segment's ``_segment_reduce`` sum, so every weight
+    depends only on the scores of its own segment.
+    """
+    shift = _segment_reduce(np.maximum, scores, seg, num_segments, -np.inf)
+    e = np.exp(scores - shift[seg])
+    return e / _segment_reduce(np.add, e, seg, num_segments, 0.0)[seg]
+
+
+def _segment_softmax_grad(g: np.ndarray, w: np.ndarray, seg: np.ndarray, num_segments: int):
+    """Score gradient of ``w = _segment_softmax(scores)`` for weight gradient ``g``.
+
+    Per segment, w·(g − Σ g·w).
+    """
+    return w * (g - _segment_reduce(np.add, g * w, seg, num_segments, 0.0)[seg])
+
+
 def take(a, indices, axis: int = 0) -> Tensor:
     """Gather rows (axis 0) or columns (axis 1) by integer index."""
     a = as_tensor(a)
@@ -351,24 +376,6 @@ def take(a, indices, axis: int = 0) -> Tensor:
             return (_segment_reduce(np.add, rows, flat, n, 0.0),)
         cols = np.moveaxis(g.reshape((a.shape[0], flat.size) + a.shape[2:]), 1, 0)
         return (np.moveaxis(_segment_reduce(np.add, cols, flat, n, 0.0), 0, 1),)
-
-    return _make(out, (a,), backward)
-
-
-def segment_sum(a, segment_ids, num_segments: int) -> Tensor:
-    """Sum rows of ``a`` into ``num_segments`` buckets along axis 0.
-
-    Each bucket adds its own rows in their original order, so it is
-    bitwise independent of the rows that land in other buckets.
-    """
-    a = as_tensor(a)
-    seg = np.asarray(segment_ids, dtype=np.intp)
-    if seg.ndim != 1 or seg.shape[0] != a.shape[0]:
-        raise ShapeError("segment ids must align with axis 0")
-    out = _segment_reduce(np.add, a.data, seg, num_segments, 0.0)
-
-    def backward(g):
-        return (np.take(g, seg, axis=0),)
 
     return _make(out, (a,), backward)
 
@@ -454,31 +461,3 @@ def relu(a) -> Tensor:
         return (g * (a.data > 0.0),)
 
     return _make(out, (a,), backward)
-
-
-def leaky_relu(a, negative_slope: float = 0.01) -> Tensor:
-    a = as_tensor(a)
-    out = np.where(a.data > 0.0, a.data, negative_slope * a.data)
-
-    def backward(g):
-        return (g * np.where(a.data > 0.0, 1.0, negative_slope),)
-
-    return _make(out, (a,), backward)
-
-
-# -- detached helpers -----------------------------------------------------------
-
-
-def segment_max_detached(values: np.ndarray, segment_ids, num_segments: int) -> np.ndarray:
-    """Per-segment maximum as a constant (used for softmax shift only)."""
-    seg = np.asarray(segment_ids, dtype=np.intp)
-    return _segment_reduce(np.maximum, values, seg, num_segments, -np.inf)
-
-
-def segment_softmax(scores: Tensor, segment_ids, num_segments: int) -> Tensor:
-    """Softmax of a flat score vector within each segment."""
-    seg = np.asarray(segment_ids, dtype=np.intp)
-    shift = segment_max_detached(scores.data, seg, num_segments)
-    e = exp(sub(scores, Tensor(shift[seg])))
-    denom = segment_sum(e, seg, num_segments)
-    return div(e, take(denom, seg, axis=0))

@@ -14,7 +14,8 @@ from volgraph.cli import dataclass_from_config, main, parse_kv_config
 from volgraph.dataio import SyntheticConfig, load_transcripts
 from volgraph.errors import ConfigError
 from volgraph.graphbuild import EdgeTable, load_graph_dir, save_graph_dir
-from volgraph.pipeline import ModelConfig, load_checkpoint
+from volgraph.numcore import no_grad
+from volgraph.pipeline import ModelConfig, load_checkpoint, prepare_quarter
 
 TINY_MODEL_CONFIG = """\
 # tiny run for test speed
@@ -292,6 +293,50 @@ class TestBuildGraphAndAudit:
         assert capsys.readouterr().err.startswith("error:")
 
 
+def _append_first(pick):
+    """An edit of edges.csv data rows that repeats the first row ``pick`` accepts."""
+    return lambda rows: rows + [next(r for r in rows if pick(r))]
+
+
+# name -> (edit of the edges.csv data rows, the error text it must give)
+EDGE_ROW_FAULTS = {
+    "repeated-edge": (_append_first(lambda r: r[0] == "0" and r[1] != "0"),
+                      "appears more than once"),
+    "missing-self-loop": (lambda rows: [r for r in rows if r[:2] != ["1", "1"]],
+                          "node 1 has 0 self-loops"),
+    "repeated-self-loop": (_append_first(lambda r: r[:2] == ["1", "1"]),
+                           "node 1 has 2 self-loops"),
+}
+
+
+class TestEdgeRowFaults:
+    """Rows the builder never writes; the manifest's edge count is kept in step."""
+
+    @pytest.mark.parametrize("command", ["audit-leakage", "predict", "export-attention"])
+    @pytest.mark.parametrize("fault", sorted(EDGE_ROW_FAULTS))
+    def test_exits_2(self, workdir, tmp_path, capsys, fault, command):
+        edit, message = EDGE_ROW_FAULTS[fault]
+        bad = tmp_path / "graph"
+        shutil.copytree(workdir["graph"], bad)
+        _edit_csv(bad / "edges.csv", lambda rows: rows[:1] + edit(rows[1:]))
+        with (bad / "edges.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        manifest = json.loads((bad / "graph.json").read_text())
+        manifest["n_edges"] = len(rows)
+        (bad / "graph.json").write_text(json.dumps(manifest))
+        if fault == "repeated-edge":
+            src, dst = rows[-1][:2]
+            message = f"edge ({src}, {dst}) {message}"
+        out = tmp_path / "out.csv"
+        argv = [command, "--graph", str(bad)]
+        if command != "audit-leakage":
+            argv += ["--model", str(workdir["ckpt"]), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "edges.csv" in err and message in err
+        assert list(tmp_path.iterdir()) == [bad]
+
+
 @pytest.fixture(scope="module")
 def synth_2015q2_graph(tmp_path_factory):
     """gen-synth seed 1 and its 2015Q2 build-graph directory, built through the CLI."""
@@ -566,6 +611,32 @@ class TestExportAttention:
             key = (int(row["layer"]), int(row["dst"]))
             sums[key] = sums.get(key, 0.0) + float(row["gamma"])
         assert all(abs(s - 1.0) < 1e-9 for s in sums.values())
+
+    def test_market_file_beside_out(self, workdir, tmp_path, capsys):
+        out = tmp_path / "attn.csv"
+        argv = ["export-attention", "--model", str(workdir["ckpt"]),
+                "--graph", str(workdir["graph"]), "--out", str(out)]
+        assert main(argv) == 0
+        market = tmp_path / "attn.market.csv"
+        assert f"-> {market}" in capsys.readouterr().out
+        with market.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["layer", "date", "node", "beta", "delta"]
+        # the diagnostics the file was written from, recomputed here
+        models, _ = load_checkpoint(workdir["ckpt"])
+        prepared = prepare_quarter(load_graph_dir(workdir["graph"]))
+        with no_grad():
+            _, _, diag = models[min(models)].forward(prepared)
+        arrays = prepared.arrays
+        for layer, deltas in enumerate(diag.delta):
+            mine = [r for r in rows if int(r["layer"]) == layer]
+            assert sorted(int(r["node"]) for r in mine) == list(range(prepared.graph.n_nodes))
+            for i, (date, delta) in enumerate(zip(arrays.dates, deltas)):
+                on_date = [r for r in mine if r["date"] == date.isoformat()]
+                nodes = [int(r["node"]) for r in on_date]
+                assert nodes == np.flatnonzero(arrays.node_group == i).tolist()
+                assert sum(float(r["beta"]) for r in on_date) == pytest.approx(1.0, abs=1e-12)
+                assert all(float(r["delta"]) == delta for r in on_date)
 
     def test_explicit_tau(self, workdir, tmp_path):
         out = tmp_path / "attn7.csv"

@@ -25,6 +25,7 @@ from volgraph.graphbuild import EdgeTable, build_quarter_graph
 from volgraph.market import MarketParams
 from volgraph.numcore.gradcheck import grad_check
 from volgraph.numcore.params import ParamStore
+from reference_ops import gat_layer_chain
 
 Q = Quarter(2016, 2)
 D = 4
@@ -55,6 +56,11 @@ def gat_params(rng, activation="relu", d=D):
 
 def leaky(x):
     return np.where(x > 0, x, LEAKY_SLOPE * x)
+
+
+def weights(v, arrays, p):
+    """``edge_attention``'s (E,) weights for (N, d) numpy embeddings ``v``."""
+    return edge_attention(v, arrays, p.attn_edge.data.T @ p.attn_pair.data)[0]
 
 
 def oracle_gat(v, g, arrays, p, activation):
@@ -184,8 +190,8 @@ class TestEdgeAttention:
         g = build([call("A", apr(5)), call("B", apr(7))], [])
         arrays = GraphArrays.from_graph(g)
         store, params = gat_params(rng)
-        gamma = edge_attention(nc.Tensor(rng.normal(size=(2, D))), arrays, params)
-        np.testing.assert_allclose(gamma.data, [1.0, 1.0], atol=1e-15)
+        gamma = weights(rng.normal(size=(2, D)), arrays, params)
+        np.testing.assert_allclose(gamma, [1.0, 1.0], atol=1e-15)
 
     def test_gamma_sums_to_one_per_receiver(self, rng):
         g = build(
@@ -194,7 +200,7 @@ class TestEdgeAttention:
         )
         arrays = GraphArrays.from_graph(g)
         store, params = gat_params(rng)
-        gamma = edge_attention(nc.Tensor(rng.normal(size=(5, D))), arrays, params).data
+        gamma = weights(rng.normal(size=(5, D)), arrays, params)
         sums = np.zeros(5)
         np.add.at(sums, arrays.dst, gamma)
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
@@ -209,7 +215,7 @@ class TestEdgeAttention:
         store, params = gat_params(rng)
         row = rng.normal(size=D)
         v = np.stack([row, row, rng.normal(size=D)])
-        gamma = edge_attention(nc.Tensor(v), arrays, params).data
+        gamma = weights(v, arrays, params)
         into_c = [
             float(gamma[e])
             for e in range(len(arrays.src))
@@ -226,7 +232,7 @@ class TestEdgeAttention:
         arrays = GraphArrays.from_graph(g)
         store, params = gat_params(rng)
         v = rng.normal(size=(5, D))
-        got = edge_attention(nc.Tensor(v), arrays, params).data
+        got = weights(v, arrays, params)
         _, want = oracle_gat(v, v, arrays, params, "identity")
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -304,6 +310,80 @@ class TestGATLayer:
         renamed = run(rename)
         for c in dates:
             np.testing.assert_allclose(renamed[c], base[c], atol=1e-12)
+
+
+def mixed_graph():
+    """A and B share a day (linked both ways), D has no relation, E has two senders."""
+    g = build(
+        [call("A", apr(5)), call("B", apr(5)), call("C", apr(7)), call("D", apr(9)),
+         call("E", apr(12))],
+        [("A", "B", 0.6), ("A", "C", 0.4), ("B", "E", 0.7), ("C", "E", 0.5)],
+    )
+    arrays = GraphArrays.from_graph(g)
+    pairs = set(zip(arrays.src.tolist(), arrays.dst.tolist()))
+    assert {(0, 1), (1, 0)} <= pairs
+    assert [p for p in pairs if 3 in p] == [(3, 3)]
+    return arrays
+
+
+class TestFusedGATLayer:
+    """``gat_layer`` as one tape node against the op-by-op chain it replaces."""
+
+    def leaves(self, rng, activation):
+        store, params = gat_params(rng, activation)
+        v = store.add("v", rng.normal(size=(5, D)))
+        m = store.add("m_prime_nodes", rng.normal(size=(5, D)))
+        return store, params, v, m
+
+    def test_one_tape_node_per_layer(self, rng):
+        store, params, v, m = self.leaves(rng, "relu")
+        out, _ = gat_layer(v, m, mixed_graph(), params)
+        want = (v, m, params.w0, params.w1_self, params.attn_pair, params.attn_edge)
+        assert out._parents == want
+        assert all(p._backward_fn is None for p in out._parents)
+
+    def test_no_tape_under_no_grad(self, rng):
+        store, params, v, m = self.leaves(rng, "relu")
+        with nc.no_grad():
+            out, _ = gat_layer(v, m, mixed_graph(), params)
+        assert out._parents == () and out._backward_fn is None
+
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    def test_forward_bitwise_equal_to_op_chain(self, rng, activation):
+        store, params, v, m = self.leaves(rng, activation)
+        arrays = mixed_graph()
+        out, gamma = gat_layer(v, m, arrays, params)
+        want, want_gamma = gat_layer_chain(v, m, arrays, params)
+        assert np.array_equal(out.data, want.data)
+        assert np.array_equal(gamma, want_gamma.data)
+
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    def test_gradients_match_op_chain(self, rng, activation):
+        store, params, v, m = self.leaves(rng, activation)
+        arrays = mixed_graph()
+        w = nc.Tensor(rng.normal(size=(5, D)))
+        nc.sum_(nc.mul(gat_layer(v, m, arrays, params)[0], w)).backward()
+        got = {name: t.grad.copy() for name, t in store.items()}
+        store.zero_grad()
+        nc.sum_(nc.mul(gat_layer_chain(v, m, arrays, params)[0], w)).backward()
+        for name, t in store.items():
+            np.testing.assert_allclose(got[name], t.grad, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    def test_gradcheck_inputs_and_params(self, rng, activation):
+        store, params, v, m = self.leaves(rng, activation)
+        arrays = mixed_graph()
+        proj = params.attn_edge.data.T @ params.attn_pair.data
+        scores = edge_attention(v.data, arrays, proj)[1]
+        assert (scores > 0).any() and (scores < 0).any()  # both LeakyReLU slopes in use
+        w = nc.Tensor(rng.normal(size=(5, D)))
+
+        def loss():
+            return nc.sum_(nc.mul(gat_layer(v, m, arrays, params)[0], w))
+
+        report = grad_check(loss, store, tol=1e-4)
+        assert report.passed, report.summary()
+        assert report.n_checked == store.n_scalars()
 
 
 class TestNetworkEncoder:

@@ -19,6 +19,7 @@ from volgraph.market import (
 )
 from volgraph.numcore.gradcheck import grad_check
 from volgraph.numcore.params import ParamStore
+from reference_ops import market_attention_chain
 
 D = 4
 
@@ -45,14 +46,14 @@ class TestAttentionPooling:
         emb = nc.Tensor(rng.normal(size=(5, D)))
         pooled, beta = pool_one_date(emb, params.attention)
         assert pooled.shape == (1, D)
-        assert float(beta.data.sum()) == pytest.approx(1.0, abs=1e-12)
-        assert np.all(beta.data > 0)
+        assert float(beta.sum()) == pytest.approx(1.0, abs=1e-12)
+        assert np.all(beta > 0)
 
     def test_single_call_gets_weight_one(self, rng):
         store, params = setup_params(rng)
         emb = nc.Tensor(rng.normal(size=(1, D)))
         pooled, beta = pool_one_date(emb, params.attention)
-        np.testing.assert_allclose(beta.data, [1.0], atol=1e-15)
+        np.testing.assert_allclose(beta, [1.0], atol=1e-15)
         np.testing.assert_allclose(pooled.data[0], emb.data[0], atol=1e-15)
 
     def test_identical_calls_share_weight_equally(self, rng):
@@ -60,7 +61,7 @@ class TestAttentionPooling:
         row = rng.normal(size=D)
         emb = nc.Tensor(np.stack([row, row, row]))
         _, beta = pool_one_date(emb, params.attention)
-        np.testing.assert_allclose(beta.data, [1 / 3] * 3, atol=1e-12)
+        np.testing.assert_allclose(beta, [1 / 3] * 3, atol=1e-12)
 
     def test_permutation_equivariance(self, rng):
         # pooling is a weighted sum: permuting the rows permutes beta the
@@ -71,7 +72,7 @@ class TestAttentionPooling:
         p1, b1 = pool_one_date(nc.Tensor(emb), params.attention)
         p2, b2 = pool_one_date(nc.Tensor(emb[perm]), params.attention)
         np.testing.assert_allclose(p2.data, p1.data, atol=1e-12)
-        np.testing.assert_allclose(b2.data, b1.data[perm], atol=1e-12)
+        np.testing.assert_allclose(b2, b1[perm], atol=1e-12)
 
     def test_matches_manual_softmax(self, rng):
         store, params = setup_params(rng)
@@ -80,12 +81,15 @@ class TestAttentionPooling:
         scores = keys @ params.attention.w_q.data / np.sqrt(D)
         want_beta = scipy.special.softmax(scores)
         _, beta = pool_one_date(nc.Tensor(emb), params.attention)
-        np.testing.assert_allclose(beta.data, want_beta, atol=1e-12)
+        np.testing.assert_allclose(beta, want_beta, atol=1e-12)
 
     def test_rejects_bad_shape(self, rng):
         store, params = setup_params(rng)
         with pytest.raises(ShapeError):
             market_attention(nc.Tensor(np.zeros((2, 2, 2))), np.zeros(2, dtype=np.intp), 1,
+                             params.attention)
+        with pytest.raises(ShapeError):
+            market_attention(nc.Tensor(np.zeros((3, D))), np.zeros(1, dtype=np.intp), 1,
                              params.attention)
 
 
@@ -327,6 +331,64 @@ class TestWholeQuarterScan:
         store, params = setup_params(rng)
         with pytest.raises(ShapeError):
             run_market_timeline([0, 1, 1], nc.Tensor(rng.normal(size=(3, D))), node_group, params)
+
+
+class TestFusedPooling:
+    """``market_attention`` as one tape node against the op-by-op chain it replaces."""
+
+    # date of each call; the dates interleave in node order, date 1 has one call
+    NODE_GROUP = np.array([2, 0, 3, 0, 2, 2, 1, 3])
+
+    def leaves(self, rng):
+        store, params = setup_params(rng)
+        emb = store.add("embeddings", rng.normal(size=(len(self.NODE_GROUP), D)))
+        return store, params.attention, emb
+
+    def pool(self, fn, emb, attention):
+        return fn(emb, self.NODE_GROUP, 4, attention)
+
+    def test_one_tape_node(self, rng):
+        store, attention, emb = self.leaves(rng)
+        pooled, beta = self.pool(market_attention, emb, attention)
+        assert pooled._parents == (emb, attention.w_k, attention.w_q)
+        assert all(p._backward_fn is None for p in pooled._parents)
+        assert isinstance(beta, np.ndarray) and beta.shape == (len(self.NODE_GROUP),)
+
+    def test_no_tape_under_no_grad(self, rng):
+        store, attention, emb = self.leaves(rng)
+        with nc.no_grad():
+            pooled, _ = self.pool(market_attention, emb, attention)
+        assert pooled._parents == () and pooled._backward_fn is None
+
+    def test_forward_bitwise_equal_to_op_chain(self, rng):
+        store, attention, emb = self.leaves(rng)
+        pooled, beta = self.pool(market_attention, emb, attention)
+        want, want_beta = self.pool(market_attention_chain, emb, attention)
+        assert np.array_equal(pooled.data, want.data)
+        assert np.array_equal(beta, want_beta.data)
+
+    def test_gradients_match_op_chain(self, rng):
+        store, attention, emb = self.leaves(rng)
+        w = nc.Tensor(rng.normal(size=(4, D)))
+        nc.sum_(nc.mul(self.pool(market_attention, emb, attention)[0], w)).backward()
+        got = {name: t.grad for name, t in store.items() if t.grad is not None}
+        store.zero_grad()
+        nc.sum_(nc.mul(self.pool(market_attention_chain, emb, attention)[0], w)).backward()
+        assert set(got) == {"embeddings", "market.attn.w_k", "market.attn.w_q"}
+        for name, g in got.items():
+            np.testing.assert_allclose(g, store[name].grad, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_gradcheck_embeddings_and_params(self, rng):
+        store, attention, emb = self.leaves(rng)
+        w = nc.Tensor(rng.normal(size=(4, D)))
+
+        def loss():
+            return nc.sum_(nc.mul(self.pool(market_attention, emb, attention)[0], w))
+
+        names = ["embeddings", "market.attn.w_k", "market.attn.w_q"]
+        report = grad_check(loss, store, tol=1e-4, param_names=names)
+        assert report.passed, report.summary()
+        assert report.n_checked == sum(store[name].size for name in names)
 
 
 def reference_scan(xz, xr, xh, deltas, u_z, u_r, u_h):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import volgraph.numcore as nc
 from volgraph.errors import ShapeError
 from volgraph.numcore.layers import _attention_weights, _layer_norm
+from volgraph.numcore.tensor import _segment_reduce, _segment_softmax, _segment_softmax_grad
 
 
 def fd_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -105,17 +106,6 @@ class TestUnaryGrads:
         x = x[np.abs(x) > 0.05][:12]
         assert_op_grads(nc.relu, [x])
 
-    def test_leaky_relu_away_from_kink(self, rng):
-        x = rng.normal(size=(20,))
-        x = x[np.abs(x) > 0.05][:12]
-        assert_op_grads(nc.leaky_relu, [x], negative_slope=0.01)
-
-    def test_leaky_relu_negative_side_slope(self):
-        x = nc.Tensor(np.array([-2.0, -1.0]), requires_grad=True)
-        out = nc.sum_(nc.leaky_relu(x, negative_slope=0.2))
-        out.backward()
-        np.testing.assert_allclose(x.grad, [0.2, 0.2])
-        np.testing.assert_allclose(out.data, -0.6)
 
 
 # -- forward cross-checks against scipy/numpy ---------------------------------------
@@ -253,23 +243,26 @@ class TestStructuralGrads:
 # -- segment ops --------------------------------------------------------------------
 
 
+def segment_sum(x, ids, num_segments):
+    return _segment_reduce(np.add, x, np.asarray(ids, dtype=np.intp), num_segments, 0.0)
+
+
 class TestSegmentOps:
+    """The numpy segment sum and the segment softmax pair that the fused
+    market pooling and graph attention share."""
+
     def test_segment_sum_matches_loop(self, rng):
         x = rng.normal(size=(7, 3))
         ids = np.array([0, 0, 1, 2, 2, 2, 4])
-        got = nc.segment_sum(nc.Tensor(x), ids, 5).data
+        got = segment_sum(x, ids, 5)
         want = np.zeros((5, 3))
         for row, s in zip(x, ids):
             want[s] += row
         np.testing.assert_allclose(got, want, atol=1e-12)
 
-    def test_segment_sum_grad(self, rng):
-        ids = np.array([0, 1, 1, 3])
-        assert_op_grads(lambda t: nc.segment_sum(t, ids, 4), [rng.normal(size=(4, 2))])
-
     def test_segment_softmax_sums_to_one(self, rng):
         ids = np.array([0, 0, 0, 1, 1, 3])
-        s = nc.segment_softmax(nc.Tensor(rng.normal(size=6) * 5), ids, 4).data
+        s = _segment_softmax(rng.normal(size=6) * 5, ids, 4)
         sums = np.zeros(4)
         np.add.at(sums, ids, s)
         np.testing.assert_allclose(sums[[0, 1, 3]], 1.0, atol=1e-12)
@@ -278,7 +271,7 @@ class TestSegmentOps:
     def test_segment_softmax_matches_per_segment_softmax(self, rng):
         ids = np.array([0, 0, 1, 1, 1, 2])
         x = rng.normal(size=6) * 3
-        got = nc.segment_softmax(nc.Tensor(x), ids, 3).data
+        got = _segment_softmax(x, ids, 3)
         want = np.empty_like(x)
         for s in range(3):
             m = ids == s
@@ -286,25 +279,33 @@ class TestSegmentOps:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_segment_softmax_grad(self, rng):
-        ids = np.array([0, 0, 1, 1, 1])
-        assert_op_grads(lambda t: nc.segment_softmax(t, ids, 2), [rng.normal(size=5)])
+        # sorted, interleaved and one-score segments, each against central differences
+        for ids in ([0, 0, 1, 1, 1], [2, 0, 2, 1, 0, 2], [0, 1, 2]):
+            ids = np.array(ids)
+            x, w = rng.normal(size=len(ids)), rng.normal(size=len(ids))
+            got = _segment_softmax_grad(w, _segment_softmax(x, ids, 3), ids, 3)
+            want = fd_grad(lambda t: float(w @ _segment_softmax(t, ids, 3)), x)
+            np.testing.assert_allclose(got, want, rtol=0, atol=2e-6)
 
     def test_segment_softmax_extreme_scores_stay_finite(self):
         ids = np.array([0, 0, 1])
-        s = nc.segment_softmax(nc.Tensor(np.array([800.0, -800.0, 300.0])), ids, 2).data
+        s = _segment_softmax(np.array([800.0, -800.0, 300.0]), ids, 2)
         assert np.all(np.isfinite(s))
         np.testing.assert_allclose(s, [1.0, 0.0, 1.0], atol=1e-12)
+        g = _segment_softmax_grad(np.array([1.0, -2.0, 5.0]), s, ids, 2)
+        assert np.all(np.isfinite(g))
 
     def test_segment_max_detached(self, rng):
+        # the shift the softmax subtracts: a plain per-segment maximum
         x = rng.normal(size=8)
         ids = np.array([0, 0, 1, 1, 1, 2, 2, 2])
-        got = nc.segment_max_detached(x, ids, 3)
+        got = _segment_reduce(np.maximum, x, ids, 3, -np.inf)
         want = np.array([x[:2].max(), x[2:5].max(), x[5:].max()])
         np.testing.assert_array_equal(got, want)
 
 
 class TestSortedScatterAdd:
-    """segment_sum and take's backward against np.add.at."""
+    """The sorted segment sum and take's backward against np.add.at."""
 
     CASES = {
         "1d": ((9,), [3, 0, 3, 1, 3, 0, 4, 4, 1]),
@@ -320,7 +321,7 @@ class TestSortedScatterAdd:
         ids = np.array(ids, dtype=np.intp)
         want = np.zeros((6,) + shape[1:])
         np.add.at(want, ids, x)
-        got = nc.segment_sum(nc.Tensor(x), ids, 6).data
+        got = segment_sum(x, ids, 6)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert got.shape == want.shape
 
@@ -351,19 +352,19 @@ class TestSortedScatterAdd:
 
     def test_segment_sum_rejects_out_of_range_ids(self, rng):
         with pytest.raises(IndexError):
-            nc.segment_sum(nc.Tensor(rng.normal(size=(3, 2))), np.array([0, 1, 3]), 3)
+            segment_sum(rng.normal(size=(3, 2)), np.array([0, 1, 3]), 3)
 
     def test_segment_is_bitwise_independent_of_other_segments(self, rng):
         ids = np.array([1, 0, 2, 1, 0, 1, 2, 1, 0, 1])
         x = rng.normal(size=(10, 4)) * 10.0 ** rng.integers(-6, 6, size=(10, 1))
-        base = nc.segment_sum(nc.Tensor(x), ids, 3).data
+        base = segment_sum(x, ids, 3)
         other = x.copy()
         other[ids != 1] = rng.normal(size=((ids != 1).sum(), 4)) * 1e8
-        again = nc.segment_sum(nc.Tensor(other), ids, 3).data
+        again = segment_sum(other, ids, 3)
         assert np.array_equal(base[1], again[1])
         # also when the other segments gain and lose rows
         keep = np.flatnonzero((ids == 1) | (np.arange(10) % 3 == 0))
-        fewer = nc.segment_sum(nc.Tensor(x[keep]), ids[keep], 3).data
+        fewer = segment_sum(x[keep], ids[keep], 3)
         assert np.array_equal(base[1], fewer[1])
 
 
