@@ -37,7 +37,6 @@ from .numcore import (
     TransformerLayerParams,
     concat,
     linear,
-    matmul,
     reshape,
     take,
     transformer_encoder_layer,
@@ -282,8 +281,7 @@ def encode_featurized_batch(x: Tensor, params: DialogueEncoderParams) -> Tensor:
     """
     b = x.shape[0]
     h = linear(x, params.proj_w, params.proj_b)
-    ones = Tensor(np.ones((b, 1, 1)))
-    cls_rows = matmul(ones, params.cls)  # broadcast the CLS row to every batch element
+    cls_rows = take(params.cls, np.zeros((b, 1), dtype=np.intp))  # (b, 1, d_hidden)
     h = concat([cls_rows, h], axis=1)
     for layer in params.layers[:-1]:
         h = transformer_encoder_layer(h, layer, params.n_heads)

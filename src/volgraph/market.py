@@ -12,11 +12,11 @@ Everything that does not depend on the carried state runs once per
 quarter over all dates. Pooling is one tape op, ``market_attention``: a
 segment softmax over each node's date id (the numpy kernel the graph
 attention shares) and a weighted segment sum, with a hand-written
-backward. The decays are one vector op and the GRU's input projections
-one matmul per gate. The recurrence itself is one tape op,
-``gru_scan``: a plain numpy loop over dates forward and a hand-written
-backward through time, so a quarter's scan adds a single node to the
-tape however many dates it has.
+backward. The GRU's input projections are one matmul per gate. The
+recurrence itself is one tape op, ``gru_scan``, which also forms the
+decays from the date gaps and ``w_d``: a plain numpy loop over dates
+forward and a hand-written backward through time, so a quarter's scan
+adds a single node to the tape however many dates it has.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .numcore import ParamStore, Tensor, div, linear, sigmoid, uniform_init
+from .numcore import ParamStore, Tensor, linear, uniform_init
 from .numcore.layers import _affine, _affine_grads
 from .numcore.tensor import _make, _segment_reduce, _segment_softmax, _segment_softmax_grad
 
@@ -153,43 +153,46 @@ def market_attention(
     return _make(pooled, (embeddings, params.w_k, params.w_q), backward), beta
 
 
-def decay_coefficient(gap_days, w_d: Tensor) -> Tensor:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + np.tanh(0.5 * x))  # no overflow for large negative x
+
+
+def decay_coefficient(gap_days, w_d: np.ndarray) -> np.ndarray:
     """sigma(w_d / (gap+1)) for each gap: shrinks toward sigma(0)=0.5 as the gap grows."""
     gaps = np.asarray(gap_days, dtype=np.float64)
     if np.any(gaps < 0):
         raise ShapeError(f"negative date gap in {gap_days}")
-    return sigmoid(div(w_d, gaps + 1))
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * x))  # the same arithmetic as numcore's sigmoid
+    return _sigmoid(w_d / (gaps + 1))
 
 
 def gru_scan(
-    xz: Tensor, xr: Tensor, xh: Tensor, deltas: Tensor, u_z: Tensor, u_r: Tensor, u_h: Tensor
+    xz: Tensor, xr: Tensor, xh: Tensor, gaps, w_d: Tensor, u_z: Tensor, u_r: Tensor, u_h: Tensor
 ) -> Tensor:
     """The decayed GRU recurrence from a zero state, as one tape op.
 
     ``xz, xr, xh`` (T, d) are the input terms of the update gate, the
-    reset gate and the candidate, ``deltas`` (T,) the decay at each date
-    and ``u_*`` (d, d) the recurrent weights. Per date, with a the state
-    the previous date left:
+    reset gate and the candidate, ``gaps`` (T,) the day gap before each
+    date, ``w_d`` (1,) the decay weight and ``u_*`` (d, d) the recurrent
+    weights. Per date, with a the state the previous date left and
+    δ = ``decay_coefficient(gap, w_d)``:
 
         z = σ(xz + a u_zᵀ)    r = σ(xr + a u_rᵀ)
         ã = tanh(xh + (δ r a) u_hᵀ)    a ← a + z (ã − a)
 
     Returns the stacked states (T, d). The forward runs the numpy
-    operations that the same recurrence built from numcore's per-op
-    tensors would run, in the same order, so its states are bitwise equal
-    to that composition; it keeps every date's a, z, r and ã. The
-    backward walks the dates in reverse carrying only ∂L/∂a, then forms
-    each weight gradient with one matmul over all dates.
+    operations that the same recurrence built from per-op tensors would
+    run, in the same order, so its states are bitwise equal to that
+    composition; it keeps every date's a, z, r and ã. The backward walks
+    the dates in reverse carrying only ∂L/∂a, then forms each weight
+    gradient, ∂L/∂w_d included, with one reduction over all dates.
     """
     t_len, d = xz.shape
-    if t_len < 1 or any(x.shape != (t_len, d) for x in (xr, xh)) or deltas.shape != (t_len,):
-        raise ShapeError(f"gru_scan: inputs {xz.shape}, {xr.shape}, {xh.shape}, {deltas.shape}")
-    if any(u.shape != (d, d) for u in (u_z, u_r, u_h)):
-        raise ShapeError(f"gru_scan: recurrent weights must be ({d}, {d})")
+    gaps = np.asarray(gaps, dtype=np.float64)
+    if t_len < 1 or any(x.shape != (t_len, d) for x in (xr, xh)) or gaps.shape != (t_len,):
+        raise ShapeError(f"gru_scan: inputs {xz.shape}, {xr.shape}, {xh.shape}, gaps {gaps.shape}")
+    if w_d.shape != (1,) or any(u.shape != (d, d) for u in (u_z, u_r, u_h)):
+        raise ShapeError(f"gru_scan: w_d must be (1,) and recurrent weights ({d}, {d})")
+    deltas = decay_coefficient(gaps, w_d.data)
     uz, ur, uh = (np.swapaxes(u.data, 0, 1) for u in (u_z, u_r, u_h))
     a = np.zeros((1, d))
     states, zs, rs, cands = [a], [], [], []
@@ -197,7 +200,7 @@ def gru_scan(
         row = slice(t, t + 1)
         z = _sigmoid(xz.data[row] + a @ uz)
         r = _sigmoid(xr.data[row] + a @ ur)
-        gated = (deltas.data[row] * r) * a
+        gated = (deltas[row] * r) * a
         a_tilde = np.tanh(xh.data[row] + gated @ uh)
         a = a + z * (a_tilde - a)
         states.append(a)
@@ -210,7 +213,7 @@ def gru_scan(
     def backward(g):
         a_prev = a_seq[:-1]
         z, r, a_tilde = (np.concatenate(rows) for rows in (zs, rs, cands))
-        delta = deltas.data[:, None]
+        delta = deltas[:, None]
         # per-date factors that do not depend on the carried gradient
         z_fac = (a_tilde - a_prev) * z * (1.0 - z)
         h_fac = z * (1.0 - a_tilde * a_tilde)
@@ -227,21 +230,22 @@ def gru_scan(
             gr[t] = g_gated[t] * r_fac[t]
             da = da * keep[t] + g_gated[t] * reset[t] + gz[t] @ u_z.data + gr[t] @ u_r.data
         g_delta = (g_gated * r * a_prev).sum(axis=1)
-        return gz, gr, gh, g_delta, gz.T @ a_prev, gr.T @ a_prev, gh.T @ (reset * a_prev)
+        g_wd = (g_delta * deltas * (1.0 - deltas) / (gaps + 1)).sum(axis=0, keepdims=True)
+        return gz, gr, gh, g_wd, gz.T @ a_prev, gr.T @ a_prev, gh.T @ (reset * a_prev)
 
-    return _make(hidden, (xz, xr, xh, deltas, u_z, u_r, u_h), backward)
+    return _make(hidden, (xz, xr, xh, w_d, u_z, u_r, u_h), backward)
 
 
-def market_gru(m: Tensor, deltas: Tensor, p: TimeDecayGRUParams) -> tuple[Tensor, Tensor]:
+def market_gru(m: Tensor, gaps, p: TimeDecayGRUParams) -> tuple[Tensor, Tensor]:
     """Run the decayed GRU from a zero state over (T, d) pooled inputs.
 
-    ``deltas`` (T,) damps the reset-gated state at each date. Returns the
+    ``gaps`` (T,) are the day gaps that set each date's decay. Returns the
     hidden states a and the outputs m' = w_a a + b_a, both (T, d).
     """
     xz = linear(m, p.w_z, p.b_z)
     xr = linear(m, p.w_r, p.b_r)
     xh = linear(m, p.w_h, p.b_h)
-    hidden = gru_scan(xz, xr, xh, deltas, p.u_z, p.u_r, p.u_h)
+    hidden = gru_scan(xz, xr, xh, gaps, p.w_d, p.u_z, p.u_r, p.u_h)
     return hidden, linear(hidden, p.w_a, p.b_a)
 
 
@@ -265,13 +269,12 @@ def run_market_timeline(
     if n_dates == 0 or not counts.all():
         raise ShapeError("every date needs at least one call")
     pooled, beta = market_attention(embeddings, node_group, n_dates, params.attention)
-    deltas = decay_coefficient(date_gaps, params.gru.w_d)
-    hidden, outputs = market_gru(pooled, deltas, params.gru)
+    hidden, outputs = market_gru(pooled, date_gaps, params.gru)
     by_date = beta[np.argsort(node_group, kind="stable")]
     return MarketTimeline(
         pooled=pooled,
         hidden=hidden,
         outputs=outputs,
         betas=np.split(by_date, np.cumsum(counts)[:-1]),
-        deltas=[float(x) for x in deltas.data],
+        deltas=[float(x) for x in decay_coefficient(date_gaps, params.gru.w_d.data)],
     )

@@ -1,13 +1,14 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
 A :class:`Tensor` wraps one ndarray plus an optional tape node. The
-operation set is deliberately small and fixed: arithmetic, matmul,
-shape moves, gathers, reductions and pointwise nonlinearities
-(``layers`` adds the fused ``linear`` and ``transformer_encoder_layer``
-ops; ``market.market_attention``, ``market.gru_scan`` and
-``gnn.gat_layer`` are fused ops of the model itself). ``backward()``
-walks the tape once and accumulates gradients into every leaf created
-with ``requires_grad=True``.
+generic ops are only those the model runs: the shape moves ``reshape``
+and ``concat``, the gather ``take`` and ``relu``; ``Tensor`` has no
+arithmetic operators. ``layers`` adds the fused ``linear`` and
+``transformer_encoder_layer`` ops; ``market.market_attention``,
+``market.gru_scan``, ``gnn.gat_layer`` and
+``pipeline.masked_mse_tensor`` are fused ops of the model itself, each
+built with ``_make``. ``backward()`` walks the tape once and accumulates
+gradients into every leaf created with ``requires_grad=True``.
 
 Segment reductions (``_segment_reduce``: the backward of ``take`` and
 the segment sums of the fused ops) stably sort rows by destination and
@@ -86,10 +87,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def T(self) -> "Tensor":
-        return swapaxes(self, -1, -2)
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
@@ -146,131 +143,16 @@ class Tensor:
                 else:
                     flows[pid] = pg
 
-    # -- operator sugar --------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean_(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, *shape)
-
-
 def as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
     return Tensor(x)
 
 
-def _sum_to_shape(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Undo numpy broadcasting: reduce ``g`` back to ``shape``."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gs, ts) in enumerate(zip(g.shape, shape)) if ts == 1 and gs != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
 def _make(data, parents, backward) -> Tensor:
     if _GRAD_ENABLED and any(p._needs for p in parents):
         return Tensor(data, _parents=tuple(parents), _backward=backward)
     return Tensor(data)
-
-
-# -- arithmetic ---------------------------------------------------------------
-
-
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data + b.data
-
-    def backward(g):
-        return _sum_to_shape(g, a.shape), _sum_to_shape(g, b.shape)
-
-    return _make(out, (a, b), backward)
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data - b.data
-
-    def backward(g):
-        return _sum_to_shape(g, a.shape), _sum_to_shape(-g, b.shape)
-
-    return _make(out, (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data * b.data
-
-    def backward(g):
-        return _sum_to_shape(g * b.data, a.shape), _sum_to_shape(g * a.data, b.shape)
-
-    return _make(out, (a, b), backward)
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data / b.data
-
-    def backward(g):
-        ga = _sum_to_shape(g / b.data, a.shape)
-        gb = _sum_to_shape(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
-
-    return _make(out, (a, b), backward)
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product with numpy batch broadcasting; operands must be >= 2-D."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
-
-    def backward(g):
-        ga = _sum_to_shape(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _sum_to_shape(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return ga, gb
-
-    return _make(out, (a, b), backward)
 
 
 # -- shape moves --------------------------------------------------------------
@@ -289,17 +171,7 @@ def reshape(a, *shape) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def swapaxes(a, axis1: int, axis2: int) -> Tensor:
-    a = as_tensor(a)
-    out = np.swapaxes(a.data, axis1, axis2)
-
-    def backward(g):
-        return (np.swapaxes(g, axis1, axis2),)
-
-    return _make(out, (a,), backward)
-
-
-def concat(parts: Sequence, axis: int = 0) -> Tensor:
+def concat(parts: list, axis: int = 0) -> Tensor:
     parts = [as_tensor(p) for p in parts]
     out = np.concatenate([p.data for p in parts], axis=axis)
     sizes = [p.shape[axis] for p in parts]
@@ -376,79 +248,6 @@ def take(a, indices, axis: int = 0) -> Tensor:
             return (_segment_reduce(np.add, rows, flat, n, 0.0),)
         cols = np.moveaxis(g.reshape((a.shape[0], flat.size) + a.shape[2:]), 1, 0)
         return (np.moveaxis(_segment_reduce(np.add, cols, flat, n, 0.0), 0, 1),)
-
-    return _make(out, (a,), backward)
-
-
-# -- reductions ---------------------------------------------------------------
-
-
-def _expand_reduced(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(g.reshape((1,) * len(shape)), shape)
-    axes = axis if isinstance(axis, tuple) else (axis,)
-    axes = tuple(a % len(shape) for a in axes)
-    if not keepdims:
-        for a in sorted(axes):
-            g = np.expand_dims(g, a)
-    return np.broadcast_to(g, shape)
-
-
-def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-    shape = a.shape
-
-    def backward(g):
-        return (_expand_reduced(g, shape, axis, keepdims).copy(),)
-
-    return _make(out, (a,), backward)
-
-
-def mean_(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    shape = a.shape
-    count = a.data.size if axis is None else np.prod(
-        [shape[ax % len(shape)] for ax in (axis if isinstance(axis, tuple) else (axis,))]
-    )
-
-    def backward(g):
-        return (_expand_reduced(g, shape, axis, keepdims) / count,)
-
-    return _make(out, (a,), backward)
-
-
-# -- pointwise nonlinearities ---------------------------------------------------
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-
-    def backward(g):
-        return (g * out,)
-
-    return _make(out, (a,), backward)
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-
-    def backward(g):
-        return (g * (1.0 - out * out),)
-
-    return _make(out, (a,), backward)
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    # 0.5*(1+tanh(x/2)) avoids overflow on large negative inputs
-    out = 0.5 * (1.0 + np.tanh(0.5 * a.data))
-
-    def backward(g):
-        return (g * out * (1.0 - out),)
 
     return _make(out, (a,), backward)
 

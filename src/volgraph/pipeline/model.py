@@ -24,6 +24,7 @@ from ..gnn import (
 from ..graphbuild import QuarterGraph
 from ..market import MarketParams
 from ..numcore import ParamStore, Tensor, linear, relu, reshape
+from ..numcore.tensor import _make
 
 
 # Keys that earlier versions wrote into checkpoint manifests. A manifest
@@ -269,12 +270,35 @@ class VolatilityModel:
             b2.data = np.full_like(b2.data, label_means[tau])
 
 
-def masked_mse_tensor(pred: Tensor, labels: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Differentiable MSE over masked nodes."""
-    from ..numcore import mean_, mul, sub, take
+def masked_mse_tensor(
+    preds: dict[int, Tensor], labels: dict[int, np.ndarray], mask: np.ndarray
+) -> Tensor:
+    """Mean over the windows of ``preds`` of the MSE over masked nodes, as one tape op.
 
+    ``preds`` maps each window τ to its (N,) predictions and ``labels``
+    holds at least those windows. The forward sums the per-window means
+    in window order and scales by 1/len(preds), as the chain of per-op
+    tensors it replaces did; the backward scatters 2·err/(n·len(preds))
+    into each window's masked rows.
+    """
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         raise ShapeError("no labeled nodes in mask")
-    diff = sub(take(pred, idx), Tensor(labels[idx]))
-    return mean_(mul(diff, diff))
+    parents = tuple(preds.values())
+    errs = [p.data[idx] - labels[tau][idx] for tau, p in preds.items()]
+    total = None
+    for err in errs:
+        term = (err * err).mean()
+        total = term if total is None else total + term
+    scale = 1.0 / len(errs)
+
+    def backward(g):
+        grads = []
+        for p, err in zip(parents, errs):
+            half = (g * scale) / idx.size * err
+            rows = np.zeros(p.shape)
+            rows[idx] = half + half
+            grads.append(rows)
+        return grads
+
+    return _make(total * scale, parents, backward)

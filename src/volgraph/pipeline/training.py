@@ -55,11 +55,7 @@ class TrainHistory:
 
 def _quarter_loss(model: VolatilityModel, prepared: PreparedQuarter, mask: np.ndarray):
     preds, _, _ = model.forward(prepared)
-    total = None
-    for tau in model.taus:
-        term = masked_mse_tensor(preds[tau], prepared.labels[tau], mask)
-        total = term if total is None else total + term
-    return total * (1.0 / len(model.taus))
+    return masked_mse_tensor(preds, prepared.labels, mask)
 
 
 def _validation_mse(model: VolatilityModel, quarters, masks) -> float:
@@ -81,36 +77,27 @@ def _validation_mse(model: VolatilityModel, quarters, masks) -> float:
     return sq_sum / count
 
 
-def train(
+def _fit(
     model: VolatilityModel,
-    train_quarters: list[PreparedQuarter],
+    steps: list[tuple[PreparedQuarter, np.ndarray]],
     val_quarters: list[PreparedQuarter],
-    config: ModelConfig | None = None,
+    val_masks: list[np.ndarray],
+    epochs: int,
+    config: ModelConfig,
+    state: TrainState,
 ) -> TrainHistory:
-    """Early-stopped full-graph training; restores the best snapshot."""
-    config = config or model.config
-    if not train_quarters or not val_quarters:
-        raise ConfigError("train and validation splits must both be nonempty")
-    train_masks = [p.mask for p in train_quarters]
-    val_masks = [p.mask for p in val_quarters]
-    if not any(m.any() for m in train_masks):
-        raise InsufficientDataError("no labeled training nodes")
+    """Early-stopped epochs of one Adam step per (quarter, mask) in ``steps``.
 
-    label_means = {
-        tau: float(
-            np.concatenate([p.labels[tau][m] for p, m in zip(train_quarters, train_masks)]).mean()
-        )
-        for tau in model.taus
-    }
-    model.warm_start_output_bias(label_means)
-
-    state = TrainState()
+    A pair whose mask is empty is skipped but still counts in the epoch's
+    mean train loss. A fresh optimizer starts the run; the best snapshot
+    ``state`` holds at the end, if any, is restored.
+    """
     adam = AdamState.for_store(model.store)
     history = TrainHistory()
-    for epoch in range(1, config.max_epochs + 1):
+    for epoch in range(1, epochs + 1):
         state.epoch = epoch
         epoch_loss = 0.0
-        for prepared, mask in zip(train_quarters, train_masks):
+        for prepared, mask in steps:
             if not mask.any():
                 continue
             model.store.zero_grad()
@@ -119,15 +106,10 @@ def train(
             if not np.isfinite(loss_value):
                 raise TrainingDivergedError(epoch, f"loss {loss_value}")
             loss.backward()
-            adam_step(
-                model.store,
-                adam,
-                lr=config.lr,
-                weight_decay=config.weight_decay,
-            )
+            adam_step(model.store, adam, lr=config.lr, weight_decay=config.weight_decay)
             epoch_loss += loss_value
         val_mse = _validation_mse(model, val_quarters, val_masks)
-        history.train_loss.append(epoch_loss / max(1, len(train_quarters)))
+        history.train_loss.append(epoch_loss / len(steps))
         history.val_mse.append(val_mse)
         state.observe(val_mse, model.store.state_arrays)
         if state.epochs_since_improvement == 0:
@@ -139,6 +121,38 @@ def train(
     if state.best_snapshot is not None:
         model.store.load_state_arrays(state.best_snapshot)
     return history
+
+
+def train(
+    model: VolatilityModel,
+    train_quarters: list[PreparedQuarter],
+    val_quarters: list[PreparedQuarter],
+    config: ModelConfig | None = None,
+) -> TrainHistory:
+    """Early-stopped full-graph training; restores the best snapshot."""
+    config = config or model.config
+    if not train_quarters or not val_quarters:
+        raise ConfigError("train and validation splits must both be nonempty")
+    train_masks = [p.mask for p in train_quarters]
+    if not any(m.any() for m in train_masks):
+        raise InsufficientDataError("no labeled training nodes")
+
+    label_means = {
+        tau: float(
+            np.concatenate([p.labels[tau][m] for p, m in zip(train_quarters, train_masks)]).mean()
+        )
+        for tau in model.taus
+    }
+    model.warm_start_output_bias(label_means)
+    return _fit(
+        model,
+        list(zip(train_quarters, train_masks)),
+        val_quarters,
+        [p.mask for p in val_quarters],
+        config.max_epochs,
+        config,
+        TrainState(),
+    )
 
 
 def fine_tune(
@@ -163,30 +177,7 @@ def fine_tune(
 
     state = TrainState()
     state.observe(_validation_mse(model, [prepared], [val_mask]), model.store.state_arrays)
-    adam = AdamState.for_store(model.store)  # fresh moments: pretraining state is gone
-    history = TrainHistory()
-    history.best_epoch = 0
-    for epoch in range(1, epochs + 1):
-        state.epoch = epoch
-        model.store.zero_grad()
-        loss = _quarter_loss(model, prepared, train_mask)
-        loss_value = loss.item()
-        if not np.isfinite(loss_value):
-            raise TrainingDivergedError(epoch, f"loss {loss_value}")
-        loss.backward()
-        adam_step(model.store, adam, lr=config.lr, weight_decay=config.weight_decay)
-        val_mse = _validation_mse(model, [prepared], [val_mask])
-        history.train_loss.append(loss_value)
-        history.val_mse.append(val_mse)
-        state.observe(val_mse, model.store.state_arrays)
-        if state.epochs_since_improvement == 0:
-            history.best_epoch = epoch
-        if state.epochs_since_improvement >= config.patience:
-            break
-    history.stopped_epoch = state.epoch
-    history.best_val_mse = state.best_val_mse
-    model.store.load_state_arrays(state.best_snapshot)
-    return history
+    return _fit(model, [(prepared, train_mask)], [prepared], [val_mask], epochs, config, state)
 
 
 def evaluate(

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import ParamStore
+from volgraph.numcore import ParamStore
 
 _FLOOR = 1e-6
 

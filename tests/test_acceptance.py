@@ -34,7 +34,6 @@ from volgraph.graphbuild import (
     load_graph_dir,
 )
 from volgraph.numcore import no_grad
-from volgraph.numcore.gradcheck import grad_check
 from volgraph.pipeline import (
     ModelConfig,
     VolatilityModel,
@@ -47,6 +46,8 @@ from volgraph.pipeline import (
     transductive_split,
 )
 from volgraph.pipeline.training import _quarter_loss, _validation_mse
+
+from gradcheck import grad_check
 
 TAUS = (3, 7, 15)
 

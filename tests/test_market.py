@@ -17,8 +17,10 @@ from volgraph.market import (
     market_gru,
     run_market_timeline,
 )
-from volgraph.numcore.gradcheck import grad_check
 from volgraph.numcore.params import ParamStore
+
+import reference_ops as ro
+from gradcheck import grad_check
 from reference_ops import market_attention_chain
 
 D = 4
@@ -95,33 +97,32 @@ class TestAttentionPooling:
 
 class TestDecayCoefficient:
     def test_zero_weight_gives_half(self):
-        w_d = nc.Tensor(np.zeros(1))
-        assert float(decay_coefficient(5, w_d).data[0]) == pytest.approx(0.5)
+        assert float(decay_coefficient(5, np.zeros(1))[0]) == pytest.approx(0.5)
 
     def test_known_value(self):
         # sigma(ln 3) = 3/4 at gap 0
-        w_d = nc.Tensor(np.array([np.log(3.0)]))
-        assert float(decay_coefficient(0, w_d).data[0]) == pytest.approx(0.75, abs=1e-12)
+        w_d = np.array([np.log(3.0)])
+        assert float(decay_coefficient(0, w_d)[0]) == pytest.approx(0.75, abs=1e-12)
 
     def test_monotone_in_gap_for_positive_weight(self):
-        w_d = nc.Tensor(np.array([2.0]))
-        vals = [float(decay_coefficient(g, w_d).data[0]) for g in range(0, 30, 3)]
+        w_d = np.array([2.0])
+        vals = [float(decay_coefficient(g, w_d)[0]) for g in range(0, 30, 3)]
         assert vals == sorted(vals, reverse=True)
         assert all(0.5 < v < 1.0 for v in vals)
 
     def test_long_gap_approaches_half(self):
-        w_d = nc.Tensor(np.array([3.0]))
-        assert float(decay_coefficient(10_000, w_d).data[0]) == pytest.approx(0.5, abs=1e-3)
+        w_d = np.array([3.0])
+        assert float(decay_coefficient(10_000, w_d)[0]) == pytest.approx(0.5, abs=1e-3)
 
     def test_always_in_unit_interval(self, rng):
         for _ in range(20):
-            w_d = nc.Tensor(rng.normal(size=1) * 5)
-            v = float(decay_coefficient(int(rng.integers(0, 100)), w_d).data[0])
+            w_d = rng.normal(size=1) * 5
+            v = float(decay_coefficient(int(rng.integers(0, 100)), w_d)[0])
             assert 0.0 < v < 1.0
 
     def test_negative_gap_rejected(self):
         with pytest.raises(ShapeError):
-            decay_coefficient(-1, nc.Tensor(np.zeros(1)))
+            decay_coefficient(-1, np.zeros(1))
 
 
 class TestGRUStep:
@@ -139,8 +140,9 @@ class TestGRUStep:
         # the second date starts from the non-zero state the first one left
         store, params = setup_params(rng)
         m = rng.normal(size=(2, D))
-        deltas = np.array([0.41, 0.73])
-        a, m_prime = market_gru(nc.Tensor(m), nc.Tensor(deltas), params.gru)
+        gaps = np.array([0, 6])
+        deltas = scipy.special.expit(params.gru.w_d.data[0] / (gaps + 1))
+        a, m_prime = market_gru(nc.Tensor(m), gaps, params.gru)
         a_prev = np.zeros((1, D))
         for t in range(2):
             a_prev, want_mp = self.manual_step(m[t : t + 1], a_prev, deltas[t], params.gru)
@@ -152,7 +154,7 @@ class TestGRUStep:
         # starting from zero it can never leave (-1, 1)
         store, params = setup_params(rng)
         m = nc.Tensor(rng.normal(size=(50, D)) * 10)
-        a, _ = market_gru(m, nc.Tensor(np.full(50, 0.9)), params.gru)
+        a, _ = market_gru(m, np.full(50, 3), params.gru)
         assert np.all(np.abs(a.data) < 1.0)
 
 
@@ -212,8 +214,8 @@ class TestTimeline:
 
         def loss():
             timeline = timeline_of(groups, gaps, params)
-            total = nc.sum_(timeline.outputs, axis=0, keepdims=True)
-            return nc.sum_(nc.mul(total, nc.Tensor(w)))
+            total = ro.sum_(timeline.outputs, axis=0, keepdims=True)
+            return ro.sum_(ro.mul(total, nc.Tensor(w)))
 
         report = grad_check(loss, store, tol=1e-4)
         assert report.passed, report.summary()
@@ -235,17 +237,17 @@ def reference_timeline(emb, node_group, gaps, params):
         ids = np.flatnonzero(node_group == t)
         e = nc.take(emb, ids)
         keys = nc.linear(e, att.w_k)
-        scores = nc.div(nc.matmul(keys, nc.reshape(att.w_q, (d, 1))), float(np.sqrt(d)))
+        scores = ro.div(ro.matmul(keys, nc.reshape(att.w_q, (d, 1))), float(np.sqrt(d)))
         flat = nc.reshape(scores, (len(ids),))
-        weights = nc.exp(nc.sub(flat, nc.Tensor(flat.data.max())))
-        beta = nc.div(weights, nc.sum_(weights))
-        m = nc.matmul(nc.reshape(beta, (1, len(ids))), e)
-        delta = nc.sigmoid(nc.div(p.w_d, float(gap + 1)))
-        z = nc.sigmoid(nc.add(nc.add(nc.linear(m, p.w_z), nc.linear(a, p.u_z)), p.b_z))
-        r = nc.sigmoid(nc.add(nc.add(nc.linear(m, p.w_r), nc.linear(a, p.u_r)), p.b_r))
-        gated = nc.mul(nc.mul(delta, r), a)
-        a_tilde = nc.tanh(nc.add(nc.add(nc.linear(m, p.w_h), nc.linear(gated, p.u_h)), p.b_h))
-        a = nc.add(nc.mul(nc.sub(1.0, z), a), nc.mul(z, a_tilde))
+        weights = ro.exp(ro.sub(flat, nc.Tensor(flat.data.max())))
+        beta = ro.div(weights, ro.sum_(weights))
+        m = ro.matmul(nc.reshape(beta, (1, len(ids))), e)
+        delta = ro.sigmoid(ro.div(p.w_d, float(gap + 1)))
+        z = ro.sigmoid(ro.add(ro.add(nc.linear(m, p.w_z), nc.linear(a, p.u_z)), p.b_z))
+        r = ro.sigmoid(ro.add(ro.add(nc.linear(m, p.w_r), nc.linear(a, p.u_r)), p.b_r))
+        gated = ro.mul(ro.mul(delta, r), a)
+        a_tilde = ro.tanh(ro.add(ro.add(nc.linear(m, p.w_h), nc.linear(gated, p.u_h)), p.b_h))
+        a = ro.add(ro.mul(ro.sub(1.0, z), a), ro.mul(z, a_tilde))
         outputs.append(nc.linear(a, p.w_a, p.b_a))
         betas.append(beta.data)
     return nc.concat(outputs, axis=0), betas
@@ -259,7 +261,7 @@ class TestWholeQuarterScan:
     def weighted_grads(self, run, store, emb, w):
         store.zero_grad()
         x = nc.Tensor(emb, requires_grad=True)
-        nc.sum_(nc.mul(run(x), nc.Tensor(w))).backward()
+        ro.sum_(ro.mul(run(x), nc.Tensor(w))).backward()
         return x.grad, {name: t.grad.copy() for name, t in store.items()}
 
     def test_interleaved_dates_match_per_date_loop(self, rng):
@@ -297,7 +299,7 @@ class TestWholeQuarterScan:
 
         def loss():
             timeline = run_market_timeline(self.GAPS, nc.Tensor(emb), self.NODE_GROUP, params)
-            return nc.sum_(nc.mul(timeline.outputs, nc.Tensor(w)))
+            return ro.sum_(ro.mul(timeline.outputs, nc.Tensor(w)))
 
         report = grad_check(loss, store, tol=1e-4)
         assert report.passed, report.summary()
@@ -370,10 +372,10 @@ class TestFusedPooling:
     def test_gradients_match_op_chain(self, rng):
         store, attention, emb = self.leaves(rng)
         w = nc.Tensor(rng.normal(size=(4, D)))
-        nc.sum_(nc.mul(self.pool(market_attention, emb, attention)[0], w)).backward()
+        ro.sum_(ro.mul(self.pool(market_attention, emb, attention)[0], w)).backward()
         got = {name: t.grad for name, t in store.items() if t.grad is not None}
         store.zero_grad()
-        nc.sum_(nc.mul(self.pool(market_attention_chain, emb, attention)[0], w)).backward()
+        ro.sum_(ro.mul(self.pool(market_attention_chain, emb, attention)[0], w)).backward()
         assert set(got) == {"embeddings", "market.attn.w_k", "market.attn.w_q"}
         for name, g in got.items():
             np.testing.assert_allclose(g, store[name].grad, rtol=0, atol=1e-12, err_msg=name)
@@ -383,7 +385,7 @@ class TestFusedPooling:
         w = nc.Tensor(rng.normal(size=(4, D)))
 
         def loss():
-            return nc.sum_(nc.mul(self.pool(market_attention, emb, attention)[0], w))
+            return ro.sum_(ro.mul(self.pool(market_attention, emb, attention)[0], w))
 
         names = ["embeddings", "market.attn.w_k", "market.attn.w_q"]
         report = grad_check(loss, store, tol=1e-4, param_names=names)
@@ -391,93 +393,107 @@ class TestFusedPooling:
         assert report.n_checked == sum(store[name].size for name in names)
 
 
-def reference_scan(xz, xr, xh, deltas, u_z, u_r, u_h):
+def reference_scan(xz, xr, xh, gaps, w_d, u_z, u_r, u_h):
     """The recurrence that ``gru_scan`` fuses, built op for op from per-date tensors."""
-    uz, ur, uh = (nc.swapaxes(u, 0, 1) for u in (u_z, u_r, u_h))
+    deltas = ro.sigmoid(ro.div(w_d, np.asarray(gaps, dtype=np.float64) + 1))
+    uz, ur, uh = (ro.swapaxes(u, 0, 1) for u in (u_z, u_r, u_h))
     a = nc.Tensor(np.zeros((1, xz.shape[1]), dtype=xz.dtype))
     states = []
     for t in range(xz.shape[0]):
         row = [t]
-        z = nc.sigmoid(nc.add(nc.take(xz, row), nc.matmul(a, uz)))
-        r = nc.sigmoid(nc.add(nc.take(xr, row), nc.matmul(a, ur)))
-        gated = nc.mul(nc.mul(nc.take(deltas, row), r), a)
-        a_tilde = nc.tanh(nc.add(nc.take(xh, row), nc.matmul(gated, uh)))
-        a = nc.add(a, nc.mul(z, nc.sub(a_tilde, a)))
+        z = ro.sigmoid(ro.add(nc.take(xz, row), ro.matmul(a, uz)))
+        r = ro.sigmoid(ro.add(nc.take(xr, row), ro.matmul(a, ur)))
+        gated = ro.mul(ro.mul(nc.take(deltas, row), r), a)
+        a_tilde = ro.tanh(ro.add(nc.take(xh, row), ro.matmul(gated, uh)))
+        a = ro.add(a, ro.mul(z, ro.sub(a_tilde, a)))
         states.append(a)
     return nc.concat(states, axis=0)
 
 
-SCAN_INPUTS = ("xz", "xr", "xh", "deltas", "u_z", "u_r", "u_h")
+SCAN_INPUTS = ("xz", "xr", "xh", "w_d", "u_z", "u_r", "u_h")
 
 
-def scan_inputs(rng, t_len, d):
-    """The scan's inputs as named leaves; deltas lie in (0, 1) like decays."""
-    shapes = {"deltas": (t_len,), "u_z": (d, d), "u_r": (d, d), "u_h": (d, d)}
+def scan_inputs(rng, t_len, d, gaps=None):
+    """The scan's tensor inputs as named leaves, and the day gaps of its dates."""
+    shapes = {"w_d": (1,), "u_z": (d, d), "u_r": (d, d), "u_h": (d, d)}
     store = ParamStore()
     for name in SCAN_INPUTS:
-        shape = shapes.get(name, (t_len, d))
-        value = rng.uniform(0.2, 0.9, shape) if name == "deltas" else rng.normal(size=shape)
-        store.add(name, value)
-    return store
+        store.add(name, rng.normal(size=shapes.get(name, (t_len, d))))
+    if gaps is None:
+        gaps = rng.integers(0, 40, size=t_len)
+    return store, np.asarray(gaps)
 
 
 class TestGRUScan:
     SIZES = [(1, 4), (5, 8), (28, 16), (9, 7)]
 
-    def run(self, fn, leaves, w=None):
-        out = fn(*(leaves[name] for name in SCAN_INPUTS))
+    def run(self, fn, leaves, gaps, w=None):
+        xz, xr, xh, w_d, u_z, u_r, u_h = (leaves[name] for name in SCAN_INPUTS)
+        out = fn(xz, xr, xh, gaps, w_d, u_z, u_r, u_h)
         if w is not None:
-            nc.sum_(nc.mul(out, nc.Tensor(w))).backward()
+            ro.sum_(ro.mul(out, nc.Tensor(w))).backward()
         return out
+
+    def assert_matches_per_date_loop(self, rng, store, gaps):
+        got = self.run(gru_scan, store, gaps)
+        want = self.run(reference_scan, store, gaps)
+        assert np.array_equal(got.data, want.data)
+        w = rng.normal(size=got.shape)
+        store.zero_grad()
+        self.run(gru_scan, store, gaps, w)
+        grads = {name: t.grad.copy() for name, t in store.items()}
+        store.zero_grad()
+        self.run(reference_scan, store, gaps, w)
+        for name, t in store.items():
+            assert grads[name].shape == t.shape, name
+            np.testing.assert_allclose(grads[name], t.grad, rtol=0, atol=1e-12, err_msg=name)
 
     @pytest.mark.parametrize("t_len,d", SIZES)
     def test_forward_bitwise_equal_to_per_date_loop(self, rng, t_len, d):
-        store = scan_inputs(rng, t_len, d)
-        got = self.run(gru_scan, store)
-        want = self.run(reference_scan, store)
+        store, gaps = scan_inputs(rng, t_len, d)
+        got = self.run(gru_scan, store, gaps)
+        want = self.run(reference_scan, store, gaps)
         assert got.shape == (t_len, d)
         assert np.array_equal(got.data, want.data)
 
     @pytest.mark.parametrize("t_len,d", SIZES)
     def test_gradients_match_per_date_loop(self, rng, t_len, d):
-        store = scan_inputs(rng, t_len, d)
-        w = rng.normal(size=(t_len, d))
-        self.run(gru_scan, store, w)
-        got = {name: t.grad.copy() for name, t in store.items()}
-        store.zero_grad()
-        self.run(reference_scan, store, w)
-        for name, t in store.items():
-            assert got[name].shape == t.shape, name
-            np.testing.assert_allclose(got[name], t.grad, rtol=0, atol=1e-12, err_msg=name)
+        store, gaps = scan_inputs(rng, t_len, d)
+        self.assert_matches_per_date_loop(rng, store, gaps)
+
+    def test_zero_and_long_gaps_match_per_date_loop(self, rng):
+        # same-day dates (gap 0) and gaps of years, where δ is all but σ(0)
+        store, gaps = scan_inputs(rng, 6, 5, gaps=[0, 0, 1000, 3, 25_000, 0])
+        self.assert_matches_per_date_loop(rng, store, gaps)
 
     def test_gradcheck(self, rng):
-        store = scan_inputs(rng, 6, 5)
+        store, gaps = scan_inputs(rng, 6, 5)
         w = rng.normal(size=(6, 5))
 
         def loss():
-            return nc.sum_(nc.mul(self.run(gru_scan, store), nc.Tensor(w)))
+            return ro.sum_(ro.mul(self.run(gru_scan, store, gaps), nc.Tensor(w)))
 
         report = grad_check(loss, store, tol=1e-4)
         assert report.passed, report.summary()
         assert report.n_checked == store.n_scalars()
 
     def test_one_tape_node_per_scan(self, rng):
-        store = scan_inputs(rng, 12, 4)
-        out = self.run(gru_scan, store)
+        store, gaps = scan_inputs(rng, 12, 4)
+        out = self.run(gru_scan, store, gaps)
         assert out._parents == tuple(store[name] for name in SCAN_INPUTS)
         assert all(p._backward_fn is None for p in out._parents)
 
     def test_no_tape_under_no_grad(self, rng):
-        store = scan_inputs(rng, 5, 4)
+        store, gaps = scan_inputs(rng, 5, 4)
         with nc.no_grad():
-            out = self.run(gru_scan, store)
+            out = self.run(gru_scan, store, gaps)
         assert out._parents == () and out._backward_fn is None
 
     def test_market_gru_adds_one_node_for_the_recurrence(self, rng):
         # 3 input maps, the scan and the output map: 5 nodes for any date count
         store, params = setup_params(rng)
         m = nc.Tensor(rng.normal(size=(20, D)), requires_grad=True)
-        _, out = market_gru(m, nc.Tensor(np.full(20, 0.7)), params.gru)
+        _, out = market_gru(m, np.full(20, 2), params.gru)
         nodes, stack, seen = 0, [out], set()
         while stack:
             node = stack.pop()
@@ -489,11 +505,15 @@ class TestGRUScan:
         assert nodes == 5
 
     def test_rejects_mismatched_shapes(self, rng):
-        store = scan_inputs(rng, 4, 3)
-        args = [store[name] for name in SCAN_INPUTS]
+        store, gaps = scan_inputs(rng, 4, 3)
+        xz, xr, xh, w_d, u_z, u_r, u_h = (store[name] for name in SCAN_INPUTS)
         with pytest.raises(ShapeError):
-            gru_scan(args[0], args[1], nc.Tensor(np.zeros((3, 3))), *args[3:])
+            gru_scan(xz, xr, nc.Tensor(np.zeros((3, 3))), gaps, w_d, u_z, u_r, u_h)
         with pytest.raises(ShapeError):
-            gru_scan(*args[:3], nc.Tensor(np.zeros(3)), *args[4:])
+            gru_scan(xz, xr, xh, gaps[:3], w_d, u_z, u_r, u_h)
         with pytest.raises(ShapeError):
-            gru_scan(*args[:6], nc.Tensor(np.zeros((3, 4))))
+            gru_scan(xz, xr, xh, gaps, nc.Tensor(np.zeros(2)), u_z, u_r, u_h)
+        with pytest.raises(ShapeError):
+            gru_scan(xz, xr, xh, gaps, w_d, u_z, u_r, nc.Tensor(np.zeros((3, 4))))
+        with pytest.raises(ShapeError):
+            gru_scan(xz, xr, xh, np.array([0, 1, -1, 2]), w_d, u_z, u_r, u_h)

@@ -1,11 +1,18 @@
 """Gradient and algebra checks for the tensor op set.
 
 Every differentiable op is checked against a central-difference oracle
-computed here, independent of the library's own gradcheck helper. The
-forward passes are cross-checked against numpy/scipy references.
+computed here, independent of the gradcheck helper. That covers the
+library's ops and the generic reference ops in ``reference_ops``, which
+the fused ops' tests compare against. The forward passes are
+cross-checked against numpy/scipy references. A guard keeps
+``volgraph.numcore`` to the names the model and the benchmark use.
 """
 
 from __future__ import annotations
+
+import ast
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +23,14 @@ from hypothesis import strategies as st
 import volgraph.numcore as nc
 from volgraph.errors import ShapeError
 from volgraph.numcore.layers import _attention_weights, _layer_norm
-from volgraph.numcore.tensor import _segment_reduce, _segment_softmax, _segment_softmax_grad
+from volgraph.numcore.tensor import (
+    _segment_reduce,
+    _segment_softmax,
+    _segment_softmax_grad,
+    as_tensor,
+)
+
+import reference_ops as ro
 
 
 def fd_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -46,10 +60,10 @@ def assert_op_grads(op, arrays, tol=2e-6, h=1e-6, **kwargs):
 
     def loss_value(args):
         out = op(*[nc.Tensor(a) for a in args], **kwargs)
-        return float(nc.sum_(nc.mul(out, nc.Tensor(w))).data)
+        return float(ro.sum_(ro.mul(out, nc.Tensor(w))).data)
 
     tensors = [nc.Tensor(a.copy(), requires_grad=True) for a in arrays]
-    loss = nc.sum_(nc.mul(op(*tensors, **kwargs), nc.Tensor(w)))
+    loss = ro.sum_(ro.mul(op(*tensors, **kwargs), nc.Tensor(w)))
     loss.backward()
 
     for k, a in enumerate(arrays):
@@ -66,40 +80,40 @@ def assert_op_grads(op, arrays, tol=2e-6, h=1e-6, **kwargs):
 
 class TestArithmeticGrads:
     def test_add_same_shape(self, rng):
-        assert_op_grads(nc.add, [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))])
+        assert_op_grads(ro.add, [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))])
 
     def test_add_broadcast_row(self, rng):
-        assert_op_grads(nc.add, [rng.normal(size=(3, 4)), rng.normal(size=(4,))])
+        assert_op_grads(ro.add, [rng.normal(size=(3, 4)), rng.normal(size=(4,))])
 
     def test_add_broadcast_scalar_like(self, rng):
-        assert_op_grads(nc.add, [rng.normal(size=(2, 3)), rng.normal(size=(1, 1))])
+        assert_op_grads(ro.add, [rng.normal(size=(2, 3)), rng.normal(size=(1, 1))])
 
     def test_sub(self, rng):
-        assert_op_grads(nc.sub, [rng.normal(size=(5,)), rng.normal(size=(5,))])
+        assert_op_grads(ro.sub, [rng.normal(size=(5,)), rng.normal(size=(5,))])
 
     def test_mul_broadcast(self, rng):
-        assert_op_grads(nc.mul, [rng.normal(size=(2, 3, 4)), rng.normal(size=(3, 4))])
+        assert_op_grads(ro.mul, [rng.normal(size=(2, 3, 4)), rng.normal(size=(3, 4))])
 
     def test_div(self, rng):
         num = rng.normal(size=(4, 3))
         den = rng.uniform(0.5, 2.0, size=(4, 3)) * np.sign(rng.normal(size=(4, 3)))
-        assert_op_grads(nc.div, [num, den])
+        assert_op_grads(ro.div, [num, den])
 
     def test_div_broadcast_column(self, rng):
         num = rng.normal(size=(4, 3))
         den = rng.uniform(0.5, 2.0, size=(4, 1))
-        assert_op_grads(nc.div, [num, den])
+        assert_op_grads(ro.div, [num, den])
 
 
 class TestUnaryGrads:
     def test_exp(self, rng):
-        assert_op_grads(nc.exp, [rng.normal(size=(3, 3))])
+        assert_op_grads(ro.exp, [rng.normal(size=(3, 3))])
 
     def test_tanh(self, rng):
-        assert_op_grads(nc.tanh, [rng.normal(size=(7,))])
+        assert_op_grads(ro.tanh, [rng.normal(size=(7,))])
 
     def test_sigmoid(self, rng):
-        assert_op_grads(nc.sigmoid, [rng.normal(size=(4, 2))])
+        assert_op_grads(ro.sigmoid, [rng.normal(size=(4, 2))])
 
     def test_relu_away_from_kink(self, rng):
         x = rng.normal(size=(20,))
@@ -126,7 +140,7 @@ class TestForwardReferences:
     def test_sigmoid_matches_expit(self, rng):
         x = rng.normal(size=100) * 5
         np.testing.assert_allclose(
-            nc.sigmoid(nc.Tensor(x)).data, scipy.special.expit(x), atol=1e-12
+            ro.sigmoid(nc.Tensor(x)).data, scipy.special.expit(x), atol=1e-12
         )
 
     def test_softmax_matches_scipy(self, rng):
@@ -177,23 +191,23 @@ class TestForwardReferences:
 
 class TestStructuralGrads:
     def test_matmul_2d(self, rng):
-        assert_op_grads(nc.matmul, [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))])
+        assert_op_grads(ro.matmul, [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))])
 
     def test_matmul_batched(self, rng):
-        assert_op_grads(nc.matmul, [rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 4, 5))])
+        assert_op_grads(ro.matmul, [rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 4, 5))])
 
     def test_matmul_broadcast_stack(self, rng):
-        assert_op_grads(nc.matmul, [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5))])
+        assert_op_grads(ro.matmul, [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5))])
 
     def test_matmul_rejects_vectors(self):
         with pytest.raises(ShapeError):
-            nc.matmul(nc.Tensor(np.ones(3)), nc.Tensor(np.ones((3, 2))))
+            ro.matmul(nc.Tensor(np.ones(3)), nc.Tensor(np.ones((3, 2))))
 
     def test_reshape(self, rng):
         assert_op_grads(lambda t: nc.reshape(t, 3, 4), [rng.normal(size=(2, 6))])
 
     def test_swapaxes(self, rng):
-        assert_op_grads(nc.swapaxes, [rng.normal(size=(2, 3, 4))], axis1=0, axis2=2)
+        assert_op_grads(ro.swapaxes, [rng.normal(size=(2, 3, 4))], axis1=0, axis2=2)
 
     def test_concat_axis0_and_1(self, rng):
         a, b = rng.normal(size=(2, 3)), rng.normal(size=(4, 3))
@@ -201,7 +215,7 @@ class TestStructuralGrads:
         np.testing.assert_array_equal(out.data, np.concatenate([a, b], axis=0))
         ta = nc.Tensor(a, requires_grad=True)
         tb = nc.Tensor(b, requires_grad=True)
-        nc.sum_(nc.concat([ta, tb], axis=0)).backward()
+        ro.sum_(nc.concat([ta, tb], axis=0)).backward()
         np.testing.assert_array_equal(ta.grad, np.ones_like(a))
         np.testing.assert_array_equal(tb.grad, np.ones_like(b))
         c, d = rng.normal(size=(3, 2)), rng.normal(size=(3, 5))
@@ -212,7 +226,7 @@ class TestStructuralGrads:
         # gathering a row twice must scatter-add its gradient twice
         x = nc.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         out = nc.take(x, np.array([0, 0, 2]), axis=0)
-        nc.sum_(out).backward()
+        ro.sum_(out).backward()
         want = np.zeros((4, 3))
         want[0] = 2.0
         want[2] = 1.0
@@ -224,7 +238,7 @@ class TestStructuralGrads:
         got = nc.take(nc.Tensor(x), idx, axis=1)
         np.testing.assert_array_equal(got.data, x[:, idx])
         t = nc.Tensor(x, requires_grad=True)
-        nc.sum_(nc.take(t, idx, axis=1)).backward()
+        ro.sum_(nc.take(t, idx, axis=1)).backward()
         want = np.zeros_like(x)
         np.add.at(want, (slice(None), idx), 1.0)
         np.testing.assert_array_equal(t.grad, want)
@@ -232,12 +246,12 @@ class TestStructuralGrads:
     def test_sum_axis_variants(self, rng):
         x = rng.normal(size=(2, 3, 4))
         for kwargs in ({}, {"axis": 1}, {"axis": (0, 2)}, {"axis": 2, "keepdims": True}):
-            assert_op_grads(nc.sum_, [x], **kwargs)
+            assert_op_grads(ro.sum_, [x], **kwargs)
 
     def test_mean_matches_numpy(self, rng):
         x = rng.normal(size=(3, 4))
-        np.testing.assert_allclose(nc.mean_(nc.Tensor(x), axis=0).data, x.mean(axis=0))
-        assert_op_grads(nc.mean_, [x], axis=1)
+        np.testing.assert_allclose(ro.mean_(nc.Tensor(x), axis=0).data, x.mean(axis=0))
+        assert_op_grads(ro.mean_, [x], axis=1)
 
 
 # -- segment ops --------------------------------------------------------------------
@@ -347,7 +361,7 @@ class TestSortedScatterAdd:
 
     def test_take_negative_indices_scatter_to_their_rows(self, rng):
         src = nc.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        nc.sum_(nc.take(src, np.array([-1, 3, 0]))).backward()
+        ro.sum_(nc.take(src, np.array([-1, 3, 0]))).backward()
         np.testing.assert_array_equal(src.grad[:, 0], [1.0, 0.0, 0.0, 2.0])
 
     def test_segment_sum_rejects_out_of_range_ids(self, rng):
@@ -398,7 +412,7 @@ class TestLinear:
 class TestGraphMechanics:
     def test_grad_accumulates_across_reuse(self):
         x = nc.Tensor(np.array([2.0]), requires_grad=True)
-        y = nc.add(nc.mul(x, x), nc.mul(x, x))  # 2x^2, used twice
+        y = ro.add(ro.mul(x, x), ro.mul(x, x))  # 2x^2, used twice
         y.backward()
         np.testing.assert_allclose(x.grad, [8.0])
 
@@ -406,7 +420,7 @@ class TestGraphMechanics:
         # z = (x*y) + (x+y); dz/dx = y+1, dz/dy = x+1
         x = nc.Tensor(np.array([3.0]), requires_grad=True)
         y = nc.Tensor(np.array([5.0]), requires_grad=True)
-        z = nc.add(nc.mul(x, y), nc.add(x, y))
+        z = ro.add(ro.mul(x, y), ro.add(x, y))
         z.backward()
         np.testing.assert_allclose(x.grad, [6.0])
         np.testing.assert_allclose(y.grad, [4.0])
@@ -416,14 +430,14 @@ class TestGraphMechanics:
         x = nc.Tensor(np.array([1.0]), requires_grad=True)
         y = x
         for _ in range(5000):
-            y = nc.add(y, nc.Tensor(np.array([0.0])))
+            y = ro.add(y, nc.Tensor(np.array([0.0])))
         y.backward()
         np.testing.assert_allclose(x.grad, [1.0])
 
     def test_no_grad_blocks_graph(self):
         x = nc.Tensor(np.ones(3), requires_grad=True)
         with nc.no_grad():
-            y = nc.mul(x, x)
+            y = ro.mul(x, x)
         assert y._parents == ()
         assert not y.requires_grad
         assert nc.is_grad_enabled()
@@ -431,11 +445,11 @@ class TestGraphMechanics:
     def test_backward_requires_scalar_without_seed(self):
         x = nc.Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ShapeError):
-            nc.mul(x, x).backward()
+            ro.mul(x, x).backward()
 
     def test_backward_with_explicit_seed(self):
         x = nc.Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        y = nc.mul(x, x)
+        y = ro.mul(x, x)
         y.backward(np.array([1.0, 10.0]))
         np.testing.assert_allclose(x.grad, [2.0, 40.0])
 
@@ -451,20 +465,47 @@ class TestGraphMechanics:
             [1, 2],
         ):
             assert nc.Tensor(data).dtype == np.float64
-            assert nc.as_tensor(data).dtype == np.float64
+            assert as_tensor(data).dtype == np.float64
         t = nc.Tensor(np.array([0.1], dtype=np.float32), requires_grad=True)
-        nc.mul(t, t).backward()
+        ro.mul(t, t).backward()
         assert t.grad.dtype == np.float64
         arr = np.array([1.0, 2.0])
         assert nc.Tensor(arr).data is arr  # float64 input is not copied
 
-    def test_operator_sugar_matches_functions(self, rng):
-        a, b = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
-        ta, tb = nc.Tensor(a), nc.Tensor(b)
-        np.testing.assert_array_equal((ta + tb).data, nc.add(ta, tb).data)
-        np.testing.assert_array_equal((ta - tb).data, nc.sub(ta, tb).data)
-        np.testing.assert_array_equal((ta * tb).data, nc.mul(ta, tb).data)
-        np.testing.assert_array_equal((ta @ tb).data, nc.matmul(ta, tb).data)
+
+# -- the public surface ---------------------------------------------------------------
+
+
+def _numcore_imports(path: Path) -> set:
+    """Names a module imports from ``volgraph.numcore`` itself."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (
+            node.module == "volgraph.numcore" or (node.level and node.module == "numcore")
+        ):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+class TestPublicSurface:
+    ROOT = Path(__file__).resolve().parents[1]
+    SRC, VOLBENCH = ROOT / "src" / "volgraph", ROOT / "volbench"
+
+    def test_every_export_has_a_caller_outside_numcore(self):
+        library = [p for p in self.SRC.rglob("*.py") if p.parent.name != "numcore"]
+        callers = library + sorted(self.VOLBENCH.glob("*.py"))
+        used = set().union(*(_numcore_imports(p) for p in callers))
+        assert sorted(set(nc.__all__) - used) == []
+
+    def test_annotations_resolve(self):
+        for name in nc.__all__:
+            obj = getattr(nc, name)
+            targets = [obj]
+            if isinstance(obj, type):  # the class's fields, constructor and methods
+                methods = [f for n, f in vars(obj).items() if callable(f) and n[:2] != "__"]
+                targets += [obj.__init__, *methods]
+            for target in targets:
+                typing.get_type_hints(target)
 
 
 # -- property tests -----------------------------------------------------------------
@@ -486,7 +527,7 @@ def test_broadcast_add_grad_shapes(shapes):
     sa, sb = shapes
     a = nc.Tensor(np.zeros(sa), requires_grad=True)
     b = nc.Tensor(np.zeros(sb), requires_grad=True)
-    nc.sum_(nc.add(a, b)).backward()
+    ro.sum_(ro.add(a, b)).backward()
     assert a.grad.shape == sa
     assert b.grad.shape == sb
     out_shape = np.broadcast_shapes(sa, sb)

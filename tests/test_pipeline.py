@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import volgraph.numcore as nc
 from volgraph.dataio import build_quarter_datasets, gen_synthetic, SyntheticConfig
 from volgraph.dataio.datasets import TAUS
 from volgraph.errors import ConfigError, InsufficientDataError, ShapeError
@@ -26,9 +27,10 @@ from volgraph.pipeline import (
     transductive_split,
 )
 from volgraph.pipeline.model import masked_mse_tensor
-from volgraph.pipeline.training import TrainState, _validation_mse
+from volgraph.pipeline.training import TrainState, _quarter_loss, _validation_mse
 
 from conftest import tiny_config
+from reference_ops import masked_mse_chain
 
 
 def make_prepared(corpus, datasets):
@@ -177,19 +179,53 @@ class TestValidationMse:
             _validation_mse(model, [p], [empty])
 
     def test_masked_mse_tensor_matches_metric(self, prepared_quarters):
-        model = VolatilityModel(tiny_config(), (3,))
         p = prepared_quarters[0]
-        preds, _, _ = model.forward(p)
-        t = masked_mse_tensor(preds[3], p.labels[3], p.mask)
         idx = np.flatnonzero(p.mask)
-        assert t.item() == pytest.approx(mse(preds[3].data[idx], p.labels[3][idx]), rel=1e-12)
+        for taus in ((3,), TAUS):
+            model = VolatilityModel(tiny_config(), taus)
+            preds, _, _ = model.forward(p)
+            t = masked_mse_tensor(preds, p.labels, p.mask)
+            want = np.mean([mse(preds[tau].data[idx], p.labels[tau][idx]) for tau in taus])
+            assert t.item() == pytest.approx(want, rel=1e-12)
+            # value and gradients bitwise equal to the per-window chain it replaces
+            leaves = {tau: nc.Tensor(preds[tau].data, requires_grad=True) for tau in taus}
+            masked_mse_tensor(leaves, p.labels, p.mask).backward()
+            got = {tau: leaf.grad for tau, leaf in leaves.items()}
+            for leaf in leaves.values():
+                leaf.zero_grad()
+            chain = masked_mse_chain(leaves, p.labels, p.mask)
+            chain.backward()
+            assert t.item() == chain.item()
+            for tau, leaf in leaves.items():
+                assert np.array_equal(got[tau], leaf.grad), tau
 
     def test_masked_mse_empty_mask(self, prepared_quarters):
-        model = VolatilityModel(tiny_config(), (3,))
+        model = VolatilityModel(tiny_config(), TAUS)
         p = prepared_quarters[0]
         preds, _, _ = model.forward(p)
         with pytest.raises(ShapeError):
-            masked_mse_tensor(preds[3], p.labels[3], np.zeros(p.graph.n_nodes, dtype=bool))
+            masked_mse_tensor(preds, p.labels, np.zeros(p.graph.n_nodes, dtype=bool))
+
+    def test_loss_is_one_tape_node_above_the_heads(self, prepared_quarters):
+        model = VolatilityModel(tiny_config(), TAUS)
+        p = prepared_quarters[0]
+        preds, _, _ = model.forward(p)
+        loss = _quarter_loss(model, p, p.mask)
+        assert len(loss._parents) == len(TAUS)
+        assert tape_nodes([loss]) == tape_nodes(list(preds.values())) + 1
+
+
+def tape_nodes(roots) -> int:
+    """Op nodes (not leaves) reachable from ``roots``."""
+    nodes, stack, seen = 0, list(roots), set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        nodes += node._backward_fn is not None
+        stack.extend(node._parents)
+    return nodes
 
 
 class TestTrain:
@@ -224,7 +260,6 @@ class TestTrain:
         model2 = VolatilityModel(config, (3,))
         state = TrainState()
         from volgraph.numcore import AdamState, adam_step
-        from volgraph.pipeline.training import _quarter_loss
 
         label_means = {
             3: float(
