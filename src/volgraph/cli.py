@@ -53,10 +53,21 @@ PRICES = "prices.csv"
 RELATIONS = "relations.csv"
 
 
+@contextlib.contextmanager
+def _input_files():
+    """Turn a missing input file into a ``ParseError`` that names it."""
+    try:
+        yield
+    except FileNotFoundError as e:
+        raise ParseError("missing input file", path=e.filename) from e
+
+
 def parse_kv_config(path) -> dict[str, str]:
     """Flat ``key = value`` lines; '#' starts a comment."""
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    with _input_files():
+        text = Path(path).read_text()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -110,12 +121,10 @@ def dataclass_from_config(cls, overrides: dict[str, str]):
 
 def _load_data_dir(data_dir, report: IngestReport | None = None):
     root = Path(data_dir)
-    try:
+    with _input_files():
         calls = load_transcripts(root / TRANSCRIPTS, report=report)
         prices = load_prices(root / PRICES)
         relations = load_relations(root / RELATIONS)
-    except FileNotFoundError as e:
-        raise ParseError("missing input file", path=e.filename) from e
     return calls, prices, relations
 
 
@@ -162,11 +171,12 @@ def cmd_gen_synth(args) -> int:
 def cmd_build_graph(args) -> int:
     quarter = Quarter.parse(args.quarter)
     report = IngestReport()
-    calls = load_transcripts(args.transcripts, report=report)
-    relations = load_relations(args.relations)
+    with _input_files():
+        calls = load_transcripts(args.transcripts, report=report)
+        relations = load_relations(args.relations)
+        prices = load_prices(args.prices) if args.prices else None
     labels = None
-    if args.prices:
-        prices = load_prices(args.prices)
+    if prices is not None:
         datasets = build_quarter_datasets(calls, prices, report=report)
         labels = {}
         for ds in datasets:
@@ -177,9 +187,8 @@ def cmd_build_graph(args) -> int:
     save_graph_dir(graph, args.out)
     if args.report:
         report.to_json(args.report)
-    labeled = sum(1 for n in graph.nodes if n.labels)
     print(
-        f"{quarter}: {graph.n_nodes} nodes ({labeled} labeled), "
+        f"{quarter}: {graph.n_nodes} nodes ({len(graph.labels)} labeled), "
         f"{len(graph.edges)} edges -> {args.out}"
     )
     return 0
@@ -274,10 +283,10 @@ def cmd_predict(args) -> int:
             ["node_id", "company_id", "call_id", "call_date"]
             + [f"pred_{tau}" for tau in sorted(preds)]
         )
-        for node in graph.nodes:
+        for i, call in enumerate(graph.calls):
             writer.writerow(
-                [node.node_id, node.company_id, node.call_id, node.call_date.isoformat()]
-                + [repr(float(preds[tau][node.node_id])) for tau in sorted(preds)]
+                [i, call.company_id, call.call_id, call.call_date.isoformat()]
+                + [repr(float(preds[tau][i])) for tau in sorted(preds)]
             )
     if args.out:
         print(f"predictions -> {args.out}")
@@ -315,8 +324,11 @@ def cmd_export_attention(args) -> int:
 
 
 def cmd_split_transductive(args) -> int:
+    try:
+        ratios = tuple(int(x) for x in args.ratios.split(","))
+    except ValueError as e:
+        raise ConfigError(f"--ratios must be comma-separated integers, got {args.ratios!r}") from e
     graph = load_graph_dir(args.graph)
-    ratios = tuple(int(x) for x in args.ratios.split(","))
     masks = transductive_split(graph, ratios)
     payload = {name: np.flatnonzero(mask).tolist() for name, mask in masks.items()}
     if args.out:

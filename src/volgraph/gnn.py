@@ -9,17 +9,20 @@ of layers keeps strictly-earlier nodes unaffected by later ones.
 
 A layer is one tape op, ``gat_layer``, with a hand-written backward. Its
 edge softmax is the numpy segment-softmax kernel that the market pooling
-shares, and its message sum the same sorted segment reduction.
+shares, and its message sum the same sorted segment reduction. The
+diagnostics keep, per layer, the attention γ per edge, the market
+pooling weight β per node and the decay δ per date.
 """
 
 from __future__ import annotations
 
+import datetime as dt
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .graphbuild import QuarterGraph, date_groups
+from .graphbuild import QuarterGraph
 from .market import MarketParams, run_market_timeline
 from .numcore import ParamStore, Tensor, take, uniform_init
 from .numcore.layers import _affine, _affine_grads
@@ -45,7 +48,7 @@ class GraphArrays:
     dtilde: np.ndarray  # (E,) sqrt(deg~(dst) * deg~(src))
     node_group: np.ndarray  # (N,) date index of each node
     date_gaps: list  # per date, days since previous date
-    dates: list
+    dates: list  # per date, the datetime.date, increasing
 
     @classmethod
     def from_graph(cls, graph: QuarterGraph) -> "GraphArrays":
@@ -54,15 +57,7 @@ class GraphArrays:
         # deg~ counts the node's non-self in-edges plus one for its self-loop
         deg = 1.0 + np.bincount(e.dst[e.src != e.dst], minlength=n)
         dtilde = np.sqrt(deg[e.dst] * deg[e.src])
-
-        groups = date_groups(graph)
-        node_group = np.empty(n, dtype=np.intp)
-        gaps = []
-        prev = None
-        for gi, (date, members) in enumerate(groups):
-            node_group[members] = gi
-            gaps.append(0 if prev is None else (date - prev).days)
-            prev = date
+        days, node_group = np.unique(graph.days, return_inverse=True)
         return cls(
             n_nodes=n,
             src=e.src,
@@ -70,8 +65,8 @@ class GraphArrays:
             edge_feat=np.column_stack([e.temporal_weight, e.similarity]),
             dtilde=dtilde,
             node_group=node_group,
-            date_gaps=gaps,
-            dates=[d for d, _ in groups],
+            date_gaps=np.diff(days, prepend=days[:1]).tolist(),
+            dates=[dt.date.fromordinal(d) for d in days.tolist()],
         )
 
 
@@ -200,8 +195,8 @@ class NetworkDiagnostics:
     """Per-layer attention weights and market internals, numpy copies."""
 
     gamma: list = field(default_factory=list)  # per layer, (E,)
-    beta: list = field(default_factory=list)  # per layer, list of per-date arrays
-    delta: list = field(default_factory=list)  # per layer, list of per-date floats
+    beta: list = field(default_factory=list)  # per layer, (N,) in node order
+    delta: list = field(default_factory=list)  # per layer, (T,) in date order
 
 
 def company_network_encoder(
@@ -218,12 +213,11 @@ def company_network_encoder(
     diag = NetworkDiagnostics()
     v = v0
     for mp, gp in zip(market_params, gat_params):
-        timeline = run_market_timeline(arrays.date_gaps, v, arrays.node_group, mp)
-        m_nodes = take(timeline.outputs, arrays.node_group)  # (N, d)
-        v, gamma = gat_layer(v, m_nodes, arrays, gp)
+        m_prime, beta, delta = run_market_timeline(arrays.date_gaps, v, arrays.node_group, mp)
+        v, gamma = gat_layer(v, take(m_prime, arrays.node_group), arrays, gp)
         diag.gamma.append(gamma)
-        diag.beta.append(timeline.betas)
-        diag.delta.append(timeline.deltas)
+        diag.beta.append(beta)
+        diag.delta.append(delta)
     return v, diag
 
 
@@ -244,11 +238,14 @@ def market_export_rows(arrays: GraphArrays, diag: NetworkDiagnostics) -> list[tu
 
     ``beta`` is the node's pooling weight among its date's calls and
     ``delta`` the date's decay coefficient, repeated on each of its rows.
+    A date's rows are in node order.
     """
-    members = [np.flatnonzero(arrays.node_group == i) for i in range(len(arrays.dates))]
+    nodes = np.argsort(arrays.node_group, kind="stable").tolist()
+    groups = arrays.node_group[nodes].tolist()
+    days = [d.isoformat() for d in arrays.dates]
     rows = []
-    for layer, (betas, deltas) in enumerate(zip(diag.beta, diag.delta)):
-        for date, nodes, beta, delta in zip(arrays.dates, members, betas, deltas):
-            day = date.isoformat()
-            rows.extend((layer, day, int(n), float(b), delta) for n, b in zip(nodes, beta))
+    for layer, (beta, delta) in enumerate(zip(diag.beta, diag.delta)):
+        rows.extend(
+            (layer, days[g], n, float(beta[n]), float(delta[g])) for n, g in zip(nodes, groups)
+        )
     return rows

@@ -1,13 +1,15 @@
 """Per-quarter company graph construction and temporal-leakage auditing.
 
-Edges run from the earlier call to the later call of each related company
-pair, weighted by 1/(day_gap+1) in calendar days. Same-day pairs are
-connected in both directions with weight 1, and every node carries a
-self-loop (weight 1, similarity 1). The edges are one ``EdgeTable`` of
-numpy columns sorted by (dst, src). Because no edge ever points from a
-later call to an earlier one, message passing over the graph cannot move
-information backward in time; ``audit_no_leakage`` re-checks exactly that
-property on the columns.
+A quarter graph's nodes are its earnings calls: node i is ``calls[i]``,
+and the builder orders them by (date, company). Edges run from the
+earlier call to the later call of each related company pair, weighted by
+1/(day_gap+1) in calendar days. Same-day pairs are connected in both
+directions with weight 1, and every node carries a self-loop (weight 1,
+similarity 1). The edges are one ``EdgeTable`` of numpy columns sorted
+by (dst, src). Because no edge ever points from a later call to an
+earlier one, message passing over the graph cannot move information
+backward in time; ``audit_no_leakage`` re-checks exactly that property
+on the columns.
 """
 
 from __future__ import annotations
@@ -33,15 +35,6 @@ EDGE_COLUMNS = {
     "similarity": np.float64,
     "day_gap": np.int64,
 }
-
-
-@dataclass
-class CompanyNode:
-    node_id: int
-    company_id: str
-    call_id: str
-    call_date: dt.date
-    labels: dict[int, float] | None = None
 
 
 @dataclass(eq=False)
@@ -72,14 +65,25 @@ class EdgeTable:
 
 @dataclass
 class QuarterGraph:
+    """One quarter's calls as nodes: node i is ``calls[i]``.
+
+    ``labels`` maps the call_id of each labeled call to its {τ: target},
+    as ``QuarterDataset.labels`` does; unlabeled calls have no entry.
+    """
+
     quarter: Quarter
-    nodes: list[CompanyNode]
+    calls: list[CallRecord]
     edges: EdgeTable
-    calls: list[CallRecord]  # aligned with nodes: calls[i] belongs to nodes[i]
+    labels: dict[str, dict[int, float]]
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.calls)
+
+    @property
+    def days(self) -> np.ndarray:
+        """(N,) int64 call-date ordinals in node order."""
+        return np.array([c.call_date.toordinal() for c in self.calls], dtype=np.int64)
 
 
 def build_quarter_graph(
@@ -114,17 +118,14 @@ def build_quarter_graph(
         by_company[call.company_id] = call
 
     ordered = sorted(calls, key=lambda c: (c.call_date, c.company_id))
-    nodes = [
-        CompanyNode(
-            node_id=i,
-            company_id=c.company_id,
-            call_id=c.call_id,
-            call_date=c.call_date,
-            labels=None if labels is None else labels.get(c.call_id),
-        )
-        for i, c in enumerate(ordered)
-    ]
-    index = {n.company_id: n.node_id for n in nodes}
+    labels = labels or {}
+    graph = QuarterGraph(
+        quarter=quarter,
+        calls=ordered,
+        edges=None,
+        labels={c.call_id: labels[c.call_id] for c in ordered if c.call_id in labels},
+    )
+    index = {c.company_id: i for i, c in enumerate(ordered)}
 
     # similarity per linked node pair (i, j), i < j: node order is (date,
     # company), so i's call is no later than j's
@@ -144,22 +145,22 @@ def build_quarter_graph(
         sim[key] = r.similarity
 
     pairs = np.array(list(sim), dtype=np.intp).reshape(-1, 2)
-    loops = np.arange(len(nodes), dtype=np.intp)
+    loops = np.arange(graph.n_nodes, dtype=np.intp)
     i = np.concatenate([loops, pairs[:, 0]])
     j = np.concatenate([loops, pairs[:, 1]])
-    similarity = np.concatenate([np.ones(len(nodes)), list(sim.values())])
-    days = np.array([n.call_date.toordinal() for n in nodes], dtype=np.int64)
+    similarity = np.concatenate([np.ones(graph.n_nodes), list(sim.values())])
+    days = graph.days
     gap = days[j] - days[i]
     weight = 1.0 / (gap + 1)
     back = (gap == 0) & (i != j)  # same-day pairs are linked both ways
-    edges = EdgeTable(
+    graph.edges = EdgeTable(
         src=np.concatenate([i, j[back]]),
         dst=np.concatenate([j, i[back]]),
         temporal_weight=np.concatenate([weight, weight[back]]),
         similarity=np.concatenate([similarity, similarity[back]]),
         day_gap=np.concatenate([gap, gap[back]]),
     )
-    return QuarterGraph(quarter=quarter, nodes=nodes, edges=edges, calls=ordered)
+    return graph
 
 
 @dataclass
@@ -186,7 +187,7 @@ def audit_no_leakage(graph: QuarterGraph) -> LeakageReport:
     Violations are listed in edge order.
     """
     e = graph.edges
-    days = np.array([n.call_date.toordinal() for n in graph.nodes], dtype=np.int64)
+    days = graph.days
     gap = days[e.dst] - days[e.src]
     backward = gap < 0
     # backward edges are flagged as such; clip their gap so the rule stays finite
@@ -195,7 +196,7 @@ def audit_no_leakage(graph: QuarterGraph) -> LeakageReport:
     report = LeakageReport()
     for k in np.flatnonzero(backward | ~consistent).tolist():
         src, dst = int(e.src[k]), int(e.dst[k])
-        src_date, dst_date = graph.nodes[src].call_date, graph.nodes[dst].call_date
+        src_date, dst_date = graph.calls[src].call_date, graph.calls[dst].call_date
         if backward[k]:
             reason = f"edge from {src_date} to earlier {dst_date}"
         else:
@@ -205,14 +206,6 @@ def audit_no_leakage(graph: QuarterGraph) -> LeakageReport:
             )
         report.violations.append({"src": src, "dst": dst, "reason": reason})
     return report
-
-
-def date_groups(graph: QuarterGraph) -> list[tuple[dt.date, list[int]]]:
-    """Nodes partitioned by call date, dates strictly increasing."""
-    groups: dict[dt.date, list[int]] = {}
-    for n in graph.nodes:
-        groups.setdefault(n.call_date, []).append(n.node_id)
-    return [(d, sorted(groups[d])) for d in sorted(groups)]
 
 
 # -- graph directory round-trip ---------------------------------------------------
@@ -231,7 +224,7 @@ def save_graph_dir(graph: QuarterGraph, out_dir) -> None:
     manifest = {
         "format": GRAPH_FORMAT,
         "quarter": str(graph.quarter),
-        "n_nodes": len(graph.nodes),
+        "n_nodes": graph.n_nodes,
         "n_edges": len(graph.edges),
     }
     with atomic_open(out / "graph.json") as fh:
@@ -239,12 +232,11 @@ def save_graph_dir(graph: QuarterGraph, out_dir) -> None:
     with atomic_open(out / "nodes.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(NODE_COLUMNS)
-        for n in graph.nodes:
-            row = [n.node_id, n.company_id, n.call_id, n.call_date.isoformat()]
+        for i, c in enumerate(graph.calls):
+            target = graph.labels.get(c.call_id)
+            row = [i, c.company_id, c.call_id, c.call_date.isoformat()]
             row += (
-                ["", "", ""]
-                if n.labels is None
-                else [repr(float(n.labels[tau])) for tau in (3, 7, 15)]
+                ["", "", ""] if target is None else [repr(float(target[tau])) for tau in (3, 7, 15)]
             )
             writer.writerow(row)
     e = graph.edges
@@ -260,11 +252,11 @@ def load_graph_dir(path) -> QuarterGraph:
     """Read a directory written by ``save_graph_dir``, checking whole columns.
 
     A missing file or column, a row of the wrong width, a value that does
-    not parse or is not finite, an edge endpoint that is not a node id, a
-    repeated (src, dst) edge, a node without exactly one self-loop, a
-    node or edge count that differs from ``graph.json``, or a transcript
-    whose company or date differs from its node row raises
-    ``GraphConstructionError`` naming the file.
+    not parse or is not finite, a call_id or company_id on two node rows,
+    an edge endpoint that is not a node id, a repeated (src, dst) edge, a
+    node without exactly one self-loop, a node or edge count that differs
+    from ``graph.json``, or a transcript whose company or date differs from
+    its node row raises ``GraphConstructionError`` naming the file.
     """
     from .dataio.loaders import load_transcripts
 
@@ -282,24 +274,24 @@ def load_graph_dir(path) -> QuarterGraph:
     if counts[0] == 0:
         raise GraphConstructionError(f"{root}: no calls in {quarter}")
     try:
-        nodes = _read_nodes(root / "nodes.csv", counts[0])
-        edges = _read_edges(root / "edges.csv", counts[1], len(nodes))
+        rows, labels = _read_nodes(root / "nodes.csv", counts[0])
+        edges = _read_edges(root / "edges.csv", counts[1], len(rows))
         calls = load_transcripts(root / "calls.jsonl")
     except FileNotFoundError as e:
         raise GraphConstructionError(f"{root}: missing {Path(e.filename).name}") from e
 
     by_id = {c.call_id: c for c in calls}
-    missing = [n.call_id for n in nodes if n.call_id not in by_id]
+    missing = [call_id for _, _, call_id, _ in rows if call_id not in by_id]
     if missing:
         raise GraphConstructionError(f"{root}: calls.jsonl missing transcripts for {missing[:3]}")
-    ordered_calls = [by_id[n.call_id] for n in nodes]
-    for n, c in zip(nodes, ordered_calls):
-        if (c.company_id, c.call_date) != (n.company_id, n.call_date):
+    ordered_calls = [by_id[call_id] for _, _, call_id, _ in rows]
+    for (row, company_id, call_id, call_date), c in zip(rows, ordered_calls):
+        if (c.company_id, c.call_date) != (company_id, call_date):
             raise GraphConstructionError(
-                f"{root}: calls.jsonl has {n.call_id} as {c.company_id} on {c.call_date}, "
-                f"nodes.csv row {n.node_id + 1} as {n.company_id} on {n.call_date}"
+                f"{root}: calls.jsonl has {call_id} as {c.company_id} on {c.call_date}, "
+                f"nodes.csv row {row} as {company_id} on {call_date}"
             )
-    return QuarterGraph(quarter=quarter, nodes=nodes, edges=edges, calls=ordered_calls)
+    return QuarterGraph(quarter=quarter, calls=ordered_calls, edges=edges, labels=labels)
 
 
 def _read_columns(path: Path, names: tuple[str, ...], count: int) -> dict[str, tuple[str, ...]]:
@@ -365,26 +357,32 @@ def _read_edges(path: Path, count: int, n_nodes: int) -> EdgeTable:
     return edges
 
 
-def _read_nodes(path: Path, count: int) -> list[CompanyNode]:
+def _read_nodes(path: Path, count: int) -> tuple[list[tuple], dict[str, dict[int, float]]]:
+    """Node rows in id order as (data row from 1, company_id, call_id, date), and the labels.
+
+    A call_id or company_id on two rows would put one call on two nodes.
+    """
     cols = _read_columns(path, NODE_COLUMNS, count)
-    nodes = []
-    for row, (node_id, company_id, call_id, call_date, *labels) in enumerate(
+    by_node: dict[int, tuple] = {}
+    labels: dict[str, dict[int, float]] = {}
+    seen: dict[tuple[str, str], int] = {}
+    for row, (node_id, company_id, call_id, call_date, *targets) in enumerate(
         zip(*(cols[name] for name in NODE_COLUMNS)), start=1
     ):
+        for key in (("call_id", call_id), ("company_id", company_id)):
+            if key in seen:
+                raise GraphConstructionError(
+                    f"{path}: row {row}: {key[0]} {key[1]} is already on row {seen[key]}"
+                )
+            seen[key] = row
         try:
-            node = CompanyNode(
-                node_id=int(node_id),
-                company_id=company_id,
-                call_id=call_id,
-                call_date=dt.date.fromisoformat(call_date),
-                labels=dict(zip((3, 7, 15), map(float, labels))) if any(labels) else None,
-            )
+            by_node[int(node_id)] = (row, company_id, call_id, dt.date.fromisoformat(call_date))
+            if any(targets):
+                labels[call_id] = dict(zip((3, 7, 15), map(float, targets)))
         except ValueError as e:
             raise GraphConstructionError(f"{path}: row {row}: {e}") from e
-        if node.labels is not None and not np.isfinite(list(node.labels.values())).all():
-            raise GraphConstructionError(f"{path}: row {row}: labels {labels} are not finite")
-        nodes.append(node)
-    nodes.sort(key=lambda n: n.node_id)
-    if [n.node_id for n in nodes] != list(range(len(nodes))):
-        raise GraphConstructionError(f"{path}: node ids are not 0..{len(nodes) - 1}")
-    return nodes
+        if call_id in labels and not np.isfinite(list(labels[call_id].values())).all():
+            raise GraphConstructionError(f"{path}: row {row}: labels {targets} are not finite")
+    if sorted(by_node) != list(range(count)):
+        raise GraphConstructionError(f"{path}: node ids are not 0..{count - 1}")
+    return [by_node[i] for i in range(count)], labels

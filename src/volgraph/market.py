@@ -17,6 +17,8 @@ recurrence itself is one tape op, ``gru_scan``, which also forms the
 decays from the date gaps and ``w_d``: a plain numpy loop over dates
 forward and a hand-written backward through time, so a quarter's scan
 adds a single node to the tape however many dates it has.
+``run_market_timeline`` chains the two and returns the market outputs
+with the pooling weights β per call and the decays δ per date.
 """
 
 from __future__ import annotations
@@ -100,17 +102,6 @@ class MarketParams:
             attention=MarketAttentionParams.init(store, rng, d, prefix),
             gru=TimeDecayGRUParams.init(store, rng, d, prefix),
         )
-
-
-@dataclass
-class MarketTimeline:
-    """Stacked per-date states, plus numpy copies of the pooling weights."""
-
-    pooled: Tensor  # m_{t_i}, (T, d)
-    hidden: Tensor  # a_{t_i}, (T, d)
-    outputs: Tensor  # m'_{t_i}, (T, d)
-    betas: list  # per date, the weights of its calls in node order
-    deltas: list  # per date, the decay coefficient as a float
 
 
 def market_attention(
@@ -251,13 +242,16 @@ def market_gru(m: Tensor, gaps, p: TimeDecayGRUParams) -> tuple[Tensor, Tensor]:
 
 def run_market_timeline(
     date_gaps: list[int], embeddings: Tensor, node_group, params: MarketParams
-) -> MarketTimeline:
+) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Scan chronologically ordered dates into market states.
 
     ``date_gaps[i]`` is the day count since date i-1 (0 for the first; the
     initial state is zero, so its decay never matters). ``embeddings`` holds
     the (N, d) call embeddings and ``node_group[j]`` the date index of call
     j; every date needs at least one call.
+
+    Returns the outputs m' (T, d), a numpy copy of each call's pooling
+    weight β (N,) and the decay coefficient δ (T,) of each date.
     """
     n_dates = len(date_gaps)
     node_group = np.asarray(node_group, dtype=np.intp)
@@ -265,16 +259,8 @@ def run_market_timeline(
         raise ShapeError(f"need one date per call: {node_group.shape} for {embeddings.shape}")
     if node_group.size and (node_group.min() < 0 or node_group.max() >= n_dates):
         raise ShapeError(f"call dates must lie in [0, {n_dates})")
-    counts = np.bincount(node_group, minlength=n_dates)
-    if n_dates == 0 or not counts.all():
+    if n_dates == 0 or not np.bincount(node_group, minlength=n_dates).all():
         raise ShapeError("every date needs at least one call")
     pooled, beta = market_attention(embeddings, node_group, n_dates, params.attention)
-    hidden, outputs = market_gru(pooled, date_gaps, params.gru)
-    by_date = beta[np.argsort(node_group, kind="stable")]
-    return MarketTimeline(
-        pooled=pooled,
-        hidden=hidden,
-        outputs=outputs,
-        betas=np.split(by_date, np.cumsum(counts)[:-1]),
-        deltas=[float(x) for x in decay_coefficient(date_gaps, params.gru.w_d.data)],
-    )
+    _, outputs = market_gru(pooled, date_gaps, params.gru)
+    return outputs, beta.copy(), decay_coefficient(date_gaps, params.gru.w_d.data)

@@ -146,27 +146,29 @@ class PreparedQuarter:
 
 
 def prepare_quarter(graph: QuarterGraph, dataset: QuarterDataset | None = None) -> PreparedQuarter:
-    """Extract label/baseline arrays in node order; nodes may be unlabeled."""
+    """Extract label/baseline arrays in node order; nodes may be unlabeled.
+
+    Labels come from ``graph.labels``, baselines from ``dataset.v_past``.
+    Given a dataset, a labeled call without a baseline is left out of the
+    mask.
+    """
     n = graph.n_nodes
     mask = np.zeros(n, dtype=bool)
     labels = {tau: np.zeros(n) for tau in TAUS}
     v_past = None if dataset is None else {tau: np.zeros(n) for tau in TAUS}
-    for node in graph.nodes:
-        node_labels = node.labels
-        if node_labels is None and dataset is not None:
-            node_labels = dataset.labels.get(node.call_id)
-        if node_labels is None:
+    for i, call in enumerate(graph.calls):
+        target = graph.labels.get(call.call_id)
+        if target is None:
             continue
-        mask[node.node_id] = True
         for tau in TAUS:
-            labels[tau][node.node_id] = node_labels[tau]
+            labels[tau][i] = target[tau]
         if dataset is not None:
-            baseline = dataset.v_past.get(node.call_id)
+            baseline = dataset.v_past.get(call.call_id)
             if baseline is None:
-                mask[node.node_id] = False
                 continue
             for tau in TAUS:
-                v_past[tau][node.node_id] = baseline[tau]
+                v_past[tau][i] = baseline[tau]
+        mask[i] = True
     return PreparedQuarter(
         graph=graph, arrays=GraphArrays.from_graph(graph), labels=labels, mask=mask, v_past=v_past
     )

@@ -19,10 +19,7 @@ def transductive_split(graph: QuarterGraph, ratios: tuple = (7, 1, 2)) -> dict[s
         raise InsufficientDataError(f"transductive split needs >= 10 nodes, got {n}")
     if len(ratios) != 3 or min(ratios) <= 0:
         raise InsufficientDataError(f"ratios must be three positive numbers, got {ratios}")
-    order = np.array(
-        [n.node_id for n in sorted(graph.nodes, key=lambda x: (x.call_date, x.node_id))],
-        dtype=np.intp,
-    )
+    order = np.argsort(graph.days, kind="stable")
     total = sum(ratios)
     n_train = n * ratios[0] // total
     n_val = n * ratios[1] // total

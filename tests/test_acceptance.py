@@ -192,7 +192,7 @@ def _random_leakage_instance(rng, quarter):
 
 def _perturbed_copy(calls, node_idx, graph, rng):
     """Same corpus with one call's sentence vectors shifted by noise."""
-    target_id = graph.nodes[node_idx].call_id
+    target_id = graph.calls[node_idx].call_id
     out = []
     for c in calls:
         if c.call_id != target_id:
@@ -219,11 +219,12 @@ def test_criterion_03_no_leakage_property(capsys):
     for trial in range(n_trials):
         calls, relations = _random_leakage_instance(rng, quarter)
         graph = build_quarter_graph(calls, relations, quarter)
-        min_date = min(n.call_date for n in graph.nodes)
-        candidates = [n.node_id for n in graph.nodes if n.call_date > min_date]
+        dates = [c.call_date for c in graph.calls]
+        min_date = min(dates)
+        candidates = [i for i, d in enumerate(dates) if d > min_date]
         node_idx = int(rng.choice(candidates))
-        node_date = graph.nodes[node_idx].call_date
-        earlier = [n.node_id for n in graph.nodes if n.call_date < node_date]
+        node_date = dates[node_idx]
+        earlier = [i for i, d in enumerate(dates) if d < node_date]
         assert earlier, "instance must give the perturbed node a past"
 
         base = prepare_quarter(graph)
@@ -247,14 +248,15 @@ def test_criterion_03_no_leakage_property(capsys):
     calls, relations = _random_leakage_instance(rng, quarter)
     graph = build_quarter_graph(calls, relations, quarter)
     assert audit_no_leakage(graph).ok
-    by_date = sorted(graph.nodes, key=lambda n: n.call_date)
+    dates = [c.call_date for c in graph.calls]
+    by_date = sorted(range(graph.n_nodes), key=lambda i: dates[i])
     injected = {}  # (src, dst) -> (temporal_weight, similarity, day_gap)
     for late_pos, early_pos in ((-1, 0), (-2, 0), (-1, 1)):
         late, early = by_date[late_pos], by_date[early_pos]
-        if late.call_date <= early.call_date:
+        if dates[late] <= dates[early]:
             continue
-        gap = (late.call_date - early.call_date).days
-        injected.setdefault((late.node_id, early.node_id), (1.0 / (gap + 1), 0.5, gap))
+        gap = (dates[late] - dates[early]).days
+        injected.setdefault((late, early), (1.0 / (gap + 1), 0.5, gap))
     e = graph.edges
     src, dst = zip(*injected)
     weight, similarity, day_gap = zip(*injected.values())

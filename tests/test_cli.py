@@ -13,9 +13,10 @@ import pytest
 from volgraph.cli import dataclass_from_config, main, parse_kv_config
 from volgraph.dataio import SyntheticConfig, load_transcripts
 from volgraph.errors import ConfigError
+from volgraph.gnn import attention_export_rows, market_export_rows
 from volgraph.graphbuild import EdgeTable, load_graph_dir, save_graph_dir
 from volgraph.numcore import no_grad
-from volgraph.pipeline import ModelConfig, load_checkpoint, prepare_quarter
+from volgraph.pipeline import ModelConfig, load_checkpoint, prepare_quarter, transductive_split
 
 TINY_MODEL_CONFIG = """\
 # tiny run for test speed
@@ -183,6 +184,16 @@ def _set_first(column, value):
     return edit
 
 
+def _copy_first(columns):
+    """An edit that copies the first data row's values in ``columns`` onto the second."""
+    def edit(rows):
+        for k in map(rows[0].index, columns):
+            rows[2][k] = rows[1][k]
+        return rows
+
+    return edit
+
+
 # name -> (file, edit of its csv rows or None to delete it, text the error must hold)
 GRAPH_CORRUPTIONS = {
     "edges-without-day_gap": ("edges.csv", lambda rows: [r[:4] for r in rows],
@@ -202,6 +213,10 @@ GRAPH_CORRUPTIONS = {
                    "row 1: temporal_weight inf is not finite"),
     "truncated-edges": ("edges.csv", lambda rows: rows[:-1], "graph.json says"),
     "dropped-node": ("nodes.csv", lambda rows: rows[:-1], "graph.json says 10"),
+    # one call on two nodes
+    "repeated-call": ("nodes.csv", _copy_first(("company_id", "call_id", "call_date")),
+                      "row 2: call_id"),
+    "repeated-company": ("nodes.csv", _copy_first(("company_id",)), "row 2: company_id"),
 }
 
 
@@ -210,7 +225,7 @@ class TestBuildGraphAndAudit:
         graph = load_graph_dir(workdir["graph"])
         assert graph.n_nodes == 10
         assert str(graph.quarter) == "2014Q4"
-        assert all(n.labels is not None for n in graph.nodes)
+        assert all(c.call_id in graph.labels for c in graph.calls)
 
     def test_ingest_report_written(self, workdir):
         report = json.loads((workdir["root"] / "ingest.json").read_text())
@@ -223,16 +238,16 @@ class TestBuildGraphAndAudit:
 
     def test_audit_flags_future_edge(self, workdir, tmp_path, capsys):
         graph = load_graph_dir(workdir["graph"])
-        nodes = sorted(graph.nodes, key=lambda n: n.call_date)
-        late, early = nodes[-1], nodes[0]
-        assert late.call_date > early.call_date
+        order = np.argsort(graph.days, kind="stable")
+        late, early = int(order[-1]), int(order[0])
+        assert graph.calls[late].call_date > graph.calls[early].call_date
         e = graph.edges
         graph.edges = EdgeTable(
-            src=np.append(e.src, late.node_id),
-            dst=np.append(e.dst, early.node_id),
+            src=np.append(e.src, late),
+            dst=np.append(e.dst, early),
             temporal_weight=np.append(e.temporal_weight, 0.5),
             similarity=np.append(e.similarity, 0.9),
-            day_gap=np.append(e.day_gap, (late.call_date - early.call_date).days),
+            day_gap=np.append(e.day_gap, graph.days[late] - graph.days[early]),
         )
         bad_dir = tmp_path / "bad_graph"
         save_graph_dir(graph, bad_dir)
@@ -379,6 +394,44 @@ class TestTranscriptsMatchNodes:
     def test_unedited_directory_audits_clean(self, synth_2015q2_graph, capsys):
         assert main(["audit-leakage", "--graph", str(synth_2015q2_graph)]) == 0
         assert "0 violations" in capsys.readouterr().out
+
+
+class TestMissingInputs:
+    """A missing input file or a malformed flag value ends in exit 2, not a traceback."""
+
+    @pytest.mark.parametrize("flag", ["--transcripts", "--relations", "--prices"])
+    def test_build_graph_missing_file_exits_2(self, workdir, tmp_path, capsys, flag):
+        data = workdir["data"]
+        inputs = {"--transcripts": data / "transcripts.jsonl",
+                  "--relations": data / "relations.csv", "--prices": data / "prices.csv"}
+        inputs[flag] = tmp_path / "nope"
+        argv = ["build-graph", "--quarter", "2014Q4", "--out", str(tmp_path / "g")]
+        argv += [x for flag_path in inputs.items() for x in map(str, flag_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: missing input file") and str(tmp_path / "nope") in err
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("command", ["train", "gen-synth"])
+    def test_missing_config_file_exits_2(self, workdir, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--data", str(workdir["data"]), "--out", str(out)],
+            "gen-synth": ["gen-synth", "--seed", "1", "--out", str(out)],
+        }[command]
+        assert main(argv + ["--config", str(tmp_path / "nope.cfg")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: missing input file") and str(tmp_path / "nope.cfg") in err
+        assert not out.exists()
+
+    def test_non_integer_ratios_exit_2(self, workdir, tmp_path, capsys):
+        out = tmp_path / "masks.json"
+        argv = ["split-transductive", "--graph", str(workdir["graph"]), "--ratios", "a,b,c",
+                "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --ratios") and "'a,b,c'" in err
+        assert not out.exists()
 
 
 class TestTrainEval:
@@ -545,7 +598,7 @@ class TestPredict:
         prepared = prepare_quarter(graph)
         for row in rows:
             i = int(row["node_id"])
-            assert row["company_id"] == graph.nodes[i].company_id
+            assert row["company_id"] == graph.calls[i].company_id
             for tau in (3, 7, 15):
                 # repr round-trips floats exactly
                 assert float(row[f"pred_{tau}"]) == models[tau].predict(prepared)[tau][i]
@@ -682,6 +735,72 @@ class TestSplitTransductive:
         assert rc == 0
         masks = json.loads(capsys.readouterr().out)
         assert set(masks) == {"train", "val", "test"}
+
+
+class TestNodeIdsOutOfDateOrder:
+    """nodes.csv in (date, company) order is the builder's choice, not a rule of the format."""
+
+    def test_results_follow_the_calls(self, workdir, tmp_path):
+        graph = load_graph_dir(workdir["graph"])
+        n = graph.n_nodes
+        perm = np.random.default_rng(0).permutation(n)  # node i becomes node perm[i]
+
+        def renumber(columns):
+            def edit(rows):
+                for k in map(rows[0].index, columns):
+                    for row in rows[1:]:
+                        row[k] = str(perm[int(row[k])])
+                return rows
+
+            return edit
+
+        moved = tmp_path / "graph"
+        shutil.copytree(workdir["graph"], moved)
+        _edit_csv(moved / "nodes.csv", renumber(["node_id"]))
+        _edit_csv(moved / "edges.csv", renumber(["src", "dst"]))
+        permuted = load_graph_dir(moved)
+        assert [permuted.calls[j].call_id for j in perm] == [c.call_id for c in graph.calls]
+        assert (np.diff(permuted.days) < 0).any()
+
+        # each call keeps its date index and gap
+        a, b = prepare_quarter(graph), prepare_quarter(permuted)
+        assert b.arrays.node_group[perm].tolist() == a.arrays.node_group.tolist()
+        assert (b.arrays.dates, b.arrays.date_gaps) == (a.arrays.dates, a.arrays.date_gaps)
+        assert np.array_equal(b.mask[perm], a.mask)
+
+        # the masks stay chronological, with the same counts
+        want, got = transductive_split(graph), transductive_split(permuted)
+        days = permuted.days
+        for name in want:
+            assert got[name].sum() == want[name].sum()
+        assert days[got["train"]].max() <= days[got["val"]].min()
+        assert days[got["val"]].max() <= days[got["test"]].min()
+
+        # predictions and export rows match by call; within-date sums change order
+        ids_a = [c.call_id for c in graph.calls]
+        ids_b = [c.call_id for c in permuted.calls]
+        models, _ = load_checkpoint(workdir["ckpt"])
+        for tau, model in models.items():
+            with no_grad():
+                preds_a, _, diag_a = model.forward(a)
+                preds_b, _, diag_b = model.forward(b)
+            np.testing.assert_allclose(preds_b[tau].data[perm], preds_a[tau].data, rtol=1e-12)
+            attn_a, attn_b = (
+                {(layer, ids[src], ids[dst]): (g, over)
+                 for layer, src, dst, g, over in attention_export_rows(p.arrays, diag)}
+                for ids, p, diag in ((ids_a, a, diag_a), (ids_b, b, diag_b))
+            )
+            market_a, market_b = (
+                {(layer, ids[node]): (date, beta, delta)
+                 for layer, date, node, beta, delta in market_export_rows(p.arrays, diag)}
+                for ids, p, diag in ((ids_a, a, diag_a), (ids_b, b, diag_b))
+            )
+            assert attn_b.keys() == attn_a.keys() and market_b.keys() == market_a.keys()
+            for key, values in attn_a.items():
+                np.testing.assert_allclose(attn_b[key], values, rtol=1e-12, err_msg=str(key))
+            for key, (date, *values) in market_a.items():
+                assert market_b[key][0] == date
+                np.testing.assert_allclose(market_b[key][1:], values, rtol=1e-12, err_msg=str(key))
 
 
 class TestJointTraining:

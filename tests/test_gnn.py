@@ -302,11 +302,11 @@ class TestGATLayer:
             g = build(calls, rel)
             arrays = GraphArrays.from_graph(g)
             inv = {names[c]: c for c in dates}
-            v = np.stack([v_by_company[inv[n.company_id]] for n in g.nodes])
+            v = np.stack([v_by_company[inv[c.company_id]] for c in g.calls])
             out, _ = gat_layer(
                 nc.Tensor(v), nc.Tensor(np.zeros((3, D))), arrays, params
             )
-            return {inv[n.company_id]: out.data[n.node_id] for n in g.nodes}
+            return {inv[c.company_id]: out.data[i] for i, c in enumerate(g.calls)}
 
         base = run({c: c for c in dates})
         renamed = run(rename)
@@ -430,7 +430,7 @@ class TestNetworkEncoder:
         out2, _ = company_network_encoder(nc.Tensor(v0p), arrays, market, gat)
         last_date = arrays.dates[-1]
         for node in range(6):
-            if g.nodes[node].call_date < last_date:
+            if g.calls[node].call_date < last_date:
                 assert np.array_equal(out1.data[node], out2.data[node]), node
         assert not np.array_equal(out1.data[-1], out2.data[-1])
 

@@ -15,7 +15,6 @@ from volgraph.graphbuild import (
     EdgeTable,
     audit_no_leakage,
     build_quarter_graph,
-    date_groups,
     load_graph_dir,
     save_graph_dir,
 )
@@ -116,13 +115,11 @@ class TestOracleEquivalence:
     def test_node_order_is_date_then_company(self, rng):
         calls, relations = random_instance(rng, 12)
         graph = build_quarter_graph(calls, relations, Q)
-        keys = [(n.call_date, n.company_id) for n in graph.nodes]
+        keys = [(c.call_date, c.company_id) for c in graph.calls]
         assert keys == sorted(keys)
-        assert [n.node_id for n in graph.nodes] == list(range(12))
-        # calls list stays aligned with nodes
-        assert all(
-            g.call_id == n.call_id for g, n in zip(graph.calls, graph.nodes)
-        )
+        assert graph.n_nodes == 12
+        # node i is calls[i]: every input call appears once
+        assert sorted(c.call_id for c in graph.calls) == sorted(c.call_id for c in calls)
 
 
 class TestEdgeSemantics:
@@ -185,6 +182,13 @@ class TestEdgeSemantics:
         with pytest.raises(GraphConstructionError, match="duplicate"):
             build_quarter_graph(calls, [], Q)
 
+    def test_labels_kept_for_the_graph_calls_only(self):
+        calls = [call("A", dt.date(2016, 4, 5)), call("B", dt.date(2016, 4, 6))]
+        targets = {3: -4.0, 7: -4.1, 15: -4.2}
+        labels = {"A-2016Q2": targets, "Z-2016Q2": targets}
+        graph = build_quarter_graph(calls, [], Q, labels=labels)
+        assert graph.labels == {"A-2016Q2": targets}
+
     def test_call_outside_quarter_rejected(self):
         with pytest.raises(GraphConstructionError, match="outside"):
             build_quarter_graph([call("A", dt.date(2016, 7, 1))], [], Q)
@@ -213,9 +217,9 @@ class TestEdgeSemantics:
         cutoff = dates[len(dates) // 2]
         early_calls = [c for c in calls if c.call_date <= cutoff]
         sub = build_quarter_graph(early_calls, relations, Q)
-        remap = {n.company_id: n.node_id for n in full.nodes}
+        remap = {c.company_id: i for i, c in enumerate(full.calls)}
         sub_edges = {
-            (remap[sub.nodes[src].company_id], remap[sub.nodes[dst].company_id]): value
+            (remap[sub.calls[src].company_id], remap[sub.calls[dst].company_id]): value
             for (src, dst), value in edge_map(sub.edges).items()
         }
         early_ids = {remap[c.company_id] for c in early_calls}
@@ -237,7 +241,7 @@ class TestLeakageAudit:
     def test_injected_future_edge_is_flagged(self, rng):
         calls, relations = random_instance(rng, 10)
         graph = build_quarter_graph(calls, relations, Q)
-        dates = [n.call_date for n in graph.nodes]
+        dates = [c.call_date for c in graph.calls]
         late = max(range(10), key=lambda i: dates[i])
         early = min(range(10), key=lambda i: dates[i])
         assert dates[late] > dates[early]
@@ -329,32 +333,30 @@ class TestEdgeTable:
 
 class TestDateGroupsAndSerialization:
     def test_date_groups_partition_nodes_in_order(self, rng):
+        # nodes grouped by graph.days: the call-date ordinals in node order
         calls, relations = random_instance(rng, 15)
         graph = build_quarter_graph(calls, relations, Q)
-        groups = date_groups(graph)
-        assert [d for d, _ in groups] == sorted({n.call_date for n in graph.nodes})
+        days = graph.days
+        assert days.dtype == np.int64 and days.shape == (15,)
+        groups = [(dt.date.fromordinal(int(d)), np.flatnonzero(days == d)) for d in np.unique(days)]
+        assert [d for d, _ in groups] == sorted({c.call_date for c in graph.calls})
         flat = [i for _, ids in groups for i in ids]
-        assert sorted(flat) == list(range(15))
+        assert flat == list(range(15))
         for d, ids in groups:
-            assert all(graph.nodes[i].call_date == d for i in ids)
+            assert all(graph.calls[i].call_date == d for i in ids)
 
     def test_save_load_round_trip(self, tmp_path, small_graph):
         save_graph_dir(small_graph, tmp_path / "g")
         back = load_graph_dir(tmp_path / "g")
         assert back.quarter == small_graph.quarter
-        assert len(back.nodes) == len(small_graph.nodes)
-        for a, b in zip(small_graph.nodes, back.nodes):
-            assert (a.node_id, a.company_id, a.call_id, a.call_date) == (
-                b.node_id,
-                b.company_id,
-                b.call_id,
-                b.call_date,
-            )
-            if a.labels is None:
-                assert b.labels is None
+        assert back.n_nodes == small_graph.n_nodes
+        for a, b in zip(small_graph.calls, back.calls):
+            assert (a.company_id, a.call_id, a.call_date) == (b.company_id, b.call_id, b.call_date)
+            if a.call_id not in small_graph.labels:
+                assert b.call_id not in back.labels
             else:
-                for tau, v in a.labels.items():
-                    assert b.labels[tau] == v  # repr round-trip, bitwise
+                for tau, v in small_graph.labels[a.call_id].items():
+                    assert back.labels[b.call_id][tau] == v  # repr round-trip, bitwise
         assert len(back.edges) == len(small_graph.edges)
         for name in ("src", "dst", "day_gap", "temporal_weight", "similarity"):
             a, b = getattr(small_graph.edges, name), getattr(back.edges, name)
@@ -370,10 +372,11 @@ class TestDateGroupsAndSerialization:
         # directories have always had, so older directories keep loading
         save_graph_dir(small_graph, tmp_path / "g")
         nodes = ["node_id,company_id,call_id,call_date,label_3,label_7,label_15"]
-        for n in small_graph.nodes:
-            labels = ["", "", ""] if n.labels is None else [repr(n.labels[t]) for t in (3, 7, 15)]
+        for i, c in enumerate(small_graph.calls):
+            target = small_graph.labels.get(c.call_id)
+            labels = ["", "", ""] if target is None else [repr(target[t]) for t in (3, 7, 15)]
             nodes.append(",".join(
-                [str(n.node_id), n.company_id, n.call_id, n.call_date.isoformat(), *labels]))
+                [str(i), c.company_id, c.call_id, c.call_date.isoformat(), *labels]))
         e = small_graph.edges
         edges = ["src,dst,temporal_weight,similarity,day_gap"] + [
             f"{e.src[k]},{e.dst[k]},{float(e.temporal_weight[k])!r},"

@@ -36,10 +36,26 @@ def pool_one_date(emb, attention):
     return market_attention(emb, np.zeros(emb.shape[0], dtype=np.intp), 1, attention)
 
 
+def node_group_of(groups):
+    """The date index of each call when per-date groups are laid out date by date."""
+    return np.concatenate([np.full(len(g), i) for i, g in enumerate(groups)])
+
+
 def timeline_of(groups, gaps, params):
-    """Run the scan over per-date groups laid out date by date in node order."""
-    node_group = np.concatenate([np.full(len(g), i) for i, g in enumerate(groups)])
+    """Run the scan over per-date groups laid out date by date in node order.
+
+    Returns the outputs m' (T, d), β (N,) and δ (T,).
+    """
+    node_group = node_group_of(groups)
     return run_market_timeline(gaps, nc.Tensor(np.concatenate(groups)), node_group, params)
+
+
+def pooled_and_hidden(groups, gaps, params):
+    """The pooled inputs m (T, d) and the GRU states a (T, d) inside that scan."""
+    emb = nc.Tensor(np.concatenate(groups))
+    pooled, _ = market_attention(emb, node_group_of(groups), len(groups), params.attention)
+    hidden, _ = market_gru(pooled, gaps, params.gru)
+    return pooled, hidden
 
 
 class TestAttentionPooling:
@@ -164,7 +180,9 @@ class TestTimeline:
         store, params = setup_params(rng)
         groups = [rng.normal(size=(n, D)) for n in (2, 1, 3)]
         gaps = [0, 4, 9]
-        timeline = timeline_of(groups, gaps, params)
+        outputs, betas, deltas = timeline_of(groups, gaps, params)
+        pooled, hidden = pooled_and_hidden(groups, gaps, params)
+        node_group = node_group_of(groups)
 
         sig = scipy.special.expit
         step = TestGRUStep()
@@ -176,35 +194,37 @@ class TestTimeline:
             m = (beta[None, :] @ emb).reshape(1, D)
             delta = sig(params.gru.w_d.data[0] / (gap + 1))
             a, m_prime = step.manual_step(m, a, delta, params.gru)
-            np.testing.assert_allclose(timeline.pooled.data[i], m[0], atol=1e-12)
-            np.testing.assert_allclose(timeline.hidden.data[i], a[0], atol=1e-12)
-            np.testing.assert_allclose(timeline.outputs.data[i], m_prime[0], atol=1e-12)
-            np.testing.assert_allclose(timeline.betas[i], beta, atol=1e-12)
-            assert timeline.deltas[i] == pytest.approx(float(delta), abs=1e-15)
+            np.testing.assert_allclose(pooled.data[i], m[0], atol=1e-12)
+            np.testing.assert_allclose(hidden.data[i], a[0], atol=1e-12)
+            np.testing.assert_allclose(outputs.data[i], m_prime[0], atol=1e-12)
+            np.testing.assert_allclose(betas[node_group == i], beta, atol=1e-12)
+            assert deltas[i] == pytest.approx(float(delta), abs=1e-15)
 
     def test_causality_later_dates_cannot_touch_earlier_states(self, rng):
         # perturb the last date group: all earlier outputs must be bitwise equal
         store, params = setup_params(rng)
         groups = [rng.normal(size=(2, D)) for _ in range(4)]
         gaps = [0, 2, 3, 1]
-        base = timeline_of(groups, gaps, params)
+        base, _, _ = timeline_of(groups, gaps, params)
+        _, base_hidden = pooled_and_hidden(groups, gaps, params)
         groups2 = [g.copy() for g in groups]
         groups2[-1] = groups2[-1] + 100.0
-        pert = timeline_of(groups2, gaps, params)
+        pert, _, _ = timeline_of(groups2, gaps, params)
+        _, pert_hidden = pooled_and_hidden(groups2, gaps, params)
         for i in range(3):
-            assert np.array_equal(base.outputs.data[i], pert.outputs.data[i])
-            assert np.array_equal(base.hidden.data[i], pert.hidden.data[i])
-        assert not np.array_equal(base.outputs.data[3], pert.outputs.data[3])
+            assert np.array_equal(base.data[i], pert.data[i])
+            assert np.array_equal(base_hidden.data[i], pert_hidden.data[i])
+        assert not np.array_equal(base.data[3], pert.data[3])
 
     def test_earlier_dates_do_influence_later_states(self, rng):
         store, params = setup_params(rng)
         groups = [rng.normal(size=(2, D)) for _ in range(3)]
         gaps = [0, 2, 3]
-        base = timeline_of(groups, gaps, params)
+        base, _, _ = timeline_of(groups, gaps, params)
         groups2 = [g.copy() for g in groups]
         groups2[0] = groups2[0] + 1.0
-        pert = timeline_of(groups2, gaps, params)
-        assert not np.array_equal(base.outputs.data[2], pert.outputs.data[2])
+        pert, _, _ = timeline_of(groups2, gaps, params)
+        assert not np.array_equal(base.data[2], pert.data[2])
 
     def test_gradients_through_three_dates(self, rng):
         store, params = setup_params(rng)
@@ -213,8 +233,8 @@ class TestTimeline:
         w = rng.normal(size=(1, D))
 
         def loss():
-            timeline = timeline_of(groups, gaps, params)
-            total = ro.sum_(timeline.outputs, axis=0, keepdims=True)
+            outputs, _, _ = timeline_of(groups, gaps, params)
+            total = ro.sum_(outputs, axis=0, keepdims=True)
             return ro.sum_(ro.mul(total, nc.Tensor(w)))
 
         report = grad_check(loss, store, tol=1e-4)
@@ -267,12 +287,13 @@ class TestWholeQuarterScan:
     def test_interleaved_dates_match_per_date_loop(self, rng):
         store, params = setup_params(rng)
         emb = rng.normal(size=(len(self.NODE_GROUP), D))
-        timeline = run_market_timeline(self.GAPS, nc.Tensor(emb), self.NODE_GROUP, params)
+        outputs, betas, _ = run_market_timeline(self.GAPS, nc.Tensor(emb), self.NODE_GROUP, params)
         want, want_betas = reference_timeline(nc.Tensor(emb), self.NODE_GROUP, self.GAPS, params)
-        np.testing.assert_allclose(timeline.outputs.data, want.data, rtol=0, atol=1e-12)
-        for got, beta in zip(timeline.betas, want_betas):
+        np.testing.assert_allclose(outputs.data, want.data, rtol=0, atol=1e-12)
+        per_date = [betas[self.NODE_GROUP == t] for t in range(len(self.GAPS))]
+        for got, beta in zip(per_date, want_betas):
             np.testing.assert_allclose(got, beta, rtol=0, atol=1e-12)
-        assert [len(b) for b in timeline.betas] == [2, 2, 3, 1]
+        assert [len(b) for b in per_date] == [2, 2, 3, 1]
 
     def test_gradients_match_per_date_loop(self, rng):
         store, params = setup_params(rng)
@@ -280,7 +301,7 @@ class TestWholeQuarterScan:
         w = rng.normal(size=(len(self.GAPS), D))
 
         def scan(x):
-            return run_market_timeline(self.GAPS, x, self.NODE_GROUP, params).outputs
+            return run_market_timeline(self.GAPS, x, self.NODE_GROUP, params)[0]
 
         def loop(x):
             return reference_timeline(x, self.NODE_GROUP, self.GAPS, params)[0]
@@ -298,8 +319,8 @@ class TestWholeQuarterScan:
         w = rng.normal(size=(len(self.GAPS), D))
 
         def loss():
-            timeline = run_market_timeline(self.GAPS, nc.Tensor(emb), self.NODE_GROUP, params)
-            return ro.sum_(ro.mul(timeline.outputs, nc.Tensor(w)))
+            outputs, _, _ = run_market_timeline(self.GAPS, nc.Tensor(emb), self.NODE_GROUP, params)
+            return ro.sum_(ro.mul(outputs, nc.Tensor(w)))
 
         report = grad_check(loss, store, tol=1e-4)
         assert report.passed, report.summary()
@@ -309,20 +330,22 @@ class TestWholeQuarterScan:
         store, params = setup_params(rng)
         node_group = np.array([0, 1, 1, 2, 3])
         emb = rng.normal(size=(5, D))
-        timeline = run_market_timeline([0, 2, 5, 1], nc.Tensor(emb), node_group, params)
+        outputs, betas, _ = run_market_timeline([0, 2, 5, 1], nc.Tensor(emb), node_group, params)
+        pooled, _ = market_attention(nc.Tensor(emb), node_group, 4, params.attention)
         for date, node in ((0, 0), (2, 3), (3, 4)):
-            assert timeline.betas[date].tolist() == [1.0]
-            assert np.array_equal(timeline.pooled.data[date], emb[node])
+            assert betas[node_group == date].tolist() == [1.0]
+            assert np.array_equal(pooled.data[date], emb[node])
         want, _ = reference_timeline(nc.Tensor(emb), node_group, [0, 2, 5, 1], params)
-        np.testing.assert_allclose(timeline.outputs.data, want.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(outputs.data, want.data, rtol=0, atol=1e-12)
 
     def test_deltas_are_per_date_floats(self, rng):
         store, params = setup_params(rng)
         emb = nc.Tensor(rng.normal(size=(len(self.NODE_GROUP), D)))
-        timeline = run_market_timeline(self.GAPS, emb, self.NODE_GROUP, params)
+        _, _, deltas = run_market_timeline(self.GAPS, emb, self.NODE_GROUP, params)
         w_d = params.gru.w_d.data[0]
         want = [float(scipy.special.expit(w_d / (g + 1))) for g in self.GAPS]
-        assert timeline.deltas == pytest.approx(want, abs=1e-15)
+        assert deltas.dtype == np.float64 and deltas.shape == (len(self.GAPS),)
+        assert deltas.tolist() == pytest.approx(want, abs=1e-15)
 
     @pytest.mark.parametrize(
         "node_group",

@@ -424,7 +424,7 @@ class TestTransductiveSplit:
     def test_chronological_order(self, prepared_quarters):
         graph = prepared_quarters[0].graph
         masks = transductive_split(graph)
-        dates = {node.node_id: node.call_date for node in graph.nodes}
+        dates = [c.call_date for c in graph.calls]
         latest_train = max(dates[i] for i in np.flatnonzero(masks["train"]))
         earliest_test = min(dates[i] for i in np.flatnonzero(masks["test"]))
         assert latest_train <= earliest_test
@@ -653,11 +653,12 @@ class TestModelConfig:
         assert ModelConfig.from_dict(d).to_dict() == tiny_config().to_dict()
 
     def test_prepared_quarter_label_alignment(self, prepared_quarters):
-        # labels on the prepared arrays match the graph nodes they came from
+        # labels on the prepared arrays match the graph calls they came from
         p = prepared_quarters[0]
-        for node in p.graph.nodes:
-            if node.labels is None:
+        for i, call in enumerate(p.graph.calls):
+            target = p.graph.labels.get(call.call_id)
+            if target is None:
                 continue
-            assert p.mask[node.node_id]
+            assert p.mask[i]
             for tau in TAUS:
-                assert p.labels[tau][node.node_id] == node.labels[tau]
+                assert p.labels[tau][i] == target[tau]
