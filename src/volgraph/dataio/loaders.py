@@ -27,7 +27,7 @@ import numpy as np
 
 from ..atomic import atomic_open
 from ..errors import ParseError
-from .records import PARTS, ROLES, CallRecord, PriceSeries, RelationRecord, Sentence, validate_call
+from .records import CallRecord, PriceSeries, RelationRecord, Sentence
 
 log = logging.getLogger(__name__)
 
@@ -45,8 +45,6 @@ class IngestReport:
     operator_sentences_dropped: int = 0
     call_exclusions: list = field(default_factory=list)
     label_exclusions: list = field(default_factory=list)
-    price_rows: int = 0
-    relation_rows: int = 0
 
     def exclude_call(self, call_id: str, reason: str) -> None:
         self.call_exclusions.append({"call_id": call_id, "reason": reason})
@@ -59,7 +57,7 @@ class IngestReport:
             json.dump(asdict(self), fh, indent=2, sort_keys=True)
 
 
-def _parse_date(s, where: str) -> dt.date:
+def _parse_date(s, where: str | None) -> dt.date:
     try:
         return dt.date.fromisoformat(str(s))
     except ValueError as e:
@@ -77,10 +75,11 @@ def load_transcripts(path, report: IngestReport | None = None) -> list[CallRecor
                 continue
             report.calls_in += 1
             try:
-                obj = json.loads(line)
+                call = _parse_call(json.loads(line), report)
             except json.JSONDecodeError as e:
                 raise ParseError("invalid JSON", path=str(path), line=lineno) from e
-            call = _parse_call(obj, str(path), lineno, report)
+            except ParseError as e:
+                raise ParseError(str(e), path=str(path), line=lineno) from e
             if call is None:
                 continue
             calls.append(call)
@@ -90,60 +89,44 @@ def load_transcripts(path, report: IngestReport | None = None) -> list[CallRecor
     return calls
 
 
-def _parse_call(obj, path: str, lineno: int, report: IngestReport) -> CallRecord | None:
+def _parse_call(obj, report: IngestReport) -> CallRecord | None:
+    """Decode one JSON line; the rules of a call are ``validate_call``'s."""
+    if not isinstance(obj, dict):
+        raise ParseError("line is not a JSON object")
     for key in ("call_id", "company_id", "date", "sentences"):
         if key not in obj:
-            raise ParseError(f"call missing field {key!r}", path=path, line=lineno)
+            raise ParseError(f"call missing field {key!r}")
     call_id = str(obj["call_id"])
-    date = _parse_date(obj["date"], f"{path}:{lineno}")
+    date = _parse_date(obj["date"], None)
+    if not isinstance(obj["sentences"], list):
+        raise ParseError(f"call {call_id}: sentences is not a list")
     sentences: list[Sentence] = []
     for j, s in enumerate(obj["sentences"]):
+        if not isinstance(s, dict):
+            raise ParseError(f"call {call_id}: sentence {j} is not a JSON object")
         report.sentences_in += 1
-        role = s.get("role")
-        part = s.get("part")
-        if role in _DROP_ROLES:
+        if s.get("role") in _DROP_ROLES:
             report.operator_sentences_dropped += 1
             continue
-        if role not in ROLES:
-            raise ParseError(
-                f"call {call_id}: unknown role {role!r} in sentence {j}", path=path, line=lineno
-            )
-        if part not in PARTS:
-            raise ParseError(
-                f"call {call_id}: unknown part {part!r} in sentence {j}", path=path, line=lineno
-            )
         if "utterance_idx" not in s:
-            raise ParseError(
-                f"call {call_id}: sentence {j} missing utterance_idx", path=path, line=lineno
-            )
-        text = s.get("text")
+            raise ParseError(f"call {call_id}: sentence {j} missing utterance_idx")
         vec = s.get("vector")
-        if text is None and vec is None:
-            raise ParseError(
-                f"call {call_id}: sentence {j} has neither text nor vector",
-                path=path,
-                line=lineno,
-            )
         if vec is not None:
             try:
                 total = sum(vec)
                 vec = np.asarray(vec, dtype=np.float64)
             except (TypeError, ValueError) as e:
-                raise ParseError(
-                    f"call {call_id}: sentence {j} vector is not numeric", path=path, line=lineno
-                ) from e
+                raise ParseError(f"call {call_id}: sentence {j} vector is not numeric") from e
             # a finite sum proves every entry finite, at a tenth of np.isfinite's cost
             if not math.isfinite(total) and not np.isfinite(vec).all():
-                raise ParseError(
-                    f"call {call_id}: sentence {j} vector is not finite", path=path, line=lineno
-                )
+                raise ParseError(f"call {call_id}: sentence {j} vector is not finite")
         sentences.append(
             Sentence(
-                utterance_idx=int(s["utterance_idx"]),
-                role=role,
-                part=part,
+                utterance_idx=s["utterance_idx"],
+                role=s.get("role"),
+                part=s.get("part"),
                 position=len(sentences),
-                text=text,
+                text=s.get("text"),
                 vector=vec,
             )
         )
@@ -151,11 +134,7 @@ def _parse_call(obj, path: str, lineno: int, report: IngestReport) -> CallRecord
     if not sentences:
         report.exclude_call(call_id, "no sentences left after role filtering")
         return None
-    call = CallRecord(
-        call_id=call_id, company_id=str(obj["company_id"]), call_date=date, sentences=sentences
-    )
-    validate_call(call, where=f"{path}:{lineno}")
-    return call
+    return CallRecord(call_id, str(obj["company_id"]), date, sentences)
 
 
 def load_prices(path) -> list[PriceSeries]:
@@ -226,6 +205,9 @@ def load_relations(path) -> list[RelationRecord]:
                 f"relations header must contain {sorted(expected)}", path=str(path), line=1
             )
         for lineno, row in enumerate(reader, start=2):
+            if None in row.values():  # a short row; DictReader fills it with None
+                missing = ", ".join(name for name, value in row.items() if value is None)
+                raise ParseError(f"relation row has no {missing}", path=str(path), line=lineno)
             try:
                 rec = RelationRecord(
                     company_a=row["company_a"],

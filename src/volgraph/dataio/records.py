@@ -1,7 +1,7 @@
 """Domain records: transcripts, prices, relations, quarters.
 
-Validation lives next to the types so loaders and the synthetic
-generator share one set of rules.
+Each record checks its own rules when built, so the loaders, the
+synthetic generator and hand-built records share one set of rules.
 """
 
 from __future__ import annotations
@@ -41,34 +41,47 @@ class CallRecord:
     call_date: dt.date
     sentences: list[Sentence]
 
+    def __post_init__(self):
+        validate_call(self)
 
-def validate_call(call: CallRecord, where: str = "") -> None:
-    """Enforce sentence-structure invariants; raises ParseError on violation."""
-    ctx = where or call.call_id
+
+def validate_call(call: CallRecord) -> None:
+    """Raise ParseError naming the call unless it keeps every rule of a call.
+
+    Each sentence has a known role and part, a text string or a vector, and
+    an integer utterance index ≥ 0 that never decreases; positions increase
+    strictly and no presentation sentence follows the Q&A.
+    """
+    ctx = f"call {call.call_id}"
     if not call.company_id:
         raise ParseError(f"{ctx}: empty company_id")
     if not call.sentences:
-        raise ParseError(f"{ctx}: call has no sentences")
+        raise ParseError(f"{ctx} has no sentences")
     prev_pos = -1
-    prev_utt = -1
+    prev_utt = 0
     seen_qa = False
-    for s in call.sentences:
-        if s.text is None and s.vector is None:
-            raise ParseError(f"{ctx}: sentence {s.position} has neither text nor vector")
+    for j, s in enumerate(call.sentences):
         if s.role not in ROLES:
-            raise ParseError(f"{ctx}: unknown role {s.role!r}")
+            raise ParseError(f"{ctx}: unknown role {s.role!r} in sentence {j}")
         if s.part not in PARTS:
-            raise ParseError(f"{ctx}: unknown part {s.part!r}")
+            raise ParseError(f"{ctx}: unknown part {s.part!r} in sentence {j}")
+        if s.text is None and s.vector is None:
+            raise ParseError(f"{ctx}: sentence {j} has neither text nor vector")
+        if s.text is not None and not isinstance(s.text, str):
+            raise ParseError(f"{ctx}: sentence {j} text is a {type(s.text).__name__}, not a str")
+        utt = s.utterance_idx
+        if type(utt) is bool or not isinstance(utt, (int, np.integer)) or utt < 0:
+            raise ParseError(f"{ctx}: sentence {j} utterance_idx {utt!r} is not an integer >= 0")
         if s.position <= prev_pos:
             raise ParseError(f"{ctx}: positions not strictly increasing at {s.position}")
-        if s.utterance_idx < prev_utt:
+        if utt < prev_utt:
             raise ParseError(f"{ctx}: utterance_idx decreases at position {s.position}")
         if s.part == "qa":
             seen_qa = True
         elif seen_qa:
             raise ParseError(f"{ctx}: part transitions qa→presentation at position {s.position}")
         prev_pos = s.position
-        prev_utt = s.utterance_idx
+        prev_utt = utt
 
 
 @dataclass

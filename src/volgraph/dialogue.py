@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataio.records import CallRecord, PARTS, ROLES
-from .errors import ConfigError, ParseError, ShapeError
+from .errors import ConfigError, ShapeError
 from .numcore import (
     ParamStore,
     Tensor,
@@ -42,10 +42,6 @@ from .numcore import (
     transformer_encoder_layer,
     uniform_init,
 )
-
-_ROLE_INDEX = {r: i for i, r in enumerate(ROLES)}
-_PART_INDEX = {p: i for i, p in enumerate(PARTS)}
-
 
 @dataclass
 class StructEmbedTables:
@@ -193,23 +189,8 @@ class SentenceBlock:
         All text sentences go through one ``hash_featurizer`` call."""
         kept = [c.sentences[:max_sentences] for c in calls]
         lengths = np.array([len(k) for k in kept], dtype=np.intp)
-        if not lengths.all():
-            raise ParseError(f"call {calls[int(np.argmin(lengths))].call_id} has no sentences")
         sentences = [s for k in kept for s in k]
         starts = np.cumsum(lengths) - lengths
-
-        def call_id(row: int) -> str:
-            return calls[int(np.searchsorted(starts, row, side="right")) - 1].call_id
-
-        try:
-            role = np.array([_ROLE_INDEX[s.role] for s in sentences])
-            part = np.array([_PART_INDEX[s.part] for s in sentences])
-        except KeyError as e:
-            row = next(
-                r for r, s in enumerate(sentences)
-                if s.role not in _ROLE_INDEX or s.part not in _PART_INDEX
-            )
-            raise ParseError(f"call {call_id(row)}: unknown role/part label {e}") from e
         texts = [s.text for s in sentences if s.vector is None]
         text_rows = iter(hash_featurizer(texts, d_s) if texts else ())
         try:
@@ -224,8 +205,9 @@ class SentenceBlock:
                 r for r, s in enumerate(sentences)
                 if s.vector is not None and np.shape(s.vector) != (d_s,)
             )
+            call = calls[int(np.searchsorted(starts, row, side="right")) - 1]
             raise ShapeError(
-                f"call {call_id(row)}: sentence vectors have dim "
+                f"call {call.call_id}: sentence vectors have dim "
                 f"{np.size(sentences[row].vector)}, expected {d_s}"
             )
         sizes = np.unique(lengths)
@@ -234,8 +216,8 @@ class SentenceBlock:
             base=base,
             position=np.arange(len(sentences)) - np.repeat(starts, lengths),
             utterance=np.minimum([s.utterance_idx for s in sentences], max_utterances - 1),
-            role=role,
-            part=part,
+            role=np.array([ROLES.index(s.role) for s in sentences]),
+            part=np.array([PARTS.index(s.part) for s in sentences]),
             batches=tuple(starts[m, None] + np.arange(n) for m, n in zip(members, sizes)),
             inverse=np.argsort(np.concatenate(members), kind="stable"),
         )

@@ -1,15 +1,16 @@
 """Per-quarter company graph construction and temporal-leakage auditing.
 
 A quarter graph's nodes are its earnings calls: node i is ``calls[i]``,
-and the builder orders them by (date, company). Edges run from the
-earlier call to the later call of each related company pair, weighted by
-1/(day_gap+1) in calendar days. Same-day pairs are connected in both
-directions with weight 1, and every node carries a self-loop (weight 1,
-similarity 1). The edges are one ``EdgeTable`` of numpy columns sorted
-by (dst, src). Because no edge ever points from a later call to an
-earlier one, message passing over the graph cannot move information
-backward in time; ``audit_no_leakage`` re-checks exactly that property
-on the columns.
+and the builder orders them by (date, company); ``QuarterGraph`` checks
+its node rules itself, for the builder and the directory loader alike.
+Edges run from the earlier call to the later call of each related
+company pair, weighted by 1/(day_gap+1) in calendar days. Same-day pairs
+are connected in both directions with weight 1, and every node carries a
+self-loop (weight 1, similarity 1). The edges are one ``EdgeTable`` of
+numpy columns sorted by (dst, src). Because no edge ever points from a
+later call to an earlier one, message passing over the graph cannot move
+information backward in time; ``audit_no_leakage`` re-checks exactly
+that property on the columns.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
+from .dataio.datasets import TAUS
 from .dataio.records import CallRecord, Quarter, RelationRecord
 from .errors import GraphConstructionError
 
@@ -69,12 +71,31 @@ class QuarterGraph:
 
     ``labels`` maps the call_id of each labeled call to its {τ: target},
     as ``QuarterDataset.labels`` does; unlabeled calls have no entry.
+    Building a graph without calls, with a call outside the quarter or with
+    a company_id or call_id on two nodes raises ``GraphConstructionError``.
     """
 
     quarter: Quarter
     calls: list[CallRecord]
     edges: EdgeTable
     labels: dict[str, dict[int, float]]
+
+    def __post_init__(self):
+        if not self.calls:
+            raise GraphConstructionError(f"no calls in {self.quarter}")
+        for c in self.calls:
+            if not self.quarter.contains(c.call_date):
+                raise GraphConstructionError(
+                    f"call {c.call_id} dated {c.call_date} lies outside {self.quarter}"
+                )
+        for name, other in (("company_id", "call_id"), ("call_id", "company_id")):
+            first: dict[str, str] = {}
+            for c in self.calls:
+                key = getattr(c, name)
+                if key in first:
+                    raise GraphConstructionError(f"duplicate {name} {key} in {self.quarter}: "
+                                                 f"{other}s {first[key]} and {getattr(c, other)}")
+                first[key] = getattr(c, other)
 
     @property
     def n_nodes(self) -> int:
@@ -98,25 +119,8 @@ def build_quarter_graph(
     effective_year == quarter.year - 1 and similarity strictly above
     ``SIMILARITY_THRESHOLD`` induce edges. ``labels`` maps call_id to
     per-window targets; nodes without an entry stay in the graph unlabeled.
-    A quarter without calls has nothing to predict and raises
-    ``GraphConstructionError``.
+    The calls must make a valid ``QuarterGraph``.
     """
-    if not calls:
-        raise GraphConstructionError(f"no calls in {quarter}")
-    for call in calls:
-        if not quarter.contains(call.call_date):
-            raise GraphConstructionError(
-                f"call {call.call_id} dated {call.call_date} lies outside {quarter}"
-            )
-    by_company: dict[str, CallRecord] = {}
-    for call in calls:
-        if call.company_id in by_company:
-            raise GraphConstructionError(
-                f"duplicate call for company {call.company_id} in {quarter}: "
-                f"{by_company[call.company_id].call_id} and {call.call_id}"
-            )
-        by_company[call.company_id] = call
-
     ordered = sorted(calls, key=lambda c: (c.call_date, c.company_id))
     labels = labels or {}
     graph = QuarterGraph(
@@ -212,7 +216,7 @@ def audit_no_leakage(graph: QuarterGraph) -> LeakageReport:
 
 
 GRAPH_FORMAT = "volgraph-quarter-graph/1"
-NODE_COLUMNS = ("node_id", "company_id", "call_id", "call_date", "label_3", "label_7", "label_15")
+NODE_COLUMNS = ("node_id", "company_id", "call_id", "call_date", *(f"label_{t}" for t in TAUS))
 
 
 def save_graph_dir(graph: QuarterGraph, out_dir) -> None:
@@ -235,9 +239,7 @@ def save_graph_dir(graph: QuarterGraph, out_dir) -> None:
         for i, c in enumerate(graph.calls):
             target = graph.labels.get(c.call_id)
             row = [i, c.company_id, c.call_id, c.call_date.isoformat()]
-            row += (
-                ["", "", ""] if target is None else [repr(float(target[tau])) for tau in (3, 7, 15)]
-            )
+            row += [""] * len(TAUS) if target is None else [repr(float(target[t])) for t in TAUS]
             writer.writerow(row)
     e = graph.edges
     with atomic_open(out / "edges.csv", newline="") as fh:
@@ -256,7 +258,8 @@ def load_graph_dir(path) -> QuarterGraph:
     an edge endpoint that is not a node id, a repeated (src, dst) edge, a
     node without exactly one self-loop, a node or edge count that differs
     from ``graph.json``, or a transcript whose company or date differs from
-    its node row raises ``GraphConstructionError`` naming the file.
+    its node row raises ``GraphConstructionError`` naming the file, as does
+    a graph that breaks ``QuarterGraph``'s rules.
     """
     from .dataio.loaders import load_transcripts
 
@@ -271,8 +274,6 @@ def load_graph_dir(path) -> QuarterGraph:
     if not all(type(c) is int for c in counts):
         raise GraphConstructionError(f"{root / 'graph.json'}: n_nodes and n_edges must be integers")
     quarter = Quarter.parse(str(manifest.get("quarter")))
-    if counts[0] == 0:
-        raise GraphConstructionError(f"{root}: no calls in {quarter}")
     try:
         rows, labels = _read_nodes(root / "nodes.csv", counts[0])
         edges = _read_edges(root / "edges.csv", counts[1], len(rows))
@@ -291,7 +292,10 @@ def load_graph_dir(path) -> QuarterGraph:
                 f"{root}: calls.jsonl has {call_id} as {c.company_id} on {c.call_date}, "
                 f"nodes.csv row {row} as {company_id} on {call_date}"
             )
-    return QuarterGraph(quarter=quarter, calls=ordered_calls, edges=edges, labels=labels)
+    try:
+        return QuarterGraph(quarter=quarter, calls=ordered_calls, edges=edges, labels=labels)
+    except GraphConstructionError as e:
+        raise GraphConstructionError(f"{root}: {e}") from e
 
 
 def _read_columns(path: Path, names: tuple[str, ...], count: int) -> dict[str, tuple[str, ...]]:
@@ -378,7 +382,7 @@ def _read_nodes(path: Path, count: int) -> tuple[list[tuple], dict[str, dict[int
         try:
             by_node[int(node_id)] = (row, company_id, call_id, dt.date.fromisoformat(call_date))
             if any(targets):
-                labels[call_id] = dict(zip((3, 7, 15), map(float, targets)))
+                labels[call_id] = dict(zip(TAUS, map(float, targets)))
         except ValueError as e:
             raise GraphConstructionError(f"{path}: row {row}: {e}") from e
         if call_id in labels and not np.isfinite(list(labels[call_id].values())).all():

@@ -68,9 +68,14 @@ def load_checkpoint(path) -> tuple[dict[int, VolatilityModel], ModelConfig]:
         if missing:
             raise ConfigError(f"{path}: manifest lacks {', '.join(missing)}")
         config = ModelConfig.from_dict(manifest["config"])
+        scopes = manifest["scopes"]
+        if not isinstance(scopes, dict) or not all(isinstance(v, str) for v in scopes.values()):
+            raise ConfigError(f"{path}: scopes must map windows to scope names, got {scopes!r}")
         models: dict[int, VolatilityModel] = {}
         built: dict[str, VolatilityModel] = {}
-        for tau_str, scope in manifest["scopes"].items():
+        for tau_str, scope in scopes.items():
+            if tau_str not in map(str, config.taus):
+                raise ConfigError(f"{path}: scopes key {tau_str!r} is not a window of {config.taus}")
             tau = int(tau_str)
             if scope not in built:
                 taus = tuple(config.taus) if config.joint_heads else (tau,)

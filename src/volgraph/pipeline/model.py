@@ -39,6 +39,9 @@ _RETIRED_KEYS = {
     "network_heads": 1,
 }
 
+# the JSON value types a manifest may hold, per ModelConfig annotation
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "tuple": (list,)}
+
 
 @dataclass
 class ModelConfig:
@@ -114,15 +117,24 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Build from decoded JSON, where each value must have its field's JSON type."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be a JSON object, got {d!r}")
         d = dict(d)
         for key, dropped_at in _RETIRED_KEYS.items():
             if key in d and d.pop(key) != dropped_at:
                 raise ConfigError(f"config key {key!r} is no longer supported")
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        annotations = {f.name: f.type for f in fields(cls)}
+        unknown = sorted(set(d) - set(annotations))
         if unknown:
             raise ConfigError(f"unknown model config keys: {', '.join(unknown)}")
+        for key, value in d.items():
+            kind, *rest = annotations[key].split(" | ")  # a string, e.g. "int | None"
+            ok = type(value) in _JSON_TYPES[kind] or (value is None and rest == ["None"])
+            if not ok or (kind == "tuple" and not all(type(t) is int for t in value)):
+                raise ConfigError(f"config key {key!r}: {value!r} does not fit {annotations[key]}")
         if "taus" in d:
-            d["taus"] = tuple(int(t) for t in d["taus"])
+            d["taus"] = tuple(d["taus"])
         cfg = cls(**d)
         cfg.validate()
         return cfg

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import datetime as dt
 import json
 import shutil
 from pathlib import Path
@@ -273,6 +274,50 @@ class TestBuildGraphAndAudit:
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err and message in err
         assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("command", ["audit-leakage", "predict"])
+    def test_calls_outside_the_quarter_exit_2(self, workdir, tmp_path, capsys, command):
+        # every call a year later in both files, so calls.jsonl still matches
+        # nodes.csv and the edges keep their gaps: only the quarter is wrong
+        bad = tmp_path / "graph"
+        shutil.copytree(workdir["graph"], bad)
+
+        def later(date: str) -> str:
+            return dt.date.fromisoformat(date).replace(year=2015).isoformat()
+
+        def edit(rows):
+            k = rows[0].index("call_date")
+            return rows[:1] + [r[:k] + [later(r[k])] + r[k + 1:] for r in rows[1:]]
+
+        _edit_csv(bad / "nodes.csv", edit)
+        calls = [json.loads(line) for line in (bad / "calls.jsonl").read_text().splitlines()]
+        (bad / "calls.jsonl").write_text(
+            "".join(json.dumps({**c, "date": later(c["date"])}) + "\n" for c in calls)
+        )
+        first = load_graph_dir(workdir["graph"]).calls[0]
+        argv = [command, "--graph", str(bad)]
+        if command == "predict":
+            argv += ["--model", str(workdir["ckpt"]), "--out", str(tmp_path / "p.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: call {first.call_id} dated 2015-")
+        assert "lies outside 2014Q4" in err
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_calls_sharing_a_call_id_exit_2(self, workdir, tmp_path, capsys):
+        # two companies' calls of one quarter under one call_id
+        lines = (workdir["data"] / "transcripts.jsonl").read_text().splitlines()
+        calls = [c for c in map(json.loads, lines) if c["call_id"].endswith("-2014Q4")][:2]
+        calls[1]["call_id"] = calls[0]["call_id"]
+        transcripts = tmp_path / "t.jsonl"
+        transcripts.write_text("".join(json.dumps(c) + "\n" for c in calls))
+        argv = ["build-graph", "--quarter", "2014Q4", "--transcripts", str(transcripts),
+                "--relations", str(workdir["data"] / "relations.csv"),
+                "--out", str(tmp_path / "g")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: duplicate call_id {calls[0]['call_id']} in 2014Q4")
+        assert not (tmp_path / "g").exists()
 
     def test_empty_quarter_exits_2(self, workdir, tmp_path, capsys):
         data = workdir["data"]

@@ -119,6 +119,39 @@ class TestTranscriptLoading:
         with pytest.raises(ParseError):
             load_transcripts(p)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (5, "line is not a JSON object"),
+            (call_obj("C2-2016Q1", "C2", sentences=5), "call C2-2016Q1: sentences is not a list"),
+            (call_obj("C2-2016Q1", "C2", sentences=[5]),
+             "call C2-2016Q1: sentence 0 is not a JSON object"),
+            (call_obj("C2-2016Q1", "C2", sentences=[
+                {"utterance_idx": "x", "role": "analyst", "part": "qa", "text": "?"}]),
+             "call C2-2016Q1: sentence 0 utterance_idx 'x' is not an integer >= 0"),
+            (call_obj("C2-2016Q1", "C2", sentences=[
+                {"utterance_idx": 0, "role": "analyst", "part": "qa", "text": 5}]),
+             "call C2-2016Q1: sentence 0 text is a int, not a str"),
+            (call_obj("C2-2016Q1", "C2", sentences=[
+                {"utterance_idx": -1, "role": "analyst", "part": "qa", "text": "?"}]),
+             "call C2-2016Q1: sentence 0 utterance_idx -1 is not an integer >= 0"),
+            (call_obj("C2-2016Q1", "C2", sentences=[
+                {"utterance_idx": 0, "role": "executive", "part": "presentation", "text": "."},
+                {"utterance_idx": 1.7, "role": "analyst", "part": "qa", "text": "?"}]),
+             "call C2-2016Q1: sentence 1 utterance_idx 1.7 is not an integer >= 0"),
+        ],
+        ids=["number-line", "sentences-number", "sentence-number", "utterance-string",
+             "text-number", "utterance-negative", "utterance-float"],
+    )
+    def test_malformed_call_is_a_named_parse_error(self, tmp_path, line, message):
+        # each of these once loaded, or ended in a TypeError, AttributeError or ValueError
+        p = tmp_path / "t.jsonl"
+        p.write_text(json.dumps(call_obj()) + "\n" + json.dumps(line) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_transcripts(p)
+        assert str(err.value) == f"{message} [{p}:2]"
+        assert err.value.line == 2
+
     def test_vector_sentences_load_as_arrays(self, tmp_path):
         obj = call_obj(
             sentences=[
@@ -298,6 +331,13 @@ class TestRelationLoading:
         p.write_text("company_a,company_b,year,similarity\nA,B,2015,1.5\n")
         with pytest.raises(ParseError):
             load_relations(p)
+
+    def test_short_row_names_the_line(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("company_a,company_b,year,similarity\nA,B,2015,0.42\nA,B\n")
+        with pytest.raises(ParseError) as err:
+            load_relations(p)
+        assert str(err.value) == f"relation row has no year, similarity [{p}:3]"
 
     def test_round_trip(self, tmp_path, small_corpus):
         p = tmp_path / "r.csv"

@@ -53,7 +53,8 @@ def vector_call(rng, call_id="C-1", n=5, d_s=D_S, date=dt.date(2016, 2, 3)):
         part = "presentation" if pos < 2 else "qa"
         sentences.append(
             Sentence(
-                utterance_idx=0 if part == "presentation" else 1 + (pos % 2),
+                # roles alternate in the Q&A, so each Q&A sentence is its own utterance
+                utterance_idx=0 if part == "presentation" else pos - 1,
                 role="executive" if part == "presentation" or pos % 2 else "analyst",
                 part=part,
                 position=pos,
@@ -303,19 +304,17 @@ class TestSentenceBlock:
             (lengths.count(n), n) for n in set(lengths)
         )
 
-    def test_empty_call_is_named(self, rng):
-        store, tables, params = setup_encoder(rng)
-        calls = [vector_call(rng), CallRecord("E-1", "E", dt.date(2016, 2, 3), [])]
+    def test_empty_call_is_named(self):
+        # a call checks its own rules, so an empty one never reaches featurization
         with pytest.raises(ParseError, match="call E-1 has no sentences"):
-            featurize(calls, tables)
+            CallRecord("E-1", "E", dt.date(2016, 2, 3), [])
 
     def test_unknown_role_or_part_is_named(self, rng):
-        store, tables, params = setup_encoder(rng)
         for attr in ("role", "part"):
-            bad = vector_call(rng, call_id="B-1", n=3)
-            setattr(bad.sentences[2], attr, "moderator")
-            with pytest.raises(ParseError, match="call B-1: unknown role/part label 'moderator'"):
-                featurize([vector_call(rng), bad], tables)
+            sentences = vector_call(rng, call_id="B-1", n=3).sentences
+            setattr(sentences[2], attr, "moderator")
+            with pytest.raises(ParseError, match=f"call B-1: unknown {attr} 'moderator'"):
+                CallRecord("B-1", "B", dt.date(2016, 2, 3), sentences)
 
 
 class TestEncode:
@@ -388,11 +387,9 @@ class TestEncode:
         store, tables, params = setup_encoder(rng)
         call = vector_call(rng, n=4)
         base = encode_one(call, tables, params)
-        swapped = CallRecord(
-            call.call_id, call.company_id, call.call_date,
-            [call.sentences[1], call.sentences[0]] + call.sentences[2:],
-        )
-        for i, s in enumerate(swapped.sentences):
+        sentences = [call.sentences[1], call.sentences[0]] + call.sentences[2:]
+        for i, s in enumerate(sentences):
             s.position = i
+        swapped = CallRecord(call.call_id, call.company_id, call.call_date, sentences)
         other = encode_one(swapped, tables, params)
         assert not np.array_equal(base, other)

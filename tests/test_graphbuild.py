@@ -182,6 +182,12 @@ class TestEdgeSemantics:
         with pytest.raises(GraphConstructionError, match="duplicate"):
             build_quarter_graph(calls, [], Q)
 
+    def test_shared_call_id_rejected(self):
+        # two companies' calls under one call_id would share one labels entry
+        calls = [call("A", dt.date(2016, 4, 5), "X"), call("B", dt.date(2016, 4, 6), "X")]
+        with pytest.raises(GraphConstructionError, match="duplicate call_id X in 2016Q2"):
+            build_quarter_graph(calls, [], Q)
+
     def test_labels_kept_for_the_graph_calls_only(self):
         calls = [call("A", dt.date(2016, 4, 5)), call("B", dt.date(2016, 4, 6))]
         targets = {3: -4.0, 7: -4.1, 15: -4.2}

@@ -571,6 +571,27 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda m: m["config"].update(d_hidden="8"), "'d_hidden'"),
+            (lambda m: m["config"].update(lr="fast"), "'lr'"),
+            (lambda m: m["config"].update(d_ff="12"), "'d_ff'"),
+            (lambda m: m["config"].update(taus=5), "'taus'"),
+            (lambda m: m.update(config=[1]), "config"),
+            (lambda m: m.update(scopes=[1]), "scopes"),
+            (lambda m: m["scopes"].update(x="tau3"), "'x'"),
+            (lambda m: m["scopes"].update({"99": "tau3"}), "'99'"),
+        ],
+        ids=["int-as-string", "float-as-string", "d_ff-as-string", "taus-as-int",
+             "config-as-list", "scopes-as-list", "scope-key-not-a-window",
+             "scope-key-not-a-config-window"],
+    )
+    def test_manifest_value_of_the_wrong_json_type(self, tmp_path, edit, key):
+        path = self._corrupt(tmp_path, lambda _, manifest: edit(manifest))
+        with pytest.raises(ConfigError, match=key):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
         "payload", [b"not a model!", b"PK\x03\x04 truncated"], ids=["text", "zip"]
     )
     def test_not_a_zip_archive(self, tmp_path, payload):
