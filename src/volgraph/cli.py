@@ -39,9 +39,11 @@ from .graphbuild import audit_no_leakage, build_quarter_graph, load_graph_dir, s
 from .gnn import attention_export_rows, market_export_rows
 from .pipeline import (
     ModelConfig,
-    VolatilityModel,
+    build_models,
+    by_scope,
     evaluate,
     load_checkpoint,
+    predict_windows,
     prepare_quarter,
     save_checkpoint,
     train,
@@ -119,30 +121,21 @@ def dataclass_from_config(cls, overrides: dict[str, str]):
     return cls(**kwargs)
 
 
-def _load_data_dir(data_dir, report: IngestReport | None = None):
+def _prepare_splits(config: ModelConfig, data_dir):
+    """Prepared quarters of a data directory, as [train, val, test]."""
     root = Path(data_dir)
     with _input_files():
-        calls = load_transcripts(root / TRANSCRIPTS, report=report)
+        calls = load_transcripts(root / TRANSCRIPTS)
         prices = load_prices(root / PRICES)
         relations = load_relations(root / RELATIONS)
-    return calls, prices, relations
-
-
-def _prepare_splits(config: ModelConfig, data_dir, report: IngestReport | None = None):
-    calls, prices, relations = _load_data_dir(data_dir, report=report)
-    datasets = build_quarter_datasets(calls, prices, report=report)
+    datasets = build_quarter_datasets(calls, prices)
     groups = split_by_time(datasets, val_start=config.val_start, test_start=config.test_start)
-    prepared = []
-    for group in groups:
-        prepared.append(
-            [
-                prepare_quarter(
-                    build_quarter_graph(ds.calls, relations, ds.quarter, labels=ds.labels), ds
-                )
-                for ds in group
-            ]
-        )
-    return prepared  # [train, val, test]
+
+    def prepare(ds):
+        graph = build_quarter_graph(ds.calls, relations, ds.quarter, labels=ds.labels)
+        return prepare_quarter(graph, ds)
+
+    return [[prepare(ds) for ds in group] for group in groups]
 
 
 # -- subcommand implementations ----------------------------------------------------
@@ -207,31 +200,16 @@ def cmd_audit_leakage(args) -> int:
 
 def cmd_train(args) -> int:
     config = dataclass_from_config(ModelConfig, parse_kv_config(args.config) if args.config else {})
-    config.validate()
-    report = IngestReport()
-    train_q, val_q, _ = _prepare_splits(config, args.data, report=report)
-    models: dict[int, VolatilityModel] = {}
+    train_q, val_q, _ = _prepare_splits(config, args.data)
+    models = build_models(config)
     histories = {}
-    if config.joint_heads:
-        model = VolatilityModel(config)
+    for scope, model in by_scope(models).items():
         history = train(model, train_q, val_q, config)
-        for tau in config.taus:
-            models[tau] = model
-        histories["joint"] = history.to_dict()
+        histories[scope] = history.to_dict()
         print(
-            f"joint model: stopped epoch {history.stopped_epoch}, "
+            f"{scope}: stopped epoch {history.stopped_epoch}, "
             f"best val MSE {history.best_val_mse:.4f} at epoch {history.best_epoch}"
         )
-    else:
-        for tau in config.taus:
-            model = VolatilityModel(config, (tau,))
-            history = train(model, train_q, val_q, config)
-            models[tau] = model
-            histories[f"tau{tau}"] = history.to_dict()
-            print(
-                f"tau={tau}: stopped epoch {history.stopped_epoch}, "
-                f"best val MSE {history.best_val_mse:.4f} at epoch {history.best_epoch}"
-            )
     save_checkpoint(args.out, models, config)
     if args.history:
         with atomic_open(args.history) as fh:
@@ -253,14 +231,9 @@ def cmd_eval(args) -> int:
     }
     with atomic_open(args.report) as fh:
         json.dump(payload, fh, indent=2)
-    line = " ".join(
-        f"{k}={v:.4f}" for k, v in model_report.to_dict().items() if isinstance(v, float)
-    )
-    print(f"model   {line}")
-    line = " ".join(
-        f"{k}={v:.4f}" for k, v in baseline_report.to_dict().items() if isinstance(v, float)
-    )
-    print(f"v_past  {line}")
+    for name in ("model", "v_past"):
+        line = " ".join(f"{k}={v:.4f}" for k, v in payload[name].items() if isinstance(v, float))
+        print(f"{name:<8}{line}")
     print(f"report -> {args.report}")
     return 0
 
@@ -269,13 +242,7 @@ def cmd_predict(args) -> int:
     models, config = load_checkpoint(args.model)
     graph = load_graph_dir(args.graph)
     prepared = prepare_quarter(graph)
-    preds = {}
-    done = {}
-    for tau, model in models.items():
-        key = id(model)
-        if key not in done:
-            done[key] = model.predict(prepared)
-        preds[tau] = done[key][tau]
+    preds = predict_windows(models, prepared)
     sink = atomic_open(args.out, newline="") if args.out else contextlib.nullcontext(sys.stdout)
     with sink as out:
         writer = csv.writer(out)

@@ -56,19 +56,16 @@ def build_quarter_datasets(
 def split_by_time(
     datasets: list[QuarterDataset], val_start: int = 2016, test_start: int = 2017
 ) -> tuple[list[QuarterDataset], list[QuarterDataset], list[QuarterDataset]]:
-    """Tag quarters train/val/test by year boundary and return the three groups."""
+    """Group quarters into train/val/test by year boundary."""
     if not val_start < test_start:
         raise ConfigError(f"val_start {val_start} must precede test_start {test_start}")
     train, val, test = [], [], []
     for ds in datasets:
         if ds.quarter.year < val_start:
-            ds.split = "train"
             train.append(ds)
         elif ds.quarter.year < test_start:
-            ds.split = "val"
             val.append(ds)
         else:
-            ds.split = "test"
             test.append(ds)
     for name, group in (("train", train), ("val", val), ("test", test)):
         if not group:

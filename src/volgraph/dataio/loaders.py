@@ -235,7 +235,7 @@ def write_transcripts(calls, path) -> None:
                 "date": call.call_date.isoformat(),
                 "sentences": [
                     {
-                        "utterance_idx": s.utterance_idx,
+                        "utterance_idx": int(s.utterance_idx),
                         "role": s.role,
                         "part": s.part,
                         **({"text": s.text} if s.text is not None else {}),

@@ -188,5 +188,4 @@ class QuarterDataset:
     calls: list[CallRecord]
     labels: dict[str, dict[int, float]] = field(default_factory=dict)
     v_past: dict[str, dict[int, float]] = field(default_factory=dict)
-    split: str | None = None
     excluded: list[tuple[str, str]] = field(default_factory=list)

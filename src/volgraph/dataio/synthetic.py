@@ -31,7 +31,8 @@ clean zone, with no bleed across quarters.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -61,11 +62,17 @@ class SyntheticConfig:
     elevated_days: int = 20
     call_slots: tuple = (20, 25, 30, 35, 40)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.n_companies < 2:
             raise ConfigError("need at least 2 companies")
         if self.n_quarters < 1:
             raise ConfigError("need at least 1 quarter")
+        last_year = self.start_year + (self.start_quarter + self.n_quarters - 2) // 4
+        if self.start_year < 1 or last_year > 9999:
+            raise ConfigError(f"years {self.start_year}..{last_year} are not all in 1..9999")
         if not 0.0 <= self.relation_density <= 1.0:
             raise ConfigError(f"relation_density {self.relation_density} outside [0,1]")
         if self.signal_strength < 0:
@@ -78,6 +85,8 @@ class SyntheticConfig:
             raise ConfigError("bad sentence count range")
         if self.elevated_days < 15:
             raise ConfigError("elevated zone must cover the longest label window (15)")
+        if not self.call_slots:
+            raise ConfigError("call_slots must not be empty")
         if min(self.call_slots) < 16:
             raise ConfigError("earliest call slot must leave 16 trading days of history")
         if max(self.call_slots) + self.elevated_days >= _MIN_QUARTER_WEEKDAYS:
@@ -107,7 +116,6 @@ def _weekday_grid(first: dt.date, last: dt.date) -> list[dt.date]:
 
 def gen_synthetic(config: SyntheticConfig, seed: int) -> SyntheticData:
     """Generate transcripts, prices and relations for one planted-signal corpus."""
-    config.validate()
     rng = np.random.default_rng(seed)
     s = config.signal_strength
     b = config.tone_loading

@@ -6,7 +6,10 @@ from .model import (
     ModelConfig,
     PreparedQuarter,
     VolatilityModel,
+    build_models,
+    by_scope,
     masked_mse_tensor,
+    predict_windows,
     prepare_quarter,
 )
 from .training import (
@@ -25,13 +28,16 @@ __all__ = [
     "TrainHistory",
     "TrainState",
     "VolatilityModel",
+    "build_models",
     "build_report",
+    "by_scope",
     "evaluate",
     "fine_tune",
     "load_checkpoint",
     "masked_mse_tensor",
     "mean_mse",
     "mse",
+    "predict_windows",
     "prepare_quarter",
     "r_squared",
     "save_checkpoint",

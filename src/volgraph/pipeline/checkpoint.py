@@ -1,9 +1,10 @@
 """Self-describing model checkpoints: one npz with a JSON manifest inside.
 
 Layout: key "__manifest__" holds the JSON (format version, config,
-seed, windows, mode, parameter manifest); every parameter array is
-stored under "<tau-scope>/<param-name>". Separate-mode checkpoints
-carry one scope per window; joint mode a single shared scope.
+seed, the scope serving each window, parameter manifest); every
+parameter array is stored under "<scope>/<param-name>", one group per
+distinct model (``VolatilityModel.scope``: "tau{τ}" per window, or
+"joint" for one shared model).
 """
 
 from __future__ import annotations
@@ -16,26 +17,20 @@ import numpy as np
 
 from ..atomic import atomic_open
 from ..errors import ConfigError
-from .model import ModelConfig, VolatilityModel
+from .model import ModelConfig, VolatilityModel, build_models, by_scope
 
 FORMAT = "volgraph-checkpoint/1"
 
 
 def save_checkpoint(path, models: dict[int, VolatilityModel], config: ModelConfig) -> None:
-    """Write the models to ``path`` (exactly that name) in one atomic step."""
+    """Write the models, each built from ``config``, to ``path`` (exactly that name) atomically."""
     arrays = {}
-    scopes = {}
-    seen = {}
-    for tau, model in models.items():
-        key = id(model)
-        if key in seen:
-            scopes[str(tau)] = seen[key]
-            continue
-        scope = "joint" if config.joint_heads else f"tau{tau}"
-        seen[key] = scope
-        scopes[str(tau)] = scope
+    for scope, model in by_scope(models).items():
+        if model.config != config:
+            raise ConfigError(f"model {scope} was built from another config than the one saved")
         for name, t in model.store.items():
             arrays[f"{scope}/{name}"] = t.data
+    scopes = {str(tau): model.scope for tau, model in models.items()}
     manifest = {
         "format": FORMAT,
         "config": config.to_dict(),
@@ -69,30 +64,29 @@ def load_checkpoint(path) -> tuple[dict[int, VolatilityModel], ModelConfig]:
             raise ConfigError(f"{path}: manifest lacks {', '.join(missing)}")
         config = ModelConfig.from_dict(manifest["config"])
         scopes = manifest["scopes"]
-        if not isinstance(scopes, dict) or not all(isinstance(v, str) for v in scopes.values()):
+        named = isinstance(scopes, dict) and all(isinstance(v, str) for v in scopes.values())
+        if not scopes or not named:
             raise ConfigError(f"{path}: scopes must map windows to scope names, got {scopes!r}")
+        built = build_models(config)
         models: dict[int, VolatilityModel] = {}
-        built: dict[str, VolatilityModel] = {}
         for tau_str, scope in scopes.items():
             if tau_str not in map(str, config.taus):
                 raise ConfigError(f"{path}: scopes key {tau_str!r} is not a window of {config.taus}")
-            tau = int(tau_str)
-            if scope not in built:
-                taus = tuple(config.taus) if config.joint_heads else (tau,)
-                model = VolatilityModel(config, taus)
-                prefix = f"{scope}/"
-                try:
-                    state = {
-                        key[len(prefix) :]: data[key]
-                        for key in data.files
-                        if key.startswith(prefix)
-                    }
-                except (zipfile.BadZipFile, ValueError, EOFError) as e:
-                    raise ConfigError(f"{path}: scope {scope}: unreadable array ({e})") from e
-                try:
-                    model.store.load_state_arrays(state)
-                except ConfigError as e:
-                    raise ConfigError(f"{path}: scope {scope}: {e}") from e
-                built[scope] = model
-            models[tau] = built[scope]
+            model = models[int(tau_str)] = built[int(tau_str)]
+            if scope != model.scope:
+                raise ConfigError(
+                    f"{path}: window {tau_str} is in scope {scope!r}, not {model.scope!r}"
+                )
+        for scope, model in by_scope(models).items():
+            prefix = f"{scope}/"
+            try:
+                state = {
+                    key[len(prefix) :]: data[key] for key in data.files if key.startswith(prefix)
+                }
+            except (zipfile.BadZipFile, ValueError, EOFError) as e:
+                raise ConfigError(f"{path}: scope {scope}: unreadable array ({e})") from e
+            try:
+                model.store.load_state_arrays(state)
+            except ConfigError as e:
+                raise ConfigError(f"{path}: scope {scope}: {e}") from e
     return models, config

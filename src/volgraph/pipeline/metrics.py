@@ -1,4 +1,8 @@
-"""Evaluation metrics: per-window MSE, their mean, and R² against the baseline."""
+"""Evaluation metrics: per-window MSE, their mean, and R² against the baseline.
+
+A report covers the windows it is given, in window order; a checkpoint
+trained for one window gets a one-window report.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataio.datasets import TAUS
 from ..errors import ConfigError, ShapeError
 
 
@@ -28,10 +31,10 @@ def r_squared(mse_model: float, mse_vpast: float) -> float:
 
 
 def mean_mse(per_tau: dict) -> float:
-    missing = [t for t in TAUS if t not in per_tau]
-    if missing:
-        raise ConfigError(f"mean MSE needs every window, missing {missing}")
-    return float(sum(per_tau[t] for t in TAUS) / len(TAUS))
+    """Arithmetic mean of the per-window MSEs, summed in window order."""
+    if not per_tau:
+        raise ConfigError("mean MSE needs at least one window")
+    return float(sum(per_tau[t] for t in sorted(per_tau)) / len(per_tau))
 
 
 @dataclass
@@ -47,12 +50,13 @@ class MetricsReport:
         return mean_mse(self.mse_per_tau)
 
     def to_dict(self) -> dict:
+        taus = sorted(self.mse_per_tau)
         out = {"mse_mean": self.mean_mse}
-        for tau in TAUS:
+        for tau in taus:
             out[f"mse_{tau}"] = self.mse_per_tau[tau]
-        for tau in TAUS:
+        for tau in taus:
             out[f"r2_{tau}"] = self.r2_per_tau[tau]
-        out["n_samples"] = {str(t): int(self.n_samples[t]) for t in TAUS}
+        out["n_samples"] = {str(t): int(self.n_samples[t]) for t in taus}
         return out
 
 
@@ -61,21 +65,16 @@ def build_report(
     labels: dict[int, np.ndarray],
     baseline: dict[int, np.ndarray],
 ) -> tuple[MetricsReport, MetricsReport]:
-    """Model report and baseline report over one aligned sample set."""
-    missing = [t for t in TAUS if t not in preds or t not in labels or t not in baseline]
-    if missing:
-        raise ConfigError(f"report needs every window, missing {missing}")
-    model_mse = {t: mse(preds[t], labels[t]) for t in TAUS}
-    base_mse = {t: mse(baseline[t], labels[t]) for t in TAUS}
-    n = {t: len(labels[t]) for t in TAUS}
-    model_report = MetricsReport(
-        mse_per_tau=model_mse,
-        r2_per_tau={t: r_squared(model_mse[t], base_mse[t]) for t in TAUS},
-        n_samples=n,
-    )
-    base_report = MetricsReport(
-        mse_per_tau=base_mse,
-        r2_per_tau={t: r_squared(base_mse[t], base_mse[t]) for t in TAUS},
-        n_samples=n,
-    )
-    return model_report, base_report
+    """Model report and baseline report over one aligned sample set, per window of ``preds``."""
+    taus = sorted(preds)
+    if sorted(labels) != taus or sorted(baseline) != taus:
+        windows = f"preds {taus}, labels {sorted(labels)}, baselines {sorted(baseline)}"
+        raise ConfigError(f"report windows differ: {windows}")
+    model_mse = {t: mse(preds[t], labels[t]) for t in taus}
+    base_mse = {t: mse(baseline[t], labels[t]) for t in taus}
+    n = {t: len(labels[t]) for t in taus}
+
+    def report(errors: dict) -> MetricsReport:
+        return MetricsReport(errors, {t: r_squared(errors[t], base_mse[t]) for t in taus}, n)
+
+    return report(model_mse), report(base_mse)

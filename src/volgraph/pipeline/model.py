@@ -74,7 +74,7 @@ class ModelConfig:
     val_start: int = 2016
     test_start: int = 2017
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("lr", "weight_decay"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -135,9 +135,7 @@ class ModelConfig:
                 raise ConfigError(f"config key {key!r}: {value!r} does not fit {annotations[key]}")
         if "taus" in d:
             d["taus"] = tuple(d["taus"])
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
+        return cls(**d)
 
 
 @dataclass
@@ -194,7 +192,6 @@ class VolatilityModel:
     """
 
     def __init__(self, config: ModelConfig, taus: tuple | None = None):
-        config.validate()
         self.config = config
         self.taus = tuple(taus) if taus is not None else tuple(config.taus)
         rng = np.random.default_rng(config.seed)
@@ -239,6 +236,11 @@ class VolatilityModel:
             w2, b2 = store.linear(rng, f"head.tau{tau}.out", config.mlp_hidden, 1)
             self.heads[tau] = (w1, b1, w2, b2)
 
+    @property
+    def scope(self) -> str:
+        """The model's name in checkpoints and training histories: "joint" or "tau{τ}"."""
+        return "joint" if self.config.joint_heads else f"tau{self.taus[0]}"
+
     def encode(self, prepared: PreparedQuarter) -> Tensor:
         """Dialogue embeddings for every node, in node order."""
         return encode_calls(
@@ -282,6 +284,30 @@ class VolatilityModel:
         for tau in self.taus:
             _, _, _, b2 = self.heads[tau]
             b2.data = np.full_like(b2.data, label_means[tau])
+
+
+def build_models(config: ModelConfig) -> dict[int, VolatilityModel]:
+    """The model serving each window of ``config.taus``: one joint model, or one per window."""
+    if config.joint_heads:
+        return dict.fromkeys(config.taus, VolatilityModel(config))
+    return {tau: VolatilityModel(config, (tau,)) for tau in config.taus}
+
+
+def by_scope(models: dict[int, VolatilityModel]) -> dict[str, VolatilityModel]:
+    """The distinct models serving ``models``' windows, by scope, in first-listed order."""
+    distinct: dict[str, VolatilityModel] = {}
+    for model in models.values():
+        if distinct.setdefault(model.scope, model) is not model:
+            raise ConfigError(f"two distinct models share scope {model.scope!r}")
+    return distinct
+
+
+def predict_windows(
+    models: dict[int, VolatilityModel], prepared: PreparedQuarter
+) -> dict[int, np.ndarray]:
+    """No-grad predictions per window, running each distinct model once."""
+    preds = {scope: model.predict(prepared) for scope, model in by_scope(models).items()}
+    return {tau: preds[model.scope][tau] for tau, model in models.items()}
 
 
 def masked_mse_tensor(

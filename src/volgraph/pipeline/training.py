@@ -15,7 +15,7 @@ import numpy as np
 from ..errors import ConfigError, InsufficientDataError, TrainingDivergedError
 from ..numcore import AdamState, adam_step, no_grad
 from .metrics import MetricsReport, build_report
-from .model import ModelConfig, PreparedQuarter, VolatilityModel, masked_mse_tensor
+from .model import ModelConfig, PreparedQuarter, VolatilityModel, masked_mse_tensor, predict_windows
 
 
 @dataclass
@@ -181,27 +181,20 @@ def fine_tune(
 
 
 def evaluate(
-    models: dict[int, VolatilityModel],
-    quarters: list[PreparedQuarter],
-    mask_per_quarter: list[np.ndarray] | None = None,
+    models: dict[int, VolatilityModel], quarters: list[PreparedQuarter]
 ) -> tuple[MetricsReport, MetricsReport]:
-    """Model and baseline reports over the same labeled sample set."""
-    masks = mask_per_quarter or [p.mask for p in quarters]
+    """Model and baseline reports per window of ``models`` over the quarters' labeled nodes."""
     preds: dict[int, list] = {t: [] for t in models}
     labels: dict[int, list] = {t: [] for t in models}
     baseline: dict[int, list] = {t: [] for t in models}
-    for prepared, mask in zip(quarters, masks):
+    for prepared in quarters:
         if prepared.v_past is None:
             raise ConfigError("evaluation needs baseline values; prepare with a dataset")
-        idx = np.flatnonzero(mask & prepared.mask)
+        idx = np.flatnonzero(prepared.mask)
         if idx.size == 0:
             continue
-        done: dict[int, dict[int, np.ndarray]] = {}
-        for tau, model in models.items():
-            key = id(model)
-            if key not in done:
-                done[key] = model.predict(prepared)
-            preds[tau].append(done[key][tau][idx])
+        for tau, pred in predict_windows(models, prepared).items():
+            preds[tau].append(pred[idx])
             labels[tau].append(prepared.labels[tau][idx])
             baseline[tau].append(prepared.v_past[tau][idx])
     cat = lambda d: {t: np.concatenate(v) for t, v in d.items()}

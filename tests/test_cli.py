@@ -169,6 +169,25 @@ class TestGenSynth:
         calls = load_transcripts(data / "transcripts.jsonl")
         assert len(calls) == 10 * 12
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("sentence_noise = nan", "sentence_noise must be finite, got nan"),
+            ("call_slots =", "call_slots must not be empty"),
+            ("start_year = 0", "years 0..3 are not all in 1..9999"),
+            ("start_year = 9999", "years 9999..10002 are not all in 1..9999"),
+            ("n_quarters = 100000", "years 2014..27014 are not all in 1..9999"),
+        ],
+        ids=["nan-noise", "no-call-slots", "year-0", "past-year-9999", "too-many-quarters"],
+    )
+    def test_bad_config_exits_2(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert main(["gen-synth", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 def _edit_csv(path, edit):
     with path.open(newline="") as fh:
@@ -846,6 +865,22 @@ class TestNodeIdsOutOfDateOrder:
             for key, (date, *values) in market_a.items():
                 assert market_b[key][0] == date
                 np.testing.assert_allclose(market_b[key][1:], values, rtol=1e-12, err_msg=str(key))
+
+
+class TestSingleWindow:
+    def test_eval_reports_the_checkpoint_window(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "tau3.cfg"
+        cfg.write_text(TINY_MODEL_CONFIG + "taus = 3\nmax_epochs = 1\n")
+        ckpt, report = tmp_path / "tau3.npz", tmp_path / "eval.json"
+        data = str(workdir["data"])
+        assert main(["train", "--config", str(cfg), "--data", data, "--out", str(ckpt)]) == 0
+        assert capsys.readouterr().out.startswith("tau3: stopped epoch 1,")
+        assert main(["eval", "--model", str(ckpt), "--data", data, "--report", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        for side in ("model", "v_past"):
+            assert list(payload[side]) == ["mse_mean", "mse_3", "r2_3", "n_samples"]
+            assert payload[side]["mse_mean"] == payload[side]["mse_3"]
+            assert list(payload[side]["n_samples"]) == ["3"]
 
 
 class TestJointTraining:

@@ -85,9 +85,7 @@ class TestSplitByTime:
         assert all(ds.quarter.year == 2015 for ds in train)
         assert all(ds.quarter.year == 2016 for ds in val)
         assert all(ds.quarter.year == 2017 for ds in test)
-        assert all(ds.split == "train" for ds in train)
-        assert all(ds.split == "val" for ds in val)
-        assert all(ds.split == "test" for ds in test)
+        assert (len(train), len(val), len(test)) == (2, 2, 2)
 
     def test_empty_split_is_an_error(self):
         datasets = [_dataset_stub(Quarter(2016, 1)), _dataset_stub(Quarter(2017, 1))]

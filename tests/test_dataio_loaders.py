@@ -17,7 +17,7 @@ from volgraph.dataio.loaders import (
     write_relations,
     write_transcripts,
 )
-from volgraph.dataio.records import PriceSeries, Quarter, RelationRecord
+from volgraph.dataio.records import CallRecord, PriceSeries, Quarter, RelationRecord, Sentence
 from volgraph.errors import ParseError
 
 
@@ -214,6 +214,15 @@ class TestTranscriptLoading:
                     sb.part,
                 )
                 np.testing.assert_array_equal(sa.vector, sb.vector)
+
+    def test_numpy_integer_utterance_index_round_trips(self, tmp_path):
+        sentence = Sentence(np.int64(1), "analyst", "qa", 0, text="Why?")
+        call = CallRecord("X-2016Q1", "X", dt.date(2016, 2, 1), [sentence])
+        p = tmp_path / "t.jsonl"
+        write_transcripts([call], p)
+        (back,) = load_transcripts(p)
+        s = back.sentences[0]
+        assert (s.utterance_idx, s.role, s.part, s.text) == (1, "analyst", "qa", "Why?")
 
 
 class TestPriceLoading:

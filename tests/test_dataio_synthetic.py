@@ -113,13 +113,13 @@ class TestStructure:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            SyntheticConfig(n_companies=1).validate()
+            SyntheticConfig(n_companies=1)
         with pytest.raises(ConfigError):
-            SyntheticConfig(elevated_days=5).validate()
+            SyntheticConfig(elevated_days=5)
         with pytest.raises(ConfigError):
-            SyntheticConfig(call_slots=(10,)).validate()
+            SyntheticConfig(call_slots=(10,))
         with pytest.raises(ConfigError):
-            SyntheticConfig(tone_persistence=1.0).validate()
+            SyntheticConfig(tone_persistence=1.0)
 
 
 class TestPlantedSignal:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,15 @@ from volgraph.pipeline import (
     MetricsReport,
     ModelConfig,
     VolatilityModel,
+    build_models,
     build_report,
+    by_scope,
     evaluate,
     fine_tune,
     load_checkpoint,
     mean_mse,
     mse,
+    predict_windows,
     prepare_quarter,
     r_squared,
     save_checkpoint,
@@ -83,13 +88,31 @@ class TestMetrics:
         assert mean_mse(per) == pytest.approx(0.6, abs=1e-15)
 
     def test_mean_mse_missing_window(self):
+        # the mean covers the windows given; no window at all has no mean
+        assert mean_mse({7: 0.3, 3: 0.1}) == pytest.approx(0.2, abs=1e-15)
         with pytest.raises(ConfigError):
-            mean_mse({3: 0.1, 7: 0.1})
+            mean_mse({})
 
     def test_build_report_missing_window(self, rng):
         arrays = {t: rng.normal(size=5) for t in (3, 7)}
-        with pytest.raises(ConfigError):
-            build_report(arrays, arrays, arrays)
+        short = {3: arrays[3]}
+        for preds, labels, base in (
+            (arrays, arrays, short),
+            (arrays, short, arrays),
+            (short, arrays, arrays),
+        ):
+            with pytest.raises(ConfigError, match="windows differ"):
+                build_report(preds, labels, base)
+
+    def test_single_window_report(self, rng):
+        labels = {7: rng.normal(size=6)}
+        model_rep, base_rep = build_report({7: labels[7] + 0.1}, labels, {7: labels[7] + 1.0})
+        d = model_rep.to_dict()
+        assert list(d) == ["mse_mean", "mse_7", "r2_7", "n_samples"]
+        assert d["mse_mean"] == d["mse_7"] == pytest.approx(0.01)
+        assert d["r2_7"] == pytest.approx(0.99)
+        assert d["n_samples"] == {"7": 6}
+        assert base_rep.to_dict()["r2_7"] == 0.0
 
     def test_report_to_dict_layout(self):
         rep = MetricsReport(
@@ -404,8 +427,32 @@ class TestEvaluate:
         keep = np.flatnonzero(sub)[: max(1, p.n_labeled // 2)]
         sub[:] = False
         sub[keep] = True
-        rep, _ = evaluate(models, [p], [sub])
+        rep, _ = evaluate(models, [dataclasses.replace(p, mask=sub)])
         assert all(rep.n_samples[t] == len(keep) for t in TAUS)
+
+
+class TestWindowLayout:
+    def test_separate_and_joint_layouts(self):
+        separate = build_models(tiny_config())
+        assert [(m.scope, m.taus) for m in separate.values()] == [
+            ("tau3", (3,)), ("tau7", (7,)), ("tau15", (15,))
+        ]
+        assert list(by_scope(separate)) == ["tau3", "tau7", "tau15"]
+        joint = build_models(tiny_config(joint_heads=True))
+        assert list(joint) == list(TAUS)
+        assert by_scope(joint) == {"joint": joint[3]} and joint[3].taus == TAUS
+
+    def test_predict_windows_runs_each_model_once(self, prepared_quarters, monkeypatch):
+        models = build_models(tiny_config(joint_heads=True))
+        p = prepared_quarters[0]
+        want = models[3].predict(p)
+        runs = []
+        real = VolatilityModel.predict
+        monkeypatch.setattr(VolatilityModel, "predict", lambda m, q: runs.append(m) or real(m, q))
+        got = predict_windows(models, p)
+        assert len(runs) == 1
+        assert list(got) == list(TAUS)
+        assert all(np.array_equal(got[t], want[t]) for t in TAUS)
 
 
 class TestTransductiveSplit:
@@ -498,6 +545,18 @@ class TestCheckpoint:
         assert manifest["format"] == "volgraph-checkpoint/1"
         assert any(k.startswith("tau3/") for k in manifest["params"])
 
+    def test_models_that_would_share_a_scope_are_refused(self, tmp_path):
+        # per-window models under a joint config would all be scope "joint",
+        # each overwriting the others' arrays
+        config = tiny_config(joint_heads=True)
+        models = {tau: VolatilityModel(config, (tau,)) for tau in TAUS}
+        with pytest.raises(ConfigError, match="two distinct models share scope 'joint'"):
+            save_checkpoint(tmp_path / "m.npz", models, config)
+        separate = build_models(tiny_config())
+        with pytest.raises(ConfigError, match="model tau3 was built from another config"):
+            save_checkpoint(tmp_path / "m.npz", separate, config)
+        assert list(tmp_path.iterdir()) == []
+
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez(path, a=np.zeros(3))
@@ -579,16 +638,22 @@ class TestCheckpoint:
             (lambda m: m["config"].update(taus=5), "'taus'"),
             (lambda m: m.update(config=[1]), "config"),
             (lambda m: m.update(scopes=[1]), "scopes"),
+            (lambda m: m.update(scopes={}), "scopes"),
             (lambda m: m["scopes"].update(x="tau3"), "'x'"),
             (lambda m: m["scopes"].update({"99": "tau3"}), "'99'"),
         ],
         ids=["int-as-string", "float-as-string", "d_ff-as-string", "taus-as-int",
-             "config-as-list", "scopes-as-list", "scope-key-not-a-window",
+             "config-as-list", "scopes-as-list", "scopes-empty", "scope-key-not-a-window",
              "scope-key-not-a-config-window"],
     )
     def test_manifest_value_of_the_wrong_json_type(self, tmp_path, edit, key):
         path = self._corrupt(tmp_path, lambda _, manifest: edit(manifest))
         with pytest.raises(ConfigError, match=key):
+            load_checkpoint(path)
+
+    def test_manifest_scope_is_not_the_config_layout(self, tmp_path):
+        path = self._corrupt(tmp_path, lambda _, manifest: manifest["scopes"].update({"7": "tau3"}))
+        with pytest.raises(ConfigError, match="window 7 is in scope 'tau3', not 'tau7'"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
@@ -646,13 +711,13 @@ class TestModelConfig:
 
     def test_validation_rejects_bad_values(self):
         with pytest.raises(ConfigError):
-            tiny_config(lr=0.0).validate()
+            tiny_config(lr=0.0)
         with pytest.raises(ConfigError):
-            tiny_config(d_hidden=0).validate()
+            tiny_config(d_hidden=0)
         with pytest.raises(ConfigError):
-            tiny_config(taus=(4,)).validate()
+            tiny_config(taus=(4,))
         with pytest.raises(ConfigError):
-            tiny_config(d_hidden=8, dialogue_heads=3).validate()
+            tiny_config(d_hidden=8, dialogue_heads=3)
         with pytest.raises(ConfigError, match="network_heads"):
             ModelConfig.from_dict({**tiny_config().to_dict(), "network_heads": 2})
 
@@ -660,7 +725,7 @@ class TestModelConfig:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_validation_rejects_non_finite_floats(self, name, value):
         with pytest.raises(ConfigError, match=name):
-            tiny_config(**{name: value}).validate()
+            tiny_config(**{name: value})
 
     def test_from_dict_rejects_unknown_keys(self):
         d = tiny_config().to_dict()
