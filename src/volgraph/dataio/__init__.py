@@ -17,7 +17,7 @@ from .records import (
     PriceSeries,
     Quarter,
     QuarterDataset,
-    RelationRecord,
+    RelationTable,
     Sentence,
     validate_call,
 )
@@ -30,6 +30,7 @@ from .volatility import (
     returns_slice,
     v_past_prediction,
     volatility,
+    window_targets,
     windowed_volatility,
 )
 
@@ -42,7 +43,7 @@ __all__ = [
     "Quarter",
     "QuarterDataset",
     "ROLES",
-    "RelationRecord",
+    "RelationTable",
     "Sentence",
     "SyntheticConfig",
     "SyntheticData",
@@ -60,6 +61,7 @@ __all__ = [
     "v_past_prediction",
     "validate_call",
     "volatility",
+    "window_targets",
     "windowed_volatility",
     "write_prices",
     "write_relations",

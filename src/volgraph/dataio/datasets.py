@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from ..errors import ConfigError, InsufficientDataError
+from ..errors import ConfigError
 from .loaders import IngestReport
 from .records import CallRecord, PriceSeries, Quarter, QuarterDataset
-from .volatility import label, v_past_prediction
+from .volatility import window_targets
 
 TAUS = (3, 7, 15)
 
@@ -21,35 +21,27 @@ def build_quarter_datasets(
     and a trailing baseline; otherwise it moves to the dataset's exclusion list
     (and the ingest report, when given). Companies without any price
     series are excluded the same way — a node-only company can still
-    appear in a graph, but not in a labeled dataset.
+    appear in a graph, but not in a labeled dataset. Values and reasons
+    are ``window_targets``', computed for all calls at once.
     """
-    by_company = {p.company_id: p for p in prices}
+    ordered = sorted(calls, key=lambda c: (c.call_date, c.company_id))
+    labels, v_past, reasons = window_targets(
+        prices, [c.company_id for c in ordered], [c.call_date for c in ordered], TAUS
+    )
     datasets: dict[Quarter, QuarterDataset] = {}
-    for call in sorted(calls, key=lambda c: (c.call_date, c.company_id)):
+    for call, targets, baselines, reason in zip(ordered, labels.tolist(), v_past.tolist(), reasons):
         quarter = Quarter.of_date(call.call_date)
-        ds = datasets.setdefault(quarter, QuarterDataset(quarter=quarter, calls=[]))
-        series = by_company.get(call.company_id)
-        if series is None:
-            ds.excluded.append((call.call_id, "no price series"))
+        ds = datasets.get(quarter)
+        if ds is None:
+            ds = datasets[quarter] = QuarterDataset(quarter=quarter, calls=[])
+        if reason is not None:
+            ds.excluded.append((call.call_id, reason))
             if report is not None:
-                report.label_exclusions.append(
-                    {"call_id": call.call_id, "reason": "no price series"}
-                )
-            continue
-        labels: dict[int, float] = {}
-        baselines: dict[int, float] = {}
-        try:
-            for tau in TAUS:
-                labels[tau] = label(series, call.call_date, tau)
-                baselines[tau] = v_past_prediction(series, call.call_date, tau)
-        except InsufficientDataError as e:
-            ds.excluded.append((call.call_id, str(e)))
-            if report is not None:
-                report.label_exclusions.append({"call_id": call.call_id, "reason": str(e)})
+                report.label_exclusions.append({"call_id": call.call_id, "reason": reason})
             continue
         ds.calls.append(call)
-        ds.labels[call.call_id] = labels
-        ds.v_past[call.call_id] = baselines
+        ds.labels[call.call_id] = dict(zip(TAUS, targets))
+        ds.v_past[call.call_id] = dict(zip(TAUS, baselines))
     return [datasets[q] for q in sorted(datasets)]
 
 

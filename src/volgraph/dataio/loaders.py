@@ -21,13 +21,14 @@ import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from ..atomic import atomic_open
 from ..errors import ParseError
-from .records import CallRecord, PriceSeries, RelationRecord, Sentence
+from .records import RELATION_COLUMNS, CallRecord, PriceSeries, RelationTable, Sentence
 
 log = logging.getLogger(__name__)
 
@@ -137,90 +138,178 @@ def _parse_call(obj, report: IngestReport) -> CallRecord | None:
     return CallRecord(call_id, str(obj["company_id"]), date, sentences)
 
 
+# data rows split at a time: a file's fields are never all alive at once
+_CHUNK_ROWS = 1024
+
+
+def _csv_chunks(path: Path):
+    """The header row of a CSV file, then its data rows in chunks, one list per header column.
+
+    Fields are what ``csv.reader`` makes of the file: the header is the
+    first row (None for an empty file), blank lines after it are skipped,
+    and each data row is cut or padded with None to the header's width. A
+    file without quotes, NULs or lone carriage returns whose every line
+    has the header's width of two or more is exactly commas and newlines
+    between fields, so each of its chunks is split in one pass; any other
+    file goes through ``csv.reader``.
+    """
+    with path.open(newline="") as fh:
+        raw = fh.read().replace("\r\n", "\n").encode()
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    width = raw[: raw.index(b"\n")].count(b",") + 1
+    if width > 1 and not any(c in raw for c in (b'"', b"\0", b"\r")):
+        code = np.frombuffer(raw, np.uint8)
+        ends = np.flatnonzero(code == ord("\n")) + 1  # after each line; the header's first
+        line = np.searchsorted(ends, np.flatnonzero(code == ord(",")), side="right")
+        if (np.bincount(line, minlength=len(ends)) == width - 1).all():
+            del code, line
+            yield raw[: ends[0] - 1].decode().split(",")
+            cuts = [*ends[:-1:_CHUNK_ROWS].tolist(), len(raw)]
+            for a, b in zip(cuts, cuts[1:]):
+                fields = raw[a:b].decode().replace("\n", ",").split(",")[:-1]
+                yield [fields[i::width] for i in range(width)]
+            return
+    del raw
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        yield header
+        rows = filter(None, reader)
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            yield [[row[i] if i < len(row) else None for row in chunk] for i in range(len(header))]
+
+
 def load_prices(path) -> list[PriceSeries]:
     """Read per-company adjusted closes; rows may arrive in any order.
 
     Columns are found by header name; a repeated name means its last
     column. Blank lines are skipped and do not count toward the line
-    numbers in errors, as with ``csv.DictReader``.
+    numbers in errors, as with ``csv.DictReader``. The first row whose date
+    does not parse or whose close is not a finite positive number names the
+    error, with its line; then the first row without a company_id does.
     """
     path = Path(path)
-    rows: dict[str, list[tuple[dt.date, float]]] = {}
-    parsed: dict[str, dt.date] = {}  # companies share dates: parse each string once
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        column = {name: i for i, name in enumerate(next(reader, []))}
-        expected = ("company_id", "date", "adjusted_close")
-        if not set(expected).issubset(column):
-            raise ParseError(
-                f"prices header must contain {sorted(expected)}", path=str(path), line=1
-            )
-        i_company, i_date, i_close = (column[name] for name in expected)
-        width = max(i_company, i_date, i_close) + 1
-        lineno = 1
-        for row in reader:
-            if not row:
-                continue
-            lineno += 1
-            if len(row) < width:
-                row += [None] * (width - len(row))
-            date = parsed.get(row[i_date])
-            if date is None:
-                date = parsed[row[i_date]] = _parse_date(row[i_date], f"{path}:{lineno}")
-            try:
-                close = float(row[i_close])
-            except (TypeError, ValueError) as e:
-                raise ParseError("bad adjusted_close", path=str(path), line=lineno) from e
-            if not math.isfinite(close):
-                raise ParseError(
-                    f"non-finite adjusted_close {close}", path=str(path), line=lineno
-                )
-            if close <= 0:
-                raise ParseError(
-                    f"non-positive adjusted_close {close}", path=str(path), line=lineno
-                )
-            rows.setdefault(row[i_company], []).append((date, close))
-    out = []
-    for company_id in sorted(rows):
-        pairs = sorted(rows[company_id])
-        dates = [d for d, _ in pairs]
-        if len(set(dates)) != len(dates):
-            raise ParseError(f"{company_id}: duplicate trading dates", path=str(path))
-        out.append(
-            PriceSeries(company_id, dates, np.array([c for _, c in pairs], dtype=np.float64))
-        )
-    if not out:
+    chunks = _csv_chunks(path)
+    column = {name: i for i, name in enumerate(next(chunks) or ())}
+    expected = ("company_id", "date", "adjusted_close")
+    if not set(expected).issubset(column):
+        raise ParseError(f"prices header must contain {sorted(expected)}", path=str(path), line=1)
+    i_company, i_date, i_close = (column[name] for name in expected)
+    companies: dict[str, int] = {}  # company id -> code, in first-seen order
+    dates: dict[str, int] = {}  # companies share dates: parse each string once
+    unique_dates: list[dt.date] = []
+    codes, date_codes, closes = [], [], []
+    lineno = 2  # of the chunk's first row
+    no_company = 0  # line of the first row without a company_id
+    for columns in chunks:
+        company_ids, date_texts, close_texts = columns[i_company], columns[i_date], columns[i_close]
+        try:
+            new = [text for text in dict.fromkeys(date_texts) if text not in dates]
+            unique_dates += map(dt.date.fromisoformat, new)
+            dates.update(zip(new, range(len(dates), len(unique_dates))))
+            parsed = np.array(list(map(float, close_texts)), dtype=np.float64)
+            if not (np.isfinite(parsed) & (parsed > 0)).all():
+                raise ValueError("a close that is not a finite positive number")
+        except (TypeError, ValueError):
+            _raise_first_bad_price_row(path, lineno, date_texts, close_texts)
+            raise
+        if not no_company and None in company_ids:
+            no_company = lineno + company_ids.index(None)
+        for company_id in dict.fromkeys(company_ids):
+            companies.setdefault(company_id, len(companies))
+        codes.append(np.fromiter(map(companies.__getitem__, company_ids), np.intp, len(parsed)))
+        date_codes.append(np.fromiter(map(dates.__getitem__, date_texts), np.intp, len(parsed)))
+        closes.append(parsed)
+        lineno += len(parsed)
+    if no_company:
+        raise ParseError("prices row has no company_id", path=str(path), line=no_company)
+    if not companies:
         log.warning("no price rows loaded from %s", path)
-    return out
+        return []
+    # sort the rows by (company id, date); a repeated date sits in adjacent rows
+    names = sorted(companies)
+    rank = np.empty(len(names), dtype=np.intp)
+    rank[[companies[name] for name in names]] = np.arange(len(names))
+    company = rank[np.concatenate(codes)]
+    ordinals = np.fromiter(map(dt.date.toordinal, unique_dates), np.int64, len(unique_dates))
+    date_code = np.concatenate(date_codes)
+    order = np.lexsort((ordinals[date_code], company))
+    company, date_code = company[order], date_code[order]
+    day = ordinals[date_code]
+    repeated = np.flatnonzero((company[1:] == company[:-1]) & (day[1:] == day[:-1]))
+    if repeated.size:
+        raise ParseError(f"{names[company[repeated[0]]]}: duplicate trading dates", path=str(path))
+    date = np.array(unique_dates, dtype=object)[date_code]
+    close = np.concatenate(closes)[order]
+    bounds = np.searchsorted(company, np.arange(len(names) + 1))
+    return [
+        PriceSeries(name, date[lo:hi].tolist(), close[lo:hi])
+        for name, lo, hi in zip(names, bounds[:-1], bounds[1:])
+    ]
 
 
-def load_relations(path) -> list[RelationRecord]:
+def _raise_first_bad_price_row(path: Path, first: int, date_texts: list, close_texts: list):
+    """Raise the ParseError of the first bad date or close; row 0 is on line ``first``."""
+    for lineno, (date, close) in enumerate(zip(date_texts, close_texts), start=first):
+        _parse_date(date, f"{path}:{lineno}")
+        try:
+            close = float(close)
+        except (TypeError, ValueError) as e:
+            raise ParseError("bad adjusted_close", path=str(path), line=lineno) from e
+        if not math.isfinite(close):
+            raise ParseError(f"non-finite adjusted_close {close}", path=str(path), line=lineno)
+        if close <= 0:
+            raise ParseError(f"non-positive adjusted_close {close}", path=str(path), line=lineno)
+
+
+def load_relations(path) -> RelationTable:
+    """Read company-pair similarities as one column table.
+
+    Columns are found by header name; a repeated name means its last
+    column. Blank lines are skipped and do not count toward the line
+    numbers in errors, as with ``csv.DictReader``. The first row that is
+    short, does not parse or breaks ``RelationTable``'s rules names the
+    error, with its line.
+    """
     path = Path(path)
-    out: list[RelationRecord] = []
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"company_a", "company_b", "year", "similarity"}
-        if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
-            raise ParseError(
-                f"relations header must contain {sorted(expected)}", path=str(path), line=1
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if None in row.values():  # a short row; DictReader fills it with None
-                missing = ", ".join(name for name, value in row.items() if value is None)
-                raise ParseError(f"relation row has no {missing}", path=str(path), line=lineno)
-            try:
-                rec = RelationRecord(
-                    company_a=row["company_a"],
-                    company_b=row["company_b"],
-                    effective_year=int(row["year"]),
-                    similarity=float(row["similarity"]),
-                )
-            except (ValueError, ParseError) as e:
-                raise ParseError(f"bad relation row: {e}", path=str(path), line=lineno) from e
-            out.append(rec)
-    if not out:
+    chunks = _csv_chunks(path)
+    header = next(chunks)
+    if header is None or not set(RELATION_COLUMNS).issubset(header):
+        raise ParseError(
+            f"relations header must contain {sorted(RELATION_COLUMNS)}", path=str(path), line=1
+        )
+    column = {name: i for i, name in enumerate(header)}
+    parts = [RelationTable([], [], [], [])]
+    lineno = 2  # of the chunk's first row
+    for chunk in chunks:
+        a, b, years, similarities = (chunk[column[name]] for name in RELATION_COLUMNS)
+        try:
+            if None in chunk[-1]:
+                raise ValueError("a short row")
+            parts.append(RelationTable(a, b, list(map(int, years)), list(map(float, similarities))))
+        except (ValueError, OverflowError, ParseError):
+            # some row is bad: the first one names the error
+            for k in range(len(a)):
+                missing = ", ".join(name for name, i in column.items() if chunk[i][k] is None)
+                if missing:  # a short row
+                    raise ParseError(
+                        f"relation row has no {missing}", path=str(path), line=lineno + k
+                    )
+                try:
+                    RelationTable([a[k]], [b[k]], [int(years[k])], [float(similarities[k])])
+                except (ValueError, OverflowError, ParseError) as e:
+                    raise ParseError(
+                        f"bad relation row: {e}", path=str(path), line=lineno + k
+                    ) from e
+            raise
+        lineno += len(a)
+    table = RelationTable(
+        *(np.concatenate([getattr(part, name) for part in parts]) for name in RELATION_COLUMNS)
+    )
+    if not len(table):
         log.warning("no relations loaded from %s", path)
-    return out
+    return table
 
 
 # -- writers (round-trip partners of the loaders) -------------------------------
@@ -260,9 +349,15 @@ def write_prices(series_list, path) -> None:
                 writer.writerow([series.company_id, d.isoformat(), repr(float(c))])
 
 
-def write_relations(relations, path) -> None:
+def write_relations(relations: RelationTable, path) -> None:
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["company_a", "company_b", "year", "similarity"])
-        for r in relations:
-            writer.writerow([r.company_a, r.company_b, r.effective_year, repr(float(r.similarity))])
+        writer.writerow(RELATION_COLUMNS)
+        writer.writerows(
+            zip(
+                relations.company_a.tolist(),
+                relations.company_b.tolist(),
+                relations.year.tolist(),
+                map(repr, relations.similarity.tolist()),
+            )
+        )

@@ -7,7 +7,6 @@ synthetic generator and hand-built records share one set of rules.
 from __future__ import annotations
 
 import datetime as dt
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,29 +85,40 @@ def validate_call(call: CallRecord) -> None:
 
 @dataclass
 class PriceSeries:
-    """Per-company adjusted closes on strictly increasing trading dates."""
+    """Per-company adjusted closes on strictly increasing trading dates.
+
+    Two columns are derived once, when the series is built: ``days``, the
+    (L,) int64 date ordinals, and ``returns``, the (L-1,) simple returns,
+    where ``returns[i - 1]`` is trading day i's return.
+    """
 
     company_id: str
     dates: list[dt.date]
     closes: np.ndarray
+    days: np.ndarray = field(init=False, repr=False)
+    returns: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.closes = np.asarray(self.closes, dtype=np.float64)
         if len(self.dates) != self.closes.shape[0]:
             raise ParseError(f"{self.company_id}: dates/closes length mismatch")
-        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
+        self.days = np.fromiter(
+            map(dt.date.toordinal, self.dates), dtype=np.int64, count=len(self.dates)
+        )
+        if np.any(np.diff(self.days) <= 0):
             raise ParseError(f"{self.company_id}: trading dates not strictly increasing")
         if not np.isfinite(self.closes).all():
             raise ParseError(f"{self.company_id}: non-finite adjusted close")
         if np.any(self.closes <= 0):
             raise ParseError(f"{self.company_id}: non-positive adjusted close")
+        self.returns = self.closes[1:] / self.closes[:-1] - 1.0
 
     def __len__(self) -> int:
         return len(self.dates)
 
     def index_on_or_after(self, d: dt.date) -> int:
         """First trading-day index with date ≥ d."""
-        i = bisect_left(self.dates, d)
+        i = int(np.searchsorted(self.days, d.toordinal()))
         if i >= len(self.dates):
             raise InsufficientDataError(f"{self.company_id}: no trading day on or after {d}")
         return i
@@ -155,23 +165,49 @@ class Quarter:
         return f"{self.year}Q{self.q}"
 
 
-@dataclass
-class RelationRecord:
-    """Undirected company-pair similarity valid for one effective year."""
+RELATION_COLUMNS = ("company_a", "company_b", "year", "similarity")
 
-    company_a: str
-    company_b: str
-    effective_year: int
-    similarity: float
+
+@dataclass(eq=False)
+class RelationTable:
+    """Undirected company-pair similarities as parallel columns, in input order.
+
+    Row k says companies ``company_a[k]`` and ``company_b[k]`` were
+    ``similarity[k]`` alike in effective year ``year[k]``. ``by_year`` maps
+    each effective year to its row ids in input order. A row that pairs a
+    company with itself or has a similarity outside [0, 1] raises
+    ``ParseError``; the first such row names the error.
+    """
+
+    company_a: np.ndarray  # (R,) object, str company ids
+    company_b: np.ndarray  # (R,) object, str company ids
+    year: np.ndarray  # (R,) int64 effective year
+    similarity: np.ndarray  # (R,) float64 in [0, 1]
+    by_year: dict[int, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.company_a == self.company_b:
-            raise ParseError(f"relation pairs a company with itself: {self.company_a}")
-        if not 0.0 <= self.similarity <= 1.0:
-            raise ParseError(
-                f"similarity {self.similarity} outside [0,1] "
-                f"for {self.company_a}-{self.company_b}"
-            )
+        for name, dtype in zip(RELATION_COLUMNS, (object, object, np.int64, np.float64)):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if len({len(getattr(self, name)) for name in RELATION_COLUMNS}) != 1:
+            raise ParseError("relation columns must be of equal length")
+        a, b, sim = self.company_a, self.company_b, self.similarity
+        bad = np.flatnonzero((a == b) | ~((sim >= 0.0) & (sim <= 1.0)))
+        if bad.size:
+            k = bad[0]
+            if a[k] == b[k]:
+                raise ParseError(f"relation pairs a company with itself: {a[k]}")
+            raise ParseError(f"similarity {float(sim[k])} outside [0,1] for {a[k]}-{b[k]}")
+        order = np.argsort(self.year, kind="stable")
+        years, first = np.unique(self.year[order], return_index=True)
+        self.by_year = dict(zip(years.tolist(), np.split(order, first[1:])))
+
+    @classmethod
+    def from_rows(cls, rows) -> "RelationTable":
+        """A table of (company_a, company_b, year, similarity) rows."""
+        return cls(*(list(zip(*rows)) or [()] * len(RELATION_COLUMNS)))
+
+    def __len__(self) -> int:
+        return len(self.year)
 
 
 @dataclass

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ..errors import ConfigError
-from .records import CallRecord, PriceSeries, Quarter, RelationRecord, Sentence
+from .records import CallRecord, PriceSeries, Quarter, RelationTable, Sentence
 
 _MIN_QUARTER_WEEKDAYS = 64
 
@@ -97,7 +97,7 @@ class SyntheticConfig:
 class SyntheticData:
     transcripts: list[CallRecord]
     prices: list[PriceSeries]
-    relations: list[RelationRecord]
+    relations: RelationTable
     # latent truth, exposed for oracle tests only
     tones: dict[str, float] = field(default_factory=dict)
     regimes: dict[str, float] = field(default_factory=dict)
@@ -222,7 +222,7 @@ def _gen_relations(
     config: SyntheticConfig,
     company_ids: list[str],
     quarters: list[Quarter],
-) -> list[RelationRecord]:
+) -> RelationTable:
     years = sorted({q.year - 1 for q in quarters})
     relations = []
     for year in years:
@@ -236,5 +236,5 @@ def _gen_relations(
                     sim = float(rng.uniform(0.01, 0.14))
                 else:
                     continue
-                relations.append(RelationRecord(company_ids[i], company_ids[j], year, sim))
-    return relations
+                relations.append((company_ids[i], company_ids[j], year, sim))
+    return RelationTable.from_rows(relations)

@@ -6,6 +6,8 @@ Two windowing conventions coexist deliberately:
   holds tau+1 return terms and the divisor is tau.
 * Labels and the trailing baseline use :func:`windowed_volatility` over
   explicit index bounds, keeping the same "terms minus one" divisor.
+  :func:`window_targets` computes both for many calls at once, with the
+  same operations in the same order, so its values are bitwise equal.
 
 Every window counts trading days, never calendar days: the label of a
 call anchored at trading day t covers returns t+1..t+tau and its
@@ -33,8 +35,7 @@ def returns_slice(series: PriceSeries, a: int, b: int) -> np.ndarray:
         raise InsufficientDataError(
             f"{series.company_id}: return window [{a},{b}] outside series of length {len(series)}"
         )
-    closes = series.closes
-    return closes[a : b + 1] / closes[a - 1 : b] - 1.0
+    return series.returns[a - 1 : b]
 
 
 def volatility(series: PriceSeries, t: int, tau: int) -> float:
@@ -87,3 +88,76 @@ def v_past_prediction(series: PriceSeries, call_date: dt.date, tau: int) -> floa
             f"{series.company_id}: trailing window needs index {t - tau - 1} >= 0"
         )
     return log_volatility(windowed_volatility(series, t - tau, t - 1))
+
+
+# date ordinals stay below this, so (series, ordinal) packs into one int64 key
+_SPAN = dt.date.max.toordinal() + 1
+
+
+def window_targets(
+    prices: list[PriceSeries], company_ids: list[str], call_dates: list[dt.date], taus
+) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
+    """``label`` and ``v_past_prediction`` of many calls at once.
+
+    Returns (n, len(taus)) label and baseline matrices, column j for
+    ``taus[j]``, and one reason per call. A reason is None when every
+    window exists; otherwise it is "no price series" or the message of the
+    first of anchor, label τ1, baseline τ1, label τ2, ... that would raise,
+    and the call's rows hold NaN. Each τ must be at least 2. Each window is
+    one row of an (n, τ) matrix gathered from the series' ``returns`` and
+    reduced along axis 1 with ``windowed_volatility``'s operations, so
+    every value is bitwise equal to the scalar function's.
+    """
+    series_of = {p.company_id: k for k, p in enumerate(prices)}  # the last series of an id wins
+    n, n_taus = len(company_ids), len(taus)
+    code = np.array([series_of.get(c, -1) for c in company_ids], dtype=np.int64)
+    labels = np.full((n, n_taus), np.nan)
+    past = np.full((n, n_taus), np.nan)
+    reasons: list[str | None] = ["no price series"] * n
+    priced = np.flatnonzero(code >= 0)
+    if not priced.size:
+        return labels, past, reasons
+
+    # every series' days as one sorted key column, and day i's return at the
+    # same flat row (NaN at each series' first day, which has no return)
+    lengths = np.array([len(p) for p in prices], dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    keys = np.concatenate([k * _SPAN + p.days for k, p in enumerate(prices)])
+    flat = np.concatenate([x for p in prices if len(p) for x in (np.full(1, np.nan), p.returns)])
+
+    code = code[priced]
+    ordinal = np.array([call_dates[k].toordinal() for k in priced], dtype=np.int64)
+    anchor = np.searchsorted(keys, code * _SPAN + ordinal) - starts[code]
+    length = lengths[code]
+    # the checks in the order the scalar functions make them; the first that fails wins
+    failed = [anchor >= length]
+    for tau in taus:
+        failed += [anchor + tau >= length, anchor - tau < 1]
+    failed = np.stack(failed, axis=1)
+    ok = ~failed.any(axis=1)
+    for k in priced[ok].tolist():
+        reasons[k] = None
+    for i in np.flatnonzero(~ok).tolist():
+        k, check, t = int(priced[i]), int(np.argmax(failed[i])), int(anchor[i])
+        tau = taus[(check - 1) // 2]  # check 2j+1 is label taus[j], 2j+2 its baseline
+        if check == 0:
+            reasons[k] = f"{company_ids[k]}: no trading day on or after {call_dates[k]}"
+        elif check % 2:
+            reasons[k] = (
+                f"{company_ids[k]}: needs trading days through index {t + tau}, "
+                f"series ends at {int(length[i]) - 1}"
+            )
+        else:
+            reasons[k] = f"{company_ids[k]}: trailing window needs index {t - tau - 1} >= 0"
+    keep = priced[ok]
+    day = (starts[code] + anchor)[ok]
+    for j, tau in enumerate(taus):
+        labels[keep, j] = _log_volatility_rows(flat[day[:, None] + np.arange(1, tau + 1)])
+        past[keep, j] = _log_volatility_rows(flat[day[:, None] + np.arange(-tau, 0)])
+    return labels, past, reasons
+
+
+def _log_volatility_rows(r: np.ndarray) -> np.ndarray:
+    """``log_volatility(windowed_volatility(...))`` of each row of an (n, τ) return matrix."""
+    vol = np.sqrt(np.sum((r - r.mean(axis=1, keepdims=True)) ** 2, axis=1) / (r.shape[1] - 1))
+    return np.log(np.maximum(vol, LOG_FLOOR))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .dataio.datasets import TAUS
-from .dataio.records import CallRecord, Quarter, RelationRecord
+from .dataio.records import CallRecord, Quarter, RelationTable
 from .errors import GraphConstructionError
 
 SIMILARITY_THRESHOLD = 0.15
@@ -109,17 +109,18 @@ class QuarterGraph:
 
 def build_quarter_graph(
     calls: list[CallRecord],
-    relations: list[RelationRecord],
+    relations: RelationTable,
     quarter: Quarter,
     labels: dict[str, dict[int, float]] | None = None,
 ) -> QuarterGraph:
     """Assemble the directed temporal graph for one quarter of calls.
 
     ``relations`` may span several effective years; only rows with
-    effective_year == quarter.year - 1 and similarity strictly above
-    ``SIMILARITY_THRESHOLD`` induce edges. ``labels`` maps call_id to
-    per-window targets; nodes without an entry stay in the graph unlabeled.
-    The calls must make a valid ``QuarterGraph``.
+    effective year == quarter.year - 1 and similarity strictly above
+    ``SIMILARITY_THRESHOLD`` induce edges, and only between companies with
+    a call here. A pair listed twice must carry one similarity. ``labels``
+    maps call_id to per-window targets; nodes without an entry stay in the
+    graph unlabeled. The calls must make a valid ``QuarterGraph``.
     """
     ordered = sorted(calls, key=lambda c: (c.call_date, c.company_id))
     labels = labels or {}
@@ -129,30 +130,39 @@ def build_quarter_graph(
         edges=None,
         labels={c.call_id: labels[c.call_id] for c in ordered if c.call_id in labels},
     )
-    index = {c.company_id: i for i, c in enumerate(ordered)}
-
-    # similarity per linked node pair (i, j), i < j: node order is (date,
-    # company), so i's call is no later than j's
-    sim: dict[tuple[int, int], float] = {}
-    for r in relations:
-        if r.effective_year != quarter.year - 1 or r.similarity <= SIMILARITY_THRESHOLD:
-            continue
-        if r.company_a not in index or r.company_b not in index:
-            continue
-        key = tuple(sorted((index[r.company_a], index[r.company_b])))
-        if key in sim and sim[key] != r.similarity:
-            a, b = sorted((r.company_a, r.company_b))
-            raise GraphConstructionError(
-                f"conflicting similarities for pair ({a},{b}) in effective year "
-                f"{r.effective_year}: {sim[key]} vs {r.similarity}"
-            )
-        sim[key] = r.similarity
-
-    pairs = np.array(list(sim), dtype=np.intp).reshape(-1, 2)
-    loops = np.arange(graph.n_nodes, dtype=np.intp)
-    i = np.concatenate([loops, pairs[:, 0]])
-    j = np.concatenate([loops, pairs[:, 1]])
-    similarity = np.concatenate([np.ones(graph.n_nodes), list(sim.values())])
+    n = graph.n_nodes
+    year = quarter.year - 1
+    rows = relations.by_year.get(year, np.empty(0, dtype=np.intp))
+    rows = rows[relations.similarity[rows] > SIMILARITY_THRESHOLD]
+    # node id of each row's companies: the graph has one call per company
+    companies = np.array([c.company_id for c in ordered], dtype=object)
+    by_name = np.argsort(companies)
+    names = companies[by_name]
+    ends = []
+    for column in (relations.company_a[rows], relations.company_b[rows]):
+        at = np.minimum(np.searchsorted(names, column), n - 1)
+        ends.append(np.where(names[at] == column, by_name[at], -1))
+    linked = (ends[0] >= 0) & (ends[1] >= 0)
+    rows = rows[linked]
+    # node pair (i, j), i < j: node order is (date, company), so i's call is
+    # no later than j's; a pair listed more than once keeps its first row
+    i = np.minimum(ends[0][linked], ends[1][linked])
+    j = np.maximum(ends[0][linked], ends[1][linked])
+    pair_sim = relations.similarity[rows]
+    _, first, inverse = np.unique(i * n + j, return_index=True, return_inverse=True)
+    first_sim = pair_sim[first][inverse]
+    conflict = np.flatnonzero(pair_sim != first_sim)
+    if conflict.size:
+        k = conflict[0]
+        a, b = sorted((relations.company_a[rows[k]], relations.company_b[rows[k]]))
+        raise GraphConstructionError(
+            f"conflicting similarities for pair ({a},{b}) in effective year {year}: "
+            f"{float(first_sim[k])} vs {float(pair_sim[k])}"
+        )
+    loops = np.arange(n, dtype=np.intp)
+    i = np.concatenate([loops, i[first]])
+    j = np.concatenate([loops, j[first]])
+    similarity = np.concatenate([np.ones(n), pair_sim[first]])
     days = graph.days
     gap = days[j] - days[i]
     weight = 1.0 / (gap + 1)

@@ -17,19 +17,33 @@ import numpy as np
 
 from ..atomic import atomic_open
 from ..errors import ConfigError
-from .model import ModelConfig, VolatilityModel, build_models, by_scope
+from .model import ModelConfig, VolatilityModel, build_models, by_scope, window_taus
 
 FORMAT = "volgraph-checkpoint/1"
 
 
 def save_checkpoint(path, models: dict[int, VolatilityModel], config: ModelConfig) -> None:
-    """Write the models, each built from ``config``, to ``path`` (exactly that name) atomically."""
+    """Write the models, each built from ``config``, to ``path`` (exactly that name) atomically.
+
+    Each listed window must be one of ``config.taus``, and its model must
+    serve the windows ``build_models(config)`` gives the model there, so
+    that ``load_checkpoint`` accepts what is written. Otherwise this raises
+    ``ConfigError`` and writes no file.
+    """
     arrays = {}
     for scope, model in by_scope(models).items():
         if model.config != config:
             raise ConfigError(f"model {scope} was built from another config than the one saved")
         for name, t in model.store.items():
             arrays[f"{scope}/{name}"] = t.data
+    for tau, model in models.items():
+        if tau not in config.taus:
+            raise ConfigError(f"window {tau} is not a window of {config.taus}")
+        if model.taus != window_taus(config, tau):
+            raise ConfigError(
+                f"window {tau} needs a model serving {window_taus(config, tau)}, "
+                f"got {model.scope} serving {model.taus}"
+            )
     scopes = {str(tau): model.scope for tau, model in models.items()}
     manifest = {
         "format": FORMAT,

@@ -286,6 +286,11 @@ class VolatilityModel:
             b2.data = np.full_like(b2.data, label_means[tau])
 
 
+def window_taus(config: ModelConfig, tau: int) -> tuple:
+    """The windows of the model that ``build_models(config)`` puts at window ``tau``."""
+    return tuple(config.taus) if config.joint_heads else (tau,)
+
+
 def build_models(config: ModelConfig) -> dict[int, VolatilityModel]:
     """The model serving each window of ``config.taus``: one joint model, or one per window."""
     if config.joint_heads:

@@ -24,7 +24,7 @@ from volgraph.dataio import (
     gen_synthetic,
     split_by_time,
 )
-from volgraph.dataio.records import CallRecord, PriceSeries, Quarter, RelationRecord, Sentence
+from volgraph.dataio.records import CallRecord, PriceSeries, Quarter, RelationTable, Sentence
 from volgraph.dataio.volatility import label, v_past_prediction, volatility, windowed_volatility
 from volgraph.graphbuild import (
     SIMILARITY_THRESHOLD,
@@ -125,8 +125,8 @@ def test_criterion_02_full_pipeline_gradcheck(capsys):
         _vector_call(rng, c, d, quarter, n_pres=2, n_qa=1, d_s=d_s)
         for c, d in zip(companies, dates)
     ]
-    relations = [
-        RelationRecord(a, b, quarter.year - 1, s)
+    relations = RelationTable.from_rows(
+        (a, b, quarter.year - 1, s)
         for a, b, s in [
             ("AA", "BB", 0.8),
             ("AA", "DD", 0.6),
@@ -134,7 +134,7 @@ def test_criterion_02_full_pipeline_gradcheck(capsys):
             ("CC", "DD", 0.7),
             ("CC", "EE", 0.4),
         ]
-    ]
+    )
     labels = {
         c.call_id: {tau: float(rng.normal(-4.0, 0.5)) for tau in TAUS} for c in calls
     }
@@ -182,12 +182,12 @@ def _random_leakage_instance(rng, quarter):
         for c, d in zip(companies, dates)
     ]
     relations = [
-        RelationRecord(companies[i], companies[j], quarter.year - 1, float(rng.uniform(0.2, 0.9)))
+        (companies[i], companies[j], quarter.year - 1, float(rng.uniform(0.2, 0.9)))
         for i in range(n)
         for j in range(i + 1, n)
         if rng.random() < 0.5
     ]
-    return calls, relations
+    return calls, RelationTable.from_rows(relations)
 
 
 def _perturbed_copy(calls, node_idx, graph, rng):
@@ -290,10 +290,10 @@ def _oracle_edges(calls, relations, quarter, threshold):
     ordered = sorted(calls, key=lambda c: (c.call_date, c.company_id))
     idx = {c.company_id: i for i, c in enumerate(ordered)}
     sim = {}
-    for r in relations:
-        if r.effective_year == quarter.year - 1 and r.similarity > threshold:
-            if r.company_a in idx and r.company_b in idx:
-                sim[frozenset((r.company_a, r.company_b))] = r.similarity
+    for a, b, year, s in relations:
+        if year == quarter.year - 1 and s > threshold:
+            if a in idx and b in idx:
+                sim[frozenset((a, b))] = s
     edges = {}
     for i, ci in enumerate(ordered):
         edges[(i, i)] = (1.0, 1.0)
@@ -332,20 +332,13 @@ def test_criterion_04_graph_builder_oracle(capsys):
             for j in range(i + 1, n):
                 u = rng.random()
                 if u < 0.35:
-                    relations.append(
-                        RelationRecord(
-                            companies[i], companies[j], quarter.year - 1,
-                            float(rng.uniform(0.01, 0.9)),
-                        )
-                    )
+                    similarity = float(rng.uniform(0.01, 0.9))
+                    relations.append((companies[i], companies[j], quarter.year - 1, similarity))
                 elif u < 0.45:  # wrong effective year: must be ignored
                     relations.append(
-                        RelationRecord(
-                            companies[i], companies[j], quarter.year,
-                            float(rng.uniform(0.2, 0.9)),
-                        )
+                        (companies[i], companies[j], quarter.year, float(rng.uniform(0.2, 0.9)))
                     )
-        graph = build_quarter_graph(calls, relations, quarter)
+        graph = build_quarter_graph(calls, RelationTable.from_rows(relations), quarter)
         e = graph.edges
         got = dict(
             zip(

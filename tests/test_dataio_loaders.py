@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
 import json
 
 import numpy as np
 import pytest
 
+from volgraph.dataio import loaders
 from volgraph.dataio.loaders import (
     IngestReport,
+    _csv_chunks,
     load_prices,
     load_relations,
     load_transcripts,
@@ -17,7 +20,13 @@ from volgraph.dataio.loaders import (
     write_relations,
     write_transcripts,
 )
-from volgraph.dataio.records import CallRecord, PriceSeries, Quarter, RelationRecord, Sentence
+from volgraph.dataio.records import (
+    RELATION_COLUMNS,
+    CallRecord,
+    PriceSeries,
+    Quarter,
+    Sentence,
+)
 from volgraph.errors import ParseError
 
 
@@ -225,6 +234,115 @@ class TestTranscriptLoading:
         assert (s.utterance_idx, s.role, s.part, s.text) == (1, "analyst", "qa", "Why?")
 
 
+def joined_chunks(path, chunk_rows):
+    """The header and the whole columns of ``_csv_chunks``, checking each chunk's size."""
+    chunks = _csv_chunks(path)
+    header = next(chunks)
+    columns = [[] for _ in header or ()]
+    for chunk in chunks:
+        assert len(chunk) == len(columns)
+        assert {len(part) for part in chunk} <= set(range(1, chunk_rows + 1))
+        for whole, part in zip(columns, chunk):
+            whole += part
+    return header, columns
+
+
+class TestCsvChunks:
+    def test_columns_equal_csv_reader_rows(self, tmp_path, monkeypatch):
+        # random texts over the characters csv.reader treats specially, and
+        # plain files that take the one-pass split: both read as csv.reader
+        # does, in chunks of at most _CHUNK_ROWS rows
+        rng = np.random.default_rng(9)
+        path = tmp_path / "t.csv"
+        plain = 0
+        for trial in range(1500):
+            chunk_rows = int(rng.integers(1, 4))
+            monkeypatch.setattr(loaders, "_CHUNK_ROWS", chunk_rows)
+            width = int(rng.integers(1, 5))
+            if trial % 2:
+                # one field count per line, the header's, except now and then
+                counts = np.full(rng.integers(1, 6), width)
+                counts[rng.integers(0, len(counts))] += rng.choice([0, 0, 0, 0, -1, 1, 2])
+                lines = [
+                    ",".join("".join(rng.choice(list("ab é1."), size=rng.integers(0, 4)))
+                             for _ in range(count))
+                    for count in counts
+                ]
+                text = rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n", "\r\n"])
+            else:
+                text = "".join(rng.choice(list('ab,,\n\r" '), size=rng.integers(0, 30)))
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            with open(path, newline="") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                rows = [row for row in reader if row]
+            columns = [[row[i] if i < len(row) else None for row in rows]
+                       for i in range(len(header or ()))]
+            assert joined_chunks(path, chunk_rows) == (header, columns), repr(text)
+            plain += trial % 2 and width > 1 and (counts == width).all()
+        assert plain > 200
+
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 4096])
+    @pytest.mark.parametrize(
+        "loader,header,body,message",
+        [
+            ("prices", "company_id,date,adjusted_close",
+             "A,2016-01-05,1.0\nA,2016-01-06,1.0\n\nA,2016-13-05,2.0\n",
+             "bad date '2016-13-05' [{}:4]"),
+            ("prices", "company_id,date,adjusted_close",
+             "A,2016-01-05,1.0\nA,2016-01-06,1.0\nA,2016-01-07,-2\n",
+             "non-positive adjusted_close -2.0 [{}:4]"),
+            ("prices", "company_id,date,adjusted_close",
+             "A,2016-01-05,1.0\nB,2016-01-05,1.0\nA,2016-01-05,2.0\n",
+             "A: duplicate trading dates [{}]"),
+            # a bad date outranks an earlier row without a company_id
+            ("prices", "date,adjusted_close,company_id",
+             "2016-01-05,1.0\n2016-01-06,1.0,A\n2016-13-07,1.0,A\n",
+             "bad date '2016-13-07' [{}:4]"),
+            ("prices", "date,adjusted_close,company_id",
+             "2016-01-05,1.0,A\n2016-01-06,1.0,A\n2016-01-07,1.0\n",
+             "prices row has no company_id [{}:4]"),
+            ("relations", "company_a,company_b,year,similarity",
+             "A,B,2015,0.4\nC,D,2015,0.5\nA,A,2015,0.2\n",
+             "bad relation row: relation pairs a company with itself: A [{}:4]"),
+            ("relations", "company_a,company_b,year,similarity",
+             "A,B,2015,0.4\nA,B,2015,0.4\nA,B,2015\n", "relation row has no similarity [{}:4]"),
+            ("relations", "company_a,company_b,year,similarity",
+             "A,A,2015,0.2\nA,B,x,0.4\n",
+             "bad relation row: relation pairs a company with itself: A [{}:2]"),
+        ],
+        ids=["date", "close", "duplicate", "date-first", "company", "self-pair", "short",
+             "rule-first"],
+    )
+    def test_the_first_bad_row_wins_across_chunks(
+        self, tmp_path, monkeypatch, chunk_rows, loader, header, body, message
+    ):
+        monkeypatch.setattr(loaders, "_CHUNK_ROWS", chunk_rows)
+        p = tmp_path / f"{loader}.csv"
+        p.write_text(f"{header}\n{body}")
+        load = load_prices if loader == "prices" else load_relations
+        with pytest.raises(ParseError) as err:
+            load(p)
+        assert str(err.value) == message.format(p)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3])
+    def test_chunks_load_what_one_chunk_loads(
+        self, tmp_path, monkeypatch, chunk_rows, small_corpus
+    ):
+        write_prices(small_corpus.prices, tmp_path / "p.csv")
+        write_relations(small_corpus.relations, tmp_path / "r.csv")
+        prices, relations = load_prices(tmp_path / "p.csv"), load_relations(tmp_path / "r.csv")
+        monkeypatch.setattr(loaders, "_CHUNK_ROWS", chunk_rows)
+        for a, b in zip(prices, load_prices(tmp_path / "p.csv"), strict=True):
+            assert (a.company_id, a.dates) == (b.company_id, b.dates)
+            assert a.closes.tobytes() == b.closes.tobytes()
+        back = load_relations(tmp_path / "r.csv")
+        for name in RELATION_COLUMNS:
+            assert np.array_equal(getattr(back, name), getattr(relations, name))
+
+
 class TestPriceLoading:
     def test_rows_sorted_per_company(self, tmp_path):
         p = tmp_path / "p.csv"
@@ -270,8 +388,14 @@ class TestPriceLoading:
             ("A,2016-01-05,1.0\n\nA,2016-01-06,-inf\n", "non-finite adjusted_close -inf [{}:3]"),
             ("A,2016-01-05,1.0\nB,2016-01-05,1.0\nB,2016-01-05,2.0\n",
              "B: duplicate trading dates [{}]"),
+            # two spellings of one date are one trading date
+            ("C,2016-01-05,1.0\nB,2016-01-05,1.0\nB,20160105,2.0\nC,20160105,2.0\n",
+             "B: duplicate trading dates [{}]"),
+            ("A,2016-01-05,1.0\nA,2016-01-06,-1\nA,2016-13-05,2.0\n",
+             "non-positive adjusted_close -1.0 [{}:3]"),
         ],
-        ids=["date", "close", "non-positive", "nan", "inf", "-inf", "duplicate"],
+        ids=["date", "close", "non-positive", "nan", "inf", "-inf", "duplicate", "spellings",
+             "first-bad-row"],
     )
     def test_error_messages_and_line_numbers(self, tmp_path, body, message):
         # blank lines are skipped and not counted, as csv.DictReader does
@@ -280,6 +404,14 @@ class TestPriceLoading:
         with pytest.raises(ParseError) as err:
             load_prices(p)
         assert str(err.value) == message.format(p)
+
+    def test_row_without_company_id_is_named(self, tmp_path):
+        # a short row can lack the company alone when its column comes last
+        p = tmp_path / "p.csv"
+        p.write_text("date,adjusted_close,company_id\n2016-01-05,1.0,A\n2016-01-06,1.0\n")
+        with pytest.raises(ParseError) as err:
+            load_prices(p)
+        assert str(err.value) == f"prices row has no company_id [{p}:3]"
 
     def test_missing_header_column_message(self, tmp_path):
         p = tmp_path / "p.csv"
@@ -326,8 +458,9 @@ class TestRelationLoading:
     def test_load_and_fields(self, tmp_path):
         p = tmp_path / "r.csv"
         p.write_text("company_a,company_b,year,similarity\nA,B,2015,0.42\n")
-        recs = load_relations(p)
-        assert recs == [RelationRecord("A", "B", 2015, 0.42)]
+        table = load_relations(p)
+        assert table.company_a.tolist() == ["A"] and table.company_b.tolist() == ["B"]
+        assert table.year.tolist() == [2015] and table.similarity.tolist() == [0.42]
 
     def test_self_relation_rejected(self, tmp_path):
         p = tmp_path / "r.csv"
@@ -348,10 +481,44 @@ class TestRelationLoading:
             load_relations(p)
         assert str(err.value) == f"relation row has no year, similarity [{p}:3]"
 
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            ("A,B,2015,0.4\n\nA,A,2015,0.2\nA,B,x,0.2\n",
+             "bad relation row: relation pairs a company with itself: A [{}:3]"),
+            ("A,B,2015,0.4\nA,B,x,0.2\nA,A,2015,0.2\n",
+             "bad relation row: invalid literal for int() with base 10: 'x' [{}:3]"),
+            ("A,B,2015,0.4\nA,B,2015,nan\nA,B,2015,\n",
+             "bad relation row: similarity nan outside [0,1] for A-B [{}:3]"),
+            ("A,B,2015,abc\nA,B\n",
+             "bad relation row: could not convert string to float: 'abc' [{}:2]"),
+            ("A,B,2015,0.4\nA,B,2015\nA,B,2015,2.0\n", "relation row has no similarity [{}:3]"),
+        ],
+        ids=["self-pair", "year", "nan", "similarity", "short"],
+    )
+    def test_first_bad_row_names_the_error(self, tmp_path, body, message):
+        # blank lines are skipped and not counted, as csv.DictReader does
+        p = tmp_path / "r.csv"
+        p.write_text("company_a,company_b,year,similarity\n" + body)
+        with pytest.raises(ParseError) as err:
+            load_relations(p)
+        assert str(err.value) == message.format(p)
+
+    def test_columns_found_by_header_name(self, tmp_path):
+        # a repeated name means its last column; a column past the four is ignored
+        p = tmp_path / "r.csv"
+        p.write_text("year,similarity,company_b,company_a,year,note\n1,0.3,B,A,2015,x\n")
+        table = load_relations(p)
+        assert (table.company_a.tolist(), table.company_b.tolist()) == (["A"], ["B"])
+        assert (table.year.tolist(), table.similarity.tolist()) == ([2015], [0.3])
+        assert {year: rows.tolist() for year, rows in table.by_year.items()} == {2015: [0]}
+
     def test_round_trip(self, tmp_path, small_corpus):
         p = tmp_path / "r.csv"
         write_relations(small_corpus.relations, p)
-        assert load_relations(p) == small_corpus.relations
+        back = load_relations(p)
+        for name in RELATION_COLUMNS:
+            assert np.array_equal(getattr(back, name), getattr(small_corpus.relations, name))
 
 
 class TestQuarter:

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from volgraph.dataio.records import Quarter
+from volgraph.dataio.records import RELATION_COLUMNS, Quarter
 from volgraph.dataio.synthetic import SyntheticConfig, gen_synthetic
 from volgraph.dataio.volatility import label, v_past_prediction
 from volgraph.errors import ConfigError
@@ -36,7 +36,8 @@ class TestDeterminism:
                 np.testing.assert_array_equal(sa.vector, sb.vector)
         for pa, pb in zip(a.prices, b.prices):
             np.testing.assert_array_equal(pa.closes, pb.closes)
-        assert a.relations == b.relations
+        for name in RELATION_COLUMNS:
+            assert np.array_equal(getattr(a.relations, name), getattr(b.relations, name))
         assert a.tones == b.tones
 
     def test_different_seed_differs(self):
@@ -98,9 +99,9 @@ class TestStructure:
     def test_relations_target_prior_years(self):
         data = corpus()
         call_years = {Quarter.of_date(c.call_date).year for c in data.transcripts}
-        years = {r.effective_year for r in data.relations}
+        years = set(data.relations.year.tolist())
         assert years == {y - 1 for y in call_years}
-        assert all(0 < r.similarity < 1 for r in data.relations)
+        assert ((0 < data.relations.similarity) & (data.relations.similarity < 1)).all()
 
     def test_relation_density_scales_edge_count(self):
         lo = gen_synthetic(

@@ -23,6 +23,7 @@ from volgraph.dataio.volatility import (
     returns_slice,
     v_past_prediction,
     volatility,
+    window_targets,
     windowed_volatility,
 )
 from volgraph.errors import InsufficientDataError, ParseError
@@ -190,6 +191,86 @@ class TestAnchorsAndLabels:
         s = self.build()
         with pytest.raises(InsufficientDataError):
             v_past_prediction(s, dt.date(2015, 1, 6), 3)
+
+
+def gappy_series(rng, company_id) -> PriceSeries:
+    """0-150 trading days with gaps of 1-5 calendar days; a quarter of them flat."""
+    n = int(rng.integers(0, 20) if rng.random() < 0.2 else rng.integers(20, 151))
+    start = dt.date(2015, 1, 1).toordinal() + int(rng.integers(0, 30))
+    days = start + np.cumsum(rng.integers(1, 6, size=n))
+    kind = rng.integers(0, 4)
+    if kind == 0:  # flat: every window is zero-variance and hits LOG_FLOOR
+        closes = np.full(n, 20.0)
+    elif kind == 1:  # constant growth, the rounding-noise case of a flat window
+        closes = 10.0 * 1.01 ** np.arange(n)
+    else:
+        closes = 50.0 * np.exp(np.cumsum(rng.normal(0, 0.04, size=n)))
+    dates = [dt.date.fromordinal(int(d)) for d in days]
+    return PriceSeries(company_id, dates, closes)
+
+
+def scalar_targets(series, date):
+    """The per-call oracle: the scalar functions, in the order a dataset calls them."""
+    labels, past = [], []
+    try:
+        for tau in (3, 7, 15):
+            labels.append(label(series, date, tau))
+            past.append(v_past_prediction(series, date, tau))
+    except InsufficientDataError as e:
+        return None, None, str(e)
+    return labels, past, None
+
+
+def call_dates(rng, series, count):
+    """Dates before, after or within 15 days of either end of the series, or anywhere in it."""
+    if not len(series):
+        return [dt.date(2015, 3, 1)] * count
+    first, last = series.dates[0].toordinal(), series.dates[-1].toordinal()
+    out = []
+    for pick in rng.integers(0, 7, size=count).tolist():
+        near = int(rng.integers(0, 16))
+        if pick < 4:
+            ordinal = (first - 1 - near, last + 1 + near, first + near, last - near)[pick]
+        else:
+            ordinal = int(rng.integers(first, last + 1))
+        out.append(dt.date.fromordinal(ordinal))
+    return out
+
+
+class TestWindowTargets:
+    def test_bitwise_equal_to_the_scalar_functions(self):
+        # 5000 random series in batches of 50, three calls each, plus calls of a
+        # company without prices and a company id listed twice (the last wins)
+        rng = np.random.default_rng(2024)
+        n_kept = n_excluded = 0
+        for batch in range(100):
+            prices = [gappy_series(rng, f"C{k}") for k in range(50)]
+            prices.append(gappy_series(rng, "C0"))
+            by_company = {p.company_id: p for p in prices}
+            companies, dates = ["NONE"], [dt.date(2015, 2, 2)]
+            for p in prices[:50]:
+                companies += [p.company_id] * 3
+                dates += call_dates(rng, by_company[p.company_id], 3)
+            labels, past, reasons = window_targets(prices, companies, dates, (3, 7, 15))
+            assert reasons[0] == "no price series"
+            for k in range(1, len(companies)):
+                want_labels, want_past, want_reason = scalar_targets(
+                    by_company[companies[k]], dates[k]
+                )
+                assert reasons[k] == want_reason, (batch, k)
+                if want_reason is None:
+                    n_kept += 1
+                    assert np.array(want_labels).tobytes() == labels[k].tobytes(), (batch, k)
+                    assert np.array(want_past).tobytes() == past[k].tobytes(), (batch, k)
+                else:
+                    n_excluded += 1
+                    assert np.isnan(labels[k]).all() and np.isnan(past[k]).all()
+        # the draws reach both outcomes often
+        assert min(n_kept, n_excluded) > 2500, (n_kept, n_excluded)
+
+    def test_no_series_at_all(self):
+        labels, past, reasons = window_targets([], ["A"], [dt.date(2015, 1, 5)], (3,))
+        assert reasons == ["no price series"] and np.isnan(labels).all()
 
 
 class TestPriceSeries:

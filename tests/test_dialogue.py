@@ -12,7 +12,7 @@ import pytest
 
 import volgraph.dialogue as dialogue
 import volgraph.numcore as nc
-from volgraph.dataio.records import CallRecord, Sentence
+from volgraph.dataio.records import CallRecord, RelationTable, Sentence
 from volgraph.dialogue import (
     DialogueEncoderParams,
     StructEmbedTables,
@@ -261,7 +261,7 @@ class TestSentenceBlock:
             ])
             for c in small_graph.calls
         ]
-        graph = build_quarter_graph(text_calls, [], small_graph.quarter)
+        graph = build_quarter_graph(text_calls, RelationTable.from_rows([]), small_graph.quarter)
         prepared = prepare_quarter(graph)
         calls = []
 

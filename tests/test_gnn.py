@@ -10,7 +10,7 @@ import pytest
 import scipy.special
 
 import volgraph.numcore as nc
-from volgraph.dataio.records import CallRecord, Quarter, RelationRecord, Sentence
+from volgraph.dataio.records import CallRecord, Quarter, RelationTable, Sentence
 from volgraph.errors import ConfigError
 from volgraph.gnn import (
     LEAKY_SLOPE,
@@ -47,7 +47,7 @@ def apr(day):
 
 
 def build(calls, sims):
-    relations = [RelationRecord(a, b, Q.year - 1, s) for a, b, s in sims]
+    relations = RelationTable.from_rows((a, b, Q.year - 1, s) for a, b, s in sims)
     return build_quarter_graph(calls, relations, Q)
 
 

@@ -8,9 +8,10 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from volgraph.dataio.records import CallRecord, Quarter, RelationRecord, Sentence
+from volgraph.dataio.records import CallRecord, Quarter, RelationTable, Sentence
 from volgraph.errors import GraphConstructionError
 from volgraph.graphbuild import (
+    EDGE_COLUMNS,
     SIMILARITY_THRESHOLD,
     EdgeTable,
     audit_no_leakage,
@@ -19,7 +20,10 @@ from volgraph.graphbuild import (
     save_graph_dir,
 )
 
+from reference_graph import build_quarter_graph_loop
+
 Q = Quarter(2016, 2)
+NO_RELATIONS = RelationTable.from_rows([])
 
 
 def call(company, date, call_id=None):
@@ -36,10 +40,11 @@ def oracle_edges(calls, relations, quarter, threshold):
     ordered = sorted(calls, key=lambda c: (c.call_date, c.company_id))
     idx = {c.company_id: i for i, c in enumerate(ordered)}
     sim = {}
-    for r in relations:
-        if r.effective_year == quarter.year - 1 and r.similarity > threshold:
-            if r.company_a in idx and r.company_b in idx:
-                sim[frozenset((r.company_a, r.company_b))] = r.similarity
+    for a, b, year, s in zip(relations.company_a, relations.company_b, relations.year,
+                             relations.similarity.tolist()):
+        if year == quarter.year - 1 and s > threshold:
+            if a in idx and b in idx:
+                sim[frozenset((a, b))] = s
 
     edges = {}
     for i, ci in enumerate(ordered):
@@ -85,21 +90,14 @@ def random_instance(rng, n_companies, quarter=Q):
             u = rng.random()
             if u < 0.35:
                 relations.append(
-                    RelationRecord(
-                        companies[i],
-                        companies[j],
-                        quarter.year - 1,
-                        float(rng.uniform(0.01, 0.9)),
-                    )
+                    (companies[i], companies[j], quarter.year - 1, float(rng.uniform(0.01, 0.9)))
                 )
             elif u < 0.45:
                 # wrong effective year: must be ignored
                 relations.append(
-                    RelationRecord(
-                        companies[i], companies[j], quarter.year, float(rng.uniform(0.2, 0.9))
-                    )
+                    (companies[i], companies[j], quarter.year, float(rng.uniform(0.2, 0.9)))
                 )
-    return calls, relations
+    return calls, RelationTable.from_rows(relations)
 
 
 class TestOracleEquivalence:
@@ -125,7 +123,7 @@ class TestOracleEquivalence:
 class TestEdgeSemantics:
     def test_every_node_has_self_loop(self):
         calls = [call("A", dt.date(2016, 4, 5)), call("B", dt.date(2016, 5, 2))]
-        graph = build_quarter_graph(calls, [], Q)
+        graph = build_quarter_graph(calls, NO_RELATIONS, Q)
         e = graph.edges
         loops = e.src == e.dst
         assert loops.sum() == 2
@@ -133,7 +131,7 @@ class TestEdgeSemantics:
 
     def test_related_pair_gets_forward_edge_with_decayed_weight(self):
         calls = [call("A", dt.date(2016, 4, 5)), call("B", dt.date(2016, 4, 12))]
-        rel = [RelationRecord("A", "B", 2015, 0.5)]
+        rel = RelationTable.from_rows([("A", "B", 2015, 0.5)])
         graph = build_quarter_graph(calls, rel, Q)
         cross = cross_edges(graph.edges)
         assert len(cross) == 1
@@ -146,7 +144,7 @@ class TestEdgeSemantics:
     def test_same_day_pair_connects_both_directions(self):
         d = dt.date(2016, 4, 5)
         calls = [call("A", d), call("B", d)]
-        rel = [RelationRecord("A", "B", 2015, 0.4)]
+        rel = RelationTable.from_rows([("A", "B", 2015, 0.4)])
         graph = build_quarter_graph(calls, rel, Q)
         e = graph.edges
         cross = cross_edges(e)
@@ -155,13 +153,13 @@ class TestEdgeSemantics:
 
     def test_similarity_at_threshold_is_dropped(self):
         calls = [call("A", dt.date(2016, 4, 5)), call("B", dt.date(2016, 4, 6))]
-        rel = [RelationRecord("A", "B", 2015, SIMILARITY_THRESHOLD)]
+        rel = RelationTable.from_rows([("A", "B", 2015, SIMILARITY_THRESHOLD)])
         graph = build_quarter_graph(calls, rel, Q)
         assert (graph.edges.src == graph.edges.dst).all()
 
     def test_relation_from_wrong_year_is_ignored(self):
         calls = [call("A", dt.date(2016, 4, 5)), call("B", dt.date(2016, 4, 6))]
-        rel = [RelationRecord("A", "B", 2016, 0.9), RelationRecord("A", "B", 2014, 0.9)]
+        rel = RelationTable.from_rows([("A", "B", 2016, 0.9), ("A", "B", 2014, 0.9)])
         graph = build_quarter_graph(calls, rel, Q)
         assert (graph.edges.src == graph.edges.dst).all()
 
@@ -170,7 +168,7 @@ class TestEdgeSemantics:
         weights = []
         for gap in (1, 3, 10, 30):
             calls = [call("A", base), call("B", base + dt.timedelta(days=gap))]
-            rel = [RelationRecord("A", "B", 2015, 0.5)]
+            rel = RelationTable.from_rows([("A", "B", 2015, 0.5)])
             graph = build_quarter_graph(calls, rel, Q)
             (k,) = cross_edges(graph.edges)
             assert graph.edges.temporal_weight[k] == 1.0 / (gap + 1)
@@ -180,37 +178,34 @@ class TestEdgeSemantics:
     def test_duplicate_company_rejected(self):
         calls = [call("A", dt.date(2016, 4, 5), "A-1"), call("A", dt.date(2016, 4, 6), "A-2")]
         with pytest.raises(GraphConstructionError, match="duplicate"):
-            build_quarter_graph(calls, [], Q)
+            build_quarter_graph(calls, NO_RELATIONS, Q)
 
     def test_shared_call_id_rejected(self):
         # two companies' calls under one call_id would share one labels entry
         calls = [call("A", dt.date(2016, 4, 5), "X"), call("B", dt.date(2016, 4, 6), "X")]
         with pytest.raises(GraphConstructionError, match="duplicate call_id X in 2016Q2"):
-            build_quarter_graph(calls, [], Q)
+            build_quarter_graph(calls, NO_RELATIONS, Q)
 
     def test_labels_kept_for_the_graph_calls_only(self):
         calls = [call("A", dt.date(2016, 4, 5)), call("B", dt.date(2016, 4, 6))]
         targets = {3: -4.0, 7: -4.1, 15: -4.2}
         labels = {"A-2016Q2": targets, "Z-2016Q2": targets}
-        graph = build_quarter_graph(calls, [], Q, labels=labels)
+        graph = build_quarter_graph(calls, NO_RELATIONS, Q, labels=labels)
         assert graph.labels == {"A-2016Q2": targets}
 
     def test_call_outside_quarter_rejected(self):
         with pytest.raises(GraphConstructionError, match="outside"):
-            build_quarter_graph([call("A", dt.date(2016, 7, 1))], [], Q)
+            build_quarter_graph([call("A", dt.date(2016, 7, 1))], NO_RELATIONS, Q)
 
     def test_conflicting_similarities_rejected(self):
         calls = [call("A", dt.date(2016, 4, 5)), call("B", dt.date(2016, 4, 6))]
-        rel = [
-            RelationRecord("A", "B", 2015, 0.5),
-            RelationRecord("B", "A", 2015, 0.6),
-        ]
+        rel = RelationTable.from_rows([("A", "B", 2015, 0.5), ("B", "A", 2015, 0.6)])
         with pytest.raises(GraphConstructionError, match="conflicting"):
             build_quarter_graph(calls, rel, Q)
 
     def test_duplicate_relation_rows_with_equal_similarity_are_fine(self):
         calls = [call("A", dt.date(2016, 4, 5)), call("B", dt.date(2016, 4, 6))]
-        rel = [RelationRecord("A", "B", 2015, 0.5), RelationRecord("B", "A", 2015, 0.5)]
+        rel = RelationTable.from_rows([("A", "B", 2015, 0.5), ("B", "A", 2015, 0.5)])
         graph = build_quarter_graph(calls, rel, Q)
         assert len(cross_edges(graph.edges)) == 1
 
@@ -235,6 +230,69 @@ class TestEdgeSemantics:
             if src in early_ids and dst in early_ids
         }
         assert sub_edges == full_restricted
+
+
+def mixed_quarter(rng, conflict):
+    """Calls of some companies and relation rows with every case the builder filters.
+
+    Rows come in random order and orientation, from three effective years,
+    with similarities above, at and below the threshold; some name companies
+    without a call, and some pairs are listed twice with one similarity.
+    With ``conflict``, a few pairs are listed again with another similarity.
+    """
+    companies = [f"C{i:02d}" for i in range(int(rng.integers(2, 30)))]
+    called = [c for c in companies if rng.random() < 0.7] or companies[:1]
+    days = Q.start.toordinal() + rng.choice(np.arange(0, 90), size=6, replace=False)
+    calls = [call(c, dt.date.fromordinal(int(rng.choice(days)))) for c in called]
+    years = [Q.year - 2, Q.year - 1, Q.year - 1, Q.year]
+    sims = [SIMILARITY_THRESHOLD, np.nextafter(SIMILARITY_THRESHOLD, 1.0), 0.0, 1.0]
+    rows = []
+    for i, a in enumerate(companies):
+        for b in companies[i + 1:]:
+            if rng.random() < 0.5:
+                continue
+            year = years[int(rng.integers(0, 4))]
+            s = float(sims[int(rng.integers(0, 4))] if rng.random() < 0.2 else rng.random())
+            rows.append((a, b, year, s) if rng.random() < 0.5 else (b, a, year, s))
+            if rng.random() < 0.2:
+                rows.append((b, a, year, s))
+            if conflict and rng.random() < 0.05:
+                rows.append((a, b, year, float(rng.uniform(SIMILARITY_THRESHOLD, 1.0))))
+    order = rng.permutation(len(rows))
+    return calls, RelationTable.from_rows([rows[k] for k in order])
+
+
+class TestAgainstReferenceLoop:
+    def test_edge_columns_and_errors_match_the_loop(self):
+        rng = np.random.default_rng(404)
+        raised = built = 0
+        for trial in range(400):
+            calls, relations = mixed_quarter(rng, conflict=trial % 3 == 0)
+            try:
+                want = build_quarter_graph_loop(calls, relations, Q).edges
+            except GraphConstructionError as e:
+                with pytest.raises(GraphConstructionError) as err:
+                    build_quarter_graph(calls, relations, Q)
+                assert str(err.value) == str(e), trial
+                raised += 1
+                continue
+            got = build_quarter_graph(calls, relations, Q).edges
+            for name in EDGE_COLUMNS:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (trial, name)
+            built += len(cross_edges(got)) > 0
+        assert raised > 20 and built > 200
+
+    def test_conflicting_pair_message(self):
+        calls = [call("A", dt.date(2016, 4, 5)), call("B", dt.date(2016, 4, 6))]
+        rel = RelationTable.from_rows(
+            [("B", "A", 2015, 0.5), ("A", "B", 2014, 0.7), ("A", "B", 2015, 0.6)]
+        )
+        message = "conflicting similarities for pair (A,B) in effective year 2015: 0.5 vs 0.6"
+        for build in (build_quarter_graph, build_quarter_graph_loop):
+            with pytest.raises(GraphConstructionError) as err:
+                build(calls, rel, Q)
+            assert str(err.value) == message
 
 
 class TestLeakageAudit:
@@ -277,7 +335,7 @@ class TestLeakageAudit:
 
     def test_violations_come_in_edge_order_with_reasons(self):
         d0, d1 = dt.date(2016, 4, 5), dt.date(2016, 4, 9)
-        graph = build_quarter_graph([call("A", d0), call("B", d1)], [], Q)
+        graph = build_quarter_graph([call("A", d0), call("B", d1)], NO_RELATIONS, Q)
         graph.edges = EdgeTable(
             src=[1, 0, 1, 0],
             dst=[0, 0, 1, 1],

@@ -557,6 +557,30 @@ class TestCheckpoint:
             save_checkpoint(tmp_path / "m.npz", separate, config)
         assert list(tmp_path.iterdir()) == []
 
+    # layouts load_checkpoint refuses: save refuses them too, and writes nothing
+    def test_separate_model_under_windows_it_does_not_serve_is_refused(self, tmp_path):
+        config = tiny_config()
+        model = VolatilityModel(config)  # scope tau3, heads for every window
+        message = r"window 3 needs a model serving \(3,\), got tau3 serving \(3, 7, 15\)"
+        with pytest.raises(ConfigError, match=message):
+            save_checkpoint(tmp_path / "m.npz", dict.fromkeys(TAUS, model), config)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_model_under_a_window_outside_its_taus_is_refused(self, tmp_path):
+        config = tiny_config()
+        with pytest.raises(
+            ConfigError, match=r"window 7 needs a model serving \(7,\), got tau3 serving \(3,\)"
+        ):
+            save_checkpoint(tmp_path / "m.npz", {7: VolatilityModel(config, (3,))}, config)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_window_outside_config_taus_is_refused(self, tmp_path):
+        config = tiny_config(taus=(3,))
+        models = {3: VolatilityModel(config), 7: VolatilityModel(config, (7,))}
+        with pytest.raises(ConfigError, match=r"window 7 is not a window of \(3,\)"):
+            save_checkpoint(tmp_path / "m.npz", models, config)
+        assert list(tmp_path.iterdir()) == []
+
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez(path, a=np.zeros(3))
