@@ -143,41 +143,23 @@ _CHUNK_ROWS = 1024
 
 
 def _csv_chunks(path: Path):
-    """The header row of a CSV file, then its data rows in chunks, one list per header column.
+    """The header row of a CSV file, then its data rows in chunks, one sequence per header column.
 
-    Fields are what ``csv.reader`` makes of the file: the header is the
-    first row (None for an empty file), blank lines after it are skipped,
-    and each data row is cut or padded with None to the header's width. A
-    file without quotes, NULs or lone carriage returns whose every line
-    has the header's width of two or more is exactly commas and newlines
-    between fields, so each of its chunks is split in one pass; any other
-    file goes through ``csv.reader``.
+    The header is the first row ``csv.reader`` reads (None for an empty
+    file). Blank lines after it are skipped, and a data row of another
+    width than the header's is cut or padded with None to that width.
     """
-    with path.open(newline="") as fh:
-        raw = fh.read().replace("\r\n", "\n").encode()
-    if not raw.endswith(b"\n"):
-        raw += b"\n"
-    width = raw[: raw.index(b"\n")].count(b",") + 1
-    if width > 1 and not any(c in raw for c in (b'"', b"\0", b"\r")):
-        code = np.frombuffer(raw, np.uint8)
-        ends = np.flatnonzero(code == ord("\n")) + 1  # after each line; the header's first
-        line = np.searchsorted(ends, np.flatnonzero(code == ord(",")), side="right")
-        if (np.bincount(line, minlength=len(ends)) == width - 1).all():
-            del code, line
-            yield raw[: ends[0] - 1].decode().split(",")
-            cuts = [*ends[:-1:_CHUNK_ROWS].tolist(), len(raw)]
-            for a, b in zip(cuts, cuts[1:]):
-                fields = raw[a:b].decode().replace("\n", ",").split(",")[:-1]
-                yield [fields[i::width] for i in range(width)]
-            return
-    del raw
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         yield header
+        width = len(header or ())
         rows = filter(None, reader)
         while chunk := list(islice(rows, _CHUNK_ROWS)):
-            yield [[row[i] if i < len(row) else None for row in chunk] for i in range(len(header))]
+            if {*map(len, chunk)} == {width}:
+                yield list(zip(*chunk))
+            else:
+                yield [[row[i] if i < len(row) else None for row in chunk] for i in range(width)]
 
 
 def load_prices(path) -> list[PriceSeries]:
@@ -280,36 +262,39 @@ def load_relations(path) -> RelationTable:
             f"relations header must contain {sorted(RELATION_COLUMNS)}", path=str(path), line=1
         )
     column = {name: i for i, name in enumerate(header)}
-    parts = [RelationTable([], [], [], [])]
-    lineno = 2  # of the chunk's first row
-    for chunk in chunks:
-        a, b, years, similarities = (chunk[column[name]] for name in RELATION_COLUMNS)
-        try:
+    columns = ([], [], [], [])
+    try:
+        for chunk in chunks:
             if None in chunk[-1]:
                 raise ValueError("a short row")
-            parts.append(RelationTable(a, b, list(map(int, years)), list(map(float, similarities))))
-        except (ValueError, OverflowError, ParseError):
-            # some row is bad: the first one names the error
-            for k in range(len(a)):
-                missing = ", ".join(name for name, i in column.items() if chunk[i][k] is None)
-                if missing:  # a short row
-                    raise ParseError(
-                        f"relation row has no {missing}", path=str(path), line=lineno + k
-                    )
-                try:
-                    RelationTable([a[k]], [b[k]], [int(years[k])], [float(similarities[k])])
-                except (ValueError, OverflowError, ParseError) as e:
-                    raise ParseError(
-                        f"bad relation row: {e}", path=str(path), line=lineno + k
-                    ) from e
-            raise
-        lineno += len(a)
-    table = RelationTable(
-        *(np.concatenate([getattr(part, name) for part in parts]) for name in RELATION_COLUMNS)
-    )
+            a, b, years, similarities = (chunk[column[name]] for name in RELATION_COLUMNS)
+            for values, parsed in zip(columns, (a, b, map(int, years), map(float, similarities))):
+                values += parsed
+        table = RelationTable(*columns)
+    except (ValueError, OverflowError, ParseError):
+        _raise_first_bad_relation_row(path, column)
+        raise
     if not len(table):
         log.warning("no relations loaded from %s", path)
     return table
+
+
+def _raise_first_bad_relation_row(path: Path, column: dict):
+    """Raise the ParseError of the first short, unparsable or rule-breaking row of ``path``."""
+    chunks = _csv_chunks(path)
+    next(chunks)
+    lineno = 1
+    for chunk in chunks:
+        for row in zip(*chunk):
+            lineno += 1
+            missing = ", ".join(name for name, i in column.items() if row[i] is None)
+            if missing:
+                raise ParseError(f"relation row has no {missing}", path=str(path), line=lineno)
+            a, b, year, similarity = (row[column[name]] for name in RELATION_COLUMNS)
+            try:
+                RelationTable([a], [b], [int(year)], [float(similarity)])
+            except (ValueError, OverflowError, ParseError) as e:
+                raise ParseError(f"bad relation row: {e}", path=str(path), line=lineno) from e
 
 
 # -- writers (round-trip partners of the loaders) -------------------------------

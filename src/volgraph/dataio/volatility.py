@@ -123,7 +123,9 @@ def window_targets(
     lengths = np.array([len(p) for p in prices], dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
     keys = np.concatenate([k * _SPAN + p.days for k, p in enumerate(prices)])
-    flat = np.concatenate([x for p in prices if len(p) for x in (np.full(1, np.nan), p.returns)])
+    # (an empty series adds no rows; the leading empty array keeps the list non-empty)
+    slots = (x for p in prices if len(p) for x in (np.full(1, np.nan), p.returns))
+    flat = np.concatenate([np.empty(0), *slots])
 
     code = code[priced]
     ordinal = np.array([call_dates[k].toordinal() for k in priced], dtype=np.int64)

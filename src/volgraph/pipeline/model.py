@@ -292,10 +292,13 @@ def window_taus(config: ModelConfig, tau: int) -> tuple:
 
 
 def build_models(config: ModelConfig) -> dict[int, VolatilityModel]:
-    """The model serving each window of ``config.taus``: one joint model, or one per window."""
-    if config.joint_heads:
-        return dict.fromkeys(config.taus, VolatilityModel(config))
-    return {tau: VolatilityModel(config, (tau,)) for tau in config.taus}
+    """The model serving each window of ``config.taus``: one model per distinct ``window_taus``."""
+    models: dict[tuple, VolatilityModel] = {}
+    for tau in config.taus:
+        taus = window_taus(config, tau)
+        if taus not in models:
+            models[taus] = VolatilityModel(config, taus)
+    return {tau: models[window_taus(config, tau)] for tau in config.taus}
 
 
 def by_scope(models: dict[int, VolatilityModel]) -> dict[str, VolatilityModel]:

@@ -250,8 +250,8 @@ def joined_chunks(path, chunk_rows):
 class TestCsvChunks:
     def test_columns_equal_csv_reader_rows(self, tmp_path, monkeypatch):
         # random texts over the characters csv.reader treats specially, and
-        # plain files that take the one-pass split: both read as csv.reader
-        # does, in chunks of at most _CHUNK_ROWS rows
+        # files whose rows mostly have the header's width: both read as rows
+        # of csv.reader do, in chunks of at most _CHUNK_ROWS rows
         rng = np.random.default_rng(9)
         path = tmp_path / "t.csv"
         plain = 0
@@ -496,8 +496,11 @@ class TestRelationLoading:
         ],
         ids=["self-pair", "year", "nan", "similarity", "short"],
     )
-    def test_first_bad_row_names_the_error(self, tmp_path, body, message):
-        # blank lines are skipped and not counted, as csv.DictReader does
+    @pytest.mark.parametrize("chunk_rows", [1, 4096])
+    def test_first_bad_row_names_the_error(self, tmp_path, monkeypatch, chunk_rows, body, message):
+        # blank lines are skipped and not counted, as csv.DictReader does; a
+        # row that breaks a rule outranks a later chunk's row that does not parse
+        monkeypatch.setattr(loaders, "_CHUNK_ROWS", chunk_rows)
         p = tmp_path / "r.csv"
         p.write_text("company_a,company_b,year,similarity\n" + body)
         with pytest.raises(ParseError) as err:

@@ -272,6 +272,14 @@ class TestWindowTargets:
         labels, past, reasons = window_targets([], ["A"], [dt.date(2015, 1, 5)], (3,))
         assert reasons == ["no price series"] and np.isnan(labels).all()
 
+    def test_only_empty_series(self):
+        # an empty series is a valid series: its calls have no anchor day
+        date = dt.date(2015, 1, 5)
+        labels, past, reasons = window_targets([PriceSeries("A", [], [])], ["A"], [date], (3,))
+        assert reasons == [scalar_targets(PriceSeries("A", [], []), date)[2]]
+        assert reasons == ["A: no trading day on or after 2015-01-05"]
+        assert np.isnan(labels).all() and np.isnan(past).all()
+
 
 class TestPriceSeries:
     def test_rejects_unsorted_dates(self):
