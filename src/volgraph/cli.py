@@ -21,6 +21,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .dataio import (
+    TAUS,
     IngestReport,
     SyntheticConfig,
     build_quarter_datasets,
@@ -128,7 +129,8 @@ def _prepare_splits(config: ModelConfig, data_dir):
         calls = load_transcripts(root / TRANSCRIPTS)
         prices = load_prices(root / PRICES)
         relations = load_relations(root / RELATIONS)
-    datasets = build_quarter_datasets(calls, prices)
+    # a quarter whose every call lacks a window (prices that end inside it) has no graph
+    datasets = [ds for ds in build_quarter_datasets(calls, prices) if ds.calls]
     groups = split_by_time(datasets, val_start=config.val_start, test_start=config.test_start)
 
     def prepare(ds):
@@ -168,20 +170,20 @@ def cmd_build_graph(args) -> int:
         calls = load_transcripts(args.transcripts, report=report)
         relations = load_relations(args.relations)
         prices = load_prices(args.prices) if args.prices else None
+    in_quarter = [c for c in calls if quarter.contains(c.call_date)]
     labels = None
     if prices is not None:
-        datasets = build_quarter_datasets(calls, prices, report=report)
-        labels = {}
-        for ds in datasets:
+        labels = np.full((len(in_quarter), len(TAUS)), np.nan)
+        row = {c.call_id: i for i, c in enumerate(in_quarter)}
+        for ds in build_quarter_datasets(calls, prices, report=report):
             if ds.quarter == quarter:
-                labels.update(ds.labels)
-    in_quarter = [c for c in calls if quarter.contains(c.call_date)]
+                labels[[row[c.call_id] for c in ds.calls]] = ds.labels
     graph = build_quarter_graph(in_quarter, relations, quarter, labels=labels)
     save_graph_dir(graph, args.out)
     if args.report:
         report.to_json(args.report)
     print(
-        f"{quarter}: {graph.n_nodes} nodes ({len(graph.labels)} labeled), "
+        f"{quarter}: {graph.n_nodes} nodes ({graph.labeled.sum()} labeled), "
         f"{len(graph.edges)} edges -> {args.out}"
     )
     return 0

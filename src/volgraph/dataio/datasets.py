@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from ..errors import ConfigError
 from .loaders import IngestReport
 from .records import CallRecord, PriceSeries, Quarter, QuarterDataset
@@ -15,34 +17,32 @@ def build_quarter_datasets(
     prices: list[PriceSeries],
     report: IngestReport | None = None,
 ) -> list[QuarterDataset]:
-    """Group calls by calendar quarter and attach labels plus baselines.
+    """Group calls by calendar quarter and attach label and baseline rows.
 
     A call stays only if every tau in ``TAUS`` admits both a forward label
     and a trailing baseline; otherwise it moves to the dataset's exclusion list
     (and the ingest report, when given). Companies without any price
     series are excluded the same way — a node-only company can still
-    appear in a graph, but not in a labeled dataset. Values and reasons
-    are ``window_targets``', computed for all calls at once.
+    appear in a graph, but not in a labeled dataset. The label and baseline
+    rows are ``window_targets``', computed for all calls at once.
     """
     ordered = sorted(calls, key=lambda c: (c.call_date, c.company_id))
     labels, v_past, reasons = window_targets(
         prices, [c.company_id for c in ordered], [c.call_date for c in ordered], TAUS
     )
-    datasets: dict[Quarter, QuarterDataset] = {}
-    for call, targets, baselines, reason in zip(ordered, labels.tolist(), v_past.tolist(), reasons):
-        quarter = Quarter.of_date(call.call_date)
-        ds = datasets.get(quarter)
-        if ds is None:
-            ds = datasets[quarter] = QuarterDataset(quarter=quarter, calls=[])
-        if reason is not None:
-            ds.excluded.append((call.call_id, reason))
-            if report is not None:
-                report.label_exclusions.append({"call_id": call.call_id, "reason": reason})
-            continue
-        ds.calls.append(call)
-        ds.labels[call.call_id] = dict(zip(TAUS, targets))
-        ds.v_past[call.call_id] = dict(zip(TAUS, baselines))
-    return [datasets[q] for q in sorted(datasets)]
+    if report is not None:
+        report.label_exclusions += [
+            {"call_id": c.call_id, "reason": r} for c, r in zip(ordered, reasons) if r is not None
+        ]
+    datasets = []
+    quarters = [Quarter.of_date(c.call_date) for c in ordered]
+    for quarter, run in groupby(range(len(ordered)), quarters.__getitem__):  # one run per quarter
+        run = list(run)
+        kept = [k for k in run if reasons[k] is None]
+        excluded = [(ordered[k].call_id, reasons[k]) for k in run if reasons[k] is not None]
+        kept_calls = [ordered[k] for k in kept]
+        datasets.append(QuarterDataset(quarter, kept_calls, labels[kept], v_past[kept], excluded))
+    return datasets
 
 
 def split_by_time(

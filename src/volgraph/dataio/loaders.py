@@ -50,9 +50,6 @@ class IngestReport:
     def exclude_call(self, call_id: str, reason: str) -> None:
         self.call_exclusions.append({"call_id": call_id, "reason": reason})
 
-    def balanced(self) -> bool:
-        return self.calls_in == self.calls_kept + len(self.call_exclusions)
-
     def to_json(self, path) -> None:
         with atomic_open(path) as fh:
             json.dump(asdict(self), fh, indent=2, sort_keys=True)

@@ -210,18 +210,18 @@ class RelationTable:
         return len(self.year)
 
 
-@dataclass
+@dataclass(eq=False)
 class QuarterDataset:
-    """All retained calls of one quarter plus their labels and baselines.
+    """The labeled calls of one quarter in (date, company) order, with their targets.
 
-    ``labels[call_id][tau]`` is the log-volatility regression target;
-    ``v_past[call_id][tau]`` the trailing-window baseline prediction.
-    Retained calls carry all three values of each; calls that could not be
-    labeled are listed in ``excluded`` with a reason.
+    ``labels`` (log-volatility regression targets) and ``v_past`` (trailing
+    baseline predictions) are finite (len(calls), |TAUS|) float64 arrays:
+    row k is ``calls[k]``'s, column j window ``TAUS[j]``. Calls that could
+    not be labeled are listed in ``excluded`` with a reason.
     """
 
     quarter: Quarter
     calls: list[CallRecord]
-    labels: dict[str, dict[int, float]] = field(default_factory=dict)
-    v_past: dict[str, dict[int, float]] = field(default_factory=dict)
+    labels: np.ndarray
+    v_past: np.ndarray
     excluded: list[tuple[str, str]] = field(default_factory=list)

@@ -65,20 +65,21 @@ class EdgeTable:
         return len(self.src)
 
 
-@dataclass
+@dataclass(eq=False)
 class QuarterGraph:
     """One quarter's calls as nodes: node i is ``calls[i]``.
 
-    ``labels`` maps the call_id of each labeled call to its {τ: target},
-    as ``QuarterDataset.labels`` does; unlabeled calls have no entry.
-    Building a graph without calls, with a call outside the quarter or with
-    a company_id or call_id on two nodes raises ``GraphConstructionError``.
+    ``labels`` is (N, |TAUS|) float64, node i's targets in row i as in
+    ``QuarterDataset.labels``, and all NaN for an unlabeled node. Building a
+    graph without calls, with a call outside the quarter, with a company_id
+    or call_id on two nodes, or with labels of another shape or with a row
+    neither all finite nor all NaN raises ``GraphConstructionError``.
     """
 
     quarter: Quarter
     calls: list[CallRecord]
     edges: EdgeTable
-    labels: dict[str, dict[int, float]]
+    labels: np.ndarray
 
     def __post_init__(self):
         if not self.calls:
@@ -96,10 +97,21 @@ class QuarterGraph:
                     raise GraphConstructionError(f"duplicate {name} {key} in {self.quarter}: "
                                                  f"{other}s {first[key]} and {getattr(c, other)}")
                 first[key] = getattr(c, other)
+        self.labels = np.asarray(self.labels, dtype=np.float64)
+        if self.labels.shape != (self.n_nodes, len(TAUS)):
+            raise GraphConstructionError(f"labels of shape {self.labels.shape} for "
+                                         f"{self.n_nodes} nodes and {len(TAUS)} windows")
+        mixed = np.flatnonzero(~self.labeled & ~np.isnan(self.labels).all(axis=1))
+        if mixed.size:
+            raise GraphConstructionError(f"node {mixed[0]} labels are neither all finite nor NaN")
 
     @property
     def n_nodes(self) -> int:
         return len(self.calls)
+
+    @property
+    def labeled(self) -> np.ndarray:
+        return np.isfinite(self.labels).all(axis=1)  # (N,) bool
 
     @property
     def days(self) -> np.ndarray:
@@ -111,7 +123,7 @@ def build_quarter_graph(
     calls: list[CallRecord],
     relations: RelationTable,
     quarter: Quarter,
-    labels: dict[str, dict[int, float]] | None = None,
+    labels: np.ndarray | None = None,
 ) -> QuarterGraph:
     """Assemble the directed temporal graph for one quarter of calls.
 
@@ -119,23 +131,22 @@ def build_quarter_graph(
     effective year == quarter.year - 1 and similarity strictly above
     ``SIMILARITY_THRESHOLD`` induce edges, and only between companies with
     a call here. A pair listed twice must carry one similarity. ``labels``
-    maps call_id to per-window targets; nodes without an entry stay in the
-    graph unlabeled. The calls must make a valid ``QuarterGraph``.
+    row k, if given, is ``calls[k]``'s; the graph holds them in node order.
+    The calls must make a valid ``QuarterGraph``.
     """
-    ordered = sorted(calls, key=lambda c: (c.call_date, c.company_id))
-    labels = labels or {}
+    order = sorted(range(len(calls)), key=lambda k: (calls[k].call_date, calls[k].company_id))
+    labels = np.full((len(calls), len(TAUS)), np.nan) if labels is None else np.asarray(labels)
+    if labels.shape[:1] != (len(calls),):
+        raise GraphConstructionError(f"labels of shape {labels.shape} for {len(calls)} calls")
     graph = QuarterGraph(
-        quarter=quarter,
-        calls=ordered,
-        edges=None,
-        labels={c.call_id: labels[c.call_id] for c in ordered if c.call_id in labels},
+        quarter=quarter, calls=[calls[k] for k in order], edges=None, labels=labels[order]
     )
     n = graph.n_nodes
     year = quarter.year - 1
     rows = relations.by_year.get(year, np.empty(0, dtype=np.intp))
     rows = rows[relations.similarity[rows] > SIMILARITY_THRESHOLD]
     # node id of each row's companies: the graph has one call per company
-    companies = np.array([c.company_id for c in ordered], dtype=object)
+    companies = np.array([c.company_id for c in graph.calls], dtype=object)
     by_name = np.argsort(companies)
     names = companies[by_name]
     ends = []
@@ -246,11 +257,10 @@ def save_graph_dir(graph: QuarterGraph, out_dir) -> None:
     with atomic_open(out / "nodes.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(NODE_COLUMNS)
-        for i, c in enumerate(graph.calls):
-            target = graph.labels.get(c.call_id)
-            row = [i, c.company_id, c.call_id, c.call_date.isoformat()]
-            row += [""] * len(TAUS) if target is None else [repr(float(target[t])) for t in TAUS]
-            writer.writerow(row)
+        labels = zip(graph.labels.tolist(), graph.labeled)
+        cells = [targets if ok else [""] * len(TAUS) for targets, ok in labels]
+        for i, (c, targets) in enumerate(zip(graph.calls, cells)):
+            writer.writerow([i, c.company_id, c.call_id, c.call_date.isoformat(), *targets])
     e = graph.edges
     with atomic_open(out / "edges.csv", newline="") as fh:
         writer = csv.writer(fh)
@@ -371,16 +381,16 @@ def _read_edges(path: Path, count: int, n_nodes: int) -> EdgeTable:
     return edges
 
 
-def _read_nodes(path: Path, count: int) -> tuple[list[tuple], dict[str, dict[int, float]]]:
+def _read_nodes(path: Path, count: int) -> tuple[list[tuple], np.ndarray]:
     """Node rows in id order as (data row from 1, company_id, call_id, date), and the labels.
 
+    The labels are in node order; a row whose label cells are all blank is NaN.
     A call_id or company_id on two rows would put one call on two nodes.
     """
     cols = _read_columns(path, NODE_COLUMNS, count)
     by_node: dict[int, tuple] = {}
-    labels: dict[str, dict[int, float]] = {}
     seen: dict[tuple[str, str], int] = {}
-    for row, (node_id, company_id, call_id, call_date, *targets) in enumerate(
+    for row, (node_id, company_id, call_id, call_date, *cells) in enumerate(
         zip(*(cols[name] for name in NODE_COLUMNS)), start=1
     ):
         for key in (("call_id", call_id), ("company_id", company_id)):
@@ -390,13 +400,14 @@ def _read_nodes(path: Path, count: int) -> tuple[list[tuple], dict[str, dict[int
                 )
             seen[key] = row
         try:
-            by_node[int(node_id)] = (row, company_id, call_id, dt.date.fromisoformat(call_date))
-            if any(targets):
-                labels[call_id] = dict(zip(TAUS, map(float, targets)))
+            date, node = dt.date.fromisoformat(call_date), int(node_id)
+            targets = list(map(float, cells)) if any(cells) else [np.nan] * len(cells)
         except ValueError as e:
             raise GraphConstructionError(f"{path}: row {row}: {e}") from e
-        if call_id in labels and not np.isfinite(list(labels[call_id].values())).all():
-            raise GraphConstructionError(f"{path}: row {row}: labels {targets} are not finite")
+        if any(cells) and not np.isfinite(targets).all():
+            raise GraphConstructionError(f"{path}: row {row}: labels {cells} are not finite")
+        by_node[node] = (row, company_id, call_id, date, targets)
     if sorted(by_node) != list(range(count)):
         raise GraphConstructionError(f"{path}: node ids are not 0..{count - 1}")
-    return [by_node[i] for i in range(count)], labels
+    nodes = [by_node[i] for i in range(count)]
+    return [n[:4] for n in nodes], np.array([n[4] for n in nodes]).reshape(count, len(TAUS))

@@ -14,7 +14,7 @@ from ..dialogue import (
     StructEmbedTables,
     encode_calls,
 )
-from ..errors import ConfigError, ShapeError
+from ..errors import ConfigError, GraphConstructionError, ShapeError
 from ..gnn import (
     GATLayerParams,
     GraphArrays,
@@ -144,9 +144,9 @@ class PreparedQuarter:
 
     graph: QuarterGraph
     arrays: GraphArrays
-    labels: dict[int, np.ndarray]  # tau -> (N,) float, zero-filled where unlabeled
+    labels: dict[int, np.ndarray]  # tau -> (N,) column of graph.labels, NaN where unlabeled
     mask: np.ndarray  # (N,) bool, node has labels
-    v_past: dict[int, np.ndarray] | None  # tau -> (N,) float, aligned with mask
+    v_past: dict[int, np.ndarray] | None  # tau -> (N,) column of dataset.v_past
     # dialogue.SentenceBlock per (d_s, max_sentences, max_utterances), built on first encode
     sentence_blocks: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -156,32 +156,20 @@ class PreparedQuarter:
 
 
 def prepare_quarter(graph: QuarterGraph, dataset: QuarterDataset | None = None) -> PreparedQuarter:
-    """Extract label/baseline arrays in node order; nodes may be unlabeled.
+    """The graph's label columns per window and, given its dataset, the baseline columns.
 
-    Labels come from ``graph.labels``, baselines from ``dataset.v_past``.
-    Given a dataset, a labeled call without a baseline is left out of the
-    mask.
+    The dataset's calls must be the graph's nodes in node order, as
+    ``build_quarter_graph(dataset.calls, ...)`` orders them; otherwise
+    ``GraphConstructionError`` is raised. Without a dataset ``v_past`` is None.
     """
-    n = graph.n_nodes
-    mask = np.zeros(n, dtype=bool)
-    labels = {tau: np.zeros(n) for tau in TAUS}
-    v_past = None if dataset is None else {tau: np.zeros(n) for tau in TAUS}
-    for i, call in enumerate(graph.calls):
-        target = graph.labels.get(call.call_id)
-        if target is None:
-            continue
-        for tau in TAUS:
-            labels[tau][i] = target[tau]
-        if dataset is not None:
-            baseline = dataset.v_past.get(call.call_id)
-            if baseline is None:
-                continue
-            for tau in TAUS:
-                v_past[tau][i] = baseline[tau]
-        mask[i] = True
-    return PreparedQuarter(
-        graph=graph, arrays=GraphArrays.from_graph(graph), labels=labels, mask=mask, v_past=v_past
-    )
+    call_ids = lambda calls: [c.call_id for c in calls]
+    if dataset is not None and call_ids(dataset.calls) != call_ids(graph.calls):
+        raise GraphConstructionError(f"the {dataset.quarter} dataset's calls are not the nodes "
+                                     f"of the {graph.quarter} graph in order")
+    columns = lambda table: {tau: table[:, j] for j, tau in enumerate(TAUS)}
+    v_past = None if dataset is None else columns(dataset.v_past)
+    arrays = GraphArrays.from_graph(graph)
+    return PreparedQuarter(graph, arrays, columns(graph.labels), graph.labeled, v_past)
 
 
 class VolatilityModel:

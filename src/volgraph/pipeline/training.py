@@ -197,5 +197,7 @@ def evaluate(
             preds[tau].append(pred[idx])
             labels[tau].append(prepared.labels[tau][idx])
             baseline[tau].append(prepared.v_past[tau][idx])
+    if not any(labels.values()):
+        raise InsufficientDataError("evaluation has no labeled nodes")
     cat = lambda d: {t: np.concatenate(v) for t, v in d.items()}
     return build_report(cat(preds), cat(labels), cat(baseline))

@@ -5,7 +5,8 @@ reads one effective year's rows through the table's year index, maps
 companies to nodes with a sorted search and dedups pairs with
 ``np.unique``. This reference visits every row of every year in input
 order, keeps a dict of similarities per node pair and raises on the first
-conflicting row, as the library did before. The builder must match its
+conflicting row, as the library did before; it puts each call's label row
+on its node by call_id. The builder must match its
 edge columns bitwise and its errors string for string.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from volgraph.dataio.datasets import TAUS
 from volgraph.dataio.records import CallRecord, Quarter, RelationTable
 from volgraph.errors import GraphConstructionError
 from volgraph.graphbuild import SIMILARITY_THRESHOLD, EdgeTable, QuarterGraph
@@ -22,15 +24,18 @@ def build_quarter_graph_loop(
     calls: list[CallRecord],
     relations: RelationTable,
     quarter: Quarter,
-    labels: dict[str, dict[int, float]] | None = None,
+    labels: np.ndarray | None = None,
 ) -> QuarterGraph:
     ordered = sorted(calls, key=lambda c: (c.call_date, c.company_id))
-    labels = labels or {}
+    if labels is None:
+        labels = np.full((len(calls), len(TAUS)), np.nan)
+    # each call's label row, looked up by call_id in node order
+    row_of = {c.call_id: row for c, row in zip(calls, labels)}
     graph = QuarterGraph(
         quarter=quarter,
         calls=ordered,
         edges=None,
-        labels={c.call_id: labels[c.call_id] for c in ordered if c.call_id in labels},
+        labels=np.array([row_of[c.call_id] for c in ordered]).reshape(len(ordered), len(TAUS)),
     )
     index = {c.company_id: i for i, c in enumerate(ordered)}
 

@@ -135,9 +135,7 @@ def test_criterion_02_full_pipeline_gradcheck(capsys):
             ("CC", "EE", 0.4),
         ]
     )
-    labels = {
-        c.call_id: {tau: float(rng.normal(-4.0, 0.5)) for tau in TAUS} for c in calls
-    }
+    labels = rng.normal(-4.0, 0.5, size=(len(calls), len(TAUS)))
     graph = build_quarter_graph(calls, relations, quarter, labels=labels)
     prepared = prepare_quarter(graph)
     assert prepared.mask.all()

@@ -237,6 +237,12 @@ GRAPH_CORRUPTIONS = {
     "repeated-call": ("nodes.csv", _copy_first(("company_id", "call_id", "call_date")),
                       "row 2: call_id"),
     "repeated-company": ("nodes.csv", _copy_first(("company_id",)), "row 2: company_id"),
+    # a node has every label or none, each a finite number
+    "nan-label_3": ("nodes.csv", _set_first("label_3", "nan"), "row 1: labels ['nan', '-"),
+    "blank-label_7": ("nodes.csv", _set_first("label_7", ""),
+                      "row 1: could not convert string to float: ''"),
+    "non-numeric-label": ("nodes.csv", _set_first("label_15", "high"),
+                          "row 1: could not convert string to float: 'high'"),
 }
 
 
@@ -245,7 +251,7 @@ class TestBuildGraphAndAudit:
         graph = load_graph_dir(workdir["graph"])
         assert graph.n_nodes == 10
         assert str(graph.quarter) == "2014Q4"
-        assert all(c.call_id in graph.labels for c in graph.calls)
+        assert graph.labels.shape == (10, 3) and graph.labeled.all()
 
     def test_ingest_report_written(self, workdir):
         report = json.loads((workdir["root"] / "ingest.json").read_text())
@@ -625,6 +631,29 @@ class TestTrainEval:
         assert not (tmp_path / "x.npz").exists()
 
 
+    def test_quarter_without_labeled_calls_is_left_out(self, workdir, tmp_path, capsys):
+        # prices that end 3 days into 2017Q2 give none of its calls a window:
+        # the quarter drops out of the test split instead of ending the run
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("transcripts.jsonl", "relations.csv"):
+            (data / name).write_bytes((workdir["data"] / name).read_bytes())
+        with (workdir["data"] / "prices.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        with (data / "prices.csv").open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows[:1] + [r for r in rows[1:] if r[1] < "2017-04-04"])
+        ckpt, report = tmp_path / "x.npz", tmp_path / "eval.json"
+        rc = main(["train", "--config", str(workdir["root"] / "model.cfg"),
+                   "--data", str(data), "--out", str(ckpt)])
+        assert rc == 0, capsys.readouterr().err
+        assert main(["eval", "--model", str(ckpt), "--data", str(data),
+                     "--report", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        calls = load_transcripts(data / "transcripts.jsonl")
+        in_2017q1 = sum(dt.date(2017, 1, 1) <= c.call_date < dt.date(2017, 4, 1) for c in calls)
+        assert in_2017q1 > 0
+        assert payload["model"]["n_samples"] == {str(t): in_2017q1 for t in (3, 7, 15)}
+
     def test_non_finite_sentence_vector_exits_2(self, workdir, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()
@@ -831,6 +860,7 @@ class TestNodeIdsOutOfDateOrder:
         assert b.arrays.node_group[perm].tolist() == a.arrays.node_group.tolist()
         assert (b.arrays.dates, b.arrays.date_gaps) == (a.arrays.dates, a.arrays.date_gaps)
         assert np.array_equal(b.mask[perm], a.mask)
+        assert permuted.labels[perm].tobytes() == graph.labels.tobytes()
 
         # the masks stay chronological, with the same counts
         want, got = transductive_split(graph), transductive_split(permuted)

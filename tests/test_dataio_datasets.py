@@ -9,7 +9,7 @@ import pytest
 
 from volgraph.dataio.datasets import TAUS, build_quarter_datasets, split_by_time
 from volgraph.dataio.records import CallRecord, PriceSeries, Quarter, Sentence
-from volgraph.dataio.volatility import label, v_past_prediction
+from volgraph.dataio.volatility import label, v_past_prediction, window_targets
 from volgraph.errors import ConfigError
 
 
@@ -34,9 +34,10 @@ class TestBuildQuarterDatasets:
     def test_every_kept_call_has_all_taus(self, small_corpus):
         datasets = build_quarter_datasets(small_corpus.transcripts, small_corpus.prices)
         for ds in datasets:
-            for call in ds.calls:
-                assert set(ds.labels[call.call_id]) == set(TAUS)
-                assert set(ds.v_past[call.call_id]) == set(TAUS)
+            for table in (ds.labels, ds.v_past):
+                assert table.dtype == np.float64
+                assert table.shape == (len(ds.calls), len(TAUS))
+                assert np.isfinite(table).all()
 
     def test_label_values_match_direct_computation(self, small_corpus):
         datasets = build_quarter_datasets(small_corpus.transcripts, small_corpus.prices)
@@ -44,9 +45,31 @@ class TestBuildQuarterDatasets:
         ds = datasets[1]
         call = ds.calls[0]
         s = series[call.company_id]
-        for tau in TAUS:
-            assert ds.labels[call.call_id][tau] == label(s, call.call_date, tau)
-            assert ds.v_past[call.call_id][tau] == v_past_prediction(s, call.call_date, tau)
+        for j, tau in enumerate(TAUS):
+            assert ds.labels[0, j] == label(s, call.call_date, tau)
+            assert ds.v_past[0, j] == v_past_prediction(s, call.call_date, tau)
+
+    def test_rows_are_window_targets_rows_of_the_kept_calls(self, small_corpus):
+        # a ghost company and a call past the series' end drop out; every
+        # other call keeps its window_targets row, bitwise, beside its call
+        calls = list(small_corpus.transcripts)
+        last = max(c.call_date for c in calls)
+        calls += [
+            one_sentence_call("GHOST-1", "GHOST", calls[5].call_date),
+            one_sentence_call("LATE-1", calls[0].company_id, last + dt.timedelta(days=400)),
+        ]
+        datasets = build_quarter_datasets(calls, small_corpus.prices)
+        labels, v_past, reasons = window_targets(
+            small_corpus.prices, [c.company_id for c in calls], [c.call_date for c in calls], TAUS
+        )
+        row_of = {c.call_id: k for k, c in enumerate(calls)}
+        kept = [row_of[c.call_id] for ds in datasets for c in ds.calls]
+        assert sorted(kept) == [k for k, r in enumerate(reasons) if r is None]
+        assert {"GHOST-1", "LATE-1"} <= {e[0] for ds in datasets for e in ds.excluded}
+        for ds in datasets:
+            rows = [row_of[c.call_id] for c in ds.calls]
+            assert ds.labels.tobytes() == labels[rows].tobytes()
+            assert ds.v_past.tobytes() == v_past[rows].tobytes()
 
     def test_company_without_prices_is_excluded_with_reason(self, small_corpus):
         calls = list(small_corpus.transcripts)
@@ -100,4 +123,5 @@ class TestSplitByTime:
 def _dataset_stub(quarter):
     from volgraph.dataio.records import QuarterDataset
 
-    return QuarterDataset(quarter=quarter, calls=[])
+    empty = np.empty((0, len(TAUS)))
+    return QuarterDataset(quarter=quarter, calls=[], labels=empty, v_past=empty)

@@ -14,6 +14,7 @@ from volgraph.graphbuild import (
     EDGE_COLUMNS,
     SIMILARITY_THRESHOLD,
     EdgeTable,
+    QuarterGraph,
     audit_no_leakage,
     build_quarter_graph,
     load_graph_dir,
@@ -187,11 +188,50 @@ class TestEdgeSemantics:
             build_quarter_graph(calls, NO_RELATIONS, Q)
 
     def test_labels_kept_for_the_graph_calls_only(self):
-        calls = [call("A", dt.date(2016, 4, 5)), call("B", dt.date(2016, 4, 6))]
-        targets = {3: -4.0, 7: -4.1, 15: -4.2}
-        labels = {"A-2016Q2": targets, "Z-2016Q2": targets}
+        # B's NaN row leaves its node unlabeled
+        calls = [call("B", dt.date(2016, 4, 6)), call("A", dt.date(2016, 4, 5))]
+        labels = np.array([[np.nan] * 3, [-4.0, -4.1, -4.2]])
         graph = build_quarter_graph(calls, NO_RELATIONS, Q, labels=labels)
-        assert graph.labels == {"A-2016Q2": targets}
+        assert [c.call_id for c in graph.calls] == ["A-2016Q2", "B-2016Q2"]
+        assert graph.labels.dtype == np.float64
+        assert graph.labels[0].tolist() == [-4.0, -4.1, -4.2]
+        assert np.isnan(graph.labels[1]).all()
+        assert graph.labeled.tolist() == [True, False]
+        unlabeled = build_quarter_graph(calls, NO_RELATIONS, Q)
+        assert unlabeled.labels.shape == (2, 3) and not unlabeled.labeled.any()
+
+    def test_shuffled_calls_keep_each_label_row_on_its_node(self, rng):
+        calls, relations = random_instance(rng, 15)
+        labels = rng.normal(-4.0, 0.5, size=(15, 3))
+        labels[rng.choice(15, 4, replace=False)] = np.nan
+        graph = build_quarter_graph(calls, relations, Q, labels=labels)
+        for perm in (rng.permutation(15), np.arange(15)[::-1]):
+            shuffled = build_quarter_graph(
+                [calls[k] for k in perm], relations, Q, labels=labels[perm]
+            )
+            assert shuffled.labels.tobytes() == graph.labels.tobytes()
+        row_of = {c.call_id: k for k, c in enumerate(calls)}
+        for i, c in enumerate(graph.calls):
+            assert graph.labels[i].tobytes() == labels[row_of[c.call_id]].tobytes()
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (np.zeros((3, 3)), r"labels of shape \(3, 3\) for 2 calls"),
+            (np.zeros(2), r"labels of shape \(2,\) for 2 nodes and 3 windows"),
+            (np.zeros((2, 2)), r"labels of shape \(2, 2\) for 2 nodes and 3 windows"),
+            (np.array([[0.0, np.nan, 0.0], [0.0] * 3]), "node 0 labels are neither all finite"),
+            (np.array([[0.0] * 3, [np.inf] * 3]), "node 1 labels are neither all finite"),
+        ],
+        ids=["rows", "1-d", "columns", "partial-row", "inf-row"],
+    )
+    def test_labels_of_the_wrong_shape_rejected(self, labels, message):
+        calls = [call("A", dt.date(2016, 4, 5)), call("B", dt.date(2016, 4, 6))]
+        with pytest.raises(GraphConstructionError, match=message):
+            build_quarter_graph(calls, NO_RELATIONS, Q, labels=labels)
+        if labels.shape[:1] == (2,):
+            with pytest.raises(GraphConstructionError, match=message):
+                QuarterGraph(quarter=Q, calls=calls, edges=None, labels=labels)
 
     def test_call_outside_quarter_rejected(self):
         with pytest.raises(GraphConstructionError, match="outside"):
@@ -265,22 +305,26 @@ def mixed_quarter(rng, conflict):
 class TestAgainstReferenceLoop:
     def test_edge_columns_and_errors_match_the_loop(self):
         rng = np.random.default_rng(404)
+        label_rng = np.random.default_rng(405)  # apart, so the instances stay as they were
         raised = built = 0
         for trial in range(400):
             calls, relations = mixed_quarter(rng, conflict=trial % 3 == 0)
+            labels = label_rng.normal(-4.0, 0.5, size=(len(calls), 3))
+            labels[label_rng.random(len(calls)) < 0.3] = np.nan
             try:
-                want = build_quarter_graph_loop(calls, relations, Q).edges
+                want = build_quarter_graph_loop(calls, relations, Q, labels=labels)
             except GraphConstructionError as e:
                 with pytest.raises(GraphConstructionError) as err:
-                    build_quarter_graph(calls, relations, Q)
+                    build_quarter_graph(calls, relations, Q, labels=labels)
                 assert str(err.value) == str(e), trial
                 raised += 1
                 continue
-            got = build_quarter_graph(calls, relations, Q).edges
+            got = build_quarter_graph(calls, relations, Q, labels=labels)
+            assert got.labels.tobytes() == want.labels.tobytes(), trial
             for name in EDGE_COLUMNS:
-                a, b = getattr(got, name), getattr(want, name)
+                a, b = getattr(got.edges, name), getattr(want.edges, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (trial, name)
-            built += len(cross_edges(got)) > 0
+            built += len(cross_edges(got.edges)) > 0
         assert raised > 20 and built > 200
 
     def test_conflicting_pair_message(self):
@@ -416,11 +460,8 @@ class TestDateGroupsAndSerialization:
         assert back.n_nodes == small_graph.n_nodes
         for a, b in zip(small_graph.calls, back.calls):
             assert (a.company_id, a.call_id, a.call_date) == (b.company_id, b.call_id, b.call_date)
-            if a.call_id not in small_graph.labels:
-                assert b.call_id not in back.labels
-            else:
-                for tau, v in small_graph.labels[a.call_id].items():
-                    assert back.labels[b.call_id][tau] == v  # repr round-trip, bitwise
+        # repr round-trip, bitwise, NaN rows included
+        assert back.labels.tobytes() == small_graph.labels.tobytes()
         assert len(back.edges) == len(small_graph.edges)
         for name in ("src", "dst", "day_gap", "temporal_weight", "similarity"):
             a, b = getattr(small_graph.edges, name), getattr(back.edges, name)
@@ -437,8 +478,8 @@ class TestDateGroupsAndSerialization:
         save_graph_dir(small_graph, tmp_path / "g")
         nodes = ["node_id,company_id,call_id,call_date,label_3,label_7,label_15"]
         for i, c in enumerate(small_graph.calls):
-            target = small_graph.labels.get(c.call_id)
-            labels = ["", "", ""] if target is None else [repr(target[t]) for t in (3, 7, 15)]
+            target = small_graph.labels[i]
+            labels = ["", "", ""] if np.isnan(target).all() else [repr(float(v)) for v in target]
             nodes.append(",".join(
                 [str(i), c.company_id, c.call_id, c.call_date.isoformat(), *labels]))
         e = small_graph.edges

@@ -10,7 +10,8 @@ import pytest
 import volgraph.numcore as nc
 from volgraph.dataio import build_quarter_datasets, gen_synthetic, SyntheticConfig
 from volgraph.dataio.datasets import TAUS
-from volgraph.errors import ConfigError, InsufficientDataError, ShapeError
+from volgraph.dataio.volatility import window_targets
+from volgraph.errors import ConfigError, GraphConstructionError, InsufficientDataError, ShapeError
 from volgraph.graphbuild import build_quarter_graph
 from volgraph.pipeline import (
     MetricsReport,
@@ -48,10 +49,14 @@ def make_prepared(corpus, datasets):
 
 
 @pytest.fixture(scope="module")
-def prepared_quarters():
-    corpus = gen_synthetic(SyntheticConfig(n_companies=12, n_quarters=4, d_s=8), seed=5)
-    datasets = build_quarter_datasets(corpus.transcripts, corpus.prices)
-    return make_prepared(corpus, datasets)
+def pipeline_corpus():
+    return gen_synthetic(SyntheticConfig(n_companies=12, n_quarters=4, d_s=8), seed=5)
+
+
+@pytest.fixture(scope="module")
+def prepared_quarters(pipeline_corpus):
+    datasets = build_quarter_datasets(pipeline_corpus.transcripts, pipeline_corpus.prices)
+    return make_prepared(pipeline_corpus, datasets)
 
 
 class TestMetrics:
@@ -412,6 +417,15 @@ class TestEvaluate:
             want = mse(direct[tau][idx], p.labels[tau][idx])
             assert model_rep.mse_per_tau[tau] == pytest.approx(want, rel=1e-12)
 
+    def test_no_labeled_nodes_raise(self, prepared_quarters):
+        models = {tau: VolatilityModel(tiny_config(), (tau,)) for tau in TAUS}
+        with pytest.raises(InsufficientDataError, match="no labeled nodes"):
+            evaluate(models, [])
+        p = prepared_quarters[0]
+        unlabeled = dataclasses.replace(p, mask=np.zeros_like(p.mask))
+        with pytest.raises(InsufficientDataError, match="no labeled nodes"):
+            evaluate(models, [unlabeled])
+
     def test_requires_baseline(self, prepared_quarters):
         p = prepared_quarters[0]
         stripped = prepare_quarter(p.graph)  # no dataset -> no v_past
@@ -762,13 +776,30 @@ class TestModelConfig:
         d["literal_market_norm"] = False
         assert ModelConfig.from_dict(d).to_dict() == tiny_config().to_dict()
 
-    def test_prepared_quarter_label_alignment(self, prepared_quarters):
-        # labels on the prepared arrays match the graph calls they came from
-        p = prepared_quarters[0]
-        for i, call in enumerate(p.graph.calls):
-            target = p.graph.labels.get(call.call_id)
-            if target is None:
-                continue
-            assert p.mask[i]
-            for tau in TAUS:
-                assert p.labels[tau][i] == target[tau]
+    def test_prepared_quarter_label_alignment(self, pipeline_corpus, prepared_quarters):
+        # each node's labels and baselines are window_targets' row of its call, bitwise
+        for p in prepared_quarters:
+            calls = p.graph.calls
+            labels, v_past, reasons = window_targets(
+                pipeline_corpus.prices,
+                [c.company_id for c in calls],
+                [c.call_date for c in calls],
+                TAUS,
+            )
+            assert reasons == [None] * len(calls) and p.mask.all()
+            for j, tau in enumerate(TAUS):
+                assert p.labels[tau].tobytes() == labels[:, j].tobytes()
+                assert p.v_past[tau].tobytes() == v_past[:, j].tobytes()
+
+    def test_prepare_with_another_quarters_dataset_raises(self, pipeline_corpus):
+        corpus = pipeline_corpus
+        datasets = build_quarter_datasets(corpus.transcripts, corpus.prices)
+        first, second = datasets[:2]
+        graph = build_quarter_graph(first.calls, corpus.relations, first.quarter, first.labels)
+        with pytest.raises(GraphConstructionError, match=f"the {second.quarter} dataset's calls"):
+            prepare_quarter(graph, second)
+        # the same calls out of node order do not match either
+        shuffled = dataclasses.replace(first, calls=first.calls[::-1])
+        with pytest.raises(GraphConstructionError, match="not the nodes"):
+            prepare_quarter(graph, shuffled)
+        assert prepare_quarter(graph, first).mask.all()
