@@ -175,9 +175,8 @@ def cmd_build_graph(args) -> int:
     if prices is not None:
         labels = np.full((len(in_quarter), len(TAUS)), np.nan)
         row = {c.call_id: i for i, c in enumerate(in_quarter)}
-        for ds in build_quarter_datasets(calls, prices, report=report):
-            if ds.quarter == quarter:
-                labels[[row[c.call_id] for c in ds.calls]] = ds.labels
+        for ds in build_quarter_datasets(in_quarter, prices, report=report):
+            labels[[row[c.call_id] for c in ds.calls]] = ds.labels
     graph = build_quarter_graph(in_quarter, relations, quarter, labels=labels)
     save_graph_dir(graph, args.out)
     if args.report:

@@ -25,6 +25,8 @@ batch. The temporal no-leakage guarantee relies on exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import attrgetter, is_
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +44,10 @@ from .numcore import (
     transformer_encoder_layer,
     uniform_init,
 )
+
+_ROLE_CODES = {role: i for i, role in enumerate(ROLES)}
+_PART_CODES = {part: i for i, part in enumerate(PARTS)}
+
 
 @dataclass
 class StructEmbedTables:
@@ -145,16 +151,20 @@ def hash_featurizer(texts: Sequence[str], d_s: int = 768) -> np.ndarray:
     is_tok = ((buf >= ord("a")) & (buf <= ord("z"))) | ((buf >= ord("0")) & (buf <= ord("9")))
     flips = np.flatnonzero(np.diff(is_tok, prepend=False, append=False))
     starts, lengths = flips[0::2], flips[1::2] - flips[0::2]
-    # longest tokens first, so the tokens still running at byte j are a prefix
-    order = np.argsort(-lengths, kind="stable")
-    starts, lengths = starts[order], lengths[order]
+    row_ends = np.cumsum([len(p) + 1 for p in parts])  # +1 for the joining space
+    rows = np.searchsorted(row_ends, starts, side="right")  # starts ascend here
+    # longest tokens first, so the tokens still running at byte j are a
+    # prefix; a stable sort of (longest − length) in the narrowest unsigned
+    # type is the order of a stable sort of −length, and numpy radix-sorts
+    # keys of 16 bits or fewer
+    longest = int(lengths.max(initial=0))
+    order = np.argsort((longest - lengths).astype(np.min_scalar_type(longest)), kind="stable")
+    starts, lengths, rows = starts[order], lengths[order], rows[order]
     crc = np.full(len(starts), 0xFFFFFFFF, dtype=np.uint32)
     running = len(starts) - np.cumsum(np.bincount(lengths))  # tokens longer than j
     for j, k in enumerate(running[:-1]):
         crc[:k] = _CRC32_TABLE[(crc[:k] ^ buf[starts[:k] + j]) & 0xFF] ^ (crc[:k] >> 8)
     cols = (crc ^ np.uint32(0xFFFFFFFF)) % d_s
-    row_ends = np.cumsum([len(p) + 1 for p in parts])  # +1 for the joining space
-    rows = np.searchsorted(row_ends, starts, side="right")
     counts = np.bincount(rows * d_s + cols, minlength=len(texts) * d_s)
     mat = counts.astype(np.float64).reshape(len(texts), d_s)
     norms = np.sqrt(np.einsum("ij,ij->i", mat, mat))[:, None]
@@ -186,38 +196,48 @@ class SentenceBlock:
     ) -> "SentenceBlock":
         """Calls longer than ``max_sentences`` are truncated from the end;
         utterance indices beyond ``max_utterances`` clamp to the last one.
-        All text sentences go through one ``hash_featurizer`` call."""
+        All text sentences go through one ``hash_featurizer`` call, and a
+        block without text sentences makes none."""
         kept = [c.sentences[:max_sentences] for c in calls]
         lengths = np.array([len(k) for k in kept], dtype=np.intp)
         sentences = [s for k in kept for s in k]
+        n_rows = len(sentences)
         starts = np.cumsum(lengths) - lengths
-        texts = [s.text for s in sentences if s.vector is None]
-        text_rows = iter(hash_featurizer(texts, d_s) if texts else ())
-        try:
-            base = np.array(
-                [next(text_rows) if s.vector is None else s.vector for s in sentences],
-                dtype=np.float64,
-            )
-        except ValueError:  # rows of different shapes
-            base = None
-        if base is None or base.shape[1:] != (d_s,):
-            row = next(
-                r for r, s in enumerate(sentences)
-                if s.vector is not None and np.shape(s.vector) != (d_s,)
-            )
-            call = calls[int(np.searchsorted(starts, row, side="right")) - 1]
-            raise ShapeError(
-                f"call {call.call_id}: sentence vectors have dim "
-                f"{np.size(sentences[row].vector)}, expected {d_s}"
-            )
+        vectors = list(map(attrgetter("vector"), sentences))
+        is_text = list(map(is_, vectors, repeat(None)))
+        n_text = sum(is_text)
+        if n_text and n_text == n_rows:
+            base = hash_featurizer(list(map(attrgetter("text"), sentences)), d_s)
+        else:
+            if n_text:
+                texts = compress(map(attrgetter("text"), sentences), is_text)
+                text_rows = iter(hash_featurizer(list(texts), d_s))
+                vectors = [next(text_rows) if t else v for t, v in zip(is_text, vectors)]
+            try:
+                base = np.array(vectors, dtype=np.float64)
+            except ValueError:  # rows of different shapes
+                base = None
+            if base is None or base.shape[1:] != (d_s,):
+                row = next(
+                    r for r, s in enumerate(sentences)
+                    if s.vector is not None and np.shape(s.vector) != (d_s,)
+                )
+                call = calls[int(np.searchsorted(starts, row, side="right")) - 1]
+                raise ShapeError(
+                    f"call {call.call_id}: sentence vectors have dim "
+                    f"{np.size(sentences[row].vector)}, expected {d_s}"
+                )
+        utterance = np.fromiter(map(attrgetter("utterance_idx"), sentences), np.intp, n_rows)
         sizes = np.unique(lengths)
         members = [np.flatnonzero(lengths == n) for n in sizes]
         return cls(
             base=base,
-            position=np.arange(len(sentences)) - np.repeat(starts, lengths),
-            utterance=np.minimum([s.utterance_idx for s in sentences], max_utterances - 1),
-            role=np.array([ROLES.index(s.role) for s in sentences]),
-            part=np.array([PARTS.index(s.part) for s in sentences]),
+            position=np.arange(n_rows) - np.repeat(starts, lengths),
+            utterance=np.minimum(utterance, max_utterances - 1),
+            role=np.fromiter(map(_ROLE_CODES.__getitem__, map(attrgetter("role"), sentences)),
+                             np.intp, n_rows),
+            part=np.fromiter(map(_PART_CODES.__getitem__, map(attrgetter("part"), sentences)),
+                             np.intp, n_rows),
             batches=tuple(starts[m, None] + np.arange(n) for m, n in zip(members, sizes)),
             inverse=np.argsort(np.concatenate(members), kind="stable"),
         )

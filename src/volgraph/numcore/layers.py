@@ -5,6 +5,12 @@ post-norm encoder layer (multi-head self-attention, residual, layer norm,
 a two-layer ReLU MLP, residual, layer norm); both have hand-written
 backwards. The layer's numpy kernels (the affine maps, the softmax
 weights, layer norm) are plain helpers here, not tape ops.
+
+The attention softmax is normalized after the value product, as in
+FlashAttention-2: the queries are scaled by 1/√dh before the score
+product, the (n, n) block holds only exp(s − rowmax), and the (n, dh)
+context is divided by the row sums. No division pass runs over the
+(n, n) scores.
 """
 
 from __future__ import annotations
@@ -56,18 +62,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return T._make(out, (x, w, b), lambda g: (*_affine_grads(g, x.data, w.data), _lead_sum(g)))
 
 
-def _attention_weights(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """softmax(q @ kᵀ / √dh) over the last axis, formed in place in one buffer.
+def _attention_weights(q: np.ndarray, k: np.ndarray) -> tuple:
+    """Unnormalized softmax weights of the scores q @ kᵀ, formed in place in one buffer.
 
-    The ops and their order are those of a max-shifted softmax of the
-    scaled scores, so the weights are bitwise equal to that chain's.
+    Returns (e, l): e = exp(s − rowmax(s)) and its row sums l, with s =
+    q @ kᵀ, so softmax(s) = e / l. ``q`` arrives already scaled by 1/√dh;
+    the caller divides the value product e @ v by l, not e itself.
     """
-    p = q @ np.swapaxes(k, -1, -2)
-    p /= float(np.sqrt(q.shape[-1]))
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    return p
+    e = q @ np.swapaxes(k, -1, -2)
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    return e, e.sum(axis=-1, keepdims=True)
 
 
 def _layer_norm(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> tuple:
@@ -164,12 +169,13 @@ def transformer_encoder_layer(
 
     The node's parents are ``x``, then ``queries`` if given, then the 16
     ``TransformerLayerParams`` tensors in field order. The forward runs
-    the numpy ops of an op-by-op tape (separate Q/K/V maps, head split,
-    softmax weights, head merge, output map, residual, norm, MLP,
-    residual, norm) in that tape's order, so its output is bitwise equal
-    to the chain's. The backward keeps the q, k and v heads, the softmax
-    weights, the merged context, both norms' x̂ and 1/σ, the first norm's
-    output and the ReLU output.
+    the numpy ops of an op-by-op tape (separate Q/K/V maps, the query map
+    divided by √dh, head split, unnormalized softmax weights e and their
+    row sums l, e @ v divided by l, head merge, output map, residual,
+    norm, MLP, residual, norm) in that tape's order, so its output is
+    bitwise equal to the chain's. The backward keeps the q, k and v heads,
+    e and l (it forms the weights e / l once), the merged context, both
+    norms' x̂ and 1/σ, the first norm's output and the ReLU output.
     """
     x = T.as_tensor(x)
     params = tuple(getattr(p, name) for name in _LAYER_FIELDS)
@@ -195,11 +201,15 @@ def transformer_encoder_layer(
     def split_heads(t: np.ndarray) -> np.ndarray:  # (b, n, d) -> (b, H, n, dh) view
         return np.swapaxes(t.reshape(b, t.shape[1], n_heads, dh), 1, 2)
 
-    qh = split_heads(_affine(qin, wq, bq))
+    q = _affine(qin, wq, bq)
+    q /= scale
+    qh = split_heads(q)
     kh = split_heads(_affine(x.data, wk, bk))
     vh = split_heads(_affine(x.data, wv, bv))
-    att = _attention_weights(qh, kh)
-    ctx = np.swapaxes(att @ vh, 1, 2).reshape(b, m, d)
+    e, rowsum = _attention_weights(qh, kh)
+    ctx = e @ vh
+    ctx /= rowsum
+    ctx = np.swapaxes(ctx, 1, 2).reshape(b, m, d)
     a1 = _affine(ctx, wo, bo)
     a1 += qin
     h, xhat1, inv1 = _layer_norm(a1, ln1_g, ln1_b)
@@ -219,12 +229,13 @@ def transformer_encoder_layer(
         gctx, gwo = _affine_grads(ga1, ctx, wo)
         gbo = _lead_sum(ga1)  # before ga1 takes on the input gradients below
         gctx = split_heads(gctx)
+        att = e / rowsum
         gvh = np.swapaxes(att, -1, -2) @ gctx
         ds = gctx @ np.swapaxes(vh, -1, -2)  # dP, turned into dS in place
         ds -= (ds * att).sum(axis=-1, keepdims=True)
         ds *= att
-        ds /= scale
         gqh = ds @ kh
+        gqh /= scale  # the scores' query is q / √dh
         # (qᵀ dS)ᵀ, not dSᵀ q: the two round differently, and this one is
         # the product an op-by-op tape forms, so training stays bitwise equal
         gkh = np.swapaxes(np.swapaxes(qh, -1, -2) @ ds, -1, -2)

@@ -257,6 +257,28 @@ class TestBuildGraphAndAudit:
         report = json.loads((workdir["root"] / "ingest.json").read_text())
         assert isinstance(report, dict)
 
+    def test_ingest_report_lists_the_quarters_own_label_exclusions(self, workdir, tmp_path):
+        # prices cut inside 2017Q1 leave some of its calls and every 2017Q2
+        # call without a label; the report of a 2017Q1 build names the
+        # unlabeled nodes of its graph and no call of another quarter
+        data = tmp_path / "data"
+        data.mkdir()
+        with (workdir["data"] / "prices.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        with (data / "prices.csv").open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows[:1] + [r for r in rows[1:] if r[1] <= "2017-02-28"])
+        report = tmp_path / "ingest.json"
+        assert main(["build-graph", "--quarter", "2017Q1",
+                     "--transcripts", str(workdir["data"] / "transcripts.jsonl"),
+                     "--relations", str(workdir["data"] / "relations.csv"),
+                     "--prices", str(data / "prices.csv"),
+                     "--out", str(tmp_path / "graph"), "--report", str(report)]) == 0
+        graph = load_graph_dir(tmp_path / "graph")
+        unlabeled = [c.call_id for c, ok in zip(graph.calls, graph.labeled) if not ok]
+        assert 0 < len(unlabeled) < graph.n_nodes
+        excluded = [e["call_id"] for e in json.loads(report.read_text())["label_exclusions"]]
+        assert sorted(excluded) == sorted(unlabeled)
+
     def test_audit_clean_graph(self, workdir, capsys):
         rc = main(["audit-leakage", "--graph", str(workdir["graph"])])
         assert rc == 0

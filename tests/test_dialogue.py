@@ -72,6 +72,25 @@ def encode_one(call, tables, params):
     return encode_calls([call], tables, params, D_S, {}).data[0]
 
 
+def per_sentence_reference(text, d_s):
+    """One text's hash row, counted token by token with zlib's crc32."""
+    vec = np.zeros(d_s, dtype=np.float64)
+    for token in re.findall(r"[a-z0-9]+", text.lower()):
+        vec[zlib.crc32(token.encode("utf-8")) % d_s] += 1.0
+    norm = np.linalg.norm(vec)
+    if norm > 0:
+        vec /= norm
+    return vec
+
+
+def assert_matches_per_sentence_reference(texts):
+    for d_s in (7, 16, 768):
+        got = hash_featurizer(texts, d_s=d_s)
+        want = np.stack([per_sentence_reference(t, d_s) for t in texts])
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+
+
 class TestHashFeaturizer:
     def test_unit_norm(self):
         v = hash_featurizer(["Revenue grew twelve percent this quarter"], d_s=64)[0]
@@ -93,15 +112,6 @@ class TestHashFeaturizer:
     def test_matches_per_sentence_reference_bitwise(self):
         # one bincount over a whole call must give, row for row, exactly
         # what counting each sentence on its own gives
-        def per_sentence(text, d_s):
-            vec = np.zeros(d_s, dtype=np.float64)
-            for token in re.findall(r"[a-z0-9]+", text.lower()):
-                vec[zlib.crc32(token.encode("utf-8")) % d_s] += 1.0
-            norm = np.linalg.norm(vec)
-            if norm > 0:
-                vec /= norm
-            return vec
-
         texts = [
             "Revenue grew twelve percent this quarter.",
             "",
@@ -113,11 +123,21 @@ class TestHashFeaturizer:
             "\u0130stanbul \u212aelvin\nline break\ttab",
             "x" * 300 + " y",
         ]
-        for d_s in (7, 16, 768):
-            got = hash_featurizer(texts, d_s=d_s)
-            want = np.stack([per_sentence(t, d_s) for t in texts])
-            assert got.dtype == np.float64
-            assert np.array_equal(got, want)
+        assert_matches_per_sentence_reference(texts)
+
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            # tokens are ordered by a sort key as wide as the longest token
+            # needs: here it must widen past 16 bits
+            ["short words first", "k" * 65_537 + " then a b c", "m" * 65_535, "9 99 999"],
+            # a text of separators alone has no token
+            [" \t\n,.;:!?-—()[]{}'\"/\\ €", "after the separators"],
+        ],
+        ids=["token-over-64k", "separators-only"],
+    )
+    def test_edge_texts_match_per_sentence_reference_bitwise(self, texts):
+        assert_matches_per_sentence_reference(texts)
 
     def test_no_texts_gives_empty_matrix(self):
         assert hash_featurizer([], d_s=8).shape == (0, 8)
@@ -229,6 +249,18 @@ class TestFeaturize:
         assert seen == [(texts, D_S)]
         np.testing.assert_array_equal(feats[1, :D_S], calls[0].sentences[1].vector)
         np.testing.assert_array_equal(feats[[0, 2, 5], :D_S], hash_featurizer(texts, D_S))
+
+    def test_vector_only_block_never_calls_the_featurizer(self, rng, monkeypatch):
+        store, tables, params = setup_encoder(rng)
+        calls = [vector_call(rng, call_id=f"V-{i}", n=n) for i, n in enumerate((3, 5, 3))]
+
+        def featurizer(texts, d_s):
+            raise AssertionError("a block of vectors hashed texts")
+
+        monkeypatch.setattr(dialogue, "hash_featurizer", featurizer)
+        feats = featurize(calls, tables).data
+        want = np.stack([s.vector for c in calls for s in c.sentences])
+        assert np.array_equal(feats[:, :D_S], want)
 
 
 class TestSentenceBlock:

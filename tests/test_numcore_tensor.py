@@ -127,13 +127,14 @@ class TestUnaryGrads:
 
 def attention_weights(x: np.ndarray) -> np.ndarray:
     """The softmax of ``x`` over its last axis, read off the encoder layer's
-    attention-weight kernel.
+    attention-weight kernel as e / l.
 
-    One-wide queries of ones meet keys ``x`` with √1 scaling, so the
-    scores are ``x`` exactly.
+    One-wide queries of ones meet keys ``x``, so the scores are ``x``
+    exactly.
     """
     q = np.ones(x.shape[:-1] + (1, 1))
-    return _attention_weights(q, x[..., None])[..., 0, :]
+    e, rowsum = _attention_weights(q, x[..., None])
+    return (e / rowsum)[..., 0, :]
 
 
 class TestForwardReferences:

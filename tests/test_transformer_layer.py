@@ -13,6 +13,7 @@ import volgraph.numcore as nc
 from volgraph.errors import ShapeError
 from volgraph.numcore.layers import (
     TransformerLayerParams,
+    _attention_weights,
     linear,
     transformer_encoder_layer,
 )
@@ -69,12 +70,27 @@ class TestLinear:
 PARAM_NAMES = tuple(f.name for f in fields(TransformerLayerParams))
 
 
-def replay_layer(x, p, n_heads, queries=None):
+def deferred_attention(q, k, v):
+    """The layer's attention core: q / √dh, the max-shifted exponentials e
+    of the scores, e @ v divided by e's row sums."""
+    scores = (q / float(np.sqrt(q.shape[-1]))) @ np.swapaxes(k, -1, -2)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return (e @ v) / e.sum(axis=-1, keepdims=True)
+
+
+def textbook_attention(q, k, v):
+    """softmax(q kᵀ / √dh) · v, the weights normalized before the value product."""
+    scores = q @ np.swapaxes(k, -1, -2) / float(np.sqrt(q.shape[-1]))
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True) @ v
+
+
+def replay_layer(x, p, n_heads, queries=None, attention=deferred_attention):
     """The encoder layer as plain numpy, in the op order of an op-by-op tape.
 
-    Separate Q/K/V maps, head split, a max-shifted softmax of the scaled
-    scores, head merge, output map, residual, ``np.mean``/``np.var`` layer
-    norm, ReLU MLP, residual, layer norm.
+    Separate Q/K/V maps, head split, ``attention`` (by default the layer's
+    own core, ``deferred_attention``), head merge, output map, residual,
+    ``np.mean``/``np.var`` layer norm, ReLU MLP, residual, layer norm.
     """
     w = {name: getattr(p, name).data for name in PARAM_NAMES}
     q_in = x if queries is None else queries
@@ -94,9 +110,7 @@ def replay_layer(x, p, n_heads, queries=None):
         return xhat * w[f"ln{i}_gamma"] + w[f"ln{i}_beta"]
 
     q, k, v = split(lin(q_in, "wq", "bq")), split(lin(x, "wk", "bk")), split(lin(x, "wv", "bv"))
-    scores = q @ np.swapaxes(k, -1, -2) / float(np.sqrt(dh))
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    ctx = np.swapaxes(e / e.sum(axis=-1, keepdims=True) @ v, 1, 2).reshape(b, m, d)
+    ctx = np.swapaxes(attention(q, k, v), 1, 2).reshape(b, m, d)
     h = norm(q_in + lin(ctx, "wo", "bo"), 1)
     ff = lin(np.maximum(lin(h, "ff1_w", "ff1_b"), 0.0), "ff2_w", "ff2_b")
     return norm(h + ff, 2)
@@ -122,12 +136,12 @@ def reference_layer(x, p, n_heads, queries=None):
         var = ro.mean_(ro.mul(c, c), axis=-1, keepdims=True)
         return ro.add(ro.mul(ro.mul(c, _rsqrt(ro.add(var, 1e-5))), gamma), beta)
 
-    q = split(linear(q_in, p.wq, p.bq))
+    q = split(ro.div(linear(q_in, p.wq, p.bq), float(np.sqrt(dh))))
     k, v = split(linear(x, p.wk, p.bk)), split(linear(x, p.wv, p.bv))
-    scores = ro.div(ro.matmul(q, ro.swapaxes(k, -1, -2)), float(np.sqrt(dh)))
+    scores = ro.matmul(q, ro.swapaxes(k, -1, -2))
     e = ro.exp(ro.sub(scores, nc.Tensor(scores.data.max(axis=-1, keepdims=True))))
-    weights = ro.div(e, ro.sum_(e, axis=-1, keepdims=True))
-    ctx = nc.reshape(ro.swapaxes(ro.matmul(weights, v), 1, 2), (b, m, d))
+    ctx = ro.div(ro.matmul(e, v), ro.sum_(e, axis=-1, keepdims=True))
+    ctx = nc.reshape(ro.swapaxes(ctx, 1, 2), (b, m, d))
     h = norm(ro.add(q_in, linear(ctx, p.wo, p.bo)), p.ln1_gamma, p.ln1_beta)
     ff = linear(nc.relu(linear(h, p.ff1_w, p.ff1_b)), p.ff2_w, p.ff2_b)
     return norm(ro.add(h, ff), p.ln2_gamma, p.ln2_beta)
@@ -170,6 +184,39 @@ class TestAttention:
         got = transformer_encoder_layer(nc.Tensor(x), params, 3, queries=qt).data
         assert got.shape == (2, m, 6)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m", [5, 1])
+    @pytest.mark.parametrize("shift", [500.0, -500.0])
+    def test_forward_matches_textbook_softmax_under_logit_shifts(self, rng, m, shift):
+        # a key bias u moves query row i's scores by q_i·u/√dh, the same for
+        # every key; u is scaled per head so that the largest shift is ±500.
+        # Normalizing after the value product must stay within rounding of
+        # softmax(q kᵀ/√dh)·v.
+        store, params = perturbed_layer(rng)
+        x, queries = layer_inputs(rng, m)
+        n_heads, dh = 3, 2
+        q = (x if queries is None else queries) @ params.wq.data.T + params.bq.data
+        u = rng.normal(size=6)
+        for h in range(n_heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            row_shifts = q[..., cols] @ u[cols] / np.sqrt(dh)
+            u[cols] *= shift / row_shifts.flat[np.argmax(np.abs(row_shifts))]
+        params.bk.data += u
+        want = replay_layer(x, params, n_heads, queries, attention=textbook_attention)
+        qt = None if queries is None else nc.Tensor(queries)
+        got = transformer_encoder_layer(nc.Tensor(x), params, n_heads, queries=qt).data
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_weight_rows_sum_to_one(self, rng):
+        # (b, H, m, n) heads: e's largest entry in each row is exactly 1, so
+        # the row sums l lie in [1, n] and e / l is a softmax
+        q, k = rng.normal(size=(2, 3, 4, 5)) * 30, rng.normal(size=(2, 3, 7, 5))
+        e, rowsum = _attention_weights(q, k)
+        assert e.shape == (2, 3, 4, 7) and rowsum.shape == (2, 3, 4, 1)
+        assert np.array_equal(e.max(axis=-1), np.ones((2, 3, 4)))
+        assert np.all((rowsum >= 1.0) & (rowsum <= 7.0))
+        np.testing.assert_allclose((e / rowsum).sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("m", [5, 1])
     def test_gradients_match_op_by_op_chain(self, rng, m):
