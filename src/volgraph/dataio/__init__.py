@@ -19,25 +19,13 @@ from .records import (
     QuarterDataset,
     RelationTable,
     Sentence,
-    validate_call,
 )
-from .synthetic import SyntheticConfig, SyntheticData, gen_synthetic
-from .volatility import (
-    LOG_FLOOR,
-    anchor_index,
-    label,
-    log_volatility,
-    returns_slice,
-    v_past_prediction,
-    volatility,
-    window_targets,
-    windowed_volatility,
-)
+from .synthetic import SyntheticConfig, gen_synthetic
+from .volatility import window_targets
 
 __all__ = [
     "CallRecord",
     "IngestReport",
-    "LOG_FLOOR",
     "PARTS",
     "PriceSeries",
     "Quarter",
@@ -46,23 +34,14 @@ __all__ = [
     "RelationTable",
     "Sentence",
     "SyntheticConfig",
-    "SyntheticData",
     "TAUS",
-    "anchor_index",
     "build_quarter_datasets",
     "gen_synthetic",
-    "label",
     "load_prices",
     "load_relations",
     "load_transcripts",
-    "log_volatility",
-    "returns_slice",
     "split_by_time",
-    "v_past_prediction",
-    "validate_call",
-    "volatility",
     "window_targets",
-    "windowed_volatility",
     "write_prices",
     "write_relations",
     "write_transcripts",

@@ -20,11 +20,12 @@ def build_quarter_datasets(
     """Group calls by calendar quarter and attach label and baseline rows.
 
     A call stays only if every tau in ``TAUS`` admits both a forward label
-    and a trailing baseline; otherwise it moves to the dataset's exclusion list
-    (and the ingest report, when given). Companies without any price
-    series are excluded the same way — a node-only company can still
-    appear in a graph, but not in a labeled dataset. The label and baseline
-    rows are ``window_targets``', computed for all calls at once.
+    and a trailing baseline; otherwise it is left out, with its reason in
+    the ingest report's ``label_exclusions`` when a report is given.
+    Companies without any price series are excluded the same way — a
+    node-only company can still appear in a graph, but not in a labeled
+    dataset. The label and baseline rows are ``window_targets``', computed
+    for all calls at once.
     """
     ordered = sorted(calls, key=lambda c: (c.call_date, c.company_id))
     labels, v_past, reasons = window_targets(
@@ -37,11 +38,9 @@ def build_quarter_datasets(
     datasets = []
     quarters = [Quarter.of_date(c.call_date) for c in ordered]
     for quarter, run in groupby(range(len(ordered)), quarters.__getitem__):  # one run per quarter
-        run = list(run)
         kept = [k for k in run if reasons[k] is None]
-        excluded = [(ordered[k].call_id, reasons[k]) for k in run if reasons[k] is not None]
         kept_calls = [ordered[k] for k in kept]
-        datasets.append(QuarterDataset(quarter, kept_calls, labels[kept], v_past[kept], excluded))
+        datasets.append(QuarterDataset(quarter, kept_calls, labels[kept], v_past[kept]))
     return datasets
 
 

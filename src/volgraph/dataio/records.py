@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import InsufficientDataError, ParseError
+from ..errors import ParseError
 
 ROLES = ("executive", "analyst")
 PARTS = ("presentation", "qa")
@@ -116,13 +116,6 @@ class PriceSeries:
     def __len__(self) -> int:
         return len(self.dates)
 
-    def index_on_or_after(self, d: dt.date) -> int:
-        """First trading-day index with date ≥ d."""
-        i = int(np.searchsorted(self.days, d.toordinal()))
-        if i >= len(self.dates):
-            raise InsufficientDataError(f"{self.company_id}: no trading day on or after {d}")
-        return i
-
 
 @dataclass(frozen=True, order=True)
 class Quarter:
@@ -132,6 +125,8 @@ class Quarter:
     def __post_init__(self):
         if not 1 <= self.q <= 4:
             raise ParseError(f"quarter index {self.q} outside 1..4")
+        if not dt.MINYEAR <= self.year <= dt.MAXYEAR:
+            raise ParseError(f"year {self.year} outside {dt.MINYEAR}..{dt.MAXYEAR}")
 
     @property
     def start(self) -> dt.date:
@@ -216,12 +211,10 @@ class QuarterDataset:
 
     ``labels`` (log-volatility regression targets) and ``v_past`` (trailing
     baseline predictions) are finite (len(calls), |TAUS|) float64 arrays:
-    row k is ``calls[k]``'s, column j window ``TAUS[j]``. Calls that could
-    not be labeled are listed in ``excluded`` with a reason.
+    row k is ``calls[k]``'s, column j window ``TAUS[j]``.
     """
 
     quarter: Quarter
     calls: list[CallRecord]
     labels: np.ndarray
     v_past: np.ndarray
-    excluded: list[tuple[str, str]] = field(default_factory=list)

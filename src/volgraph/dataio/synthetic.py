@@ -98,9 +98,8 @@ class SyntheticData:
     transcripts: list[CallRecord]
     prices: list[PriceSeries]
     relations: RelationTable
-    # latent truth, exposed for oracle tests only
+    # each call's latent tone, the truth that oracle tests and text corpora read
     tones: dict[str, float] = field(default_factory=dict)
-    regimes: dict[str, float] = field(default_factory=dict)
 
 
 def _weekday_grid(first: dt.date, last: dt.date) -> list[dt.date]:
@@ -116,6 +115,8 @@ def _weekday_grid(first: dt.date, last: dt.date) -> list[dt.date]:
 
 def gen_synthetic(config: SyntheticConfig, seed: int) -> SyntheticData:
     """Generate transcripts, prices and relations for one planted-signal corpus."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     s = config.signal_strength
     b = config.tone_loading
@@ -134,7 +135,6 @@ def gen_synthetic(config: SyntheticConfig, seed: int) -> SyntheticData:
     transcripts: list[CallRecord] = []
     prices: list[PriceSeries] = []
     tones: dict[str, float] = {}
-    regimes: dict[str, float] = {}
 
     for company_id in company_ids:
         z_prev = float(rng.normal())
@@ -162,7 +162,6 @@ def gen_synthetic(config: SyntheticConfig, seed: int) -> SyntheticData:
             call = _make_call(rng, config, call_id, company_id, grid[t], s * z, tone_dir)
             company_calls.append(call)
             tones[call_id] = z
-            regimes[call_id] = regime
             z_prev = z
 
         signs = np.where(np.arange(len(grid)) % 2 == 0, 1.0, -1.0)
@@ -175,7 +174,7 @@ def gen_synthetic(config: SyntheticConfig, seed: int) -> SyntheticData:
         transcripts.extend(company_calls)
 
     relations = _gen_relations(rng, config, company_ids, quarters)
-    return SyntheticData(transcripts, prices, relations, tones, regimes)
+    return SyntheticData(transcripts, prices, relations, tones)
 
 
 def _make_call(

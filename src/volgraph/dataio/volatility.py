@@ -1,17 +1,10 @@
-"""Return and volatility arithmetic on adjusted close series.
+"""Labels and trailing baselines from adjusted close series.
 
-Two windowing conventions coexist deliberately:
-
-* :func:`volatility` anchors at a day index — the window [t, t+tau]
-  holds tau+1 return terms and the divisor is tau.
-* Labels and the trailing baseline use :func:`windowed_volatility` over
-  explicit index bounds, keeping the same "terms minus one" divisor.
-  :func:`window_targets` computes both for many calls at once, with the
-  same operations in the same order, so its values are bitwise equal.
-
-Every window counts trading days, never calendar days: the label of a
-call anchored at trading day t covers returns t+1..t+tau and its
-trailing baseline covers t-tau..t-1.
+:func:`window_targets` computes both for many calls at once. A call is
+anchored at trading day t, its first trading day on or after the call
+date. Every window counts trading days, never calendar days: the label
+covers returns t+1..t+tau and the trailing baseline covers t-tau..t-1.
+A window of n returns has dispersion sqrt(sum((r - mean)^2) / (n - 1)).
 
 The regression target is the natural log of volatility, floored at 1e-8
 so an all-equal window maps to a finite value.
@@ -23,72 +16,9 @@ import datetime as dt
 
 import numpy as np
 
-from ..errors import InsufficientDataError
 from .records import PriceSeries
 
 LOG_FLOOR = 1e-8
-
-
-def returns_slice(series: PriceSeries, a: int, b: int) -> np.ndarray:
-    """Returns for trading-day indices a..b inclusive."""
-    if a < 1 or b >= len(series) or a > b:
-        raise InsufficientDataError(
-            f"{series.company_id}: return window [{a},{b}] outside series of length {len(series)}"
-        )
-    return series.returns[a - 1 : b]
-
-
-def volatility(series: PriceSeries, t: int, tau: int) -> float:
-    """Dispersion of the tau+1 returns at indices t..t+tau, divisor tau."""
-    if tau < 1:
-        raise InsufficientDataError(f"window length tau={tau} must be >= 1")
-    r = returns_slice(series, t, t + tau)
-    return float(np.sqrt(np.sum((r - r.mean()) ** 2) / tau))
-
-
-def windowed_volatility(series: PriceSeries, a: int, b: int) -> float:
-    """Dispersion of returns at indices a..b inclusive, divisor (b-a)."""
-    if b <= a:
-        raise InsufficientDataError(f"window [{a},{b}] needs at least two returns")
-    r = returns_slice(series, a, b)
-    return float(np.sqrt(np.sum((r - r.mean()) ** 2) / (b - a)))
-
-
-def log_volatility(vol: float) -> float:
-    return float(np.log(max(vol, LOG_FLOOR)))
-
-
-def anchor_index(series: PriceSeries, call_date: dt.date) -> int:
-    """Trading-day index t for a call: first trading day on/after the call."""
-    return series.index_on_or_after(call_date)
-
-
-def label(series: PriceSeries, call_date: dt.date, tau: int) -> float:
-    """Log-volatility of the window starting the day after the call's anchor day.
-
-    The window holds the returns at trading-day indices [t+1, t+tau].
-    """
-    t = anchor_index(series, call_date)
-    if t + tau >= len(series):
-        raise InsufficientDataError(
-            f"{series.company_id}: needs trading days through index {t + tau}, "
-            f"series ends at {len(series) - 1}"
-        )
-    return log_volatility(windowed_volatility(series, t + 1, t + tau))
-
-
-def v_past_prediction(series: PriceSeries, call_date: dt.date, tau: int) -> float:
-    """Log-volatility of the trailing window ending the day before the anchor day.
-
-    The window holds the returns at trading-day indices [t-tau, t-1].
-    """
-    t = anchor_index(series, call_date)
-    if t - tau < 1:
-        raise InsufficientDataError(
-            f"{series.company_id}: trailing window needs index {t - tau - 1} >= 0"
-        )
-    return log_volatility(windowed_volatility(series, t - tau, t - 1))
-
 
 # date ordinals stay below this, so (series, ordinal) packs into one int64 key
 _SPAN = dt.date.max.toordinal() + 1
@@ -97,16 +27,15 @@ _SPAN = dt.date.max.toordinal() + 1
 def window_targets(
     prices: list[PriceSeries], company_ids: list[str], call_dates: list[dt.date], taus
 ) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
-    """``label`` and ``v_past_prediction`` of many calls at once.
+    """Log-volatility labels and trailing baselines of many calls at once.
 
     Returns (n, len(taus)) label and baseline matrices, column j for
     ``taus[j]``, and one reason per call. A reason is None when every
-    window exists; otherwise it is "no price series" or the message of the
-    first of anchor, label τ1, baseline τ1, label τ2, ... that would raise,
-    and the call's rows hold NaN. Each τ must be at least 2. Each window is
-    one row of an (n, τ) matrix gathered from the series' ``returns`` and
-    reduced along axis 1 with ``windowed_volatility``'s operations, so
-    every value is bitwise equal to the scalar function's.
+    window exists; otherwise it is "no price series" or names the first
+    of anchor, label τ1, baseline τ1, label τ2, ... that does not fit the
+    series, and the call's rows hold NaN. Each τ must be at least 2. Each
+    window is one row of an (n, τ) matrix gathered from the series'
+    ``returns`` and reduced along axis 1.
     """
     series_of = {p.company_id: k for k, p in enumerate(prices)}  # the last series of an id wins
     n, n_taus = len(company_ids), len(taus)
@@ -131,7 +60,7 @@ def window_targets(
     ordinal = np.array([call_dates[k].toordinal() for k in priced], dtype=np.int64)
     anchor = np.searchsorted(keys, code * _SPAN + ordinal) - starts[code]
     length = lengths[code]
-    # the checks in the order the scalar functions make them; the first that fails wins
+    # the checks in the order the reasons name them; the first that fails wins
     failed = [anchor >= length]
     for tau in taus:
         failed += [anchor + tau >= length, anchor - tau < 1]
@@ -160,6 +89,6 @@ def window_targets(
 
 
 def _log_volatility_rows(r: np.ndarray) -> np.ndarray:
-    """``log_volatility(windowed_volatility(...))`` of each row of an (n, τ) return matrix."""
+    """Floored log-dispersion, divisor τ - 1, of each row of an (n, τ) return matrix."""
     vol = np.sqrt(np.sum((r - r.mean(axis=1, keepdims=True)) ** 2, axis=1) / (r.shape[1] - 1))
     return np.log(np.maximum(vol, LOG_FLOOR))

@@ -32,6 +32,10 @@ class InsufficientDataError(VolgraphError):
     """Not enough trading days around an event to evaluate a window."""
 
 
+class NonFiniteError(VolgraphError, FloatingPointError):
+    """A tensor op produced a NaN or an infinity."""
+
+
 class OptimizerError(VolgraphError):
     """Optimizer met a non-finite gradient or inconsistent state."""
 

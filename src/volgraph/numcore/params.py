@@ -54,21 +54,12 @@ class ParamStore:
     def __len__(self) -> int:
         return len(self._params)
 
-    def names(self) -> list[str]:
-        return list(self._params.keys())
-
-    def tensors(self) -> list[Tensor]:
-        return list(self._params.values())
-
     def items(self):
         return self._params.items()
 
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.grad = None
-
-    def n_scalars(self) -> int:
-        return sum(t.size for t in self._params.values())
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._params.items()}

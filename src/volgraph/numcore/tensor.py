@@ -21,14 +21,15 @@ attention.
 
 Every tensor holds float64: other inputs are converted on construction.
 Every tensor is checked to be finite when it is created: a NaN or an
-infinity raises ``FloatingPointError`` at the op that produced it.
+infinity raises ``NonFiniteError`` (a ``FloatingPointError``) at the op
+that produced it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import NonFiniteError, ShapeError
 
 _GRAD_ENABLED = True
 
@@ -67,7 +68,7 @@ class Tensor:
         self._backward_fn = _backward
         self._needs = self.requires_grad or any(p._needs for p in _parents)
         if not np.isfinite(self.data).all():
-            raise FloatingPointError("tensor holds non-finite values")
+            raise NonFiniteError("tensor holds non-finite values")
 
     # -- basic introspection -------------------------------------------------
 
@@ -83,17 +84,10 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

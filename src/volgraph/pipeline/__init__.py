@@ -1,7 +1,7 @@
 """Model assembly, training, metrics, transductive modes, checkpoints."""
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .metrics import MetricsReport, build_report, mean_mse, mse, r_squared
+from .metrics import MetricsReport, build_report
 from .model import (
     ModelConfig,
     PreparedQuarter,
@@ -12,21 +12,13 @@ from .model import (
     predict_windows,
     prepare_quarter,
 )
-from .training import (
-    TrainHistory,
-    TrainState,
-    evaluate,
-    fine_tune,
-    train,
-)
+from .training import evaluate, fine_tune, train
 from .transductive import transductive_split
 
 __all__ = [
     "MetricsReport",
     "ModelConfig",
     "PreparedQuarter",
-    "TrainHistory",
-    "TrainState",
     "VolatilityModel",
     "build_models",
     "build_report",
@@ -35,11 +27,8 @@ __all__ = [
     "fine_tune",
     "load_checkpoint",
     "masked_mse_tensor",
-    "mean_mse",
-    "mse",
     "predict_windows",
     "prepare_quarter",
-    "r_squared",
     "save_checkpoint",
     "train",
     "transductive_split",

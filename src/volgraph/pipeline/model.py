@@ -102,6 +102,8 @@ class ModelConfig:
             raise ConfigError(
                 f"d_hidden {self.d_hidden} not divisible by {self.dialogue_heads} heads"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.d_ff is not None and self.d_ff < 1:
             raise ConfigError(f"d_ff must be >= 1 or none, got {self.d_ff}")
         bad = [t for t in self.taus if t not in TAUS]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, InsufficientDataError, TrainingDivergedError
+from ..errors import ConfigError, InsufficientDataError, NonFiniteError, TrainingDivergedError
 from ..numcore import AdamState, adam_step, no_grad
 from .metrics import MetricsReport, build_report
 from .model import ModelConfig, PreparedQuarter, VolatilityModel, masked_mse_tensor, predict_windows
@@ -90,25 +90,26 @@ def _fit(
 
     A pair whose mask is empty is skipped but still counts in the epoch's
     mean train loss. A fresh optimizer starts the run; the best snapshot
-    ``state`` holds at the end, if any, is restored.
+    ``state`` holds at the end, if any, is restored. A NaN or an infinity
+    in an epoch's forward pass raises ``TrainingDivergedError``.
     """
     adam = AdamState.for_store(model.store)
     history = TrainHistory()
     for epoch in range(1, epochs + 1):
         state.epoch = epoch
         epoch_loss = 0.0
-        for prepared, mask in steps:
-            if not mask.any():
-                continue
-            model.store.zero_grad()
-            loss = _quarter_loss(model, prepared, mask)
-            loss_value = loss.item()
-            if not np.isfinite(loss_value):
-                raise TrainingDivergedError(epoch, f"loss {loss_value}")
-            loss.backward()
-            adam_step(model.store, adam, lr=config.lr, weight_decay=config.weight_decay)
-            epoch_loss += loss_value
-        val_mse = _validation_mse(model, val_quarters, val_masks)
+        try:
+            for prepared, mask in steps:
+                if not mask.any():
+                    continue
+                model.store.zero_grad()
+                loss = _quarter_loss(model, prepared, mask)
+                loss.backward()
+                adam_step(model.store, adam, lr=config.lr, weight_decay=config.weight_decay)
+                epoch_loss += loss.item()
+            val_mse = _validation_mse(model, val_quarters, val_masks)
+        except NonFiniteError as e:
+            raise TrainingDivergedError(epoch, str(e)) from e
         history.train_loss.append(epoch_loss / len(steps))
         history.val_mse.append(val_mse)
         state.observe(val_mse, model.store.state_arrays)

@@ -59,7 +59,7 @@ def grad_check(
     parameter values and may be called repeatedly. Every element of every
     parameter is perturbed, so keep the store small.
     """
-    names = list(param_names) if param_names is not None else store.names()
+    names = list(param_names) if param_names is not None else [n for n, _ in store.items()]
 
     store.zero_grad()
     loss = loss_fn()
@@ -99,3 +99,8 @@ def grad_check(
 
     store.zero_grad()
     return report
+
+
+def n_scalars(store: ParamStore) -> int:
+    """Number of trainable scalars in ``store``, the count a full ``grad_check`` covers."""
+    return sum(t.data.size for _, t in store.items())

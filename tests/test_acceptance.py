@@ -25,7 +25,7 @@ from volgraph.dataio import (
     split_by_time,
 )
 from volgraph.dataio.records import CallRecord, PriceSeries, Quarter, RelationTable, Sentence
-from volgraph.dataio.volatility import label, v_past_prediction, volatility, windowed_volatility
+from volgraph.dataio.volatility import window_targets
 from volgraph.graphbuild import (
     SIMILARITY_THRESHOLD,
     EdgeTable,
@@ -39,15 +39,14 @@ from volgraph.pipeline import (
     VolatilityModel,
     evaluate,
     fine_tune,
-    mean_mse,
     prepare_quarter,
-    r_squared,
     train,
     transductive_split,
 )
+from volgraph.pipeline.metrics import mean_mse, r_squared
 from volgraph.pipeline.training import _quarter_loss, _validation_mse
 
-from gradcheck import grad_check
+from gradcheck import grad_check, n_scalars
 
 TAUS = (3, 7, 15)
 
@@ -153,7 +152,7 @@ def test_criterion_02_full_pipeline_gradcheck(capsys):
         tol=1e-4,
     )
     elapsed = time.perf_counter() - start
-    assert report.n_checked == model.store.n_scalars()  # 100% coverage
+    assert report.n_checked == n_scalars(model.store)  # 100% coverage
     assert report.passed, report.summary()
     assert elapsed < 300.0
     with capsys.disabled():
@@ -375,6 +374,12 @@ def _oracle_vol(closes, first, last, divisor):
 
 def test_criterion_05_volatility_oracle(capsys):
     """Window math matches loop recomputation; scaling/zero-variance exact."""
+
+    def targets(series, anchor, taus):
+        labels, past, reasons = window_targets([series], ["TST"], [series.dates[anchor]], taus)
+        assert reasons == [None]
+        return labels[0], past[0]
+
     rng = np.random.default_rng(31)
     for trial in range(1000):
         n = int(rng.integers(12, 80))
@@ -383,39 +388,26 @@ def test_criterion_05_volatility_oracle(capsys):
         cl = [float(x) for x in closes]
         fits = [t for t in TAUS if 2 * t + 2 <= n]  # both windows must fit
 
-        tau = int(rng.choice(fits))
-        t = int(rng.integers(1, n - tau))
-        want = _oracle_vol(cl, t, t + tau, divisor=tau)
-        assert abs(volatility(s, t, tau) - want) <= 1e-12, trial
-
-        a = int(rng.integers(1, n - 2))
-        b = int(rng.integers(a + 1, n))
-        want = _oracle_vol(cl, a, b, divisor=b - a)
-        assert abs(windowed_volatility(s, a, b) - want) <= 1e-12, trial
-
-        # label and trailing baseline, anchored at a random in-range date
-        tau = int(rng.choice(fits))
-        anchor = int(rng.integers(tau + 1, n - tau))
-        call_date = s.dates[anchor]
-        want = math.log(max(_oracle_vol(cl, anchor + 1, anchor + tau, tau - 1), 1e-8))
-        assert abs(label(s, call_date, tau) - want) <= 1e-12, trial
-        want = math.log(max(_oracle_vol(cl, anchor - tau, anchor - 1, tau - 1), 1e-8))
-        assert abs(v_past_prediction(s, call_date, tau) - want) <= 1e-12, trial
+        # label and trailing baseline of a window of any length >= 2, then of
+        # one of the model's windows, anchored at a random in-range date
+        for tau in (int(rng.integers(2, n // 2)), int(rng.choice(fits))):
+            anchor = int(rng.integers(tau + 1, n - tau))
+            (got_label,), (got_past,) = targets(s, anchor, (tau,))
+            want = math.log(max(_oracle_vol(cl, anchor + 1, anchor + tau, tau - 1), 1e-8))
+            assert abs(got_label - want) <= 1e-12, trial
+            want = math.log(max(_oracle_vol(cl, anchor - tau, anchor - 1, tau - 1), 1e-8))
+            assert abs(got_past - want) <= 1e-12, trial
 
     # zero-variance: all returns identical, dispersion exactly 0, log floored
     flat = _series([100.0] * 30)
-    assert volatility(flat, 1, 7) == 0.0
-    assert label(flat, flat.dates[10], 7) == float(np.log(1e-8))
+    (got_label,), (got_past,) = targets(flat, 10, (7,))
+    assert got_label == got_past == float(np.log(1e-8))
 
     # price scaling by a power of two leaves every return bit-identical
     closes = 50.0 * np.exp(np.cumsum(np.random.default_rng(5).normal(0, 0.02, 40)))
     base, scaled = _series(closes), _series(closes * 4.0)
-    for tau in TAUS:
-        assert volatility(base, 2, tau) == volatility(scaled, 2, tau)
-        assert label(base, base.dates[16], tau) == label(scaled, scaled.dates[16], tau)
-        assert v_past_prediction(base, base.dates[16], tau) == v_past_prediction(
-            scaled, scaled.dates[16], tau
-        )
+    for got, want in zip(targets(base, 16, TAUS), targets(scaled, 16, TAUS)):
+        assert got.tobytes() == want.tobytes()
     with capsys.disabled():
         print(
             "PASS criterion 5: 1000 series within 1e-12 of the loop oracle; "

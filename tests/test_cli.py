@@ -188,6 +188,12 @@ class TestGenSynth:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["gen-synth", "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
 
 def _edit_csv(path, edit):
     with path.open(newline="") as fh:
@@ -374,6 +380,16 @@ class TestBuildGraphAndAudit:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "no calls in 2030Q1" in err
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("quarter, year", [("99999Q1", 99999), ("0Q1", 0)])
+    def test_quarter_year_out_of_range_exits_2(self, workdir, tmp_path, capsys, quarter, year):
+        data = workdir["data"]
+        argv = ["build-graph", "--quarter", quarter,
+                "--transcripts", str(data / "transcripts.jsonl"),
+                "--relations", str(data / "relations.csv"), "--out", str(tmp_path / "g")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: year {year} outside 1..9999\n"
         assert not (tmp_path / "g").exists()
 
     @pytest.mark.parametrize("command", ["predict", "export-attention"])
@@ -588,8 +604,9 @@ class TestTrainEval:
             ("d_ff = 0", "d_ff"),
             ("taus = 7,7", "taus"),
             ("taus = 7,7\njoint_heads = true", "taus"),
+            ("seed = -1", "seed"),
         ],
-        ids=["d_ff-negative", "d_ff-zero", "taus-repeated", "taus-repeated-joint"],
+        ids=["d_ff-negative", "d_ff-zero", "taus-repeated", "taus-repeated-joint", "seed-negative"],
     )
     def test_bad_config_value_exits_2(self, workdir, tmp_path, capsys, lines, key):
         bad = tmp_path / "bad.cfg"
@@ -598,6 +615,17 @@ class TestTrainEval:
                    "--out", str(tmp_path / "x.npz")])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {key} must")
+        assert not (tmp_path / "x.npz").exists()
+
+    def test_diverging_training_exits_2(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(TINY_MODEL_CONFIG + "lr = 1e30\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["train", "--config", str(cfg), "--data", str(workdir["data"]),
+                       "--out", str(tmp_path / "x.npz")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged at epoch 1: tensor holds non-finite values")
         assert not (tmp_path / "x.npz").exists()
 
     def test_checkpoint_with_bad_d_ff_exits_2(self, workdir, tmp_path, capsys):
@@ -740,6 +768,21 @@ class TestPredict:
         rc = main(["predict", "--model", str(bad), "--graph", str(workdir["graph"])])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_overflowing_checkpoint_exits_2(self, workdir, tmp_path, capsys):
+        with np.load(workdir["ckpt"]) as data:
+            arrays = {k: data[k] for k in data.files}
+        for name in json.loads(str(arrays["__manifest__"]))["params"]:
+            arrays[name] = arrays[name] * 1e200
+        bad = tmp_path / "huge.npz"
+        np.savez(bad, **arrays)
+        out = tmp_path / "preds.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["predict", "--model", str(bad), "--graph", str(workdir["graph"]),
+                       "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: tensor holds non-finite values\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("corruption", ["no_config", "no_scopes", "not_zip"])
     def test_eval_unreadable_checkpoint_exits_2(self, workdir, tmp_path, capsys, corruption):

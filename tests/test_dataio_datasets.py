@@ -7,9 +7,11 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from reference_volatility import label, v_past_prediction
 from volgraph.dataio.datasets import TAUS, build_quarter_datasets, split_by_time
+from volgraph.dataio.loaders import IngestReport
 from volgraph.dataio.records import CallRecord, PriceSeries, Quarter, Sentence
-from volgraph.dataio.volatility import label, v_past_prediction, window_targets
+from volgraph.dataio.volatility import window_targets
 from volgraph.errors import ConfigError
 
 
@@ -58,14 +60,15 @@ class TestBuildQuarterDatasets:
             one_sentence_call("GHOST-1", "GHOST", calls[5].call_date),
             one_sentence_call("LATE-1", calls[0].company_id, last + dt.timedelta(days=400)),
         ]
-        datasets = build_quarter_datasets(calls, small_corpus.prices)
+        report = IngestReport()
+        datasets = build_quarter_datasets(calls, small_corpus.prices, report=report)
         labels, v_past, reasons = window_targets(
             small_corpus.prices, [c.company_id for c in calls], [c.call_date for c in calls], TAUS
         )
         row_of = {c.call_id: k for k, c in enumerate(calls)}
         kept = [row_of[c.call_id] for ds in datasets for c in ds.calls]
         assert sorted(kept) == [k for k, r in enumerate(reasons) if r is None]
-        assert {"GHOST-1", "LATE-1"} <= {e[0] for ds in datasets for e in ds.excluded}
+        assert {"GHOST-1", "LATE-1"} <= {e["call_id"] for e in report.label_exclusions}
         for ds in datasets:
             rows = [row_of[c.call_id] for c in ds.calls]
             assert ds.labels.tobytes() == labels[rows].tobytes()
@@ -74,9 +77,9 @@ class TestBuildQuarterDatasets:
     def test_company_without_prices_is_excluded_with_reason(self, small_corpus):
         calls = list(small_corpus.transcripts)
         ghost = one_sentence_call("GHOST-1", "GHOST", calls[0].call_date)
-        datasets = build_quarter_datasets(calls + [ghost], small_corpus.prices)
-        excluded = [e for ds in datasets for e in ds.excluded]
-        assert ("GHOST-1", "no price series") in excluded
+        report = IngestReport()
+        datasets = build_quarter_datasets(calls + [ghost], small_corpus.prices, report=report)
+        assert {"call_id": "GHOST-1", "reason": "no price series"} in report.label_exclusions
         kept_ids = {c.call_id for ds in datasets for c in ds.calls}
         assert "GHOST-1" not in kept_ids
 
@@ -91,13 +94,15 @@ class TestBuildQuarterDatasets:
         closes = 100.0 * np.exp(np.cumsum(np.full(40, 0.001)))
         series = PriceSeries("A", dates, closes)
         call = one_sentence_call("A-1", "A", dates[34])
-        datasets = build_quarter_datasets([call], [series])
+        report = IngestReport()
+        datasets = build_quarter_datasets([call], [series], report=report)
         assert datasets[0].calls == []
-        assert datasets[0].excluded[0][0] == "A-1"
+        assert [e["call_id"] for e in report.label_exclusions] == ["A-1"]
 
     def test_nothing_excluded_on_default_synthetic(self, small_corpus):
-        datasets = build_quarter_datasets(small_corpus.transcripts, small_corpus.prices)
-        assert all(ds.excluded == [] for ds in datasets)
+        report = IngestReport()
+        datasets = build_quarter_datasets(small_corpus.transcripts, small_corpus.prices, report)
+        assert report.label_exclusions == []
         assert sum(len(ds.calls) for ds in datasets) == len(small_corpus.transcripts)
 
 

@@ -15,9 +15,9 @@ import math
 import numpy as np
 import pytest
 
+from reference_volatility import label, v_past_prediction
 from volgraph.dataio.records import RELATION_COLUMNS, Quarter
 from volgraph.dataio.synthetic import SyntheticConfig, gen_synthetic
-from volgraph.dataio.volatility import label, v_past_prediction
 from volgraph.errors import ConfigError
 
 

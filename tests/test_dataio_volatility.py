@@ -1,7 +1,9 @@
 """Return/volatility arithmetic against brute-force recomputation.
 
 The oracle below recomputes everything from raw closes with explicit
-loops -- no shared code with the implementation under test.
+loops -- no shared code with the implementation under test. The scalar
+functions of ``reference_volatility`` are checked against it, and
+``window_targets`` against them, bitwise.
 """
 
 from __future__ import annotations
@@ -14,18 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volgraph.dataio.records import PriceSeries
-from volgraph.dataio.volatility import (
-    LOG_FLOOR,
+from reference_volatility import (
     anchor_index,
     label,
     log_volatility,
     returns_slice,
     v_past_prediction,
-    volatility,
-    window_targets,
     windowed_volatility,
 )
+from volgraph.dataio.records import PriceSeries
+from volgraph.dataio.volatility import LOG_FLOOR, window_targets
 from volgraph.errors import InsufficientDataError, ParseError
 
 
@@ -63,16 +63,6 @@ def random_series(rng, n=None):
 
 
 class TestOracleEquivalence:
-    def test_volatility_matches_oracle_many_series(self, rng):
-        # window [t, t+tau] has tau+1 terms and divisor tau == n_terms - 1
-        for _ in range(200):
-            s = random_series(rng)
-            closes = list(s.closes)
-            tau = int(rng.integers(1, 8))
-            t = int(rng.integers(1, len(s) - tau))
-            want = oracle_vol(closes, t, t + tau)
-            assert volatility(s, t, tau) == pytest.approx(want, abs=1e-12)
-
     def test_windowed_volatility_matches_oracle(self, rng):
         for _ in range(200):
             s = random_series(rng)
@@ -81,11 +71,6 @@ class TestOracleEquivalence:
             b = int(rng.integers(a + 1, len(s)))
             want = oracle_vol(closes, a, b)
             assert windowed_volatility(s, a, b) == pytest.approx(want, abs=1e-12)
-
-    def test_volatility_equals_windowed_on_same_span(self, rng):
-        s = random_series(rng, n=30)
-        for tau in (1, 3, 7):
-            assert volatility(s, 5, tau) == windowed_volatility(s, 5, 5 + tau)
 
     def test_hand_arithmetic_two_returns(self):
         # closes 100, 101, 99.99: returns 0.01 and -0.01009900990099...
@@ -105,14 +90,14 @@ class TestOracleEquivalence:
         s = series_from_closes(closes)
         r = returns_slice(s, 1, 4)
         np.testing.assert_allclose(r, [0.02, -0.02, 0.02, -0.02], atol=1e-12)
-        assert volatility(s, 1, 3) == pytest.approx(math.sqrt(4 * 4e-4 / 3), abs=1e-12)
+        assert windowed_volatility(s, 1, 4) == pytest.approx(math.sqrt(4 * 4e-4 / 3), abs=1e-12)
 
 
 class TestInvariants:
     def test_zero_variance_price_series(self):
         # constant closes: every return is 0, dispersion exactly 0
         s = series_from_closes([42.0] * 12)
-        assert volatility(s, 1, 5) == 0.0
+        assert windowed_volatility(s, 1, 6) == 0.0
         assert windowed_volatility(s, 2, 8) == 0.0
         assert log_volatility(0.0) == math.log(LOG_FLOOR)
 
@@ -121,7 +106,7 @@ class TestInvariants:
         # up to float division) -- checks the mean-centering
         closes = [100.0 * 1.01**i for i in range(10)]
         s = series_from_closes(closes)
-        assert volatility(s, 1, 4) == pytest.approx(0.0, abs=1e-13)
+        assert windowed_volatility(s, 1, 5) == pytest.approx(0.0, abs=1e-13)
 
     def test_price_scaling_invariance_exact(self, rng):
         # returns are ratios, so scaling all closes by 2 changes nothing
@@ -129,12 +114,12 @@ class TestInvariants:
         a = series_from_closes(closes)
         b = series_from_closes(closes * 2.0)
         for tau in (1, 3, 7):
-            assert volatility(a, 2, tau) == volatility(b, 2, tau)
+            assert windowed_volatility(a, 2, 2 + tau) == windowed_volatility(b, 2, 2 + tau)
 
     def test_volatility_is_nonnegative(self, rng):
         for _ in range(50):
             s = random_series(rng)
-            assert volatility(s, 1, 3) >= 0.0
+            assert windowed_volatility(s, 1, 4) >= 0.0
 
     @given(st.integers(2, 30), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -210,7 +195,7 @@ def gappy_series(rng, company_id) -> PriceSeries:
 
 
 def scalar_targets(series, date):
-    """The per-call oracle: the scalar functions, in the order a dataset calls them."""
+    """The per-call oracle: the scalar reference, in the order a dataset calls it."""
     labels, past = [], []
     try:
         for tau in (3, 7, 15):

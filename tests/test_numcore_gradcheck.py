@@ -9,7 +9,7 @@ import volgraph.numcore as nc
 from volgraph.numcore.params import ParamStore
 
 import reference_ops as ro
-from gradcheck import grad_check
+from gradcheck import grad_check, n_scalars
 
 
 def mlp_store(rng):
@@ -34,8 +34,8 @@ class TestGradCheck:
         report = grad_check(lambda: mlp_loss(store, x, y), store)
         assert report.passed, report.summary()
         assert report.max_rel_error < 1e-5
-        assert report.n_checked == store.n_scalars()
-        assert set(report.per_param) == set(store.names())
+        assert report.n_checked == n_scalars(store)
+        assert set(report.per_param) == {n for n, _ in store.items()}
         assert "PASS" in report.summary()
 
     def test_flags_detached_gradient(self, rng):
@@ -63,14 +63,14 @@ class TestGradCheck:
 
     def test_restores_values_and_dtype(self, rng):
         store = mlp_store(rng)
-        before = {n: store[n].data.copy() for n in store.names()}
+        before = {n: t.data.copy() for n, t in store.items()}
         x = rng.normal(size=(3, 4))
         y = rng.normal(size=(3, 1))
         report = grad_check(lambda: mlp_loss(store, x, y), store)
         assert report.passed, report.summary()
-        for name in store.names():
-            np.testing.assert_array_equal(store[name].data, before[name])
-            assert store[name].grad is None
+        for name, t in store.items():
+            np.testing.assert_array_equal(t.data, before[name])
+            assert t.grad is None
 
     def test_zero_gradient_param_is_fine(self, rng):
         # a parameter that never enters the loss has zero analytic and

@@ -10,6 +10,8 @@ from volgraph.errors import ConfigError, OptimizerError
 from volgraph.numcore.optim import AdamState, adam_step
 from volgraph.numcore.params import ParamStore
 
+from gradcheck import n_scalars
+
 
 def reference_adam(p0, grads, lr, wd=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
     """Recompute the whole trajectory in plain numpy."""
@@ -125,10 +127,10 @@ class TestParamStore:
 
     def test_zero_grad_clears_all(self, rng):
         store = make_store({"a": rng.normal(size=2), "b": rng.normal(size=3)})
-        for t in store.tensors():
+        for _, t in store.items():
             t.grad = np.ones_like(t.data)
         store.zero_grad()
-        assert all(t.grad is None for t in store.tensors())
+        assert all(t.grad is None for _, t in store.items())
 
     def test_state_arrays_round_trip_bitwise(self, rng):
         store = make_store({"a": rng.normal(size=(2, 3)), "b": rng.normal(size=4)})
@@ -152,7 +154,7 @@ class TestParamStore:
 
     def test_n_scalars(self, rng):
         store = make_store({"a": np.zeros((2, 3)), "b": np.zeros(4)})
-        assert store.n_scalars() == 10
+        assert n_scalars(store) == 10
 
     def test_uniform_init_respects_fan_in(self, rng):
         samples = nc.uniform_init(rng, (2000,), fan_in=25)

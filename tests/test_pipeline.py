@@ -23,15 +23,13 @@ from volgraph.pipeline import (
     evaluate,
     fine_tune,
     load_checkpoint,
-    mean_mse,
-    mse,
     predict_windows,
     prepare_quarter,
-    r_squared,
     save_checkpoint,
     train,
     transductive_split,
 )
+from volgraph.pipeline.metrics import mean_mse, mse, r_squared
 from volgraph.pipeline.model import masked_mse_tensor
 from volgraph.pipeline.training import TrainState, _quarter_loss, _validation_mse
 
@@ -220,7 +218,7 @@ class TestValidationMse:
             masked_mse_tensor(leaves, p.labels, p.mask).backward()
             got = {tau: leaf.grad for tau, leaf in leaves.items()}
             for leaf in leaves.values():
-                leaf.zero_grad()
+                leaf.grad = None
             chain = masked_mse_chain(leaves, p.labels, p.mask)
             chain.backward()
             assert t.item() == chain.item()
@@ -519,7 +517,7 @@ class TestCheckpoint:
         models = {tau: VolatilityModel(config, (tau,)) for tau in TAUS}
         # nudge params so we are not just reloading the seeded init
         for m in models.values():
-            for t in m.store.tensors():
+            for _, t in m.store.items():
                 t.data = t.data + 0.01
         path = tmp_path / "model.npz"
         save_checkpoint(path, models, config)
