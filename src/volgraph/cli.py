@@ -380,7 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # every tensor is checked finite when it is made, so an overflow ends
+        # in one named error; numpy's floating-point warnings would only
+        # print lines before it
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except VolgraphError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

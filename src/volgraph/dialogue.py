@@ -6,24 +6,35 @@ speaker role, call part). The numpy side of those rows is built once
 per prepared quarter as a ``SentenceBlock``: the sentence vectors of
 every call (text sentences hashed in one ``hash_featurizer`` call) and
 the four table indices. Each forward gathers the tables for the whole
-quarter in four ``take``s and one ``concat``, then reads every batch
-straight out of that block by row index. Rows are projected to the
-model width, a trainable CLS vector is prepended, and an L-layer
-transformer encoder runs over the sequence; the CLS position's final
-state is the call embedding. Only that state is read out, so the last
-layer computes the CLS query alone: its keys and values still cover
-every row, but its attention output and feed-forward block run on the
-CLS row only.
+quarter in four ``take``s and one ``concat``. Rows are projected to the
+model width, a trainable CLS vector is put before each call's rows, and
+an L-layer transformer encoder runs over each call; the CLS position's
+final state is the call embedding. Only that state is read out, so the
+last layer computes the CLS query alone: its keys and values still cover
+every row, but its query map, attention output and feed-forward block
+run on the CLS rows only.
 
-Calls are encoded in batches grouped by sentence count. Equal-length
-grouping means no padding and no attention masks, and — because every
-batched operation here treats batch elements independently — a call's
-embedding is bit-for-bit the same no matter which other calls share its
-batch. The temporal no-leakage guarantee relies on exactly that.
+Calls are encoded packed (the "varlen" layout of FlashAttention-2): the
+calls are sorted by sentence count and cut into chunks of whole calls of
+at most ``_CHUNK_ROWS`` rows, each call's rows contiguous with its CLS row
+first. The projection and each layer's row-wise work (the Q/K/V and
+output maps, both layer norms, the feed-forward block) run once per
+chunk as 2-D products, and only the attention core runs per group of
+equal-length calls, so no padding of sequences or attention masks is
+involved. A chunk's products are padded to whole 8-column panels and
+with zero rows past OpenBLAS's small-matrix kernel
+(``numcore.layers._packed_affine``), where a row's result would depend on
+the row count or on its position. So, on the BLAS build that rule was
+measured on (OpenBLAS 0.3.31, SkylakeX kernels), a call's embedding is
+bit-for-bit the same no matter which other calls share its chunk; other
+builds may draw the kernel lines elsewhere, and the encoder's append and
+composition tests check it there. The temporal no-leakage guarantee
+relies on exactly that.
 """
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import attrgetter, is_
@@ -38,15 +49,19 @@ from .numcore import (
     Tensor,
     TransformerLayerParams,
     concat,
-    linear,
-    reshape,
     take,
     transformer_encoder_layer,
     uniform_init,
 )
+from .numcore.layers import _affine_grads, _lead_sum, _packed_affine
+from .numcore.tensor import _make
 
 _ROLE_CODES = {role: i for i, role in enumerate(ROLES)}
 _PART_CODES = {part: i for i, part in enumerate(PARTS)}
+# packed rows (a CLS row and the sentences per call) per encoder chunk: at
+# the paper's sizes a 512-row chunk's (512, 256) feed-forward block fits a
+# 2 MB L2 cache, where a whole long-calls quarter's slowed the layer down
+_CHUNK_ROWS = 512
 
 
 @dataclass
@@ -131,6 +146,10 @@ def _crc32_table() -> np.ndarray:
 _CRC32_TABLE = _crc32_table()
 
 
+# tokens longer than this many bytes are hashed one at a time by zlib
+_LONG_TOKEN = 64
+
+
 def hash_featurizer(texts: Sequence[str], d_s: int = 768) -> np.ndarray:
     """Deterministic bag-of-token-hashes rows, one per text, each ℓ2-normalized.
 
@@ -141,31 +160,41 @@ def hash_featurizer(texts: Sequence[str], d_s: int = 768) -> np.ndarray:
 
     All texts are scanned as one byte buffer: UTF-8 encodes every
     non-ASCII character with bytes >= 0x80, so the token runs are the
-    same as in the text. The crc32 of every token advances one byte
-    position per step, and one bincount counts all tokens. The counts
+    same as in the text. The crc32 of every token of up to
+    ``_LONG_TOKEN`` bytes advances one byte position per step; a longer
+    token goes to ``zlib.crc32``, the same CRC-32, so one long token does
+    not cost a step per byte. One bincount counts all tokens. The counts
     are integers, so every row's norm is exact and a row does not depend
     on the other texts passed with it.
     """
     parts = [text.lower().encode("utf-8") for text in texts]
-    buf = np.frombuffer(b" ".join(parts), dtype=np.uint8)
+    joined = b" ".join(parts)
+    buf = np.frombuffer(joined, dtype=np.uint8)
     is_tok = ((buf >= ord("a")) & (buf <= ord("z"))) | ((buf >= ord("0")) & (buf <= ord("9")))
     flips = np.flatnonzero(np.diff(is_tok, prepend=False, append=False))
     starts, lengths = flips[0::2], flips[1::2] - flips[0::2]
     row_ends = np.cumsum([len(p) + 1 for p in parts])  # +1 for the joining space
     rows = np.searchsorted(row_ends, starts, side="right")  # starts ascend here
+    long = lengths > _LONG_TOKEN
+    keys = []
+    if long.any():
+        spans = zip(starts[long].tolist(), lengths[long].tolist())
+        crc = np.array([zlib.crc32(joined[a : a + n]) for a, n in spans], dtype=np.uint32)
+        keys.append(rows[long] * d_s + crc % d_s)
+        starts, lengths, rows = starts[~long], lengths[~long], rows[~long]
     # longest tokens first, so the tokens still running at byte j are a
-    # prefix; a stable sort of (longest − length) in the narrowest unsigned
-    # type is the order of a stable sort of −length, and numpy radix-sorts
-    # keys of 16 bits or fewer
+    # prefix; a stable sort of (longest − length), at most _LONG_TOKEN, as
+    # uint8 is the order of a stable sort of −length, and numpy radix-sorts
+    # 8-bit keys
     longest = int(lengths.max(initial=0))
-    order = np.argsort((longest - lengths).astype(np.min_scalar_type(longest)), kind="stable")
+    order = np.argsort((longest - lengths).astype(np.uint8), kind="stable")
     starts, lengths, rows = starts[order], lengths[order], rows[order]
     crc = np.full(len(starts), 0xFFFFFFFF, dtype=np.uint32)
     running = len(starts) - np.cumsum(np.bincount(lengths))  # tokens longer than j
     for j, k in enumerate(running[:-1]):
         crc[:k] = _CRC32_TABLE[(crc[:k] ^ buf[starts[:k] + j]) & 0xFF] ^ (crc[:k] >> 8)
-    cols = (crc ^ np.uint32(0xFFFFFFFF)) % d_s
-    counts = np.bincount(rows * d_s + cols, minlength=len(texts) * d_s)
+    keys.append(rows * d_s + (crc ^ np.uint32(0xFFFFFFFF)) % d_s)
+    counts = np.bincount(np.concatenate(keys), minlength=len(texts) * d_s)
     mat = counts.astype(np.float64).reshape(len(texts), d_s)
     norms = np.sqrt(np.einsum("ij,ij->i", mat, mat))[:, None]
     return np.divide(mat, norms, out=mat, where=norms > 0)
@@ -177,9 +206,13 @@ class SentenceBlock:
 
     Each call's rows are contiguous and in call order. ``base`` holds the
     (S, d_s) sentence vectors and the four index arrays address the
-    structural tables. ``batches`` holds one (B, n) row-index array per
-    sentence count n, one row per call of that length, by increasing n;
-    ``inverse`` puts the concatenated batch outputs back in call order.
+    structural tables. ``chunks`` holds the encoder's chunks: the calls
+    sorted by sentence count (call order within a count) and cut into runs
+    of whole calls of at most ``_CHUNK_ROWS`` packed rows (a call that is
+    longer alone is a chunk of its own). Each chunk is (lengths, rows):
+    its calls' sentence counts, and the row indices of their sentences,
+    call after call. ``inverse`` puts the concatenated chunk outputs back
+    in call order.
     """
 
     base: np.ndarray
@@ -187,7 +220,7 @@ class SentenceBlock:
     utterance: np.ndarray
     role: np.ndarray
     part: np.ndarray
-    batches: tuple[np.ndarray, ...]
+    chunks: tuple[tuple[np.ndarray, np.ndarray], ...]
     inverse: np.ndarray
 
     @classmethod
@@ -228,8 +261,21 @@ class SentenceBlock:
                     f"{np.size(sentences[row].vector)}, expected {d_s}"
                 )
         utterance = np.fromiter(map(attrgetter("utterance_idx"), sentences), np.intp, n_rows)
-        sizes = np.unique(lengths)
-        members = [np.flatnonzero(lengths == n) for n in sizes]
+        order = np.argsort(lengths, kind="stable")
+        sorted_lengths = lengths[order]
+        ends = np.cumsum(sorted_lengths)  # sentence rows up to each sorted call
+        packed_rows = np.repeat(starts[order] - (ends - sorted_lengths), sorted_lengths)
+        packed_rows += np.arange(n_rows)
+        cuts, filled = [0], 0
+        for i, size in enumerate((sorted_lengths + 1).tolist()):
+            if filled and filled + size > _CHUNK_ROWS:
+                cuts.append(i)
+                filled = 0
+            filled += size
+        cuts.append(len(calls))
+        row_cuts = np.concatenate([[0], ends])[cuts]
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(len(order))
         return cls(
             base=base,
             position=np.arange(n_rows) - np.repeat(starts, lengths),
@@ -238,8 +284,11 @@ class SentenceBlock:
                              np.intp, n_rows),
             part=np.fromiter(map(_PART_CODES.__getitem__, map(attrgetter("part"), sentences)),
                              np.intp, n_rows),
-            batches=tuple(starts[m, None] + np.arange(n) for m, n in zip(members, sizes)),
-            inverse=np.argsort(np.concatenate(members), kind="stable"),
+            chunks=tuple(
+                (sorted_lengths[a:b], packed_rows[ra:rb])
+                for a, b, ra, rb in zip(cuts, cuts[1:], row_cuts, row_cuts[1:])
+            ),
+            inverse=inverse,
         )
 
 
@@ -275,22 +324,52 @@ def featurize_sentences(
     )
 
 
-def encode_featurized_batch(x: Tensor, params: DialogueEncoderParams) -> Tensor:
-    """Encode a (B, N, d_in) block of equal-length calls into (B, d_hidden).
+def _pack_calls(lengths: np.ndarray, x: Tensor, params: DialogueEncoderParams) -> Tensor:
+    """Each call's CLS row, then its projected sentence rows, as one tape node.
 
-    Only the CLS row is read out, so the last layer takes it as its sole
-    query and never computes the other rows.
+    ``x`` holds the calls' (S, d_in) sentence rows, call after call; the
+    result is (B + S, d_hidden). The projection is one 2-D product over
+    all S rows, padded as ``_packed_affine`` pads it.
     """
-    b = x.shape[0]
-    h = linear(x, params.proj_w, params.proj_b)
-    cls_rows = take(params.cls, np.zeros((b, 1), dtype=np.intp))  # (b, 1, d_hidden)
-    h = concat([cls_rows, h], axis=1)
+    w, b, cls = params.proj_w, params.proj_b, params.cls
+    if x.shape != (lengths.sum(), w.shape[1]):
+        raise ShapeError(f"packed rows {x.shape} do not fit {lengths.sum()} sentences "
+                         f"of width {w.shape[1]}")
+    cls_rows = np.cumsum(lengths + 1) - (lengths + 1)
+    sentence_rows = np.ones(x.shape[0] + len(lengths), dtype=bool)
+    sentence_rows[cls_rows] = False
+    out = np.empty((len(sentence_rows), w.shape[0]))
+    out[cls_rows] = cls.data
+    out[sentence_rows] = _packed_affine(x.data, w.data, b.data)
+
+    def backward(g):
+        gs = g[sentence_rows]
+        gx, gw = _affine_grads(gs, x.data, w.data)
+        return gx, gw, _lead_sum(gs), _lead_sum(g[cls_rows])[None]
+
+    return _make(out, (x, w, b, cls), backward)
+
+
+def encode_featurized_batch(
+    lengths: np.ndarray, x: Tensor, params: DialogueEncoderParams
+) -> Tensor:
+    """Encode a chunk of calls into (B, d_hidden), one row per call.
+
+    ``lengths`` (B,) holds the calls' sentence counts and ``x`` their
+    (sum(lengths), d_in) featurized rows, call after call. Each call
+    becomes its CLS row followed by its projected rows, and every layer
+    runs over the packed rows, with equal consecutive lengths sharing one
+    attention core (see ``transformer_encoder_layer``). Only the CLS rows
+    are read out, so the last layer takes them as its sole queries.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    h = _pack_calls(lengths, x, params)
+    packed = lengths + 1  # a CLS row and the sentences per call
     for layer in params.layers[:-1]:
-        h = transformer_encoder_layer(h, layer, params.n_heads)
-    out = take(h, [0], axis=1)
-    if params.layers:
-        out = transformer_encoder_layer(h, params.layers[-1], params.n_heads, queries=out)
-    return reshape(out, (b, out.shape[2]))
+        h = transformer_encoder_layer(h, layer, params.n_heads, packed)
+    if not params.layers:
+        return take(h, np.cumsum(packed) - packed)
+    return transformer_encoder_layer(h, params.layers[-1], params.n_heads, packed, queries=(0,))
 
 
 def encode_calls(
@@ -300,16 +379,18 @@ def encode_calls(
     d_s: int,
     memo: dict,
 ) -> Tensor:
-    """Embed many calls, batching equal-length calls together.
+    """Embed many calls, packed in chunks of whole calls sorted by length.
 
-    Returns an (len(calls), d_hidden) tensor in input order. Batch
-    composition never changes a call's embedding (see module docstring),
-    so group scheduling is free to chase throughput. Each batch is one
-    ``take`` of (B, n) row indices from the featurized block. ``memo``
-    keeps the calls' ``SentenceBlock`` (see ``featurize_sentences``).
+    Returns an (len(calls), d_hidden) tensor in input order. On the BLAS
+    build the padding rule was measured on, chunk composition never
+    changes a call's embedding (see module docstring).
+    Each chunk is one ``take`` of its calls' rows from the featurized
+    block. ``memo`` keeps the calls' ``SentenceBlock`` (see
+    ``featurize_sentences``).
     """
     x = featurize_sentences(calls, tables, d_s, memo)
     block = _sentence_block(calls, tables, d_s, memo)  # built by featurize_sentences
-    chunks = [encode_featurized_batch(take(x, rows), params) for rows in block.batches]
+    chunks = [encode_featurized_batch(lengths, take(x, rows), params)
+              for lengths, rows in block.chunks]
     stacked = concat(chunks, axis=0) if len(chunks) > 1 else chunks[0]
     return take(stacked, block.inverse)

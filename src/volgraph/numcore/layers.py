@@ -6,6 +6,16 @@ a two-layer ReLU MLP, residual, layer norm); both have hand-written
 backwards. The layer's numpy kernels (the affine maps, the softmax
 weights, layer norm) are plain helpers here, not tape ops.
 
+The layer takes sequences of any lengths packed back to back as one
+(R, d) block, the "varlen" layout of FlashAttention-2 (Dao, 2023): the
+row-wise work runs once over all R rows as 2-D products, and only the
+attention core runs per group of equal-length sequences. Packed rows
+share a product with rows of other sequences, so a row's result must not
+depend on the row count or on its position: ``_packed_affine`` pads each
+such product to whole 8-column panels and past OpenBLAS's small-matrix
+kernel. That padding rule was measured on one BLAS build (see there); on
+another, the tests that encode calls alone and packed are the guard.
+
 The attention softmax is normalized after the value product, as in
 FlashAttention-2: the queries are scaled by 1/√dh before the score
 product, the (n, n) block holds only exp(s − rowmax), and the (n, dh)
@@ -30,6 +40,44 @@ _LN_EPS = 1e-5
 def _affine(a: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
     """a @ wᵀ (+ b), the bias added in place into the product."""
     out = a @ w.T
+    if b is not None:
+        out += b
+    return out
+
+
+# Measured on OpenBLAS 0.3.31 (scipy-openblas, SkylakeX kernels), over
+# about 14,000 random row ranges of random shapes: the rows of a @ wᵀ, for
+# (M, K) rows and N outputs, depend neither on M nor on where a row sits
+# in ``a`` when the blocked kernel computes them over whole 8-column
+# panels. Other paths round differently: a small-matrix kernel when
+# K >= 32 and M·N <= 1200, gemv when M == 1 or N == 1, and a partial last
+# panel (N not a multiple of 8), whose rows depend on M and on their
+# position, at every M once N >= 193. Other BLAS builds may draw these
+# lines elsewhere.
+_SMALL_KERNEL_MN = 1200
+_PANEL = 8
+
+
+def _packed_affine(a: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """``_affine`` of (M, K) rows whose results do not depend on M or on row position.
+
+    The outputs are padded with zero weight rows to whole 8-column panels,
+    and fewer rows than the blocked kernel takes at that width with zero
+    rows; the padding is cut off the product. So, on the BLAS build
+    measured above, each row comes out of the blocked kernel bitwise as
+    in any larger product.
+    """
+    m, k = a.shape
+    n = w.shape[0]
+    cols = -(-n // _PANEL) * _PANEL
+    rows = max(2, _SMALL_KERNEL_MN // cols + 1) if k >= 32 else 2
+    if m >= rows and cols == n:
+        return _affine(a, w, b)
+    if cols != n:
+        w = np.concatenate([w, np.zeros((cols - n, k))])
+    if m < rows:
+        a = np.concatenate([a, np.zeros((rows - m, k))])
+    out = np.ascontiguousarray((a @ w.T)[:m, :n])
     if b is not None:
         out += b
     return out
@@ -152,70 +200,101 @@ _LAYER_FIELDS = tuple(f.name for f in fields(TransformerLayerParams))
 
 
 def transformer_encoder_layer(
-    x: Tensor, p: TransformerLayerParams, n_heads: int, queries: Tensor | None = None
+    x: Tensor,
+    p: TransformerLayerParams,
+    n_heads: int,
+    lengths: np.ndarray,
+    queries: tuple[int, ...] | None = None,
 ) -> Tensor:
     """Self-attention + feed-forward with residuals and post-layer-norm, one tape node.
 
-    ``x`` is a (batch, seq, d) block of equal-length sequences; no padding
-    or masking is involved, which keeps every batch element's result
-    independent of its batchmates.
+    ``x`` is (R, d): sequences packed back to back, ``lengths[i]`` rows for
+    sequence i, with sum(lengths) == R. Each row attends only to the rows
+    of its own sequence, so no padding or masking is involved. A run of
+    equal consecutive lengths is one length group: its (b, H, n, n)
+    attention core runs as one block, and every other part of the layer
+    (the Q/K/V and output maps, both layer norms, the feed-forward block)
+    runs once over all rows as 2-D products (``_packed_affine``). On the
+    BLAS build that padding was measured on, a row's result is therefore
+    bitwise independent of the other sequences packed with it.
 
-    Keys and values always come from every row of ``x``. ``queries``, a
-    (batch, m, d) block, picks which rows are computed: the attention
-    output, the residual, both layer norms and the feed-forward block run
-    on those m rows only, and the result is (batch, m, d). Passing the
-    rows of ``x`` at some positions gives exactly those positions' rows of
-    the full layer; the default computes every row.
+    Keys and values always come from every row. ``queries``, positions
+    within every sequence, picks which rows are computed: the attention
+    output, the residual, both norms and the feed-forward block run on
+    those rows only, and the result holds len(queries) rows per sequence,
+    sequence after sequence. They equal those rows of the full layer; the
+    default (None) computes every row and returns (R, d).
 
-    The node's parents are ``x``, then ``queries`` if given, then the 16
-    ``TransformerLayerParams`` tensors in field order. The forward runs
-    the numpy ops of an op-by-op tape (separate Q/K/V maps, the query map
-    divided by √dh, head split, unnormalized softmax weights e and their
-    row sums l, e @ v divided by l, head merge, output map, residual,
-    norm, MLP, residual, norm) in that tape's order, so its output is
-    bitwise equal to the chain's. The backward keeps the q, k and v heads,
-    e and l (it forms the weights e / l once), the merged context, both
-    norms' x̂ and 1/σ, the first norm's output and the ReLU output.
+    The node's parents are ``x`` and the 16 ``TransformerLayerParams``
+    tensors in field order. The forward runs the numpy ops of an
+    op-by-op tape (separate Q/K/V maps, the query map divided by √dh,
+    head split, unnormalized softmax weights e and their row sums l,
+    e @ v divided by l, head merge, output map, residual, norm, MLP,
+    residual, norm) in that tape's order over the same padded products,
+    so its output is bitwise equal to the chain's. The backward keeps the
+    q, k and v rows, each group's e and l (it forms the weights e / l
+    once), the merged context, both norms' x̂ and 1/σ, the first norm's
+    output and the ReLU output.
     """
     x = T.as_tensor(x)
     params = tuple(getattr(p, name) for name in _LAYER_FIELDS)
-    if x.ndim != 3 or x.shape[2] != p.wq.shape[1]:
+    if x.ndim != 2 or x.shape[1] != p.wq.shape[1]:
         raise ShapeError(f"layer input {x.shape} does not fit model width {p.wq.shape[1]}")
-    b, _, d = x.shape
+    d = x.shape[1]
     if d % n_heads != 0:
         raise ShapeError(f"model width {d} not divisible by {n_heads} heads")
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != x.shape[0]:
+        raise ShapeError(f"sequence lengths {lengths.tolist()} do not pack {x.shape[0]} rows")
     if queries is None:
-        parents = (x, *params)
+        rows = None
         qin = x.data
-    elif queries.ndim != 3 or queries.shape[0] != b or queries.shape[2] != d:
-        raise ShapeError(f"queries {queries.shape} do not match keys/values {x.shape}")
     else:
-        parents = (x, queries, *params)
-        qin = queries.data
+        pos = np.asarray(queries, dtype=np.intp)
+        bad = pos.ndim != 1 or pos.size == 0 or np.unique(pos).size != pos.size
+        if bad or pos.min() < 0 or pos.max() >= lengths.min():
+            raise ShapeError(f"query positions {pos.tolist()} do not fit sequences of "
+                             f"{lengths.min()}+ rows")
+        rows = ((np.cumsum(lengths) - lengths)[:, None] + pos).ravel()
+        qin = x.data[rows]
     (wq, bq, wk, bk, wv, bv, wo, bo,
      ff1_w, ff1_b, ff2_w, ff2_b, ln1_g, ln1_b, ln2_g, ln2_b) = (t.data for t in params)
-    m = qin.shape[1]
     dh = d // n_heads
     scale = float(np.sqrt(dh))
+    # per length group: its key/value rows and its query rows, b sequences
+    # of n rows, m queries each
+    cuts = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), len(lengths)]
+    blocks, kv_at, q_at = [], 0, 0
+    for first, end in zip(cuts, cuts[1:]):
+        b, n = end - first, int(lengths[first])
+        m = n if rows is None else pos.size
+        blocks.append((slice(kv_at, kv_at + b * n), slice(q_at, q_at + b * m), b, n, m))
+        kv_at, q_at = kv_at + b * n, q_at + b * m
 
-    def split_heads(t: np.ndarray) -> np.ndarray:  # (b, n, d) -> (b, H, n, dh) view
-        return np.swapaxes(t.reshape(b, t.shape[1], n_heads, dh), 1, 2)
+    def split_heads(t: np.ndarray, b: int, n: int) -> np.ndarray:  # (b·n, d) -> (b, H, n, dh)
+        return np.swapaxes(t.reshape(b, n, n_heads, dh), 1, 2)
 
-    q = _affine(qin, wq, bq)
+    def merge_heads(t: np.ndarray) -> np.ndarray:  # (b, H, n, dh) -> (b·n, d)
+        return np.swapaxes(t, 1, 2).reshape(-1, d)
+
+    q = _packed_affine(qin, wq, bq)
     q /= scale
-    qh = split_heads(q)
-    kh = split_heads(_affine(x.data, wk, bk))
-    vh = split_heads(_affine(x.data, wv, bv))
-    e, rowsum = _attention_weights(qh, kh)
-    ctx = e @ vh
-    ctx /= rowsum
-    ctx = np.swapaxes(ctx, 1, 2).reshape(b, m, d)
-    a1 = _affine(ctx, wo, bo)
+    k = _packed_affine(x.data, wk, bk)
+    v = _packed_affine(x.data, wv, bv)
+    ctx = np.empty_like(q)
+    cores = []
+    for kv, qs, b, n, m in blocks:
+        e, rowsum = _attention_weights(split_heads(q[qs], b, m), split_heads(k[kv], b, n))
+        c = e @ split_heads(v[kv], b, n)
+        c /= rowsum
+        ctx[qs] = merge_heads(c)
+        cores.append((e, rowsum))
+    a1 = _packed_affine(ctx, wo, bo)
     a1 += qin
     h, xhat1, inv1 = _layer_norm(a1, ln1_g, ln1_b)
-    r = _affine(h, ff1_w, ff1_b)
+    r = _packed_affine(h, ff1_w, ff1_b)
     np.maximum(r, 0.0, out=r)
-    a2 = _affine(r, ff2_w, ff2_b)
+    a2 = _packed_affine(r, ff2_w, ff2_b)
     a2 += h
     out, xhat2, inv2 = _layer_norm(a2, ln2_g, ln2_b)
 
@@ -228,34 +307,37 @@ def transformer_encoder_layer(
         ga1, gln1_g, gln1_b = _layer_norm_grads(gh, xhat1, inv1, ln1_g)
         gctx, gwo = _affine_grads(ga1, ctx, wo)
         gbo = _lead_sum(ga1)  # before ga1 takes on the input gradients below
-        gctx = split_heads(gctx)
-        att = e / rowsum
-        gvh = np.swapaxes(att, -1, -2) @ gctx
-        ds = gctx @ np.swapaxes(vh, -1, -2)  # dP, turned into dS in place
-        ds -= (ds * att).sum(axis=-1, keepdims=True)
-        ds *= att
-        gqh = ds @ kh
-        gqh /= scale  # the scores' query is q / √dh
-        # (qᵀ dS)ᵀ, not dSᵀ q: the two round differently, and this one is
-        # the product an op-by-op tape forms, so training stays bitwise equal
-        gkh = np.swapaxes(np.swapaxes(qh, -1, -2) @ ds, -1, -2)
-        gq, gk, gv = (np.swapaxes(t, 1, 2).reshape(b, t.shape[2], d) for t in (gqh, gkh, gvh))
+        gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+        for (kv, qs, b, n, m), (e, rowsum) in zip(blocks, cores):
+            gc = split_heads(gctx[qs], b, m)
+            qh, kh, vh = split_heads(q[qs], b, m), split_heads(k[kv], b, n), split_heads(v[kv], b, n)
+            att = e / rowsum
+            gv[kv] = merge_heads(np.swapaxes(att, -1, -2) @ gc)
+            ds = gc @ np.swapaxes(vh, -1, -2)  # dP, turned into dS in place
+            ds -= (ds * att).sum(axis=-1, keepdims=True)
+            ds *= att
+            gqh = ds @ kh
+            gqh /= scale  # the scores' query is q / √dh
+            gq[qs] = merge_heads(gqh)
+            # (qᵀ dS)ᵀ, not dSᵀ q: the two round differently, and this one is
+            # the product an op-by-op tape forms
+            gk[kv] = merge_heads(np.swapaxes(np.swapaxes(qh, -1, -2) @ ds, -1, -2))
         gxq, gwq = _affine_grads(gq, qin, wq)
         gxk, gwk = _affine_grads(gk, x.data, wk)
         gxv, gwv = _affine_grads(gv, x.data, wv)
         # summed in the order an op-by-op tape adds them: residual, q, k, v
         ga1 += gxq
-        if queries is None:
+        if rows is None:
             ga1 += gxk
             ga1 += gxv
-            inputs = (ga1,)
+            gx = ga1
         else:
-            gxk += gxv
-            inputs = (gxk, ga1)
+            gx = gxk
+            gx += gxv
+            gx[rows] += ga1
         return (
-            *inputs,
-            gwq, _lead_sum(gq), gwk, _lead_sum(gk), gwv, _lead_sum(gv), gwo, gbo,
+            gx, gwq, _lead_sum(gq), gwk, _lead_sum(gk), gwv, _lead_sum(gv), gwo, gbo,
             gff1_w, _lead_sum(gr), gff2_w, _lead_sum(ga2), gln1_g, gln1_b, gln2_g, gln2_b,
         )
 
-    return T._make(out, parents, backward)
+    return T._make(out, (x, *params), backward)

@@ -4,8 +4,8 @@ A :class:`Tensor` wraps one ndarray plus an optional tape node. The
 generic ops are only those the model runs: the shape moves ``reshape``
 and ``concat``, the gather ``take`` and ``relu``; ``Tensor`` has no
 arithmetic operators. ``layers`` adds the fused ``linear`` and
-``transformer_encoder_layer`` ops; ``market.market_attention``,
-``market.gru_scan``, ``gnn.gat_layer`` and
+``transformer_encoder_layer`` ops; ``dialogue._pack_calls``,
+``market.market_attention``, ``market.gru_scan``, ``gnn.gat_layer`` and
 ``pipeline.masked_mse_tensor`` are fused ops of the model itself, each
 built with ``_make``. ``backward()`` walks the tape once and accumulates
 gradients into every leaf created with ``requires_grad=True``.

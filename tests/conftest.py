@@ -60,3 +60,14 @@ def tiny_config(**overrides) -> ModelConfig:
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def blas_build() -> str:
+    """The BLAS numpy was built with, e.g. "scipy-openblas 0.3.31.188.0", for
+    the failure messages of tests whose bitwise claims depend on it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # older numpy (1.24) has no mode= argument
+        return f"the BLAS of numpy {np.__version__}"
+    return f"{blas.get('name')} {blas.get('version')}"

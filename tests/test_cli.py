@@ -5,12 +5,16 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import volgraph
 from volgraph.cli import dataclass_from_config, main, parse_kv_config
 from volgraph.dataio import SyntheticConfig, load_transcripts
 from volgraph.errors import ConfigError
@@ -627,6 +631,23 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("error: training diverged at epoch 1: tensor holds non-finite values")
         assert not (tmp_path / "x.npz").exists()
+
+    def test_diverging_training_prints_one_error_line(self, workdir, tmp_path):
+        # in a fresh interpreter, where numpy's overflow warnings would reach
+        # stderr as they do in a shell; the error line must be all there is
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(TINY_MODEL_CONFIG + "lr = 1e30\n")
+        src = str(Path(volgraph.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "volgraph.cli", "train", "--config", str(cfg),
+             "--data", str(workdir["data"]), "--out", str(tmp_path / "x.npz")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: training diverged at epoch 1")
 
     def test_checkpoint_with_bad_d_ff_exits_2(self, workdir, tmp_path, capsys):
         with np.load(workdir["ckpt"]) as data:

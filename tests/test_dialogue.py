@@ -4,17 +4,23 @@ and gradients through the whole encoder."""
 from __future__ import annotations
 
 import datetime as dt
+import importlib.util
 import re
+import sys
+import time
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import volgraph.dialogue as dialogue
 import volgraph.numcore as nc
-from volgraph.dataio.records import CallRecord, RelationTable, Sentence
+from volgraph.dataio import SyntheticConfig, gen_synthetic
+from volgraph.dataio.records import CallRecord, Quarter, RelationTable, Sentence
 from volgraph.dialogue import (
     DialogueEncoderParams,
+    SentenceBlock,
     StructEmbedTables,
     encode_calls,
     encode_featurized_batch,
@@ -23,7 +29,7 @@ from volgraph.dialogue import (
 )
 from volgraph.errors import ParseError, ShapeError
 from volgraph.graphbuild import build_quarter_graph
-from volgraph.pipeline import VolatilityModel, prepare_quarter
+from volgraph.pipeline import ModelConfig, VolatilityModel, prepare_quarter
 from volgraph.numcore.layers import transformer_encoder_layer
 from volgraph.numcore.params import ParamStore
 
@@ -34,7 +40,7 @@ from gradcheck import grad_check, n_scalars
 D_S = 6
 
 
-def setup_encoder(rng, n_layers=1, d_hidden=8, max_sentences=16, max_utterances=8):
+def setup_encoder(rng, n_layers=1, d_hidden=8, max_sentences=16, max_utterances=8, d_ff=12):
     store = ParamStore()
     tables = StructEmbedTables.init(
         store, rng, d_p=2, d_u=2, d_r=2, d_q=2,
@@ -42,7 +48,7 @@ def setup_encoder(rng, n_layers=1, d_hidden=8, max_sentences=16, max_utterances=
     )
     params = DialogueEncoderParams.init(
         store, rng, d_in=D_S + tables.total_dim, d_hidden=d_hidden,
-        n_layers=n_layers, n_heads=2, d_ff=12,
+        n_layers=n_layers, n_heads=2, d_ff=d_ff,
     )
     return store, tables, params
 
@@ -128,8 +134,7 @@ class TestHashFeaturizer:
     @pytest.mark.parametrize(
         "texts",
         [
-            # tokens are ordered by a sort key as wide as the longest token
-            # needs: here it must widen past 16 bits
+            # tokens longer than 64 kB, beside short ones
             ["short words first", "k" * 65_537 + " then a b c", "m" * 65_535, "9 99 999"],
             # a text of separators alone has no token
             [" \t\n,.;:!?-—()[]{}'\"/\\ €", "after the separators"],
@@ -141,6 +146,16 @@ class TestHashFeaturizer:
 
     def test_no_texts_gives_empty_matrix(self):
         assert hash_featurizer([], d_s=8).shape == (0, 8)
+
+    def test_long_tokens_match_reference_without_a_step_per_byte(self):
+        # tokens on both sides of the length that goes to zlib's crc32, and
+        # one of 65,537 bytes, which a byte-by-byte crc takes about 0.4 s over
+        cut = dialogue._LONG_TOKEN
+        texts = ["a" * cut + " " + "b" * (cut + 1), "ab" * 32_768 + "c", "x" * (cut - 1) + " y"]
+        assert_matches_per_sentence_reference(texts)
+        start = time.perf_counter()
+        hash_featurizer(texts, d_s=768)
+        assert time.perf_counter() - start < 0.05
 
 
 def text_call(call_id, texts, vectors=None, utterances=None):
@@ -315,7 +330,9 @@ class TestSentenceBlock:
         assert sorted(prepared.sentence_blocks) == [(8, 16, 8), (12, 16, 8)]
 
     @pytest.mark.parametrize("lengths", [(3, 3), (7, 3, 5, 3, 7, 4, 5)])
-    def test_featurize_tape_is_fixed_plus_one_take_per_group(self, rng, lengths):
+    def test_featurize_tape_is_fixed_plus_one_take_per_chunk(self, rng, lengths, monkeypatch):
+        # a 20-row cap cuts the second case into chunks of whole calls
+        monkeypatch.setattr(dialogue, "_CHUNK_ROWS", 20)
         store, tables, params = setup_encoder(rng)
         calls = [vector_call(rng, call_id=f"C-{i}", n=n) for i, n in enumerate(lengths)]
         out = encode_calls(calls, tables, params, D_S, {})
@@ -331,10 +348,35 @@ class TestSentenceBlock:
         (rows,) = [t for t in nodes.values() if {id(p) for p in t._parents} & {id(lookups[0])}]
         assert set(map(id, rows._parents)) >= set(map(id, lookups))
         assert len(rows._parents) == 5  # the base block and the four lookups
-        batches = [t for t in nodes.values() if id(rows) in {id(p) for p in t._parents}]
-        assert sorted(b.shape[:2] for b in batches) == sorted(
-            (lengths.count(n), n) for n in set(lengths)
-        )
+        chunks = [t for t in nodes.values() if id(rows) in {id(p) for p in t._parents}]
+        block = SentenceBlock.build(calls, D_S, tables.max_sentences, tables.max_utterances)
+        assert len(chunks) == len(block.chunks) == (1 if len(lengths) == 2 else 3)
+        assert sorted(t.shape[0] for t in chunks) == sorted(int(n.sum()) for n, _ in block.chunks)
+
+    @pytest.mark.parametrize("cap", [512, 40, 9])
+    def test_chunks_are_whole_calls_by_length_up_to_the_row_cap(self, rng, cap, monkeypatch):
+        # greedy over the calls sorted by length (call order within a length):
+        # a chunk takes the next call while its packed rows (a CLS row and the
+        # sentences per call) stay within the cap; a longer call is alone
+        monkeypatch.setattr(dialogue, "_CHUNK_ROWS", cap)
+        lengths = rng.integers(1, 17, size=60)
+        calls = [vector_call(rng, call_id=f"C-{i}", n=int(n)) for i, n in enumerate(lengths)]
+        block = SentenceBlock.build(calls, D_S, 16, 8)
+        order = np.argsort(lengths, kind="stable")
+        want, chunk = [], []
+        for i in order.tolist():
+            if chunk and sum(lengths[j] + 1 for j in chunk) + lengths[i] + 1 > cap:
+                want.append(chunk)
+                chunk = []
+            chunk.append(i)
+        want.append(chunk)
+        starts = np.cumsum(lengths) - lengths
+        assert len(block.chunks) == len(want)
+        for (got_lengths, got_rows), members in zip(block.chunks, want):
+            assert np.array_equal(got_lengths, lengths[members])
+            rows = np.concatenate([np.arange(starts[i], starts[i] + lengths[i]) for i in members])
+            assert np.array_equal(got_rows, rows)
+        assert np.array_equal(np.concatenate(want)[block.inverse], np.arange(len(calls)))
 
     def test_empty_call_is_named(self):
         # a call checks its own rules, so an empty one never reaches featurization
@@ -388,18 +430,44 @@ class TestEncode:
     @pytest.mark.parametrize("n", [1, 5])
     def test_readout_matches_cls_row_of_full_last_layer(self, rng, n_layers, n):
         # the last layer computes only the CLS query; running it in full
-        # and taking the CLS row must agree to rounding
+        # and taking the CLS row must agree to rounding. Three calls in two
+        # length groups, packed as CLS row then sentences per call
         store, tables, params = setup_encoder(rng, n_layers=n_layers)
-        calls = [vector_call(rng, call_id=f"C-{i}", n=n) for i in range(3)]
-        x = featurize(calls, tables).data.reshape(3, n, -1)
-        got = encode_featurized_batch(nc.Tensor(x), params).data
+        lengths = np.array([n, n, n + 2])
+        calls = [vector_call(rng, call_id=f"C-{i}", n=int(k)) for i, k in enumerate(lengths)]
+        x = featurize(calls, tables).data
+        got = encode_featurized_batch(lengths, nc.Tensor(x), params).data
 
-        h = x @ params.proj_w.data.T + params.proj_b.data
-        h = np.concatenate([np.broadcast_to(params.cls.data, (3, 1, 8)), h], axis=1)
+        h = np.split(x @ params.proj_w.data.T + params.proj_b.data, np.cumsum(lengths)[:-1])
+        h = np.concatenate([np.concatenate([params.cls.data, rows]) for rows in h])
         for layer in params.layers:
-            h = transformer_encoder_layer(nc.Tensor(h), layer, params.n_heads).data
+            h = transformer_encoder_layer(nc.Tensor(h), layer, params.n_heads, lengths + 1).data
         assert got.shape == (3, 8)
-        np.testing.assert_allclose(got, h[:, 0], rtol=0, atol=1e-12)
+        cls_rows = np.cumsum(lengths + 1) - (lengths + 1)
+        np.testing.assert_allclose(got, h[cls_rows], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "cap,d_hidden,d_ff",
+        [(512, 8, 40), (30, 8, 40), (512, 32, 1208), (512, 8, 196), (512, 64, 191), (512, 16, 1)],
+    )
+    def test_chunk_composition_never_changes_an_embedding(self, rng, cap, d_hidden, d_ff,
+                                                            monkeypatch, blas_build):
+        # calls of many lengths, in one chunk or cut into several, against
+        # each call alone: a one-call chunk, whose last layer has one CLS
+        # query row. Unpadded, d_ff = 40 sends the feed-forward output map
+        # of a few rows to OpenBLAS's small-matrix kernel, the (1, 32) @
+        # (32, 1208) feed-forward map is a gemv, d_ff = 196 and 191 end in a
+        # partial 8-column panel, whose rows round by their position, and
+        # d_ff = 1 is a gemv at every row count
+        monkeypatch.setattr(dialogue, "_CHUNK_ROWS", cap)
+        store, tables, params = setup_encoder(rng, n_layers=2, d_hidden=d_hidden, d_ff=d_ff)
+        lengths = [7, 3, 5, 3, 7, 4, 1, 12, 5, 9, 3, 16]
+        calls = [vector_call(rng, call_id=f"C-{i}", n=n) for i, n in enumerate(lengths)]
+        together = encode_calls(calls, tables, params, D_S, {}).data
+        for i, c in enumerate(calls):
+            assert np.array_equal(together[i], encode_one(c, tables, params)), (
+                f"call {i} at d_ff = {d_ff} on {blas_build}"
+            )
 
     def test_gradients_flow_into_tables_and_all_layers(self, rng):
         store, tables, params = setup_encoder(rng)
@@ -425,3 +493,56 @@ class TestEncode:
         swapped = CallRecord(call.call_id, call.company_id, call.call_date, sentences)
         other = encode_one(swapped, tables, params)
         assert not np.array_equal(base, other)
+
+
+def _small_model() -> dict:
+    """The benchmark's ``small`` model (``SMALL_MODEL`` in volbench/workloads.py)."""
+    path = Path(__file__).resolve().parents[1] / "volbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_volbench_workloads", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)  # its dataclasses look their module up by name
+    return module.SMALL_MODEL
+
+
+class TestAppend:
+    """Adding later calls to a quarter never moves an earlier call's embedding.
+
+    A prefix of a quarter packs its calls into other chunks, of other row
+    counts, than the full quarter does; the embeddings must not notice.
+    """
+
+    @pytest.mark.parametrize("config", ["small", "paper"])
+    def test_date_prefixes_encode_bitwise_as_the_full_quarter(self, config, blas_build):
+        model = VolatilityModel(ModelConfig(**(_small_model() if config == "small" else {})))
+        rng = np.random.default_rng(19)
+        prefix_sizes = []
+        for _ in range(2):
+            corpus = SyntheticConfig(
+                n_companies=int(rng.integers(40, 56)), n_quarters=3, d_s=model.config.d_s,
+                call_slots=tuple(range(16, 44)),
+            )
+            data = gen_synthetic(corpus, seed=int(rng.integers(1 << 30)))
+            quarters = sorted({Quarter.of_date(c.call_date) for c in data.transcripts},
+                              key=lambda q: (q.year, q.q))
+            quarter = quarters[int(rng.integers(len(quarters)))]
+            calls = [c for c in data.transcripts if quarter.contains(c.call_date)]
+            relations = RelationTable.from_rows([])
+
+            def encode(subset):
+                prepared = prepare_quarter(build_quarter_graph(subset, relations, quarter))
+                with nc.no_grad():
+                    rows = model.encode(prepared).data
+                return {c.call_id: row for c, row in zip(prepared.graph.calls, rows)}
+
+            full = encode(calls)
+            kept = [min(len(c.sentences), model.config.max_sentences) for c in calls]
+            assert sum(kept) + len(calls) > 512  # more packed rows than one chunk holds
+            for date in sorted({c.call_date for c in calls})[:-1]:
+                prefix = encode([c for c in calls if c.call_date <= date])
+                prefix_sizes.append(len(prefix))
+                for call_id, row in prefix.items():
+                    assert np.array_equal(row, full[call_id]), (
+                        f"{config}: call {call_id} in the {len(prefix)}-call prefix up to "
+                        f"{date} differs from the full quarter on {blas_build}"
+                    )
+        assert min(prefix_sizes) < 19

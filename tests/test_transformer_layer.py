@@ -1,6 +1,7 @@
-"""Encoder-layer invariants: shapes, batch independence, equivariance,
-and a full finite-difference pass over every layer parameter; the layer,
-one tape op, against a plain-numpy replay and an op-by-op tape reference."""
+"""Encoder-layer invariants over packed sequences: shapes, batchmate
+independence, equivariance, and full finite-difference passes over every
+layer parameter; the layer, one tape op, against a plain-numpy replay and
+an op-by-op tape reference that attend one sequence at a time."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from volgraph.errors import ShapeError
 from volgraph.numcore.layers import (
     TransformerLayerParams,
     _attention_weights,
+    _packed_affine,
     linear,
     transformer_encoder_layer,
 )
@@ -67,7 +69,54 @@ class TestLinear:
         np.testing.assert_allclose(got, x @ w.T + b, atol=1e-12)
 
 
+class TestPackedAffine:
+    @pytest.mark.parametrize(
+        "k,n",
+        # gemv (N = 1), the small-matrix kernel (K >= 32 and M·N <= 1200),
+        # and widths ending in a partial 8-column panel, below and above 193
+        [(8, 1), (31, 1), (64, 2), (768, 35), (64, 64), (64, 191), (8, 196), (32, 1204),
+         (32, 1208)],
+    )
+    def test_rows_do_not_depend_on_row_count_or_position(self, rng, k, n, blas_build):
+        w, b = rng.normal(size=(n, k)), rng.normal(size=n)
+        a = rng.normal(size=(1300, k))
+        full = _packed_affine(a, w, b)
+        np.testing.assert_allclose(full, a @ w.T + b, rtol=1e-12, atol=1e-12)
+        for m in (1, 2, 3, 6, 17, 71, 158, 600):
+            for start in (0, 1, 3, 24, 1300 - m):
+                got = _packed_affine(a[start : start + m], w, b)
+                assert np.array_equal(got, full[start : start + m]), (
+                    f"{m} rows from row {start} of ({k} -> {n}) on {blas_build}"
+                )
+
+
 PARAM_NAMES = tuple(f.name for f in fields(TransformerLayerParams))
+
+# three length groups (two sequences of 5 rows, one of 7, two of 6): the
+# feed-forward output map at d_ff = 32 has fewer rows than OpenBLAS's
+# blocked kernel takes, so the layer must pad it
+LENGTHS = np.array([5, 5, 7, 6, 6])
+
+
+def starts(lengths):
+    return np.cumsum(lengths) - lengths
+
+
+def query_rows(lengths, queries):
+    """Packed row index of every query: ``queries`` positions within each sequence."""
+    return (starts(lengths)[:, None] + np.asarray(queries)).ravel()
+
+
+def blocked_affine(a, weight, bias):
+    """a @ wᵀ + b with at least 1201 rows (M·N > 1200 for every N) and the
+    outputs padded to whole 8-column panels, so OpenBLAS's blocked kernel
+    forms each row as in any larger product."""
+    n = len(weight)
+    rows = np.zeros((max(len(a), 1201), a.shape[1]))
+    rows[: len(a)] = a
+    panels = np.zeros((-(-n // 8) * 8, weight.shape[1]))
+    panels[:n] = weight
+    return (rows @ panels.T)[: len(a), :n] + bias
 
 
 def deferred_attention(q, k, v):
@@ -85,23 +134,27 @@ def textbook_attention(q, k, v):
     return e / e.sum(axis=-1, keepdims=True) @ v
 
 
-def replay_layer(x, p, n_heads, queries=None, attention=deferred_attention):
+def replay_layer(x, p, n_heads, lengths, queries=None, attention=deferred_attention):
     """The encoder layer as plain numpy, in the op order of an op-by-op tape.
 
-    Separate Q/K/V maps, head split, ``attention`` (by default the layer's
-    own core, ``deferred_attention``), head merge, output map, residual,
-    ``np.mean``/``np.var`` layer norm, ReLU MLP, residual, layer norm.
+    Separate Q/K/V maps over the packed rows, head split, ``attention``
+    (by default the layer's own core, ``deferred_attention``) one sequence
+    at a time, head merge, output map, residual, ``np.mean``/``np.var``
+    layer norm, ReLU MLP, residual, layer norm. Every row-wise product is
+    ``blocked_affine``.
     """
     w = {name: getattr(p, name).data for name in PARAM_NAMES}
-    q_in = x if queries is None else queries
-    b, _, d = x.shape
-    m, dh = q_in.shape[1], d // n_heads
+    rows = None if queries is None else query_rows(lengths, queries)
+    q_in = x if rows is None else x[rows]
+    d = x.shape[1]
+    dh = d // n_heads
+    m = None if queries is None else len(queries)
 
     def lin(a, weight, bias):
-        return a @ w[weight].T + w[bias]
+        return blocked_affine(a, w[weight], w[bias])
 
-    def split(t):
-        return np.swapaxes(t.reshape(b, t.shape[1], n_heads, dh), 1, 2)
+    def split(t):  # (n, d) -> (1, H, n, dh)
+        return np.swapaxes(t.reshape(1, len(t), n_heads, dh), 1, 2)
 
     def norm(a, i):
         xhat = (a - a.mean(axis=-1, keepdims=True)) * (
@@ -109,9 +162,14 @@ def replay_layer(x, p, n_heads, queries=None, attention=deferred_attention):
         )
         return xhat * w[f"ln{i}_gamma"] + w[f"ln{i}_beta"]
 
-    q, k, v = split(lin(q_in, "wq", "bq")), split(lin(x, "wk", "bk")), split(lin(x, "wv", "bv"))
-    ctx = np.swapaxes(attention(q, k, v), 1, 2).reshape(b, m, d)
-    h = norm(q_in + lin(ctx, "wo", "bo"), 1)
+    q, k, v = lin(q_in, "wq", "bq"), lin(x, "wk", "bk"), lin(x, "wv", "bv")
+    ctx = []
+    for i, (start, n) in enumerate(zip(starts(lengths), lengths)):
+        qs = slice(start, start + n) if m is None else slice(i * m, (i + 1) * m)
+        kv = slice(start, start + n)
+        c = attention(split(q[qs]), split(k[kv]), split(v[kv]))
+        ctx.append(np.swapaxes(c, 1, 2).reshape(-1, d))
+    h = norm(q_in + lin(np.concatenate(ctx), "wo", "bo"), 1)
     ff = lin(np.maximum(lin(h, "ff1_w", "ff1_b"), 0.0), "ff2_w", "ff2_b")
     return norm(h + ff, 2)
 
@@ -122,48 +180,53 @@ def _rsqrt(t):
     return _make(out, (t,), lambda g: (-0.5 * g * out**3,))
 
 
-def reference_layer(x, p, n_heads, queries=None):
-    """The encoder layer as an op-by-op tape of generic ``numcore`` ops."""
-    q_in = x if queries is None else queries
-    b, _, d = x.shape
-    m, dh = q_in.shape[1], d // n_heads
+def reference_layer(x, p, n_heads, lengths, queries=None):
+    """The encoder layer as an op-by-op tape of generic ``numcore`` ops,
+    attending one sequence at a time."""
+    rows = None if queries is None else query_rows(lengths, queries)
+    q_in = x if rows is None else nc.take(x, rows)
+    d = x.shape[1]
+    dh = d // n_heads
+    m = None if queries is None else len(queries)
 
     def split(t):
-        return ro.swapaxes(nc.reshape(t, (b, t.shape[1], n_heads, dh)), 1, 2)
+        return ro.swapaxes(nc.reshape(t, (1, t.shape[0], n_heads, dh)), 1, 2)
 
     def norm(a, gamma, beta):
         c = ro.sub(a, ro.mean_(a, axis=-1, keepdims=True))
         var = ro.mean_(ro.mul(c, c), axis=-1, keepdims=True)
         return ro.add(ro.mul(ro.mul(c, _rsqrt(ro.add(var, 1e-5))), gamma), beta)
 
-    q = split(ro.div(linear(q_in, p.wq, p.bq), float(np.sqrt(dh))))
-    k, v = split(linear(x, p.wk, p.bk)), split(linear(x, p.wv, p.bv))
-    scores = ro.matmul(q, ro.swapaxes(k, -1, -2))
-    e = ro.exp(ro.sub(scores, nc.Tensor(scores.data.max(axis=-1, keepdims=True))))
-    ctx = ro.div(ro.matmul(e, v), ro.sum_(e, axis=-1, keepdims=True))
-    ctx = nc.reshape(ro.swapaxes(ctx, 1, 2), (b, m, d))
-    h = norm(ro.add(q_in, linear(ctx, p.wo, p.bo)), p.ln1_gamma, p.ln1_beta)
+    q = ro.div(linear(q_in, p.wq, p.bq), float(np.sqrt(dh)))
+    k, v = linear(x, p.wk, p.bk), linear(x, p.wv, p.bv)
+    ctx = []
+    for i, (start, n) in enumerate(zip(starts(lengths), lengths)):
+        qs = np.arange(start, start + n) if m is None else np.arange(i * m, (i + 1) * m)
+        kv = np.arange(start, start + n)
+        qh, kh, vh = split(nc.take(q, qs)), split(nc.take(k, kv)), split(nc.take(v, kv))
+        scores = ro.matmul(qh, ro.swapaxes(kh, -1, -2))
+        e = ro.exp(ro.sub(scores, nc.Tensor(scores.data.max(axis=-1, keepdims=True))))
+        c = ro.div(ro.matmul(e, vh), ro.sum_(e, axis=-1, keepdims=True))
+        ctx.append(nc.reshape(ro.swapaxes(c, 1, 2), (len(qs), d)))
+    h = norm(ro.add(q_in, linear(nc.concat(ctx), p.wo, p.bo)), p.ln1_gamma, p.ln1_beta)
     ff = linear(nc.relu(linear(h, p.ff1_w, p.ff1_b)), p.ff2_w, p.ff2_b)
     return norm(ro.add(h, ff), p.ln2_gamma, p.ln2_beta)
 
 
-def layer_inputs(rng, m, b=2, s=5, d=6):
-    """(x, queries) arrays: every row (m == s) or the CLS row alone (m == 1)."""
-    x = rng.normal(size=(b, s, d))
-    return x, (None if m == s else x[:, :m].copy())
+def layer_queries(m):
+    """Every row (m == 5, the shortest sequence's length), or the CLS row alone (m == 1)."""
+    return None if m == LENGTHS.min() else (0,)
 
 
 def layer_grads(fn, store, params, x, queries, w):
-    """Gradients of sum(fn(...) * w) for x, queries (if any) and all 16 parameters."""
+    """Gradients of sum(fn(...) * w) for x and all 16 parameters."""
     store.zero_grad()
     xt = nc.Tensor(x, requires_grad=True)
-    qt = None if queries is None else nc.Tensor(queries, requires_grad=True)
-    ro.sum_(ro.mul(fn(xt, params, 3, queries=qt), nc.Tensor(w))).backward()
-    leaves = [xt] + ([] if qt is None else [qt])
-    return [t.grad for t in leaves] + [getattr(params, n).grad for n in PARAM_NAMES]
+    ro.sum_(ro.mul(fn(xt, params, 2, LENGTHS, queries=queries), nc.Tensor(w))).backward()
+    return [xt.grad] + [getattr(params, n).grad for n in PARAM_NAMES]
 
 
-def perturbed_layer(rng, d=6, d_ff=10):
+def perturbed_layer(rng, d=8, d_ff=32):
     """A layer whose norms and biases are off their init values."""
     store, params = make_layer(rng, d=d, d_ff=d_ff)
     for _, t in store.items():
@@ -178,11 +241,11 @@ class TestAttention:
     @pytest.mark.parametrize("m", [5, 1])  # every row, and the CLS query alone
     def test_forward_bitwise_equals_op_by_op_chain(self, rng, m):
         store, params = perturbed_layer(rng)
-        x, queries = layer_inputs(rng, m)
-        want = replay_layer(x, params, 3, queries)
-        qt = None if queries is None else nc.Tensor(queries)
-        got = transformer_encoder_layer(nc.Tensor(x), params, 3, queries=qt).data
-        assert got.shape == (2, m, 6)
+        x = rng.normal(size=(LENGTHS.sum(), 8))
+        queries = layer_queries(m)
+        want = replay_layer(x, params, 2, LENGTHS, queries)
+        got = transformer_encoder_layer(nc.Tensor(x), params, 2, LENGTHS, queries=queries).data
+        assert got.shape == ((LENGTHS.sum() if queries is None else len(LENGTHS)), 8)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("m", [5, 1])
@@ -193,18 +256,20 @@ class TestAttention:
         # Normalizing after the value product must stay within rounding of
         # softmax(q kᵀ/√dh)·v.
         store, params = perturbed_layer(rng)
-        x, queries = layer_inputs(rng, m)
-        n_heads, dh = 3, 2
-        q = (x if queries is None else queries) @ params.wq.data.T + params.bq.data
-        u = rng.normal(size=6)
+        x = rng.normal(size=(LENGTHS.sum(), 8))
+        queries = layer_queries(m)
+        n_heads, dh = 2, 4
+        q_in = x if queries is None else x[query_rows(LENGTHS, queries)]
+        q = q_in @ params.wq.data.T + params.bq.data
+        u = rng.normal(size=8)
         for h in range(n_heads):
             cols = slice(h * dh, (h + 1) * dh)
             row_shifts = q[..., cols] @ u[cols] / np.sqrt(dh)
             u[cols] *= shift / row_shifts.flat[np.argmax(np.abs(row_shifts))]
         params.bk.data += u
-        want = replay_layer(x, params, n_heads, queries, attention=textbook_attention)
-        qt = None if queries is None else nc.Tensor(queries)
-        got = transformer_encoder_layer(nc.Tensor(x), params, n_heads, queries=qt).data
+        want = replay_layer(x, params, n_heads, LENGTHS, queries, attention=textbook_attention)
+        got = transformer_encoder_layer(nc.Tensor(x), params, n_heads, LENGTHS,
+                                        queries=queries).data
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -221,23 +286,27 @@ class TestAttention:
     @pytest.mark.parametrize("m", [5, 1])
     def test_gradients_match_op_by_op_chain(self, rng, m):
         store, params = perturbed_layer(rng)
-        x, queries = layer_inputs(rng, m)
-        w = rng.normal(size=(2, m, 6))
+        x = rng.normal(size=(LENGTHS.sum(), 8))
+        queries = layer_queries(m)
+        w = rng.normal(size=((LENGTHS.sum() if queries is None else len(LENGTHS)), 8))
         want = layer_grads(reference_layer, store, params, x, queries, w)
         got = layer_grads(transformer_encoder_layer, store, params, x, queries, w)
-        assert len(got) == (1 if queries is None else 2) + 16
+        assert len(got) == 1 + 16
         for g, r in zip(got, want):
             np.testing.assert_allclose(g, r, rtol=0, atol=1e-12)
 
     def test_gradients_match_finite_differences(self, rng):
-        # x and all 16 parameters of the full layer; the query form is
-        # checked in TestQueryRows
-        store, params = perturbed_layer(rng, d=6, d_ff=8)
-        x = store.add("x", rng.normal(size=(2, 3, 6)))
-        w = rng.normal(size=(2, 3, 6))
+        # x and all 16 parameters of the full layer over a chunk of three
+        # length groups, whose feed-forward output map is a padded product;
+        # the query form is checked in TestQueryRows
+        store, params = perturbed_layer(rng, d=8, d_ff=32)
+        lengths = np.array([3, 3, 2, 4])
+        x = store.add("x", rng.normal(size=(lengths.sum(), 8)))
+        w = rng.normal(size=(lengths.sum(), 8))
 
         def loss():
-            return ro.sum_(ro.mul(transformer_encoder_layer(x, params, n_heads=2), nc.Tensor(w)))
+            out = transformer_encoder_layer(x, params, 2, lengths)
+            return ro.sum_(ro.mul(out, nc.Tensor(w)))
 
         report = grad_check(loss, store, tol=1e-4)
         assert report.passed, report.summary()
@@ -245,94 +314,90 @@ class TestAttention:
 
     def test_one_tape_node_per_call(self, rng):
         store, params = make_layer(rng, d=6)
-        x = nc.Tensor(rng.normal(size=(2, 4, 6)), requires_grad=True)
-        q = nc.Tensor(rng.normal(size=(2, 1, 6)), requires_grad=True)
+        x = nc.Tensor(rng.normal(size=(7, 6)), requires_grad=True)
         weights = tuple(getattr(params, n) for n in PARAM_NAMES)
-        full = transformer_encoder_layer(x, params, n_heads=2)
-        assert full._parents == (x, *weights) and full._backward_fn is not None
-        cls = transformer_encoder_layer(x, params, n_heads=2, queries=q)
-        assert cls._parents == (x, q, *weights) and cls._backward_fn is not None
+        for queries in (None, (0,)):
+            out = transformer_encoder_layer(x, params, 2, [4, 3], queries=queries)
+            assert out._parents == (x, *weights) and out._backward_fn is not None
 
     def test_no_tape_node_under_no_grad(self, rng):
         store, params = make_layer(rng, d=6)
-        x = nc.Tensor(rng.normal(size=(2, 4, 6)), requires_grad=True)
+        x = nc.Tensor(rng.normal(size=(8, 6)), requires_grad=True)
         with nc.no_grad():
-            out = transformer_encoder_layer(x, params, n_heads=2)
+            out = transformer_encoder_layer(x, params, 2, [4, 4])
         assert out._parents == () and out._backward_fn is None
 
     @pytest.mark.parametrize(
         "shapes",
         [
-            ((5, 6), None),  # x is not (batch, seq, d)
-            ((2, 5, 6), (3, 1, 6)),  # batch sizes differ
-            ((2, 5, 6), (2, 1, 4)),  # query and key widths differ
-            ((2, 5, 6), (1, 6)),  # ranks differ
-            ((2, 5, 4), None),  # x does not fit the parameters' width
+            ((2, 5, 6), [5, 5], None),  # x is not (rows, d)
+            ((9, 6), [5, 5], None),  # the lengths do not pack the rows
+            ((10, 6), [5, 5], (5,)),  # a query past the end of a sequence
+            ((10, 6), [10, 0], None),  # an empty sequence
+            ((10, 4), [5, 5], None),  # x does not fit the parameters' width
+            ((10, 6), [5, 5], (1, 1)),  # a query position twice
         ],
     )
     def test_disagreeing_shapes_raise(self, rng, shapes):
         store, params = make_layer(rng, d=6)
-        x, q = shapes
-        queries = None if q is None else nc.Tensor(np.zeros(q))
+        x, lengths, queries = shapes
         with pytest.raises(ShapeError):
-            transformer_encoder_layer(nc.Tensor(np.zeros(x)), params, 2, queries=queries)
+            transformer_encoder_layer(nc.Tensor(np.zeros(x)), params, 2, lengths, queries=queries)
 
 
 class TestTransformerLayer:
     def test_output_shape(self, rng):
         store, params = make_layer(rng, d=8)
-        x = nc.Tensor(rng.normal(size=(3, 5, 8)))
-        out = transformer_encoder_layer(x, params, n_heads=2)
-        assert out.shape == (3, 5, 8)
+        x = nc.Tensor(rng.normal(size=(15, 8)))
+        out = transformer_encoder_layer(x, params, 2, [5, 5, 5])
+        assert out.shape == (15, 8)
 
     def test_head_count_must_divide_width(self, rng):
         store, params = make_layer(rng, d=6)
         with pytest.raises(ShapeError):
-            transformer_encoder_layer(nc.Tensor(rng.normal(size=(1, 2, 6))), params, n_heads=4)
+            transformer_encoder_layer(nc.Tensor(rng.normal(size=(2, 6))), params, 4, [2])
 
     def test_batch_elements_are_independent_bitwise(self, rng):
-        # no masking/padding anywhere, so swapping batchmates must leave a
-        # row's output exactly unchanged -- the backbone of the
-        # no-future-influence guarantee upstream
-        store, params = make_layer(rng, d=6)
-        keep = rng.normal(size=(1, 4, 6))
-        mates_a = rng.normal(size=(2, 4, 6))
-        mates_b = rng.normal(size=(5, 4, 6)) * 10
-        alone = transformer_encoder_layer(nc.Tensor(keep), params, n_heads=3).data
-        with_a = transformer_encoder_layer(
-            nc.Tensor(np.concatenate([keep, mates_a])), params, n_heads=3
-        ).data
-        with_b = transformer_encoder_layer(
-            nc.Tensor(np.concatenate([keep, mates_b])), params, n_heads=3
-        ).data
-        assert np.array_equal(alone[0], with_a[0])
-        assert np.array_equal(alone[0], with_b[0])
+        # no masking or sequence padding, and every packed product is padded
+        # past OpenBLAS's small-matrix kernel (d_ff = 32 sends the
+        # feed-forward output map of up to 150 rows there), so the rows
+        # packed around a sequence must leave its output exactly unchanged
+        # -- the backbone of the no-future-influence guarantee upstream
+        store, params = make_layer(rng, d=8, d_ff=32)
+        keep = rng.normal(size=(4, 8))
+        alone = transformer_encoder_layer(nc.Tensor(keep), params, 2, [4]).data
+        for before, after in (([4, 4], []), ([], [2, 9, 4]), ([4, 7] * 12, [4, 1] * 30)):
+            mates = [rng.normal(size=(n, 8)) * 10 for n in before + after]
+            x = np.concatenate(mates[: len(before)] + [keep] + mates[len(before):])
+            out = transformer_encoder_layer(nc.Tensor(x), params, 2, before + [4] + after).data
+            assert np.array_equal(alone, out[sum(before) : sum(before) + 4])
 
     def test_permutation_equivariance_over_positions(self, rng):
         # the layer has no positional information of its own, so permuting
-        # sequence positions permutes outputs the same way
+        # a sequence's rows permutes its outputs the same way
         store, params = make_layer(rng, d=6)
-        x = rng.normal(size=(1, 5, 6))
-        perm = np.array([3, 0, 4, 1, 2])
-        out = transformer_encoder_layer(nc.Tensor(x), params, n_heads=2).data
-        out_perm = transformer_encoder_layer(nc.Tensor(x[:, perm]), params, n_heads=2).data
-        np.testing.assert_allclose(out_perm, out[:, perm], atol=1e-12)
+        x = rng.normal(size=(8, 6))
+        perm = np.array([3, 0, 4, 1, 2, 5, 7, 6])  # within the sequences [5, 3]
+        out = transformer_encoder_layer(nc.Tensor(x), params, 2, [5, 3]).data
+        out_perm = transformer_encoder_layer(nc.Tensor(x[perm]), params, 2, [5, 3]).data
+        np.testing.assert_allclose(out_perm, out[perm], atol=1e-12)
 
     def test_output_rows_are_layer_normalized(self, rng):
         # post-norm: the final op is a layer norm with unit gamma at init
         store, params = make_layer(rng, d=8)
-        x = nc.Tensor(rng.normal(size=(2, 3, 8)) * 5)
-        out = transformer_encoder_layer(x, params, n_heads=2).data
+        x = nc.Tensor(rng.normal(size=(7, 8)) * 5)
+        out = transformer_encoder_layer(x, params, 2, [3, 4]).data
         np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-10)
         np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-3)
 
     def test_gradients_match_finite_differences(self, rng):
         store, params = make_layer(rng, d=6, d_ff=8)
-        x = rng.normal(size=(2, 3, 6))
-        w = rng.normal(size=(2, 3, 6))
+        lengths = [3, 1, 3]
+        x = rng.normal(size=(7, 6))
+        w = rng.normal(size=(7, 6))
 
         def loss():
-            out = transformer_encoder_layer(nc.Tensor(x), params, n_heads=2)
+            out = transformer_encoder_layer(nc.Tensor(x), params, 2, lengths)
             return ro.sum_(ro.mul(out, nc.Tensor(w)))
 
         report = grad_check(loss, store, tol=1e-4)
@@ -343,8 +408,8 @@ class TestTransformerLayer:
         # attention, residuals, norms and the feed-forward block all sit
         # inside the layer's one node
         store, params = make_layer(rng, d=6)
-        x = nc.Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
-        out = transformer_encoder_layer(x, params, n_heads=2)
+        x = nc.Tensor(rng.normal(size=(6, 6)), requires_grad=True)
+        out = transformer_encoder_layer(x, params, 2, [3, 3])
         nodes, stack = set(), [out]
         while stack:
             t = stack.pop()
@@ -356,8 +421,8 @@ class TestTransformerLayer:
     def test_single_element_sequence(self, rng):
         # attention over one position is a no-op softmax; still well-defined
         store, params = make_layer(rng, d=4)
-        out = transformer_encoder_layer(nc.Tensor(rng.normal(size=(2, 1, 4))), params, n_heads=1)
-        assert out.shape == (2, 1, 4)
+        out = transformer_encoder_layer(nc.Tensor(rng.normal(size=(2, 4))), params, 1, [1, 1])
+        assert out.shape == (2, 4)
         assert np.all(np.isfinite(out.data))
 
 
@@ -365,55 +430,53 @@ class TestQueryRows:
     @pytest.mark.parametrize("b,s", [(4, 6), (3, 2), (1, 1)])
     def test_cls_query_matches_full_layer_row(self, rng, b, s):
         # K/V over every row, Q over row 0 only: the result is row 0 of the
-        # full layer to rounding (s=2 is a CLS row plus one sentence)
+        # full layer to rounding (s=2 is a CLS row plus one sentence). A
+        # longer sequence follows the b sequences of s rows
         store, params = make_layer(rng, d=8, d_ff=12)
-        x = rng.normal(size=(b, s, 8))
-        full = transformer_encoder_layer(nc.Tensor(x), params, n_heads=2).data
-        got = transformer_encoder_layer(
-            nc.Tensor(x), params, n_heads=2, queries=nc.Tensor(x[:, :1])
-        ).data
-        assert got.shape == (b, 1, 8)
-        np.testing.assert_allclose(got, full[:, :1], rtol=0, atol=1e-12)
+        lengths = np.array([s] * b + [s + 3])
+        x = rng.normal(size=(lengths.sum(), 8))
+        full = transformer_encoder_layer(nc.Tensor(x), params, 2, lengths).data
+        got = transformer_encoder_layer(nc.Tensor(x), params, 2, lengths, queries=(0,)).data
+        assert got.shape == (b + 1, 8)
+        np.testing.assert_allclose(got, full[starts(lengths)], rtol=0, atol=1e-12)
 
     def test_any_query_rows_match_their_full_rows(self, rng):
         store, params = make_layer(rng, d=6)
-        x = rng.normal(size=(2, 5, 6))
-        rows = np.array([4, 1])
-        full = transformer_encoder_layer(nc.Tensor(x), params, n_heads=3).data
-        got = transformer_encoder_layer(
-            nc.Tensor(x), params, n_heads=3, queries=nc.Tensor(x[:, rows])
-        ).data
-        np.testing.assert_allclose(got, full[:, rows], rtol=0, atol=1e-12)
+        lengths = np.array([5, 5, 6])
+        x = rng.normal(size=(16, 6))
+        full = transformer_encoder_layer(nc.Tensor(x), params, 3, lengths).data
+        got = transformer_encoder_layer(nc.Tensor(x), params, 3, lengths, queries=(4, 1)).data
+        np.testing.assert_allclose(got, full[query_rows(lengths, (4, 1))], rtol=0, atol=1e-12)
 
     def test_query_batch_elements_are_independent_bitwise(self, rng):
-        store, params = make_layer(rng, d=6)
-        keep = rng.normal(size=(1, 4, 6))
-        mates = rng.normal(size=(3, 4, 6)) * 10
-        both = np.concatenate([keep, mates])
-        alone = transformer_encoder_layer(
-            nc.Tensor(keep), params, n_heads=3, queries=nc.Tensor(keep[:, :1])
+        store, params = make_layer(rng, d=8, d_ff=32)
+        keep = rng.normal(size=(4, 8))
+        mates = rng.normal(size=(15, 8)) * 10
+        alone = transformer_encoder_layer(nc.Tensor(keep), params, 2, [4], queries=(0,)).data
+        packed = transformer_encoder_layer(
+            nc.Tensor(np.concatenate([mates[:8], keep, mates[8:]])), params, 2, [4, 4, 4, 7],
+            queries=(0,),
         ).data
-        batched = transformer_encoder_layer(
-            nc.Tensor(both), params, n_heads=3, queries=nc.Tensor(both[:, :1])
-        ).data
-        assert np.array_equal(alone[0], batched[0])
+        assert np.array_equal(alone[0], packed[2])
 
     def test_mismatched_queries_raise(self, rng):
         store, params = make_layer(rng, d=6)
-        x = nc.Tensor(rng.normal(size=(2, 3, 6)))
-        with pytest.raises(ShapeError):
-            transformer_encoder_layer(x, params, n_heads=2, queries=nc.Tensor(np.zeros((1, 1, 6))))
+        x = nc.Tensor(rng.normal(size=(5, 6)))
+        for queries in ((3,), (-1,), ()):  # past the 3-row sequence, negative, none
+            with pytest.raises(ShapeError):
+                transformer_encoder_layer(x, params, 2, [3, 2], queries=queries)
 
     def test_gradients_match_finite_differences(self, rng):
-        # gradients reach every parameter and both the key/value block and
-        # the query rows
-        store, params = make_layer(rng, d=6, d_ff=8)
-        x = store.add("x", rng.normal(size=(2, 3, 6)))
-        q = store.add("q", rng.normal(size=(2, 1, 6)))
-        w = rng.normal(size=(2, 1, 6))
+        # gradients reach every parameter and every row, through the keys
+        # and values and through the query rows; three length groups, and
+        # the feed-forward output map of the 4 query rows is padded
+        store, params = make_layer(rng, d=8, d_ff=32)
+        lengths = np.array([3, 3, 2, 4])
+        x = store.add("x", rng.normal(size=(lengths.sum(), 8)))
+        w = rng.normal(size=(4, 8))
 
         def loss():
-            out = transformer_encoder_layer(x, params, n_heads=2, queries=q)
+            out = transformer_encoder_layer(x, params, 2, lengths, queries=(0,))
             return ro.sum_(ro.mul(out, nc.Tensor(w)))
 
         report = grad_check(loss, store, tol=1e-4)
