@@ -7,11 +7,13 @@ by attention over the in-neighborhood and damped by a symmetric degree
 normalization. Edges only point forward in time, so stacking any number
 of layers keeps strictly-earlier nodes unaffected by later ones.
 
-A layer is one tape op, ``gat_layer``, with a hand-written backward. Its
-edge softmax is the numpy segment-softmax kernel that the market pooling
-shares, and its message sum the same sorted segment reduction. The
-diagnostics keep, per layer, the attention γ per edge, the market
-pooling weight β per node and the decay δ per date.
+A layer is two tape ops with hand-written backwards: the market stage
+(``market.run_market_timeline``, which hands each node its date's m′
+row) and ``gat_layer``. The GAT's edge softmax is the numpy
+segment-softmax kernel that the market pooling shares, and its message
+sum the same sorted segment reduction. The diagnostics keep, per layer,
+the attention γ per edge, the market pooling weight β per node and the
+decay δ per date.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .graphbuild import QuarterGraph
 from .market import MarketParams, run_market_timeline
-from .numcore import ParamStore, Tensor, take, uniform_init
+from .numcore import ParamStore, Tensor, uniform_init
 from .numcore.layers import _affine, _affine_grads
 from .numcore.tensor import _make, _segment_reduce, _segment_softmax, _segment_softmax_grad
 
@@ -214,7 +216,7 @@ def company_network_encoder(
     v = v0
     for mp, gp in zip(market_params, gat_params):
         m_prime, beta, delta = run_market_timeline(arrays.date_gaps, v, arrays.node_group, mp)
-        v, gamma = gat_layer(v, take(m_prime, arrays.node_group), arrays, gp)
+        v, gamma = gat_layer(v, m_prime, arrays, gp)
         diag.gamma.append(gamma)
         diag.beta.append(beta)
         diag.delta.append(delta)

@@ -8,27 +8,28 @@ out more of the carried state. The scan is strictly left-to-right: the
 market state for a date is a function of calls on that date and earlier
 ones only.
 
-Everything that does not depend on the carried state runs once per
-quarter over all dates. Pooling is one tape op, ``market_attention``: a
-segment softmax over each node's date id (the numpy kernel the graph
-attention shares) and a weighted segment sum, with a hand-written
-backward. The GRU's input projections are one matmul per gate. The
-recurrence itself is one tape op, ``gru_scan``, which also forms the
-decays from the date gaps and ``w_d``: a plain numpy loop over dates
-forward and a hand-written backward through time, so a quarter's scan
-adds a single node to the tape however many dates it has.
-``run_market_timeline`` chains the two and returns the market outputs
-with the pooling weights β per call and the decays δ per date.
+A network layer's whole market stage is one tape op,
+``run_market_timeline``, with a hand-written backward: everything that
+does not depend on the carried state runs once per quarter over all
+dates, and the scan adds a single node to the tape however many dates it
+has. Its numpy helpers are ``market_attention``, the pooling (a segment
+softmax over each call's date id, the kernel the graph attention shares,
+and a weighted segment sum), and ``gru_scan``, the recurrence with its
+decays formed from the date gaps and ``w_d`` (a plain loop over dates
+forward and a backward through time). Each returns its forward result
+and a closure for its backward. The op returns each call's row of the
+market outputs with the pooling weights β per call and the decays δ per
+date.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ShapeError
-from .numcore import ParamStore, Tensor, linear, uniform_init
+from .numcore import ParamStore, Tensor, uniform_init
 from .numcore.layers import _affine, _affine_grads
 from .numcore.tensor import _make, _segment_reduce, _segment_softmax, _segment_softmax_grad
 
@@ -103,30 +104,29 @@ class MarketParams:
             gru=TimeDecayGRUParams.init(store, rng, d, prefix),
         )
 
+    def tensors(self) -> tuple[Tensor, ...]:
+        """The 14 parameter tensors, attention then GRU, each in field order."""
+        return tuple(
+            getattr(part, f.name) for part in (self.attention, self.gru) for f in fields(part)
+        )
 
-def market_attention(
-    embeddings: Tensor, node_group, n_dates: int, params: MarketAttentionParams
-) -> tuple[Tensor, np.ndarray]:
-    """Pool (N, d) call embeddings into one (n_dates, d) row per date, as one tape op.
 
-    ``node_group[j]`` is the date of call j. Call j scores
-    s_j = (W_k e_j)·w_q / √d; its weight β_j, returned as an (N,) numpy
-    array, is the softmax of s_j over the calls of its date, and each
-    date's row is Σ β_j e_j over its calls.
+def market_attention(emb: np.ndarray, seg: np.ndarray, n_dates: int, w_k: np.ndarray,
+                     w_q: np.ndarray) -> tuple:
+    """Pool (N, d) call embeddings into one (n_dates, d) row per date.
 
-    The node's parents are ``embeddings``, ``w_k`` and ``w_q``. The
-    forward runs the numpy ops of the op-by-op chain (key map, score
-    product, scaling, segment softmax, weighted segment sum) in that
-    chain's order, so its output is bitwise equal to the chain's. The
-    backward keeps the keys and β.
+    ``seg[j]`` is the date of call j. Call j scores s_j = (W_k e_j)·w_q / √d;
+    its weight β_j is the softmax of s_j over the calls of its date, and
+    each date's row is Σ β_j e_j over its calls.
+
+    A numpy helper of ``run_market_timeline``: returns the pooled rows, β
+    (N,) and a closure that maps the rows' gradient to the gradients of
+    ``emb``, ``w_k`` and ``w_q``. The forward runs the numpy ops of the
+    op-by-op chain (key map, score product, scaling, segment softmax,
+    weighted segment sum) in that chain's order, so its rows are bitwise
+    equal to the chain's.
     """
-    if embeddings.ndim != 2 or embeddings.shape[0] < 1:
-        raise ShapeError(f"expected (n, d) call embeddings, got {embeddings.shape}")
-    n, d = embeddings.shape
-    seg = np.asarray(node_group, dtype=np.intp)
-    if seg.shape != (n,):
-        raise ShapeError(f"need one date per call: {seg.shape} for {embeddings.shape}")
-    emb, w_k, w_q = embeddings.data, params.w_k.data, params.w_q.data
+    n, d = emb.shape
     scale = float(np.sqrt(d))
     keys = _affine(emb, w_k, None)  # (n, d)
     scores = (keys @ w_q.reshape(d, 1)) / scale
@@ -141,7 +141,7 @@ def market_attention(
         g_emb += g_rows * beta.reshape(n, 1)
         return g_emb, g_wk, (keys.T @ g_scores).reshape(d)
 
-    return _make(pooled, (embeddings, params.w_k, params.w_q), backward), beta
+    return pooled, beta, backward
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -156,10 +156,9 @@ def decay_coefficient(gap_days, w_d: np.ndarray) -> np.ndarray:
     return _sigmoid(w_d / (gaps + 1))
 
 
-def gru_scan(
-    xz: Tensor, xr: Tensor, xh: Tensor, gaps, w_d: Tensor, u_z: Tensor, u_r: Tensor, u_h: Tensor
-) -> Tensor:
-    """The decayed GRU recurrence from a zero state, as one tape op.
+def gru_scan(xz: np.ndarray, xr: np.ndarray, xh: np.ndarray, gaps, w_d: np.ndarray,
+             u_z: np.ndarray, u_r: np.ndarray, u_h: np.ndarray) -> tuple:
+    """The decayed GRU recurrence from a zero state.
 
     ``xz, xr, xh`` (T, d) are the input terms of the update gate, the
     reset gate and the candidate, ``gaps`` (T,) the day gap before each
@@ -170,36 +169,33 @@ def gru_scan(
         z = σ(xz + a u_zᵀ)    r = σ(xr + a u_rᵀ)
         ã = tanh(xh + (δ r a) u_hᵀ)    a ← a + z (ã − a)
 
-    Returns the stacked states (T, d). The forward runs the numpy
-    operations that the same recurrence built from per-op tensors would
-    run, in the same order, so its states are bitwise equal to that
-    composition; it keeps every date's a, z, r and ã. The backward walks
-    the dates in reverse carrying only ∂L/∂a, then forms each weight
+    A numpy helper of ``run_market_timeline``: returns the stacked states
+    (T, d), the decays δ (T,) and a closure that maps the states' gradient
+    to the gradients of ``xz, xr, xh, w_d, u_z, u_r, u_h``. The forward
+    runs the numpy operations that the same recurrence built from per-op
+    tensors would run, in the same order, so its states are bitwise equal
+    to that composition; it keeps every date's a, z, r and ã. The backward
+    walks the dates in reverse carrying only ∂L/∂a, then forms each weight
     gradient, ∂L/∂w_d included, with one reduction over all dates.
     """
     t_len, d = xz.shape
     gaps = np.asarray(gaps, dtype=np.float64)
-    if t_len < 1 or any(x.shape != (t_len, d) for x in (xr, xh)) or gaps.shape != (t_len,):
-        raise ShapeError(f"gru_scan: inputs {xz.shape}, {xr.shape}, {xh.shape}, gaps {gaps.shape}")
-    if w_d.shape != (1,) or any(u.shape != (d, d) for u in (u_z, u_r, u_h)):
-        raise ShapeError(f"gru_scan: w_d must be (1,) and recurrent weights ({d}, {d})")
-    deltas = decay_coefficient(gaps, w_d.data)
-    uz, ur, uh = (np.swapaxes(u.data, 0, 1) for u in (u_z, u_r, u_h))
+    deltas = decay_coefficient(gaps, w_d)
+    uz, ur, uh = (np.swapaxes(u, 0, 1) for u in (u_z, u_r, u_h))
     a = np.zeros((1, d))
     states, zs, rs, cands = [a], [], [], []
     for t in range(t_len):
         row = slice(t, t + 1)
-        z = _sigmoid(xz.data[row] + a @ uz)
-        r = _sigmoid(xr.data[row] + a @ ur)
+        z = _sigmoid(xz[row] + a @ uz)
+        r = _sigmoid(xr[row] + a @ ur)
         gated = (deltas[row] * r) * a
-        a_tilde = np.tanh(xh.data[row] + gated @ uh)
+        a_tilde = np.tanh(xh[row] + gated @ uh)
         a = a + z * (a_tilde - a)
         states.append(a)
         zs.append(z)
         rs.append(r)
         cands.append(a_tilde)
     a_seq = np.concatenate(states)  # row t is the state date t starts from
-    hidden = a_seq[1:]
 
     def backward(g):
         a_prev = a_seq[:-1]
@@ -217,41 +213,36 @@ def gru_scan(
             da = da + g[t]
             gz[t] = da * z_fac[t]
             gh[t] = da * h_fac[t]
-            g_gated[t] = gh[t] @ u_h.data
+            g_gated[t] = gh[t] @ u_h
             gr[t] = g_gated[t] * r_fac[t]
-            da = da * keep[t] + g_gated[t] * reset[t] + gz[t] @ u_z.data + gr[t] @ u_r.data
+            da = da * keep[t] + g_gated[t] * reset[t] + gz[t] @ u_z + gr[t] @ u_r
         g_delta = (g_gated * r * a_prev).sum(axis=1)
         g_wd = (g_delta * deltas * (1.0 - deltas) / (gaps + 1)).sum(axis=0, keepdims=True)
         return gz, gr, gh, g_wd, gz.T @ a_prev, gr.T @ a_prev, gh.T @ (reset * a_prev)
 
-    return _make(hidden, (xz, xr, xh, w_d, u_z, u_r, u_h), backward)
-
-
-def market_gru(m: Tensor, gaps, p: TimeDecayGRUParams) -> tuple[Tensor, Tensor]:
-    """Run the decayed GRU from a zero state over (T, d) pooled inputs.
-
-    ``gaps`` (T,) are the day gaps that set each date's decay. Returns the
-    hidden states a and the outputs m' = w_a a + b_a, both (T, d).
-    """
-    xz = linear(m, p.w_z, p.b_z)
-    xr = linear(m, p.w_r, p.b_r)
-    xh = linear(m, p.w_h, p.b_h)
-    hidden = gru_scan(xz, xr, xh, gaps, p.w_d, p.u_z, p.u_r, p.u_h)
-    return hidden, linear(hidden, p.w_a, p.b_a)
+    return a_seq[1:], deltas, backward
 
 
 def run_market_timeline(
     date_gaps: list[int], embeddings: Tensor, node_group, params: MarketParams
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Scan chronologically ordered dates into market states.
+    """Each call's market state m' from the dates up to its own, as one tape op.
 
     ``date_gaps[i]`` is the day count since date i-1 (0 for the first; the
     initial state is zero, so its decay never matters). ``embeddings`` holds
     the (N, d) call embeddings and ``node_group[j]`` the date index of call
-    j; every date needs at least one call.
+    j; every date needs at least one call. The calls are pooled per date
+    (``market_attention``), mapped to the gates' input terms, scanned
+    (``gru_scan``) and mapped to m' = w_a a + b_a per date; call j reads
+    the row of its date.
 
-    Returns the outputs m' (T, d), a numpy copy of each call's pooling
-    weight β (N,) and the decay coefficient δ (T,) of each date.
+    Returns the (N, d) rows m', a numpy copy of each call's pooling weight
+    β (N,) and the decay coefficient δ (T,) of each date. The node's
+    parents are ``embeddings`` and the 14 ``MarketParams.tensors()``. The
+    forward runs the numpy ops of the op-by-op chain (pooling, three input
+    maps, scan, output map, node gather) in that chain's order, so its rows
+    are bitwise equal to the chain's; the backward sums the gradients of
+    the pooled rows in the order that chain's tape does.
     """
     n_dates = len(date_gaps)
     node_group = np.asarray(node_group, dtype=np.intp)
@@ -261,6 +252,27 @@ def run_market_timeline(
         raise ShapeError(f"call dates must lie in [0, {n_dates})")
     if n_dates == 0 or not np.bincount(node_group, minlength=n_dates).all():
         raise ShapeError("every date needs at least one call")
-    pooled, beta = market_attention(embeddings, node_group, n_dates, params.attention)
-    _, outputs = market_gru(pooled, date_gaps, params.gru)
-    return outputs, beta.copy(), decay_coefficient(date_gaps, params.gru.w_d.data)
+    tensors = params.tensors()
+    w_k, w_q, w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h, w_d, w_a, b_a = (
+        t.data for t in tensors
+    )
+    pooled, beta, pool_backward = market_attention(embeddings.data, node_group, n_dates, w_k, w_q)
+    xz, xr, xh = (_affine(pooled, w, b) for w, b in ((w_z, b_z), (w_r, b_r), (w_h, b_h)))
+    hidden, deltas, scan_backward = gru_scan(xz, xr, xh, date_gaps, w_d, u_z, u_r, u_h)
+    out = np.take(_affine(hidden, w_a, b_a), node_group, axis=0)
+
+    def backward(g):
+        g_out = _segment_reduce(np.add, g, node_group, n_dates, 0.0)  # (T, d)
+        g_hidden, g_wa = _affine_grads(g_out, hidden, w_a)
+        gz, gr, gh, g_wd, g_uz, g_ur, g_uh = scan_backward(g_hidden)
+        (g_pz, g_wz), (g_pr, g_wr), (g_ph, g_wh) = (
+            _affine_grads(g_x, pooled, w) for g_x, w in ((gz, w_z), (gr, w_r), (gh, w_h))
+        )
+        g_emb, g_wk, g_wq = pool_backward(g_pz + g_pr + g_ph)  # the chain's order: z, r, h
+        return (
+            g_emb, g_wk, g_wq,
+            g_wz, g_uz, gz.sum(axis=0), g_wr, g_ur, gr.sum(axis=0), g_wh, g_uh, gh.sum(axis=0),
+            g_wd, g_wa, g_out.sum(axis=0),
+        )
+
+    return _make(out, (embeddings, *tensors), backward), beta.copy(), deltas.copy()

@@ -1,9 +1,9 @@
 """Minimal reverse-mode autodiff engine and neural building blocks."""
 
-from .layers import TransformerLayerParams, linear, transformer_encoder_layer
+from .layers import TransformerLayerParams, transformer_encoder_layer
 from .optim import AdamState, adam_step
 from .params import ParamStore, uniform_init
-from .tensor import Tensor, concat, is_grad_enabled, no_grad, relu, reshape, take
+from .tensor import Tensor, concat, is_grad_enabled, no_grad, take
 
 __all__ = [
     "AdamState",
@@ -13,10 +13,7 @@ __all__ = [
     "adam_step",
     "concat",
     "is_grad_enabled",
-    "linear",
     "no_grad",
-    "relu",
-    "reshape",
     "take",
     "transformer_encoder_layer",
     "uniform_init",

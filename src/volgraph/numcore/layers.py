@@ -1,10 +1,11 @@
-"""Reusable neural building blocks, each a single tape node.
+"""The transformer encoder layer as a single tape node, and its numpy kernels.
 
-``linear`` is an affine map and ``transformer_encoder_layer`` is one
-post-norm encoder layer (multi-head self-attention, residual, layer norm,
-a two-layer ReLU MLP, residual, layer norm); both have hand-written
-backwards. The layer's numpy kernels (the affine maps, the softmax
-weights, layer norm) are plain helpers here, not tape ops.
+``transformer_encoder_layer`` is one post-norm encoder layer (multi-head
+self-attention, residual, layer norm, a two-layer ReLU MLP, residual,
+layer norm) with a hand-written backward. Its numpy kernels (the affine
+maps and their gradients, the softmax weights, layer norm) are plain
+helpers here, not tape ops; the market stage and the heads use the
+affine pair too.
 
 The layer takes sequences of any lengths packed back to back as one
 (R, d) block, the "varlen" layout of FlashAttention-2 (Dao, 2023): the
@@ -91,23 +92,6 @@ def _affine_grads(g: np.ndarray, a: np.ndarray, w: np.ndarray) -> tuple:
 def _lead_sum(g: np.ndarray) -> np.ndarray:
     """Sum over every axis but the last: the gradient of a broadcast bias."""
     return g.sum(axis=tuple(range(g.ndim - 1)))
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w.T (+ b) as one tape node. Weight layout is (d_out, d_in).
-
-    ``x`` is (..., d_in) with at least two axes; the weight gradient sums
-    over every leading axis of ``x`` at once.
-    """
-    x, w = T.as_tensor(x), T.as_tensor(w)
-    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[1]:
-        raise ShapeError(f"linear: input {x.shape} does not fit weight {w.shape}")
-    if b is None:
-        out = _affine(x.data, w.data, None)
-        return T._make(out, (x, w), lambda g: _affine_grads(g, x.data, w.data))
-    b = T.as_tensor(b)
-    out = _affine(x.data, w.data, b.data)
-    return T._make(out, (x, w, b), lambda g: (*_affine_grads(g, x.data, w.data), _lead_sum(g)))
 
 
 def _attention_weights(q: np.ndarray, k: np.ndarray) -> tuple:

@@ -72,9 +72,14 @@ class ParamStore:
                 f"parameter mismatch: missing={missing[:3]} extra={extra[:3]}"
             )
         for name, t in self._params.items():
-            arr = np.asarray(arrays[name], dtype=t.data.dtype)
+            arr = np.asarray(arrays[name])
+            if arr.dtype.kind not in "iuf":
+                raise ConfigError(f"{name} does not hold real numbers (dtype {arr.dtype})")
+            arr = arr.astype(t.data.dtype)
+            if not np.isfinite(arr).all():
+                raise ConfigError(f"{name} holds a NaN or an infinity")
             if arr.shape != t.data.shape:
                 raise ConfigError(
                     f"shape mismatch for {name}: have {t.data.shape}, loading {arr.shape}"
                 )
-            t.data = arr.copy()
+            t.data = arr

@@ -1,14 +1,14 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
 A :class:`Tensor` wraps one ndarray plus an optional tape node. The
-generic ops are only those the model runs: the shape moves ``reshape``
-and ``concat``, the gather ``take`` and ``relu``; ``Tensor`` has no
-arithmetic operators. ``layers`` adds the fused ``linear`` and
-``transformer_encoder_layer`` ops; ``dialogue._pack_calls``,
-``market.market_attention``, ``market.gru_scan``, ``gnn.gat_layer`` and
-``pipeline.masked_mse_tensor`` are fused ops of the model itself, each
-built with ``_make``. ``backward()`` walks the tape once and accumulates
-gradients into every leaf created with ``requires_grad=True``.
+generic ops are only those the model runs: ``concat`` and the row gather
+``take``; ``Tensor`` has no arithmetic operators. ``layers`` adds the
+fused ``transformer_encoder_layer`` op; ``dialogue._pack_calls``,
+``market.run_market_timeline``, ``gnn.gat_layer``,
+``pipeline.model.window_head`` and ``pipeline.masked_mse_tensor`` are
+fused ops of the model itself, each built with ``_make``. ``backward()``
+walks the tape once and accumulates gradients into every leaf created
+with ``requires_grad=True``.
 
 Segment reductions (``_segment_reduce``: the backward of ``take`` and
 the segment sums of the fused ops) stably sort rows by destination and
@@ -137,6 +137,7 @@ class Tensor:
                 else:
                     flows[pid] = pg
 
+
 def as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
@@ -147,22 +148,6 @@ def _make(data, parents, backward) -> Tensor:
     if _GRAD_ENABLED and any(p._needs for p in parents):
         return Tensor(data, _parents=tuple(parents), _backward=backward)
     return Tensor(data)
-
-
-# -- shape moves --------------------------------------------------------------
-
-
-def reshape(a, *shape) -> Tensor:
-    a = as_tensor(a)
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
-    out = a.data.reshape(shape)
-    orig = a.shape
-
-    def backward(g):
-        return (g.reshape(orig),)
-
-    return _make(out, (a,), backward)
 
 
 def concat(parts: list, axis: int = 0) -> Tensor:
@@ -226,31 +211,16 @@ def _segment_softmax_grad(g: np.ndarray, w: np.ndarray, seg: np.ndarray, num_seg
     return w * (g - _segment_reduce(np.add, g * w, seg, num_segments, 0.0)[seg])
 
 
-def take(a, indices, axis: int = 0) -> Tensor:
-    """Gather rows (axis 0) or columns (axis 1) by integer index."""
+def take(a, indices) -> Tensor:
+    """Gather rows by integer index."""
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.intp)
-    if axis not in (0, 1):
-        raise ShapeError("take supports axis 0 or 1")
-    out = np.take(a.data, idx, axis=axis)
-    n = a.shape[axis]
+    out = np.take(a.data, idx, axis=0)
+    n = a.shape[0]
 
     def backward(g):
         flat = idx.ravel() % max(n, 1)  # the forward checked the range; wrap negatives
-        if axis == 0:
-            rows = g.reshape((flat.size,) + a.shape[1:])
-            return (_segment_reduce(np.add, rows, flat, n, 0.0),)
-        cols = np.moveaxis(g.reshape((a.shape[0], flat.size) + a.shape[2:]), 1, 0)
-        return (np.moveaxis(_segment_reduce(np.add, cols, flat, n, 0.0), 0, 1),)
-
-    return _make(out, (a,), backward)
-
-
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        return (g * (a.data > 0.0),)
+        rows = g.reshape((flat.size,) + a.shape[1:])
+        return (_segment_reduce(np.add, rows, flat, n, 0.0),)
 
     return _make(out, (a,), backward)

@@ -1,4 +1,10 @@
-"""Model assembly: dialogue encoder → company network encoder → output heads."""
+"""Model assembly: dialogue encoder → company network encoder → output heads.
+
+Each label window τ has its own head, relu(v w1ᵀ + b1) w2ᵀ + b2 over the
+final node embeddings, and each head is one tape op (``window_head``)
+with a hand-written backward. The loss over all windows is one more op
+(``masked_mse_tensor``).
+"""
 
 from __future__ import annotations
 
@@ -23,7 +29,8 @@ from ..gnn import (
 )
 from ..graphbuild import QuarterGraph
 from ..market import MarketParams
-from ..numcore import ParamStore, Tensor, linear, relu, reshape
+from ..numcore import ParamStore, Tensor
+from ..numcore.layers import _affine, _affine_grads
 from ..numcore.tensor import _make
 
 
@@ -249,12 +256,7 @@ class VolatilityModel:
         v_final, diag = company_network_encoder(
             v0, prepared.arrays, self.market_params, self.gat_params
         )
-        preds = {}
-        for tau in self.taus:
-            w1, b1, w2, b2 = self.heads[tau]
-            h = relu(linear(v_final, w1, b1))
-            y = linear(h, w2, b2)
-            preds[tau] = reshape(y, (y.shape[0],))
+        preds = {tau: window_head(v_final, *self.heads[tau]) for tau in self.taus}
         return preds, v_final, diag
 
     def predict(self, prepared: PreparedQuarter) -> dict[int, np.ndarray]:
@@ -274,6 +276,28 @@ class VolatilityModel:
         for tau in self.taus:
             _, _, _, b2 = self.heads[tau]
             b2.data = np.full_like(b2.data, label_means[tau])
+
+
+def window_head(v: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """One window's (N,) predictions relu(v w1ᵀ + b1) w2ᵀ + b2, as one tape op.
+
+    The node's parents are ``v`` and the head's ``w1, b1, w2, b2``. The
+    forward runs the numpy ops of the op-by-op chain (hidden map, ReLU,
+    output map, reshape to (N,)) in that chain's order, so its output is
+    bitwise equal to the chain's. The backward keeps the ReLU output.
+    """
+    h = _affine(v.data, w1.data, b1.data)
+    np.maximum(h, 0.0, out=h)
+    y = _affine(h, w2.data, b2.data)
+
+    def backward(g):
+        g = g.reshape(y.shape)
+        g_h, g_w2 = _affine_grads(g, h, w2.data)
+        g_h *= h > 0.0
+        g_v, g_w1 = _affine_grads(g_h, v.data, w1.data)
+        return g_v, g_w1, g_h.sum(axis=0), g_w2, g.sum(axis=0)
+
+    return _make(y.reshape(y.shape[0]), (v, w1, b1, w2, b2), backward)
 
 
 def window_taus(config: ModelConfig, tau: int) -> tuple:

@@ -1,10 +1,12 @@
 """Generic tape ops and the op-by-op chains that the library's fused ops replace.
 
-The broadcasting arithmetic, ``matmul``, ``swapaxes``, the reductions and
-the pointwise ``exp``/``tanh``/``sigmoid`` are tape ops built with
-``_make``. The model runs none of them: it runs fused ops with
-hand-written backwards. They stay here as the references those fused ops
-are checked against, with the arithmetic they had as library ops.
+The broadcasting arithmetic, ``matmul``, ``swapaxes``, ``reshape``, the
+column gather ``take_cols``, the reductions, the pointwise
+``exp``/``tanh``/``sigmoid``/``relu`` and the affine map ``linear`` are
+tape ops built with ``_make``. The model runs none of them: it runs fused
+ops with hand-written backwards. They stay here as the references those
+fused ops are checked against, with the arithmetic they had as library
+ops.
 
 Each ``*_chain`` function builds the same numpy operations as a fused
 op, in the same order, from per-op tape nodes, so the fused op must match
@@ -20,6 +22,7 @@ import numpy as np
 import volgraph.numcore as nc
 from volgraph.errors import ShapeError
 from volgraph.gnn import LEAKY_SLOPE
+from volgraph.numcore.layers import _affine, _affine_grads, _lead_sum
 from volgraph.numcore.tensor import Tensor, _make, _segment_reduce, as_tensor
 
 
@@ -105,6 +108,45 @@ def swapaxes(a, axis1: int, axis2: int) -> Tensor:
     return _make(out, (a,), backward)
 
 
+def reshape(a, *shape) -> Tensor:
+    a = as_tensor(a)
+    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
+        shape = tuple(shape[0])
+    out = a.data.reshape(shape)
+    orig = a.shape
+
+    def backward(g):
+        return (g.reshape(orig),)
+
+    return _make(out, (a,), backward)
+
+
+def take_cols(a, indices) -> Tensor:
+    """Gather the columns ``indices`` of a 2-D tensor."""
+    a = as_tensor(a)
+    idx = np.asarray(indices, dtype=np.intp)
+
+    def backward(g):
+        ga = np.zeros(a.shape)
+        np.add.at(ga, (slice(None), idx), g)
+        return (ga,)
+
+    return _make(np.take(a.data, idx, axis=1), (a,), backward)
+
+
+def linear(x, w, b=None) -> Tensor:
+    """x @ w.T (+ b), weight layout (d_out, d_in); ``x`` is (..., d_in) with
+    at least two axes, and the weight gradient sums over every leading axis."""
+    x, w = as_tensor(x), as_tensor(w)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[1]:
+        raise ShapeError(f"linear: input {x.shape} does not fit weight {w.shape}")
+    if b is None:
+        out = _affine(x.data, w.data, None)
+        return _make(out, (x, w), lambda g: _affine_grads(g, x.data, w.data))
+    b = as_tensor(b)
+    out = _affine(x.data, w.data, b.data)
+    return _make(out, (x, w, b), lambda g: (*_affine_grads(g, x.data, w.data), _lead_sum(g)))
+
 
 def _expand_reduced(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.ndarray:
     if axis is None:
@@ -173,6 +215,16 @@ def sigmoid(a) -> Tensor:
     return _make(out, (a,), backward)
 
 
+def relu(a) -> Tensor:
+    a = as_tensor(a)
+    out = np.maximum(a.data, 0.0)
+
+    def backward(g):
+        return (g * (a.data > 0.0),)
+
+    return _make(out, (a,), backward)
+
+
 def segment_sum(a, seg, num_segments):
     seg = np.asarray(seg, dtype=np.intp)
     out = _segment_reduce(np.add, a.data, seg, num_segments, 0.0)
@@ -194,28 +246,60 @@ def segment_softmax(scores, seg, num_segments):
 def market_attention_chain(embeddings, node_group, n_dates, params):
     """Keys, scaled scores, segment softmax, weighted segment sum; returns (pooled, β)."""
     n, d = embeddings.shape
-    keys = nc.linear(embeddings, params.w_k)
-    scores = div(matmul(keys, nc.reshape(params.w_q, (d, 1))), float(np.sqrt(d)))
-    beta = segment_softmax(nc.reshape(scores, (n,)), node_group, n_dates)
-    pooled = segment_sum(mul(nc.reshape(beta, (n, 1)), embeddings), node_group, n_dates)
+    keys = linear(embeddings, params.w_k)
+    scores = div(matmul(keys, reshape(params.w_q, (d, 1))), float(np.sqrt(d)))
+    beta = segment_softmax(reshape(scores, (n,)), node_group, n_dates)
+    pooled = segment_sum(mul(reshape(beta, (n, 1)), embeddings), node_group, n_dates)
     return pooled, beta
+
+
+def reference_scan(xz, xr, xh, gaps, w_d, u_z, u_r, u_h):
+    """The recurrence that ``market.gru_scan`` runs, built op for op from per-date tensors."""
+    deltas = sigmoid(div(w_d, np.asarray(gaps, dtype=np.float64) + 1))
+    uz, ur, uh = (swapaxes(u, 0, 1) for u in (u_z, u_r, u_h))
+    a = nc.Tensor(np.zeros((1, xz.shape[1])))
+    states = []
+    for t in range(xz.shape[0]):
+        row = [t]
+        z = sigmoid(add(nc.take(xz, row), matmul(a, uz)))
+        r = sigmoid(add(nc.take(xr, row), matmul(a, ur)))
+        gated = mul(mul(nc.take(deltas, row), r), a)
+        a_tilde = tanh(add(nc.take(xh, row), matmul(gated, uh)))
+        a = add(a, mul(z, sub(a_tilde, a)))
+        states.append(a)
+    return nc.concat(states, axis=0)
+
+
+def market_timeline_chain(date_gaps, embeddings, node_group, params):
+    """Pooling, the three input maps, the scan, the output map and the gather of
+    each call's date row; returns (m′ rows, β)."""
+    p = params.gru
+    pooled, beta = market_attention_chain(embeddings, node_group, len(date_gaps), params.attention)
+    xz, xr, xh = (linear(pooled, w, b) for w, b in ((p.w_z, p.b_z), (p.w_r, p.b_r), (p.w_h, p.b_h)))
+    hidden = reference_scan(xz, xr, xh, date_gaps, p.w_d, p.u_z, p.u_r, p.u_h)
+    return nc.take(linear(hidden, p.w_a, p.b_a), node_group), beta
+
+
+def window_head_chain(v, w1, b1, w2, b2):
+    """Hidden map, ReLU, output map, reshape to (N,)."""
+    return reshape(linear(relu(linear(v, w1, b1)), w2, b2), (v.shape[0],))
 
 
 def gat_layer_chain(v, m_prime_nodes, arrays, params):
     """Edge scores, segment softmax, scaled messages, segment sum, maps; returns (out, γ)."""
     d = v.shape[1]
     proj = matmul(swapaxes(params.attn_edge, 0, 1), params.attn_pair)
-    recv = nc.linear(v, nc.take(proj, np.arange(d), axis=1))
-    send = nc.linear(v, nc.take(proj, np.arange(d, 2 * d), axis=1))
+    recv = linear(v, take_cols(proj, np.arange(d)))
+    send = linear(v, take_cols(proj, np.arange(d, 2 * d)))
     per_feature = add(nc.take(recv, arrays.dst), nc.take(send, arrays.src))
     scores = sum_(mul(nc.Tensor(arrays.edge_feat), per_feature), axis=1)
     gamma = segment_softmax(leaky_relu(scores), arrays.dst, arrays.n_nodes)
     g = add(v, m_prime_nodes)
-    coef = nc.reshape(div(gamma, nc.Tensor(arrays.dtilde)), (gamma.shape[0], 1))
+    coef = reshape(div(gamma, nc.Tensor(arrays.dtilde)), (gamma.shape[0], 1))
     agg = segment_sum(mul(coef, nc.take(g, arrays.src)), arrays.dst, arrays.n_nodes)
-    out = add(nc.linear(agg, params.w0), nc.linear(g, params.w1_self))
+    out = add(linear(agg, params.w0), linear(g, params.w1_self))
     if params.activation == "relu":
-        out = nc.relu(out)
+        out = relu(out)
     return out, gamma
 
 

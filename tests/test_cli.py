@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -774,21 +775,40 @@ class TestPredict:
         assert out.splitlines()[0].startswith("node_id,company_id,call_id,call_date,pred_3")
 
 
-    @pytest.mark.parametrize("corruption", ["missing_array", "unknown_config_key"])
+    # a parameter array that is not real numbers, or that is not finite
+    BAD_VALUES = {
+        "string_array": lambda a: np.full(a.shape, "abc"),
+        "complex_array": lambda a: a + 1j,
+        "nan_array": lambda a: np.where(np.arange(a.size).reshape(a.shape) == 1, np.nan, a),
+    }
+
+    @pytest.mark.parametrize(
+        "corruption", ["missing_array", "unknown_config_key", *BAD_VALUES]
+    )
     def test_corrupt_checkpoint_exits_2(self, workdir, tmp_path, capsys, corruption):
         with np.load(workdir["ckpt"]) as data:
             arrays = {k: data[k] for k in data.files}
         manifest = json.loads(str(arrays["__manifest__"]))
+        key = manifest["params"][1]
         if corruption == "missing_array":
             del arrays[manifest["params"][0]]
-        else:
+        elif corruption == "unknown_config_key":
             manifest["config"]["bogus"] = 1
+        else:
+            arrays[key] = self.BAD_VALUES[corruption](arrays[key])
         arrays["__manifest__"] = np.array(json.dumps(manifest))
         bad = tmp_path / "bad.npz"
         np.savez(bad, **arrays)
-        rc = main(["predict", "--model", str(bad), "--graph", str(workdir["graph"])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning on the way to the error
+            rc = main(["predict", "--model", str(bad), "--graph", str(workdir["graph"])])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        if corruption in self.BAD_VALUES:
+            scope, name = key.split("/")
+            assert err.count("\n") == 1
+            assert "bad.npz" in err and f"scope {scope}" in err and name in err
 
     def test_overflowing_checkpoint_exits_2(self, workdir, tmp_path, capsys):
         with np.load(workdir["ckpt"]) as data:

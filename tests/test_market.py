@@ -1,5 +1,6 @@
 """Market encoder: attention pooling, decay gating, the recurrent scan,
-and a scripted step-by-step oracle for the whole timeline."""
+a scripted step-by-step oracle for the whole timeline, and the timeline
+as one tape op against the op-by-op chain it replaces."""
 
 from __future__ import annotations
 
@@ -14,14 +15,14 @@ from volgraph.market import (
     decay_coefficient,
     gru_scan,
     market_attention,
-    market_gru,
     run_market_timeline,
 )
 from volgraph.numcore.params import ParamStore
+from volgraph.numcore.tensor import _make
 
 import reference_ops as ro
 from gradcheck import grad_check, n_scalars
-from reference_ops import market_attention_chain
+from reference_ops import market_attention_chain, market_timeline_chain, reference_scan
 
 D = 4
 
@@ -31,9 +32,17 @@ def setup_params(rng, d=D):
     return store, MarketParams.init(store, rng, d)
 
 
+def pool(emb, node_group, n_dates, attention):
+    """The pooled rows (n_dates, d) and β (N,) of numpy call embeddings."""
+    pooled, beta, _ = market_attention(
+        emb, np.asarray(node_group, dtype=np.intp), n_dates, attention.w_k.data, attention.w_q.data
+    )
+    return pooled, beta
+
+
 def pool_one_date(emb, attention):
     """Pool a single date's calls: every row belongs to date 0."""
-    return market_attention(emb, np.zeros(emb.shape[0], dtype=np.intp), 1, attention)
+    return pool(emb, np.zeros(emb.shape[0], dtype=np.intp), 1, attention)
 
 
 def node_group_of(groups):
@@ -42,43 +51,61 @@ def node_group_of(groups):
 
 
 def timeline_of(groups, gaps, params):
-    """Run the scan over per-date groups laid out date by date in node order.
+    """Run the timeline over per-date groups laid out date by date in node order.
 
-    Returns the outputs m' (T, d), β (N,) and δ (T,).
+    Returns the outputs m' (T, d), read off each date's first call, β (N,)
+    and δ (T,).
     """
     node_group = node_group_of(groups)
-    return run_market_timeline(gaps, nc.Tensor(np.concatenate(groups)), node_group, params)
+    rows, beta, delta = run_market_timeline(
+        gaps, nc.Tensor(np.concatenate(groups)), node_group, params
+    )
+    firsts = np.cumsum([0] + [len(g) for g in groups[:-1]])
+    return rows.data[firsts], beta, delta
 
 
 def pooled_and_hidden(groups, gaps, params):
-    """The pooled inputs m (T, d) and the GRU states a (T, d) inside that scan."""
-    emb = nc.Tensor(np.concatenate(groups))
-    pooled, _ = market_attention(emb, node_group_of(groups), len(groups), params.attention)
-    hidden, _ = market_gru(pooled, gaps, params.gru)
+    """The pooled inputs m (T, d) and the GRU states a (T, d) inside that timeline."""
+    p = params.gru
+    pooled, _ = pool(np.concatenate(groups), node_group_of(groups), len(groups), params.attention)
+    xz, xr, xh = (pooled @ w.data.T + b.data for w, b in ((p.w_z, p.b_z), (p.w_r, p.b_r),
+                                                          (p.w_h, p.b_h)))
+    hidden, _, _ = gru_scan(xz, xr, xh, gaps, p.w_d.data, p.u_z.data, p.u_r.data, p.u_h.data)
     return pooled, hidden
+
+
+def tape_op_count(root) -> int:
+    """Tape nodes with a backward reachable from ``root``: the ops, not the leaves."""
+    ops, stack, seen = 0, [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        ops += node._backward_fn is not None
+        stack.extend(node._parents)
+    return ops
 
 
 class TestAttentionPooling:
     def test_weights_sum_to_one(self, rng):
         store, params = setup_params(rng)
-        emb = nc.Tensor(rng.normal(size=(5, D)))
-        pooled, beta = pool_one_date(emb, params.attention)
+        pooled, beta = pool_one_date(rng.normal(size=(5, D)), params.attention)
         assert pooled.shape == (1, D)
         assert float(beta.sum()) == pytest.approx(1.0, abs=1e-12)
         assert np.all(beta > 0)
 
     def test_single_call_gets_weight_one(self, rng):
         store, params = setup_params(rng)
-        emb = nc.Tensor(rng.normal(size=(1, D)))
+        emb = rng.normal(size=(1, D))
         pooled, beta = pool_one_date(emb, params.attention)
         np.testing.assert_allclose(beta, [1.0], atol=1e-15)
-        np.testing.assert_allclose(pooled.data[0], emb.data[0], atol=1e-15)
+        np.testing.assert_allclose(pooled[0], emb[0], atol=1e-15)
 
     def test_identical_calls_share_weight_equally(self, rng):
         store, params = setup_params(rng)
         row = rng.normal(size=D)
-        emb = nc.Tensor(np.stack([row, row, row]))
-        _, beta = pool_one_date(emb, params.attention)
+        _, beta = pool_one_date(np.stack([row, row, row]), params.attention)
         np.testing.assert_allclose(beta, [1 / 3] * 3, atol=1e-12)
 
     def test_permutation_equivariance(self, rng):
@@ -87,9 +114,9 @@ class TestAttentionPooling:
         store, params = setup_params(rng)
         emb = rng.normal(size=(4, D))
         perm = np.array([2, 0, 3, 1])
-        p1, b1 = pool_one_date(nc.Tensor(emb), params.attention)
-        p2, b2 = pool_one_date(nc.Tensor(emb[perm]), params.attention)
-        np.testing.assert_allclose(p2.data, p1.data, atol=1e-12)
+        p1, b1 = pool_one_date(emb, params.attention)
+        p2, b2 = pool_one_date(emb[perm], params.attention)
+        np.testing.assert_allclose(p2, p1, atol=1e-12)
         np.testing.assert_allclose(b2, b1[perm], atol=1e-12)
 
     def test_matches_manual_softmax(self, rng):
@@ -98,17 +125,17 @@ class TestAttentionPooling:
         keys = emb @ params.attention.w_k.data.T
         scores = keys @ params.attention.w_q.data / np.sqrt(D)
         want_beta = scipy.special.softmax(scores)
-        _, beta = pool_one_date(nc.Tensor(emb), params.attention)
+        _, beta = pool_one_date(emb, params.attention)
         np.testing.assert_allclose(beta, want_beta, atol=1e-12)
 
     def test_rejects_bad_shape(self, rng):
         store, params = setup_params(rng)
         with pytest.raises(ShapeError):
-            market_attention(nc.Tensor(np.zeros((2, 2, 2))), np.zeros(2, dtype=np.intp), 1,
-                             params.attention)
+            run_market_timeline([0], nc.Tensor(np.zeros((2, 2, 2))), np.zeros(2, dtype=np.intp),
+                                params)
         with pytest.raises(ShapeError):
-            market_attention(nc.Tensor(np.zeros((3, D))), np.zeros(1, dtype=np.intp), 1,
-                             params.attention)
+            run_market_timeline([0], nc.Tensor(np.zeros((3, D))), np.zeros(1, dtype=np.intp),
+                                params)
 
 
 class TestDecayCoefficient:
@@ -153,25 +180,28 @@ class TestGRUStep:
         return a, m_prime
 
     def test_matches_manual_arithmetic(self, rng):
+        # one call per date pools to the call itself, so m is the embedding;
         # the second date starts from the non-zero state the first one left
         store, params = setup_params(rng)
         m = rng.normal(size=(2, D))
         gaps = np.array([0, 6])
+        groups = [m[:1], m[1:]]
         deltas = scipy.special.expit(params.gru.w_d.data[0] / (gaps + 1))
-        a, m_prime = market_gru(nc.Tensor(m), gaps, params.gru)
+        m_prime, _, _ = timeline_of(groups, gaps, params)
+        _, a = pooled_and_hidden(groups, gaps, params)
         a_prev = np.zeros((1, D))
         for t in range(2):
             a_prev, want_mp = self.manual_step(m[t : t + 1], a_prev, deltas[t], params.gru)
-            np.testing.assert_allclose(a.data[t], a_prev[0], atol=1e-12)
-            np.testing.assert_allclose(m_prime.data[t], want_mp[0], atol=1e-12)
+            np.testing.assert_allclose(a[t], a_prev[0], atol=1e-12)
+            np.testing.assert_allclose(m_prime[t], want_mp[0], atol=1e-12)
 
     def test_state_stays_bounded(self, rng):
         # a is a convex combination of a_prev and tanh(...) in (-1,1), so
         # starting from zero it can never leave (-1, 1)
         store, params = setup_params(rng)
-        m = nc.Tensor(rng.normal(size=(50, D)) * 10)
-        a, _ = market_gru(m, np.full(50, 3), params.gru)
-        assert np.all(np.abs(a.data) < 1.0)
+        groups = list(rng.normal(size=(50, 1, D)) * 10)
+        _, a = pooled_and_hidden(groups, np.full(50, 3), params)
+        assert np.all(np.abs(a) < 1.0)
 
 
 class TestTimeline:
@@ -194,9 +224,9 @@ class TestTimeline:
             m = (beta[None, :] @ emb).reshape(1, D)
             delta = sig(params.gru.w_d.data[0] / (gap + 1))
             a, m_prime = step.manual_step(m, a, delta, params.gru)
-            np.testing.assert_allclose(pooled.data[i], m[0], atol=1e-12)
-            np.testing.assert_allclose(hidden.data[i], a[0], atol=1e-12)
-            np.testing.assert_allclose(outputs.data[i], m_prime[0], atol=1e-12)
+            np.testing.assert_allclose(pooled[i], m[0], atol=1e-12)
+            np.testing.assert_allclose(hidden[i], a[0], atol=1e-12)
+            np.testing.assert_allclose(outputs[i], m_prime[0], atol=1e-12)
             np.testing.assert_allclose(betas[node_group == i], beta, atol=1e-12)
             assert deltas[i] == pytest.approx(float(delta), abs=1e-15)
 
@@ -212,9 +242,9 @@ class TestTimeline:
         pert, _, _ = timeline_of(groups2, gaps, params)
         _, pert_hidden = pooled_and_hidden(groups2, gaps, params)
         for i in range(3):
-            assert np.array_equal(base.data[i], pert.data[i])
-            assert np.array_equal(base_hidden.data[i], pert_hidden.data[i])
-        assert not np.array_equal(base.data[3], pert.data[3])
+            assert np.array_equal(base[i], pert[i])
+            assert np.array_equal(base_hidden[i], pert_hidden[i])
+        assert not np.array_equal(base[3], pert[3])
 
     def test_earlier_dates_do_influence_later_states(self, rng):
         store, params = setup_params(rng)
@@ -224,7 +254,7 @@ class TestTimeline:
         groups2 = [g.copy() for g in groups]
         groups2[0] = groups2[0] + 1.0
         pert, _, _ = timeline_of(groups2, gaps, params)
-        assert not np.array_equal(base.data[2], pert.data[2])
+        assert not np.array_equal(base[2], pert[2])
 
     def test_gradients_through_three_dates(self, rng):
         store, params = setup_params(rng)
@@ -233,8 +263,10 @@ class TestTimeline:
         w = rng.normal(size=(1, D))
 
         def loss():
-            outputs, _, _ = timeline_of(groups, gaps, params)
-            total = ro.sum_(outputs, axis=0, keepdims=True)
+            rows, _, _ = run_market_timeline(
+                gaps, nc.Tensor(np.concatenate(groups)), node_group_of(groups), params
+            )
+            total = ro.sum_(rows, axis=0, keepdims=True)
             return ro.sum_(ro.mul(total, nc.Tensor(w)))
 
         report = grad_check(loss, store, tol=1e-4)
@@ -248,7 +280,10 @@ class TestTimeline:
 
 
 def reference_timeline(emb, node_group, gaps, params):
-    """The per-date loop that the whole-quarter scan replaces, op for op."""
+    """The per-date loop that the whole-quarter timeline replaces, op for op.
+
+    Returns each call's row of the per-date outputs, and β per date.
+    """
     att, p = params.attention, params.gru
     d = emb.shape[1]
     a = nc.Tensor(np.zeros((1, d)))
@@ -256,21 +291,21 @@ def reference_timeline(emb, node_group, gaps, params):
     for t, gap in enumerate(gaps):
         ids = np.flatnonzero(node_group == t)
         e = nc.take(emb, ids)
-        keys = nc.linear(e, att.w_k)
-        scores = ro.div(ro.matmul(keys, nc.reshape(att.w_q, (d, 1))), float(np.sqrt(d)))
-        flat = nc.reshape(scores, (len(ids),))
+        keys = ro.linear(e, att.w_k)
+        scores = ro.div(ro.matmul(keys, ro.reshape(att.w_q, (d, 1))), float(np.sqrt(d)))
+        flat = ro.reshape(scores, (len(ids),))
         weights = ro.exp(ro.sub(flat, nc.Tensor(flat.data.max())))
         beta = ro.div(weights, ro.sum_(weights))
-        m = ro.matmul(nc.reshape(beta, (1, len(ids))), e)
+        m = ro.matmul(ro.reshape(beta, (1, len(ids))), e)
         delta = ro.sigmoid(ro.div(p.w_d, float(gap + 1)))
-        z = ro.sigmoid(ro.add(ro.add(nc.linear(m, p.w_z), nc.linear(a, p.u_z)), p.b_z))
-        r = ro.sigmoid(ro.add(ro.add(nc.linear(m, p.w_r), nc.linear(a, p.u_r)), p.b_r))
+        z = ro.sigmoid(ro.add(ro.add(ro.linear(m, p.w_z), ro.linear(a, p.u_z)), p.b_z))
+        r = ro.sigmoid(ro.add(ro.add(ro.linear(m, p.w_r), ro.linear(a, p.u_r)), p.b_r))
         gated = ro.mul(ro.mul(delta, r), a)
-        a_tilde = ro.tanh(ro.add(ro.add(nc.linear(m, p.w_h), nc.linear(gated, p.u_h)), p.b_h))
+        a_tilde = ro.tanh(ro.add(ro.add(ro.linear(m, p.w_h), ro.linear(gated, p.u_h)), p.b_h))
         a = ro.add(ro.mul(ro.sub(1.0, z), a), ro.mul(z, a_tilde))
-        outputs.append(nc.linear(a, p.w_a, p.b_a))
+        outputs.append(ro.linear(a, p.w_a, p.b_a))
         betas.append(beta.data)
-    return nc.concat(outputs, axis=0), betas
+    return nc.take(nc.concat(outputs, axis=0), node_group), betas
 
 
 class TestWholeQuarterScan:
@@ -298,7 +333,7 @@ class TestWholeQuarterScan:
     def test_gradients_match_per_date_loop(self, rng):
         store, params = setup_params(rng)
         emb = rng.normal(size=(len(self.NODE_GROUP), D))
-        w = rng.normal(size=(len(self.GAPS), D))
+        w = rng.normal(size=(len(self.NODE_GROUP), D))
 
         def scan(x):
             return run_market_timeline(self.GAPS, x, self.NODE_GROUP, params)[0]
@@ -316,7 +351,7 @@ class TestWholeQuarterScan:
     def test_gradcheck_interleaved_dates(self, rng):
         store, params = setup_params(rng)
         emb = rng.normal(size=(len(self.NODE_GROUP), D))
-        w = rng.normal(size=(len(self.GAPS), D))
+        w = rng.normal(size=(len(self.NODE_GROUP), D))
 
         def loss():
             outputs, _, _ = run_market_timeline(self.GAPS, nc.Tensor(emb), self.NODE_GROUP, params)
@@ -331,10 +366,10 @@ class TestWholeQuarterScan:
         node_group = np.array([0, 1, 1, 2, 3])
         emb = rng.normal(size=(5, D))
         outputs, betas, _ = run_market_timeline([0, 2, 5, 1], nc.Tensor(emb), node_group, params)
-        pooled, _ = market_attention(nc.Tensor(emb), node_group, 4, params.attention)
+        pooled, _ = pool(emb, node_group, 4, params.attention)
         for date, node in ((0, 0), (2, 3), (3, 4)):
             assert betas[node_group == date].tolist() == [1.0]
-            assert np.array_equal(pooled.data[date], emb[node])
+            assert np.array_equal(pooled[date], emb[node])
         want, _ = reference_timeline(nc.Tensor(emb), node_group, [0, 2, 5, 1], params)
         np.testing.assert_allclose(outputs.data, want.data, rtol=0, atol=1e-12)
 
@@ -359,78 +394,80 @@ class TestWholeQuarterScan:
 
 
 class TestFusedPooling:
-    """``market_attention`` as one tape node against the op-by-op chain it replaces."""
+    """``run_market_timeline`` (the pooling, the three input maps, the scan,
+    the output map and the gather of each call's date row) as one tape node
+    against the op-by-op chain it replaces."""
 
-    # date of each call; the dates interleave in node order, date 1 has one call
+    # date of each call; the dates interleave in node order, date 1 has one
+    # call, and the gaps include a same-day date and a long one
     NODE_GROUP = np.array([2, 0, 3, 0, 2, 2, 1, 3])
+    GAPS = [0, 0, 7, 400]
 
     def leaves(self, rng):
         store, params = setup_params(rng)
         emb = store.add("embeddings", rng.normal(size=(len(self.NODE_GROUP), D)))
-        return store, params.attention, emb
+        return store, params, emb
 
-    def pool(self, fn, emb, attention):
-        return fn(emb, self.NODE_GROUP, 4, attention)
+    def run(self, fn, emb, params):
+        return fn(self.GAPS, emb, self.NODE_GROUP, params)
 
     def test_one_tape_node(self, rng):
-        store, attention, emb = self.leaves(rng)
-        pooled, beta = self.pool(market_attention, emb, attention)
-        assert pooled._parents == (emb, attention.w_k, attention.w_q)
-        assert all(p._backward_fn is None for p in pooled._parents)
+        store, params, emb = self.leaves(rng)
+        rows, beta, delta = self.run(run_market_timeline, emb, params)
+        assert rows._parents == (emb, *params.tensors())
+        assert len(rows._parents) == 15
+        assert all(p._backward_fn is None for p in rows._parents)
+        assert rows.shape == (len(self.NODE_GROUP), D)
         assert isinstance(beta, np.ndarray) and beta.shape == (len(self.NODE_GROUP),)
+        assert isinstance(delta, np.ndarray) and delta.shape == (len(self.GAPS),)
 
     def test_no_tape_under_no_grad(self, rng):
-        store, attention, emb = self.leaves(rng)
+        store, params, emb = self.leaves(rng)
         with nc.no_grad():
-            pooled, _ = self.pool(market_attention, emb, attention)
-        assert pooled._parents == () and pooled._backward_fn is None
+            rows, _, _ = self.run(run_market_timeline, emb, params)
+        assert rows._parents == () and rows._backward_fn is None
 
     def test_forward_bitwise_equal_to_op_chain(self, rng):
-        store, attention, emb = self.leaves(rng)
-        pooled, beta = self.pool(market_attention, emb, attention)
-        want, want_beta = self.pool(market_attention_chain, emb, attention)
-        assert np.array_equal(pooled.data, want.data)
+        store, params, emb = self.leaves(rng)
+        rows, beta, _ = self.run(run_market_timeline, emb, params)
+        want, want_beta = self.run(market_timeline_chain, emb, params)
+        assert np.array_equal(rows.data, want.data)
         assert np.array_equal(beta, want_beta.data)
+        pooled, _ = pool(emb.data, self.NODE_GROUP, len(self.GAPS), params.attention)
+        want_pooled, _ = market_attention_chain(emb, self.NODE_GROUP, len(self.GAPS),
+                                                params.attention)
+        assert np.array_equal(pooled, want_pooled.data)
 
     def test_gradients_match_op_chain(self, rng):
-        store, attention, emb = self.leaves(rng)
-        w = nc.Tensor(rng.normal(size=(4, D)))
-        ro.sum_(ro.mul(self.pool(market_attention, emb, attention)[0], w)).backward()
+        store, params, emb = self.leaves(rng)
+        w = nc.Tensor(rng.normal(size=(len(self.NODE_GROUP), D)))
+        ro.sum_(ro.mul(self.run(run_market_timeline, emb, params)[0], w)).backward()
         got = {name: t.grad for name, t in store.items() if t.grad is not None}
         store.zero_grad()
-        ro.sum_(ro.mul(self.pool(market_attention_chain, emb, attention)[0], w)).backward()
-        assert set(got) == {"embeddings", "market.attn.w_k", "market.attn.w_q"}
+        ro.sum_(ro.mul(self.run(market_timeline_chain, emb, params)[0], w)).backward()
+        assert set(got) == {name for name, _ in store.items()}
         for name, g in got.items():
             np.testing.assert_allclose(g, store[name].grad, rtol=0, atol=1e-12, err_msg=name)
 
     def test_gradcheck_embeddings_and_params(self, rng):
-        store, attention, emb = self.leaves(rng)
-        w = nc.Tensor(rng.normal(size=(4, D)))
+        store, params, emb = self.leaves(rng)
+        w = nc.Tensor(rng.normal(size=(len(self.NODE_GROUP), D)))
 
         def loss():
-            return ro.sum_(ro.mul(self.pool(market_attention, emb, attention)[0], w))
+            return ro.sum_(ro.mul(self.run(run_market_timeline, emb, params)[0], w))
 
-        names = ["embeddings", "market.attn.w_k", "market.attn.w_q"]
-        report = grad_check(loss, store, tol=1e-4, param_names=names)
+        report = grad_check(loss, store, tol=1e-4)
         assert report.passed, report.summary()
-        assert report.n_checked == sum(store[name].size for name in names)
+        assert len(report.per_param) == 15
+        assert report.n_checked == n_scalars(store)
 
 
-def reference_scan(xz, xr, xh, gaps, w_d, u_z, u_r, u_h):
-    """The recurrence that ``gru_scan`` fuses, built op for op from per-date tensors."""
-    deltas = ro.sigmoid(ro.div(w_d, np.asarray(gaps, dtype=np.float64) + 1))
-    uz, ur, uh = (ro.swapaxes(u, 0, 1) for u in (u_z, u_r, u_h))
-    a = nc.Tensor(np.zeros((1, xz.shape[1])))
-    states = []
-    for t in range(xz.shape[0]):
-        row = [t]
-        z = ro.sigmoid(ro.add(nc.take(xz, row), ro.matmul(a, uz)))
-        r = ro.sigmoid(ro.add(nc.take(xr, row), ro.matmul(a, ur)))
-        gated = ro.mul(ro.mul(nc.take(deltas, row), r), a)
-        a_tilde = ro.tanh(ro.add(nc.take(xh, row), ro.matmul(gated, uh)))
-        a = ro.add(a, ro.mul(z, ro.sub(a_tilde, a)))
-        states.append(a)
-    return nc.concat(states, axis=0)
+def scan_op(xz, xr, xh, gaps, w_d, u_z, u_r, u_h):
+    """``gru_scan`` wrapped as a tape op, so that the tape runs its backward."""
+    inputs = (xz, xr, xh, w_d, u_z, u_r, u_h)
+    hidden, _, backward = gru_scan(*(t.data for t in inputs[:3]), gaps,
+                                   *(t.data for t in inputs[3:]))
+    return _make(hidden, inputs, backward)
 
 
 SCAN_INPUTS = ("xz", "xr", "xh", "w_d", "u_z", "u_r", "u_h")
@@ -458,12 +495,12 @@ class TestGRUScan:
         return out
 
     def assert_matches_per_date_loop(self, rng, store, gaps):
-        got = self.run(gru_scan, store, gaps)
+        got = self.run(scan_op, store, gaps)
         want = self.run(reference_scan, store, gaps)
         assert np.array_equal(got.data, want.data)
         w = rng.normal(size=got.shape)
         store.zero_grad()
-        self.run(gru_scan, store, gaps, w)
+        self.run(scan_op, store, gaps, w)
         grads = {name: t.grad.copy() for name, t in store.items()}
         store.zero_grad()
         self.run(reference_scan, store, gaps, w)
@@ -474,7 +511,7 @@ class TestGRUScan:
     @pytest.mark.parametrize("t_len,d", SIZES)
     def test_forward_bitwise_equal_to_per_date_loop(self, rng, t_len, d):
         store, gaps = scan_inputs(rng, t_len, d)
-        got = self.run(gru_scan, store, gaps)
+        got = self.run(scan_op, store, gaps)
         want = self.run(reference_scan, store, gaps)
         assert got.shape == (t_len, d)
         assert np.array_equal(got.data, want.data)
@@ -494,49 +531,38 @@ class TestGRUScan:
         w = rng.normal(size=(6, 5))
 
         def loss():
-            return ro.sum_(ro.mul(self.run(gru_scan, store, gaps), nc.Tensor(w)))
+            return ro.sum_(ro.mul(self.run(scan_op, store, gaps), nc.Tensor(w)))
 
         report = grad_check(loss, store, tol=1e-4)
         assert report.passed, report.summary()
         assert report.n_checked == n_scalars(store)
 
     def test_one_tape_node_per_scan(self, rng):
-        store, gaps = scan_inputs(rng, 12, 4)
-        out = self.run(gru_scan, store, gaps)
-        assert out._parents == tuple(store[name] for name in SCAN_INPUTS)
-        assert all(p._backward_fn is None for p in out._parents)
+        # the pooling, 3 input maps, the scan and the output map of a
+        # 20-date timeline: one node for any date count
+        store, params = setup_params(rng)
+        emb = nc.Tensor(rng.normal(size=(20, D)), requires_grad=True)
+        rows, _, _ = run_market_timeline(np.full(20, 2), emb, np.arange(20), params)
+        assert rows._parents == (emb, *params.tensors())
+        assert tape_op_count(rows) == 1
 
     def test_no_tape_under_no_grad(self, rng):
-        store, gaps = scan_inputs(rng, 5, 4)
-        with nc.no_grad():
-            out = self.run(gru_scan, store, gaps)
-        assert out._parents == () and out._backward_fn is None
-
-    def test_market_gru_adds_one_node_for_the_recurrence(self, rng):
-        # 3 input maps, the scan and the output map: 5 nodes for any date count
         store, params = setup_params(rng)
-        m = nc.Tensor(rng.normal(size=(20, D)), requires_grad=True)
-        _, out = market_gru(m, np.full(20, 2), params.gru)
-        nodes, stack, seen = 0, [out], set()
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            nodes += node._backward_fn is not None
-            stack.extend(node._parents)
-        assert nodes == 5
+        emb = nc.Tensor(rng.normal(size=(12, D)), requires_grad=True)
+        node_group = np.repeat(np.arange(6), 2)
+        taped, _, _ = run_market_timeline([0, 0, 9, 1, 300, 2], emb, node_group, params)
+        with nc.no_grad():
+            rows, _, _ = run_market_timeline([0, 0, 9, 1, 300, 2], emb, node_group, params)
+        assert rows._parents == () and rows._backward_fn is None
+        assert np.array_equal(rows.data, taped.data)
 
     def test_rejects_mismatched_shapes(self, rng):
-        store, gaps = scan_inputs(rng, 4, 3)
-        xz, xr, xh, w_d, u_z, u_r, u_h = (store[name] for name in SCAN_INPUTS)
-        with pytest.raises(ShapeError):
-            gru_scan(xz, xr, nc.Tensor(np.zeros((3, 3))), gaps, w_d, u_z, u_r, u_h)
-        with pytest.raises(ShapeError):
-            gru_scan(xz, xr, xh, gaps[:3], w_d, u_z, u_r, u_h)
-        with pytest.raises(ShapeError):
-            gru_scan(xz, xr, xh, gaps, nc.Tensor(np.zeros(2)), u_z, u_r, u_h)
-        with pytest.raises(ShapeError):
-            gru_scan(xz, xr, xh, gaps, w_d, u_z, u_r, nc.Tensor(np.zeros((3, 4))))
-        with pytest.raises(ShapeError):
-            gru_scan(xz, xr, xh, np.array([0, 1, -1, 2]), w_d, u_z, u_r, u_h)
+        store, params = setup_params(rng)
+        emb = nc.Tensor(rng.normal(size=(4, D)))
+        node_group = np.array([0, 1, 1, 2])
+        with pytest.raises(ShapeError):  # fewer gaps than dates
+            run_market_timeline([0, 1], emb, node_group, params)
+        with pytest.raises(ShapeError):  # a gap for a date without calls
+            run_market_timeline([0, 1, 2, 3], emb, node_group, params)
+        with pytest.raises(ShapeError):  # a negative gap
+            run_market_timeline([0, 1, -1], emb, node_group, params)

@@ -20,8 +20,8 @@ def mlp_store(rng):
 
 
 def mlp_loss(store, x, y):
-    h = ro.tanh(nc.linear(nc.Tensor(x), store["fc1.w"], store["fc1.b"]))
-    pred = nc.linear(h, store["fc2.w"], store["fc2.b"])
+    h = ro.tanh(ro.linear(nc.Tensor(x), store["fc1.w"], store["fc1.b"]))
+    pred = ro.linear(h, store["fc2.w"], store["fc2.b"])
     err = ro.sub(pred, nc.Tensor(y))
     return ro.mean_(ro.mul(err, err))
 

@@ -30,11 +30,14 @@ from volgraph.pipeline import (
     transductive_split,
 )
 from volgraph.pipeline.metrics import mean_mse, mse, r_squared
-from volgraph.pipeline.model import masked_mse_tensor
+from volgraph.numcore.params import ParamStore
+from volgraph.pipeline.model import masked_mse_tensor, window_head
 from volgraph.pipeline.training import TrainState, _quarter_loss, _validation_mse
 
+import reference_ops as ro
 from conftest import tiny_config
-from reference_ops import masked_mse_chain
+from gradcheck import grad_check, n_scalars
+from reference_ops import masked_mse_chain, window_head_chain
 
 
 def make_prepared(corpus, datasets):
@@ -252,6 +255,52 @@ def tape_nodes(roots) -> int:
         nodes += node._backward_fn is not None
         stack.extend(node._parents)
     return nodes
+
+
+class TestWindowHead:
+    """``window_head`` as one tape node against the op-by-op chain it replaces."""
+
+    def leaves(self, rng, n=9, d=6, hidden=5):
+        store = ParamStore()
+        v = store.add("v", rng.normal(size=(n, d)))
+        w1, b1 = store.linear(rng, "hidden", d, hidden)
+        w2, b2 = store.linear(rng, "out", hidden, 1)
+        return store, (v, w1, b1, w2, b2)
+
+    def test_one_tape_node_per_window(self, prepared_quarters):
+        model = VolatilityModel(tiny_config(), TAUS)
+        preds, v_final, _ = model.forward(prepared_quarters[0])
+        for tau, pred in preds.items():
+            assert pred._parents == (v_final, *model.heads[tau])
+            assert pred.shape == (prepared_quarters[0].graph.n_nodes,)
+        assert tape_nodes(list(preds.values())) == tape_nodes([v_final]) + len(TAUS)
+
+    def test_no_tape_under_no_grad(self, rng):
+        _, args = self.leaves(rng)
+        with nc.no_grad():
+            out = window_head(*args)
+        assert out._parents == () and out._backward_fn is None
+
+    def test_forward_bitwise_equal_to_op_chain(self, rng):
+        _, args = self.leaves(rng)
+        assert np.array_equal(window_head(*args).data, window_head_chain(*args).data)
+
+    def test_gradients_match_op_chain(self, rng):
+        store, args = self.leaves(rng)
+        w = nc.Tensor(rng.normal(size=args[0].shape[0]))
+        ro.sum_(ro.mul(window_head(*args), w)).backward()
+        got = {name: t.grad for name, t in store.items()}
+        store.zero_grad()
+        ro.sum_(ro.mul(window_head_chain(*args), w)).backward()
+        for name, g in got.items():
+            np.testing.assert_allclose(g, store[name].grad, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_gradcheck_input_and_params(self, rng):
+        store, args = self.leaves(rng)
+        w = nc.Tensor(rng.normal(size=args[0].shape[0]))
+        report = grad_check(lambda: ro.sum_(ro.mul(window_head(*args), w)), store, tol=1e-4)
+        assert report.passed, report.summary()
+        assert report.n_checked == n_scalars(store)
 
 
 class TestTrain:

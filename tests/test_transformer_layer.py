@@ -16,13 +16,13 @@ from volgraph.numcore.layers import (
     TransformerLayerParams,
     _attention_weights,
     _packed_affine,
-    linear,
     transformer_encoder_layer,
 )
 from volgraph.numcore.params import ParamStore
 from volgraph.numcore.tensor import _make
 
 import reference_ops as ro
+from reference_ops import linear
 from gradcheck import grad_check, n_scalars
 
 
@@ -190,7 +190,7 @@ def reference_layer(x, p, n_heads, lengths, queries=None):
     m = None if queries is None else len(queries)
 
     def split(t):
-        return ro.swapaxes(nc.reshape(t, (1, t.shape[0], n_heads, dh)), 1, 2)
+        return ro.swapaxes(ro.reshape(t, (1, t.shape[0], n_heads, dh)), 1, 2)
 
     def norm(a, gamma, beta):
         c = ro.sub(a, ro.mean_(a, axis=-1, keepdims=True))
@@ -207,9 +207,9 @@ def reference_layer(x, p, n_heads, lengths, queries=None):
         scores = ro.matmul(qh, ro.swapaxes(kh, -1, -2))
         e = ro.exp(ro.sub(scores, nc.Tensor(scores.data.max(axis=-1, keepdims=True))))
         c = ro.div(ro.matmul(e, vh), ro.sum_(e, axis=-1, keepdims=True))
-        ctx.append(nc.reshape(ro.swapaxes(c, 1, 2), (len(qs), d)))
+        ctx.append(ro.reshape(ro.swapaxes(c, 1, 2), (len(qs), d)))
     h = norm(ro.add(q_in, linear(nc.concat(ctx), p.wo, p.bo)), p.ln1_gamma, p.ln1_beta)
-    ff = linear(nc.relu(linear(h, p.ff1_w, p.ff1_b)), p.ff2_w, p.ff2_b)
+    ff = linear(ro.relu(linear(h, p.ff1_w, p.ff1_b)), p.ff2_w, p.ff2_b)
     return norm(ro.add(h, ff), p.ln2_gamma, p.ln2_beta)
 
 
