@@ -21,15 +21,12 @@ first. The projection and each layer's row-wise work (the Q/K/V and
 output maps, both layer norms, the feed-forward block) run once per
 chunk as 2-D products, and only the attention core runs per group of
 equal-length calls, so no padding of sequences or attention masks is
-involved. A chunk's products are padded to whole 8-column panels and
-with zero rows past OpenBLAS's small-matrix kernel
-(``numcore.layers._packed_affine``), where a row's result would depend on
-the row count or on its position. So, on the BLAS build that rule was
-measured on (OpenBLAS 0.3.31, SkylakeX kernels), a call's embedding is
-bit-for-bit the same no matter which other calls share its chunk; other
-builds may draw the kernel lines elsewhere, and the encoder's append and
-composition tests check it there. The temporal no-leakage guarantee
-relies on exactly that.
+involved. Every product is ``numcore.layers._affine`` (whole 8-column
+panels, fixed-shape row tiles), so a call's embedding is bit-for-bit the
+same whatever other calls share its chunk: checked on OpenBLAS 0.3.31
+with its SkylakeX, Haswell and Sandybridge kernels, and by the encoder's
+append and composition tests on any other. The temporal no-leakage
+guarantee relies on exactly that.
 """
 
 from __future__ import annotations
@@ -53,7 +50,7 @@ from .numcore import (
     transformer_encoder_layer,
     uniform_init,
 )
-from .numcore.layers import _affine_grads, _lead_sum, _packed_affine
+from .numcore.layers import _affine, _affine_grads, _lead_sum
 from .numcore.tensor import _make
 
 _ROLE_CODES = {role: i for i, role in enumerate(ROLES)}
@@ -329,7 +326,7 @@ def _pack_calls(lengths: np.ndarray, x: Tensor, params: DialogueEncoderParams) -
 
     ``x`` holds the calls' (S, d_in) sentence rows, call after call; the
     result is (B + S, d_hidden). The projection is one 2-D product over
-    all S rows, padded as ``_packed_affine`` pads it.
+    all S rows (``_affine``).
     """
     w, b, cls = params.proj_w, params.proj_b, params.cls
     if x.shape != (lengths.sum(), w.shape[1]):
@@ -340,7 +337,7 @@ def _pack_calls(lengths: np.ndarray, x: Tensor, params: DialogueEncoderParams) -
     sentence_rows[cls_rows] = False
     out = np.empty((len(sentence_rows), w.shape[0]))
     out[cls_rows] = cls.data
-    out[sentence_rows] = _packed_affine(x.data, w.data, b.data)
+    out[sentence_rows] = _affine(x.data, w.data, b.data)
 
     def backward(g):
         gs = g[sentence_rows]
@@ -381,9 +378,8 @@ def encode_calls(
 ) -> Tensor:
     """Embed many calls, packed in chunks of whole calls sorted by length.
 
-    Returns an (len(calls), d_hidden) tensor in input order. On the BLAS
-    build the padding rule was measured on, chunk composition never
-    changes a call's embedding (see module docstring).
+    Returns an (len(calls), d_hidden) tensor in input order. Chunk
+    composition never changes a call's embedding (see module docstring).
     Each chunk is one ``take`` of its calls' rows from the featurized
     block. ``memo`` keeps the calls' ``SentenceBlock`` (see
     ``featurize_sentences``).

@@ -129,7 +129,7 @@ def market_attention(emb: np.ndarray, seg: np.ndarray, n_dates: int, w_k: np.nda
     n, d = emb.shape
     scale = float(np.sqrt(d))
     keys = _affine(emb, w_k, None)  # (n, d)
-    scores = (keys @ w_q.reshape(d, 1)) / scale
+    scores = _affine(keys, w_q[None], None) / scale
     beta = _segment_softmax(scores.reshape(n), seg, n_dates)
     pooled = _segment_reduce(np.add, beta.reshape(n, 1) * emb, seg, n_dates, 0.0)
 

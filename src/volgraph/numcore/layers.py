@@ -4,18 +4,20 @@
 self-attention, residual, layer norm, a two-layer ReLU MLP, residual,
 layer norm) with a hand-written backward. Its numpy kernels (the affine
 maps and their gradients, the softmax weights, layer norm) are plain
-helpers here, not tape ops; the market stage and the heads use the
-affine pair too.
+helpers here, not tape ops; the dialogue projection, the market stage,
+the GAT and the heads use the affine pair too.
 
 The layer takes sequences of any lengths packed back to back as one
 (R, d) block, the "varlen" layout of FlashAttention-2 (Dao, 2023): the
 row-wise work runs once over all R rows as 2-D products, and only the
-attention core runs per group of equal-length sequences. Packed rows
-share a product with rows of other sequences, so a row's result must not
-depend on the row count or on its position: ``_packed_affine`` pads each
-such product to whole 8-column panels and past OpenBLAS's small-matrix
-kernel. That padding rule was measured on one BLAS build (see there); on
-another, the tests that encode calls alone and packed are the guard.
+attention core runs per group of equal-length sequences. Every forward
+product of the model, here and in the dialogue, market, graph and head
+stages, is ``_affine``: the outputs padded to whole 8-column panels and
+the rows run as gemm calls of one fixed (_TILE_ROWS, K) shape, so a row's
+result depends neither on the row count nor on its position. Checked on
+OpenBLAS 0.3.31 with its SkylakeX, Haswell and Sandybridge kernels; the
+tests that encode calls alone and packed, and a quarter's date prefixes
+against the whole quarter, are the check on any other.
 
 The attention softmax is normalized after the value product, as in
 FlashAttention-2: the queries are scaled by 1/√dh before the score
@@ -32,53 +34,46 @@ import numpy as np
 
 from ..errors import ShapeError
 from . import tensor as T
-from .params import ParamStore
+from .params import ParamStore, uniform_init
 from .tensor import Tensor
 
 _LN_EPS = 1e-5
 
 
-def _affine(a: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
-    """a @ wᵀ (+ b), the bias added in place into the product."""
-    out = a @ w.T
-    if b is not None:
-        out += b
-    return out
-
-
-# Measured on OpenBLAS 0.3.31 (scipy-openblas, SkylakeX kernels), over
-# about 14,000 random row ranges of random shapes: the rows of a @ wᵀ, for
-# (M, K) rows and N outputs, depend neither on M nor on where a row sits
-# in ``a`` when the blocked kernel computes them over whole 8-column
-# panels. Other paths round differently: a small-matrix kernel when
-# K >= 32 and M·N <= 1200, gemv when M == 1 or N == 1, and a partial last
-# panel (N not a multiple of 8), whose rows depend on M and on their
-# position, at every M once N >= 193. Other BLAS builds may draw these
-# lines elsewhere.
-_SMALL_KERNEL_MN = 1200
+# Measured on OpenBLAS 0.3.31 (scipy-openblas) with its SkylakeX, Haswell
+# and Sandybridge kernels, at 1 and 2 threads, over random shapes and row
+# ranges: a row of a gemm call over whole 8-column panels of outputs goes
+# through the same arithmetic as the row at any position of another call
+# of the same shape. No BLAS promises it. Of tiles of 16 to 152 rows, 64
+# scored the benchmark's quarters fastest (2-CPU x86-64, one BLAS thread).
 _PANEL = 8
+_TILE_ROWS = 64
 
 
-def _packed_affine(a: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
-    """``_affine`` of (M, K) rows whose results do not depend on M or on row position.
+def _affine(a: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """a @ wᵀ (+ b) for (M, K) rows; a row's result depends on neither M nor its position.
 
-    The outputs are padded with zero weight rows to whole 8-column panels,
-    and fewer rows than the blocked kernel takes at that width with zero
-    rows; the padding is cut off the product. So, on the BLAS build
-    measured above, each row comes out of the blocked kernel bitwise as
-    in any larger product.
+    The weight is padded with zero rows to whole 8-column panels, and the
+    rows run as gemm calls of one (_TILE_ROWS, K) shape: the whole tiles as
+    one batched product over a view of ``a``, the last partial tile padded
+    with zero rows, both written into one output. The bias is added in place.
     """
     m, k = a.shape
     n = w.shape[0]
     cols = -(-n // _PANEL) * _PANEL
-    rows = max(2, _SMALL_KERNEL_MN // cols + 1) if k >= 32 else 2
-    if m >= rows and cols == n:
-        return _affine(a, w, b)
     if cols != n:
         w = np.concatenate([w, np.zeros((cols - n, k))])
-    if m < rows:
-        a = np.concatenate([a, np.zeros((rows - m, k))])
-    out = np.ascontiguousarray((a @ w.T)[:m, :n])
+    full = m - m % _TILE_ROWS
+    out = np.empty((m, cols))
+    if full:
+        np.matmul(a[:full].reshape(-1, _TILE_ROWS, k), w.T,
+                  out=out[:full].reshape(-1, _TILE_ROWS, cols))
+    if full < m:
+        last = np.zeros((_TILE_ROWS, k))
+        last[: m - full] = a[full:]
+        out[full:] = (last @ w.T)[: m - full]
+    if cols != n:
+        out = out[:, :n].copy()
     if b is not None:
         out += b
     return out
@@ -141,7 +136,6 @@ class TransformerLayerParams:
     wq: Tensor
     bq: Tensor
     wk: Tensor
-    bk: Tensor
     wv: Tensor
     bv: Tensor
     wo: Tensor
@@ -166,7 +160,10 @@ class TransformerLayerParams:
     ) -> "TransformerLayerParams":
         d_ff = 4 * d if d_ff is None else d_ff
         wq, bq = store.linear(rng, f"{prefix}.attn.q", d, d)
-        wk, bk = store.linear(rng, f"{prefix}.attn.k", d, d)
+        # no key bias (the softmax cancels q·b); its draw is kept, so the
+        # later parameters initialize as they did with it
+        wk = store.add(f"{prefix}.attn.k.w", uniform_init(rng, (d, d), d))
+        uniform_init(rng, (d,), d)
         wv, bv = store.linear(rng, f"{prefix}.attn.v", d, d)
         wo, bo = store.linear(rng, f"{prefix}.attn.out", d, d)
         ff1_w, ff1_b = store.linear(rng, f"{prefix}.ff1", d, d_ff)
@@ -174,7 +171,7 @@ class TransformerLayerParams:
         ln1_gamma, ln1_beta = store.layer_norm(f"{prefix}.ln1", d)
         ln2_gamma, ln2_beta = store.layer_norm(f"{prefix}.ln2", d)
         return cls(
-            wq, bq, wk, bk, wv, bv, wo, bo,
+            wq, bq, wk, wv, bv, wo, bo,
             ff1_w, ff1_b, ff2_w, ff2_b,
             ln1_gamma, ln1_beta, ln2_gamma, ln2_beta,
         )
@@ -198,9 +195,8 @@ def transformer_encoder_layer(
     equal consecutive lengths is one length group: its (b, H, n, n)
     attention core runs as one block, and every other part of the layer
     (the Q/K/V and output maps, both layer norms, the feed-forward block)
-    runs once over all rows as 2-D products (``_packed_affine``). On the
-    BLAS build that padding was measured on, a row's result is therefore
-    bitwise independent of the other sequences packed with it.
+    runs once over all rows as 2-D products (``_affine``), so a row's
+    result is bitwise independent of the other sequences packed with it.
 
     Keys and values always come from every row. ``queries``, positions
     within every sequence, picks which rows are computed: the attention
@@ -209,7 +205,7 @@ def transformer_encoder_layer(
     sequence after sequence. They equal those rows of the full layer; the
     default (None) computes every row and returns (R, d).
 
-    The node's parents are ``x`` and the 16 ``TransformerLayerParams``
+    The node's parents are ``x`` and the 15 ``TransformerLayerParams``
     tensors in field order. The forward runs the numpy ops of an
     op-by-op tape (separate Q/K/V maps, the query map divided by √dh,
     head split, unnormalized softmax weights e and their row sums l,
@@ -241,7 +237,7 @@ def transformer_encoder_layer(
                              f"{lengths.min()}+ rows")
         rows = ((np.cumsum(lengths) - lengths)[:, None] + pos).ravel()
         qin = x.data[rows]
-    (wq, bq, wk, bk, wv, bv, wo, bo,
+    (wq, bq, wk, wv, bv, wo, bo,
      ff1_w, ff1_b, ff2_w, ff2_b, ln1_g, ln1_b, ln2_g, ln2_b) = (t.data for t in params)
     dh = d // n_heads
     scale = float(np.sqrt(dh))
@@ -261,10 +257,10 @@ def transformer_encoder_layer(
     def merge_heads(t: np.ndarray) -> np.ndarray:  # (b, H, n, dh) -> (b·n, d)
         return np.swapaxes(t, 1, 2).reshape(-1, d)
 
-    q = _packed_affine(qin, wq, bq)
+    q = _affine(qin, wq, bq)
     q /= scale
-    k = _packed_affine(x.data, wk, bk)
-    v = _packed_affine(x.data, wv, bv)
+    k = _affine(x.data, wk, None)
+    v = _affine(x.data, wv, bv)
     ctx = np.empty_like(q)
     cores = []
     for kv, qs, b, n, m in blocks:
@@ -273,12 +269,12 @@ def transformer_encoder_layer(
         c /= rowsum
         ctx[qs] = merge_heads(c)
         cores.append((e, rowsum))
-    a1 = _packed_affine(ctx, wo, bo)
+    a1 = _affine(ctx, wo, bo)
     a1 += qin
     h, xhat1, inv1 = _layer_norm(a1, ln1_g, ln1_b)
-    r = _packed_affine(h, ff1_w, ff1_b)
+    r = _affine(h, ff1_w, ff1_b)
     np.maximum(r, 0.0, out=r)
-    a2 = _packed_affine(r, ff2_w, ff2_b)
+    a2 = _affine(r, ff2_w, ff2_b)
     a2 += h
     out, xhat2, inv2 = _layer_norm(a2, ln2_g, ln2_b)
 
@@ -320,7 +316,7 @@ def transformer_encoder_layer(
             gx += gxv
             gx[rows] += ga1
         return (
-            gx, gwq, _lead_sum(gq), gwk, _lead_sum(gk), gwv, _lead_sum(gv), gwo, gbo,
+            gx, gwq, _lead_sum(gq), gwk, gwv, _lead_sum(gv), gwo, gbo,
             gff1_w, _lead_sum(gr), gff2_w, _lead_sum(ga2), gln1_g, gln1_b, gln2_g, gln2_b,
         )
 

@@ -10,6 +10,7 @@ distinct model (``VolatilityModel.scope``: "tau{τ}" per window, or
 from __future__ import annotations
 
 import json
+import re
 import zipfile
 from pathlib import Path
 
@@ -19,7 +20,11 @@ from ..atomic import atomic_open
 from ..errors import ConfigError
 from .model import ModelConfig, VolatilityModel, build_models, by_scope, window_taus
 
-FORMAT = "volgraph-checkpoint/1"
+FORMAT = "volgraph-checkpoint/2"
+# format 1 also held the dialogue layers' attention key biases, which the
+# softmax cancels; they are dropped on load
+_FORMAT_1 = "volgraph-checkpoint/1"
+_KEY_BIAS = re.compile(r"dialogue\.layer\d+\.attn\.k\.b")
 
 
 def save_checkpoint(path, models: dict[int, VolatilityModel], config: ModelConfig) -> None:
@@ -71,7 +76,7 @@ def load_checkpoint(path) -> tuple[dict[int, VolatilityModel], ModelConfig]:
             manifest = json.loads(str(data["__manifest__"]))
         except ValueError as e:
             raise ConfigError(f"{path}: unreadable manifest ({e})") from e
-        if not isinstance(manifest, dict) or manifest.get("format") != FORMAT:
+        if not isinstance(manifest, dict) or manifest.get("format") not in (FORMAT, _FORMAT_1):
             raise ConfigError(f"{path}: unsupported checkpoint format")
         missing = [key for key in ("config", "scopes") if key not in manifest]
         if missing:
@@ -93,10 +98,11 @@ def load_checkpoint(path) -> tuple[dict[int, VolatilityModel], ModelConfig]:
                 )
         for scope, model in by_scope(models).items():
             prefix = f"{scope}/"
+            names = [key[len(prefix) :] for key in data.files if key.startswith(prefix)]
+            if manifest["format"] == _FORMAT_1:
+                names = [name for name in names if not _KEY_BIAS.fullmatch(name)]
             try:
-                state = {
-                    key[len(prefix) :]: data[key] for key in data.files if key.startswith(prefix)
-                }
+                state = {name: data[prefix + name] for name in names}
             except (zipfile.BadZipFile, ValueError, EOFError) as e:
                 raise ConfigError(f"{path}: scope {scope}: unreadable array ({e})") from e
             try:

@@ -6,6 +6,9 @@ that need scale build their own data.
 
 from __future__ import annotations
 
+import ctypes
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -62,12 +65,28 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def _openblas_core() -> str | None:
+    """The kernel set, e.g. "Haswell", that the OpenBLAS of a numpy wheel runs;
+    None where no such library exports ``scipy_openblas_get_corename64_``."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 @pytest.fixture(scope="session")
 def blas_build() -> str:
-    """The BLAS numpy was built with, e.g. "scipy-openblas 0.3.31.188.0", for
-    the failure messages of tests whose bitwise claims depend on it."""
+    """The BLAS numpy was built with and the OpenBLAS kernel set it runs, e.g.
+    "scipy-openblas 0.3.31.188.0, SkylakeX kernels", for the failure messages
+    of tests whose bitwise claims depend on them."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # older numpy (1.24) has no mode= argument
         return f"the BLAS of numpy {np.__version__}"
-    return f"{blas.get('name')} {blas.get('version')}"
+    build = f"{blas.get('name')} {blas.get('version')}"
+    core = _openblas_core()
+    return build if core is None else f"{build}, {core} kernels"

@@ -136,15 +136,17 @@ def take_cols(a, indices) -> Tensor:
 
 def linear(x, w, b=None) -> Tensor:
     """x @ w.T (+ b), weight layout (d_out, d_in); ``x`` is (..., d_in) with
-    at least two axes, and the weight gradient sums over every leading axis."""
+    at least two axes, its rows formed by the library's ``_affine``, and the
+    weight gradient sums over every leading axis."""
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[1]:
         raise ShapeError(f"linear: input {x.shape} does not fit weight {w.shape}")
+    rows = x.data.reshape(-1, x.shape[-1])
     if b is None:
-        out = _affine(x.data, w.data, None)
+        out = _affine(rows, w.data, None).reshape(*x.shape[:-1], -1)
         return _make(out, (x, w), lambda g: _affine_grads(g, x.data, w.data))
     b = as_tensor(b)
-    out = _affine(x.data, w.data, b.data)
+    out = _affine(rows, w.data, b.data).reshape(*x.shape[:-1], -1)
     return _make(out, (x, w, b), lambda g: (*_affine_grads(g, x.data, w.data), _lead_sum(g)))
 
 
@@ -244,10 +246,11 @@ def segment_softmax(scores, seg, num_segments):
 
 
 def market_attention_chain(embeddings, node_group, n_dates, params):
-    """Keys, scaled scores, segment softmax, weighted segment sum; returns (pooled, β)."""
+    """Keys, scores (a ``linear`` map of the keys with w_q as its one weight
+    row), scaling, segment softmax, weighted segment sum; returns (pooled, β)."""
     n, d = embeddings.shape
     keys = linear(embeddings, params.w_k)
-    scores = div(matmul(keys, reshape(params.w_q, (d, 1))), float(np.sqrt(d)))
+    scores = div(linear(keys, reshape(params.w_q, (1, d))), float(np.sqrt(d)))
     beta = segment_softmax(reshape(scores, (n,)), node_group, n_dates)
     pooled = segment_sum(mul(reshape(beta, (n, 1)), embeddings), node_group, n_dates)
     return pooled, beta

@@ -279,6 +279,64 @@ def test_criterion_03_no_leakage_property(capsys):
         )
 
 
+def _random_quarter(rng, quarter, n):
+    """``n`` companies' calls of 2-8 sentences on 3-8 dates of ``quarter``, and
+    relations between about half of the company pairs."""
+    companies = [f"C{i:02d}" for i in range(n)]
+    start = quarter.start.toordinal()
+    day_pool = rng.choice(np.arange(5, 80), size=int(rng.integers(3, 9)), replace=False)
+    calls = [
+        _vector_call(rng, c, dt.date.fromordinal(start + int(rng.choice(day_pool))), quarter,
+                     n_pres=int(rng.integers(1, 6)), n_qa=int(rng.integers(1, 4)), d_s=8)
+        for c in companies
+    ]
+    relations = [
+        (companies[i], companies[j], quarter.year - 1, float(rng.uniform(0.2, 0.9)))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < 0.5
+    ]
+    return calls, RelationTable.from_rows(relations)
+
+
+def test_criterion_03_date_prefixes_predict_as_the_full_quarter(capsys, blas_build):
+    """Adding later calls never changes an earlier node's embedding or prediction, bitwise."""
+    start = time.perf_counter()
+    rng = np.random.default_rng(23)
+    quarter = Quarter(2016, 2)
+    model = VolatilityModel(small_model_config(seed=5), TAUS)
+
+    def forward(calls, relations):
+        graph = build_quarter_graph(calls, relations, quarter)
+        with no_grad():
+            preds, emb, _ = model.forward(prepare_quarter(graph))
+        ids = [c.call_id for c in graph.calls]
+        return {i: (emb.data[k], [preds[tau].data[k] for tau in TAUS]) for k, i in enumerate(ids)}
+
+    sizes = [int(rng.integers(6, 19)), *rng.integers(19, 90, size=5).tolist()]
+    n_prefixes = n_nodes = 0
+    for n in sizes:
+        calls, relations = _random_quarter(rng, quarter, n)
+        full = forward(calls, relations)
+        for date in sorted({c.call_date for c in calls})[:-1]:
+            prefix = forward([c for c in calls if c.call_date <= date], relations)
+            for call_id, (emb, preds) in prefix.items():
+                where = (f"call {call_id} in the {len(prefix)}-node prefix up to {date} of a "
+                         f"{n}-node quarter on {blas_build}")
+                assert np.array_equal(emb, full[call_id][0]), f"embedding of {where}"
+                assert preds == full[call_id][1], f"predictions of {where}"
+            n_prefixes += 1
+            n_nodes += len(prefix)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 60.0
+    with capsys.disabled():
+        print(
+            f"PASS criterion 3 (append): {len(sizes)} quarters of {min(sizes)}-{max(sizes)} "
+            f"nodes, {n_prefixes} date prefixes, {n_nodes} prefix nodes bitwise as in their "
+            f"full quarter on {blas_build} ({elapsed:.1f}s)"
+        )
+
+
 # ------------------------------------------------------------------ criterion 4
 
 

@@ -783,7 +783,7 @@ class TestPredict:
     }
 
     @pytest.mark.parametrize(
-        "corruption", ["missing_array", "unknown_config_key", *BAD_VALUES]
+        "corruption", ["missing_array", "unknown_config_key", "key_bias", *BAD_VALUES]
     )
     def test_corrupt_checkpoint_exits_2(self, workdir, tmp_path, capsys, corruption):
         with np.load(workdir["ckpt"]) as data:
@@ -794,6 +794,9 @@ class TestPredict:
             del arrays[manifest["params"][0]]
         elif corruption == "unknown_config_key":
             manifest["config"]["bogus"] = 1
+        elif corruption == "key_bias":  # only format 1 held one
+            key = f"{key.split('/')[0]}/dialogue.layer0.attn.k.b"
+            arrays[key] = np.zeros(8)
         else:
             arrays[key] = self.BAD_VALUES[corruption](arrays[key])
         arrays["__manifest__"] = np.array(json.dumps(manifest))
@@ -805,7 +808,7 @@ class TestPredict:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        if corruption in self.BAD_VALUES:
+        if corruption in ("key_bias", *self.BAD_VALUES):
             scope, name = key.split("/")
             assert err.count("\n") == 1
             assert "bad.npz" in err and f"scope {scope}" in err and name in err
@@ -824,6 +827,24 @@ class TestPredict:
         assert rc == 2
         assert capsys.readouterr().err == "error: tensor holds non-finite values\n"
         assert not out.exists()
+
+    def test_format_1_checkpoint_loads_without_its_key_bias(self, workdir, tmp_path):
+        # format 1 also held each dialogue layer's attention key bias, which
+        # the softmax cancels; such a checkpoint predicts as one without it
+        with np.load(workdir["ckpt"]) as data:
+            arrays = {k: data[k] for k in data.files}
+        manifest = json.loads(str(arrays["__manifest__"]))
+        for scope in set(manifest["scopes"].values()):
+            arrays[f"{scope}/dialogue.layer0.attn.k.b"] = np.linspace(-1.0, 1.0, 8)
+        manifest["format"] = "volgraph-checkpoint/1"
+        arrays["__manifest__"] = np.array(json.dumps(manifest))
+        old = tmp_path / "old.npz"
+        np.savez(old, **arrays)
+        outs = [tmp_path / "new.csv", tmp_path / "old.csv"]
+        for model, out in zip((workdir["ckpt"], old), outs):
+            assert main(["predict", "--model", str(model), "--graph", str(workdir["graph"]),
+                         "--out", str(out)]) == 0
+        assert outs[0].read_text() == outs[1].read_text()
 
     @pytest.mark.parametrize("corruption", ["no_config", "no_scopes", "not_zip"])
     def test_eval_unreadable_checkpoint_exits_2(self, workdir, tmp_path, capsys, corruption):

@@ -603,7 +603,7 @@ class TestCheckpoint:
         with np.load(path) as data:
             manifest = json.loads(str(data["__manifest__"]))
         assert manifest["scopes"] == {"3": "tau3", "7": "tau7", "15": "tau15"}
-        assert manifest["format"] == "volgraph-checkpoint/1"
+        assert manifest["format"] == "volgraph-checkpoint/2"
         assert any(k.startswith("tau3/") for k in manifest["params"])
 
     def test_models_that_would_share_a_scope_are_refused(self, tmp_path):

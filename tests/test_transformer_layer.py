@@ -13,9 +13,10 @@ import pytest
 import volgraph.numcore as nc
 from volgraph.errors import ShapeError
 from volgraph.numcore.layers import (
+    _TILE_ROWS,
     TransformerLayerParams,
+    _affine,
     _attention_weights,
-    _packed_affine,
     transformer_encoder_layer,
 )
 from volgraph.numcore.params import ParamStore
@@ -70,31 +71,41 @@ class TestLinear:
 
 
 class TestPackedAffine:
+    """``_affine``, the one product kernel of every forward row map."""
+
     @pytest.mark.parametrize(
         "k,n",
-        # gemv (N = 1), the small-matrix kernel (K >= 32 and M·N <= 1200),
-        # and widths ending in a partial 8-column panel, below and above 193
+        # unpadded, these would be a gemv (N = 1), the small-matrix kernel
+        # (K >= 32 and M·N <= 1200), and widths ending in a partial 8-column
+        # panel, below and above 193
         [(8, 1), (31, 1), (64, 2), (768, 35), (64, 64), (64, 191), (8, 196), (32, 1204),
          (32, 1208)],
     )
     def test_rows_do_not_depend_on_row_count_or_position(self, rng, k, n, blas_build):
         w, b = rng.normal(size=(n, k)), rng.normal(size=n)
         a = rng.normal(size=(1300, k))
-        full = _packed_affine(a, w, b)
+        full = _affine(a, w, b)
         np.testing.assert_allclose(full, a @ w.T + b, rtol=1e-12, atol=1e-12)
-        for m in (1, 2, 3, 6, 17, 71, 158, 600):
+        assert np.array_equal(full, blocked_affine(a, w, b))
+        r = _TILE_ROWS
+        for m in (1, 2, 3, 6, 17, 71, 158, 600, r - 1, r, r + 1):
             for start in (0, 1, 3, 24, 1300 - m):
-                got = _packed_affine(a[start : start + m], w, b)
+                got = _affine(a[start : start + m], w, b)
                 assert np.array_equal(got, full[start : start + m]), (
                     f"{m} rows from row {start} of ({k} -> {n}) on {blas_build}"
                 )
+        # every prefix up to two tiles and one row: the rows a shorter
+        # quarter or chunk keeps
+        for m in range(1, 2 * r + 2):
+            assert np.array_equal(_affine(a[:m], w, b), full[:m]), (
+                f"the first {m} rows of ({k} -> {n}) on {blas_build}"
+            )
 
 
 PARAM_NAMES = tuple(f.name for f in fields(TransformerLayerParams))
 
-# three length groups (two sequences of 5 rows, one of 7, two of 6): the
-# feed-forward output map at d_ff = 32 has fewer rows than OpenBLAS's
-# blocked kernel takes, so the layer must pad it
+# three length groups (two sequences of 5 rows, one of 7, two of 6), fewer
+# rows than one tile, so every product pads its last tile
 LENGTHS = np.array([5, 5, 7, 6, 6])
 
 
@@ -107,16 +118,21 @@ def query_rows(lengths, queries):
     return (starts(lengths)[:, None] + np.asarray(queries)).ravel()
 
 
-def blocked_affine(a, weight, bias):
-    """a @ wᵀ + b with at least 1201 rows (M·N > 1200 for every N) and the
-    outputs padded to whole 8-column panels, so OpenBLAS's blocked kernel
-    forms each row as in any larger product."""
-    n = len(weight)
-    rows = np.zeros((max(len(a), 1201), a.shape[1]))
-    rows[: len(a)] = a
-    panels = np.zeros((-(-n // 8) * 8, weight.shape[1]))
+def blocked_affine(a, weight, bias=None):
+    """a @ wᵀ (+ b) by the tile rule: the weight padded with zero rows to whole
+    8-column panels, the rows cut into tiles of ``_TILE_ROWS`` and the last
+    tile padded with zero rows, one product per tile."""
+    n, k = weight.shape
+    panels = np.zeros((-(-n // 8) * 8, k))
     panels[:n] = weight
-    return (rows @ panels.T)[: len(a), :n] + bias
+    out = []
+    for start in range(0, len(a), _TILE_ROWS):
+        rows = a[start : start + _TILE_ROWS]
+        tile = np.zeros((_TILE_ROWS, k))
+        tile[: len(rows)] = rows
+        out.append((tile @ panels.T)[: len(rows), :n])
+    out = np.concatenate(out)
+    return out if bias is None else out + bias
 
 
 def deferred_attention(q, k, v):
@@ -150,8 +166,8 @@ def replay_layer(x, p, n_heads, lengths, queries=None, attention=deferred_attent
     dh = d // n_heads
     m = None if queries is None else len(queries)
 
-    def lin(a, weight, bias):
-        return blocked_affine(a, w[weight], w[bias])
+    def lin(a, weight, bias=None):
+        return blocked_affine(a, w[weight], None if bias is None else w[bias])
 
     def split(t):  # (n, d) -> (1, H, n, dh)
         return np.swapaxes(t.reshape(1, len(t), n_heads, dh), 1, 2)
@@ -162,7 +178,7 @@ def replay_layer(x, p, n_heads, lengths, queries=None, attention=deferred_attent
         )
         return xhat * w[f"ln{i}_gamma"] + w[f"ln{i}_beta"]
 
-    q, k, v = lin(q_in, "wq", "bq"), lin(x, "wk", "bk"), lin(x, "wv", "bv")
+    q, k, v = lin(q_in, "wq", "bq"), lin(x, "wk"), lin(x, "wv", "bv")
     ctx = []
     for i, (start, n) in enumerate(zip(starts(lengths), lengths)):
         qs = slice(start, start + n) if m is None else slice(i * m, (i + 1) * m)
@@ -198,7 +214,7 @@ def reference_layer(x, p, n_heads, lengths, queries=None):
         return ro.add(ro.mul(ro.mul(c, _rsqrt(ro.add(var, 1e-5))), gamma), beta)
 
     q = ro.div(linear(q_in, p.wq, p.bq), float(np.sqrt(dh)))
-    k, v = linear(x, p.wk, p.bk), linear(x, p.wv, p.bv)
+    k, v = linear(x, p.wk), linear(x, p.wv, p.bv)
     ctx = []
     for i, (start, n) in enumerate(zip(starts(lengths), lengths)):
         qs = np.arange(start, start + n) if m is None else np.arange(i * m, (i + 1) * m)
@@ -219,7 +235,7 @@ def layer_queries(m):
 
 
 def layer_grads(fn, store, params, x, queries, w):
-    """Gradients of sum(fn(...) * w) for x and all 16 parameters."""
+    """Gradients of sum(fn(...) * w) for x and all 15 parameters."""
     store.zero_grad()
     xt = nc.Tensor(x, requires_grad=True)
     ro.sum_(ro.mul(fn(xt, params, 2, LENGTHS, queries=queries), nc.Tensor(w))).backward()
@@ -251,12 +267,16 @@ class TestAttention:
     @pytest.mark.parametrize("m", [5, 1])
     @pytest.mark.parametrize("shift", [500.0, -500.0])
     def test_forward_matches_textbook_softmax_under_logit_shifts(self, rng, m, shift):
-        # a key bias u moves query row i's scores by q_i·u/√dh, the same for
-        # every key; u is scaled per head so that the largest shift is ±500.
-        # Normalizing after the value product must stay within rounding of
-        # softmax(q kᵀ/√dh)·v.
+        # a shift u of every key moves query row i's scores by q_i·u/√dh,
+        # the same for every key. The layer has no key bias, so the shift
+        # comes in through the input: column 0 of x is 1 on every row, the
+        # queries do not read it, and its key weights are u, scaled per head
+        # so that the largest shift is ±500. Normalizing after the value
+        # product must stay within rounding of softmax(q kᵀ/√dh)·v.
         store, params = perturbed_layer(rng)
         x = rng.normal(size=(LENGTHS.sum(), 8))
+        x[:, 0] = 1.0
+        params.wq.data[:, 0] = 0.0
         queries = layer_queries(m)
         n_heads, dh = 2, 4
         q_in = x if queries is None else x[query_rows(LENGTHS, queries)]
@@ -266,7 +286,7 @@ class TestAttention:
             cols = slice(h * dh, (h + 1) * dh)
             row_shifts = q[..., cols] @ u[cols] / np.sqrt(dh)
             u[cols] *= shift / row_shifts.flat[np.argmax(np.abs(row_shifts))]
-        params.bk.data += u
+        params.wk.data[:, 0] = u
         want = replay_layer(x, params, n_heads, LENGTHS, queries, attention=textbook_attention)
         got = transformer_encoder_layer(nc.Tensor(x), params, n_heads, LENGTHS,
                                         queries=queries).data
@@ -291,12 +311,12 @@ class TestAttention:
         w = rng.normal(size=((LENGTHS.sum() if queries is None else len(LENGTHS)), 8))
         want = layer_grads(reference_layer, store, params, x, queries, w)
         got = layer_grads(transformer_encoder_layer, store, params, x, queries, w)
-        assert len(got) == 1 + 16
+        assert len(got) == 1 + 15
         for g, r in zip(got, want):
             np.testing.assert_allclose(g, r, rtol=0, atol=1e-12)
 
     def test_gradients_match_finite_differences(self, rng):
-        # x and all 16 parameters of the full layer over a chunk of three
+        # x and all 15 parameters of the full layer over a chunk of three
         # length groups, whose feed-forward output map is a padded product;
         # the query form is checked in TestQueryRows
         store, params = perturbed_layer(rng, d=8, d_ff=32)
@@ -358,10 +378,11 @@ class TestTransformerLayer:
             transformer_encoder_layer(nc.Tensor(rng.normal(size=(2, 6))), params, 4, [2])
 
     def test_batch_elements_are_independent_bitwise(self, rng):
-        # no masking or sequence padding, and every packed product is padded
-        # past OpenBLAS's small-matrix kernel (d_ff = 32 sends the
-        # feed-forward output map of up to 150 rows there), so the rows
-        # packed around a sequence must leave its output exactly unchanged
+        # no masking or sequence padding, and every packed product runs in
+        # fixed-shape row tiles (unpadded, d_ff = 32 would send the
+        # feed-forward output map of up to 150 rows to OpenBLAS's
+        # small-matrix kernel), so the rows packed around a sequence must
+        # leave its output exactly unchanged
         # -- the backbone of the no-future-influence guarantee upstream
         store, params = make_layer(rng, d=8, d_ff=32)
         keep = rng.normal(size=(4, 8))
