@@ -66,8 +66,9 @@ def _input_files():
 
 
 def parse_kv_config(path) -> dict[str, str]:
-    """Flat ``key = value`` lines; '#' starts a comment."""
+    """Flat ``key = value`` lines; '#' starts a comment, and a key may appear once."""
     out: dict[str, str] = {}
+    seen: dict[str, int] = {}
     with _input_files():
         text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -76,8 +77,11 @@ def parse_kv_config(path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {seen[key]}")
+        seen[key] = lineno
+        out[key] = value
     return out
 
 
@@ -94,8 +98,8 @@ def _coerce(value: str, target_type, field_name: str):
             return int(value)
         if target_type is float:
             return float(value)
-        if target_type is tuple:
-            return tuple(int(x) for x in value.split(",") if x.strip())
+        if target_type is tuple:  # an empty value is (), an empty item an error
+            return tuple(int(x) for x in value.split(",")) if value else ()
         return value
     except ValueError as e:
         raise ConfigError(f"bad value {value!r} for config key {field_name}") from e
@@ -110,13 +114,9 @@ def dataclass_from_config(cls, overrides: dict[str, str]):
             raise ConfigError(f"unknown config key {key!r} for {cls.__name__}")
         base = fields[key].type
         if isinstance(base, str):
-            # from __future__ annotations stores types as strings, e.g. "int | None"
-            names = [name.strip() for name in base.split("|")]
-            if "None" in names and value.lower() in ("", "none"):
-                kwargs[key] = None
-                continue
+            # from __future__ annotations stores types as strings, e.g. "int"
             base = {"int": int, "float": float, "bool": bool, "str": str, "tuple": tuple}.get(
-                names[0], str
+                base, str
             )
         kwargs[key] = _coerce(value, base, key)
     return cls(**kwargs)

@@ -69,22 +69,21 @@ class StructEmbedTables:
     utterance: Tensor
     role: Tensor
     part: Tensor
-    max_sentences: int
-    max_utterances: int
 
     @classmethod
     def init(
         cls,
         store: ParamStore,
         rng: np.random.Generator,
+        d_p: int,
+        d_u: int,
+        d_r: int,
+        d_q: int,
+        max_sentences: int,
+        max_utterances: int,
         prefix: str = "dialogue.tables",
-        d_p: int = 8,
-        d_u: int = 8,
-        d_r: int = 8,
-        d_q: int = 8,
-        max_sentences: int = 512,
-        max_utterances: int = 256,
     ) -> "StructEmbedTables":
+        """One position row per kept sentence and one utterance row per utterance index."""
         return cls(
             position=store.add(f"{prefix}.position", uniform_init(rng, (max_sentences, d_p), d_p)),
             utterance=store.add(
@@ -92,8 +91,6 @@ class StructEmbedTables:
             ),
             role=store.add(f"{prefix}.role", uniform_init(rng, (2, d_r), d_r)),
             part=store.add(f"{prefix}.part", uniform_init(rng, (2, d_q), d_q)),
-            max_sentences=max_sentences,
-            max_utterances=max_utterances,
         )
 
     @property
@@ -119,14 +116,13 @@ class DialogueEncoderParams:
         n_layers: int,
         n_heads: int,
         prefix: str = "dialogue",
-        d_ff: int | None = None,
     ) -> "DialogueEncoderParams":
         if d_hidden % n_heads != 0:
             raise ConfigError(f"d_hidden {d_hidden} not divisible by {n_heads} heads")
         proj_w, proj_b = store.linear(rng, f"{prefix}.proj", d_in, d_hidden)
         cls_vec = store.add(f"{prefix}.cls", uniform_init(rng, (1, d_hidden), d_hidden))
         layers = [
-            TransformerLayerParams.init(store, rng, f"{prefix}.layer{i}", d_hidden, d_ff=d_ff)
+            TransformerLayerParams.init(store, rng, f"{prefix}.layer{i}", d_hidden)
             for i in range(n_layers)
         ]
         return cls(proj_w, proj_b, cls_vec, layers, n_heads)
@@ -147,7 +143,7 @@ _CRC32_TABLE = _crc32_table()
 _LONG_TOKEN = 64
 
 
-def hash_featurizer(texts: Sequence[str], d_s: int = 768) -> np.ndarray:
+def hash_featurizer(texts: Sequence[str], d_s: int) -> np.ndarray:
     """Deterministic bag-of-token-hashes rows, one per text, each ℓ2-normalized.
 
     Returns a (len(texts), d_s) matrix; an empty text gives a zero row.
@@ -292,7 +288,7 @@ class SentenceBlock:
 def _sentence_block(
     calls: Sequence[CallRecord], tables: StructEmbedTables, d_s: int, memo: dict
 ) -> SentenceBlock:
-    key = (d_s, tables.max_sentences, tables.max_utterances)
+    key = (d_s, tables.position.shape[0], tables.utterance.shape[0])
     if key not in memo:
         memo[key] = SentenceBlock.build(calls, *key)
     return memo[key]
@@ -305,8 +301,9 @@ def featurize_sentences(
 
     Returns one (S, d_in) block holding every kept sentence of ``calls``
     in call order. The calls' ``SentenceBlock`` is built on first use and
-    kept in ``memo`` under ``(d_s, max_sentences, max_utterances)``, so a
-    later call with the same memo only gathers the embedding tables.
+    kept in ``memo`` under ``d_s`` and the row counts of the position and
+    utterance tables (the sentence and utterance bounds), so a later call
+    with the same memo only gathers the embedding tables.
     """
     block = _sentence_block(calls, tables, d_s, memo)
     return concat(
@@ -357,16 +354,14 @@ def encode_featurized_batch(
     becomes its CLS row followed by its projected rows, and every layer
     runs over the packed rows, with equal consecutive lengths sharing one
     attention core (see ``transformer_encoder_layer``). Only the CLS rows
-    are read out, so the last layer takes them as its sole queries.
+    are read out, so the last layer computes those rows alone (``cls_only``).
     """
     lengths = np.asarray(lengths, dtype=np.intp)
     h = _pack_calls(lengths, x, params)
     packed = lengths + 1  # a CLS row and the sentences per call
     for layer in params.layers[:-1]:
         h = transformer_encoder_layer(h, layer, params.n_heads, packed)
-    if not params.layers:
-        return take(h, np.cumsum(packed) - packed)
-    return transformer_encoder_layer(h, params.layers[-1], params.n_heads, packed, queries=(0,))
+    return transformer_encoder_layer(h, params.layers[-1], params.n_heads, packed, cls_only=True)
 
 
 def encode_calls(

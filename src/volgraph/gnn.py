@@ -78,19 +78,11 @@ class GATLayerParams:
     w1_self: Tensor  # self path weight
     attn_pair: Tensor  # (d, 2d): projects v_i ⊕ v_j
     attn_edge: Tensor  # (d, 2): projects the edge feature
-    activation: str = "relu"
 
     @classmethod
     def init(
-        cls,
-        store: ParamStore,
-        rng: np.random.Generator,
-        d: int,
-        prefix: str,
-        activation: str = "relu",
+        cls, store: ParamStore, rng: np.random.Generator, d: int, prefix: str
     ) -> "GATLayerParams":
-        if activation not in ("relu", "identity"):
-            raise ConfigError(f"unknown activation {activation!r}")
         return cls(
             w0=store.add(f"{prefix}.w0", uniform_init(rng, (d, d), d)),
             w1_self=store.add(f"{prefix}.w1_self", uniform_init(rng, (d, d), d)),
@@ -98,7 +90,6 @@ class GATLayerParams:
             attn_edge=store.add(
                 f"{prefix}.attn_edge", uniform_init(rng, (d, EDGE_FEATURE_DIM), EDGE_FEATURE_DIM)
             ),
-            activation=activation,
         )
 
 
@@ -132,18 +123,20 @@ def gat_layer(
     m_prime_nodes: Tensor,
     arrays: GraphArrays,
     params: GATLayerParams,
+    relu: bool,
 ) -> tuple[Tensor, np.ndarray]:
     """One message-passing step over g = v + m', as one tape op.
 
     Node i receives Σ_j γ_ji / d̃_ji · g_j over its in-edges j→i, with γ
-    from ``edge_attention`` on v alone, and returns the activation of
-    w0 · that sum + w1_self · g_i. Returns the new embeddings and a copy
-    of the per-edge attention weights for inspection/export.
+    from ``edge_attention`` on v alone, and returns w0 · that sum +
+    w1_self · g_i, through a ReLU when ``relu``. Returns the new
+    embeddings and a copy of the per-edge attention weights for
+    inspection/export.
 
     The node's parents are ``v``, ``m_prime_nodes``, ``w0``, ``w1_self``,
     ``attn_pair`` and ``attn_edge``. The forward runs the numpy ops of
     the op-by-op chain (edge scores, segment softmax, scaled messages,
-    segment sum, the two maps, activation) in that chain's order, so its
+    segment sum, the two maps, ReLU) in that chain's order, so its
     output is bitwise equal to the chain's. The backward keeps g, the
     gathered sender rows, the aggregate, γ and the raw scores.
     """
@@ -161,7 +154,6 @@ def gat_layer(
     agg = _segment_reduce(np.add, coef * g_src, dst, n, 0.0)  # (N, d)
     out = _affine(agg, w0, None)
     out += _affine(g, w1, None)
-    relu = params.activation == "relu"
     if relu:
         np.maximum(out, 0.0, out=out)
 
@@ -207,16 +199,19 @@ def company_network_encoder(
     market_params: list[MarketParams],
     gat_params: list[GATLayerParams],
 ) -> tuple[Tensor, NetworkDiagnostics]:
-    """Alternate market and network encoding for L layers."""
+    """Alternate market and network encoding for L layers.
+
+    A ReLU follows every GAT step but the last.
+    """
     if len(market_params) != len(gat_params):
         raise ConfigError("need one market parameter set per GAT layer")
     if not gat_params:
         raise ConfigError("at least one layer required")
     diag = NetworkDiagnostics()
     v = v0
-    for mp, gp in zip(market_params, gat_params):
+    for layer, (mp, gp) in enumerate(zip(market_params, gat_params)):
         m_prime, beta, delta = run_market_timeline(arrays.date_gaps, v, arrays.node_group, mp)
-        v, gamma = gat_layer(v, m_prime, arrays, gp)
+        v, gamma = gat_layer(v, m_prime, arrays, gp, relu=layer < len(gat_params) - 1)
         diag.gamma.append(gamma)
         diag.beta.append(beta)
         diag.delta.append(delta)

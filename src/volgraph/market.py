@@ -20,6 +20,12 @@ forward and a backward through time). Each returns its forward result
 and a closure for its backward. The op returns each call's row of the
 market outputs with the pooling weights β per call and the decays δ per
 date.
+
+A layer's 14 market tensors are the fields of one ``MarketParams``: the
+pooling's ``w_k, w_q``, the GRU's gates and decay, and the output map
+``w_a, b_a``. Their field order is the op's parent order and the order
+``MarketParams.init`` registers and draws them in, under the names
+``{prefix}.attn.*``, ``{prefix}.gru.*`` and ``{prefix}.out.*``.
 """
 
 from __future__ import annotations
@@ -35,22 +41,11 @@ from .numcore.tensor import _make, _segment_reduce, _segment_softmax, _segment_s
 
 
 @dataclass
-class MarketAttentionParams:
-    w_k: Tensor  # key projection, d×d
-    w_q: Tensor  # query vector, d
+class MarketParams:
+    """One network layer's market stage: pooling, decayed GRU and output map."""
 
-    @classmethod
-    def init(
-        cls, store: ParamStore, rng: np.random.Generator, d: int, prefix: str
-    ) -> "MarketAttentionParams":
-        return cls(
-            w_k=store.add(f"{prefix}.attn.w_k", uniform_init(rng, (d, d), d)),
-            w_q=store.add(f"{prefix}.attn.w_q", uniform_init(rng, (d,), d)),
-        )
-
-
-@dataclass
-class TimeDecayGRUParams:
+    w_k: Tensor  # pooling key projection, d×d
+    w_q: Tensor  # pooling query vector, d
     w_z: Tensor
     u_z: Tensor
     b_z: Tensor
@@ -67,48 +62,33 @@ class TimeDecayGRUParams:
     @classmethod
     def init(
         cls, store: ParamStore, rng: np.random.Generator, d: int, prefix: str
-    ) -> "TimeDecayGRUParams":
-        def mat(name):
-            return store.add(f"{prefix}.{name}", uniform_init(rng, (d, d), d))
-
-        def vec(name):
-            return store.add(f"{prefix}.{name}", uniform_init(rng, (d,), d))
-
-        return cls(
-            w_z=mat("gru.w_z"),
-            u_z=mat("gru.u_z"),
-            b_z=vec("gru.b_z"),
-            w_r=mat("gru.w_r"),
-            u_r=mat("gru.u_r"),
-            b_r=vec("gru.b_r"),
-            w_h=mat("gru.w_h"),
-            u_h=mat("gru.u_h"),
-            b_h=vec("gru.b_h"),
-            w_d=store.add(f"{prefix}.gru.w_d", uniform_init(rng, (1,), 1)),
-            w_a=mat("out.w_a"),
-            b_a=vec("out.b_a"),
-        )
-
-
-@dataclass
-class MarketParams:
-    attention: MarketAttentionParams
-    gru: TimeDecayGRUParams
-
-    @classmethod
-    def init(
-        cls, store: ParamStore, rng: np.random.Generator, d: int, prefix: str = "market"
     ) -> "MarketParams":
+        def add(name, shape, fan_in=d):
+            return store.add(f"{prefix}.{name}", uniform_init(rng, shape, fan_in))
+
         return cls(
-            attention=MarketAttentionParams.init(store, rng, d, prefix),
-            gru=TimeDecayGRUParams.init(store, rng, d, prefix),
+            w_k=add("attn.w_k", (d, d)),
+            w_q=add("attn.w_q", (d,)),
+            w_z=add("gru.w_z", (d, d)),
+            u_z=add("gru.u_z", (d, d)),
+            b_z=add("gru.b_z", (d,)),
+            w_r=add("gru.w_r", (d, d)),
+            u_r=add("gru.u_r", (d, d)),
+            b_r=add("gru.b_r", (d,)),
+            w_h=add("gru.w_h", (d, d)),
+            u_h=add("gru.u_h", (d, d)),
+            b_h=add("gru.b_h", (d,)),
+            w_d=add("gru.w_d", (1,), 1),
+            w_a=add("out.w_a", (d, d)),
+            b_a=add("out.b_a", (d,)),
         )
 
     def tensors(self) -> tuple[Tensor, ...]:
-        """The 14 parameter tensors, attention then GRU, each in field order."""
-        return tuple(
-            getattr(part, f.name) for part in (self.attention, self.gru) for f in fields(part)
-        )
+        """The 14 parameter tensors in field order."""
+        return tuple(getattr(self, name) for name in _MARKET_FIELDS)
+
+
+_MARKET_FIELDS = tuple(f.name for f in fields(MarketParams))
 
 
 def market_attention(emb: np.ndarray, seg: np.ndarray, n_dates: int, w_k: np.ndarray,

@@ -185,7 +185,7 @@ def transformer_encoder_layer(
     p: TransformerLayerParams,
     n_heads: int,
     lengths: np.ndarray,
-    queries: tuple[int, ...] | None = None,
+    cls_only: bool = False,
 ) -> Tensor:
     """Self-attention + feed-forward with residuals and post-layer-norm, one tape node.
 
@@ -198,12 +198,12 @@ def transformer_encoder_layer(
     runs once over all rows as 2-D products (``_affine``), so a row's
     result is bitwise independent of the other sequences packed with it.
 
-    Keys and values always come from every row. ``queries``, positions
-    within every sequence, picks which rows are computed: the attention
-    output, the residual, both norms and the feed-forward block run on
-    those rows only, and the result holds len(queries) rows per sequence,
-    sequence after sequence. They equal those rows of the full layer; the
-    default (None) computes every row and returns (R, d).
+    Keys and values always come from every row. With ``cls_only`` the
+    first row of each sequence is its only query: the attention output,
+    the residual, both norms and the feed-forward block run on those rows
+    only, and the result is (len(lengths), d), one row per sequence. Each
+    equals that row of the full layer; by default every row is computed
+    and the result is (R, d).
 
     The node's parents are ``x`` and the 15 ``TransformerLayerParams``
     tensors in field order. The forward runs the numpy ops of an
@@ -226,17 +226,8 @@ def transformer_encoder_layer(
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != x.shape[0]:
         raise ShapeError(f"sequence lengths {lengths.tolist()} do not pack {x.shape[0]} rows")
-    if queries is None:
-        rows = None
-        qin = x.data
-    else:
-        pos = np.asarray(queries, dtype=np.intp)
-        bad = pos.ndim != 1 or pos.size == 0 or np.unique(pos).size != pos.size
-        if bad or pos.min() < 0 or pos.max() >= lengths.min():
-            raise ShapeError(f"query positions {pos.tolist()} do not fit sequences of "
-                             f"{lengths.min()}+ rows")
-        rows = ((np.cumsum(lengths) - lengths)[:, None] + pos).ravel()
-        qin = x.data[rows]
+    rows = np.cumsum(lengths) - lengths if cls_only else None
+    qin = x.data if rows is None else x.data[rows]
     (wq, bq, wk, wv, bv, wo, bo,
      ff1_w, ff1_b, ff2_w, ff2_b, ln1_g, ln1_b, ln2_g, ln2_b) = (t.data for t in params)
     dh = d // n_heads
@@ -247,7 +238,7 @@ def transformer_encoder_layer(
     blocks, kv_at, q_at = [], 0, 0
     for first, end in zip(cuts, cuts[1:]):
         b, n = end - first, int(lengths[first])
-        m = n if rows is None else pos.size
+        m = 1 if cls_only else n
         blocks.append((slice(kv_at, kv_at + b * n), slice(q_at, q_at + b * m), b, n, m))
         kv_at, q_at = kv_at + b * n, q_at + b * m
 

@@ -44,6 +44,8 @@ _RETIRED_KEYS = {
     "literal_market_norm": False,
     # the company network has a single attention head
     "network_heads": 1,
+    # the feed-forward block is always 4·d_hidden wide, which null meant
+    "d_ff": None,
 }
 
 # the JSON value types a manifest may hold, per ModelConfig annotation
@@ -71,9 +73,8 @@ class ModelConfig:
     d_q: int = 8
     max_sentences: int = 512
     max_utterances: int = 256
-    # output head and transformer sizing
+    # output head sizing
     mlp_hidden: int = 64
-    d_ff: int | None = None
     # training loop
     max_epochs: int = 200
     joint_heads: bool = False
@@ -111,8 +112,6 @@ class ModelConfig:
             )
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.d_ff is not None and self.d_ff < 1:
-            raise ConfigError(f"d_ff must be >= 1 or none, got {self.d_ff}")
         bad = [t for t in self.taus if t not in TAUS]
         if bad or not self.taus:
             raise ConfigError(f"taus must come from {TAUS}, got {self.taus}")
@@ -138,10 +137,11 @@ class ModelConfig:
         if unknown:
             raise ConfigError(f"unknown model config keys: {', '.join(unknown)}")
         for key, value in d.items():
-            kind, *rest = annotations[key].split(" | ")  # a string, e.g. "int | None"
-            ok = type(value) in _JSON_TYPES[kind] or (value is None and rest == ["None"])
-            if not ok or (kind == "tuple" and not all(type(t) is int for t in value)):
-                raise ConfigError(f"config key {key!r}: {value!r} does not fit {annotations[key]}")
+            kind = annotations[key]  # a string, e.g. "int"
+            if type(value) not in _JSON_TYPES[kind] or (
+                kind == "tuple" and not all(type(t) is int for t in value)
+            ):
+                raise ConfigError(f"config key {key!r}: {value!r} does not fit {kind}")
         if "taus" in d:
             d["taus"] = tuple(d["taus"])
         return cls(**d)
@@ -213,7 +213,6 @@ class VolatilityModel:
             d_hidden=config.d_hidden,
             n_layers=config.dialogue_layers,
             n_heads=config.dialogue_heads,
-            d_ff=config.d_ff,
         )
         self.market_params = []
         self.gat_params = []
@@ -221,11 +220,8 @@ class VolatilityModel:
             self.market_params.append(
                 MarketParams.init(store, rng, config.d_hidden, prefix=f"network.layer{layer}.market")
             )
-            act = "identity" if layer == config.network_layers - 1 else "relu"
             self.gat_params.append(
-                GATLayerParams.init(
-                    store, rng, config.d_hidden, prefix=f"network.layer{layer}.gat", activation=act
-                )
+                GATLayerParams.init(store, rng, config.d_hidden, prefix=f"network.layer{layer}.gat")
             )
         self.heads = {}
         for tau in self.taus:

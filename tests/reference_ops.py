@@ -276,8 +276,8 @@ def reference_scan(xz, xr, xh, gaps, w_d, u_z, u_r, u_h):
 def market_timeline_chain(date_gaps, embeddings, node_group, params):
     """Pooling, the three input maps, the scan, the output map and the gather of
     each call's date row; returns (m′ rows, β)."""
-    p = params.gru
-    pooled, beta = market_attention_chain(embeddings, node_group, len(date_gaps), params.attention)
+    p = params
+    pooled, beta = market_attention_chain(embeddings, node_group, len(date_gaps), p)
     xz, xr, xh = (linear(pooled, w, b) for w, b in ((p.w_z, p.b_z), (p.w_r, p.b_r), (p.w_h, p.b_h)))
     hidden = reference_scan(xz, xr, xh, date_gaps, p.w_d, p.u_z, p.u_r, p.u_h)
     return nc.take(linear(hidden, p.w_a, p.b_a), node_group), beta
@@ -288,7 +288,7 @@ def window_head_chain(v, w1, b1, w2, b2):
     return reshape(linear(relu(linear(v, w1, b1)), w2, b2), (v.shape[0],))
 
 
-def gat_layer_chain(v, m_prime_nodes, arrays, params):
+def gat_layer_chain(v, m_prime_nodes, arrays, params, with_relu):
     """Edge scores, segment softmax, scaled messages, segment sum, maps; returns (out, γ)."""
     d = v.shape[1]
     proj = matmul(swapaxes(params.attn_edge, 0, 1), params.attn_pair)
@@ -301,7 +301,7 @@ def gat_layer_chain(v, m_prime_nodes, arrays, params):
     coef = reshape(div(gamma, nc.Tensor(arrays.dtilde)), (gamma.shape[0], 1))
     agg = segment_sum(mul(coef, nc.take(g, arrays.src)), arrays.dst, arrays.n_nodes)
     out = add(linear(agg, params.w0), linear(g, params.w1_self))
-    if params.activation == "relu":
+    if with_relu:
         out = relu(out)
     return out, gamma
 

@@ -42,6 +42,18 @@ max_epochs = 2
 seed = 0
 """
 
+
+def tiny_model_config(lines: str) -> str:
+    """``TINY_MODEL_CONFIG`` with ``lines`` in place of its own lines for their keys.
+
+    A config file may set a key only once.
+    """
+    keys = {line.split("=")[0].strip() for line in lines.splitlines()}
+    kept = [line for line in TINY_MODEL_CONFIG.splitlines(keepends=True)
+            if line.split("=")[0].strip() not in keys]
+    return "".join(kept) + lines + "\n"
+
+
 TINY_SYNTH_CONFIG = """\
 n_companies = 10
 n_quarters = 12
@@ -75,23 +87,22 @@ class TestConfigParsing:
                 "dialogue_heads": "2",
                 "joint_heads": "true",
                 "taus": "3,7",
-                "d_ff": "none",
             },
         )
         assert cfg.lr == 0.01
         assert cfg.d_hidden == 16
         assert cfg.joint_heads is True
         assert cfg.taus == (3, 7)
-        assert cfg.d_ff is None
 
     def test_d_ff_int(self):
-        cfg = dataclass_from_config(ModelConfig, {"d_ff": "32"})
-        assert cfg.d_ff == 32
+        # the feed-forward block is always 4·d_hidden wide: d_ff is no setting
+        with pytest.raises(ConfigError, match="unknown config key 'd_ff' for ModelConfig"):
+            dataclass_from_config(ModelConfig, {"d_ff": "32"})
 
-    @pytest.mark.parametrize("raw", ["32.5", "many"])
-    def test_bad_optional_int_rejected(self, raw):
-        with pytest.raises(ConfigError, match="d_ff"):
-            dataclass_from_config(ModelConfig, {"d_ff": raw})
+    @pytest.mark.parametrize("raw", ["3,,7", "3,7,", ",3"])
+    def test_empty_tuple_item_rejected(self, raw):
+        with pytest.raises(ConfigError, match="for config key taus"):
+            dataclass_from_config(ModelConfig, {"taus": raw})
 
     def test_retired_network_heads_key_rejected(self):
         with pytest.raises(ConfigError, match="network_heads"):
@@ -605,21 +616,38 @@ class TestTrainEval:
     @pytest.mark.parametrize(
         "lines,key",
         [
-            ("d_ff = -3", "d_ff"),
-            ("d_ff = 0", "d_ff"),
             ("taus = 7,7", "taus"),
             ("taus = 7,7\njoint_heads = true", "taus"),
             ("seed = -1", "seed"),
         ],
-        ids=["d_ff-negative", "d_ff-zero", "taus-repeated", "taus-repeated-joint", "seed-negative"],
+        ids=["taus-repeated", "taus-repeated-joint", "seed-negative"],
     )
     def test_bad_config_value_exits_2(self, workdir, tmp_path, capsys, lines, key):
         bad = tmp_path / "bad.cfg"
-        bad.write_text(TINY_MODEL_CONFIG + lines + "\n")
+        bad.write_text(tiny_model_config(lines))
         rc = main(["train", "--config", str(bad), "--data", str(workdir["data"]),
                    "--out", str(tmp_path / "x.npz")])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {key} must")
+        assert not (tmp_path / "x.npz").exists()
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("d_ff = 32", "unknown config key 'd_ff' for ModelConfig"),
+            ("seed = 1\nmax_epochs = 1\nseed = 2", "{cfg}:3: key 'seed' already set on line 1"),
+            ("taus = 3,,7", "bad value '3,,7' for config key taus"),
+        ],
+        ids=["retired-d_ff", "repeated-key", "empty-tuple-item"],
+    )
+    def test_config_file_exits_2_with_one_error_line(self, workdir, tmp_path, capsys, lines,
+                                                     message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(lines + "\n")
+        rc = main(["train", "--config", str(cfg), "--data", str(workdir["data"]),
+                   "--out", str(tmp_path / "x.npz")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
         assert not (tmp_path / "x.npz").exists()
 
     def test_diverging_training_exits_2(self, workdir, tmp_path, capsys):
@@ -654,14 +682,14 @@ class TestTrainEval:
         with np.load(workdir["ckpt"]) as data:
             arrays = {k: data[k] for k in data.files}
         manifest = json.loads(str(arrays["__manifest__"]))
-        manifest["config"]["d_ff"] = -3
+        manifest["config"]["d_ff"] = 32  # a parent's manifest holds null, which still loads
         arrays["__manifest__"] = np.array(json.dumps(manifest))
         bad = tmp_path / "bad.npz"
         np.savez(bad, **arrays)
         rc = main(["eval", "--model", str(bad), "--data", str(workdir["data"]),
                    "--report", str(tmp_path / "eval.json")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: d_ff must")
+        assert capsys.readouterr().err == "error: config key 'd_ff' is no longer supported\n"
         assert not (tmp_path / "eval.json").exists()
 
 
@@ -1027,7 +1055,7 @@ class TestNodeIdsOutOfDateOrder:
 class TestSingleWindow:
     def test_eval_reports_the_checkpoint_window(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "tau3.cfg"
-        cfg.write_text(TINY_MODEL_CONFIG + "taus = 3\nmax_epochs = 1\n")
+        cfg.write_text(tiny_model_config("taus = 3\nmax_epochs = 1"))
         ckpt, report = tmp_path / "tau3.npz", tmp_path / "eval.json"
         data = str(workdir["data"])
         assert main(["train", "--config", str(cfg), "--data", data, "--out", str(ckpt)]) == 0
@@ -1043,7 +1071,7 @@ class TestSingleWindow:
 class TestJointTraining:
     def test_joint_checkpoint_round_trip(self, workdir, tmp_path):
         cfg = tmp_path / "joint.cfg"
-        cfg.write_text(TINY_MODEL_CONFIG + "joint_heads = true\nmax_epochs = 1\n")
+        cfg.write_text(tiny_model_config("joint_heads = true\nmax_epochs = 1"))
         ckpt = tmp_path / "joint.npz"
         rc = main(["train", "--config", str(cfg), "--data", str(workdir["data"]), "--out", str(ckpt)])
         assert rc == 0

@@ -30,7 +30,7 @@ from volgraph.dialogue import (
 from volgraph.errors import ParseError, ShapeError
 from volgraph.graphbuild import build_quarter_graph
 from volgraph.pipeline import ModelConfig, VolatilityModel, prepare_quarter
-from volgraph.numcore.layers import transformer_encoder_layer
+from volgraph.numcore.layers import TransformerLayerParams, transformer_encoder_layer
 from volgraph.numcore.params import ParamStore
 
 import reference_ops as ro
@@ -41,15 +41,23 @@ D_S = 6
 
 
 def setup_encoder(rng, n_layers=1, d_hidden=8, max_sentences=16, max_utterances=8, d_ff=12):
+    """Tables and an encoder whose layers' feed-forward width is ``d_ff``.
+
+    The model's layers are always 4·d_hidden wide; these tests also use
+    widths that 4·d_hidden cannot give, so the layers are built here.
+    """
     store = ParamStore()
     tables = StructEmbedTables.init(
         store, rng, d_p=2, d_u=2, d_r=2, d_q=2,
         max_sentences=max_sentences, max_utterances=max_utterances,
     )
     params = DialogueEncoderParams.init(
-        store, rng, d_in=D_S + tables.total_dim, d_hidden=d_hidden,
-        n_layers=n_layers, n_heads=2, d_ff=d_ff,
+        store, rng, d_in=D_S + tables.total_dim, d_hidden=d_hidden, n_layers=0, n_heads=2,
     )
+    params.layers = [
+        TransformerLayerParams.init(store, rng, f"dialogue.layer{i}", d_hidden, d_ff=d_ff)
+        for i in range(n_layers)
+    ]
     return store, tables, params
 
 
@@ -180,14 +188,14 @@ def text_call(call_id, texts, vectors=None, utterances=None):
 def reference_rows(call, tables, d_s=D_S):
     """The featurized rows of one call, sentence by sentence."""
     rows = []
-    for i, s in enumerate(call.sentences[: tables.max_sentences]):
+    for i, s in enumerate(call.sentences[: tables.position.shape[0]]):
         base = hash_featurizer([s.text], d_s)[0] if s.vector is None else s.vector
         rows.append(
             np.concatenate(
                 [
                     base,
                     tables.position.data[i],
-                    tables.utterance.data[min(s.utterance_idx, tables.max_utterances - 1)],
+                    tables.utterance.data[min(s.utterance_idx, tables.utterance.shape[0] - 1)],
                     tables.role.data[("executive", "analyst").index(s.role)],
                     tables.part.data[("presentation", "qa").index(s.part)],
                 ]
@@ -349,7 +357,7 @@ class TestSentenceBlock:
         assert set(map(id, rows._parents)) >= set(map(id, lookups))
         assert len(rows._parents) == 5  # the base block and the four lookups
         chunks = [t for t in nodes.values() if id(rows) in {id(p) for p in t._parents}]
-        block = SentenceBlock.build(calls, D_S, tables.max_sentences, tables.max_utterances)
+        block = SentenceBlock.build(calls, D_S, tables.position.shape[0], tables.utterance.shape[0])
         assert len(chunks) == len(block.chunks) == (1 if len(lengths) == 2 else 3)
         assert sorted(t.shape[0] for t in chunks) == sorted(int(n.sum()) for n, _ in block.chunks)
 
@@ -397,12 +405,6 @@ class TestEncode:
         call = vector_call(rng)
         v = encode_calls([call], tables, params, D_S, {})
         assert v.shape == (1, 8)
-
-    def test_zero_layers_returns_projected_cls(self, rng):
-        # with no transformer layers the readout is exactly the CLS row
-        store, tables, params = setup_encoder(rng, n_layers=0)
-        call = vector_call(rng)
-        np.testing.assert_array_equal(encode_one(call, tables, params), params.cls.data[0])
 
     def test_batch_composition_never_changes_an_embedding(self, rng):
         # equal-length grouping means a call's embedding is a function of

@@ -51,9 +51,9 @@ def build(calls, sims):
     return build_quarter_graph(calls, relations, Q)
 
 
-def gat_params(rng, activation="relu", d=D):
+def gat_params(rng, d=D):
     store = ParamStore()
-    return store, GATLayerParams.init(store, rng, d, "gat", activation=activation)
+    return store, GATLayerParams.init(store, rng, d, "gat")
 
 
 def leaky(x):
@@ -65,7 +65,7 @@ def weights(v, arrays, p):
     return edge_attention(v, arrays, p.attn_edge.data.T @ p.attn_pair.data)[0]
 
 
-def oracle_gat(v, g, arrays, p, activation):
+def oracle_gat(v, g, arrays, p, relu):
     """Loop-based recomputation of attention and aggregation."""
     E = len(arrays.src)
     pair = np.concatenate([v[arrays.dst], v[arrays.src]], axis=1) @ p.attn_pair.data.T
@@ -79,7 +79,7 @@ def oracle_gat(v, g, arrays, p, activation):
     for e in range(E):
         agg[arrays.dst[e]] += gamma[e] / arrays.dtilde[e] * g[arrays.src[e]]
     out = agg @ p.w0.data.T + g @ p.w1_self.data.T
-    if activation == "relu":
+    if relu:
         out = np.maximum(out, 0.0)
     return out, gamma
 
@@ -248,32 +248,32 @@ class TestGATLayer:
              ("C", "D", 0.7)],
         )
         arrays = GraphArrays.from_graph(g)
-        for activation in ("relu", "identity"):
-            store, params = gat_params(rng, activation)
+        for relu in (True, False):
+            store, params = gat_params(rng)
             v = rng.normal(size=(5, D))
             m = rng.normal(size=(5, D))
-            out, gamma = gat_layer(nc.Tensor(v), nc.Tensor(m), arrays, params)
-            want_out, want_gamma = oracle_gat(v, v + m, arrays, params, activation)
+            out, gamma = gat_layer(nc.Tensor(v), nc.Tensor(m), arrays, params, relu)
+            want_out, want_gamma = oracle_gat(v, v + m, arrays, params, relu)
             np.testing.assert_allclose(gamma, want_gamma, atol=1e-12)
             np.testing.assert_allclose(out.data, want_out, atol=1e-10)
 
     def test_zero_market_state_reduces_to_pure_gat(self, rng):
         g = build([call("A", apr(5)), call("B", apr(7))], [("A", "B", 0.5)])
         arrays = GraphArrays.from_graph(g)
-        store, params = gat_params(rng, "identity")
+        store, params = gat_params(rng)
         v = rng.normal(size=(2, D))
-        out, _ = gat_layer(nc.Tensor(v), nc.Tensor(np.zeros((2, D))), arrays, params)
-        want, _ = oracle_gat(v, v, arrays, params, "identity")
+        out, _ = gat_layer(nc.Tensor(v), nc.Tensor(np.zeros((2, D))), arrays, params, False)
+        want, _ = oracle_gat(v, v, arrays, params, False)
         np.testing.assert_allclose(out.data, want, atol=1e-12)
 
     def test_isolated_node_closed_form(self, rng):
-        # one node, self-loop only: out = act((v+m)(w0+w1)^T), dtilde = 1
+        # one node, self-loop only: out = (v+m)(w0+w1)^T without the ReLU, dtilde = 1
         g = build([call("A", apr(5))], [])
         arrays = GraphArrays.from_graph(g)
-        store, params = gat_params(rng, "identity")
+        store, params = gat_params(rng)
         v = rng.normal(size=(1, D))
         m = rng.normal(size=(1, D))
-        out, gamma = gat_layer(nc.Tensor(v), nc.Tensor(m), arrays, params)
+        out, gamma = gat_layer(nc.Tensor(v), nc.Tensor(m), arrays, params, False)
         np.testing.assert_allclose(gamma, [1.0], atol=1e-15)
         want = (v + m) @ (params.w0.data + params.w1_self.data).T
         np.testing.assert_allclose(out.data, want, atol=1e-12)
@@ -284,8 +284,9 @@ class TestGATLayer:
         arrays = GraphArrays.from_graph(g)
         store, params = gat_params(rng)
         v = rng.normal(size=(2, D))
-        _, gamma1 = gat_layer(nc.Tensor(v), nc.Tensor(np.zeros((2, D))), arrays, params)
-        _, gamma2 = gat_layer(nc.Tensor(v), nc.Tensor(rng.normal(size=(2, D))), arrays, params)
+        _, gamma1 = gat_layer(nc.Tensor(v), nc.Tensor(np.zeros((2, D))), arrays, params, True)
+        _, gamma2 = gat_layer(nc.Tensor(v), nc.Tensor(rng.normal(size=(2, D))), arrays, params,
+                              True)
         np.testing.assert_array_equal(gamma1, gamma2)
 
     def test_relabeling_isomorphism(self, rng):
@@ -304,7 +305,7 @@ class TestGATLayer:
             inv = {names[c]: c for c in dates}
             v = np.stack([v_by_company[inv[c.company_id]] for c in g.calls])
             out, _ = gat_layer(
-                nc.Tensor(v), nc.Tensor(np.zeros((3, D))), arrays, params
+                nc.Tensor(v), nc.Tensor(np.zeros((3, D))), arrays, params, True
             )
             return {inv[c.company_id]: out.data[i] for i, c in enumerate(g.calls)}
 
@@ -331,49 +332,49 @@ def mixed_graph():
 class TestFusedGATLayer:
     """``gat_layer`` as one tape node against the op-by-op chain it replaces."""
 
-    def leaves(self, rng, activation):
-        store, params = gat_params(rng, activation)
+    def leaves(self, rng):
+        store, params = gat_params(rng)
         v = store.add("v", rng.normal(size=(5, D)))
         m = store.add("m_prime_nodes", rng.normal(size=(5, D)))
         return store, params, v, m
 
     def test_one_tape_node_per_layer(self, rng):
-        store, params, v, m = self.leaves(rng, "relu")
-        out, _ = gat_layer(v, m, mixed_graph(), params)
+        store, params, v, m = self.leaves(rng)
+        out, _ = gat_layer(v, m, mixed_graph(), params, True)
         want = (v, m, params.w0, params.w1_self, params.attn_pair, params.attn_edge)
         assert out._parents == want
         assert all(p._backward_fn is None for p in out._parents)
 
     def test_no_tape_under_no_grad(self, rng):
-        store, params, v, m = self.leaves(rng, "relu")
+        store, params, v, m = self.leaves(rng)
         with nc.no_grad():
-            out, _ = gat_layer(v, m, mixed_graph(), params)
+            out, _ = gat_layer(v, m, mixed_graph(), params, True)
         assert out._parents == () and out._backward_fn is None
 
-    @pytest.mark.parametrize("activation", ["relu", "identity"])
-    def test_forward_bitwise_equal_to_op_chain(self, rng, activation):
-        store, params, v, m = self.leaves(rng, activation)
+    @pytest.mark.parametrize("relu", [True, False], ids=["relu", "identity"])
+    def test_forward_bitwise_equal_to_op_chain(self, rng, relu):
+        store, params, v, m = self.leaves(rng)
         arrays = mixed_graph()
-        out, gamma = gat_layer(v, m, arrays, params)
-        want, want_gamma = gat_layer_chain(v, m, arrays, params)
+        out, gamma = gat_layer(v, m, arrays, params, relu)
+        want, want_gamma = gat_layer_chain(v, m, arrays, params, relu)
         assert np.array_equal(out.data, want.data)
         assert np.array_equal(gamma, want_gamma.data)
 
-    @pytest.mark.parametrize("activation", ["relu", "identity"])
-    def test_gradients_match_op_chain(self, rng, activation):
-        store, params, v, m = self.leaves(rng, activation)
+    @pytest.mark.parametrize("relu", [True, False], ids=["relu", "identity"])
+    def test_gradients_match_op_chain(self, rng, relu):
+        store, params, v, m = self.leaves(rng)
         arrays = mixed_graph()
         w = nc.Tensor(rng.normal(size=(5, D)))
-        ro.sum_(ro.mul(gat_layer(v, m, arrays, params)[0], w)).backward()
+        ro.sum_(ro.mul(gat_layer(v, m, arrays, params, relu)[0], w)).backward()
         got = {name: t.grad.copy() for name, t in store.items()}
         store.zero_grad()
-        ro.sum_(ro.mul(gat_layer_chain(v, m, arrays, params)[0], w)).backward()
+        ro.sum_(ro.mul(gat_layer_chain(v, m, arrays, params, relu)[0], w)).backward()
         for name, t in store.items():
             np.testing.assert_allclose(got[name], t.grad, rtol=0, atol=1e-12, err_msg=name)
 
-    @pytest.mark.parametrize("activation", ["relu", "identity"])
-    def test_gradcheck_inputs_and_params(self, rng, activation):
-        store, params, v, m = self.leaves(rng, activation)
+    @pytest.mark.parametrize("relu", [True, False], ids=["relu", "identity"])
+    def test_gradcheck_inputs_and_params(self, rng, relu):
+        store, params, v, m = self.leaves(rng)
         arrays = mixed_graph()
         proj = params.attn_edge.data.T @ params.attn_pair.data
         scores = edge_attention(v.data, arrays, proj)[1]
@@ -381,7 +382,7 @@ class TestFusedGATLayer:
         w = nc.Tensor(rng.normal(size=(5, D)))
 
         def loss():
-            return ro.sum_(ro.mul(gat_layer(v, m, arrays, params)[0], w))
+            return ro.sum_(ro.mul(gat_layer(v, m, arrays, params, relu)[0], w))
 
         report = grad_check(loss, store, tol=1e-4)
         assert report.passed, report.summary()
@@ -404,8 +405,7 @@ class TestNetworkEncoder:
         market, gat = [], []
         for layer in range(n_layers):
             market.append(MarketParams.init(store, rng, D, prefix=f"l{layer}.market"))
-            act = "identity" if layer == n_layers - 1 else "relu"
-            gat.append(GATLayerParams.init(store, rng, D, f"l{layer}.gat", activation=act))
+            gat.append(GATLayerParams.init(store, rng, D, f"l{layer}.gat"))
         return store, market, gat
 
     def test_layer_count_mismatch_rejected(self, rng):

@@ -29,20 +29,20 @@ D = 4
 
 def setup_params(rng, d=D):
     store = ParamStore()
-    return store, MarketParams.init(store, rng, d)
+    return store, MarketParams.init(store, rng, d, "market")
 
 
-def pool(emb, node_group, n_dates, attention):
+def pool(emb, node_group, n_dates, params):
     """The pooled rows (n_dates, d) and β (N,) of numpy call embeddings."""
     pooled, beta, _ = market_attention(
-        emb, np.asarray(node_group, dtype=np.intp), n_dates, attention.w_k.data, attention.w_q.data
+        emb, np.asarray(node_group, dtype=np.intp), n_dates, params.w_k.data, params.w_q.data
     )
     return pooled, beta
 
 
-def pool_one_date(emb, attention):
+def pool_one_date(emb, params):
     """Pool a single date's calls: every row belongs to date 0."""
-    return pool(emb, np.zeros(emb.shape[0], dtype=np.intp), 1, attention)
+    return pool(emb, np.zeros(emb.shape[0], dtype=np.intp), 1, params)
 
 
 def node_group_of(groups):
@@ -66,8 +66,8 @@ def timeline_of(groups, gaps, params):
 
 def pooled_and_hidden(groups, gaps, params):
     """The pooled inputs m (T, d) and the GRU states a (T, d) inside that timeline."""
-    p = params.gru
-    pooled, _ = pool(np.concatenate(groups), node_group_of(groups), len(groups), params.attention)
+    p = params
+    pooled, _ = pool(np.concatenate(groups), node_group_of(groups), len(groups), p)
     xz, xr, xh = (pooled @ w.data.T + b.data for w, b in ((p.w_z, p.b_z), (p.w_r, p.b_r),
                                                           (p.w_h, p.b_h)))
     hidden, _, _ = gru_scan(xz, xr, xh, gaps, p.w_d.data, p.u_z.data, p.u_r.data, p.u_h.data)
@@ -90,7 +90,7 @@ def tape_op_count(root) -> int:
 class TestAttentionPooling:
     def test_weights_sum_to_one(self, rng):
         store, params = setup_params(rng)
-        pooled, beta = pool_one_date(rng.normal(size=(5, D)), params.attention)
+        pooled, beta = pool_one_date(rng.normal(size=(5, D)), params)
         assert pooled.shape == (1, D)
         assert float(beta.sum()) == pytest.approx(1.0, abs=1e-12)
         assert np.all(beta > 0)
@@ -98,14 +98,14 @@ class TestAttentionPooling:
     def test_single_call_gets_weight_one(self, rng):
         store, params = setup_params(rng)
         emb = rng.normal(size=(1, D))
-        pooled, beta = pool_one_date(emb, params.attention)
+        pooled, beta = pool_one_date(emb, params)
         np.testing.assert_allclose(beta, [1.0], atol=1e-15)
         np.testing.assert_allclose(pooled[0], emb[0], atol=1e-15)
 
     def test_identical_calls_share_weight_equally(self, rng):
         store, params = setup_params(rng)
         row = rng.normal(size=D)
-        _, beta = pool_one_date(np.stack([row, row, row]), params.attention)
+        _, beta = pool_one_date(np.stack([row, row, row]), params)
         np.testing.assert_allclose(beta, [1 / 3] * 3, atol=1e-12)
 
     def test_permutation_equivariance(self, rng):
@@ -114,18 +114,18 @@ class TestAttentionPooling:
         store, params = setup_params(rng)
         emb = rng.normal(size=(4, D))
         perm = np.array([2, 0, 3, 1])
-        p1, b1 = pool_one_date(emb, params.attention)
-        p2, b2 = pool_one_date(emb[perm], params.attention)
+        p1, b1 = pool_one_date(emb, params)
+        p2, b2 = pool_one_date(emb[perm], params)
         np.testing.assert_allclose(p2, p1, atol=1e-12)
         np.testing.assert_allclose(b2, b1[perm], atol=1e-12)
 
     def test_matches_manual_softmax(self, rng):
         store, params = setup_params(rng)
         emb = rng.normal(size=(3, D))
-        keys = emb @ params.attention.w_k.data.T
-        scores = keys @ params.attention.w_q.data / np.sqrt(D)
+        keys = emb @ params.w_k.data.T
+        scores = keys @ params.w_q.data / np.sqrt(D)
         want_beta = scipy.special.softmax(scores)
-        _, beta = pool_one_date(emb, params.attention)
+        _, beta = pool_one_date(emb, params)
         np.testing.assert_allclose(beta, want_beta, atol=1e-12)
 
     def test_rejects_bad_shape(self, rng):
@@ -186,12 +186,12 @@ class TestGRUStep:
         m = rng.normal(size=(2, D))
         gaps = np.array([0, 6])
         groups = [m[:1], m[1:]]
-        deltas = scipy.special.expit(params.gru.w_d.data[0] / (gaps + 1))
+        deltas = scipy.special.expit(params.w_d.data[0] / (gaps + 1))
         m_prime, _, _ = timeline_of(groups, gaps, params)
         _, a = pooled_and_hidden(groups, gaps, params)
         a_prev = np.zeros((1, D))
         for t in range(2):
-            a_prev, want_mp = self.manual_step(m[t : t + 1], a_prev, deltas[t], params.gru)
+            a_prev, want_mp = self.manual_step(m[t : t + 1], a_prev, deltas[t], params)
             np.testing.assert_allclose(a[t], a_prev[0], atol=1e-12)
             np.testing.assert_allclose(m_prime[t], want_mp[0], atol=1e-12)
 
@@ -218,12 +218,12 @@ class TestTimeline:
         step = TestGRUStep()
         a = np.zeros((1, D))
         for i, (emb, gap) in enumerate(zip(groups, gaps)):
-            keys = emb @ params.attention.w_k.data.T
-            scores = keys @ params.attention.w_q.data / np.sqrt(D)
+            keys = emb @ params.w_k.data.T
+            scores = keys @ params.w_q.data / np.sqrt(D)
             beta = scipy.special.softmax(scores)
             m = (beta[None, :] @ emb).reshape(1, D)
-            delta = sig(params.gru.w_d.data[0] / (gap + 1))
-            a, m_prime = step.manual_step(m, a, delta, params.gru)
+            delta = sig(params.w_d.data[0] / (gap + 1))
+            a, m_prime = step.manual_step(m, a, delta, params)
             np.testing.assert_allclose(pooled[i], m[0], atol=1e-12)
             np.testing.assert_allclose(hidden[i], a[0], atol=1e-12)
             np.testing.assert_allclose(outputs[i], m_prime[0], atol=1e-12)
@@ -284,15 +284,15 @@ def reference_timeline(emb, node_group, gaps, params):
 
     Returns each call's row of the per-date outputs, and β per date.
     """
-    att, p = params.attention, params.gru
+    p = params
     d = emb.shape[1]
     a = nc.Tensor(np.zeros((1, d)))
     outputs, betas = [], []
     for t, gap in enumerate(gaps):
         ids = np.flatnonzero(node_group == t)
         e = nc.take(emb, ids)
-        keys = ro.linear(e, att.w_k)
-        scores = ro.div(ro.matmul(keys, ro.reshape(att.w_q, (d, 1))), float(np.sqrt(d)))
+        keys = ro.linear(e, p.w_k)
+        scores = ro.div(ro.matmul(keys, ro.reshape(p.w_q, (d, 1))), float(np.sqrt(d)))
         flat = ro.reshape(scores, (len(ids),))
         weights = ro.exp(ro.sub(flat, nc.Tensor(flat.data.max())))
         beta = ro.div(weights, ro.sum_(weights))
@@ -366,7 +366,7 @@ class TestWholeQuarterScan:
         node_group = np.array([0, 1, 1, 2, 3])
         emb = rng.normal(size=(5, D))
         outputs, betas, _ = run_market_timeline([0, 2, 5, 1], nc.Tensor(emb), node_group, params)
-        pooled, _ = pool(emb, node_group, 4, params.attention)
+        pooled, _ = pool(emb, node_group, 4, params)
         for date, node in ((0, 0), (2, 3), (3, 4)):
             assert betas[node_group == date].tolist() == [1.0]
             assert np.array_equal(pooled[date], emb[node])
@@ -377,7 +377,7 @@ class TestWholeQuarterScan:
         store, params = setup_params(rng)
         emb = nc.Tensor(rng.normal(size=(len(self.NODE_GROUP), D)))
         _, _, deltas = run_market_timeline(self.GAPS, emb, self.NODE_GROUP, params)
-        w_d = params.gru.w_d.data[0]
+        w_d = params.w_d.data[0]
         want = [float(scipy.special.expit(w_d / (g + 1))) for g in self.GAPS]
         assert deltas.dtype == np.float64 and deltas.shape == (len(self.GAPS),)
         assert deltas.tolist() == pytest.approx(want, abs=1e-15)
@@ -433,9 +433,9 @@ class TestFusedPooling:
         want, want_beta = self.run(market_timeline_chain, emb, params)
         assert np.array_equal(rows.data, want.data)
         assert np.array_equal(beta, want_beta.data)
-        pooled, _ = pool(emb.data, self.NODE_GROUP, len(self.GAPS), params.attention)
+        pooled, _ = pool(emb.data, self.NODE_GROUP, len(self.GAPS), params)
         want_pooled, _ = market_attention_chain(emb, self.NODE_GROUP, len(self.GAPS),
-                                                params.attention)
+                                                params)
         assert np.array_equal(pooled, want_pooled.data)
 
     def test_gradients_match_op_chain(self, rng):

@@ -6,7 +6,7 @@ library's ops and the generic reference ops in ``reference_ops``, which
 the fused ops' tests compare against. The forward passes are
 cross-checked against numpy/scipy references. A guard keeps every
 export and public definition of ``volgraph`` to what the library and the
-benchmark use.
+benchmark use, and another keeps every parameter container to tensors.
 """
 
 from __future__ import annotations
@@ -585,6 +585,34 @@ class TestPublicSurface:
                 targets += [obj.__init__, *methods]
             for target in targets:
                 typing.get_type_hints(target)
+
+
+class TestParameterContainers:
+    """Every field of a ``*Params`` dataclass and of ``StructEmbedTables`` in
+    ``src/`` is annotated ``Tensor``: a container holds parameters, and a
+    setting that takes one value, or that a table's shape already gives, is
+    not one of its fields."""
+
+    # the encoder's layer list, and its head count, which no shape gives
+    NOT_TENSORS = {("DialogueEncoderParams", "layers"), ("DialogueEncoderParams", "n_heads")}
+
+    def test_every_container_field_is_a_tensor(self):
+        fields = []
+        for path in sorted(TestPublicSurface.SRC.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef) and (
+                    node.name.endswith("Params") or node.name == "StructEmbedTables"
+                ):
+                    fields += [(node.name, f.target.id, ast.unparse(f.annotation))
+                               for f in node.body if isinstance(f, ast.AnnAssign)]
+        assert {cls for cls, _, _ in fields} >= {
+            "DialogueEncoderParams", "GATLayerParams", "MarketParams", "StructEmbedTables",
+            "TransformerLayerParams",
+        }
+        assert [
+            f"{cls}.{name}: {annotation}" for cls, name, annotation in fields
+            if annotation != "Tensor" and (cls, name) not in self.NOT_TENSORS
+        ] == []
 
 
 # -- property tests -----------------------------------------------------------------

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -593,9 +595,30 @@ class TestCheckpoint:
         for tau in TAUS:
             assert np.array_equal(want[tau], got[tau])
 
-    def test_scope_names(self, tmp_path):
-        import json
+    def test_checkpoint_of_an_earlier_version_matches_a_fresh_build(self):
+        """``data/checkpoint-format2.npz`` was written at commit d4ff5a7 by
+        ``save_checkpoint(path, build_models(config), config)``, with three
+        separate window models, and its zip members were then recompressed
+        with deflate (``np.load`` reads either). Its manifest holds
+        ``"d_ff": null``. Building the models from its config must give its
+        parameter names in its order and its arrays bitwise: a renamed,
+        reordered or re-drawn parameter fails here."""
+        path = Path(__file__).parent / "data" / "checkpoint-format2.npz"
+        with np.load(path) as data:
+            manifest = json.loads(str(data["__manifest__"]))
+            saved = {key: data[key] for key in data.files if key != "__manifest__"}
+        assert manifest["config"]["d_ff"] is None and manifest["config"]["joint_heads"] is False
+        loaded, config = load_checkpoint(path)
+        for models in (build_models(config), loaded):
+            scopes = by_scope(models)
+            assert list(scopes) == ["tau3", "tau7", "tau15"]
+            arrays = {f"{scope}/{name}": t.data for scope, model in scopes.items()
+                      for name, t in model.store.items()}
+            assert list(arrays) == list(saved)
+            for key, array in arrays.items():
+                assert np.array_equal(array, saved[key]), key
 
+    def test_scope_names(self, tmp_path):
         config = tiny_config()
         models = {tau: VolatilityModel(config, (tau,)) for tau in TAUS}
         path = tmp_path / "m.npz"
@@ -719,7 +742,7 @@ class TestCheckpoint:
         [
             (lambda m: m["config"].update(d_hidden="8"), "'d_hidden'"),
             (lambda m: m["config"].update(lr="fast"), "'lr'"),
-            (lambda m: m["config"].update(d_ff="12"), "'d_ff'"),
+            (lambda m: m["config"].update(mlp_hidden="12"), "'mlp_hidden'"),
             (lambda m: m["config"].update(taus=5), "'taus'"),
             (lambda m: m.update(config=[1]), "config"),
             (lambda m: m.update(scopes=[1]), "scopes"),
@@ -727,7 +750,7 @@ class TestCheckpoint:
             (lambda m: m["scopes"].update(x="tau3"), "'x'"),
             (lambda m: m["scopes"].update({"99": "tau3"}), "'99'"),
         ],
-        ids=["int-as-string", "float-as-string", "d_ff-as-string", "taus-as-int",
+        ids=["int-as-string", "float-as-string", "mlp_hidden-as-string", "taus-as-int",
              "config-as-list", "scopes-as-list", "scopes-empty", "scope-key-not-a-window",
              "scope-key-not-a-config-window"],
     )

@@ -113,11 +113,6 @@ def starts(lengths):
     return np.cumsum(lengths) - lengths
 
 
-def query_rows(lengths, queries):
-    """Packed row index of every query: ``queries`` positions within each sequence."""
-    return (starts(lengths)[:, None] + np.asarray(queries)).ravel()
-
-
 def blocked_affine(a, weight, bias=None):
     """a @ wᵀ (+ b) by the tile rule: the weight padded with zero rows to whole
     8-column panels, the rows cut into tiles of ``_TILE_ROWS`` and the last
@@ -150,7 +145,7 @@ def textbook_attention(q, k, v):
     return e / e.sum(axis=-1, keepdims=True) @ v
 
 
-def replay_layer(x, p, n_heads, lengths, queries=None, attention=deferred_attention):
+def replay_layer(x, p, n_heads, lengths, cls_only=False, attention=deferred_attention):
     """The encoder layer as plain numpy, in the op order of an op-by-op tape.
 
     Separate Q/K/V maps over the packed rows, head split, ``attention``
@@ -160,11 +155,9 @@ def replay_layer(x, p, n_heads, lengths, queries=None, attention=deferred_attent
     ``blocked_affine``.
     """
     w = {name: getattr(p, name).data for name in PARAM_NAMES}
-    rows = None if queries is None else query_rows(lengths, queries)
-    q_in = x if rows is None else x[rows]
+    q_in = x[starts(lengths)] if cls_only else x
     d = x.shape[1]
     dh = d // n_heads
-    m = None if queries is None else len(queries)
 
     def lin(a, weight, bias=None):
         return blocked_affine(a, w[weight], None if bias is None else w[bias])
@@ -181,7 +174,7 @@ def replay_layer(x, p, n_heads, lengths, queries=None, attention=deferred_attent
     q, k, v = lin(q_in, "wq", "bq"), lin(x, "wk"), lin(x, "wv", "bv")
     ctx = []
     for i, (start, n) in enumerate(zip(starts(lengths), lengths)):
-        qs = slice(start, start + n) if m is None else slice(i * m, (i + 1) * m)
+        qs = slice(i, i + 1) if cls_only else slice(start, start + n)
         kv = slice(start, start + n)
         c = attention(split(q[qs]), split(k[kv]), split(v[kv]))
         ctx.append(np.swapaxes(c, 1, 2).reshape(-1, d))
@@ -196,14 +189,12 @@ def _rsqrt(t):
     return _make(out, (t,), lambda g: (-0.5 * g * out**3,))
 
 
-def reference_layer(x, p, n_heads, lengths, queries=None):
+def reference_layer(x, p, n_heads, lengths, cls_only=False):
     """The encoder layer as an op-by-op tape of generic ``numcore`` ops,
     attending one sequence at a time."""
-    rows = None if queries is None else query_rows(lengths, queries)
-    q_in = x if rows is None else nc.take(x, rows)
+    q_in = nc.take(x, starts(lengths)) if cls_only else x
     d = x.shape[1]
     dh = d // n_heads
-    m = None if queries is None else len(queries)
 
     def split(t):
         return ro.swapaxes(ro.reshape(t, (1, t.shape[0], n_heads, dh)), 1, 2)
@@ -217,7 +208,7 @@ def reference_layer(x, p, n_heads, lengths, queries=None):
     k, v = linear(x, p.wk), linear(x, p.wv, p.bv)
     ctx = []
     for i, (start, n) in enumerate(zip(starts(lengths), lengths)):
-        qs = np.arange(start, start + n) if m is None else np.arange(i * m, (i + 1) * m)
+        qs = np.arange(i, i + 1) if cls_only else np.arange(start, start + n)
         kv = np.arange(start, start + n)
         qh, kh, vh = split(nc.take(q, qs)), split(nc.take(k, kv)), split(nc.take(v, kv))
         scores = ro.matmul(qh, ro.swapaxes(kh, -1, -2))
@@ -229,16 +220,11 @@ def reference_layer(x, p, n_heads, lengths, queries=None):
     return norm(ro.add(h, ff), p.ln2_gamma, p.ln2_beta)
 
 
-def layer_queries(m):
-    """Every row (m == 5, the shortest sequence's length), or the CLS row alone (m == 1)."""
-    return None if m == LENGTHS.min() else (0,)
-
-
-def layer_grads(fn, store, params, x, queries, w):
+def layer_grads(fn, store, params, x, cls_only, w):
     """Gradients of sum(fn(...) * w) for x and all 15 parameters."""
     store.zero_grad()
     xt = nc.Tensor(x, requires_grad=True)
-    ro.sum_(ro.mul(fn(xt, params, 2, LENGTHS, queries=queries), nc.Tensor(w))).backward()
+    ro.sum_(ro.mul(fn(xt, params, 2, LENGTHS, cls_only=cls_only), nc.Tensor(w))).backward()
     return [xt.grad] + [getattr(params, n).grad for n in PARAM_NAMES]
 
 
@@ -258,10 +244,10 @@ class TestAttention:
     def test_forward_bitwise_equals_op_by_op_chain(self, rng, m):
         store, params = perturbed_layer(rng)
         x = rng.normal(size=(LENGTHS.sum(), 8))
-        queries = layer_queries(m)
-        want = replay_layer(x, params, 2, LENGTHS, queries)
-        got = transformer_encoder_layer(nc.Tensor(x), params, 2, LENGTHS, queries=queries).data
-        assert got.shape == ((LENGTHS.sum() if queries is None else len(LENGTHS)), 8)
+        cls_only = m == 1
+        want = replay_layer(x, params, 2, LENGTHS, cls_only)
+        got = transformer_encoder_layer(nc.Tensor(x), params, 2, LENGTHS, cls_only=cls_only).data
+        assert got.shape == ((len(LENGTHS) if cls_only else LENGTHS.sum()), 8)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("m", [5, 1])
@@ -277,9 +263,9 @@ class TestAttention:
         x = rng.normal(size=(LENGTHS.sum(), 8))
         x[:, 0] = 1.0
         params.wq.data[:, 0] = 0.0
-        queries = layer_queries(m)
+        cls_only = m == 1
         n_heads, dh = 2, 4
-        q_in = x if queries is None else x[query_rows(LENGTHS, queries)]
+        q_in = x[starts(LENGTHS)] if cls_only else x
         q = q_in @ params.wq.data.T + params.bq.data
         u = rng.normal(size=8)
         for h in range(n_heads):
@@ -287,9 +273,9 @@ class TestAttention:
             row_shifts = q[..., cols] @ u[cols] / np.sqrt(dh)
             u[cols] *= shift / row_shifts.flat[np.argmax(np.abs(row_shifts))]
         params.wk.data[:, 0] = u
-        want = replay_layer(x, params, n_heads, LENGTHS, queries, attention=textbook_attention)
+        want = replay_layer(x, params, n_heads, LENGTHS, cls_only, attention=textbook_attention)
         got = transformer_encoder_layer(nc.Tensor(x), params, n_heads, LENGTHS,
-                                        queries=queries).data
+                                        cls_only=cls_only).data
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -307,10 +293,10 @@ class TestAttention:
     def test_gradients_match_op_by_op_chain(self, rng, m):
         store, params = perturbed_layer(rng)
         x = rng.normal(size=(LENGTHS.sum(), 8))
-        queries = layer_queries(m)
-        w = rng.normal(size=((LENGTHS.sum() if queries is None else len(LENGTHS)), 8))
-        want = layer_grads(reference_layer, store, params, x, queries, w)
-        got = layer_grads(transformer_encoder_layer, store, params, x, queries, w)
+        cls_only = m == 1
+        w = rng.normal(size=((len(LENGTHS) if cls_only else LENGTHS.sum()), 8))
+        want = layer_grads(reference_layer, store, params, x, cls_only, w)
+        got = layer_grads(transformer_encoder_layer, store, params, x, cls_only, w)
         assert len(got) == 1 + 15
         for g, r in zip(got, want):
             np.testing.assert_allclose(g, r, rtol=0, atol=1e-12)
@@ -336,8 +322,8 @@ class TestAttention:
         store, params = make_layer(rng, d=6)
         x = nc.Tensor(rng.normal(size=(7, 6)), requires_grad=True)
         weights = tuple(getattr(params, n) for n in PARAM_NAMES)
-        for queries in (None, (0,)):
-            out = transformer_encoder_layer(x, params, 2, [4, 3], queries=queries)
+        for cls_only in (False, True):
+            out = transformer_encoder_layer(x, params, 2, [4, 3], cls_only=cls_only)
             assert out._parents == (x, *weights) and out._backward_fn is not None
 
     def test_no_tape_node_under_no_grad(self, rng):
@@ -350,19 +336,20 @@ class TestAttention:
     @pytest.mark.parametrize(
         "shapes",
         [
-            ((2, 5, 6), [5, 5], None),  # x is not (rows, d)
-            ((9, 6), [5, 5], None),  # the lengths do not pack the rows
-            ((10, 6), [5, 5], (5,)),  # a query past the end of a sequence
-            ((10, 6), [10, 0], None),  # an empty sequence
-            ((10, 4), [5, 5], None),  # x does not fit the parameters' width
-            ((10, 6), [5, 5], (1, 1)),  # a query position twice
+            ((2, 5, 6), [5, 5], False),  # x is not (rows, d)
+            ((9, 6), [5, 5], False),  # the lengths do not pack the rows
+            ((10, 6), [[5, 5]], True),  # the lengths are not one per sequence
+            ((10, 6), [10, 0], False),  # an empty sequence
+            ((10, 4), [5, 5], False),  # x does not fit the parameters' width
+            ((0, 6), [], True),  # no sequence
         ],
     )
     def test_disagreeing_shapes_raise(self, rng, shapes):
         store, params = make_layer(rng, d=6)
-        x, lengths, queries = shapes
+        x, lengths, cls_only = shapes
         with pytest.raises(ShapeError):
-            transformer_encoder_layer(nc.Tensor(np.zeros(x)), params, 2, lengths, queries=queries)
+            transformer_encoder_layer(nc.Tensor(np.zeros(x)), params, 2, lengths,
+                                      cls_only=cls_only)
 
 
 class TestTransformerLayer:
@@ -457,35 +444,20 @@ class TestQueryRows:
         lengths = np.array([s] * b + [s + 3])
         x = rng.normal(size=(lengths.sum(), 8))
         full = transformer_encoder_layer(nc.Tensor(x), params, 2, lengths).data
-        got = transformer_encoder_layer(nc.Tensor(x), params, 2, lengths, queries=(0,)).data
+        got = transformer_encoder_layer(nc.Tensor(x), params, 2, lengths, cls_only=True).data
         assert got.shape == (b + 1, 8)
         np.testing.assert_allclose(got, full[starts(lengths)], rtol=0, atol=1e-12)
-
-    def test_any_query_rows_match_their_full_rows(self, rng):
-        store, params = make_layer(rng, d=6)
-        lengths = np.array([5, 5, 6])
-        x = rng.normal(size=(16, 6))
-        full = transformer_encoder_layer(nc.Tensor(x), params, 3, lengths).data
-        got = transformer_encoder_layer(nc.Tensor(x), params, 3, lengths, queries=(4, 1)).data
-        np.testing.assert_allclose(got, full[query_rows(lengths, (4, 1))], rtol=0, atol=1e-12)
 
     def test_query_batch_elements_are_independent_bitwise(self, rng):
         store, params = make_layer(rng, d=8, d_ff=32)
         keep = rng.normal(size=(4, 8))
         mates = rng.normal(size=(15, 8)) * 10
-        alone = transformer_encoder_layer(nc.Tensor(keep), params, 2, [4], queries=(0,)).data
+        alone = transformer_encoder_layer(nc.Tensor(keep), params, 2, [4], cls_only=True).data
         packed = transformer_encoder_layer(
             nc.Tensor(np.concatenate([mates[:8], keep, mates[8:]])), params, 2, [4, 4, 4, 7],
-            queries=(0,),
+            cls_only=True,
         ).data
         assert np.array_equal(alone[0], packed[2])
-
-    def test_mismatched_queries_raise(self, rng):
-        store, params = make_layer(rng, d=6)
-        x = nc.Tensor(rng.normal(size=(5, 6)))
-        for queries in ((3,), (-1,), ()):  # past the 3-row sequence, negative, none
-            with pytest.raises(ShapeError):
-                transformer_encoder_layer(x, params, 2, [3, 2], queries=queries)
 
     def test_gradients_match_finite_differences(self, rng):
         # gradients reach every parameter and every row, through the keys
@@ -497,7 +469,7 @@ class TestQueryRows:
         w = rng.normal(size=(4, 8))
 
         def loss():
-            out = transformer_encoder_layer(x, params, 2, lengths, queries=(0,))
+            out = transformer_encoder_layer(x, params, 2, lengths, cls_only=True)
             return ro.sum_(ro.mul(out, nc.Tensor(w)))
 
         report = grad_check(loss, store, tol=1e-4)
