@@ -614,21 +614,24 @@ class TestTrainEval:
         assert "bogus" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "lines,key",
+        "lines,prefix",
         [
-            ("taus = 7,7", "taus"),
-            ("taus = 7,7\njoint_heads = true", "taus"),
-            ("seed = -1", "seed"),
+            # d_ff is retired: any value of it, in range or not, is refused as a key
+            ("d_ff = -3", "unknown config key 'd_ff' for ModelConfig"),
+            ("d_ff = 0", "unknown config key 'd_ff' for ModelConfig"),
+            ("taus = 7,7", "taus must"),
+            ("taus = 7,7\njoint_heads = true", "taus must"),
+            ("seed = -1", "seed must"),
         ],
-        ids=["taus-repeated", "taus-repeated-joint", "seed-negative"],
+        ids=["d_ff-negative", "d_ff-zero", "taus-repeated", "taus-repeated-joint", "seed-negative"],
     )
-    def test_bad_config_value_exits_2(self, workdir, tmp_path, capsys, lines, key):
+    def test_bad_config_value_exits_2(self, workdir, tmp_path, capsys, lines, prefix):
         bad = tmp_path / "bad.cfg"
         bad.write_text(tiny_model_config(lines))
         rc = main(["train", "--config", str(bad), "--data", str(workdir["data"]),
                    "--out", str(tmp_path / "x.npz")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith(f"error: {key} must")
+        assert capsys.readouterr().err.startswith(f"error: {prefix}")
         assert not (tmp_path / "x.npz").exists()
 
     @pytest.mark.parametrize(
