@@ -34,6 +34,7 @@ from .dataio import (
     write_relations,
     write_transcripts,
 )
+from .dataio.loaders import utf8_errors
 from .dataio.records import Quarter
 from .errors import ConfigError, ParseError, VolgraphError
 from .graphbuild import audit_no_leakage, build_quarter_graph, load_graph_dir, save_graph_dir
@@ -69,8 +70,8 @@ def parse_kv_config(path) -> dict[str, str]:
     """Flat ``key = value`` lines; '#' starts a comment, and a key may appear once."""
     out: dict[str, str] = {}
     seen: dict[str, int] = {}
-    with _input_files():
-        text = Path(path).read_text()
+    with _input_files(), utf8_errors(path, ConfigError):
+        text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

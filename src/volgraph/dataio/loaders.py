@@ -7,6 +7,10 @@ Formats:
   prices.csv    — company_id,date,adjusted_close
   relations.csv — company_a,company_b,year,similarity
 
+Every file is read and written as UTF-8; a byte that does not decode
+raises the reader's error, naming the file and the line (counting blank
+lines too).
+
 Operator/moderator sentences are dropped at ingestion (the model knows
 exactly two roles) and the drop is counted in the ingest report, as is
 every call excluded outright. The report's accounting invariant is
@@ -15,6 +19,7 @@ calls_in == calls_kept + len(call_exclusions).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import json
@@ -55,6 +60,26 @@ class IngestReport:
             json.dump(asdict(self), fh, indent=2, sort_keys=True)
 
 
+@contextlib.contextmanager
+def utf8_errors(path, error=ParseError):
+    """Turn a ``UnicodeDecodeError`` in the block, from reading ``path``, into ``error``.
+
+    The error names ``path`` and its first line that is not UTF-8.
+    """
+    try:
+        yield
+    except UnicodeDecodeError as e:
+        line = None  # unknown if the file changed since it failed to decode
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as first:
+            line = data.count(b"\n", 0, first.start) + 1
+        if error is ParseError:
+            raise ParseError("not UTF-8 text", path=str(path), line=line) from e
+        raise error(f"{path}:{line}: not UTF-8 text") from e
+
+
 def _parse_date(s, where: str | None) -> dt.date:
     try:
         return dt.date.fromisoformat(str(s))
@@ -67,7 +92,7 @@ def load_transcripts(path, report: IngestReport | None = None) -> list[CallRecor
     path = Path(path)
     report = report if report is not None else IngestReport()
     calls: list[CallRecord] = []
-    with path.open() as fh:
+    with path.open(encoding="utf-8") as fh, utf8_errors(path):
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -146,7 +171,7 @@ def _csv_chunks(path: Path):
     file). Blank lines after it are skipped, and a data row of another
     width than the header's is cut or padded with None to that width.
     """
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh, utf8_errors(path):
         reader = csv.reader(fh)
         header = next(reader, None)
         yield header

@@ -33,11 +33,10 @@ class InsufficientDataError(VolgraphError):
 
 
 class NonFiniteError(VolgraphError, FloatingPointError):
-    """A tensor op produced a NaN or an infinity."""
+    """A tensor op's output or a gradient held a NaN or an infinity.
 
-
-class OptimizerError(VolgraphError):
-    """Optimizer met a non-finite gradient or inconsistent state."""
+    The message names the op or the parameter.
+    """
 
 
 class GraphConstructionError(VolgraphError):

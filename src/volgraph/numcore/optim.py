@@ -2,6 +2,9 @@
 
 State lives per parameter store; ``adam_step`` consumes the gradients
 currently attached to the tensors and advances the shared step counter.
+The moment decays and the denominator's epsilon are Adam's usual
+constants. A NaN or an infinity in a gradient raises ``NonFiniteError``
+naming the parameter.
 """
 
 from __future__ import annotations
@@ -10,8 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import OptimizerError
+from ..errors import NonFiniteError
 from .params import ParamStore
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass
@@ -31,15 +38,7 @@ class AdamState:
         return state
 
 
-def adam_step(
-    store: ParamStore,
-    state: AdamState,
-    lr: float,
-    weight_decay: float = 0.0,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(store: ParamStore, state: AdamState, lr: float, weight_decay: float) -> None:
     """One update over every parameter that received a gradient.
 
     Weight decay is decoupled from the moment estimates: parameters
@@ -47,22 +46,22 @@ def adam_step(
     """
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for name, p in store.items():
         if p.grad is None:
             continue
         g = p.grad
         if not np.all(np.isfinite(g)):
-            raise OptimizerError(f"non-finite gradient for {name}")
+            raise NonFiniteError(f"non-finite gradient for {name}")
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
         mhat = m / bc1
         vhat = v / bc2
-        p.data = p.data - lr * mhat / (np.sqrt(vhat) + eps)
+        p.data = p.data - lr * mhat / (np.sqrt(vhat) + EPS)
         if weight_decay:
             p.data = p.data - lr * weight_decay * p.data

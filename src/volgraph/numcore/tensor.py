@@ -22,7 +22,7 @@ attention.
 Every tensor holds float64: other inputs are converted on construction.
 Every tensor is checked to be finite when it is created: a NaN or an
 infinity raises ``NonFiniteError`` (a ``FloatingPointError``) at the op
-that produced it.
+that produced it, and ``_make`` names that op in the message.
 """
 
 from __future__ import annotations
@@ -94,14 +94,10 @@ class Tensor:
 
     # -- autodiff ------------------------------------------------------------
 
-    def backward(self, grad=None) -> None:
-        """Accumulate d(self)/d(leaf) into every reachable leaf's ``.grad``."""
-        if grad is None:
-            if self.data.size != 1:
-                raise ShapeError("backward() without an explicit gradient needs a scalar output")
-            grad = np.ones_like(self.data)
-        else:
-            grad = np.asarray(grad, dtype=self.data.dtype)
+    def backward(self) -> None:
+        """Accumulate d(self)/d(leaf) into every reachable leaf's ``.grad``; ``self`` is scalar."""
+        if self.data.size != 1:
+            raise ShapeError(f"backward() needs a scalar output, got shape {self.shape}")
 
         topo: list[Tensor] = []
         seen: set[int] = set()
@@ -119,7 +115,7 @@ class Tensor:
                 if p._needs and id(p) not in seen:
                     stack.append((p, False))
 
-        flows: dict[int, np.ndarray] = {id(self): grad}
+        flows: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for node in reversed(topo):
             g = flows.pop(id(node), None)
             if g is None:
@@ -145,9 +141,17 @@ def as_tensor(x) -> Tensor:
 
 
 def _make(data, parents, backward) -> Tensor:
-    if _GRAD_ENABLED and any(p._needs for p in parents):
-        return Tensor(data, _parents=tuple(parents), _backward=backward)
-    return Tensor(data)
+    """The op's output; a NaN or an infinity in it raises ``NonFiniteError`` naming the op.
+
+    The op's name is that of the function that defined ``backward``.
+    """
+    try:
+        if _GRAD_ENABLED and any(p._needs for p in parents):
+            return Tensor(data, _parents=tuple(parents), _backward=backward)
+        return Tensor(data)
+    except NonFiniteError as e:
+        op = backward.__qualname__.split(".<locals>")[0]
+        raise NonFiniteError(f"{op} produced non-finite values") from e
 
 
 def concat(parts: list, axis: int = 0) -> Tensor:

@@ -62,10 +62,16 @@ def save_checkpoint(path, models: dict[int, VolatilityModel], config: ModelConfi
         np.savez(fh, **arrays)
 
 
+# what reading a damaged npz raises: a bad zip directory, an unsupported zip
+# version or compression (NotImplementedError is a RuntimeError), an encryption
+# flag (RuntimeError), a bad CRC or offset, or a bad .npy header
+_UNREADABLE = (OSError, zipfile.BadZipFile, RuntimeError, ValueError, EOFError)
+
+
 def load_checkpoint(path) -> tuple[dict[int, VolatilityModel], ModelConfig]:
     try:
         data = np.load(Path(path), allow_pickle=False)
-    except (OSError, zipfile.BadZipFile, ValueError, EOFError) as e:
+    except _UNREADABLE as e:
         raise ConfigError(f"{path}: not a readable model checkpoint ({e})") from e
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise ConfigError(f"{path}: not a model checkpoint")
@@ -74,7 +80,7 @@ def load_checkpoint(path) -> tuple[dict[int, VolatilityModel], ModelConfig]:
             raise ConfigError(f"{path}: not a model checkpoint")
         try:
             manifest = json.loads(str(data["__manifest__"]))
-        except ValueError as e:
+        except _UNREADABLE as e:
             raise ConfigError(f"{path}: unreadable manifest ({e})") from e
         if not isinstance(manifest, dict) or manifest.get("format") not in (FORMAT, _FORMAT_1):
             raise ConfigError(f"{path}: unsupported checkpoint format")
@@ -103,7 +109,7 @@ def load_checkpoint(path) -> tuple[dict[int, VolatilityModel], ModelConfig]:
                 names = [name for name in names if not _KEY_BIAS.fullmatch(name)]
             try:
                 state = {name: data[prefix + name] for name in names}
-            except (zipfile.BadZipFile, ValueError, EOFError) as e:
+            except _UNREADABLE as e:
                 raise ConfigError(f"{path}: scope {scope}: unreadable array ({e})") from e
             try:
                 model.store.load_state_arrays(state)

@@ -2,8 +2,11 @@
 
 One optimizer step per quarter graph, full-graph loss over labeled
 nodes, early stopping on validation MSE with snapshot/restore of the
-best parameters. Everything is deterministic given a seed: the only
-randomness is the parameter initialization.
+best parameters. One ``TrainHistory`` records a run: its per-epoch
+losses, and the best epoch with its snapshot that patience counts from.
+A NaN or an infinity in a forward value or a gradient ends the run as
+``TrainingDivergedError``. Everything is deterministic given a seed: the
+only randomness is the parameter initialization.
 """
 
 from __future__ import annotations
@@ -19,29 +22,21 @@ from .model import ModelConfig, PreparedQuarter, VolatilityModel, masked_mse_ten
 
 
 @dataclass
-class TrainState:
-    epoch: int = 0
-    best_val_mse: float = float("inf")
-    epochs_since_improvement: int = 0
-    best_snapshot: dict | None = None
-
-    def observe(self, val_mse: float, snapshot_fn) -> None:
-        """Track one epoch's validation MSE; strict improvement resets patience."""
-        if val_mse < self.best_val_mse:
-            self.best_val_mse = val_mse
-            self.epochs_since_improvement = 0
-            self.best_snapshot = snapshot_fn()
-        else:
-            self.epochs_since_improvement += 1
-
-
-@dataclass
 class TrainHistory:
     train_loss: list = field(default_factory=list)
     val_mse: list = field(default_factory=list)
     stopped_epoch: int = 0
     best_epoch: int = 0
     best_val_mse: float = float("inf")
+    best_snapshot: dict | None = None
+
+    def observe(self, epoch: int, val_mse: float, snapshot_fn) -> None:
+        """Record that ``epoch`` ended; a strict improvement becomes the best epoch."""
+        self.stopped_epoch = epoch
+        if val_mse < self.best_val_mse:
+            self.best_epoch = epoch
+            self.best_val_mse = val_mse
+            self.best_snapshot = snapshot_fn()
 
     def to_dict(self) -> dict:
         return {
@@ -84,19 +79,17 @@ def _fit(
     val_masks: list[np.ndarray],
     epochs: int,
     config: ModelConfig,
-    state: TrainState,
+    history: TrainHistory,
 ) -> TrainHistory:
     """Early-stopped epochs of one Adam step per (quarter, mask) in ``steps``.
 
     A pair whose mask is empty is skipped but still counts in the epoch's
-    mean train loss. A fresh optimizer starts the run; the best snapshot
-    ``state`` holds at the end, if any, is restored. A NaN or an infinity
-    in an epoch's forward pass raises ``TrainingDivergedError``.
+    mean train loss. A fresh optimizer starts the run; the epochs extend
+    ``history``, whose best snapshot at the end, if any, is restored and
+    dropped from it.
     """
     adam = AdamState.for_store(model.store)
-    history = TrainHistory()
     for epoch in range(1, epochs + 1):
-        state.epoch = epoch
         epoch_loss = 0.0
         try:
             for prepared, mask in steps:
@@ -112,15 +105,12 @@ def _fit(
             raise TrainingDivergedError(epoch, str(e)) from e
         history.train_loss.append(epoch_loss / len(steps))
         history.val_mse.append(val_mse)
-        state.observe(val_mse, model.store.state_arrays)
-        if state.epochs_since_improvement == 0:
-            history.best_epoch = epoch
-        if state.epochs_since_improvement >= config.patience:
+        history.observe(epoch, val_mse, model.store.state_arrays)
+        if epoch - history.best_epoch >= config.patience:
             break
-    history.stopped_epoch = state.epoch
-    history.best_val_mse = state.best_val_mse
-    if state.best_snapshot is not None:
-        model.store.load_state_arrays(state.best_snapshot)
+    if history.best_snapshot is not None:
+        model.store.load_state_arrays(history.best_snapshot)
+        history.best_snapshot = None  # the model holds it now; keep no second copy alive
     return history
 
 
@@ -128,10 +118,9 @@ def train(
     model: VolatilityModel,
     train_quarters: list[PreparedQuarter],
     val_quarters: list[PreparedQuarter],
-    config: ModelConfig | None = None,
+    config: ModelConfig,
 ) -> TrainHistory:
     """Early-stopped full-graph training; restores the best snapshot."""
-    config = config or model.config
     if not train_quarters or not val_quarters:
         raise ConfigError("train and validation splits must both be nonempty")
     train_masks = [p.mask for p in train_quarters]
@@ -152,7 +141,7 @@ def train(
         [p.mask for p in val_quarters],
         config.max_epochs,
         config,
-        TrainState(),
+        TrainHistory(),
     )
 
 
@@ -160,7 +149,7 @@ def fine_tune(
     model: VolatilityModel,
     prepared: PreparedQuarter,
     masks: dict[str, np.ndarray],
-    config: ModelConfig | None = None,
+    config: ModelConfig,
     max_epochs: int | None = None,
 ) -> TrainHistory:
     """Continue training on one masked graph with a fresh optimizer.
@@ -169,16 +158,15 @@ def fine_tune(
     before any step, so a fine-tune that never improves restores them
     unchanged. ``max_epochs`` 0 is a no-op by the same route.
     """
-    config = config or model.config
     train_mask = masks["train"] & prepared.mask
     val_mask = masks["val"] & prepared.mask
     if not train_mask.any() or not val_mask.any():
         raise InsufficientDataError("fine-tune masks leave no labeled nodes")
     epochs = config.max_epochs if max_epochs is None else max_epochs
 
-    state = TrainState()
-    state.observe(_validation_mse(model, [prepared], [val_mask]), model.store.state_arrays)
-    return _fit(model, [(prepared, train_mask)], [prepared], [val_mask], epochs, config, state)
+    history = TrainHistory()
+    history.observe(0, _validation_mse(model, [prepared], [val_mask]), model.store.state_arrays)
+    return _fit(model, [(prepared, train_mask)], [prepared], [val_mask], epochs, config, history)
 
 
 def evaluate(

@@ -7,6 +7,7 @@ import datetime as dt
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
@@ -558,6 +559,78 @@ class TestMissingInputs:
         assert not out.exists()
 
 
+def _insert_bad_byte(path: Path, lineno: int) -> None:
+    """Put a byte that is not UTF-8 after the first byte of line ``lineno`` of ``path``."""
+    lines = path.read_bytes().split(b"\n")
+    lines[lineno - 1] = lines[lineno - 1][:1] + b"\xff" + lines[lineno - 1][1:]
+    path.write_bytes(b"\n".join(lines))
+
+
+class TestNonUtf8Inputs:
+    """Every text input is read as UTF-8: a byte that does not decode is one error line."""
+
+    @pytest.mark.parametrize("name", ["transcripts.jsonl", "prices.csv", "relations.csv"])
+    def test_data_file_exits_2(self, workdir, tmp_path, capsys, name):
+        data = tmp_path / "data"
+        shutil.copytree(workdir["data"], data)
+        _insert_bad_byte(data / name, 3)
+        argv = ["build-graph", "--quarter", "2014Q4", "--out", str(tmp_path / "g"),
+                "--transcripts", str(data / "transcripts.jsonl"),
+                "--relations", str(data / "relations.csv"), "--prices", str(data / "prices.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: not UTF-8 text [{data / name}:3]\n"
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("name", ["graph.json", "nodes.csv", "edges.csv", "calls.jsonl"])
+    def test_graph_file_exits_2(self, workdir, tmp_path, capsys, name):
+        bad = tmp_path / "graph"
+        shutil.copytree(workdir["graph"], bad)
+        _insert_bad_byte(bad / name, 3)
+        assert main(["audit-leakage", "--graph", str(bad)]) == 2
+        if name == "calls.jsonl":  # read by the transcripts loader
+            want = f"not UTF-8 text [{bad / name}:3]"
+        else:
+            want = f"{bad / name}:3: not UTF-8 text"
+        assert capsys.readouterr().err == f"error: {want}\n"
+
+    def test_non_ascii_ids_round_trip_under_an_ascii_locale(self, workdir, tmp_path):
+        # files are read and written as UTF-8 whatever the locale's encoding
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("transcripts.jsonl", "prices.csv", "relations.csv"):
+            text = (workdir["data"] / name).read_text(encoding="utf-8")
+            (data / name).write_text(text.replace("C000", "\u00c7000"), encoding="utf-8")
+        src = str(Path(volgraph.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                   LC_ALL="C", LANG="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        proc = subprocess.run(
+            [sys.executable, "-m", "volgraph.cli", "build-graph", "--quarter", "2014Q4",
+             "--transcripts", str(data / "transcripts.jsonl"),
+             "--relations", str(data / "relations.csv"), "--prices", str(data / "prices.csv"),
+             "--out", str(tmp_path / "graph")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        graph = load_graph_dir(tmp_path / "graph")
+        assert "\u00c7000" in {c.company_id for c in graph.calls}
+        assert "\u00c7000".encode("utf-8") in (tmp_path / "graph" / "nodes.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["train", "gen-synth"])
+    def test_config_file_exits_2(self, workdir, tmp_path, capsys, command):
+        cfg = tmp_path / "bad.cfg"
+        out = tmp_path / "out"
+        if command == "train":
+            cfg.write_text(TINY_MODEL_CONFIG)
+            argv = ["train", "--data", str(workdir["data"]), "--out", str(out)]
+        else:
+            cfg.write_text(TINY_SYNTH_CONFIG)
+            argv = ["gen-synth", "--seed", "1", "--out", str(out)]
+        _insert_bad_byte(cfg, 3)
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:3: not UTF-8 text\n"
+        assert not out.exists()
+
+
 class TestTrainEval:
     def test_checkpoint_and_history(self, workdir):
         models, config = load_checkpoint(workdir["ckpt"])
@@ -566,6 +639,8 @@ class TestTrainEval:
         history = json.loads((workdir["root"] / "history.json").read_text())
         assert sorted(history) == ["tau15", "tau3", "tau7"]
         for h in history.values():
+            assert sorted(h) == ["best_epoch", "best_val_mse", "stopped_epoch", "train_loss",
+                                 "val_mse"]
             assert 1 <= len(h["train_loss"]) <= 2
             assert len(h["val_mse"]) == len(h["train_loss"])
 
@@ -661,7 +736,10 @@ class TestTrainEval:
                        "--out", str(tmp_path / "x.npz")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: training diverged at epoch 1: tensor holds non-finite values")
+        # the line names the op whose output overflowed
+        assert err == (
+            "error: training diverged at epoch 1: masked_mse_tensor produced non-finite values\n"
+        )
         assert not (tmp_path / "x.npz").exists()
 
     def test_diverging_training_prints_one_error_line(self, workdir, tmp_path):
@@ -778,6 +856,20 @@ class TestTrainEval:
         assert not (tmp_path / "x.npz").exists()
 
 
+def _zip_records(data: bytes) -> dict[str, int]:
+    """Offsets of a checkpoint's first and last (the manifest's) central-directory
+    records and of its end-of-directory record."""
+    end = data.rfind(b"PK\x05\x06")
+    count, _, first = struct.unpack("<HII", data[end + 10 : end + 20])
+    last = first
+    for _ in range(count - 1):
+        name, extra, comment = struct.unpack("<HHH", data[last + 28 : last + 34])
+        last += 46 + name + extra + comment
+    assert data[first : first + 4] == data[last : last + 4] == b"PK\x01\x02"
+    assert data[last + 46 : last + 62] == b"__manifest__.npy"
+    return {"first-param": first, "manifest": last, "end": end}
+
+
 class TestPredict:
     def test_csv_matches_model(self, workdir, tmp_path):
         out = tmp_path / "preds.csv"
@@ -844,6 +936,50 @@ class TestPredict:
             assert err.count("\n") == 1
             assert "bad.npz" in err and f"scope {scope}" in err and name in err
 
+    # (record, its length): the fixed part of the zip central-directory records
+    # of the first parameter and of the manifest, and the end-of-directory record
+    ZIP_RECORDS = {"first-param": 46, "manifest": 46, "end": 22}
+
+    @pytest.mark.parametrize(
+        "record, offset",
+        [(record, offset) for record, n in ZIP_RECORDS.items() for offset in range(n)],
+        ids=lambda v: f"{v:02d}" if isinstance(v, int) else v,
+    )
+    def test_damaged_zip_directory_loads_or_exits_2(self, workdir, tmp_path, capsys, record,
+                                                     offset):
+        data = bytearray(workdir["ckpt"].read_bytes())
+        start = _zip_records(data)[record]
+        data[start + offset] ^= 0xFF
+        bad = tmp_path / "bad.npz"
+        bad.write_bytes(data)
+        try:
+            models, _ = load_checkpoint(bad)
+        except ConfigError:
+            rc = main(["predict", "--model", str(bad), "--graph", str(workdir["graph"])])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}") and err.count("\n") == 1
+            return
+        saved, _ = load_checkpoint(workdir["ckpt"])
+        for tau, model in models.items():
+            want = saved[tau].store.state_arrays()
+            got = model.store.state_arrays()
+            assert list(got) == list(want)
+            for name in want:
+                assert np.array_equal(got[name], want[name]), name
+
+    @pytest.mark.parametrize("record", ["first-param", "manifest"])
+    def test_encrypted_zip_member_exits_2(self, workdir, tmp_path, capsys, record):
+        data = bytearray(workdir["ckpt"].read_bytes())
+        start = _zip_records(data)[record]
+        data[start + 8] |= 1  # the general-purpose flag bit that marks encryption
+        bad = tmp_path / "bad.npz"
+        bad.write_bytes(data)
+        rc = main(["predict", "--model", str(bad), "--graph", str(workdir["graph"])])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}") and "encrypted" in err and err.count("\n") == 1
+
     def test_overflowing_checkpoint_exits_2(self, workdir, tmp_path, capsys):
         with np.load(workdir["ckpt"]) as data:
             arrays = {k: data[k] for k in data.files}
@@ -856,7 +992,8 @@ class TestPredict:
             rc = main(["predict", "--model", str(bad), "--graph", str(workdir["graph"]),
                        "--out", str(out)])
         assert rc == 2
-        assert capsys.readouterr().err == "error: tensor holds non-finite values\n"
+        # the first op of the forward, the dialogue encoder's input projection, overflows
+        assert capsys.readouterr().err == "error: _pack_calls produced non-finite values\n"
         assert not out.exists()
 
     def test_format_1_checkpoint_loads_without_its_key_bias(self, workdir, tmp_path):
@@ -1130,8 +1267,8 @@ def _fail_file_write(monkeypatch, name):
     """The atomic write of the file called ``name`` fails partway."""
     import volgraph.atomic
 
-    def failing_open(file, mode, newline=None):
-        fh = open(file, mode, newline=newline)
+    def failing_open(file, mode, encoding=None, newline=None):
+        fh = open(file, mode, encoding=encoding, newline=newline)
         return _HalfWrittenFile(fh) if Path(file).name.startswith(f".{name}.") else fh
 
     monkeypatch.setattr(volgraph.atomic, "open", failing_open, raising=False)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import volgraph.numcore as nc
-from volgraph.errors import ConfigError, OptimizerError
+from volgraph.errors import ConfigError, NonFiniteError
 from volgraph.numcore.optim import AdamState, adam_step
 from volgraph.numcore.params import ParamStore
 
@@ -44,7 +44,7 @@ class TestAdamStep:
         state = AdamState.for_store(store)
         for g in grads:
             store["w"].grad = g.copy()
-            adam_step(store, state, lr=0.01)
+            adam_step(store, state, lr=0.01, weight_decay=0.0)
         want = reference_adam(p0, grads, lr=0.01)
         np.testing.assert_allclose(store["w"].data, want, atol=1e-14)
         assert state.step == 25
@@ -65,22 +65,22 @@ class TestAdamStep:
         g = rng.normal(size=8)
         store = make_store({"w": np.zeros(8)})
         store["w"].grad = g
-        adam_step(store, AdamState.for_store(store), lr=0.1)
+        adam_step(store, AdamState.for_store(store), lr=0.1, weight_decay=0.0)
         np.testing.assert_allclose(store["w"].data, -0.1 * np.sign(g), rtol=1e-6)
 
     def test_skips_params_without_grad(self, rng):
         store = make_store({"a": rng.normal(size=3), "b": rng.normal(size=3)})
         before_b = store["b"].data.copy()
         store["a"].grad = np.ones(3)
-        adam_step(store, AdamState.for_store(store), lr=0.1)
+        adam_step(store, AdamState.for_store(store), lr=0.1, weight_decay=0.0)
         assert not np.array_equal(store["a"].data, before_b)
         np.testing.assert_array_equal(store["b"].data, before_b)
 
     def test_rejects_non_finite_grad(self):
         store = make_store({"w": np.zeros(2)})
         store["w"].grad = np.array([1.0, np.nan])
-        with pytest.raises(OptimizerError, match="w"):
-            adam_step(store, AdamState.for_store(store), lr=0.1)
+        with pytest.raises(NonFiniteError, match="non-finite gradient for w"):
+            adam_step(store, AdamState.for_store(store), lr=0.1, weight_decay=0.0)
 
     def test_converges_on_quadratic(self):
         # minimize (w - 3)^2 elementwise
@@ -90,7 +90,7 @@ class TestAdamStep:
         w = store["w"]
         for _ in range(800):
             w.grad = 2.0 * (w.data - target)
-            adam_step(store, state, lr=0.05)
+            adam_step(store, state, lr=0.05, weight_decay=0.0)
         np.testing.assert_allclose(w.data, target, atol=1e-3)
 
     def test_weight_decay_shrinks_unused_direction(self, rng):

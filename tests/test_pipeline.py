@@ -13,7 +13,14 @@ import volgraph.numcore as nc
 from volgraph.dataio import build_quarter_datasets, gen_synthetic, SyntheticConfig
 from volgraph.dataio.datasets import TAUS
 from volgraph.dataio.volatility import window_targets
-from volgraph.errors import ConfigError, GraphConstructionError, InsufficientDataError, ShapeError
+from volgraph.errors import (
+    ConfigError,
+    GraphConstructionError,
+    InsufficientDataError,
+    NonFiniteError,
+    ShapeError,
+    TrainingDivergedError,
+)
 from volgraph.graphbuild import build_quarter_graph
 from volgraph.pipeline import (
     MetricsReport,
@@ -34,7 +41,8 @@ from volgraph.pipeline import (
 from volgraph.pipeline.metrics import mean_mse, mse, r_squared
 from volgraph.numcore.params import ParamStore
 from volgraph.pipeline.model import masked_mse_tensor, window_head
-from volgraph.pipeline.training import TrainState, _quarter_loss, _validation_mse
+from volgraph.pipeline import training
+from volgraph.pipeline.training import TrainHistory, _quarter_loss, _validation_mse
 
 import reference_ops as ro
 from conftest import tiny_config
@@ -150,41 +158,126 @@ class TestMetrics:
         assert model_rep.mean_mse < base_rep.mean_mse
 
 
-class TestTrainState:
+class TestTrainHistory:
     def test_patience_trace(self):
         # val curve: improves at epochs 1 and 2, then flat for 10 epochs.
         # strict comparison means "equal" never resets patience.
-        state = TrainState()
+        history = TrainHistory()
         curve = [1.0, 0.9] + [0.9] * 10
         snapshots = []
         stopped = None
         for epoch, v in enumerate(curve, start=1):
-            state.epoch = epoch
-            state.observe(v, lambda e=epoch: {"epoch": e})
-            if state.epochs_since_improvement == 0:
+            history.observe(epoch, v, lambda e=epoch: {"epoch": e})
+            if history.best_epoch == epoch:
                 snapshots.append(epoch)
-            if state.epochs_since_improvement >= 10:
+            if epoch - history.best_epoch >= 10:
                 stopped = epoch
                 break
-        assert stopped == 12
+        assert stopped == history.stopped_epoch == 12
         assert snapshots == [1, 2]
-        assert state.best_snapshot == {"epoch": 2}
-        assert state.best_val_mse == 0.9
+        assert history.best_snapshot == {"epoch": 2}
+        assert history.best_val_mse == 0.9
 
     def test_improvement_resets_patience(self):
-        state = TrainState()
-        for v in [1.0, 1.1, 1.2, 0.5]:
-            state.observe(v, lambda: None)
-        assert state.epochs_since_improvement == 0
-        assert state.best_val_mse == 0.5
+        history = TrainHistory()
+        for epoch, v in enumerate([1.0, 1.1, 1.2, 0.5], start=1):
+            history.observe(epoch, v, lambda: None)
+        assert history.best_epoch == history.stopped_epoch == 4
+        assert history.best_val_mse == 0.5
 
     def test_snapshot_fn_called_only_on_improvement(self):
         calls = []
-        state = TrainState()
-        state.observe(1.0, lambda: calls.append(1))
-        state.observe(2.0, lambda: calls.append(2))
-        state.observe(2.0, lambda: calls.append(3))
+        history = TrainHistory()
+        history.observe(1, 1.0, lambda: calls.append(1))
+        history.observe(2, 2.0, lambda: calls.append(2))
+        history.observe(3, 2.0, lambda: calls.append(3))
         assert calls == [1]
+
+
+def scripted_validation(monkeypatch, curve):
+    """Make ``_validation_mse`` return ``curve`` call by call; returns the params seen per call."""
+    seen = []
+
+    def scripted(model, quarters, masks):
+        seen.append(model.store.state_arrays())
+        return curve[len(seen) - 1]
+
+    monkeypatch.setattr(training, "_validation_mse", scripted)
+    return seen
+
+
+def assert_params_equal(model, want):
+    got = model.store.state_arrays()
+    assert list(got) == list(want)
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
+class TestEarlyStopping:
+    """Patience, ties and snapshot restore, driven through ``_fit`` by a scripted curve."""
+
+    @pytest.mark.parametrize(
+        "curve, max_epochs, patience, stopped, best",
+        [
+            ([1.0, 0.8, 0.9, 0.85, 0.7, 0.75, 0.75, 0.75, 0.1], 20, 3, 8, 5),
+            # an equal MSE does not reset patience: the best stays epoch 2
+            ([1.0, 0.5, 0.5, 0.5, 0.5], 20, 2, 4, 2),
+            ([1.0, 0.9, 0.8, 0.1], 3, 2, 3, 3),
+        ],
+        ids=["turns", "tie", "max-epochs"],
+    )
+    def test_train(self, prepared_quarters, monkeypatch, curve, max_epochs, patience, stopped,
+                   best):
+        config = tiny_config(max_epochs=max_epochs, patience=patience)
+        model = VolatilityModel(config, (3,))
+        seen = scripted_validation(monkeypatch, curve)
+        history = train(model, prepared_quarters[:2], prepared_quarters[2:3], config)
+        assert history.stopped_epoch == stopped == len(seen)
+        assert history.best_epoch == best
+        assert history.best_val_mse == curve[best - 1]
+        assert history.val_mse == curve[:stopped]
+        assert len(history.train_loss) == stopped
+        assert_params_equal(model, seen[best - 1])
+
+    @pytest.mark.parametrize(
+        "curve, stopped, best",
+        [
+            # epoch 0 is the pretrained model; the tie at epoch 2 does not reset patience
+            ([0.5, 0.6, 0.5, 0.4], 2, 0),
+            ([1.0, 0.9, 0.95, 0.95, 0.1], 3, 1),
+        ],
+        ids=["baseline-kept", "improves"],
+    )
+    def test_fine_tune(self, prepared_quarters, monkeypatch, curve, stopped, best):
+        config = tiny_config(max_epochs=20, patience=2)
+        model = VolatilityModel(config, (3,))
+        p = prepared_quarters[0]
+        seen = scripted_validation(monkeypatch, curve)
+        history = fine_tune(model, p, transductive_split(p.graph), config)
+        assert history.stopped_epoch == stopped == len(seen) - 1
+        assert history.best_epoch == best
+        assert history.best_val_mse == curve[best]
+        assert history.val_mse == curve[1 : stopped + 1]
+        assert len(history.train_loss) == stopped
+        assert_params_equal(model, seen[best])
+
+    def test_non_finite_gradient_is_divergence(self, prepared_quarters, monkeypatch):
+        # the forward stays finite; the first step's gradient of one parameter is not
+        adam_step = training.adam_step
+
+        def poisoned_step(store, state, lr, weight_decay):
+            _, t = next(iter(store.items()))
+            t.grad[...] = np.nan
+            adam_step(store, state, lr, weight_decay)
+
+        monkeypatch.setattr(training, "adam_step", poisoned_step)
+        config = tiny_config()
+        model = VolatilityModel(config, (3,))
+        with pytest.raises(TrainingDivergedError) as info:
+            train(model, prepared_quarters[:2], prepared_quarters[2:3], config)
+        first = next(iter(model.store.items()))[0]
+        assert str(info.value) == f"training diverged at epoch 1: non-finite gradient for {first}"
+        assert isinstance(info.value.__cause__, NonFiniteError)
 
 
 class TestValidationMse:
@@ -335,7 +428,7 @@ class TestTrain:
         history = train(model, prepared_quarters[:2], prepared_quarters[2:3], config)
         # retrain with identical config and capture every epoch's params
         model2 = VolatilityModel(config, (3,))
-        state = TrainState()
+        history2 = TrainHistory()
         from volgraph.numcore import AdamState, adam_step
 
         label_means = {
@@ -355,8 +448,8 @@ class TestTrain:
                 adam_step(model2.store, adam, lr=config.lr, weight_decay=config.weight_decay)
             val = _validation_mse(model2, prepared_quarters[2:3], [prepared_quarters[2].mask])
             snaps[epoch] = model2.store.state_arrays()
-            state.observe(val, lambda: None)
-            if state.epochs_since_improvement >= config.patience:
+            history2.observe(epoch, val, lambda: None)
+            if epoch - history2.best_epoch >= config.patience:
                 break
         want = snaps[history.best_epoch]
         got = model.store.state_arrays()
