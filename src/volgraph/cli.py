@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
@@ -71,7 +72,7 @@ def parse_kv_config(path) -> dict[str, str]:
     out: dict[str, str] = {}
     seen: dict[str, int] = {}
     with _input_files(), utf8_errors(path, ConfigError):
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -86,22 +87,22 @@ def parse_kv_config(path) -> dict[str, str]:
     return out
 
 
-def _coerce(value: str, target_type, field_name: str):
+def _coerce(value: str, kind: str, field_name: str):
+    """``value`` as a field annotated ``kind``: "bool", "int", "float" or "tuple"."""
     try:
-        if target_type is bool:
+        if kind == "bool":
             low = value.lower()
             if low in ("1", "true", "yes", "on"):
                 return True
             if low in ("0", "false", "no", "off"):
                 return False
             raise ValueError(value)
-        if target_type is int:
+        if kind == "int":
             return int(value)
-        if target_type is float:
+        if kind == "float":
             return float(value)
-        if target_type is tuple:  # an empty value is (), an empty item an error
-            return tuple(int(x) for x in value.split(",")) if value else ()
-        return value
+        # a tuple of ints: an empty value is (), an empty item an error
+        return tuple(int(x) for x in value.split(",")) if value else ()
     except ValueError as e:
         raise ConfigError(f"bad value {value!r} for config key {field_name}") from e
 
@@ -113,13 +114,8 @@ def dataclass_from_config(cls, overrides: dict[str, str]):
     for key, value in overrides.items():
         if key not in fields:
             raise ConfigError(f"unknown config key {key!r} for {cls.__name__}")
-        base = fields[key].type
-        if isinstance(base, str):
-            # from __future__ annotations stores types as strings, e.g. "int"
-            base = {"int": int, "float": float, "bool": bool, "str": str, "tuple": tuple}.get(
-                base, str
-            )
-        kwargs[key] = _coerce(value, base, key)
+        # from __future__ annotations stores each field's type as a string, e.g. "int"
+        kwargs[key] = _coerce(value, fields[key].type, key)
     return cls(**kwargs)
 
 
@@ -379,6 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # ids and paths print as UTF-8, as every file is written, whatever the locale
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(encoding="utf-8")
     args = build_parser().parse_args(argv)
     try:
         # every tensor is checked finite when it is made, so an overflow ends

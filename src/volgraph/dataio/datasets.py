@@ -45,7 +45,7 @@ def build_quarter_datasets(
 
 
 def split_by_time(
-    datasets: list[QuarterDataset], val_start: int = 2016, test_start: int = 2017
+    datasets: list[QuarterDataset], val_start: int, test_start: int
 ) -> tuple[list[QuarterDataset], list[QuarterDataset], list[QuarterDataset]]:
     """Group quarters into train/val/test by year boundary."""
     if not val_start < test_start:

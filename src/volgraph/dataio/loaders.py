@@ -7,9 +7,9 @@ Formats:
   prices.csv    — company_id,date,adjusted_close
   relations.csv — company_a,company_b,year,similarity
 
-Every file is read and written as UTF-8; a byte that does not decode
-raises the reader's error, naming the file and the line (counting blank
-lines too).
+Every file is read and written as UTF-8, and a leading byte-order mark
+is skipped on reading; a byte that does not decode raises the reader's
+error, naming the file and the line (counting blank lines too).
 
 Operator/moderator sentences are dropped at ingestion (the model knows
 exactly two roles) and the drop is counted in the ingest report, as is
@@ -92,7 +92,7 @@ def load_transcripts(path, report: IngestReport | None = None) -> list[CallRecor
     path = Path(path)
     report = report if report is not None else IngestReport()
     calls: list[CallRecord] = []
-    with path.open(encoding="utf-8") as fh, utf8_errors(path):
+    with path.open(encoding="utf-8-sig") as fh, utf8_errors(path):
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -171,7 +171,7 @@ def _csv_chunks(path: Path):
     file). Blank lines after it are skipped, and a data row of another
     width than the header's is cut or padded with None to that width.
     """
-    with path.open(newline="", encoding="utf-8") as fh, utf8_errors(path):
+    with path.open(newline="", encoding="utf-8-sig") as fh, utf8_errors(path):
         reader = csv.reader(fh)
         header = next(reader, None)
         yield header

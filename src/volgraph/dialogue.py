@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataio.records import CallRecord, PARTS, ROLES
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .numcore import (
     ParamStore,
     Tensor,
@@ -81,9 +81,9 @@ class StructEmbedTables:
         d_q: int,
         max_sentences: int,
         max_utterances: int,
-        prefix: str = "dialogue.tables",
     ) -> "StructEmbedTables":
         """One position row per kept sentence and one utterance row per utterance index."""
+        prefix = "dialogue.tables"
         return cls(
             position=store.add(f"{prefix}.position", uniform_init(rng, (max_sentences, d_p), d_p)),
             utterance=store.add(
@@ -115,14 +115,11 @@ class DialogueEncoderParams:
         d_hidden: int,
         n_layers: int,
         n_heads: int,
-        prefix: str = "dialogue",
     ) -> "DialogueEncoderParams":
-        if d_hidden % n_heads != 0:
-            raise ConfigError(f"d_hidden {d_hidden} not divisible by {n_heads} heads")
-        proj_w, proj_b = store.linear(rng, f"{prefix}.proj", d_in, d_hidden)
-        cls_vec = store.add(f"{prefix}.cls", uniform_init(rng, (1, d_hidden), d_hidden))
+        proj_w, proj_b = store.linear(rng, "dialogue.proj", d_in, d_hidden)
+        cls_vec = store.add("dialogue.cls", uniform_init(rng, (1, d_hidden), d_hidden))
         layers = [
-            TransformerLayerParams.init(store, rng, f"{prefix}.layer{i}", d_hidden)
+            TransformerLayerParams.init(store, rng, f"dialogue.layer{i}", d_hidden)
             for i in range(n_layers)
         ]
         return cls(proj_w, proj_b, cls_vec, layers, n_heads)

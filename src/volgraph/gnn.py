@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .graphbuild import QuarterGraph
 from .market import MarketParams, run_market_timeline
 from .numcore import ParamStore, Tensor, uniform_init
@@ -196,22 +196,17 @@ class NetworkDiagnostics:
 def company_network_encoder(
     v0: Tensor,
     arrays: GraphArrays,
-    market_params: list[MarketParams],
-    gat_params: list[GATLayerParams],
+    layers: list[tuple[MarketParams, GATLayerParams]],
 ) -> tuple[Tensor, NetworkDiagnostics]:
-    """Alternate market and network encoding for L layers.
+    """Alternate market and network encoding, one (market, GAT) pair per layer.
 
     A ReLU follows every GAT step but the last.
     """
-    if len(market_params) != len(gat_params):
-        raise ConfigError("need one market parameter set per GAT layer")
-    if not gat_params:
-        raise ConfigError("at least one layer required")
     diag = NetworkDiagnostics()
     v = v0
-    for layer, (mp, gp) in enumerate(zip(market_params, gat_params)):
+    for layer, (mp, gp) in enumerate(layers):
         m_prime, beta, delta = run_market_timeline(arrays.date_gaps, v, arrays.node_group, mp)
-        v, gamma = gat_layer(v, m_prime, arrays, gp, relu=layer < len(gat_params) - 1)
+        v, gamma = gat_layer(v, m_prime, arrays, gp, relu=layer < len(layers) - 1)
         diag.gamma.append(gamma)
         diag.beta.append(beta)
         diag.delta.append(delta)

@@ -287,7 +287,7 @@ def load_graph_dir(path) -> QuarterGraph:
     root = Path(path)
     try:
         with utf8_errors(root / "graph.json", GraphConstructionError):
-            manifest = json.loads((root / "graph.json").read_text(encoding="utf-8"))
+            manifest = json.loads((root / "graph.json").read_text(encoding="utf-8-sig"))
     except (FileNotFoundError, json.JSONDecodeError) as e:
         raise GraphConstructionError(f"{root}: not a graph directory") from e
     if not isinstance(manifest, dict) or manifest.get("format") != GRAPH_FORMAT:
@@ -325,7 +325,7 @@ def _read_columns(path: Path, names: tuple[str, ...], count: int) -> dict[str, t
 
     Blank lines are skipped; "row k" in errors counts data rows from 1.
     """
-    with path.open(newline="", encoding="utf-8") as fh, utf8_errors(path, GraphConstructionError):
+    with path.open(newline="", encoding="utf-8-sig") as fh, utf8_errors(path, GraphConstructionError):
         rows = list(filter(None, csv.reader(fh)))
     header = rows[0] if rows else []
     for name in names:

@@ -131,7 +131,7 @@ def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: n
 
 @dataclass
 class TransformerLayerParams:
-    """One post-norm encoder layer: self-attention then a two-layer MLP."""
+    """One post-norm encoder layer: self-attention then a two-layer MLP 4·d wide."""
 
     wq: Tensor
     bq: Tensor
@@ -156,9 +156,7 @@ class TransformerLayerParams:
         rng: np.random.Generator,
         prefix: str,
         d: int,
-        d_ff: int | None = None,
     ) -> "TransformerLayerParams":
-        d_ff = 4 * d if d_ff is None else d_ff
         wq, bq = store.linear(rng, f"{prefix}.attn.q", d, d)
         # no key bias (the softmax cancels q·b); its draw is kept, so the
         # later parameters initialize as they did with it
@@ -166,8 +164,8 @@ class TransformerLayerParams:
         uniform_init(rng, (d,), d)
         wv, bv = store.linear(rng, f"{prefix}.attn.v", d, d)
         wo, bo = store.linear(rng, f"{prefix}.attn.out", d, d)
-        ff1_w, ff1_b = store.linear(rng, f"{prefix}.ff1", d, d_ff)
-        ff2_w, ff2_b = store.linear(rng, f"{prefix}.ff2", d_ff, d)
+        ff1_w, ff1_b = store.linear(rng, f"{prefix}.ff1", d, 4 * d)
+        ff2_w, ff2_b = store.linear(rng, f"{prefix}.ff2", 4 * d, d)
         ln1_gamma, ln1_beta = store.layer_norm(f"{prefix}.ln1", d)
         ln2_gamma, ln2_beta = store.layer_norm(f"{prefix}.ln2", d)
         return cls(

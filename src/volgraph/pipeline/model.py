@@ -214,15 +214,13 @@ class VolatilityModel:
             n_layers=config.dialogue_layers,
             n_heads=config.dialogue_heads,
         )
-        self.market_params = []
-        self.gat_params = []
-        for layer in range(config.network_layers):
-            self.market_params.append(
-                MarketParams.init(store, rng, config.d_hidden, prefix=f"network.layer{layer}.market")
+        self.network = [
+            (
+                MarketParams.init(store, rng, config.d_hidden, prefix=f"network.layer{layer}.market"),
+                GATLayerParams.init(store, rng, config.d_hidden, prefix=f"network.layer{layer}.gat"),
             )
-            self.gat_params.append(
-                GATLayerParams.init(store, rng, config.d_hidden, prefix=f"network.layer{layer}.gat")
-            )
+            for layer in range(config.network_layers)
+        ]
         self.heads = {}
         for tau in self.taus:
             w1, b1 = store.linear(rng, f"head.tau{tau}.hidden", config.d_hidden, config.mlp_hidden)
@@ -249,9 +247,7 @@ class VolatilityModel:
     ) -> tuple[dict[int, Tensor], Tensor, NetworkDiagnostics]:
         """Predictions per label window, final embeddings, and diagnostics."""
         v0 = self.encode(prepared)
-        v_final, diag = company_network_encoder(
-            v0, prepared.arrays, self.market_params, self.gat_params
-        )
+        v_final, diag = company_network_encoder(v0, prepared.arrays, self.network)
         preds = {tau: window_head(v_final, *self.heads[tau]) for tau in self.taus}
         return preds, v_final, diag
 

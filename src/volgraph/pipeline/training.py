@@ -77,7 +77,6 @@ def _fit(
     steps: list[tuple[PreparedQuarter, np.ndarray]],
     val_quarters: list[PreparedQuarter],
     val_masks: list[np.ndarray],
-    epochs: int,
     config: ModelConfig,
     history: TrainHistory,
 ) -> TrainHistory:
@@ -89,7 +88,7 @@ def _fit(
     dropped from it.
     """
     adam = AdamState.for_store(model.store)
-    for epoch in range(1, epochs + 1):
+    for epoch in range(1, config.max_epochs + 1):
         epoch_loss = 0.0
         try:
             for prepared, mask in steps:
@@ -139,7 +138,6 @@ def train(
         list(zip(train_quarters, train_masks)),
         val_quarters,
         [p.mask for p in val_quarters],
-        config.max_epochs,
         config,
         TrainHistory(),
     )
@@ -150,23 +148,21 @@ def fine_tune(
     prepared: PreparedQuarter,
     masks: dict[str, np.ndarray],
     config: ModelConfig,
-    max_epochs: int | None = None,
 ) -> TrainHistory:
     """Continue training on one masked graph with a fresh optimizer.
 
     The pretrained parameters are snapshotted with their validation MSE
     before any step, so a fine-tune that never improves restores them
-    unchanged. ``max_epochs`` 0 is a no-op by the same route.
+    unchanged.
     """
     train_mask = masks["train"] & prepared.mask
     val_mask = masks["val"] & prepared.mask
     if not train_mask.any() or not val_mask.any():
         raise InsufficientDataError("fine-tune masks leave no labeled nodes")
-    epochs = config.max_epochs if max_epochs is None else max_epochs
 
     history = TrainHistory()
     history.observe(0, _validation_mse(model, [prepared], [val_mask]), model.store.state_arrays)
-    return _fit(model, [(prepared, train_mask)], [prepared], [val_mask], epochs, config, history)
+    return _fit(model, [(prepared, train_mask)], [prepared], [val_mask], config, history)
 
 
 def evaluate(

@@ -8,8 +8,8 @@ from ..errors import InsufficientDataError
 from ..graphbuild import QuarterGraph
 
 
-def transductive_split(graph: QuarterGraph, ratios: tuple = (7, 1, 2)) -> dict[str, np.ndarray]:
-    """First 70% of date-ordered nodes train, next 10% val, last 20% test.
+def transductive_split(graph: QuarterGraph, ratios: tuple) -> dict[str, np.ndarray]:
+    """Date-ordered nodes split into train, val and test in the proportions ``ratios``.
 
     Message passing still sees the whole graph; the masks only restrict
     which nodes contribute loss and metrics.

@@ -521,8 +521,9 @@ def _train_and_score(seed: int, signal_strength: float):
         SyntheticConfig(n_companies=20, n_quarters=12, d_s=16, signal_strength=signal_strength),
         seed=100 + seed,
     )
+    config = small_model_config(d_s=16, max_epochs=60, joint_heads=True, seed=seed)
     datasets = build_quarter_datasets(corpus.transcripts, corpus.prices)
-    groups = split_by_time(datasets)
+    groups = split_by_time(datasets, config.val_start, config.test_start)
     prepared = [
         [
             prepare_quarter(
@@ -532,7 +533,6 @@ def _train_and_score(seed: int, signal_strength: float):
         ]
         for group in groups
     ]
-    config = small_model_config(d_s=16, max_epochs=60, joint_heads=True, seed=seed)
     model = VolatilityModel(config, TAUS)
     train(model, prepared[0], prepared[1], config)
     model_report, _ = evaluate({tau: model for tau in TAUS}, prepared[2])
@@ -592,7 +592,7 @@ def test_criterion_08_fine_tune_ordering(capsys):
         model = VolatilityModel(config, TAUS)
         train(model, prepared[0], prepared[1], config)
 
-        masks = transductive_split(heldout.graph)
+        masks = transductive_split(heldout.graph, (7, 1, 2))
         test_mask = masks["test"] & heldout.mask
         before = _validation_mse(model, [heldout], [test_mask])
         fine_tune(model, heldout, masks, config)

@@ -566,6 +566,13 @@ def _insert_bad_byte(path: Path, lineno: int) -> None:
     path.write_bytes(b"\n".join(lines))
 
 
+def _ascii_locale_env() -> dict:
+    """A child environment whose locale encodes only ASCII, with ``volgraph`` importable."""
+    src = str(Path(volgraph.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                LC_ALL="C", LANG="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+
+
 class TestNonUtf8Inputs:
     """Every text input is read as UTF-8: a byte that does not decode is one error line."""
 
@@ -600,15 +607,12 @@ class TestNonUtf8Inputs:
         for name in ("transcripts.jsonl", "prices.csv", "relations.csv"):
             text = (workdir["data"] / name).read_text(encoding="utf-8")
             (data / name).write_text(text.replace("C000", "\u00c7000"), encoding="utf-8")
-        src = str(Path(volgraph.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-                   LC_ALL="C", LANG="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
         proc = subprocess.run(
             [sys.executable, "-m", "volgraph.cli", "build-graph", "--quarter", "2014Q4",
              "--transcripts", str(data / "transcripts.jsonl"),
              "--relations", str(data / "relations.csv"), "--prices", str(data / "prices.csv"),
              "--out", str(tmp_path / "graph")],
-            capture_output=True, text=True, env=env, timeout=300,
+            capture_output=True, text=True, env=_ascii_locale_env(), timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         graph = load_graph_dir(tmp_path / "graph")
@@ -629,6 +633,64 @@ class TestNonUtf8Inputs:
         assert main(argv + ["--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: {cfg}:3: not UTF-8 text\n"
         assert not out.exists()
+
+
+def _tree_bytes(root: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+class TestByteOrderMark:
+    """A UTF-8 input that starts with a byte-order mark, as some editors and
+    spreadsheet exports write it, reads as the same file without one."""
+
+    @pytest.mark.parametrize("name", [
+        "transcripts.jsonl", "prices.csv", "relations.csv",
+        "graph.json", "nodes.csv", "edges.csv", "calls.jsonl", "config",
+    ])
+    def test_same_result_as_the_plain_file(self, workdir, tmp_path, name):
+        if name == "config":  # the same parsed config
+            plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+            plain.write_text(TINY_MODEL_CONFIG, encoding="utf-8")
+            bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+            parse = lambda path: dataclass_from_config(ModelConfig, parse_kv_config(path))
+            assert parse(bom) == parse(plain)
+            return
+        source = workdir["data"] if (workdir["data"] / name).exists() else workdir["graph"]
+        copy = tmp_path / source.name
+        shutil.copytree(source, copy)
+        (copy / name).write_bytes(b"\xef\xbb\xbf" + (copy / name).read_bytes())
+        if source == workdir["data"]:  # the same graph directory, byte for byte
+            argv = ["build-graph", "--quarter", "2014Q4", "--out", str(tmp_path / "g"),
+                    "--transcripts", str(copy / "transcripts.jsonl"),
+                    "--relations", str(copy / "relations.csv"), "--prices", str(copy / "prices.csv")]
+            assert main(argv) == 0
+            assert _tree_bytes(tmp_path / "g") == _tree_bytes(workdir["graph"])
+        else:  # the same predictions
+            for graph, out in ((workdir["graph"], "plain.csv"), (copy, "bom.csv")):
+                argv = ["predict", "--model", str(workdir["ckpt"]), "--graph", str(graph),
+                        "--out", str(tmp_path / out)]
+                assert main(argv) == 0
+            assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+class TestStdout:
+    def test_predictions_print_as_utf8_under_an_ascii_locale(self, workdir, tmp_path):
+        # the rows on stdout are the --out file's bytes whatever the locale
+        graph = tmp_path / "graph"
+        shutil.copytree(workdir["graph"], graph)
+        for name in ("nodes.csv", "calls.jsonl"):
+            text = (graph / name).read_text(encoding="utf-8")
+            (graph / name).write_text(text.replace("C000", "\u00c7000"), encoding="utf-8")
+        argv = [sys.executable, "-m", "volgraph.cli", "predict", "--model", str(workdir["ckpt"]),
+                "--graph", str(graph)]
+        env = _ascii_locale_env()
+        to_file = subprocess.run(argv + ["--out", str(tmp_path / "preds.csv")],
+                                 capture_output=True, env=env, timeout=300)
+        assert to_file.returncode == 0, to_file.stderr
+        to_stdout = subprocess.run(argv, capture_output=True, env=env, timeout=300)
+        assert to_stdout.returncode == 0, to_stdout.stderr
+        assert "\u00c7000".encode("utf-8") in to_stdout.stdout
+        assert to_stdout.stdout == (tmp_path / "preds.csv").read_bytes()
 
 
 class TestTrainEval:
@@ -1158,7 +1220,8 @@ class TestNodeIdsOutOfDateOrder:
         assert permuted.labels[perm].tobytes() == graph.labels.tobytes()
 
         # the masks stay chronological, with the same counts
-        want, got = transductive_split(graph), transductive_split(permuted)
+        want = transductive_split(graph, (7, 1, 2))
+        got = transductive_split(permuted, (7, 1, 2))
         days = permuted.days
         for name in want:
             assert got[name].sum() == want[name].sum()

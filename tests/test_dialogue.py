@@ -9,6 +9,7 @@ import re
 import sys
 import time
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +31,8 @@ from volgraph.dialogue import (
 from volgraph.errors import ParseError, ShapeError
 from volgraph.graphbuild import build_quarter_graph
 from volgraph.pipeline import ModelConfig, VolatilityModel, prepare_quarter
-from volgraph.numcore.layers import TransformerLayerParams, transformer_encoder_layer
-from volgraph.numcore.params import ParamStore
+from volgraph.numcore.layers import transformer_encoder_layer
+from volgraph.numcore.params import ParamStore, uniform_init
 
 import reference_ops as ro
 from conftest import tiny_config
@@ -40,25 +41,24 @@ from gradcheck import grad_check, n_scalars
 D_S = 6
 
 
-def setup_encoder(rng, n_layers=1, d_hidden=8, max_sentences=16, max_utterances=8, d_ff=12):
-    """Tables and an encoder whose layers' feed-forward width is ``d_ff``.
-
-    The model's layers are always 4·d_hidden wide; these tests also use
-    widths that 4·d_hidden cannot give, so the layers are built here.
-    """
+def setup_encoder(rng, n_layers=1, d_hidden=8, max_sentences=16, max_utterances=8):
     store = ParamStore()
     tables = StructEmbedTables.init(
         store, rng, d_p=2, d_u=2, d_r=2, d_q=2,
         max_sentences=max_sentences, max_utterances=max_utterances,
     )
     params = DialogueEncoderParams.init(
-        store, rng, d_in=D_S + tables.total_dim, d_hidden=d_hidden, n_layers=0, n_heads=2,
+        store, rng, d_in=D_S + tables.total_dim, d_hidden=d_hidden, n_layers=n_layers, n_heads=2,
     )
-    params.layers = [
-        TransformerLayerParams.init(store, rng, f"dialogue.layer{i}", d_hidden, d_ff=d_ff)
-        for i in range(n_layers)
-    ]
     return store, tables, params
+
+
+def with_feed_forward_width(layer, d_ff, rng):
+    """``layer`` with a feed-forward block ``d_ff`` wide, a width the model's 4·d need not give."""
+    d = layer.wq.shape[0]
+    draw = lambda shape, fan_in: nc.Tensor(uniform_init(rng, shape, fan_in))
+    return replace(layer, ff1_w=draw((d_ff, d), d), ff1_b=draw((d_ff,), d),
+                   ff2_w=draw((d, d_ff), d_ff), ff2_b=draw((d,), d_ff))
 
 
 def vector_call(rng, call_id="C-1", n=5, d_s=D_S, date=dt.date(2016, 2, 3)):
@@ -462,7 +462,8 @@ class TestEncode:
         # partial 8-column panel, whose rows round by their position, and
         # d_ff = 1 is a gemv at every row count
         monkeypatch.setattr(dialogue, "_CHUNK_ROWS", cap)
-        store, tables, params = setup_encoder(rng, n_layers=2, d_hidden=d_hidden, d_ff=d_ff)
+        store, tables, params = setup_encoder(rng, n_layers=2, d_hidden=d_hidden)
+        params.layers = [with_feed_forward_width(layer, d_ff, rng) for layer in params.layers]
         lengths = [7, 3, 5, 3, 7, 4, 1, 12, 5, 9, 3, 16]
         calls = [vector_call(rng, call_id=f"C-{i}", n=n) for i, n in enumerate(lengths)]
         together = encode_calls(calls, tables, params, D_S, {}).data

@@ -11,7 +11,6 @@ import scipy.special
 
 import volgraph.numcore as nc
 from volgraph.dataio.records import CallRecord, Quarter, RelationTable, Sentence
-from volgraph.errors import ConfigError
 from volgraph.gnn import (
     LEAKY_SLOPE,
     GATLayerParams,
@@ -402,32 +401,26 @@ class TestNetworkEncoder:
 
     def setup_encoder(self, rng, n_layers=2):
         store = ParamStore()
-        market, gat = [], []
-        for layer in range(n_layers):
-            market.append(MarketParams.init(store, rng, D, prefix=f"l{layer}.market"))
-            gat.append(GATLayerParams.init(store, rng, D, f"l{layer}.gat"))
-        return store, market, gat
-
-    def test_layer_count_mismatch_rejected(self, rng):
-        store, market, gat = self.setup_encoder(rng, n_layers=2)
-        g = self.make_graph(rng)
-        arrays = GraphArrays.from_graph(g)
-        with pytest.raises(ConfigError):
-            company_network_encoder(
-                nc.Tensor(rng.normal(size=(6, D))), arrays, market[:1], gat
+        layers = [
+            (
+                MarketParams.init(store, rng, D, prefix=f"l{layer}.market"),
+                GATLayerParams.init(store, rng, D, f"l{layer}.gat"),
             )
+            for layer in range(n_layers)
+        ]
+        return store, layers
 
     def test_perturbing_last_date_leaves_earlier_nodes_bitwise(self, rng):
         # two layers ending in the identity head: deep relu stacks can
         # legitimately zero a node out, which would blind the negative control
         g = self.make_graph(rng, n=6)
         arrays = GraphArrays.from_graph(g)
-        store, market, gat = self.setup_encoder(rng, n_layers=2)
+        store, layers = self.setup_encoder(rng, n_layers=2)
         v0 = rng.normal(size=(6, D))
-        out1, _ = company_network_encoder(nc.Tensor(v0), arrays, market, gat)
+        out1, _ = company_network_encoder(nc.Tensor(v0), arrays, layers)
         v0p = v0.copy()
         v0p[-1] += 0.25 * rng.normal(size=D)  # nodes are date-sorted: -1 is latest
-        out2, _ = company_network_encoder(nc.Tensor(v0p), arrays, market, gat)
+        out2, _ = company_network_encoder(nc.Tensor(v0p), arrays, layers)
         last_date = arrays.dates[-1]
         for node in range(6):
             if g.calls[node].call_date < last_date:
@@ -437,12 +430,12 @@ class TestNetworkEncoder:
     def test_gradients_through_two_layers(self, rng):
         g = self.make_graph(rng, n=5)
         arrays = GraphArrays.from_graph(g)
-        store, market, gat = self.setup_encoder(rng, n_layers=2)
+        store, layers = self.setup_encoder(rng, n_layers=2)
         v0 = rng.normal(size=(5, D))
         w = rng.normal(size=(5, D))
 
         def loss():
-            out, _ = company_network_encoder(nc.Tensor(v0), arrays, market, gat)
+            out, _ = company_network_encoder(nc.Tensor(v0), arrays, layers)
             return ro.sum_(ro.mul(out, nc.Tensor(w)))
 
         report = grad_check(loss, store, tol=1e-4)
@@ -452,9 +445,9 @@ class TestNetworkEncoder:
     def test_diagnostics_and_export_rows(self, rng):
         g = self.make_graph(rng, n=5)
         arrays = GraphArrays.from_graph(g)
-        store, market, gat = self.setup_encoder(rng, n_layers=2)
+        store, layers = self.setup_encoder(rng, n_layers=2)
         out, diag = company_network_encoder(
-            nc.Tensor(rng.normal(size=(5, D))), arrays, market, gat
+            nc.Tensor(rng.normal(size=(5, D))), arrays, layers
         )
         assert len(diag.gamma) == 2
         assert all(gamma.shape == (len(arrays.src),) for gamma in diag.gamma)

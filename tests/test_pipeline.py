@@ -253,7 +253,7 @@ class TestEarlyStopping:
         model = VolatilityModel(config, (3,))
         p = prepared_quarters[0]
         seen = scripted_validation(monkeypatch, curve)
-        history = fine_tune(model, p, transductive_split(p.graph), config)
+        history = fine_tune(model, p, transductive_split(p.graph, (7, 1, 2)), config)
         assert history.stopped_epoch == stopped == len(seen) - 1
         assert history.best_epoch == best
         assert history.best_val_mse == curve[best]
@@ -480,19 +480,7 @@ class TestTrain:
 
 class TestFineTune:
     def _masks(self, prepared):
-        return transductive_split(prepared.graph)
-
-    def test_no_op_restores_pretrained_exactly(self, prepared_quarters):
-        config = tiny_config()
-        model = VolatilityModel(config, (3,))
-        p = prepared_quarters[0]
-        before = model.store.state_arrays()
-        history = fine_tune(model, p, self._masks(p), config, max_epochs=0)
-        after = model.store.state_arrays()
-        assert history.stopped_epoch == 0
-        assert history.best_epoch == 0
-        for name in before:
-            assert np.array_equal(before[name], after[name]), name
+        return transductive_split(prepared.graph, (7, 1, 2))
 
     def test_fine_tune_improves_val(self, prepared_quarters):
         config = tiny_config(max_epochs=25, patience=5)
@@ -614,7 +602,7 @@ class TestWindowLayout:
 class TestTransductiveSplit:
     def test_partition_and_counts(self, prepared_quarters):
         graph = prepared_quarters[0].graph
-        masks = transductive_split(graph)
+        masks = transductive_split(graph, (7, 1, 2))
         n = graph.n_nodes
         union = masks["train"] | masks["val"] | masks["test"]
         assert union.all()
@@ -626,7 +614,7 @@ class TestTransductiveSplit:
 
     def test_chronological_order(self, prepared_quarters):
         graph = prepared_quarters[0].graph
-        masks = transductive_split(graph)
+        masks = transductive_split(graph, (7, 1, 2))
         dates = [c.call_date for c in graph.calls]
         latest_train = max(dates[i] for i in np.flatnonzero(masks["train"]))
         earliest_test = min(dates[i] for i in np.flatnonzero(masks["test"]))
@@ -645,7 +633,7 @@ class TestTransductiveSplit:
             nodes = []
 
         with pytest.raises(InsufficientDataError):
-            transductive_split(Stub())
+            transductive_split(Stub(), (7, 1, 2))
 
     def test_bad_ratios(self, prepared_quarters):
         graph = prepared_quarters[0].graph

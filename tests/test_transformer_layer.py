@@ -27,9 +27,9 @@ from reference_ops import linear
 from gradcheck import grad_check, n_scalars
 
 
-def make_layer(rng, d=6, d_ff=None):
+def make_layer(rng, d=6):
     store = ParamStore()
-    params = TransformerLayerParams.init(store, rng, "layer", d, d_ff=d_ff)
+    params = TransformerLayerParams.init(store, rng, "layer", d)
     return store, params
 
 
@@ -228,9 +228,9 @@ def layer_grads(fn, store, params, x, cls_only, w):
     return [xt.grad] + [getattr(params, n).grad for n in PARAM_NAMES]
 
 
-def perturbed_layer(rng, d=8, d_ff=32):
+def perturbed_layer(rng, d=8):
     """A layer whose norms and biases are off their init values."""
-    store, params = make_layer(rng, d=d, d_ff=d_ff)
+    store, params = make_layer(rng, d=d)
     for _, t in store.items():
         t.data += 0.1 * rng.normal(size=t.shape)
     return store, params
@@ -305,7 +305,7 @@ class TestAttention:
         # x and all 15 parameters of the full layer over a chunk of three
         # length groups, whose feed-forward output map is a padded product;
         # the query form is checked in TestQueryRows
-        store, params = perturbed_layer(rng, d=8, d_ff=32)
+        store, params = perturbed_layer(rng, d=8)
         lengths = np.array([3, 3, 2, 4])
         x = store.add("x", rng.normal(size=(lengths.sum(), 8)))
         w = rng.normal(size=(lengths.sum(), 8))
@@ -366,12 +366,12 @@ class TestTransformerLayer:
 
     def test_batch_elements_are_independent_bitwise(self, rng):
         # no masking or sequence padding, and every packed product runs in
-        # fixed-shape row tiles (unpadded, d_ff = 32 would send the
-        # feed-forward output map of up to 150 rows to OpenBLAS's
+        # fixed-shape row tiles (unpadded, the 32-wide feed-forward block
+        # would send its output map of up to 150 rows to OpenBLAS's
         # small-matrix kernel), so the rows packed around a sequence must
         # leave its output exactly unchanged
         # -- the backbone of the no-future-influence guarantee upstream
-        store, params = make_layer(rng, d=8, d_ff=32)
+        store, params = make_layer(rng, d=8)
         keep = rng.normal(size=(4, 8))
         alone = transformer_encoder_layer(nc.Tensor(keep), params, 2, [4]).data
         for before, after in (([4, 4], []), ([], [2, 9, 4]), ([4, 7] * 12, [4, 1] * 30)):
@@ -399,7 +399,7 @@ class TestTransformerLayer:
         np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-3)
 
     def test_gradients_match_finite_differences(self, rng):
-        store, params = make_layer(rng, d=6, d_ff=8)
+        store, params = make_layer(rng, d=6)
         lengths = [3, 1, 3]
         x = rng.normal(size=(7, 6))
         w = rng.normal(size=(7, 6))
@@ -439,17 +439,18 @@ class TestQueryRows:
     def test_cls_query_matches_full_layer_row(self, rng, b, s):
         # K/V over every row, Q over row 0 only: the result is row 0 of the
         # full layer to rounding (s=2 is a CLS row plus one sentence). A
-        # longer sequence follows the b sequences of s rows
-        store, params = make_layer(rng, d=8, d_ff=12)
+        # longer sequence follows the b sequences of s rows. At d = 3 no
+        # product, the 12-wide feed-forward block's included, is a whole panel
+        store, params = make_layer(rng, d=3)
         lengths = np.array([s] * b + [s + 3])
-        x = rng.normal(size=(lengths.sum(), 8))
-        full = transformer_encoder_layer(nc.Tensor(x), params, 2, lengths).data
-        got = transformer_encoder_layer(nc.Tensor(x), params, 2, lengths, cls_only=True).data
-        assert got.shape == (b + 1, 8)
+        x = rng.normal(size=(lengths.sum(), 3))
+        full = transformer_encoder_layer(nc.Tensor(x), params, 3, lengths).data
+        got = transformer_encoder_layer(nc.Tensor(x), params, 3, lengths, cls_only=True).data
+        assert got.shape == (b + 1, 3)
         np.testing.assert_allclose(got, full[starts(lengths)], rtol=0, atol=1e-12)
 
     def test_query_batch_elements_are_independent_bitwise(self, rng):
-        store, params = make_layer(rng, d=8, d_ff=32)
+        store, params = make_layer(rng, d=8)
         keep = rng.normal(size=(4, 8))
         mates = rng.normal(size=(15, 8)) * 10
         alone = transformer_encoder_layer(nc.Tensor(keep), params, 2, [4], cls_only=True).data
@@ -463,7 +464,7 @@ class TestQueryRows:
         # gradients reach every parameter and every row, through the keys
         # and values and through the query rows; three length groups, and
         # the feed-forward output map of the 4 query rows is padded
-        store, params = make_layer(rng, d=8, d_ff=32)
+        store, params = make_layer(rng, d=8)
         lengths = np.array([3, 3, 2, 4])
         x = store.add("x", rng.normal(size=(lengths.sum(), 8)))
         w = rng.normal(size=(4, 8))
