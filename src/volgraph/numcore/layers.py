@@ -19,11 +19,15 @@ OpenBLAS 0.3.31 with its SkylakeX, Haswell and Sandybridge kernels; the
 tests that encode calls alone and packed, and a quarter's date prefixes
 against the whole quarter, are the check on any other.
 
-The attention softmax is normalized after the value product, as in
-FlashAttention-2: the queries are scaled by 1/√dh before the score
-product, the (n, n) block holds only exp(s − rowmax), and the (n, dh)
-context is divided by the row sums. No division pass runs over the
-(n, n) scores.
+The attention core runs over query tiles, as in FlashAttention-2: a
+length group's queries go in tiles of at most ``_QUERY_TILE`` rows, each
+against all of the group's keys, so the largest score block the layer
+forms is one tile's (b, H, t, n). The softmax is normalized after the
+value product: the queries are scaled by 1/√dh before the score product,
+the tile's block holds only exp(s − rowmax), and the (t, dh) context is
+divided by the row sums, so no division pass runs over the scores. The
+backward keeps no score block: it re-forms each tile's from q, k and the
+row max its forward kept.
 """
 
 from __future__ import annotations
@@ -48,6 +52,14 @@ _LN_EPS = 1e-5
 # scored the benchmark's quarters fastest (2-CPU x86-64, one BLAS thread).
 _PANEL = 8
 _TILE_ROWS = 64
+
+# Query rows per sequence in one tile of the attention core; a tile's
+# (b, H, t, n) score block is the largest the layer forms. One layer of
+# the long-calls shape (d = 64, 8 heads, chunks of 51- to 295-row calls)
+# ran forward and backward in 63-70 ms at 32 rows and 68-76 ms at 64
+# (2-CPU x86-64, one BLAS thread), and the long-calls benchmark's peak RSS
+# read 107-108 MB at 32 and 109-110 MB at 64.
+_QUERY_TILE = 32
 
 
 def _affine(a: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
@@ -89,17 +101,21 @@ def _lead_sum(g: np.ndarray) -> np.ndarray:
     return g.sum(axis=tuple(range(g.ndim - 1)))
 
 
-def _attention_weights(q: np.ndarray, k: np.ndarray) -> tuple:
+def _attention_weights(q: np.ndarray, k: np.ndarray, rowmax: np.ndarray | None = None) -> tuple:
     """Unnormalized softmax weights of the scores q @ kᵀ, formed in place in one buffer.
 
-    Returns (e, l): e = exp(s − rowmax(s)) and its row sums l, with s =
-    q @ kᵀ, so softmax(s) = e / l. ``q`` arrives already scaled by 1/√dh;
-    the caller divides the value product e @ v by l, not e itself.
+    Returns (e, m): with s = q @ kᵀ, m = rowmax(s) and e = exp(s − m), so
+    softmax(s) = e / l for e's row sums l. ``q`` arrives already scaled by
+    1/√dh; the caller divides the value product e @ v by l, not e itself.
+    Given the ``rowmax`` m of an earlier call on the same q and k, the
+    scores are shifted by it, and e comes out bitwise as that call's.
     """
     e = q @ np.swapaxes(k, -1, -2)
-    e -= e.max(axis=-1, keepdims=True)
+    if rowmax is None:
+        rowmax = e.max(axis=-1, keepdims=True)
+    e -= rowmax
     np.exp(e, out=e)
-    return e, e.sum(axis=-1, keepdims=True)
+    return e, rowmax
 
 
 def _layer_norm(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> tuple:
@@ -190,11 +206,13 @@ def transformer_encoder_layer(
     ``x`` is (R, d): sequences packed back to back, ``lengths[i]`` rows for
     sequence i, with sum(lengths) == R. Each row attends only to the rows
     of its own sequence, so no padding or masking is involved. A run of
-    equal consecutive lengths is one length group: its (b, H, n, n)
-    attention core runs as one block, and every other part of the layer
-    (the Q/K/V and output maps, both layer norms, the feed-forward block)
-    runs once over all rows as 2-D products (``_affine``), so a row's
-    result is bitwise independent of the other sequences packed with it.
+    equal consecutive lengths is one length group: its attention core runs
+    over query tiles of at most ``_QUERY_TILE`` rows per sequence, each a
+    (b, H, t, n) block against all n keys, and every other part of the
+    layer (the Q/K/V and output maps, both layer norms, the feed-forward
+    block) runs once over all rows as 2-D products (``_affine``). The tiles
+    depend only on a sequence's own length, so a row's result is bitwise
+    independent of the other sequences packed with it.
 
     Keys and values always come from every row. With ``cls_only`` the
     first row of each sequence is its only query: the attention output,
@@ -206,13 +224,16 @@ def transformer_encoder_layer(
     The node's parents are ``x`` and the 15 ``TransformerLayerParams``
     tensors in field order. The forward runs the numpy ops of an
     op-by-op tape (separate Q/K/V maps, the query map divided by √dh,
-    head split, unnormalized softmax weights e and their row sums l,
-    e @ v divided by l, head merge, output map, residual, norm, MLP,
-    residual, norm) in that tape's order over the same padded products,
-    so its output is bitwise equal to the chain's. The backward keeps the
-    q, k and v rows, each group's e and l (it forms the weights e / l
-    once), the merged context, both norms' x̂ and 1/σ, the first norm's
-    output and the ReLU output.
+    head split, per query tile the unnormalized softmax weights e and
+    their row sums l and e @ v divided by l, head merge, output map,
+    residual, norm, MLP, residual, norm) in that tape's order over the
+    same padded products, so its output is bitwise equal to the chain's.
+    The backward keeps the q, k and v rows, the merged context c, each
+    query tile's (b, H, t, 1) row max and row sum l, both norms' x̂ and
+    1/σ, the first norm's output and the ReLU output: O(R·d) entries, no
+    score block. Per tile it re-forms e from q, k and the kept row max, and
+    takes the softmax correction from the context (FlashAttention-2): with
+    g′ = gc / l, gv += eᵀ g′ and dS = (g′ vᵀ − rowsum(g′ ∘ c)) ∘ e.
     """
     x = T.as_tensor(x)
     params = tuple(getattr(p, name) for name in _LAYER_FIELDS)
@@ -251,13 +272,22 @@ def transformer_encoder_layer(
     k = _affine(x.data, wk, None)
     v = _affine(x.data, wv, bv)
     ctx = np.empty_like(q)
+    # per length group: views of its k and v heads, and per query tile
+    # views of its q and context heads, its row max and its row sum
     cores = []
     for kv, qs, b, n, m in blocks:
-        e, rowsum = _attention_weights(split_heads(q[qs], b, m), split_heads(k[kv], b, n))
-        c = e @ split_heads(v[kv], b, n)
-        c /= rowsum
-        ctx[qs] = merge_heads(c)
-        cores.append((e, rowsum))
+        qh, kh, vh = split_heads(q[qs], b, m), split_heads(k[kv], b, n), split_heads(v[kv], b, n)
+        ch = split_heads(ctx[qs], b, m)
+        tiles = []
+        for t in range(0, m, _QUERY_TILE):
+            qt, ct = qh[:, :, t : t + _QUERY_TILE], ch[:, :, t : t + _QUERY_TILE]
+            e, rowmax = _attention_weights(qt, kh)
+            rowsum = e.sum(axis=-1, keepdims=True)
+            c = e @ vh
+            c /= rowsum
+            ct[...] = c  # into ctx, through the view
+            tiles.append((qt, ct, rowmax, rowsum))
+        cores.append((kh, vh, tiles))
     a1 = _affine(ctx, wo, bo)
     a1 += qin
     h, xhat1, inv1 = _layer_norm(a1, ln1_g, ln1_b)
@@ -277,20 +307,25 @@ def transformer_encoder_layer(
         gctx, gwo = _affine_grads(ga1, ctx, wo)
         gbo = _lead_sum(ga1)  # before ga1 takes on the input gradients below
         gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
-        for (kv, qs, b, n, m), (e, rowsum) in zip(blocks, cores):
-            gc = split_heads(gctx[qs], b, m)
-            qh, kh, vh = split_heads(q[qs], b, m), split_heads(k[kv], b, n), split_heads(v[kv], b, n)
-            att = e / rowsum
-            gv[kv] = merge_heads(np.swapaxes(att, -1, -2) @ gc)
-            ds = gc @ np.swapaxes(vh, -1, -2)  # dP, turned into dS in place
-            ds -= (ds * att).sum(axis=-1, keepdims=True)
-            ds *= att
-            gqh = ds @ kh
-            gqh /= scale  # the scores' query is q / √dh
-            gq[qs] = merge_heads(gqh)
-            # (qᵀ dS)ᵀ, not dSᵀ q: the two round differently, and this one is
-            # the product an op-by-op tape forms
-            gk[kv] = merge_heads(np.swapaxes(np.swapaxes(qh, -1, -2) @ ds, -1, -2))
+        for (kv, qs, b, n, m), (kh, vh, tiles) in zip(blocks, cores):
+            gch = split_heads(gctx[qs], b, m)
+            gqh = split_heads(gq[qs], b, m)  # the tiles write their query rows through it
+            gvh = np.zeros((b, n_heads, n, dh))  # the tiles' eᵀ g′, summed
+            gkt = np.zeros((b, n_heads, dh, n))  # the tiles' qᵀ dS, summed
+            for t, (qt, ct, rowmax, rowsum) in zip(range(0, m, _QUERY_TILE), tiles):
+                e, _ = _attention_weights(qt, kh, rowmax)
+                gc = gch[:, :, t : t + _QUERY_TILE] / rowsum  # g′: the gradient of e @ v
+                gvh += np.swapaxes(e, -1, -2) @ gc
+                ds = gc @ np.swapaxes(vh, -1, -2)  # g′ vᵀ, turned into dS in place
+                ds -= np.einsum("bhti,bhti->bht", gc, ct)[..., None]
+                ds *= e
+                np.matmul(ds, kh, out=gqh[:, :, t : t + _QUERY_TILE])
+                # (qᵀ dS)ᵀ, not dSᵀ q: the two round differently, and this one is
+                # the product an op-by-op tape forms
+                gkt += np.swapaxes(qt, -1, -2) @ ds
+            gv[kv] = merge_heads(gvh)
+            gk[kv] = merge_heads(np.swapaxes(gkt, -1, -2))
+        gq /= scale  # the scores' query is q / √dh
         gxq, gwq = _affine_grads(gq, qin, wq)
         gxk, gwk = _affine_grads(gk, x.data, wk)
         gxv, gwv = _affine_grads(gv, x.data, wv)

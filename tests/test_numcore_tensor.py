@@ -135,8 +135,8 @@ def attention_weights(x: np.ndarray) -> np.ndarray:
     exactly.
     """
     q = np.ones(x.shape[:-1] + (1, 1))
-    e, rowsum = _attention_weights(q, x[..., None])
-    return (e / rowsum)[..., 0, :]
+    e, _ = _attention_weights(q, x[..., None])
+    return (e / e.sum(axis=-1, keepdims=True))[..., 0, :]
 
 
 class TestForwardReferences:

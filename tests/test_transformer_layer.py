@@ -5,6 +5,7 @@ an op-by-op tape reference that attend one sequence at a time."""
 
 from __future__ import annotations
 
+import types
 from dataclasses import fields
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 import volgraph.numcore as nc
 from volgraph.errors import ShapeError
 from volgraph.numcore.layers import (
+    _QUERY_TILE,
     _TILE_ROWS,
     TransformerLayerParams,
     _affine,
@@ -108,6 +110,13 @@ PARAM_NAMES = tuple(f.name for f in fields(TransformerLayerParams))
 # rows than one tile, so every product pads its last tile
 LENGTHS = np.array([5, 5, 7, 6, 6])
 
+# sequences around and beyond one query tile: a row short of it, one whole
+# tile, a row over, two tiles and part of a third; packed together, and
+# each alone
+TILE_LENGTHS = [_QUERY_TILE - 1, _QUERY_TILE, _QUERY_TILE + 1, 2 * _QUERY_TILE + 3]
+TILE_PACKS = [TILE_LENGTHS] + [[n] for n in TILE_LENGTHS]
+TILE_PACK_IDS = ["packed"] + [f"alone-{n}" for n in TILE_LENGTHS]
+
 
 def starts(lengths):
     return np.cumsum(lengths) - lengths
@@ -131,11 +140,16 @@ def blocked_affine(a, weight, bias=None):
 
 
 def deferred_attention(q, k, v):
-    """The layer's attention core: q / √dh, the max-shifted exponentials e
-    of the scores, e @ v divided by e's row sums."""
-    scores = (q / float(np.sqrt(q.shape[-1]))) @ np.swapaxes(k, -1, -2)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return (e @ v) / e.sum(axis=-1, keepdims=True)
+    """The layer's attention core: q / √dh, then per tile of ``_QUERY_TILE``
+    query rows the max-shifted exponentials e of the scores against every
+    key, and e @ v divided by e's row sums."""
+    q = q / float(np.sqrt(q.shape[-1]))
+    out = []
+    for t in range(0, q.shape[-2], _QUERY_TILE):
+        scores = q[..., t : t + _QUERY_TILE, :] @ np.swapaxes(k, -1, -2)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        out.append((e @ v) / e.sum(axis=-1, keepdims=True))
+    return np.concatenate(out, axis=-2)
 
 
 def textbook_attention(q, k, v):
@@ -220,12 +234,36 @@ def reference_layer(x, p, n_heads, lengths, cls_only=False):
     return norm(ro.add(h, ff), p.ln2_gamma, p.ln2_beta)
 
 
-def layer_grads(fn, store, params, x, cls_only, w):
+def layer_grads(fn, store, params, x, cls_only, w, lengths=LENGTHS):
     """Gradients of sum(fn(...) * w) for x and all 15 parameters."""
     store.zero_grad()
     xt = nc.Tensor(x, requires_grad=True)
-    ro.sum_(ro.mul(fn(xt, params, 2, LENGTHS, cls_only=cls_only), nc.Tensor(w))).backward()
+    ro.sum_(ro.mul(fn(xt, params, 2, lengths, cls_only=cls_only), nc.Tensor(w))).backward()
     return [xt.grad] + [getattr(params, n).grad for n in PARAM_NAMES]
+
+
+def shifted_logits(rng, params, lengths, cls_only, shift):
+    """An input whose keys shift every query row's scores by up to ``shift``.
+
+    A shift u of every key moves query row i's scores by q_i·u/√dh, the
+    same for every key. The layer has no key bias, so the shift comes in
+    through the input: column 0 of x is 1 on every row, the queries do not
+    read it, and its key weights are u, scaled per head so that the
+    largest shift is ``shift``. Returns x; ``params`` is changed in place.
+    """
+    x = rng.normal(size=(np.sum(lengths), 8))
+    x[:, 0] = 1.0
+    params.wq.data[:, 0] = 0.0
+    n_heads, dh = 2, 4
+    q_in = x[starts(lengths)] if cls_only else x
+    q = q_in @ params.wq.data.T + params.bq.data
+    u = rng.normal(size=8)
+    for h in range(n_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        row_shifts = q[..., cols] @ u[cols] / np.sqrt(dh)
+        u[cols] *= shift / row_shifts.flat[np.argmax(np.abs(row_shifts))]
+    params.wk.data[:, 0] = u
+    return x
 
 
 def perturbed_layer(rng, d=8):
@@ -253,41 +291,31 @@ class TestAttention:
     @pytest.mark.parametrize("m", [5, 1])
     @pytest.mark.parametrize("shift", [500.0, -500.0])
     def test_forward_matches_textbook_softmax_under_logit_shifts(self, rng, m, shift):
-        # a shift u of every key moves query row i's scores by q_i·u/√dh,
-        # the same for every key. The layer has no key bias, so the shift
-        # comes in through the input: column 0 of x is 1 on every row, the
-        # queries do not read it, and its key weights are u, scaled per head
-        # so that the largest shift is ±500. Normalizing after the value
-        # product must stay within rounding of softmax(q kᵀ/√dh)·v.
+        # normalizing after the value product must stay within rounding of
+        # softmax(q kᵀ/√dh)·v when every score row is shifted by up to ±500
         store, params = perturbed_layer(rng)
-        x = rng.normal(size=(LENGTHS.sum(), 8))
-        x[:, 0] = 1.0
-        params.wq.data[:, 0] = 0.0
         cls_only = m == 1
-        n_heads, dh = 2, 4
-        q_in = x[starts(LENGTHS)] if cls_only else x
-        q = q_in @ params.wq.data.T + params.bq.data
-        u = rng.normal(size=8)
-        for h in range(n_heads):
-            cols = slice(h * dh, (h + 1) * dh)
-            row_shifts = q[..., cols] @ u[cols] / np.sqrt(dh)
-            u[cols] *= shift / row_shifts.flat[np.argmax(np.abs(row_shifts))]
-        params.wk.data[:, 0] = u
-        want = replay_layer(x, params, n_heads, LENGTHS, cls_only, attention=textbook_attention)
-        got = transformer_encoder_layer(nc.Tensor(x), params, n_heads, LENGTHS,
-                                        cls_only=cls_only).data
+        x = shifted_logits(rng, params, LENGTHS, cls_only, shift)
+        want = replay_layer(x, params, 2, LENGTHS, cls_only, attention=textbook_attention)
+        got = transformer_encoder_layer(nc.Tensor(x), params, 2, LENGTHS, cls_only=cls_only).data
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_weight_rows_sum_to_one(self, rng):
         # (b, H, m, n) heads: e's largest entry in each row is exactly 1, so
-        # the row sums l lie in [1, n] and e / l is a softmax
+        # the row sums l lie in [1, n] and e / l is a softmax; the row max
+        # is the scores', and handed back it re-forms e bitwise, as the
+        # backward re-forms a query tile's weights
         q, k = rng.normal(size=(2, 3, 4, 5)) * 30, rng.normal(size=(2, 3, 7, 5))
-        e, rowsum = _attention_weights(q, k)
-        assert e.shape == (2, 3, 4, 7) and rowsum.shape == (2, 3, 4, 1)
+        e, rowmax = _attention_weights(q, k)
+        rowsum = e.sum(axis=-1, keepdims=True)
+        assert e.shape == (2, 3, 4, 7) and rowmax.shape == (2, 3, 4, 1)
+        assert np.array_equal(rowmax, (q @ np.swapaxes(k, -1, -2)).max(axis=-1, keepdims=True))
         assert np.array_equal(e.max(axis=-1), np.ones((2, 3, 4)))
         assert np.all((rowsum >= 1.0) & (rowsum <= 7.0))
         np.testing.assert_allclose((e / rowsum).sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+        again, same_max = _attention_weights(q, k, rowmax)
+        assert same_max is rowmax and np.array_equal(again, e)
 
     @pytest.mark.parametrize("m", [5, 1])
     def test_gradients_match_op_by_op_chain(self, rng, m):
@@ -350,6 +378,84 @@ class TestAttention:
         with pytest.raises(ShapeError):
             transformer_encoder_layer(nc.Tensor(np.zeros(x)), params, 2, lengths,
                                       cls_only=cls_only)
+
+
+class TestQueryTiles:
+    """The attention core over more than one query tile: sequences around
+    and beyond ``_QUERY_TILE`` rows, packed together and alone, with every
+    row a query and with the CLS query alone."""
+
+    @pytest.mark.parametrize("cls_only", [False, True], ids=["full", "cls"])
+    @pytest.mark.parametrize("lengths", TILE_PACKS, ids=TILE_PACK_IDS)
+    def test_forward_bitwise_equals_tiled_replay(self, rng, lengths, cls_only):
+        store, params = perturbed_layer(rng)
+        x = rng.normal(size=(sum(lengths), 8))
+        want = replay_layer(x, params, 2, lengths, cls_only)
+        got = transformer_encoder_layer(nc.Tensor(x), params, 2, lengths, cls_only=cls_only).data
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("cls_only", [False, True], ids=["full", "cls"])
+    @pytest.mark.parametrize("lengths", TILE_PACKS, ids=TILE_PACK_IDS)
+    def test_gradients_match_op_by_op_chain(self, rng, lengths, cls_only):
+        # the op-by-op chain attends each whole sequence in one block and
+        # keeps its weights; the layer re-forms them tile by tile
+        store, params = perturbed_layer(rng)
+        x = rng.normal(size=(sum(lengths), 8))
+        w = rng.normal(size=((len(lengths) if cls_only else sum(lengths)), 8))
+        want = layer_grads(reference_layer, store, params, x, cls_only, w, lengths)
+        got = layer_grads(transformer_encoder_layer, store, params, x, cls_only, w, lengths)
+        assert len(got) == 1 + 15
+        for g, r in zip(got, want):
+            np.testing.assert_allclose(g, r, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cls_only", [False, True], ids=["full", "cls"])
+    @pytest.mark.parametrize("shift", [500.0, -500.0])
+    @pytest.mark.parametrize("lengths", TILE_PACKS, ids=TILE_PACK_IDS)
+    def test_forward_matches_textbook_softmax_under_logit_shifts(self, rng, lengths, shift,
+                                                                 cls_only):
+        store, params = perturbed_layer(rng)
+        x = shifted_logits(rng, params, lengths, cls_only, shift)
+        want = replay_layer(x, params, 2, lengths, cls_only, attention=textbook_attention)
+        got = transformer_encoder_layer(nc.Tensor(x), params, 2, lengths, cls_only=cls_only).data
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cls_only", [False, True], ids=["full", "cls"])
+    def test_rows_do_not_depend_on_packing(self, rng, cls_only):
+        # a sequence's tiles depend only on its own length, so its rows come
+        # out bitwise the same alone and packed with the others
+        store, params = make_layer(rng, d=8)
+        x = rng.normal(size=(sum(TILE_LENGTHS), 8))
+        packed = transformer_encoder_layer(nc.Tensor(x), params, 2, TILE_LENGTHS,
+                                           cls_only=cls_only).data
+        for i, (start, n) in enumerate(zip(starts(TILE_LENGTHS), TILE_LENGTHS)):
+            alone = transformer_encoder_layer(nc.Tensor(x[start : start + n]), params, 2, [n],
+                                              cls_only=cls_only).data
+            rows = slice(i, i + 1) if cls_only else slice(start, start + n)
+            assert np.array_equal(alone, packed[rows])
+
+    def test_tape_holds_no_score_block(self, rng):
+        # the backward keeps O(R·d) entries: no array its closure reaches
+        # through cells, lists and tuples is larger than the (R, 4d)
+        # feed-forward activation; one (1, 2, 300, 300) score block of the
+        # 300-row sequence would hold 180,000 entries
+        store, params = make_layer(rng, d=8)
+        x = nc.Tensor(rng.normal(size=(300, 8)), requires_grad=True)
+        out = transformer_encoder_layer(x, params, 2, [300])
+        sizes, seen = [], set()
+        stack = [cell.cell_contents for cell in out._backward_fn.__closure__]
+        while stack:
+            item = stack.pop()
+            if id(item) in seen:
+                continue
+            seen.add(id(item))
+            if isinstance(item, np.ndarray):
+                sizes.append(item.size)
+            elif isinstance(item, (list, tuple)):
+                stack.extend(item)
+            elif isinstance(item, types.FunctionType) and item.__closure__:
+                stack.extend(cell.cell_contents for cell in item.__closure__)
+        assert sizes and max(sizes) <= 300 * 4 * 8, max(sizes)
 
 
 class TestTransformerLayer:
