@@ -3,6 +3,14 @@
 Parameters live in insertion order inside a :class:`ParamStore`; the
 order is what makes optimizer state, checkpoints and gradient checks
 line up across runs.
+
+Once registration ends, :meth:`ParamStore.pack` moves every parameter
+into one float64 vector: each parameter's ``data`` becomes a
+C-contiguous view of it at an offset rounded up to ``ALIGN`` scalars
+(64 bytes), and the pad entries between parameters hold zeros. After
+packing, ``add`` raises ``ConfigError``. Code that changes a packed
+parameter writes into its ``data`` in place; rebinding ``data`` would
+detach the parameter from the vector that the optimizer updates.
 """
 
 from __future__ import annotations
@@ -11,6 +19,8 @@ import numpy as np
 
 from ..errors import ConfigError
 from .tensor import Tensor
+
+ALIGN = 8  # scalars per 64-byte line; every packed parameter starts on one
 
 
 def uniform_init(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:
@@ -22,12 +32,21 @@ def uniform_init(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndar
 
 
 class ParamStore:
-    """Ordered mapping of dotted names to trainable tensors."""
+    """Ordered mapping of dotted names to trainable tensors.
+
+    After :meth:`pack`, ``vector`` is the one float64 array that holds
+    every parameter, ``offsets[i]`` is where the i-th parameter starts in
+    it and ``offsets[-1]`` is its length; before, ``vector`` is None.
+    """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
+        self.vector: np.ndarray | None = None
+        self.offsets: tuple = ()
 
     def add(self, name: str, value: np.ndarray) -> Tensor:
+        if self.vector is not None:
+            raise ConfigError(f"cannot add {name!r}: the parameter store is already packed")
         if name in self._params:
             raise ConfigError(f"duplicate parameter name {name!r}")
         t = Tensor(value, requires_grad=True)
@@ -51,6 +70,31 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
+    def pack(self) -> None:
+        """End registration: copy every parameter into one vector and view it from there."""
+        starts = [0]
+        for t in self._params.values():
+            starts.append(starts[-1] + -(-t.data.size // ALIGN) * ALIGN)
+        self.offsets = tuple(starts)
+        self.vector = self.zeros()
+        for t, view in zip(self._params.values(), self.views(self.vector)):
+            view[...] = t.data
+            t.data = view
+
+    def zeros(self) -> np.ndarray:
+        """A zero vector of the packed layout's length, starting on a 64-byte line."""
+        n = self.offsets[-1]
+        buf = np.zeros(n + ALIGN)
+        start = (-buf.ctypes.data % (8 * ALIGN)) // 8
+        return buf[start:start + n]
+
+    def views(self, vector: np.ndarray) -> list:
+        """Each parameter's (offset, shape) window of a vector in the packed layout."""
+        return [
+            vector[o:o + t.data.size].reshape(t.data.shape)
+            for o, t in zip(self.offsets, self._params.values())
+        ]
+
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.grad = None
@@ -59,12 +103,14 @@ class ParamStore:
         return {name: t.data.copy() for name, t in self._params.items()}
 
     def load_state_arrays(self, arrays: dict) -> None:
+        """Check every array, then write each into its parameter's ``data`` in place."""
         missing = [n for n in self._params if n not in arrays]
         extra = [n for n in arrays if n not in self._params]
         if missing or extra:
             raise ConfigError(
                 f"parameter mismatch: missing={missing[:3]} extra={extra[:3]}"
             )
+        checked = []
         for name, t in self._params.items():
             arr = np.asarray(arrays[name])
             if arr.dtype.kind not in "iuf":
@@ -76,4 +122,6 @@ class ParamStore:
                 raise ConfigError(
                     f"shape mismatch for {name}: have {t.data.shape}, loading {arr.shape}"
                 )
-            t.data = arr
+            checked.append(arr)
+        for t, arr in zip(self._params.values(), checked):
+            t.data[...] = arr

@@ -185,7 +185,8 @@ class VolatilityModel:
     """One trainable pipeline instance covering one or more label windows.
 
     Parameter registration order is fixed by construction, which pins the
-    optimizer-state and checkpoint layouts for a given config.
+    optimizer-state and checkpoint layouts for a given config. The store
+    is packed once every parameter is registered.
     """
 
     def __init__(self, config: ModelConfig, taus: tuple | None = None):
@@ -226,6 +227,7 @@ class VolatilityModel:
             w1, b1 = store.linear(rng, f"head.tau{tau}.hidden", config.d_hidden, config.mlp_hidden)
             w2, b2 = store.linear(rng, f"head.tau{tau}.out", config.mlp_hidden, 1)
             self.heads[tau] = (w1, b1, w2, b2)
+        store.pack()
 
     @property
     def scope(self) -> str:
@@ -267,7 +269,7 @@ class VolatilityModel:
         """
         for tau in self.taus:
             _, _, _, b2 = self.heads[tau]
-            b2.data = np.full_like(b2.data, label_means[tau])
+            b2.data[...] = label_means[tau]
 
 
 def window_head(v: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:

@@ -7,6 +7,8 @@ that need scale build their own data.
 from __future__ import annotations
 
 import ctypes
+import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +60,35 @@ def tiny_config(**overrides) -> ModelConfig:
     )
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def small_model() -> dict:
+    """The benchmark's ``small`` model (``SMALL_MODEL`` in volbench/workloads.py)."""
+    path = Path(__file__).resolve().parents[1] / "volbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_volbench_workloads", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)  # its dataclasses look their module up by name
+    return module.SMALL_MODEL
+
+
+def pad_mask(store) -> np.ndarray:
+    """True at the entries of ``store``'s packed vector that no parameter covers."""
+    pads = np.ones(store.offsets[-1], dtype=bool)
+    for offset, (_, t) in zip(store.offsets, store.items()):
+        pads[offset:offset + t.data.size] = False
+    return pads
+
+
+def assert_packed(store, shapes: dict) -> None:
+    """Every parameter of ``store`` is a C-contiguous view of its packed vector at
+    its offset, with the shape ``shapes`` names, and the pad entries are zero."""
+    assert [name for name, _ in store.items()] == list(shapes)
+    for (name, t), offset in zip(store.items(), store.offsets):
+        assert t.data.shape == shapes[name], name
+        assert np.shares_memory(t.data, store.vector), name
+        assert t.data.flags.c_contiguous, name
+        assert t.data.ctypes.data == store.vector.ctypes.data + 8 * offset, name
+    assert not store.vector[pad_mask(store)].any()
 
 
 @pytest.fixture

@@ -78,13 +78,11 @@ def grad_check(
         it = np.nditer(base, flags=["multi_index"])
         while not it.finished:
             idx = it.multi_index
-            p.data = base.copy()
-            p.data[idx] = base[idx] + h
+            p.data[idx] = base[idx] + h  # in place: a packed parameter stays a view
             up = loss_fn().item()
-            p.data = base.copy()
             p.data[idx] = base[idx] - h
             down = loss_fn().item()
-            p.data = base
+            p.data[idx] = base[idx]
             fd = (up - down) / (2.0 * h)
             err = _rel_error(fd, float(analytic[name][idx]))
             report.n_checked += 1

@@ -13,6 +13,10 @@ op, in the same order, from per-op tape nodes, so the fused op must match
 its forward bitwise and its gradients to rounding. The segment and
 LeakyReLU ops are kept here as tape ops too; the library runs them only
 inside the fused ops.
+
+``adam_step_per_array`` is the Adam rule as it ran before the parameters
+were packed into one vector: about ten numpy calls per parameter array.
+``numcore.adam_step`` must match it bitwise.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ from __future__ import annotations
 import numpy as np
 
 import volgraph.numcore as nc
-from volgraph.errors import ShapeError
+from volgraph.errors import NonFiniteError, ShapeError
 from volgraph.gnn import LEAKY_SLOPE
 from volgraph.numcore.layers import _affine, _affine_grads, _lead_sum
+from volgraph.numcore.optim import BETA1, BETA2, EPS
 from volgraph.numcore.tensor import Tensor, _make, _segment_reduce, as_tensor
 
 
@@ -316,3 +321,35 @@ def masked_mse_chain(preds, labels, mask):
         term = mean_(mul(diff, diff))
         total = term if total is None else add(total, term)
     return mul(total, 1.0 / len(preds))
+
+
+def adam_step_per_array(params: dict, state: dict, lr: float, weight_decay: float) -> None:
+    """One Adam step, array by array, over ``params`` (name -> Tensor).
+
+    ``state`` holds the moment dicts ``"m"`` and ``"v"`` (name -> array,
+    updated in place) and the step count ``"step"``. Each parameter's
+    ``data`` is rebound to its new value; one whose ``grad`` is None is
+    skipped. A non-finite gradient raises after the parameters before it
+    were updated.
+    """
+    state["step"] += 1
+    t = state["step"]
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
+    for name, p in params.items():
+        if p.grad is None:
+            continue
+        g = p.grad
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteError(f"non-finite gradient for {name}")
+        m = state["m"][name]
+        v = state["v"][name]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        mhat = m / bc1
+        vhat = v / bc2
+        p.data = p.data - lr * mhat / (np.sqrt(vhat) + EPS)
+        if weight_decay:
+            p.data = p.data - lr * weight_decay * p.data

@@ -4,13 +4,10 @@ and gradients through the whole encoder."""
 from __future__ import annotations
 
 import datetime as dt
-import importlib.util
 import re
-import sys
 import time
 import zlib
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +32,7 @@ from volgraph.numcore.layers import transformer_encoder_layer
 from volgraph.numcore.params import ParamStore, uniform_init
 
 import reference_ops as ro
-from conftest import tiny_config
+from conftest import small_model, tiny_config
 from gradcheck import grad_check, n_scalars
 
 D_S = 6
@@ -498,15 +495,6 @@ class TestEncode:
         assert not np.array_equal(base, other)
 
 
-def _small_model() -> dict:
-    """The benchmark's ``small`` model (``SMALL_MODEL`` in volbench/workloads.py)."""
-    path = Path(__file__).resolve().parents[1] / "volbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_volbench_workloads", path)
-    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
-    spec.loader.exec_module(module)  # its dataclasses look their module up by name
-    return module.SMALL_MODEL
-
-
 class TestAppend:
     """Adding later calls to a quarter never moves an earlier call's embedding.
 
@@ -516,7 +504,7 @@ class TestAppend:
 
     @pytest.mark.parametrize("config", ["small", "paper"])
     def test_date_prefixes_encode_bitwise_as_the_full_quarter(self, config, blas_build):
-        model = VolatilityModel(ModelConfig(**(_small_model() if config == "small" else {})))
+        model = VolatilityModel(ModelConfig(**(small_model() if config == "small" else {})))
         rng = np.random.default_rng(19)
         prefix_sizes = []
         for _ in range(2):

@@ -45,7 +45,7 @@ from volgraph.pipeline import training
 from volgraph.pipeline.training import TrainHistory, _quarter_loss, _validation_mse
 
 import reference_ops as ro
-from conftest import tiny_config
+from conftest import assert_packed, tiny_config
 from gradcheck import grad_check, n_scalars
 from reference_ops import masked_mse_chain, window_head_chain
 
@@ -512,6 +512,31 @@ class TestFineTune:
             fine_tune(model, p, masks, tiny_config())
 
 
+class TestPackedParameters:
+    """Every parameter stays a view of its store's one vector: a rebinding of a
+    parameter's ``data`` would detach it from the vector that Adam updates."""
+
+    def test_views_hold_through_train_fine_tune_and_checkpoint(self, tmp_path, prepared_quarters):
+        config = tiny_config(joint_heads=True, max_epochs=3)
+        model = VolatilityModel(config, TAUS)
+        shapes = {name: t.data.shape for name, t in model.store.items()}
+        assert_packed(model.store, shapes)
+        with pytest.raises(ConfigError, match="already packed"):
+            model.store.add("late", np.zeros(2))
+        initial = model.store.vector.copy()
+        train(model, prepared_quarters[:2], prepared_quarters[2:3], config)
+        assert_packed(model.store, shapes)
+        assert not np.array_equal(model.store.vector, initial)
+        p = prepared_quarters[0]
+        fine_tune(model, p, transductive_split(p.graph, (7, 1, 2)), config)
+        assert_packed(model.store, shapes)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, {tau: model for tau in TAUS}, config)
+        loaded, _ = load_checkpoint(path)
+        assert_packed(loaded[3].store, shapes)
+        assert loaded[3].store.vector.tobytes() == model.store.vector.tobytes()
+
+
 class TestEvaluate:
     def test_matches_manual_concatenation(self, prepared_quarters):
         config = tiny_config()
@@ -650,7 +675,7 @@ class TestCheckpoint:
         # nudge params so we are not just reloading the seeded init
         for m in models.values():
             for _, t in m.store.items():
-                t.data = t.data + 0.01
+                t.data += 0.01
         path = tmp_path / "model.npz"
         save_checkpoint(path, models, config)
         loaded, loaded_config = load_checkpoint(path)
