@@ -15,6 +15,13 @@ Operator/moderator sentences are dropped at ingestion (the model knows
 exactly two roles) and the drop is counted in the ingest report, as is
 every call excluded outright. The report's accounting invariant is
 calls_in == calls_kept + len(call_exclusions).
+
+Transcripts load as column tables: the kept sentences of the whole file
+become role and part codes, an int64 utterance column, a has-vector
+mask with one float64 vector matrix, and the texts, each made once for
+the file and checked once with the rules of a call; each ``CallRecord``
+holds views of its rows. ``write_transcripts`` writes from the same
+columns.
 """
 
 from __future__ import annotations
@@ -26,14 +33,26 @@ import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import islice
+from itertools import compress, islice
 from pathlib import Path
 
 import numpy as np
 
 from ..atomic import atomic_open
 from ..errors import ParseError
-from .records import RELATION_COLUMNS, CallRecord, PriceSeries, RelationTable, Sentence
+from .records import (
+    PARTS,
+    RELATION_COLUMNS,
+    ROLES,
+    CallRecord,
+    PriceSeries,
+    RelationTable,
+    Sentence,
+    broken_rule,
+    sentence_columns,
+    vector_matrix,
+    vector_problem,
+)
 
 log = logging.getLogger(__name__)
 
@@ -88,32 +107,138 @@ def _parse_date(s, where: str | None) -> dt.date:
 
 
 def load_transcripts(path, report: IngestReport | None = None) -> list[CallRecord]:
-    """Read calls from JSONL, dropping operator sentences and empty calls."""
+    """Read calls from JSONL, dropping operator sentences and empty calls.
+
+    The file is read as columns: each field of a line's kept sentences is
+    gathered by one comprehension onto the file's lists, each column is
+    made once for the whole file (``sentence_columns``, ``vector_matrix``),
+    and the rules of a call are checked once over the file's columns
+    (``broken_rule``). Every call's columns are views of the file's. The
+    first line that does not parse or breaks a rule names the error: that
+    line is read again sentence by sentence (``_parse_call``) for the
+    message, once the lines before it are checked.
+    """
     path = Path(path)
     report = report if report is not None else IngestReport()
-    calls: list[CallRecord] = []
+    columns = _TranscriptColumns(path)
     with path.open(encoding="utf-8-sig") as fh, utf8_errors(path):
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             report.calls_in += 1
             try:
-                call = _parse_call(json.loads(line), report)
+                obj = json.loads(line)
             except json.JSONDecodeError as e:
+                columns.calls()  # an earlier line's error comes first
                 raise ParseError("invalid JSON", path=str(path), line=lineno) from e
-            except ParseError as e:
-                raise ParseError(str(e), path=str(path), line=lineno) from e
-            if call is None:
-                continue
-            calls.append(call)
-            report.calls_kept += 1
+            if not columns.add(obj, lineno, report):
+                columns.calls()
+                _raise_line_error(obj, path, lineno)
+    calls = columns.calls()
+    report.calls_kept += len(calls)
     if not calls:
         log.warning("no calls loaded from %s", path)
     return calls
 
 
-def _parse_call(obj, report: IngestReport) -> CallRecord | None:
-    """Decode one JSON line; the rules of a call are ``validate_call``'s."""
+_MISSING = object()
+
+
+class _TranscriptColumns:
+    """The kept sentences of a transcripts file's calls, gathered field by field."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.call_ids, self.company_ids, self.dates, self.lines, self.lengths = [], [], [], [], []
+        self.roles, self.parts, self.utterances, self.texts, self.vectors = [], [], [], [], []
+
+    def add(self, obj, lineno: int, report: IngestReport) -> bool:
+        """Gather one parsed line; False if it does not read as a call (nothing is kept)."""
+        try:
+            call_id, company_id = str(obj["call_id"]), str(obj["company_id"])
+            date = dt.date.fromisoformat(str(obj["date"]))
+            sentences = obj["sentences"]
+            roles = [s.get("role") for s in sentences]
+        except (TypeError, KeyError, ValueError, AttributeError):
+            return False
+        if type(sentences) is not list:
+            return False
+        n_in = len(sentences)
+        if "operator" in roles or "moderator" in roles:
+            keep = [role not in _DROP_ROLES for role in roles]
+            sentences, roles = list(compress(sentences, keep)), list(compress(roles, keep))
+        utterances = [s.get("utterance_idx", _MISSING) for s in sentences]
+        if _MISSING in utterances:
+            return False
+        report.sentences_in += n_in
+        report.operator_sentences_dropped += n_in - len(sentences)
+        if not sentences:
+            report.exclude_call(call_id, "no sentences left after role filtering")
+            return True
+        report.sentences_kept += len(sentences)
+        self.call_ids.append(call_id)
+        self.company_ids.append(company_id)
+        self.dates.append(date)
+        self.lines.append(lineno)
+        self.lengths.append(len(sentences))
+        self.roles += roles
+        self.utterances += utterances
+        self.parts += [s.get("part") for s in sentences]
+        self.texts += [s.get("text") for s in sentences]
+        self.vectors += [s.get("vector") for s in sentences]
+        return True
+
+    def calls(self) -> list[CallRecord]:
+        """The gathered calls, or the ParseError of the first one that is bad."""
+        lengths = np.array(self.lengths, dtype=np.intp)
+        role, part, utterance, has_vector = sentence_columns(
+            self.roles, self.parts, self.utterances, self.vectors
+        )
+        broken = broken_rule(self.company_ids, lengths, role, part, utterance, has_vector,
+                             self.texts)
+        first_bad = len(lengths) if broken is None else broken[0]
+        ends = np.cumsum(lengths)
+        bounds = np.concatenate([[0], np.cumsum(has_vector)])[np.append(0, ends)].tolist()
+        kept = [v for v in self.vectors if v is not None]
+        matrix = vector_matrix(kept)
+        if matrix is None:  # calls of vectors of other lengths, or a bad vector
+            matrices = [vector_matrix(kept[a:b]) for a, b in zip(bounds, bounds[1:])]
+            first_bad = min(first_bad, next(
+                (i for i, m in enumerate(matrices) if m is None), len(lengths)
+            ))
+        else:
+            matrices = [matrix[a:b] if a < b else vector_matrix([])
+                        for a, b in zip(bounds, bounds[1:])]
+        if first_bad < len(lengths):
+            lineno = self.lines[first_bad]
+            with self.path.open(encoding="utf-8-sig") as fh:
+                line = next(islice(fh, lineno - 1, None))
+            _raise_line_error(json.loads(line), self.path, lineno)
+        ends = ends.tolist()
+        return [
+            CallRecord.from_columns(call_id, company_id, date, role[a:b], part[a:b],
+                                    utterance[a:b], has_vector[a:b], vectors, self.texts[a:b])
+            for call_id, company_id, date, a, b, vectors in zip(
+                self.call_ids, self.company_ids, self.dates, [0] + ends, ends, matrices
+            )
+        ]
+
+
+def _raise_line_error(obj, path: Path, lineno: int):
+    """Raise the ParseError, with its line, of a parsed JSON line that does not load as a call."""
+    try:
+        _parse_call(obj)
+    except ParseError as e:
+        raise ParseError(str(e), path=str(path), line=lineno) from e
+    raise ParseError("call does not load", path=str(path), line=lineno)
+
+
+def _parse_call(obj) -> CallRecord | None:
+    """Decode one JSON line sentence by sentence; the rules of a call are ``CallRecord``'s.
+
+    The first sentence that is not an object, lacks its utterance_idx or
+    has a bad vector names the error, before any rule of the call.
+    """
     if not isinstance(obj, dict):
         raise ParseError("line is not a JSON object")
     for key in ("call_id", "company_id", "date", "sentences"):
@@ -127,22 +252,14 @@ def _parse_call(obj, report: IngestReport) -> CallRecord | None:
     for j, s in enumerate(obj["sentences"]):
         if not isinstance(s, dict):
             raise ParseError(f"call {call_id}: sentence {j} is not a JSON object")
-        report.sentences_in += 1
         if s.get("role") in _DROP_ROLES:
-            report.operator_sentences_dropped += 1
             continue
         if "utterance_idx" not in s:
             raise ParseError(f"call {call_id}: sentence {j} missing utterance_idx")
         vec = s.get("vector")
-        if vec is not None:
-            try:
-                total = sum(vec)
-                vec = np.asarray(vec, dtype=np.float64)
-            except (TypeError, ValueError) as e:
-                raise ParseError(f"call {call_id}: sentence {j} vector is not numeric") from e
-            # a finite sum proves every entry finite, at a tenth of np.isfinite's cost
-            if not math.isfinite(total) and not np.isfinite(vec).all():
-                raise ParseError(f"call {call_id}: sentence {j} vector is not finite")
+        problem = None if vec is None else vector_problem(vec)
+        if problem is not None:
+            raise ParseError(f"call {call_id}: sentence {j} vector {problem}")
         sentences.append(
             Sentence(
                 utterance_idx=s["utterance_idx"],
@@ -153,9 +270,7 @@ def _parse_call(obj, report: IngestReport) -> CallRecord | None:
                 vector=vec,
             )
         )
-        report.sentences_kept += 1
     if not sentences:
-        report.exclude_call(call_id, "no sentences left after role filtering")
         return None
     return CallRecord(call_id, str(obj["company_id"]), date, sentences)
 
@@ -248,7 +363,7 @@ def load_prices(path) -> list[PriceSeries]:
     close = np.concatenate(closes)[order]
     bounds = np.searchsorted(company, np.arange(len(names) + 1))
     return [
-        PriceSeries(name, date[lo:hi].tolist(), close[lo:hi])
+        PriceSeries(name, date[lo:hi].tolist(), close[lo:hi], day[lo:hi])
         for name, lo, hi in zip(names, bounds[:-1], bounds[1:])
     ]
 
@@ -323,25 +438,25 @@ def _raise_first_bad_relation_row(path: Path, column: dict):
 
 
 def write_transcripts(calls, path) -> None:
+    """Write calls as JSONL from their columns; ``load_transcripts`` reads the same columns back."""
     with atomic_open(path) as fh:
         for call in calls:
+            vectors = iter(call.vectors.tolist())
+            rows = zip(call.utterance.tolist(), call.role.tolist(), call.part.tolist(),
+                       call.texts, call.has_vector.tolist())
             obj = {
                 "call_id": call.call_id,
                 "company_id": call.company_id,
                 "date": call.call_date.isoformat(),
                 "sentences": [
                     {
-                        "utterance_idx": int(s.utterance_idx),
-                        "role": s.role,
-                        "part": s.part,
-                        **({"text": s.text} if s.text is not None else {}),
-                        **(
-                            {"vector": [float(x) for x in s.vector]}
-                            if s.vector is not None
-                            else {}
-                        ),
+                        "utterance_idx": utterance,
+                        "role": ROLES[role],
+                        "part": PARTS[part],
+                        **({"text": text} if text is not None else {}),
+                        **({"vector": next(vectors)} if has_vector else {}),
                     }
-                    for s in call.sentences
+                    for utterance, role, part, text, has_vector in rows
                 ],
             }
             fh.write(json.dumps(obj) + "\n")

@@ -3,10 +3,12 @@
 Every sentence row is the sentence vector concatenated with four
 trainable structural embeddings (position in call, utterance index,
 speaker role, call part). The numpy side of those rows is built once
-per prepared quarter as a ``SentenceBlock``: the sentence vectors of
-every call (text sentences hashed in one ``hash_featurizer`` call) and
-the four table indices. Each forward gathers the tables for the whole
-quarter in four ``take``s and one ``concat``. Rows are projected to the
+per prepared quarter as a ``SentenceBlock``, from the calls' sentence
+columns (``CallRecord``): each of its columns is a concatenation of the
+calls' kept rows, the vector rows copy the calls' vector matrices, and
+the rows without a vector are hashed in one ``hash_featurizer`` call.
+Each forward gathers the tables for the whole quarter in four ``take``s
+and one ``concat``. Rows are projected to the
 model width, a trainable CLS vector is put before each call's rows, and
 an L-layer transformer encoder runs over each call; the CLS position's
 final state is the call embedding. Only that state is read out, so the
@@ -33,13 +35,12 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import attrgetter, is_
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
 
-from .dataio.records import CallRecord, PARTS, ROLES
+from .dataio.records import CallRecord
 from .errors import ShapeError
 from .numcore import (
     ParamStore,
@@ -53,8 +54,6 @@ from .numcore import (
 from .numcore.layers import _affine, _affine_grads, _lead_sum
 from .numcore.tensor import _make
 
-_ROLE_CODES = {role: i for i, role in enumerate(ROLES)}
-_PART_CODES = {part: i for i, part in enumerate(PARTS)}
 # packed rows (a CLS row and the sentences per call) per encoder chunk: at
 # the paper's sizes a 512-row chunk's (512, 256) feed-forward block fits a
 # 2 MB L2 cache, where a whole long-calls quarter's slowed the layer down
@@ -219,38 +218,35 @@ class SentenceBlock:
     ) -> "SentenceBlock":
         """Calls longer than ``max_sentences`` are truncated from the end;
         utterance indices beyond ``max_utterances`` clamp to the last one.
-        All text sentences go through one ``hash_featurizer`` call, and a
-        block without text sentences makes none."""
-        kept = [c.sentences[:max_sentences] for c in calls]
-        lengths = np.array([len(k) for k in kept], dtype=np.intp)
-        sentences = [s for k in kept for s in k]
-        n_rows = len(sentences)
+
+        Every column is a concatenation of the calls' kept rows: the
+        vector rows take the calls' vector matrices, and the rows without
+        a vector go through one ``hash_featurizer`` call (none for a block
+        without such rows)."""
+        kept = [min(len(c), max_sentences) for c in calls]
+        lengths = np.array(kept, dtype=np.intp)
+        n_rows = int(lengths.sum())
         starts = np.cumsum(lengths) - lengths
-        vectors = list(map(attrgetter("vector"), sentences))
-        is_text = list(map(is_, vectors, repeat(None)))
-        n_text = sum(is_text)
-        if n_text and n_text == n_rows:
-            base = hash_featurizer(list(map(attrgetter("text"), sentences)), d_s)
-        else:
-            if n_text:
-                texts = compress(map(attrgetter("text"), sentences), is_text)
-                text_rows = iter(hash_featurizer(list(texts), d_s))
-                vectors = [next(text_rows) if t else v for t, v in zip(is_text, vectors)]
-            try:
-                base = np.array(vectors, dtype=np.float64)
-            except ValueError:  # rows of different shapes
-                base = None
-            if base is None or base.shape[1:] != (d_s,):
-                row = next(
-                    r for r, s in enumerate(sentences)
-                    if s.vector is not None and np.shape(s.vector) != (d_s,)
-                )
-                call = calls[int(np.searchsorted(starts, row, side="right")) - 1]
-                raise ShapeError(
-                    f"call {call.call_id}: sentence vectors have dim "
-                    f"{np.size(sentences[row].vector)}, expected {d_s}"
-                )
-        utterance = np.fromiter(map(attrgetter("utterance_idx"), sentences), np.intp, n_rows)
+
+        def rows(column):
+            return np.concatenate([getattr(c, column)[:m] for c, m in zip(calls, kept)])
+
+        has_vector = rows("has_vector")
+        vectors, texts = [], []
+        for c, m in zip(calls, kept):
+            k = len(c.vectors) if m == len(c) else int(np.count_nonzero(c.has_vector[:m]))
+            if k:
+                if c.vectors.shape[1] != d_s:
+                    raise ShapeError(f"call {c.call_id}: sentence vectors have dim "
+                                     f"{c.vectors.shape[1]}, expected {d_s}")
+                vectors.append(c.vectors[:k])
+            if k < m:
+                texts += compress(c.texts[:m], ~c.has_vector[:m]) if k else c.texts[:m]
+        base = np.empty((n_rows, d_s))
+        if vectors:
+            base[has_vector] = np.concatenate(vectors)
+        if texts:
+            base[~has_vector] = hash_featurizer(texts, d_s)
         order = np.argsort(lengths, kind="stable")
         sorted_lengths = lengths[order]
         ends = np.cumsum(sorted_lengths)  # sentence rows up to each sorted call
@@ -269,11 +265,9 @@ class SentenceBlock:
         return cls(
             base=base,
             position=np.arange(n_rows) - np.repeat(starts, lengths),
-            utterance=np.minimum(utterance, max_utterances - 1),
-            role=np.fromiter(map(_ROLE_CODES.__getitem__, map(attrgetter("role"), sentences)),
-                             np.intp, n_rows),
-            part=np.fromiter(map(_PART_CODES.__getitem__, map(attrgetter("part"), sentences)),
-                             np.intp, n_rows),
+            utterance=np.minimum(rows("utterance"), max_utterances - 1),
+            role=rows("role").astype(np.intp),
+            part=rows("part").astype(np.intp),
             chunks=tuple(
                 (sorted_lengths[a:b], packed_rows[ra:rb])
                 for a, b, ra, rb in zip(cuts, cuts[1:], row_cuts, row_cuts[1:])

@@ -46,6 +46,7 @@ class GraphArrays:
     n_nodes: int
     src: np.ndarray  # (E,)
     dst: np.ndarray  # (E,)
+    src_order: np.ndarray  # (E,) the edges stably sorted by sender, for sums over senders
     edge_feat: np.ndarray  # (E, 2)
     dtilde: np.ndarray  # (E,) sqrt(deg~(dst) * deg~(src))
     node_group: np.ndarray  # (N,) date index of each node
@@ -64,6 +65,7 @@ class GraphArrays:
             n_nodes=n,
             src=e.src,
             dst=e.dst,
+            src_order=np.argsort(e.src, kind="stable"),
             edge_feat=np.column_stack([e.temporal_weight, e.similarity]),
             dtilde=dtilde,
             node_group=node_group,
@@ -163,7 +165,7 @@ def gat_layer(
         g_agg, g_w0 = _affine_grads(grad, agg, w0)
         g_g, g_w1 = _affine_grads(grad, g, w1)
         g_msg = np.take(g_agg, dst, axis=0)  # (E, d)
-        g_g += _segment_reduce(np.add, g_msg * coef, src, n, 0.0)
+        g_g += _segment_reduce(np.add, g_msg * coef, src, n, 0.0, arrays.src_order)
         g_gamma = (g_msg * g_src).sum(axis=1) / arrays.dtilde
         g_scores = _segment_softmax_grad(g_gamma, gamma, dst, n)
         g_scores *= np.where(scores > 0.0, 1.0, LEAKY_SLOPE)
@@ -173,7 +175,7 @@ def gat_layer(
             _segment_reduce(np.add, g_feat, dst, n, 0.0), v.data, proj[:, :d]
         )
         g_v_send, g_ws = _affine_grads(
-            _segment_reduce(np.add, g_feat, src, n, 0.0), v.data, proj[:, d:]
+            _segment_reduce(np.add, g_feat, src, n, 0.0, arrays.src_order), v.data, proj[:, d:]
         )
         g_proj = np.concatenate([g_wr, g_ws], axis=1)
         g_v = g_g + g_v_recv

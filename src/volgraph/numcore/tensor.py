@@ -165,12 +165,16 @@ def concat(parts: list, axis: int = 0) -> Tensor:
     return _make(out, tuple(parts), backward)
 
 
-def _segment_reduce(ufunc, values: np.ndarray, seg: np.ndarray, num_segments: int, fill):
+def _segment_reduce(
+    ufunc, values: np.ndarray, seg: np.ndarray, num_segments: int, fill, order=None
+):
     """Reduce rows of ``values`` into ``num_segments`` buckets along axis 0.
 
     Rows are stably sorted by segment and each non-empty run is reduced
     with ``ufunc.reduceat``, so a segment's result depends only on its own
     rows, taken in their original order. Empty segments hold ``fill``.
+    ``order``, when given, is that stable sort, ``np.argsort(seg,
+    kind="stable")``, kept by a caller that reduces over ``seg`` often.
     """
     out = np.full((num_segments,) + values.shape[1:], fill, dtype=values.dtype)
     if seg.size == 0:
@@ -184,7 +188,7 @@ def _segment_reduce(ufunc, values: np.ndarray, seg: np.ndarray, num_segments: in
         out[seg] = values
         return out
     if np.any(seg[1:] < seg[:-1]):
-        values = values[np.argsort(seg, kind="stable")]
+        values = values[np.argsort(seg, kind="stable") if order is None else order]
     present = np.flatnonzero(counts)
     starts = np.cumsum(counts)[present] - counts[present]
     out[present] = ufunc.reduceat(values, starts, axis=0)

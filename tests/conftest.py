@@ -14,7 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from volgraph.dataio import SyntheticConfig, build_quarter_datasets, gen_synthetic
+from volgraph.dataio import (
+    PARTS,
+    ROLES,
+    Sentence,
+    SyntheticConfig,
+    build_quarter_datasets,
+    gen_synthetic,
+)
 from volgraph.graphbuild import build_quarter_graph
 from volgraph.pipeline import ModelConfig, prepare_quarter
 
@@ -69,6 +76,18 @@ def small_model() -> dict:
     module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
     spec.loader.exec_module(module)  # its dataclasses look their module up by name
     return module.SMALL_MODEL
+
+
+def sentences_of(call) -> list:
+    """A call's ``Sentence`` rows, rebuilt from its columns; row j is at position j."""
+    vectors = iter(call.vectors)
+    rows = zip(call.utterance.tolist(), call.role.tolist(), call.part.tolist(), call.texts,
+               call.has_vector.tolist())
+    return [
+        Sentence(utterance, ROLES[role], PARTS[part], j, text=text,
+                 vector=next(vectors) if has_vector else None)
+        for j, (utterance, role, part, text, has_vector) in enumerate(rows)
+    ]
 
 
 def pad_mask(store) -> np.ndarray:

@@ -46,6 +46,7 @@ from volgraph.pipeline import (
 from volgraph.pipeline.metrics import mean_mse, r_squared
 from volgraph.pipeline.training import _quarter_loss, _validation_mse
 
+from conftest import sentences_of
 from gradcheck import grad_check, n_scalars
 
 TAUS = (3, 7, 15)
@@ -198,7 +199,7 @@ def _perturbed_copy(calls, node_idx, graph, rng):
         sentences = [
             Sentence(s.utterance_idx, s.role, s.part, s.position,
                      vector=s.vector + rng.normal(scale=1.0, size=s.vector.shape))
-            for s in c.sentences
+            for s in sentences_of(c)
         ]
         out.append(CallRecord(c.call_id, c.company_id, c.call_date, sentences))
     return out

@@ -21,12 +21,15 @@ from volgraph.dataio.loaders import (
     write_transcripts,
 )
 from volgraph.dataio.records import (
+    PARTS,
     RELATION_COLUMNS,
+    ROLES,
     CallRecord,
     PriceSeries,
     Quarter,
     Sentence,
 )
+from volgraph.dialogue import SentenceBlock
 from volgraph.errors import ParseError
 
 
@@ -44,6 +47,17 @@ def write_jsonl(path, objs):
     path.write_text("".join(json.dumps(o) + "\n" for o in objs))
 
 
+COLUMNS = ("role", "part", "utterance", "has_vector", "vectors")
+
+
+def assert_same_columns(a, b):
+    """Two calls hold bitwise-equal columns, of the same dtypes."""
+    for name in COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+    assert a.texts == b.texts
+
+
 class TestTranscriptLoading:
     def test_basic_load(self, tmp_path):
         p = tmp_path / "t.jsonl"
@@ -53,7 +67,10 @@ class TestTranscriptLoading:
         call = calls[0]
         assert call.call_id == "C1-2016Q1"
         assert call.call_date == dt.date(2016, 2, 1)
-        assert [s.position for s in call.sentences] == [0, 1, 2]
+        # one row per sentence, in list order
+        assert len(call) == 3
+        assert call.texts == ["Hello.", "Question?", "Answer."]
+        assert call.utterance.tolist() == [0, 1, 2]
 
     def test_operator_sentences_dropped_and_counted(self, tmp_path):
         sentences = [
@@ -69,9 +86,10 @@ class TestTranscriptLoading:
         assert report.operator_sentences_dropped == 2
         assert report.sentences_in == 4
         assert report.sentences_kept == 2
-        # positions are reassigned to stay dense after the drops
-        assert [s.position for s in calls[0].sentences] == [0, 1]
-        assert [s.role for s in calls[0].sentences] == ["executive", "analyst"]
+        # the kept sentences are the call's rows, dense after the drops
+        assert len(calls[0]) == 2
+        assert [ROLES[r] for r in calls[0].role] == ["executive", "analyst"]
+        assert calls[0].texts == ["Hi.", "Why?"]
 
     def test_call_of_only_operator_sentences_is_excluded(self, tmp_path):
         sentences = [
@@ -148,9 +166,28 @@ class TestTranscriptLoading:
                 {"utterance_idx": 0, "role": "executive", "part": "presentation", "text": "."},
                 {"utterance_idx": 1.7, "role": "analyst", "part": "qa", "text": "?"}]),
              "call C2-2016Q1: sentence 1 utterance_idx 1.7 is not an integer >= 0"),
+            # an integer vector entry beyond float64's range once ended in a bare
+            # OverflowError, and an utterance index past int64 loaded
+            (call_obj("C2-2016Q1", "C2", sentences=[
+                {"utterance_idx": 0, "role": "analyst", "part": "qa", "vector": [1.0, 10**400]}]),
+             "call C2-2016Q1: sentence 0 vector is not finite"),
+            (call_obj("C2-2016Q1", "C2", sentences=[
+                {"utterance_idx": 2**63, "role": "analyst", "part": "qa", "text": "?"}]),
+             "call C2-2016Q1: sentence 0 utterance_idx 9223372036854775808 is above 2**63 - 1"),
+            # a call's vectors are one matrix
+            (call_obj("C2-2016Q1", "C2", sentences=[
+                {"utterance_idx": 0, "role": "analyst", "part": "qa", "vector": [1.0, 2.0]},
+                {"utterance_idx": 1, "role": "analyst", "part": "qa", "vector": [1.0, 2.0, 3.0]}]),
+             "call C2-2016Q1: sentence 1 vector has 3 entries, the call's first vector 2"),
+            # a bad vector is named before an earlier sentence's broken rule
+            (call_obj("C2-2016Q1", "C2", sentences=[
+                {"utterance_idx": -1, "role": "analyst", "part": "qa", "text": "?"},
+                {"utterance_idx": 1, "role": "analyst", "part": "qa", "vector": ["x"]}]),
+             "call C2-2016Q1: sentence 1 vector is not numeric"),
         ],
         ids=["number-line", "sentences-number", "sentence-number", "utterance-string",
-             "text-number", "utterance-negative", "utterance-float"],
+             "text-number", "utterance-negative", "utterance-float", "vector-int-overflow",
+             "utterance-past-int64", "vector-lengths", "vector-before-rule"],
     )
     def test_malformed_call_is_a_named_parse_error(self, tmp_path, line, message):
         # each of these once loaded, or ended in a TypeError, AttributeError or ValueError
@@ -159,6 +196,41 @@ class TestTranscriptLoading:
         with pytest.raises(ParseError) as err:
             load_transcripts(p)
         assert str(err.value) == f"{message} [{p}:2]"
+        assert err.value.line == 2
+
+    # one bad line of each kind: the line, and the message that names it
+    BAD_LINES = {
+        "json": ("{not json", "invalid JSON"),
+        "field": (json.dumps({"call_id": "B-2016Q1", "date": "2016-02-01", "sentences": []}),
+                  "call missing field 'company_id'"),
+        "role": (json.dumps(call_obj("B-2016Q1", "B", sentences=[
+            {"utterance_idx": 0, "role": "janitor", "part": "qa", "text": "?"}])),
+            "call B-2016Q1: unknown role 'janitor' in sentence 0"),
+        "decrease": (json.dumps(call_obj("B-2016Q1", "B", sentences=[
+            {"utterance_idx": 2, "role": "analyst", "part": "qa", "text": "?"},
+            {"utterance_idx": 1, "role": "analyst", "part": "qa", "text": "?"}])),
+            "call B-2016Q1: utterance_idx decreases at position 1"),
+        "vector": (json.dumps(call_obj("B-2016Q1", "B", sentences=[
+            {"utterance_idx": 0, "role": "analyst", "part": "qa", "vector": [float("nan")]}])),
+            "call B-2016Q1: sentence 0 vector is not finite"),
+        "utterance": (json.dumps(call_obj("B-2016Q1", "B", sentences=[
+            {"role": "analyst", "part": "qa", "text": "?"}])),
+            "call B-2016Q1: sentence 0 missing utterance_idx"),
+    }
+
+    @pytest.mark.parametrize("second", sorted(BAD_LINES))
+    @pytest.mark.parametrize("first", sorted(BAD_LINES))
+    def test_the_first_bad_line_names_the_error(self, tmp_path, first, second):
+        # the file is parsed line by line but checked as columns: a call that
+        # breaks a rule or holds a bad vector still outranks a later line
+        # that does not parse, and the reverse
+        good = json.dumps(call_obj())
+        p = tmp_path / "t.jsonl"
+        p.write_text("\n".join([good, self.BAD_LINES[first][0], good,
+                                self.BAD_LINES[second][0], good]) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_transcripts(p)
+        assert str(err.value) == f"{self.BAD_LINES[first][1]} [{p}:2]"
         assert err.value.line == 2
 
     def test_vector_sentences_load_as_arrays(self, tmp_path):
@@ -175,12 +247,14 @@ class TestTranscriptLoading:
         p = tmp_path / "t.jsonl"
         write_jsonl(p, [obj])
         call = load_transcripts(p)[0]
-        np.testing.assert_allclose(call.sentences[0].vector, [0.1, 0.2, 0.3])
-        assert call.sentences[0].vector.dtype == np.float64
+        np.testing.assert_allclose(call.vectors, [[0.1, 0.2, 0.3]])
+        assert call.vectors.dtype == np.float64
+        assert call.has_vector.tolist() == [True]
 
     @pytest.mark.parametrize(
         "value, message",
-        [(float("nan"), "is not finite"), (float("inf"), "is not finite"), ("x", "is not numeric")],
+        [(float("nan"), "is not finite"), (float("inf"), "is not finite"), ("x", "is not numeric"),
+         (None, "is not numeric")],
     )
     def test_bad_vector_rejected(self, tmp_path, value, message):
         sentences = [
@@ -198,7 +272,15 @@ class TestTranscriptLoading:
                       "vector": [1e308, 1e308]}]
         p = tmp_path / "t.jsonl"
         write_jsonl(p, [call_obj(sentences=sentences)])
-        assert load_transcripts(p)[0].sentences[0].vector.tolist() == [1e308, 1e308]
+        assert load_transcripts(p)[0].vectors.tolist() == [[1e308, 1e308]]
+
+    def test_integer_beyond_64_bits_loads_as_its_float(self, tmp_path):
+        # numpy holds 2**64 in no integer dtype; a call's matrix still takes it
+        sentences = [{"utterance_idx": 0, "role": "executive", "part": "presentation",
+                      "vector": [1.0, 2**64]}]
+        p = tmp_path / "t.jsonl"
+        write_jsonl(p, [call_obj(sentences=sentences)])
+        assert load_transcripts(p)[0].vectors.tolist() == [[1.0, float(2**64)]]
 
     def test_empty_file_warns_and_returns_empty(self, tmp_path, caplog):
         p = tmp_path / "t.jsonl"
@@ -215,14 +297,8 @@ class TestTranscriptLoading:
         for a, b in zip(small_corpus.transcripts, back):
             assert a.call_id == b.call_id
             assert a.call_date == b.call_date
-            assert len(a.sentences) == len(b.sentences)
-            for sa, sb in zip(a.sentences, b.sentences):
-                assert (sa.utterance_idx, sa.role, sa.part) == (
-                    sb.utterance_idx,
-                    sb.role,
-                    sb.part,
-                )
-                np.testing.assert_array_equal(sa.vector, sb.vector)
+            assert len(a) == len(b)
+            assert_same_columns(a, b)
 
     def test_numpy_integer_utterance_index_round_trips(self, tmp_path):
         sentence = Sentence(np.int64(1), "analyst", "qa", 0, text="Why?")
@@ -230,8 +306,96 @@ class TestTranscriptLoading:
         p = tmp_path / "t.jsonl"
         write_transcripts([call], p)
         (back,) = load_transcripts(p)
-        s = back.sentences[0]
-        assert (s.utterance_idx, s.role, s.part, s.text) == (1, "analyst", "qa", "Why?")
+        assert back.utterance.tolist() == [1]
+        assert (ROLES[back.role[0]], PARTS[back.part[0]], back.texts) == ("analyst", "qa", ["Why?"])
+
+
+def sentence_dicts(kind, rng, n=7, d=4):
+    """JSON sentences of a call whose rows are text, vector or a mix of both.
+
+    Sentence 1 is an operator's, which loading drops.
+    """
+    out = []
+    for j in range(n):
+        part = "presentation" if j < 3 else "qa"
+        s = {"utterance_idx": 0 if part == "presentation" else j,
+             "role": "executive" if part == "presentation" or j % 2 else "analyst",
+             "part": part}
+        if kind == "text" or (kind == "mixed" and j % 3 == 0):
+            s["text"] = f"Sentence {j} of a {kind} call, revenue up {j}%"
+        else:
+            s["vector"] = rng.normal(size=d).tolist()
+        out.append(s)
+    out[1]["role"] = "operator"
+    return out
+
+
+class TestColumns:
+    def test_a_file_and_hand_built_calls_hold_the_same_columns(self, tmp_path):
+        rng = np.random.default_rng(21)
+        objs = [call_obj(f"{kind}-2016Q1", kind, sentences=sentence_dicts(kind, rng))
+                for kind in ("text", "vector", "mixed", "text", "mixed")]
+        p = tmp_path / "t.jsonl"
+        write_jsonl(p, objs)
+        report = IngestReport()
+        loaded = load_transcripts(p, report=report)
+        assert report.operator_sentences_dropped == len(objs)
+        built = []
+        for obj in objs:
+            kept = [s for s in obj["sentences"] if s["role"] != "operator"]
+            sentences = [
+                Sentence(s["utterance_idx"], s["role"], s["part"], j, text=s.get("text"),
+                         vector=None if "vector" not in s else np.array(s["vector"]))
+                for j, s in enumerate(kept)
+            ]
+            built.append(CallRecord(obj["call_id"], obj["company_id"], dt.date(2016, 2, 1),
+                                    sentences))
+        for a, b in zip(loaded, built):
+            assert len(a) == len(b) == 6
+            assert_same_columns(a, b)
+        # the encoder's rows, text hashed and vectors copied, are bitwise equal
+        for max_sentences in (16, 4):
+            blocks = [SentenceBlock.build(calls, 4, max_sentences, 3) for calls in (loaded, built)]
+            for name in ("base", "position", "utterance", "role", "part", "inverse"):
+                x, y = (getattr(block, name) for block in blocks)
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+            for (la, ra), (lb, rb) in zip(*(block.chunks for block in blocks), strict=True):
+                assert np.array_equal(la, lb) and np.array_equal(ra, rb)
+
+    @pytest.mark.parametrize(
+        "j, attr, value, message",
+        [
+            (1, "role", "moderator", "unknown role 'moderator' in sentence 1"),
+            (1, "text", 7, "sentence 1 text is a int, not a str"),
+            (1, "utterance_idx", -1, "sentence 1 utterance_idx -1 is not an integer >= 0"),
+            (1, "utterance_idx", 2**63,
+             "sentence 1 utterance_idx 9223372036854775808 is above 2**63 - 1"),
+            (0, "position", -1, "positions not strictly increasing at -1"),
+            (1, "position", 0, "positions not strictly increasing at 0"),
+            (2, "part", "presentation", "part transitions qa→presentation at position 2"),
+            (1, "vector", np.array([np.nan, 0.0]), "sentence 1 vector is not finite"),
+            (1, "vector", [1.0, 10**400], "sentence 1 vector is not finite"),
+            (1, "vector", ["x", 0.0], "sentence 1 vector is not numeric"),
+            (1, "vector", np.ones(3), "sentence 1 vector has 3 entries, the call's first vector 2"),
+        ],
+    )
+    def test_a_hand_built_call_is_checked_by_the_same_rules(self, j, attr, value, message):
+        sentences = [Sentence(0, "executive", part, k, vector=np.ones(2))
+                     for k, part in enumerate(("presentation", "qa", "qa"))]
+        setattr(sentences[j], attr, value)
+        with pytest.raises(ParseError) as err:
+            CallRecord("H-1", "H", dt.date(2016, 2, 1), sentences)
+        assert str(err.value) == f"call H-1: {message}"
+
+    def test_calls_are_views_of_the_file_columns(self, tmp_path):
+        rng = np.random.default_rng(22)
+        p = tmp_path / "t.jsonl"
+        write_jsonl(p, [call_obj(f"V{i}-2016Q1", f"V{i}", sentences=sentence_dicts("vector", rng))
+                        for i in range(3)])
+        first, *rest = load_transcripts(p)
+        for call in rest:
+            for name in ("role", "part", "utterance", "has_vector", "vectors"):
+                assert np.shares_memory(getattr(first, name).base, getattr(call, name)), name
 
 
 def joined_chunks(path, chunk_rows):
@@ -452,6 +616,17 @@ class TestPriceLoading:
             assert s.dates == orig.dates
             # repr() round-trips float64 exactly
             np.testing.assert_array_equal(s.closes, orig.closes)
+            # the loader hands over its ordinals; a series built by hand derives them
+            assert s.days.dtype == orig.days.dtype == np.int64
+            assert s.days.tolist() == orig.days.tolist() == [d.toordinal() for d in s.dates]
+
+    def test_given_days_must_fit_the_dates(self):
+        dates = [dt.date(2016, 1, 4), dt.date(2016, 1, 5)]
+        with pytest.raises(ParseError, match="A: dates/days length mismatch"):
+            PriceSeries("A", dates, [1.0, 2.0], np.array([736000]))
+        for days in (np.array([736001, 736001]), None):
+            with pytest.raises(ParseError, match="A: trading dates not strictly increasing"):
+                PriceSeries("A", dates if days is not None else dates[::-1], [1.0, 2.0], days)
 
 
 class TestRelationLoading:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from reference_volatility import label, v_past_prediction
-from volgraph.dataio.records import RELATION_COLUMNS, Quarter
+from volgraph.dataio.records import PARTS, RELATION_COLUMNS, ROLES, Quarter
 from volgraph.dataio.synthetic import SyntheticConfig, gen_synthetic
 from volgraph.errors import ConfigError
 
@@ -32,8 +32,9 @@ class TestDeterminism:
         assert [c.call_id for c in a.transcripts] == [c.call_id for c in b.transcripts]
         for ca, cb in zip(a.transcripts, b.transcripts):
             assert ca.call_date == cb.call_date
-            for sa, sb in zip(ca.sentences, cb.sentences):
-                np.testing.assert_array_equal(sa.vector, sb.vector)
+            for name in ("role", "part", "utterance", "has_vector", "vectors"):
+                assert getattr(ca, name).tobytes() == getattr(cb, name).tobytes(), name
+            assert ca.texts == cb.texts
         for pa, pb in zip(a.prices, b.prices):
             np.testing.assert_array_equal(pa.closes, pb.closes)
         for name in RELATION_COLUMNS:
@@ -68,25 +69,25 @@ class TestStructure:
         config = SyntheticConfig(n_companies=4, n_quarters=2, d_s=10)
         data = gen_synthetic(config, seed=3)
         for call in data.transcripts:
-            assert config.min_sentences <= len(call.sentences) <= config.max_sentences
-            for s in call.sentences:
-                assert s.vector.shape == (10,)
-                assert s.text is None
+            assert config.min_sentences <= len(call) <= config.max_sentences
+            assert call.has_vector.all()
+            assert call.vectors.shape == (len(call), 10)
+            assert call.texts == [None] * len(call)
 
     def test_presentation_precedes_qa_and_roles_alternate(self):
         data = corpus()
         for call in data.transcripts:
-            parts = [s.part for s in call.sentences]
+            parts = [PARTS[p] for p in call.part]
             if "qa" in parts:
                 assert parts.index("qa") == len(parts) - parts[::-1].count("qa")
-            pres = [s for s in call.sentences if s.part == "presentation"]
-            assert pres and all(s.role == "executive" for s in pres)
-            assert all(s.utterance_idx == 0 for s in pres)
-            qa = [s for s in call.sentences if s.part == "qa"]
+            pres = call.part == PARTS.index("presentation")
+            assert pres.any() and all(ROLES[r] == "executive" for r in call.role[pres])
+            assert (call.utterance[pres] == 0).all()
+            qa = ~pres
             # within q&a, consecutive utterances switch speaker
-            for prev, cur in zip(qa, qa[1:]):
-                if cur.utterance_idx != prev.utterance_idx:
-                    assert cur.role != prev.role
+            utterance, role = call.utterance[qa], call.role[qa]
+            switch = utterance[1:] != utterance[:-1]
+            assert (role[1:][switch] != role[:-1][switch]).all()
 
     def test_prices_cover_every_weekday_and_stay_positive(self):
         data = corpus()
@@ -178,8 +179,7 @@ class TestPlantedSignal:
             n_companies=24, n_quarters=4, signal_strength=signal_strength
         )
         data = gen_synthetic(config, seed=13)
-        means = {c.call_id: np.mean([s.vector for s in c.sentences], axis=0)
-                 for c in data.transcripts}
+        means = {c.call_id: np.mean(c.vectors, axis=0) for c in data.transcripts}
         z = np.array([data.tones[c.call_id] for c in data.transcripts])
         m = np.array([means[c.call_id] for c in data.transcripts])
         half = len(z) // 2

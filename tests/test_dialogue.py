@@ -32,7 +32,7 @@ from volgraph.numcore.layers import transformer_encoder_layer
 from volgraph.numcore.params import ParamStore, uniform_init
 
 import reference_ops as ro
-from conftest import small_model, tiny_config
+from conftest import sentences_of, small_model, tiny_config
 from gradcheck import grad_check, n_scalars
 
 D_S = 6
@@ -185,7 +185,7 @@ def text_call(call_id, texts, vectors=None, utterances=None):
 def reference_rows(call, tables, d_s=D_S):
     """The featurized rows of one call, sentence by sentence."""
     rows = []
-    for i, s in enumerate(call.sentences[: tables.position.shape[0]]):
+    for i, s in enumerate(sentences_of(call)[: tables.position.shape[0]]):
         base = hash_featurizer([s.text], d_s)[0] if s.vector is None else s.vector
         rows.append(
             np.concatenate(
@@ -211,13 +211,12 @@ class TestFeaturize:
         store, tables, params = setup_encoder(rng)
         call = vector_call(rng, n=3)
         feats = featurize([call], tables).data
-        s = call.sentences[2]
         row = feats[2]
-        np.testing.assert_array_equal(row[:D_S], s.vector)
+        np.testing.assert_array_equal(row[:D_S], call.vectors[2])
         got_pos = row[D_S : D_S + 2]
         np.testing.assert_array_equal(got_pos, tables.position.data[2])
         got_utt = row[D_S + 2 : D_S + 4]
-        np.testing.assert_array_equal(got_utt, tables.utterance.data[s.utterance_idx])
+        np.testing.assert_array_equal(got_utt, tables.utterance.data[call.utterance[2]])
 
     def test_truncation_to_position_table(self, rng):
         store, tables, params = setup_encoder(rng, max_sentences=4)
@@ -227,7 +226,7 @@ class TestFeaturize:
     def test_utterance_index_clamps(self, rng):
         store, tables, params = setup_encoder(rng, max_utterances=2)
         call = vector_call(rng, n=6)
-        call.sentences[-1].utterance_idx = 99
+        call.utterance[-1] = 99
         feats = featurize([call], tables).data
         np.testing.assert_array_equal(
             feats[-1, D_S + 2 : D_S + 4], tables.utterance.data[1]
@@ -267,7 +266,7 @@ class TestFeaturize:
         featurize_sentences(calls, tables, D_S, memo)
         texts = ["Revenue grew.", "Why did MARGINS fall?", "Guidance is unchanged."]
         assert seen == [(texts, D_S)]
-        np.testing.assert_array_equal(feats[1, :D_S], calls[0].sentences[1].vector)
+        np.testing.assert_array_equal(feats[1, :D_S], calls[0].vectors[0])  # row 1's vector
         np.testing.assert_array_equal(feats[[0, 2, 5], :D_S], hash_featurizer(texts, D_S))
 
     def test_vector_only_block_never_calls_the_featurizer(self, rng, monkeypatch):
@@ -279,7 +278,7 @@ class TestFeaturize:
 
         monkeypatch.setattr(dialogue, "hash_featurizer", featurizer)
         feats = featurize(calls, tables).data
-        want = np.stack([s.vector for c in calls for s in c.sentences])
+        want = np.concatenate([c.vectors for c in calls])
         assert np.array_equal(feats[:, :D_S], want)
 
 
@@ -309,7 +308,7 @@ class TestSentenceBlock:
             CallRecord(c.call_id, c.company_id, c.call_date, [
                 Sentence(s.utterance_idx, s.role, s.part, s.position,
                          text=f"{c.company_id} said {s.position} things")
-                for s in c.sentences
+                for s in sentences_of(c)
             ])
             for c in small_graph.calls
         ]
@@ -390,7 +389,7 @@ class TestSentenceBlock:
 
     def test_unknown_role_or_part_is_named(self, rng):
         for attr in ("role", "part"):
-            sentences = vector_call(rng, call_id="B-1", n=3).sentences
+            sentences = sentences_of(vector_call(rng, call_id="B-1", n=3))
             setattr(sentences[2], attr, "moderator")
             with pytest.raises(ParseError, match=f"call B-1: unknown {attr} 'moderator'"):
                 CallRecord("B-1", "B", dt.date(2016, 2, 3), sentences)
@@ -487,7 +486,8 @@ class TestEncode:
         store, tables, params = setup_encoder(rng)
         call = vector_call(rng, n=4)
         base = encode_one(call, tables, params)
-        sentences = [call.sentences[1], call.sentences[0]] + call.sentences[2:]
+        rows = sentences_of(call)
+        sentences = [rows[1], rows[0]] + rows[2:]
         for i, s in enumerate(sentences):
             s.position = i
         swapped = CallRecord(call.call_id, call.company_id, call.call_date, sentences)
@@ -526,7 +526,7 @@ class TestAppend:
                 return {c.call_id: row for c, row in zip(prepared.graph.calls, rows)}
 
             full = encode(calls)
-            kept = [min(len(c.sentences), model.config.max_sentences) for c in calls]
+            kept = [min(len(c), model.config.max_sentences) for c in calls]
             assert sum(kept) + len(calls) > 512  # more packed rows than one chunk holds
             for date in sorted({c.call_date for c in calls})[:-1]:
                 prefix = encode([c for c in calls if c.call_date <= date])

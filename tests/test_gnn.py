@@ -160,6 +160,8 @@ class TestEdgeArraysVectorized:
                               reference_edge_arrays(columns, g.n_nodes)):
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert np.array_equal(a, b), name
+        # the backward's sums over senders reduce rows in this order
+        assert np.array_equal(arrays.src_order, np.argsort(arrays.src, kind="stable"))
         return arrays
 
     def test_shuffled_edges_give_sorted_arrays_bitwise(self):

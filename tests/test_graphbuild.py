@@ -469,8 +469,10 @@ class TestDateGroupsAndSerialization:
         # transcripts ride along so prediction works from the directory alone
         for ca, cb in zip(small_graph.calls, back.calls):
             assert ca.call_id == cb.call_id
-            assert len(ca.sentences) == len(cb.sentences)
-            np.testing.assert_array_equal(ca.sentences[0].vector, cb.sentences[0].vector)
+            assert len(ca) == len(cb)
+            for name in ("role", "part", "utterance", "has_vector", "vectors"):
+                assert getattr(ca, name).tobytes() == getattr(cb, name).tobytes(), name
+            assert ca.texts == cb.texts
 
     def test_tables_match_the_row_by_row_format(self, tmp_path, small_graph):
         # one line per node and per edge, floats as repr: the format graph
