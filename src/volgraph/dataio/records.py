@@ -57,10 +57,10 @@ class CallRecord:
     ``CallRecord(call_id, company_id, call_date, sentences)`` makes the
     columns from a list of ``Sentence``s and checks them: the vectors
     first (each numeric and finite, all of one length), then the rules of
-    a call (``broken_rule``), where the sentences' positions must increase
-    strictly. Positions are not kept: row order is sentence order.
-    ``load_transcripts`` makes the columns of a whole file at once and
-    checks them in one ``broken_rule``.
+    a call (``broken_rule``), where the sentences' positions must be
+    numbers that increase strictly. Positions are not kept: row order is
+    sentence order. ``load_transcripts`` makes the columns of a whole file
+    at once and checks them in one ``broken_rule``.
     """
 
     call_id: str
@@ -89,7 +89,10 @@ class CallRecord:
             j, problem = _first_vector_problem(kept)
             j = int(np.flatnonzero(self.has_vector)[j])
             raise ParseError(f"call {self.call_id}: sentence {j} vector {problem}")
-        positions = np.array([s.position for s in rows])
+        # a position that is not a number sorts below any other, so the
+        # position rule breaks at its row
+        positions = np.array([p if _is_number(p) else -np.inf
+                              for p in map(attrgetter("position"), rows)])
         broken = broken_rule([self.company_id], np.array([len(rows)]), self.role, self.part,
                              self.utterance, self.has_vector, self.texts, positions)
         if broken is not None:
@@ -283,6 +286,11 @@ def _previous(column: np.ndarray, firsts: np.ndarray, first) -> np.ndarray:
     return out
 
 
+def _is_number(x) -> bool:
+    """A real number that is not NaN: a sentence position that can be ordered."""
+    return isinstance(x, numbers.Real) and x == x
+
+
 def _rule_message(call_id: str, rule: str, j: int | None, s: Sentence | None) -> str:
     """The error of hand-built call ``call_id`` breaking ``rule`` at sentence j, ``s``."""
     ctx = f"call {call_id}"
@@ -302,6 +310,8 @@ def _rule_message(call_id: str, rule: str, j: int | None, s: Sentence | None) ->
             return f"{ctx}: sentence {j} utterance_idx {utt!r} is above 2**63 - 1"
         return f"{ctx}: sentence {j} utterance_idx {utt!r} is not an integer >= 0"
     if rule == "position":
+        if not _is_number(s.position):
+            return f"{ctx}: sentence {j} position {s.position!r} is not a number"
         return f"{ctx}: positions not strictly increasing at {s.position}"
     if rule == "decrease":
         return f"{ctx}: utterance_idx decreases at position {s.position}"

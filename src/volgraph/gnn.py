@@ -10,10 +10,20 @@ of layers keeps strictly-earlier nodes unaffected by later ones.
 A layer is two tape ops with hand-written backwards: the market stage
 (``market.run_market_timeline``, which hands each node its date's m′
 row) and ``gat_layer``. The GAT's edge softmax is the numpy
-segment-softmax kernel that the market pooling shares, and its message
-sum the same sorted segment reduction. The diagnostics keep, per layer,
-the attention γ per edge, the market pooling weight β per node and the
-decay δ per date.
+segment-softmax kernel that the market pooling shares. Its message sum
+is a product with the quarter's (N, K) coefficient matrix C, C[i, j] the
+sum of γ/d̃ over the edges j→i and K the node count rounded up to
+``SENDER_BLOCK``: ``_affine`` products over fixed 64-column blocks of C
+against the matching 64-row blocks of the zero-padded g, added in block
+order. A node's row then sums the same blocks in the same order whatever
+later nodes the quarter holds, so an earlier node's embedding does not
+change when later calls are added. No per-edge row of d numbers is
+formed in either direction: the tape keeps C, N·K floats per layer where
+a gather of sender rows kept E·d, so C is the smaller once the mean
+in-degree exceeds about N/d (the benchmark's quarters have N = 20, 70
+and 12; at N = 1000, C is 8 MB per layer). The diagnostics keep, per
+layer, the attention γ per edge, the market pooling weight β per node
+and the decay δ per date.
 """
 
 from __future__ import annotations
@@ -33,19 +43,30 @@ from .numcore.tensor import _make, _segment_reduce, _segment_softmax, _segment_s
 LEAKY_SLOPE = 0.01
 EDGE_FEATURE_DIM = 2  # [temporal_weight, similarity]
 
+# Sender columns per product of the message sum. The width is fixed, not
+# tuned: a node's row must go through products of one shape whatever the
+# quarter's node count. A plain C @ g, one product over all N senders,
+# changed 6 of the 4800 prediction values of criterion 3's two date-prefix
+# tests under OpenBLAS 0.3.31's Haswell kernels; the blocked sum changes
+# none under its SkylakeX, Haswell or Sandybridge kernels.
+SENDER_BLOCK = 64
+
 
 @dataclass
 class GraphArrays:
     """Flat edge-list view of a QuarterGraph, ready for vectorized layers.
 
     Edges keep the (dst, src) order of the graph's ``EdgeTable``, which
-    fixes the accumulation order of every segment reduction — a
-    prerequisite for bitwise-reproducible forward passes.
+    fixes the accumulation order of every segment reduction and of the
+    coefficient scatter — a prerequisite for bitwise-reproducible forward
+    passes.
     """
 
     n_nodes: int
+    n_cols: int  # K: n_nodes rounded up to whole SENDER_BLOCKs, the width of C
     src: np.ndarray  # (E,)
     dst: np.ndarray  # (E,)
+    pair_index: np.ndarray  # (E,) dst·K + src, each edge's entry of the flat (N, K) matrix C
     src_order: np.ndarray  # (E,) the edges stably sorted by sender, for sums over senders
     edge_feat: np.ndarray  # (E, 2)
     dtilde: np.ndarray  # (E,) sqrt(deg~(dst) * deg~(src))
@@ -61,10 +82,13 @@ class GraphArrays:
         deg = 1.0 + np.bincount(e.dst[e.src != e.dst], minlength=n)
         dtilde = np.sqrt(deg[e.dst] * deg[e.src])
         days, node_group = np.unique(graph.days, return_inverse=True)
+        n_cols = -(-n // SENDER_BLOCK) * SENDER_BLOCK
         return cls(
             n_nodes=n,
+            n_cols=n_cols,
             src=e.src,
             dst=e.dst,
+            pair_index=e.dst * n_cols + e.src,
             src_order=np.argsort(e.src, kind="stable"),
             edge_feat=np.column_stack([e.temporal_weight, e.similarity]),
             dtilde=dtilde,
@@ -137,23 +161,28 @@ def gat_layer(
 
     The node's parents are ``v``, ``m_prime_nodes``, ``w0``, ``w1_self``,
     ``attn_pair`` and ``attn_edge``. The forward runs the numpy ops of
-    the op-by-op chain (edge scores, segment softmax, scaled messages,
-    segment sum, the two maps, ReLU) in that chain's order, so its
-    output is bitwise equal to the chain's. The backward keeps g, the
-    gathered sender rows, the aggregate, γ and the raw scores.
+    the op-by-op chain (edge scores, segment softmax, the coefficient
+    scatter, the blocked message sum, the two maps, ReLU) in that chain's
+    order, so its output is bitwise equal to the chain's. Repeated
+    (dst, src) pairs add into one entry of C in edge order. The backward
+    keeps g, C, the aggregate, γ and the raw scores: g's gradient gains
+    Cᵀ ∂agg, and an edge's γ gains (∂agg gᵀ)[dst, src] / d̃.
     """
     if v.shape != m_prime_nodes.shape:
         raise ShapeError(f"market states {m_prime_nodes.shape} misaligned with nodes {v.shape}")
-    n, src, dst = arrays.n_nodes, arrays.src, arrays.dst
+    n, k, src, dst = arrays.n_nodes, arrays.n_cols, arrays.src, arrays.dst
     w0, w1, pair, edge = (t.data for t in (params.w0, params.w1_self, params.attn_pair,
                                            params.attn_edge))
     d = v.shape[1]
     proj = np.swapaxes(edge, 0, 1) @ pair  # (2, 2d)
     gamma, scores = edge_attention(v.data, arrays, proj)
     g = v.data + m_prime_nodes.data
-    coef = (gamma / arrays.dtilde).reshape(-1, 1)
-    g_src = np.take(g, src, axis=0)  # (E, d)
-    agg = _segment_reduce(np.add, coef * g_src, dst, n, 0.0)  # (N, d)
+    coef = np.bincount(arrays.pair_index, gamma / arrays.dtilde, n * k).reshape(n, k)  # C
+    g_pad = np.zeros((k, d))
+    g_pad[:n] = g
+    agg = _affine(coef[:, :SENDER_BLOCK], g_pad[:SENDER_BLOCK].T, None)  # (N, d)
+    for lo in range(SENDER_BLOCK, k, SENDER_BLOCK):
+        agg += _affine(coef[:, lo:lo + SENDER_BLOCK], g_pad[lo:lo + SENDER_BLOCK].T, None)
     out = _affine(agg, w0, None)
     out += _affine(g, w1, None)
     if relu:
@@ -164,9 +193,8 @@ def gat_layer(
             grad = grad * (out > 0.0)
         g_agg, g_w0 = _affine_grads(grad, agg, w0)
         g_g, g_w1 = _affine_grads(grad, g, w1)
-        g_msg = np.take(g_agg, dst, axis=0)  # (E, d)
-        g_g += _segment_reduce(np.add, g_msg * coef, src, n, 0.0, arrays.src_order)
-        g_gamma = (g_msg * g_src).sum(axis=1) / arrays.dtilde
+        g_g += coef[:, :n].T @ g_agg
+        g_gamma = (g_agg @ g.T)[dst, src] / arrays.dtilde
         g_scores = _segment_softmax_grad(g_gamma, gamma, dst, n)
         g_scores *= np.where(scores > 0.0, 1.0, LEAKY_SLOPE)
         g_feat = g_scores.reshape(-1, 1) * arrays.edge_feat  # (E, 2)

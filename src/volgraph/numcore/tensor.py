@@ -10,14 +10,16 @@ fused ops of the model itself, each built with ``_make``. ``backward()``
 walks the tape once and accumulates gradients into every leaf created
 with ``requires_grad=True``.
 
-Segment reductions (``_segment_reduce``: the backward of ``take`` and
-the segment sums of the fused ops) stably sort rows by destination and
-reduce each run with ``ufunc.reduceat``: every destination reduces its
-own rows in their original order, so its result is bitwise independent
-of the rows that go elsewhere. ``_segment_softmax`` and
-``_segment_softmax_grad`` are the numpy forward and backward of a
-softmax within segments, shared by the market pooling and the graph
-attention.
+Segment reductions (``_segment_reduce``: the backward of ``take``, the
+segment softmaxes, the market's per-date sums and the GAT's (E, 2)
+edge-feature sums) stably sort rows by destination and reduce each run
+with ``ufunc.reduceat``: every destination reduces its own rows in their
+original order, so its result is bitwise independent of the rows that go
+elsewhere. ``_segment_softmax`` and ``_segment_softmax_grad`` are the
+numpy forward and backward of a softmax within segments, shared by the
+market pooling and the graph attention. The GAT's message sum is no
+segment sum: it runs as ``_affine`` products over the quarter's
+coefficient matrix (see ``gnn``).
 
 Every tensor holds float64: other inputs are converted on construction.
 Every tensor is checked to be finite when it is created: a NaN or an

@@ -9,6 +9,7 @@ from __future__ import annotations
 import ctypes
 import importlib.util
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,25 @@ def sentences_of(call) -> list:
                  vector=next(vectors) if has_vector else None)
         for j, (utterance, role, part, text, has_vector) in enumerate(rows)
     ]
+
+
+def tape_arrays(out) -> list:
+    """The arrays that the backward of tape node ``out`` keeps: those its closure
+    reaches through cells, lists, tuples and nested functions."""
+    arrays, seen = [], set()
+    stack = [cell.cell_contents for cell in out._backward_fn.__closure__]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            arrays.append(item)
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif isinstance(item, types.FunctionType) and item.__closure__:
+            stack.extend(cell.cell_contents for cell in item.__closure__)
+    return arrays
 
 
 def pad_mask(store) -> np.ndarray:

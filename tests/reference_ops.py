@@ -10,9 +10,9 @@ ops.
 
 Each ``*_chain`` function builds the same numpy operations as a fused
 op, in the same order, from per-op tape nodes, so the fused op must match
-its forward bitwise and its gradients to rounding. The segment and
-LeakyReLU ops are kept here as tape ops too; the library runs them only
-inside the fused ops.
+its forward bitwise and its gradients to rounding. The segment, pair
+scatter and LeakyReLU ops are kept here as tape ops too; the library
+runs them only inside the fused ops.
 
 ``adam_step_per_array`` is the Adam rule as it ran before the parameters
 were packed into one vector: about ten numpy calls per parameter array.
@@ -25,7 +25,7 @@ import numpy as np
 
 import volgraph.numcore as nc
 from volgraph.errors import NonFiniteError, ShapeError
-from volgraph.gnn import LEAKY_SLOPE
+from volgraph.gnn import LEAKY_SLOPE, SENDER_BLOCK
 from volgraph.numcore.layers import _affine, _affine_grads, _lead_sum
 from volgraph.numcore.optim import BETA1, BETA2, EPS
 from volgraph.numcore.tensor import Tensor, _make, _segment_reduce, as_tensor
@@ -293,8 +293,16 @@ def window_head_chain(v, w1, b1, w2, b2):
     return reshape(linear(relu(linear(v, w1, b1)), w2, b2), (v.shape[0],))
 
 
+def scatter_pairs(values, index, rows, cols):
+    """The (rows, cols) matrix whose flat entry ``index[e]`` sums ``values[e]``, in order."""
+    out = np.bincount(index, values.data, rows * cols).reshape(rows, cols)
+    return _make(out, (values,), lambda g: (np.take(g.reshape(-1), index),))
+
+
 def gat_layer_chain(v, m_prime_nodes, arrays, params, with_relu):
-    """Edge scores, segment softmax, scaled messages, segment sum, maps; returns (out, γ)."""
+    """Edge scores, segment softmax, the coefficient matrix C, the message sum as a
+    ``linear`` map per block of ``SENDER_BLOCK`` sender columns added in block order,
+    the two maps; returns (out, γ)."""
     d = v.shape[1]
     proj = matmul(swapaxes(params.attn_edge, 0, 1), params.attn_pair)
     recv = linear(v, take_cols(proj, np.arange(d)))
@@ -303,8 +311,14 @@ def gat_layer_chain(v, m_prime_nodes, arrays, params, with_relu):
     scores = sum_(mul(nc.Tensor(arrays.edge_feat), per_feature), axis=1)
     gamma = segment_softmax(leaky_relu(scores), arrays.dst, arrays.n_nodes)
     g = add(v, m_prime_nodes)
-    coef = reshape(div(gamma, nc.Tensor(arrays.dtilde)), (gamma.shape[0], 1))
-    agg = segment_sum(mul(coef, nc.take(g, arrays.src)), arrays.dst, arrays.n_nodes)
+    n, k = arrays.n_nodes, arrays.n_cols
+    coef = scatter_pairs(div(gamma, nc.Tensor(arrays.dtilde)), arrays.pair_index, n, k)
+    g_pad = nc.concat([g, nc.Tensor(np.zeros((k - n, d)))])
+    agg = None
+    for lo in range(0, k, SENDER_BLOCK):
+        cols = np.arange(lo, lo + SENDER_BLOCK)
+        block = linear(take_cols(coef, cols), swapaxes(nc.take(g_pad, cols), 0, 1))
+        agg = block if agg is None else add(agg, block)
     out = add(linear(agg, params.w0), linear(g, params.w1_self))
     if with_relu:
         out = relu(out)

@@ -300,41 +300,73 @@ def _random_quarter(rng, quarter, n):
     return calls, RelationTable.from_rows(relations)
 
 
+def _prefix_forward(model, quarter, calls, relations):
+    """call_id -> (embedding, predictions per window) of a no-grad forward over the quarter."""
+    graph = build_quarter_graph(calls, relations, quarter)
+    with no_grad():
+        preds, emb, _ = model.forward(prepare_quarter(graph))
+    ids = [c.call_id for c in graph.calls]
+    return {i: (emb.data[k], [preds[tau].data[k] for tau in TAUS]) for k, i in enumerate(ids)}
+
+
+def _check_date_prefixes(rng, quarter, model, sizes, blas_build) -> list:
+    """For random quarters of ``sizes`` companies, every date prefix's nodes against
+    the full quarter's, bitwise; returns (prefix nodes, full nodes) per prefix."""
+    checked = []
+    for n in sizes:
+        calls, relations = _random_quarter(rng, quarter, n)
+        full = _prefix_forward(model, quarter, calls, relations)
+        for date in sorted({c.call_date for c in calls})[:-1]:
+            prefix = _prefix_forward(model, quarter, [c for c in calls if c.call_date <= date],
+                                     relations)
+            for call_id, (emb, preds) in prefix.items():
+                where = (f"call {call_id} in the {len(prefix)}-node prefix up to {date} of a "
+                         f"{n}-node quarter on {blas_build}")
+                assert np.array_equal(emb, full[call_id][0]), f"embedding of {where}"
+                assert preds == full[call_id][1], f"predictions of {where}"
+            checked.append((len(prefix), n))
+    return checked
+
+
 def test_criterion_03_date_prefixes_predict_as_the_full_quarter(capsys, blas_build):
     """Adding later calls never changes an earlier node's embedding or prediction, bitwise."""
     start = time.perf_counter()
     rng = np.random.default_rng(23)
     quarter = Quarter(2016, 2)
     model = VolatilityModel(small_model_config(seed=5), TAUS)
-
-    def forward(calls, relations):
-        graph = build_quarter_graph(calls, relations, quarter)
-        with no_grad():
-            preds, emb, _ = model.forward(prepare_quarter(graph))
-        ids = [c.call_id for c in graph.calls]
-        return {i: (emb.data[k], [preds[tau].data[k] for tau in TAUS]) for k, i in enumerate(ids)}
-
     sizes = [int(rng.integers(6, 19)), *rng.integers(19, 90, size=5).tolist()]
-    n_prefixes = n_nodes = 0
-    for n in sizes:
-        calls, relations = _random_quarter(rng, quarter, n)
-        full = forward(calls, relations)
-        for date in sorted({c.call_date for c in calls})[:-1]:
-            prefix = forward([c for c in calls if c.call_date <= date], relations)
-            for call_id, (emb, preds) in prefix.items():
-                where = (f"call {call_id} in the {len(prefix)}-node prefix up to {date} of a "
-                         f"{n}-node quarter on {blas_build}")
-                assert np.array_equal(emb, full[call_id][0]), f"embedding of {where}"
-                assert preds == full[call_id][1], f"predictions of {where}"
-            n_prefixes += 1
-            n_nodes += len(prefix)
+    checked = _check_date_prefixes(rng, quarter, model, sizes, blas_build)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     with capsys.disabled():
         print(
             f"PASS criterion 3 (append): {len(sizes)} quarters of {min(sizes)}-{max(sizes)} "
-            f"nodes, {n_prefixes} date prefixes, {n_nodes} prefix nodes bitwise as in their "
-            f"full quarter on {blas_build} ({elapsed:.1f}s)"
+            f"nodes, {len(checked)} date prefixes, {sum(p for p, _ in checked)} prefix nodes "
+            f"bitwise as in their full quarter on {blas_build} ({elapsed:.1f}s)"
+        )
+
+
+def test_criterion_03_date_prefixes_across_sender_blocks(capsys, blas_build):
+    """As the append variant, on quarters of 60-200 nodes: the GAT's message sum runs
+    over blocks of 64 sender columns, and the prefixes end one and two block edges
+    before their full quarter's last block."""
+    start = time.perf_counter()
+    rng = np.random.default_rng(29)
+    quarter = Quarter(2016, 2)
+    model = VolatilityModel(small_model_config(seed=7), TAUS)
+    sizes = rng.integers(60, 201, size=3).tolist()
+    checked = _check_date_prefixes(rng, quarter, model, sizes, blas_build)
+    for edge in (64, 128):
+        assert any(p <= edge < n for p, n in checked), (edge, checked)
+    assert {1, 2} <= {-(-n // 64) - -(-p // 64) for p, n in checked}, checked  # edges crossed
+    elapsed = time.perf_counter() - start
+    assert elapsed < 60.0
+    with capsys.disabled():
+        print(
+            f"PASS criterion 3 (blocks): {len(sizes)} quarters of {min(sizes)}-{max(sizes)} "
+            f"nodes, {len(checked)} date prefixes of {min(p for p, _ in checked)}-"
+            f"{max(p for p, _ in checked)} nodes, {sum(p for p, _ in checked)} prefix nodes "
+            f"bitwise as in their full quarter on {blas_build} ({elapsed:.1f}s)"
         )
 
 

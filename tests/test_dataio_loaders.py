@@ -372,6 +372,10 @@ class TestColumns:
              "sentence 1 utterance_idx 9223372036854775808 is above 2**63 - 1"),
             (0, "position", -1, "positions not strictly increasing at -1"),
             (1, "position", 0, "positions not strictly increasing at 0"),
+            (1, "position", None, "sentence 1 position None is not a number"),
+            (1, "position", "2", "sentence 1 position '2' is not a number"),
+            (1, "position", [2], "sentence 1 position [2] is not a number"),
+            (2, "position", float("nan"), "sentence 2 position nan is not a number"),
             (2, "part", "presentation", "part transitions qa→presentation at position 2"),
             (1, "vector", np.array([np.nan, 0.0]), "sentence 1 vector is not finite"),
             (1, "vector", [1.0, 10**400], "sentence 1 vector is not finite"),

@@ -25,6 +25,7 @@ from volgraph.market import MarketParams
 from volgraph.numcore.params import ParamStore
 
 import reference_ops as ro
+from conftest import tape_arrays
 from gradcheck import grad_check, n_scalars
 from reference_ops import gat_layer_chain
 
@@ -162,6 +163,9 @@ class TestEdgeArraysVectorized:
             assert np.array_equal(a, b), name
         # the backward's sums over senders reduce rows in this order
         assert np.array_equal(arrays.src_order, np.argsort(arrays.src, kind="stable"))
+        # each edge's entry of the flat coefficient matrix, one sender block wide
+        assert arrays.n_cols == 64
+        assert np.array_equal(arrays.pair_index, arrays.dst * 64 + arrays.src)
         return arrays
 
     def test_shuffled_edges_give_sorted_arrays_bitwise(self):
@@ -316,17 +320,31 @@ class TestGATLayer:
             np.testing.assert_allclose(renamed[c], base[c], atol=1e-12)
 
 
-def mixed_graph():
+def mixed_quarter():
     """A and B share a day (linked both ways), D has no relation, E has two senders."""
-    g = build(
+    return build(
         [call("A", apr(5)), call("B", apr(5)), call("C", apr(7)), call("D", apr(9)),
          call("E", apr(12))],
         [("A", "B", 0.6), ("A", "C", 0.4), ("B", "E", 0.7), ("C", "E", 0.5)],
     )
-    arrays = GraphArrays.from_graph(g)
+
+
+def mixed_graph():
+    arrays = GraphArrays.from_graph(mixed_quarter())
     pairs = set(zip(arrays.src.tolist(), arrays.dst.tolist()))
     assert {(0, 1), (1, 0)} <= pairs
     assert [p for p in pairs if 3 in p] == [(3, 3)]
+    return arrays
+
+
+def repeated_pair_graph():
+    """``mixed_graph`` with a second C→E edge (2 → 4) of other features than the first."""
+    g = mixed_quarter()
+    e = g.edges
+    g.edges = EdgeTable(*(np.append(c, x) for c, x in zip(
+        (e.src, e.dst, e.temporal_weight, e.similarity, e.day_gap), (2, 4, 0.5, 0.9, 1))))
+    arrays = GraphArrays.from_graph(g)
+    assert ((arrays.src == 2) & (arrays.dst == 4)).sum() == 2
     return arrays
 
 
@@ -352,19 +370,57 @@ class TestFusedGATLayer:
             out, _ = gat_layer(v, m, mixed_graph(), params, True)
         assert out._parents == () and out._backward_fn is None
 
-    @pytest.mark.parametrize("relu", [True, False], ids=["relu", "identity"])
-    def test_forward_bitwise_equal_to_op_chain(self, rng, relu):
+    def test_tape_keeps_no_edge_rows(self, rng):
+        # the messages' gradients run through the (N, K) coefficient matrix:
+        # the backward keeps (E,) weights and scores, but no (E, ·) rows like
+        # the gathered sender embeddings
         store, params, v, m = self.leaves(rng)
         arrays = mixed_graph()
+        n, k, e = arrays.n_nodes, arrays.n_cols, len(arrays.src)
+        assert e not in (n, k, D)
+        kept = tape_arrays(gat_layer(v, m, arrays, params, True)[0])
+        assert any(a.shape == (n, k) for a in kept)
+        assert all(a.ndim == 1 or a.shape[0] != e for a in kept), [a.shape for a in kept]
+
+    def test_repeated_pair_adds_both_coefficients(self, rng):
+        store, params, v, m = self.leaves(rng)
+        arrays = repeated_pair_graph()
+        out, gamma = gat_layer(v, m, arrays, params, False)
+        twins = np.flatnonzero((arrays.src == 2) & (arrays.dst == 4))
+        coefs = gamma[twins] / arrays.dtilde[twins]
+        assert coefs[0] != coefs[1]  # a scatter that kept one of them would show
+        want, want_gamma = oracle_gat(v.data, v.data + m.data, arrays, params, False)
+        np.testing.assert_allclose(gamma, want_gamma, atol=1e-12)
+        np.testing.assert_allclose(out.data, want, atol=1e-12)
+
+    @pytest.mark.parametrize("relu", [True, False], ids=["relu", "identity"])
+    def test_gradcheck_with_a_repeated_pair(self, rng, relu):
+        store, params, v, m = self.leaves(rng)
+        arrays = repeated_pair_graph()
+        w = nc.Tensor(rng.normal(size=(5, D)))
+
+        def loss():
+            return ro.sum_(ro.mul(gat_layer(v, m, arrays, params, relu)[0], w))
+
+        report = grad_check(loss, store, tol=1e-4)
+        assert report.passed, report.summary()
+        assert report.n_checked == n_scalars(store)
+
+    @pytest.mark.parametrize("graph", [mixed_graph, repeated_pair_graph])
+    @pytest.mark.parametrize("relu", [True, False], ids=["relu", "identity"])
+    def test_forward_bitwise_equal_to_op_chain(self, rng, relu, graph):
+        store, params, v, m = self.leaves(rng)
+        arrays = graph()
         out, gamma = gat_layer(v, m, arrays, params, relu)
         want, want_gamma = gat_layer_chain(v, m, arrays, params, relu)
         assert np.array_equal(out.data, want.data)
         assert np.array_equal(gamma, want_gamma.data)
 
+    @pytest.mark.parametrize("graph", [mixed_graph, repeated_pair_graph])
     @pytest.mark.parametrize("relu", [True, False], ids=["relu", "identity"])
-    def test_gradients_match_op_chain(self, rng, relu):
+    def test_gradients_match_op_chain(self, rng, relu, graph):
         store, params, v, m = self.leaves(rng)
-        arrays = mixed_graph()
+        arrays = graph()
         w = nc.Tensor(rng.normal(size=(5, D)))
         ro.sum_(ro.mul(gat_layer(v, m, arrays, params, relu)[0], w)).backward()
         got = {name: t.grad.copy() for name, t in store.items()}

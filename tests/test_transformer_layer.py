@@ -5,7 +5,6 @@ an op-by-op tape reference that attend one sequence at a time."""
 
 from __future__ import annotations
 
-import types
 from dataclasses import fields
 
 import numpy as np
@@ -26,6 +25,7 @@ from volgraph.numcore.tensor import _make
 
 import reference_ops as ro
 from reference_ops import linear
+from conftest import tape_arrays
 from gradcheck import grad_check, n_scalars
 
 
@@ -442,19 +442,7 @@ class TestQueryTiles:
         store, params = make_layer(rng, d=8)
         x = nc.Tensor(rng.normal(size=(300, 8)), requires_grad=True)
         out = transformer_encoder_layer(x, params, 2, [300])
-        sizes, seen = [], set()
-        stack = [cell.cell_contents for cell in out._backward_fn.__closure__]
-        while stack:
-            item = stack.pop()
-            if id(item) in seen:
-                continue
-            seen.add(id(item))
-            if isinstance(item, np.ndarray):
-                sizes.append(item.size)
-            elif isinstance(item, (list, tuple)):
-                stack.extend(item)
-            elif isinstance(item, types.FunctionType) and item.__closure__:
-                stack.extend(cell.cell_contents for cell in item.__closure__)
+        sizes = [a.size for a in tape_arrays(out)]
         assert sizes and max(sizes) <= 300 * 4 * 8, max(sizes)
 
 
